@@ -4,7 +4,8 @@ Subcommands: solve, kernelize, params, verify, gen.  Results are printed
 as a single machine-parseable stdout line; diagnostics (parameter values
 of the chosen tree or decomposition) go to stderr.  Exit codes: 0 for
 success (or answer YES), 1 for answer NO / failed verification, 2 for
-usage errors and invalid inputs.
+usage errors and invalid inputs, 3 for an internal error (a solver
+returned an invalid network or misreported its score).
 """
 
 from __future__ import annotations
@@ -73,10 +74,9 @@ def _load_instance(path: str, rep, target=None, max_parents=None):
     return parse_nonzero(text, target), "nonzero"
 
 
-def _load_tree(path, g):
+def _load_tree(path):
     text = _read(path)
     edges = set()
-    names = None
     for i, line in enumerate(text.splitlines(), start=1):
         s = line.strip()
         if not s or s.startswith("#"):
@@ -169,7 +169,7 @@ def cmd_solve(args) -> int:
     forest = None
     td = None
     if args.tree:
-        forest = graphs.forest_from_edges(g, _resolve_names(_load_tree(args.tree, g), inst))
+        forest = graphs.forest_from_edges(g, _resolve_names(_load_tree(args.tree), inst))
     if args.td:
         td = _load_td(args.td, inst)
 
@@ -197,8 +197,12 @@ def cmd_solve(args) -> int:
             score, net = oracle.exact_bnsl(inst)
 
     check = validate(net, "polytree" if mode == "polytree" else "dag", inst_q(inst))
-    assert check.ok, f"solver returned an invalid network: {check}"
-    assert score_of(inst, net) == score
+    if not check.ok:
+        return _internal_error(f"{algo} returned an invalid network: {check}")
+    if score_of(inst, net) != score:
+        return _internal_error(
+            f"{algo} reported max_score={score}, its network scores {score_of(inst, net)}"
+        )
 
     if info:
         print(" ".join(info), file=sys.stderr)
@@ -210,6 +214,11 @@ def cmd_solve(args) -> int:
         return 0 if answer == "YES" else 1
     print(f"max_score={score}")
     return 0
+
+
+def _internal_error(message: str) -> int:
+    print(f"error: internal: {message}", file=sys.stderr)
+    return 3
 
 
 def inst_q(inst):
@@ -340,11 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--max-parents", type=int, metavar="Q")
     ps.add_argument("--target", type=int, metavar="L")
     ps.add_argument("--out", metavar="FILE", help="write the witness network")
-    ps.add_argument("--seed", type=int, default=0, help="reserved; solvers are deterministic")
     ps.add_argument("--tree", metavar="FILE", help="spanning tree edge list to use")
     ps.add_argument("--td", metavar="FILE", help="raw tree decomposition to use")
-    ps.add_argument("--threads", type=int, default=1,
-                    help="reserved; solvers currently run single-threaded")
     ps.add_argument("--max-dependent", type=int, default=5)
     ps.set_defaults(func=cmd_solve)
 

@@ -271,7 +271,7 @@ def lfen_search(
     """
     best_edges: set[tuple[int, int]] = set()
     exact_all = True
-    for comp in superstructure_components(g):
+    for comp in g.components():
         sub, idx = _component_subgraph(g, comp)
         back = {i: v for v, i in idx.items()}
         tree, exact = _component_lfen_tree(sub, budget, restarts)
@@ -280,10 +280,6 @@ def lfen_search(
     forest = forest_from_edges(g, frozenset(best_edges))
     w = lfen_of_tree(g, forest)
     return LfenWitness(forest, w.local_counts, w.value, exact_all)
-
-
-def superstructure_components(g: Superstructure) -> list[list[int]]:
-    return g.components()
 
 
 def _component_lfen_tree(g: Superstructure, budget: int, restarts: int):

@@ -85,14 +85,6 @@ class NonZeroInstance:
     def entry_count(self) -> int:
         return sum(len(sets) for sets in self.entries.values())
 
-    def encoding_size(self) -> int:
-        """Instance size measure: variables + target + total parent-set
-        members across all listed entries."""
-        members = sum(
-            len(p) for sets in self.entries.values() for p in sets
-        )
-        return self.n + (self.target or 0) + members
-
 
 @dataclass(frozen=True)
 class AdditiveInstance:
@@ -349,9 +341,6 @@ class ComponentSplit:
 
     components: list[Instance]
     to_local: list[dict[int, int]]
-
-    def global_score(self, component_scores: Sequence[int]) -> int:
-        return sum(component_scores)
 
     def merge_networks(self, n: int, nets: Sequence[Network]) -> Network:
         arcs = set()
@@ -635,19 +624,3 @@ def to_nonzero(instance: AdditiveInstance, max_degree: int = 6) -> NonZeroInstan
             entries[v] = sets
     return NonZeroInstance(instance.n, instance.names, entries, instance.target)
 
-
-def drop_dominated(instance: NonZeroInstance) -> NonZeroInstance:
-    """Optional cleanup: remove parent sets dominated by a subset scoring at
-    least as much.  Not applied by default anywhere."""
-    entries: dict[int, dict[frozenset[int], int]] = {}
-    for v, sets in instance.entries.items():
-        kept = {}
-        for parents, score in sets.items():
-            best_sub = max(
-                (s for q, s in sets.items() if q < parents), default=-1
-            )
-            if not parents or score > max(best_sub, instance.score(v, frozenset())):
-                kept[parents] = score
-        if kept:
-            entries[v] = kept
-    return NonZeroInstance(instance.n, instance.names, entries, instance.target)

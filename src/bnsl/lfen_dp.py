@@ -13,10 +13,12 @@ locally, which is what makes this fast on near-tree superstructures.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
-from .graphs import LfenWitness, SpanningForest, lfen_of_tree, lfen_search
-from .instances import Instance, Network, NonZeroInstance, Superstructure, superstructure
+from . import relations
+from .graphs import DEFAULT_TREE_BUDGET, SpanningForest, lfen_of_tree, lfen_search
+from .instances import Network, NonZeroInstance, Superstructure, superstructure
 
 
 @dataclass(frozen=True)
@@ -37,14 +39,13 @@ def boundaries(g: Superstructure, forest: SpanningForest) -> list[Boundary]:
     A child w is closed when delta(w) is just {w, parent}; every deeper
     connection of a closed subtree runs through that single tree edge.
     """
-    n = g.n
     children = forest.children_lists()
-    subtree = [0] * n
-    for v in _postorder(forest):
-        mask = 1 << v
-        for c in children[v]:
-            mask |= subtree[c]
-        subtree[v] = mask
+    subtree = _subtree_masks(_postorder(forest.roots, children), children)
+    return _boundaries(g, children, subtree)
+
+
+def _boundaries(g: Superstructure, children, subtree: list[int]) -> list[Boundary]:
+    n = g.n
     deltas: list[tuple[int, ...]] = [()] * n
     for v in range(n):
         mask = subtree[v]
@@ -56,7 +57,6 @@ def boundaries(g: Superstructure, forest: SpanningForest) -> list[Boundary]:
                 d.add(a)
                 d.add(b)
         deltas[v] = tuple(sorted(d))
-    bound = 2 * lfen_of_tree(g, forest).value + 2
     out = []
     for v in range(n):
         mask = subtree[v]
@@ -68,15 +68,13 @@ def boundaries(g: Superstructure, forest: SpanningForest) -> list[Boundary]:
                 closeds.append(c)
             else:
                 opens.append(c)
-        assert len(deltas[v]) <= bound, "boundary exceeds 2k+2"
         out.append(Boundary(v, deltas[v], din, dout, tuple(opens), tuple(closeds)))
     return out
 
 
-def _postorder(forest: SpanningForest) -> list[int]:
-    children = forest.children_lists()
+def _postorder(roots, children) -> list[int]:
     order = []
-    for r in forest.roots:
+    for r in roots:
         stack = [(r, False)]
         while stack:
             v, done = stack.pop()
@@ -89,86 +87,134 @@ def _postorder(forest: SpanningForest) -> list[int]:
     return order
 
 
-# ---------------------------------------------------------------------------
-# bit-matrix relations over a dense local index
+def _subtree_masks(order: list[int], children) -> list[int]:
+    """Bitmask of each vertex's subtree, from a post-order of all vertices."""
+    subtree = [0] * len(order)
+    for v in order:
+        mask = 1 << v
+        for c in children[v]:
+            mask |= subtree[c]
+        subtree[v] = mask
+    return subtree
 
 
-def _trcl(rows: list[int]) -> list[int]:
-    rows = rows[:]
-    d = len(rows)
-    for k in range(d):
-        col = 1 << k
-        rk = rows[k]
-        for i in range(d):
-            if rows[i] & col:
-                rows[i] |= rk
-    return rows
+class _RecordEngine:
+    """Post-order record DP over a rooted spanning forest.
 
+    Subclasses fix the key format and build the tables: `root_key`,
+    `closed_key(c, take_arc)` (the key of closed child c's record without
+    or with the arc from its tree parent into c), `records(v)` (tables[v]
+    in the public key format) and `combine_records(v)`, which also serves
+    the leaves.  tables[v] maps a key to (score, (parents, closed choice,
+    open choice)): v's parent set, whether each closed child takes the arc
+    from v, and the key picked in each open child's table.
+    """
 
-def _irreflexive(rows: list[int]) -> bool:
-    return all(not rows[i] >> i & 1 for i in range(len(rows)))
-
-
-def _restrict(rows: list[int], keep_mask: int) -> list[int]:
-    return [rows[i] & keep_mask if keep_mask >> i & 1 else 0 for i in range(len(rows))]
-
-
-class _BnslEngine:
-    """Shared context for the acyclic-network record DP."""
+    root_key: tuple = ()
 
     def __init__(self, instance: NonZeroInstance, g: Superstructure, forest: SpanningForest):
         self.instance = instance
         self.g = g
         self.forest = forest
-        self.bounds = boundaries(g, forest)
         self.children = forest.children_lists()
-        # tables[v]: dict delta-relation key -> (score, backptr)
+        self.order = _postorder(forest.roots, self.children)
+        self.subtree = _subtree_masks(self.order, self.children)
+        self.bounds = _boundaries(g, self.children, self.subtree)
+        bound = 2 * lfen_of_tree(g, forest).value + 2
+        if any(len(b.delta) > bound for b in self.bounds):
+            raise RuntimeError("boundary exceeds 2k+2")
         self.tables: list[Optional[dict]] = [None] * g.n
 
-    # -- keys are tuples of row bitmasks over the sorted delta of the vertex
+    def records(self, v: int) -> dict:
+        """tables[v] as {key: best score}."""
+        return {key: sc for key, (sc, _) in self.tables[v].items()}
 
-    def delta_key(self, v: int, pairs) -> tuple[int, ...]:
+    def fill(self, stop: Optional[int] = None):
+        """Fill the tables in post-order, up to and including `stop`."""
+        for v in self.order:
+            self.tables[v] = self.combine_records(v)
+            if v == stop:
+                break
+
+    def parent_choices(self, v: int):
+        """(parents, score, closed choice) for each parent set of v, the
+        score including the best record of every closed child that fits;
+        parent sets that no closed-child record fits are skipped."""
+        closed_info = []
+        for c in self.bounds[v].closed_children:
+            s_empty = self.tables[c].get(self.closed_key(c, False))
+            s_arc = self.tables[c].get(self.closed_key(c, True))
+            closed_info.append(
+                (c, s_empty[0] if s_empty else None, s_arc[0] if s_arc else None)
+            )
+        for parents in self.instance.parent_sets(v):
+            if not parents <= self.g.adj[v]:
+                raise RuntimeError("parent outside superstructure")
+            base = self.instance.score(v, parents)
+            closed_choice = []
+            feasible = True
+            for c, s_empty, s_arc in closed_info:
+                if c in parents:
+                    if s_empty is None:
+                        feasible = False
+                        break
+                    base += s_empty
+                    closed_choice.append((c, False))
+                else:
+                    if s_arc is not None and (s_empty is None or s_arc > s_empty):
+                        base += s_arc
+                        closed_choice.append((c, True))
+                    else:
+                        base += s_empty
+                        closed_choice.append((c, False))
+            if feasible:
+                yield parents, base, tuple(closed_choice)
+
+    def solve(self) -> tuple[int, Network]:
+        """Optimum score and a witness network, collected without recursion."""
+        self.fill()
+        total = 0
+        arcs: set[tuple[int, int]] = set()
+        for r in self.forest.roots:
+            table = self.tables[r]
+            if list(table) != [self.root_key]:
+                raise RuntimeError("root must hold the single empty record")
+            total += table[self.root_key][0]
+            stack = [(r, self.root_key)]
+            while stack:
+                v, key = stack.pop()
+                parents, closed_choice, open_choice = self.tables[v][key][1]
+                arcs.update((p, v) for p in parents)
+                for c, take_arc in closed_choice:
+                    stack.append((c, self.closed_key(c, take_arc)))
+                stack.extend(open_choice)
+        return total, Network(self.instance.n, frozenset(arcs))
+
+
+def _engine(cls, instance: NonZeroInstance, forest=None, tree_budget=None):
+    g = superstructure(instance)
+    if forest is None:
+        budget = DEFAULT_TREE_BUDGET if tree_budget is None else tree_budget
+        forest = lfen_search(g, budget).forest
+    return cls(instance, g, forest)
+
+
+class _BnslEngine(_RecordEngine):
+    """Acyclic-network record DP; keys are strict-reachability relations as
+    bit rows over the sorted delta of the vertex (bnsl.relations)."""
+
+    def closed_key(self, c: int, take_arc: bool) -> tuple[int, ...]:
+        arcs = [(self.forest.parent[c], c)] if take_arc else []
+        return tuple(relations.from_pairs(arcs, self.bounds[c].delta))
+
+    def records(self, v: int) -> dict:
+        """tables[v] as {reachability pair set: best score}."""
         delta = self.bounds[v].delta
-        idx = {x: i for i, x in enumerate(delta)}
-        rows = [0] * len(delta)
-        for x, y in pairs:
-            rows[idx[x]] |= 1 << idx[y]
-        return tuple(rows)
-
-    def key_pairs(self, v: int, key: tuple[int, ...]) -> frozenset:
-        delta = self.bounds[v].delta
-        out = set()
-        for i, row in enumerate(key):
-            for j in range(len(delta)):
-                if row >> j & 1:
-                    out.add((delta[i], delta[j]))
-        return frozenset(out)
-
-    def leaf_records(self, v: int) -> dict:
-        inst = self.instance
-        table: dict = {}
-        for parents in inst.parent_sets(v):
-            assert all(p in self.g.adj[v] for p in parents), "parent outside superstructure"
-            key = self.delta_key(v, [(p, v) for p in sorted(parents)])
-            score = inst.score(v, parents)
-            cur = table.get(key)
-            if cur is None or score > cur[0]:
-                table[key] = (score, (parents, (), ()))
-        return table
+        return {relations.to_pairs(key, delta): sc for key, (sc, _) in self.tables[v].items()}
 
     def combine_records(self, v: int) -> dict:
-        inst = self.instance
         b = self.bounds[v]
-        opens, closeds = b.open_children, b.closed_children
-
-        closed_info = []
-        for c in closeds:
-            ct = self.tables[c]
-            empty_key = self.delta_key(c, [])
-            arc_key = self.delta_key(c, [(self.bounds[c].delta_out[0], c)]) if self.bounds[c].delta_out else None
-            s_empty = ct.get(empty_key)
-            s_arc = ct.get(arc_key) if arc_key is not None else None
-            closed_info.append((c, s_empty[0] if s_empty else None, s_arc[0] if s_arc else None))
+        opens = b.open_children
 
         # dense local index over everything the combination can mention
         ground = {v}
@@ -177,17 +223,6 @@ class _BnslEngine:
             ground.update(self.bounds[c].delta)
         ground = sorted(ground)
         gidx = {x: i for i, x in enumerate(ground)}
-        d = len(ground)
-
-        def child_rows(c: int, key: tuple[int, ...]) -> list[int]:
-            delta = self.bounds[c].delta
-            rows = [0] * d
-            for i, row in enumerate(key):
-                gi = gidx[delta[i]]
-                for j in range(len(delta)):
-                    if row >> j & 1:
-                        rows[gi] |= 1 << gidx[delta[j]]
-            return rows
 
         delta_mask = 0
         for x in b.delta:
@@ -201,116 +236,49 @@ class _BnslEngine:
                 acc |= 1 << gidx[x]
         frontier_after.reverse()  # frontier_after[i]: mask kept after folding opens[i]
 
+        # each open child's records, translated once into the ground index
+        child_records = []
+        for c in opens:
+            ctable = self.tables[c]
+            cdelta = self.bounds[c].delta
+            child_records.append([
+                (relations.reindex(ckey, cdelta, ground), ctable[ckey][0], ckey)
+                for ckey in sorted(ctable)
+            ])
+
         table: dict = {}
-        for parents in inst.parent_sets(v):
-            assert all(p in self.g.adj[v] for p in parents), "parent outside superstructure"
-            base = inst.score(v, parents)
-            closed_choice = []
-            feasible = True
-            for c, s_empty, s_arc in closed_info:
-                if c in parents:
-                    if s_empty is None:
-                        feasible = False
-                        break
-                    base += s_empty
-                    closed_choice.append((c, False))
-                else:
-                    if s_arc is not None and (s_empty is None or s_arc > s_empty):
-                        base += s_arc
-                        closed_choice.append((c, True))
-                    else:
-                        base += s_empty
-                        closed_choice.append((c, False))
-            if not feasible:
-                continue
-            rows0 = [0] * d
-            vi = gidx[v]
+        vbit = 1 << gidx[v]
+        for parents, base, closed_choice in self.parent_choices(v):
+            rows0 = [0] * len(ground)
             for p in parents:
-                rows0[gidx[p]] |= 1 << vi
+                rows0[gidx[p]] |= vbit
             # fold the open children one by one, deduplicating on the
             # closure restricted to what later steps can still observe
-            states = {tuple(rows0): (base, tuple(closed_choice), ())}
-            for ci, c in enumerate(opens):
-                keep = frontier_after[ci]
+            states = {tuple(rows0): (base, ())}
+            for c, keep, crecords in zip(opens, frontier_after, child_records):
                 nxt: dict = {}
-                ctable = self.tables[c]
-                for rows_key, (score, cc, chain) in states.items():
-                    rows_list = list(rows_key)
-                    for ckey in sorted(ctable):
-                        cscore, _ = ctable[ckey]
-                        merged = rows_list[:]
-                        crows = child_rows(c, ckey)
-                        for i in range(d):
-                            merged[i] |= crows[i]
-                        merged = _trcl(merged)
-                        if not _irreflexive(merged):
+                for rows, (score, chain) in states.items():
+                    for crows, cscore, ckey in crecords:
+                        merged = relations.closure([a | b for a, b in zip(rows, crows)])
+                        if not relations.irreflexive(merged):
                             continue
-                        merged = _restrict(merged, keep)
-                        mkey = tuple(merged)
+                        mkey = tuple(relations.restrict(merged, keep))
                         val = score + cscore
                         cur = nxt.get(mkey)
                         if cur is None or val > cur[0]:
-                            nxt[mkey] = (val, cc, chain + ((c, ckey),))
+                            nxt[mkey] = (val, chain + ((c, ckey),))
                 states = nxt
-            for rows_key, (score, cc, chain) in states.items():
-                final = _restrict(_trcl(list(rows_key)), delta_mask)
-                key = tuple(
-                    _project_row(final[gidx[x]], ground, b.delta) for x in b.delta
-                )
+            for rows, (score, chain) in states.items():
+                key = tuple(relations.reindex(relations.closure(rows), ground, b.delta))
                 cur = table.get(key)
                 if cur is None or score > cur[0]:
-                    table[key] = (score, (parents, cc, chain))
+                    table[key] = (score, (parents, closed_choice, chain))
         return table
-
-    def run(self) -> tuple[int, Network]:
-        for v in _postorder(self.forest):
-            if not self.children[v]:
-                self.tables[v] = self.leaf_records(v)
-            else:
-                self.tables[v] = self.combine_records(v)
-        total = 0
-        arcs: set[tuple[int, int]] = set()
-        for r in self.forest.roots:
-            table = self.tables[r]
-            assert len(table) == 1 and next(iter(table)) == tuple(
-                [0] * len(self.bounds[r].delta)
-            ), "root must have the single empty record"
-            (score, _) = next(iter(table.values()))
-            total += score
-            self._collect(r, next(iter(table)), arcs)
-        return total, Network(self.instance.n, frozenset(arcs))
-
-    def _collect(self, v: int, key, arcs: set):
-        score, back = self.tables[v][key]
-        parents, closed_choice, chain = back
-        for p in parents:
-            arcs.add((p, v))
-        for c, take_arc in closed_choice:
-            if take_arc:
-                ckey = self.delta_key(c, [(v, c)])
-            else:
-                ckey = self.delta_key(c, [])
-            self._collect(c, ckey, arcs)
-        for c, ckey in chain:
-            self._collect(c, ckey, arcs)
-
-
-def _project_row(row: int, ground: list[int], delta: tuple[int, ...]) -> int:
-    gpos = {x: i for i, x in enumerate(ground)}
-    out = 0
-    for j, x in enumerate(delta):
-        if row >> gpos[x] & 1:
-            out |= 1 << j
-    return out
 
 
 def leaf_records(instance: NonZeroInstance, v: int, forest: Optional[SpanningForest] = None):
     """Record set of a leaf as {reachability pair set: best score}."""
-    g = superstructure(instance)
-    forest = forest or lfen_search(g).forest
-    eng = _BnslEngine(instance, g, forest)
-    table = eng.leaf_records(v)
-    return {eng.key_pairs(v, key): sc for key, (sc, _) in table.items()}
+    return combine_records(instance, v, forest)
 
 
 def combine_records(
@@ -318,19 +286,11 @@ def combine_records(
     v: int,
     forest: Optional[SpanningForest] = None,
 ):
-    """Record set of an inner vertex, computing all descendants first."""
-    g = superstructure(instance)
-    forest = forest or lfen_search(g).forest
-    eng = _BnslEngine(instance, g, forest)
-    for u in _postorder(forest):
-        if not eng.children[u]:
-            eng.tables[u] = eng.leaf_records(u)
-        else:
-            eng.tables[u] = eng.combine_records(u)
-        if u == v:
-            break
-    table = eng.tables[v]
-    return {eng.key_pairs(v, key): sc for key, (sc, _) in table.items()}
+    """Record set of a vertex as {reachability pair set: best score},
+    computing all descendants first."""
+    eng = _engine(_BnslEngine, instance, forest)
+    eng.fill(stop=v)
+    return eng.records(v)
 
 
 def solve_bnsl_lfen(
@@ -339,11 +299,7 @@ def solve_bnsl_lfen(
     tree_budget: Optional[int] = None,
 ) -> tuple[int, Network]:
     """Optimal acyclic network via the record DP on a witness tree."""
-    g = superstructure(instance)
-    if forest is None:
-        kwargs = {} if tree_budget is None else {"budget": tree_budget}
-        forest = lfen_search(g, **kwargs).forest
-    return _BnslEngine(instance, g, forest).run()
+    return _engine(_BnslEngine, instance, forest, tree_budget).solve()
 
 
 def record_tables(
@@ -351,220 +307,82 @@ def record_tables(
 ):
     """All per-vertex record tables as {vertex: {pair set: score}} (for the
     record-semantics verification tests)."""
-    g = superstructure(instance)
-    forest = forest or lfen_search(g).forest
-    eng = _BnslEngine(instance, g, forest)
-    for u in _postorder(forest):
-        if not eng.children[u]:
-            eng.tables[u] = eng.leaf_records(u)
-        else:
-            eng.tables[u] = eng.combine_records(u)
-    return {
-        v: {eng.key_pairs(v, key): sc for key, (sc, _) in eng.tables[v].items()}
-        for v in range(instance.n)
-    }, eng
+    eng = _engine(_BnslEngine, instance, forest)
+    eng.fill()
+    return {v: eng.records(v) for v in range(instance.n)}, eng
 
 
 # ---------------------------------------------------------------------------
 # polytree variant
 
 
-class _PlEngine:
+class _PlEngine(_RecordEngine):
     """Record DP for polytrees: per vertex an equivalence on the inner
     boundary (components of the partial skeleton inside the subtree) plus
     the set of arcs entering the subtree from outside."""
 
-    def __init__(self, instance: NonZeroInstance, g: Superstructure, forest: SpanningForest):
-        self.instance = instance
-        self.g = g
-        self.forest = forest
-        self.bounds = boundaries(g, forest)
-        self.children = forest.children_lists()
-        self.subtree = [0] * g.n
-        for v in _postorder(forest):
-            mask = 1 << v
-            for c in self.children[v]:
-                mask |= self.subtree[c]
-            self.subtree[v] = mask
-        self.tables: list[Optional[dict]] = [None] * g.n
+    root_key = ((), frozenset())
 
-    @staticmethod
-    def _canon_partition(classes) -> tuple:
-        return tuple(sorted(tuple(sorted(c)) for c in classes))
-
-    def leaf_records(self, v: int) -> dict:
-        inst = self.instance
-        table: dict = {}
-        part = self._canon_partition([[v]]) if self.bounds[v].delta_in else ()
-        for parents in inst.parent_sets(v):
-            arcs = frozenset((p, v) for p in parents)
-            key = (part, arcs)
-            score = inst.score(v, parents)
-            cur = table.get(key)
-            if cur is None or score > cur[0]:
-                table[key] = (score, (parents, (), ()))
-        return table
+    def closed_key(self, c: int, take_arc: bool) -> tuple:
+        return (((c,),), frozenset([(self.forest.parent[c], c)] if take_arc else []))
 
     def combine_records(self, v: int) -> dict:
-        inst = self.instance
         b = self.bounds[v]
-        opens, closeds = b.open_children, b.closed_children
         vmask = self.subtree[v]
-
-        closed_info = []
-        for c in closeds:
-            ct = self.tables[c]
-            part = ((c,),)
-            s_empty = ct.get((part, frozenset()))
-            s_arc = ct.get((part, frozenset([(v, c)])))
-            closed_info.append(
-                (c, s_empty[0] if s_empty else None, s_arc[0] if s_arc else None)
-            )
-
-        din = set(b.delta_in)
-        closed_set = set(closeds)
-        table: dict = {}
-
-        def branch(parents, open_choice, score, closed_choice):
-            # gather the glued arcs; closed children attach by a single
-            # edge and cannot close a skeleton cycle, so their glue arcs
-            # stay out of the union-find
-            all_arcs: list[tuple[int, int]] = [
-                (p, v) for p in sorted(parents) if p not in closed_set
+        din = sorted(b.delta_in)
+        closed_set = set(b.closed_children)
+        open_records = [
+            [
+                ((c, ckey), self.tables[c][ckey][0])
+                for ckey in sorted(self.tables[c], key=lambda k: (k[0], tuple(sorted(k[1]))))
             ]
-            class_of: dict[int, object] = {}
-            groups: list[list[int]] = [[v]]
-            class_of[v] = 0
-            for c, ckey in open_choice:
-                part, arcs = ckey
-                for cls in part:
-                    gi = len(groups)
-                    groups.append(list(cls))
-                    for x in cls:
-                        class_of[x] = gi
-                all_arcs.extend(arcs)
-            # union-find over: component groups, plus outside glue vertices
-            parent_uf: dict[object, object] = {}
-
-            def find(x):
-                while parent_uf.get(x, x) != x:
-                    parent_uf[x] = parent_uf.get(parent_uf[x], parent_uf[x])
-                    x = parent_uf[x]
-                return x
-
-            def node_of(x: int):
-                if x in class_of:
-                    return ("g", class_of[x])
-                if vmask >> x & 1:
-                    raise AssertionError("inside vertex missing from classes")
-                return ("y", x)
-
-            inner_pairs = []
-            ok = True
-            for (x, y) in all_arcs:
-                nx, ny = node_of(x), node_of(y)
-                rx, ry = find(nx), find(ny)
-                if rx == ry:
-                    ok = False
-                    break
-                parent_uf[rx] = ry
-                if vmask >> x & 1 or x == v:
-                    inner_pairs.append((nx, ny))
-            if not ok:
-                return
-            # components of the subgraph induced on the subtree: only arcs
-            # with both endpoints inside count
-            uf2: dict[object, object] = {}
-
-            def find2(x):
-                while uf2.get(x, x) != x:
-                    uf2[x] = uf2.get(uf2[x], uf2[x])
-                    x = uf2[x]
-                return x
-
-            for nx, ny in inner_pairs:
-                rx, ry = find2(nx), find2(ny)
-                if rx != ry:
-                    uf2[rx] = ry
-            cls_map: dict[object, list[int]] = {}
-            for x in sorted(din):
-                root = find2(node_of(x))
-                cls_map.setdefault(root, []).append(x)
-            part_key = self._canon_partition(cls_map.values())
-            a_v = frozenset((x, y) for x, y in all_arcs if not vmask >> x & 1)
-            key = (part_key, a_v)
-            cur = table.get(key)
-            if cur is None or score > cur[0]:
-                table[key] = (score, (parents, closed_choice, open_choice))
-
-        for parents in inst.parent_sets(v):
-            assert all(p in self.g.adj[v] for p in parents), "parent outside superstructure"
-            base = inst.score(v, parents)
-            closed_choice = []
-            feasible = True
-            for c, s_empty, s_arc in closed_info:
-                if c in parents:
-                    if s_empty is None:
-                        feasible = False
-                        break
-                    base += s_empty
-                    closed_choice.append((c, False))
-                else:
-                    if s_arc is not None and (s_empty is None or s_arc > s_empty):
-                        base += s_arc
-                        closed_choice.append((c, True))
-                    else:
-                        base += s_empty
-                        closed_choice.append((c, False))
-            if not feasible:
-                continue
-            closed_choice = tuple(closed_choice)
-
-            def product(i, chosen, score):
-                if i == len(opens):
-                    branch(parents, tuple(chosen), score, closed_choice)
-                    return
-                c = opens[i]
-                for ckey in sorted(
-                    self.tables[c], key=lambda k: (k[0], tuple(sorted(k[1])))
-                ):
-                    cscore, _ = self.tables[c][ckey]
-                    chosen.append((c, ckey))
-                    product(i + 1, chosen, score + cscore)
-                    chosen.pop()
-
-            product(0, [], base)
+            for c in b.open_children
+        ]
+        table: dict = {}
+        for parents, base, closed_choice in self.parent_choices(v):
+            for combo in product(*open_records):
+                # glue v, the open children's components and the outside
+                # vertices the arcs touch into one skeleton; closed children
+                # attach by a single edge and cannot close a skeleton cycle,
+                # so their glue arcs stay out of it
+                arcs = [(p, v) for p in sorted(parents) if p not in closed_set]
+                node = {v: 0}
+                size = 1
+                for (_, (part, carcs)), _ in combo:
+                    for cls in part:
+                        for x in cls:
+                            node[x] = size
+                        size += 1
+                    arcs.extend(carcs)
+                for arc in arcs:
+                    for x in arc:
+                        if x not in node:
+                            if vmask >> x & 1:
+                                raise RuntimeError("inside vertex missing from classes")
+                            node[x] = size
+                            size += 1
+                skeleton, inner = [0] * size, [0] * size
+                for x, y in arcs:
+                    skeleton[node[x]] |= 1 << node[y]
+                    if vmask >> x & 1:
+                        inner[node[x]] |= 1 << node[y]
+                # a forest iff every arc merges two components
+                if len(relations.classes(skeleton)) != size - len(arcs):
+                    continue
+                # components of the subgraph induced on the subtree: only
+                # arcs with both endpoints inside count
+                groups = (
+                    tuple(x for x in din if cls >> node[x] & 1)
+                    for cls in relations.classes(inner)
+                )
+                part_key = tuple(sorted(g for g in groups if g))
+                key = (part_key, frozenset((x, y) for x, y in arcs if not vmask >> x & 1))
+                score = base + sum(cscore for _, cscore in combo)
+                cur = table.get(key)
+                if cur is None or score > cur[0]:
+                    open_choice = tuple(choice for choice, _ in combo)
+                    table[key] = (score, (parents, closed_choice, open_choice))
         return table
-
-    def run(self) -> tuple[int, Network]:
-        for v in _postorder(self.forest):
-            if not self.children[v]:
-                self.tables[v] = self.leaf_records(v)
-            else:
-                self.tables[v] = self.combine_records(v)
-        total = 0
-        arcs: set[tuple[int, int]] = set()
-        for r in self.forest.roots:
-            table = self.tables[r]
-            assert len(table) == 1, "root must have a single record"
-            key = next(iter(table))
-            assert key == ((), frozenset()), "root record must be empty"
-            score, _ = table[key]
-            total += score
-            self._collect(r, key, arcs)
-        return total, Network(self.instance.n, frozenset(arcs))
-
-    def _collect(self, v: int, key, arcs: set):
-        score, back = self.tables[v][key]
-        parents, closed_choice, open_choice = back
-        for p in parents:
-            arcs.add((p, v))
-        for c, take_arc in closed_choice:
-            part = ((c,),)
-            ckey = (part, frozenset([(v, c)] if take_arc else []))
-            self._collect(c, ckey, arcs)
-        for c, ckey in open_choice:
-            self._collect(c, ckey, arcs)
 
 
 def solve_pl_lfen(
@@ -573,44 +391,14 @@ def solve_pl_lfen(
     tree_budget: Optional[int] = None,
 ) -> tuple[int, Network]:
     """Optimal polytree via the component-counting record DP."""
-    g = superstructure(instance)
-    if forest is None:
-        kwargs = {} if tree_budget is None else {"budget": tree_budget}
-        forest = lfen_search(g, **kwargs).forest
-    return _PlEngine(instance, g, forest).run()
-
-
-def combine_records_pl(
-    instance: NonZeroInstance,
-    v: int,
-    forest: Optional[SpanningForest] = None,
-):
-    """Polytree record set of a vertex: {(partition, entering arcs): score}."""
-    g = superstructure(instance)
-    forest = forest or lfen_search(g).forest
-    eng = _PlEngine(instance, g, forest)
-    for u in _postorder(forest):
-        if not eng.children[u]:
-            eng.tables[u] = eng.leaf_records(u)
-        else:
-            eng.tables[u] = eng.combine_records(u)
-        if u == v:
-            break
-    return {key: sc for key, (sc, _) in eng.tables[v].items()}
+    return _engine(_PlEngine, instance, forest, tree_budget).solve()
 
 
 def pl_record_tables(
     instance: NonZeroInstance, forest: Optional[SpanningForest] = None
 ):
-    g = superstructure(instance)
-    forest = forest or lfen_search(g).forest
-    eng = _PlEngine(instance, g, forest)
-    for u in _postorder(forest):
-        if not eng.children[u]:
-            eng.tables[u] = eng.leaf_records(u)
-        else:
-            eng.tables[u] = eng.combine_records(u)
-    return {
-        v: {key: sc for key, (sc, _) in eng.tables[v].items()}
-        for v in range(instance.n)
-    }, eng
+    """All per-vertex polytree record tables as {vertex: {(partition,
+    entering arcs): score}}."""
+    eng = _engine(_PlEngine, instance, forest)
+    eng.fill()
+    return {v: eng.records(v) for v in range(instance.n)}, eng

@@ -213,9 +213,3 @@ def solve_pl_additive_bounded(instance: AdditiveInstance) -> tuple[int, Network]
     total = sum(e.weight for e in chosen)
     return total, Network(instance.n, arcs)
 
-
-def solve_pl_additive(instance: AdditiveInstance) -> tuple[int, Network]:
-    """Dispatch on the in-degree bound."""
-    if instance.max_in_degree is None:
-        return solve_pl_additive_mst(instance)
-    return solve_pl_additive_bounded(instance)

@@ -15,53 +15,9 @@ from __future__ import annotations
 
 from typing import Optional
 
+from . import relations
 from .graphs import NiceTreeDecomposition, tree_decomposition
 from .instances import AdditiveInstance, Network, superstructure
-
-
-def _trcl_pairs(pairs: frozenset, ground) -> frozenset:
-    succ = {x: set() for x in ground}
-    for u, v in pairs:
-        succ[u].add(v)
-    changed = True
-    while changed:
-        changed = False
-        for u in ground:
-            add = set()
-            for v in succ[u]:
-                add |= succ[v]
-            if not add <= succ[u]:
-                succ[u] |= add
-                changed = True
-    return frozenset((u, v) for u in ground for v in succ[u])
-
-
-def _classes(pairs: frozenset, ground) -> list[frozenset]:
-    parent = {x: x for x in ground}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in pairs:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    groups: dict = {}
-    for x in ground:
-        groups.setdefault(find(x), set()).add(x)
-    return [frozenset(g) for g in groups.values()]
-
-
-def _sym(pairs) -> frozenset:
-    return frozenset(pairs) | frozenset((v, u) for u, v in pairs)
-
-
-def _strict(pairs) -> frozenset:
-    """Drop reflexive pairs: stored con relations hold u != w pairs only."""
-    return frozenset((u, v) for u, v in pairs if u != v)
 
 
 class _TwEngine:
@@ -72,15 +28,18 @@ class _TwEngine:
         mode: str,
         q: Optional[int],
     ):
-        assert mode in ("bnsl", "pl")
+        if mode not in ("bnsl", "pl"):
+            raise ValueError(f"unknown mode {mode!r}; expected 'bnsl' or 'pl'")
         self.inst = instance
         self.td = td
         self.mode = mode
         self.q = q
         self.g = superstructure(instance)
+        self.verts = [tuple(sorted(node.bag)) for node in td.nodes]
         self.tables: dict[int, dict] = {}
 
-    # snapshots: (loc frozenset, con frozenset, inn tuple of (v, count))
+    # snapshots: (loc rows, con rows, inn tuple of (v, count)); loc and con
+    # are bit-row relations over the node's sorted bag (bnsl.relations)
 
     def _inn_key(self, counts: dict) -> tuple:
         if self.q is None:
@@ -104,31 +63,34 @@ class _TwEngine:
     def solve(self) -> tuple[int, Network]:
         self.run_tables()
         root_table = self.tables[self.td.root]
-        key = (frozenset(), frozenset(), ())
-        assert list(root_table) == [key], "root must hold the single empty snapshot"
+        key = ((), (), ())
+        if list(root_table) != [key]:
+            raise RuntimeError("root must hold the single empty snapshot")
         score, _ = root_table[key]
         arcs = self._collect(self.td.root, key)
         return score, Network(self.inst.n, frozenset(arcs))
 
     def _leaf(self, node) -> dict:
-        (v,) = node.bag if node.bag else (None,)
-        inn = self._inn_key({v: 0}) if v is not None else ()
-        return {(frozenset(), frozenset(), inn): (0, ("leaf",))}
+        empty = (0,) * len(node.bag)
+        return {(empty, empty, self._inn_key(dict.fromkeys(node.bag, 0))): (0, ("leaf",))}
 
     def _introduce(self, t, node) -> dict:
         (child,) = node.children
         v = next(iter(node.bag - self.td.nodes[child].bag))
-        bag = node.bag
-        nbrs = sorted(self.g.adj[v] & bag)
+        verts, cverts = self.verts[t], self.verts[child]
+        nbrs = sorted(self.g.adj[v] & node.bag)
         cand_arcs = [(v, u) for u in nbrs] + [(u, v) for u in nbrs]
         table: dict = {}
         child_table = self.tables[child]
-        subsets = _arc_subsets(cand_arcs)
+        subsets = [(q, relations.from_pairs(q, verts)) for q in _arc_subsets(cand_arcs)]
         for ckey, (cscore, _) in child_table.items():
             loc0, con0, inn0 = ckey
+            loc0 = relations.reindex(loc0, cverts, verts)
+            con0 = relations.reindex(con0, cverts, verts)
+            if self.mode == "pl":
+                n_old = len(relations.classes(con0))
             inn0d = dict(inn0)
-            for q_arcs in subsets:
-                loc = loc0 | q_arcs
+            for q_arcs, q_rows in subsets:
                 gain = 0
                 ok = True
                 if self.q is not None:
@@ -146,17 +108,17 @@ class _TwEngine:
                     inn = ()
                 for (x, y) in q_arcs:
                     gain += self.inst.arc(x, y)
+                merged = [a | b for a, b in zip(con0, q_rows)]
                 if self.mode == "bnsl":
-                    con = _trcl_pairs(con0 | q_arcs, bag)
-                    if any((x, x) in con for x in bag):
+                    con = relations.closure(merged)
+                    if not relations.irreflexive(con):
                         continue
                 else:
-                    con = _strict(_trcl_pairs(con0 | _sym(q_arcs), bag))
-                    n_new = len(_classes(con, bag))
-                    n_old = len(_classes(con0, bag - {v})) + 1
-                    if n_new != n_old - len(q_arcs):
+                    if len(relations.classes(merged)) != n_old - len(q_arcs):
                         continue
-                key = (loc, con, inn)
+                    con = relations.same_class(merged)
+                loc = tuple(a | b for a, b in zip(loc0, q_rows))
+                key = (loc, tuple(con), inn)
                 val = cscore + gain
                 cur = table.get(key)
                 if cur is None or val > cur[0]:
@@ -166,11 +128,12 @@ class _TwEngine:
     def _forget(self, t, node) -> dict:
         (child,) = node.children
         v = next(iter(self.td.nodes[child].bag - node.bag))
+        verts, cverts = self.verts[t], self.verts[child]
         table: dict = {}
         for ckey, (cscore, _) in self.tables[child].items():
             loc0, con0, inn0 = ckey
-            loc = frozenset((x, y) for x, y in loc0 if v not in (x, y))
-            con = frozenset((x, y) for x, y in con0 if v not in (x, y))
+            loc = tuple(relations.reindex(loc0, cverts, verts))
+            con = tuple(relations.reindex(con0, cverts, verts))
             inn = tuple((x, k) for x, k in inn0 if x != v)
             key = (loc, con, inn)
             cur = table.get(key)
@@ -187,14 +150,20 @@ class _TwEngine:
         table: dict = {}
         for key1, (s1, _) in self.tables[c1].items():
             loc, con1, inn1 = key1
-            doublecount = sum(self.inst.arc(x, y) for x, y in loc)
+            loc_arcs = relations.to_pairs(loc, self.verts[t])
+            doublecount = sum(self.inst.arc(x, y) for x, y in loc_arcs)
+            if self.q is not None:
+                indeg_loc: dict = {}
+                for x, y in loc_arcs:
+                    indeg_loc[y] = indeg_loc.get(y, 0) + 1
+            if self.mode == "pl":
+                locc = tuple(relations.same_class(loc))
+                n_shared = len(relations.classes(loc))
+                n1 = len(relations.classes(con1))
             for key2 in by_loc.get(loc, ()):
                 _, con2, inn2 = key2
                 s2 = self.tables[c2][key2][0]
                 if self.q is not None:
-                    indeg_loc: dict = {}
-                    for x, y in loc:
-                        indeg_loc[y] = indeg_loc.get(y, 0) + 1
                     innd = {}
                     d1, d2 = dict(inn1), dict(inn2)
                     ok = True
@@ -208,29 +177,25 @@ class _TwEngine:
                     inn = tuple(sorted(innd.items()))
                 else:
                     inn = ()
+                merged = [a | b for a, b in zip(con1, con2)]
                 if self.mode == "bnsl":
-                    con = _trcl_pairs(con1 | con2, bag)
-                    if any((x, x) in con for x in bag):
+                    con = relations.closure(merged)
+                    if not relations.irreflexive(con):
                         continue
                 else:
                     # the two partial polytrees share exactly the bag
                     # vertices and the loc arcs; contracting loc, their
-                    # union has a forest skeleton iff gluing the two
-                    # component partitions merges everything freshly:
-                    # #shared vertices = #classes1 + #classes2 - #merged
-                    locc = _strict(_trcl_pairs(_sym(loc), bag))
-                    if not (locc <= con1 and locc <= con2):
+                    # union has a forest skeleton iff the loc components
+                    # are exactly the pairs both sides connect and gluing
+                    # the two component partitions merges everything
+                    # freshly: #shared = #classes1 + #classes2 - #merged
+                    if tuple(a & b for a, b in zip(con1, con2)) != locc:
                         continue
-                    if con1 & con2 != locc:
+                    n2 = len(relations.classes(con2))
+                    if n_shared != n1 + n2 - len(relations.classes(merged)):
                         continue
-                    n_shared = len(_classes(locc, bag))
-                    n1 = len(_classes(con1, bag))
-                    n2 = len(_classes(con2, bag))
-                    con = _strict(_trcl_pairs(con1 | con2, bag))
-                    n = len(_classes(con, bag))
-                    if n_shared != n1 + n2 - n:
-                        continue
-                key = (loc, con, inn)
+                    con = relations.same_class(merged)
+                key = (loc, tuple(con), inn)
                 val = s1 + s2 - doublecount
                 cur = table.get(key)
                 if cur is None or val > cur[0]:
@@ -308,8 +273,11 @@ def snapshot_tables(
         td = tree_decomposition(superstructure(instance))
     eng = _TwEngine(instance, td, mode, instance.max_in_degree)
     tables = eng.run_tables()
-    plain = {
-        t: {key: val for key, (val, _) in table.items()}
-        for t, table in tables.items()
-    }
+    plain = {}
+    for t, table in tables.items():
+        verts = eng.verts[t]
+        plain[t] = {
+            (relations.to_pairs(loc, verts), relations.to_pairs(con, verts), inn): val
+            for (loc, con, inn), (val, _) in table.items()
+        }
     return plain, td

@@ -51,6 +51,28 @@ def test_solve_writes_solution(capsys, example_file, tmp_path, example4):
 def test_rep_algo_mismatch_is_usage_error(capsys, example_file):
     code, _, err = run(capsys, "solve", example_file, "--algo", "twdp")
     assert code == 2 and "additive" in err
+    with pytest.raises(SystemExit) as exc:  # argparse rejects unknown flags
+        cli.main(["solve", example_file, "--threads", "2"])
+    assert exc.value.code == 2
+
+
+def test_wrong_solver_result_is_internal_error(capsys, example_file, monkeypatch):
+    from bnsl import lfen_dp
+    from bnsl.instances import Network
+
+    real = lfen_dp.solve_bnsl_lfen
+
+    def wrong_score(*args):
+        score, net = real(*args)
+        return score + 1, net
+
+    monkeypatch.setattr(lfen_dp, "solve_bnsl_lfen", wrong_score)
+    code, out, err = run(capsys, "solve", example_file, "--algo", "lfen")
+    assert code == 3 and out == "" and err.startswith("error: internal:")
+    cyclic = Network(4, frozenset({(0, 1), (1, 0)}))
+    monkeypatch.setattr(lfen_dp, "solve_bnsl_lfen", lambda *a: (0, cyclic))
+    code, out, err = run(capsys, "solve", example_file, "--algo", "lfen")
+    assert code == 3 and out == "" and "invalid network" in err
 
 
 def test_mst_with_bound_rejected(capsys, tmp_path):

@@ -1,6 +1,6 @@
 import random
 
-from bnsl import generate, graphs, lfen_dp, oracle
+from bnsl import cli, generate, graphs, lfen_dp, oracle, relations
 from bnsl.instances import parse_nonzero, score_of, superstructure, validate
 
 from reference import (
@@ -186,7 +186,45 @@ def test_union_acyclicity_criterion():
         acyclic = not any(u == v for u, v in reach_pairs(range(n), union))
         assert irreflexive == acyclic
         hits += not acyclic
+        # the bit-row relations of bnsl.relations agree with the references
+        verts = list(range(n))
+        rows1, rows2 = relations.from_pairs(con1, verts), relations.from_pairs(con2, verts)
+        rows = relations.closure([a | b for a, b in zip(rows1, rows2)])
+        assert relations.to_pairs(rows, verts) == closure
+        assert relations.irreflexive(rows) == irreflexive
+        root = list(verts)
+
+        def find(x):
+            while root[x] != x:
+                x = root[x]
+            return x
+
+        for u, v in union:
+            root[find(u)] = find(v)
+        expect = {frozenset(x for x in verts if find(x) == r) for r in map(find, verts)}
+        union_rows = relations.from_pairs(union, verts)
+        got = {frozenset(x for x in verts if cls >> x & 1) for cls in relations.classes(union_rows)}
+        assert got == expect and len(relations.classes(union_rows)) == len(expect)
+        assert relations.to_pairs(relations.same_class(union_rows), verts) == {
+            (x, y) for x in verts for y in verts if x != y and find(x) == find(y)
+        }
     assert hits > 50  # both outcomes actually exercised
+
+
+def test_long_path_solves_without_recursion(capsys, tmp_path):
+    # x_i takes x_{i-1} for 1; a witness collector that recursed once per
+    # tree level would overflow the interpreter stack here
+    n = 1500
+    text = f"{n}\nx0 0\n" + "".join(f"x{i} 1\n1 1 x{i - 1}\n" for i in range(1, n))
+    inst = parse_nonzero(text)
+    for solve, mode in ((lfen_dp.solve_bnsl_lfen, "dag"), (lfen_dp.solve_pl_lfen, "polytree")):
+        score, net = solve(inst)
+        assert score == n - 1
+        assert validate(net, mode).ok and score_of(inst, net) == score
+    path = tmp_path / "path.scores"
+    path.write_text(text)
+    assert cli.main(["solve", str(path), "--algo", "lfen"]) == 0
+    assert capsys.readouterr().out.strip() == f"max_score={n - 1}"
 
 
 def test_pl_solve_star_tree():
