@@ -5,7 +5,8 @@ as a single machine-parseable stdout line; diagnostics (parameter values
 of the chosen tree or decomposition) go to stderr.  Exit codes: 0 for
 success (or answer YES), 1 for answer NO / failed verification, 2 for
 usage errors and invalid inputs, 3 for an internal error (a solver
-returned an invalid network or misreported its score).
+returned an invalid network or misreported its score, or raised
+RuntimeError, RecursionError included).
 """
 
 from __future__ import annotations
@@ -400,6 +401,8 @@ def main(argv=None) -> int:
     except (CliError, ParseError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except RuntimeError as e:  # broken invariants, RecursionError included
+        return _internal_error(f"{type(e).__name__}: {e}")
 
 
 if __name__ == "__main__":

@@ -114,5 +114,6 @@ def solve_bnsl_depset(
                 for u in parents:
                     net_arcs.add((u, x))
             best = (total, frozenset(net_arcs))
-    assert best is not None
+    if best is None:
+        raise RuntimeError("no acyclic arc configuration of the dependent vertices")
     return best[0], Network(instance.n, best[1])

@@ -8,7 +8,9 @@ decompositions for the bag-based solver.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .instances import Superstructure
@@ -41,10 +43,10 @@ class SpanningForest:
 
     def depths(self) -> list[int]:
         d = [-1] * self.n
+        ch = self.children_lists()
         for r in self.roots:
             d[r] = 0
             stack = [r]
-            ch = self.children_lists()
             while stack:
                 v = stack.pop()
                 for w in ch[v]:
@@ -181,13 +183,54 @@ def _component_subgraph(g: Superstructure, comp: list[int]):
     return Superstructure(len(comp), edges), idx
 
 
-def _spanning_trees(g: Superstructure, budget: int):
-    """Yield spanning trees (edge frozensets) of a connected graph by
-    branching on each edge: contract it into the tree or delete it.  Raises
-    StopIteration-like budget exhaustion via a sentinel."""
+def spanning_tree_count(g: Superstructure) -> int:
+    """Number of spanning trees of g (0 when g is disconnected).
+
+    Matrix-tree theorem: the count is the determinant of the Laplacian with
+    one row and column deleted.  Exact Gaussian elimination of the sparse
+    Laplacian in minimum-degree order leaves one vertex uneliminated; the
+    product of the other pivots is that determinant.  Eliminating a vertex
+    of a connected weighted Laplacian leaves a connected weighted Laplacian
+    (positive pivots, no row swaps); entries are off-diagonal edge weights
+    w[v][u] = -L[v][u] as Fractions.
+    """
+    n = g.n
+    if n <= 1:
+        return 1
+    if len(g.components()) > 1:
+        return 0
+    w = {v: {u: Fraction(1) for u in g.adj[v]} for v in range(n)}
+    diag = [Fraction(len(g.adj[v])) for v in range(n)]
+    heap = [(len(w[v]), v) for v in range(n)]
+    heapq.heapify(heap)
+    count = Fraction(1)
+    for _ in range(n - 1):
+        while True:
+            d, v = heapq.heappop(heap)
+            if v in w and d == len(w[v]):
+                break
+        pivot = diag[v]
+        count *= pivot
+        nbrs = list(w.pop(v).items())
+        for u, _ in nbrs:
+            del w[u][v]
+        for i, (a, wa) in enumerate(nbrs):
+            diag[a] -= wa * wa / pivot
+            row = w[a]
+            for b, wb in nbrs[i + 1:]:
+                fill = wa * wb / pivot
+                row[b] = row.get(b, 0) + fill
+                w[b][a] = row[b]
+        for u, _ in nbrs:
+            heapq.heappush(heap, (len(w[u]), u))
+    return int(count)
+
+
+def _spanning_trees(g: Superstructure):
+    """Yield every spanning tree (edge frozenset) of a connected graph once,
+    by branching on each edge: contract it into the tree or delete it."""
     edges = sorted(g.edges)
     m, n = len(edges), g.n
-    yielded = 0
 
     def connected_with(available: list[bool], union: list[int]) -> bool:
         # can the remaining edges still span everything merged so far?
@@ -212,11 +255,7 @@ def _spanning_trees(g: Superstructure, budget: int):
         return comps == 1
 
     def rec(i: int, chosen: list[int], union: list[int], count: int):
-        nonlocal yielded
         if count == n - 1:
-            yielded += 1
-            if yielded > budget:
-                raise _BudgetExceeded
             yield frozenset(edges[j] for j in chosen)
             return
         if i == m:
@@ -244,10 +283,6 @@ def _spanning_trees(g: Superstructure, budget: int):
     yield from rec(0, [], list(range(n)), 0)
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 def _local_counts_for_tree(
     g: Superstructure, tree: frozenset[tuple[int, int]]
 ) -> tuple[int, tuple[int, ...]]:
@@ -263,11 +298,12 @@ def lfen_search(
 ) -> LfenWitness:
     """Best witness tree found for the localized feedback measure.
 
-    Per component: enumerate all spanning trees when their number fits the
-    budget (result flagged exact), otherwise improve a BFS tree by edge
-    swaps (add one non-tree edge, drop one tree edge on its cycle) accepting
-    strict improvements, restarting from different BFS roots.  The global
-    value is the maximum over components.
+    Per component: count the spanning trees (`spanning_tree_count`) and
+    enumerate them all when their number fits the budget (result flagged
+    exact), otherwise improve a BFS tree by edge swaps (add one non-tree
+    edge, drop one tree edge on its cycle) accepting strict improvements,
+    restarting from different BFS roots.  The global value is the maximum
+    over components.
     """
     best_edges: set[tuple[int, int]] = set()
     exact_all = True
@@ -288,16 +324,14 @@ def _component_lfen_tree(g: Superstructure, budget: int, restarts: int):
         return frozenset(g.edges), True
     best_tree = None
     best_key = None
-    try:
-        for tree in _spanning_trees(g, budget):
+    if spanning_tree_count(g) <= budget:
+        for tree in _spanning_trees(g):
             value, _ = _local_counts_for_tree(g, tree)
             key = (value, tuple(sorted(tree)))
             if best_key is None or key < best_key:
                 best_key = key
                 best_tree = tree
         return best_tree, True
-    except _BudgetExceeded:
-        pass
     # local search fallback
     best_tree = None
     best_key = None
@@ -586,23 +620,20 @@ def nice_from_raw(bags: dict, parent: dict) -> NiceTreeDecomposition:
         children_of[p].append(v)
     comp_roots = [v for v in bags if v not in parent]
 
-    def build(v: int) -> int:
-        """Nice subtree whose top node has bag bags[v]; returns node id."""
+    def morph(top: int, cur_bag: frozenset, bag: frozenset) -> int:
+        """Forget the extras of a child's bag, then introduce the missing."""
+        cur = top
+        for x in sorted(cur_bag - bag):
+            cur_bag = cur_bag - {x}
+            cur = add(cur_bag, "forget", [cur])
+        for x in sorted(bag - cur_bag):
+            cur_bag = cur_bag | {x}
+            cur = add(cur_bag, "introduce", [cur])
+        return cur
+
+    def close(v: int, sub_tops: list[int]) -> int:
+        """Top node for bags[v] once its children's subtrees are built."""
         bag = bags[v]
-        kids = sorted(children_of[v])
-        sub_tops = []
-        for c in kids:
-            top = build(c)
-            # morph child's bag into this bag: forget extras, introduce missing
-            cur_bag = bags[c]
-            cur = top
-            for x in sorted(cur_bag - bag):
-                cur_bag = cur_bag - {x}
-                cur = add(cur_bag, "forget", [cur])
-            for x in sorted(bag - cur_bag):
-                cur_bag = cur_bag | {x}
-                cur = add(cur_bag, "introduce", [cur])
-            sub_tops.append(cur)
         if not sub_tops:
             # build the bag from a singleton leaf
             vs = sorted(bag)
@@ -617,6 +648,24 @@ def nice_from_raw(bags: dict, parent: dict) -> NiceTreeDecomposition:
             a = sub_tops.pop()
             sub_tops.append(add(bag, "join", [a, b]))
         return sub_tops[0]
+
+    def build(root: int) -> int:
+        """Nice subtree whose top node has bag bags[root]; returns node id.
+        Children in sorted order, each child's subtree and morph emitted
+        before the next child's: a depth-first walk on an explicit stack."""
+        stack = [(root, sorted(children_of[root]), [])]
+        while True:
+            v, kids, sub_tops = stack[-1]
+            if len(sub_tops) < len(kids):
+                c = kids[len(sub_tops)]
+                stack.append((c, sorted(children_of[c]), []))
+                continue
+            top = close(v, sub_tops)
+            stack.pop()
+            if not stack:
+                return top
+            p, _, p_tops = stack[-1]
+            p_tops.append(morph(top, bags[v], bags[p]))
 
     tops = []
     for r in sorted(comp_roots):

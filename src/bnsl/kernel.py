@@ -24,6 +24,7 @@ result is compacted to dense ids.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -63,7 +64,14 @@ class PlPathScores:
 
 
 class _Work:
-    """Mutable kernelization state over loose vertex ids."""
+    """Mutable kernelization state over loose vertex ids.
+
+    The superstructure adjacency (`adj`) and each vertex's parent union are
+    kept up to date by the three mutators `fresh`, `remove` and
+    `set_entries`.  A min-heap holds every vertex that may have a degree-1
+    neighbour (pushed whenever a vertex's degree drops or rises to 1);
+    `rule1_target` validates it lazily.
+    """
 
     def __init__(self, instance: NonZeroInstance):
         self.n0 = instance.n
@@ -75,6 +83,16 @@ class _Work:
         self.next_id = instance.n
         self.used_names = set(self.names.values())
         self.target = instance.target
+        self.adj: dict[int, set[int]] = {v: set() for v in self.vertices}
+        self.parent_union: dict[int, set[int]] = {}
+        for v, sets in self.entries.items():
+            union = self.parent_union[v] = set().union(*sets)
+            for p in union:
+                self.adj[v].add(p)
+                self.adj[p].add(v)
+        self.leaf_heap = sorted(
+            next(iter(nbrs)) for nbrs in self.adj.values() if len(nbrs) == 1
+        )
 
     @property
     def n(self) -> int:
@@ -89,33 +107,66 @@ class _Work:
         self.used_names.add(name)
         self.names[v] = name
         self.vertices.add(v)
+        self.adj[v] = set()
         return v
 
     def remove(self, v: int):
         self.vertices.discard(v)
         self.entries.pop(v, None)
         self.names.pop(v, None)
+        self.parent_union.pop(v, None)
+        nbrs = self.adj.pop(v, ())
+        for u in nbrs:
+            self.adj[u].discard(v)
+        self._note_degrees(nbrs)
 
     def score(self, v: int, parents: frozenset[int]) -> int:
         return self.entries.get(v, {}).get(parents, 0)
 
     def set_entries(self, v: int, sets: dict[frozenset[int], int]):
         """Install a score table, dropping zero non-empty sets (they equal
-        the unlisted default and would break the representation)."""
+        the unlisted default and would break the representation).  Parent
+        sets may still name vertices already removed (rule 2 removes the
+        inner path before rewriting the anchors); those get no edge."""
         kept = {p: s for p, s in sets.items() if s > 0 or (not p and s > 0)}
         if kept:
             self.entries[v] = kept
         else:
             self.entries.pop(v, None)
+        old = self.parent_union.get(v, set())
+        new = self.parent_union[v] = set().union(*kept)
+        touched = {v}
+        for p in old - new:
+            if p in self.adj and v not in self.parent_union.get(p, ()):
+                self.adj[p].discard(v)
+                self.adj[v].discard(p)
+                touched.add(p)
+        for p in new - old:
+            if p in self.adj:
+                self.adj[p].add(v)
+                self.adj[v].add(p)
+                touched.add(p)
+        self._note_degrees(touched)
+
+    def _note_degrees(self, changed):
+        for u in changed:
+            nbrs = self.adj.get(u)
+            if nbrs is not None and len(nbrs) == 1:
+                heapq.heappush(self.leaf_heap, next(iter(nbrs)))
+
+    def rule1_target(self) -> Optional[int]:
+        """Smallest vertex with a degree-1 neighbour, or None."""
+        heap = self.leaf_heap
+        while heap:
+            v = heap[0]
+            if v in self.adj and any(len(self.adj[w]) == 1 for w in self.adj[v]):
+                return v
+            heapq.heappop(heap)
+        return None
 
     def adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for v, sets in self.entries.items():
-            for parents in sets:
-                for p in parents:
-                    adj[v].add(p)
-                    adj[p].add(v)
-        return adj
+        """The superstructure adjacency (maintained; callers only read it)."""
+        return self.adj
 
     def to_instance(self) -> tuple[NonZeroInstance, dict[int, int]]:
         """Compact to dense ids; returns (instance, loose id of each dense id)."""
@@ -155,7 +206,8 @@ class KernelResult:
                 arcs = _lift_rr2(step, arcs)
             else:
                 arcs = _lift_rr2_pl(step, arcs)
-        assert all(u < self.original_n and v < self.original_n for u, v in arcs)
+        if any(u >= self.original_n or v >= self.original_n for u, v in arcs):
+            raise RuntimeError("lifted network still uses a gadget vertex")
         return Network(self.original_n, frozenset(arcs))
 
     def to_json(self) -> str:
@@ -351,7 +403,8 @@ def _pl_path_scores(work: _Work, path_ext) -> PlPathScores:
             continue
         for p in (0, 1):
             got = _best_config(work, path_ext, e0, em, ("all_present", p == 1))
-            assert got is not None
+            if got is None:
+                raise RuntimeError("path with >= 2 inner vertices has no configuration")
             l[(p, bset)] = got[0]
             configs[(p, bset)] = got[1]
     return PlPathScores(a, c, l, configs)
@@ -676,7 +729,8 @@ def _find_paths(work: _Work, min_inner: int) -> list[list[int]]:
         for x, y in feedback:
             marked.add(x)
             marked.add(y)
-        assert marked, "multi-vertex component with no feedback edge"
+        if not marked:
+            raise RuntimeError("multi-vertex component with no feedback edge")
         for u in sorted(marked):
             for w in sorted(tree_adj[u]):
                 if w in marked:
@@ -727,16 +781,8 @@ def _kernelize(instance: NonZeroInstance, polytree: bool) -> KernelResult:
     while changed:
         changed = False
         while True:
-            adj = work.adjacency()
-            target = None
-            for v in sorted(work.vertices):
-                if any(len(adj[w]) == 1 for w in adj[v]) and len(adj[v]) >= 1:
-                    if len(adj[v]) == 1 and len(adj[next(iter(adj[v]))]) == 1:
-                        # two-vertex component: reduce at the smaller end
-                        target = min(v, next(iter(adj[v])))
-                    else:
-                        target = v
-                    break
+            # in a two-vertex component this is the smaller end
+            target = work.rule1_target()
             if target is None:
                 break
             steps.append(_apply_rr1(work, target, work.adjacency()))

@@ -41,22 +41,29 @@ def boundaries(g: Superstructure, forest: SpanningForest) -> list[Boundary]:
     """
     children = forest.children_lists()
     subtree = _subtree_masks(_postorder(forest.roots, children), children)
-    return _boundaries(g, children, subtree)
+    return _boundaries(g, forest, children, subtree)
 
 
-def _boundaries(g: Superstructure, children, subtree: list[int]) -> list[Boundary]:
+def _boundaries(
+    g: Superstructure, forest: SpanningForest, children, subtree: list[int]
+) -> list[Boundary]:
+    # an edge has exactly one endpoint in v's subtree iff v lies on the
+    # tree path from an endpoint up to (excluding) the endpoints' lowest
+    # common ancestor: walk that path once per edge, O(n + sum of lengths)
     n = g.n
-    deltas: list[tuple[int, ...]] = [()] * n
-    for v in range(n):
-        mask = subtree[v]
-        d = set()
-        for a, b in g.edges:
-            ina = bool(mask >> a & 1)
-            inb = bool(mask >> b & 1)
-            if ina != inb:
-                d.add(a)
-                d.add(b)
-        deltas[v] = tuple(sorted(d))
+    parent = forest.parent
+    depth = forest.depths()
+    dsets: list[set[int]] = [set() for _ in range(n)]
+    for a, b in g.edges:
+        x, y = a, b
+        while x != y:
+            if y is None or (x is not None and depth[x] >= depth[y]):
+                dsets[x].update((a, b))
+                x = parent[x]
+            else:
+                dsets[y].update((a, b))
+                y = parent[y]
+    deltas = [tuple(sorted(d)) for d in dsets]
     out = []
     for v in range(n):
         mask = subtree[v]
@@ -119,7 +126,7 @@ class _RecordEngine:
         self.children = forest.children_lists()
         self.order = _postorder(forest.roots, self.children)
         self.subtree = _subtree_masks(self.order, self.children)
-        self.bounds = _boundaries(g, self.children, self.subtree)
+        self.bounds = _boundaries(g, forest, self.children, self.subtree)
         bound = 2 * lfen_of_tree(g, forest).value + 2
         if any(len(b.delta) > bound for b in self.bounds):
             raise RuntimeError("boundary exceeds 2k+2")

@@ -1,7 +1,9 @@
 """Independent brute-force references shared by the test modules.
 
 These enumerate partial solutions directly from their definitions and are
-kept free of any solver machinery they are used to check.
+kept free of any solver machinery they are used to check; the one
+exception, `kernelize_rescan`, reuses the kernel's rule applications and
+replaces only the bookkeeping it checks.
 """
 
 from itertools import product
@@ -205,3 +207,58 @@ def random_dag(rng, n, prob=0.35):
             if u != v and pos[u] < pos[v] and rng.random() < prob:
                 arcs.add((u, v))
     return Network(n, frozenset(arcs))
+
+
+def scan_adjacency(work):
+    """Superstructure adjacency of a kernel working state, rebuilt from its
+    score tables; parent sets naming removed vertices give no edge."""
+    adj = {v: set() for v in work.vertices}
+    for v, sets in work.entries.items():
+        for parents in sets:
+            for p in parents:
+                if p in adj:
+                    adj[v].add(p)
+                    adj[p].add(v)
+    return adj
+
+
+def rule1_scan_target(adj):
+    """Smallest vertex with a degree-1 neighbour, by a sorted scan."""
+    for v in sorted(adj):
+        if any(len(adj[w]) == 1 for w in adj[v]):
+            return v
+    return None
+
+
+def kernelize_rescan(instance, polytree):
+    """The kernel's fixed-point loop with the superstructure adjacency
+    rebuilt from the score tables at every use and the rule-1 target found
+    by a sorted scan of all vertices (O(n^2) in total); `kernel._Work`
+    keeps the adjacency incrementally and must reproduce this step for
+    step."""
+    from bnsl import kernel
+
+    class RescanWork(kernel._Work):
+        def adjacency(self):
+            return scan_adjacency(self)
+
+    work = RescanWork(instance)
+    steps = []
+    changed = True
+    while changed:
+        changed = False
+        while True:
+            target = rule1_scan_target(work.adjacency())
+            if target is None:
+                break
+            steps.append(kernel._apply_rr1(work, target, work.adjacency()))
+            changed = True
+        paths = kernel._find_paths(work, 6 if polytree else 4)
+        if paths:
+            apply = kernel._apply_rr2_pl if polytree else kernel._apply_rr2
+            steps.append(apply(work, paths[0]))
+            changed = True
+    reduced, loose_of_reduced = work.to_instance()
+    dense_of_loose = {loose: d for d, loose in loose_of_reduced.items()}
+    vertex_map = {v: dense_of_loose.get(v) for v in range(instance.n)}
+    return kernel.KernelResult(reduced, vertex_map, steps, loose_of_reduced, instance.n)

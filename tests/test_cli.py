@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from bnsl import cli
@@ -73,6 +75,40 @@ def test_wrong_solver_result_is_internal_error(capsys, example_file, monkeypatch
     monkeypatch.setattr(lfen_dp, "solve_bnsl_lfen", lambda *a: (0, cyclic))
     code, out, err = run(capsys, "solve", example_file, "--algo", "lfen")
     assert code == 3 and out == "" and "invalid network" in err
+
+
+@pytest.mark.parametrize("error", [RuntimeError("broken invariant"), RecursionError("too deep")])
+def test_solver_runtime_error_is_internal_error(capsys, example_file, monkeypatch, error):
+    from bnsl import lfen_dp
+
+    def broken(*args):
+        raise error
+
+    monkeypatch.setattr(lfen_dp, "solve_bnsl_lfen", broken)
+    code, out, err = run(capsys, "solve", example_file, "--algo", "lfen")
+    assert code == 3 and out == ""
+    assert err.startswith("error: internal:") and str(error) in err
+    assert "Traceback" not in err
+
+
+def test_long_additive_path_solves(capsys, tmp_path):
+    # a 1500-vertex chain gives a 1500-level decomposition tree; building
+    # its nice form once recursed per level
+    rng = random.Random(15)
+    n = 1500
+    lines, best = [f"additive {n}"], 0
+    for i in range(1, n):
+        fwd, bwd = rng.sample([rng.randint(1, 9), rng.randint(0, 9)], 2)  # one arc at least
+        if fwd:
+            lines.append(f"x{i} x{i - 1} {fwd}")
+        if bwd:
+            lines.append(f"x{i - 1} x{i} {bwd}")
+        best += max(0, fwd, bwd)
+    p = tmp_path / "chain.inst"
+    p.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "solve", str(p))
+    assert code == 0, err
+    assert out.strip() == f"max_score={best}"
 
 
 def test_mst_with_bound_rejected(capsys, tmp_path):

@@ -147,6 +147,46 @@ def test_lfen_search_budget_fallback_upper_bound():
     assert w.value <= len(graphs.feedback_edge_set(g).feedback_edges)
 
 
+def test_spanning_tree_count_matches_enumeration():
+    checked = 0
+    for seed in range(100):
+        rng = random.Random(1200 + seed)
+        n = rng.randint(1, 9)
+        g = generate.random_graph(rng, n, rng.randint(0, 5),
+                                  connected=(seed % 5 != 0), exact_fen=False)
+        count = graphs.spanning_tree_count(g)
+        if len(g.components()) > 1:
+            assert count == 0
+            continue
+        checked += 1
+        assert count == sum(1 for _ in graphs._spanning_trees(g))
+    assert checked >= 60
+
+
+def test_spanning_tree_count_closed_forms():
+    for n in range(1, 9):  # Cayley: n^(n-2) labelled trees on K_n
+        g = Superstructure(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
+        assert graphs.spanning_tree_count(g) == (n ** (n - 2) if n > 1 else 1)
+    for length in (3, 4, 17, 250, 1500):
+        cycle = Superstructure(length, [(i, (i + 1) % length) for i in range(length)])
+        assert graphs.spanning_tree_count(cycle) == length
+
+
+def test_lfen_search_exact_at_budget_boundary():
+    seen = 0
+    for seed in range(60):
+        rng = random.Random(1400 + seed)
+        g = generate.random_graph(rng, rng.randint(4, 10), rng.randint(1, 4),
+                                  exact_fen=False)
+        count = graphs.spanning_tree_count(g)
+        if count > 3000 or g.edge_count() == g.n - 1:  # trees are always exact
+            continue
+        seen += 1
+        assert graphs.lfen_search(g, budget=count).exact
+        assert not graphs.lfen_search(g, budget=count - 1).exact
+    assert seen >= 30
+
+
 def test_parameter_hierarchy_local_at_most_feedback():
     for seed in range(100):
         rng = random.Random(900 + seed)

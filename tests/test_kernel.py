@@ -3,14 +3,17 @@ from itertools import product
 
 import pytest
 
-from bnsl import generate, kernel, oracle
+from bnsl import generate, kernel, lfen_dp, oracle
 from bnsl.instances import (
     NonZeroInstance,
+    Superstructure,
     parse_nonzero,
     score_of,
     superstructure,
     validate,
+    write_nonzero,
 )
+from reference import kernelize_rescan, rule1_scan_target, scan_adjacency
 
 STATES = ("fwd", "bwd", "none")
 
@@ -380,3 +383,69 @@ def test_kernel_result_json_roundtrip():
     back = kernel.KernelResult.from_json(text, res.reduced)
     _, netr = oracle.exact_bnsl(res.reduced)
     assert back.lift(netr) == res.lift(netr)
+
+
+def test_incremental_adjacency_matches_rescan_reference():
+    done = 0
+    for seed in range(160):
+        rng = random.Random(12000 + seed)
+        n = rng.randint(6, 70)
+        try:
+            inst = generate.random_nonzero(
+                rng, n, rng.randint(0, 4), subdivisions=rng.choice([0, n // 2, n - 6])
+            )
+        except ValueError:
+            continue
+        done += 1
+        for polytree, fast in ((False, kernel.kernelize_bnsl), (True, kernel.kernelize_pl)):
+            want = kernelize_rescan(inst, polytree)
+            got = fast(inst)
+            assert got.to_json() == want.to_json()
+            assert write_nonzero(got.reduced) == write_nonzero(want.reduced)
+    assert done >= 100
+
+
+def test_work_adjacency_tracks_random_mutations():
+    # includes what the rules rarely do: tables that drop a live parent
+    # (zero scores), removals that leave references behind, fresh vertices
+    for seed in range(40):
+        rng = random.Random(13000 + seed)
+        inst = generate.random_nonzero(rng, rng.randint(3, 15), rng.randint(0, 3),
+                                       exact_fen=False)
+        work = kernel._Work(inst)
+        for _ in range(60):
+            live = sorted(work.vertices)
+            op = rng.random()
+            if op < 0.15 and len(live) > 2:
+                work.remove(rng.choice(live))
+            elif op < 0.25:
+                work.fresh("f")
+            else:
+                v = rng.choice(live)
+                others = [u for u in live if u != v]
+                work.set_entries(v, {
+                    frozenset(rng.sample(others, rng.randint(0, min(3, len(others))))):
+                        rng.randint(0, 3)
+                    for _ in range(rng.randint(0, 3))
+                })
+            adj = scan_adjacency(work)
+            assert work.adjacency() == adj
+            assert work.rule1_target() == rule1_scan_target(adj)
+
+
+def test_tree_plus_one_edge_kernelizes_at_scale():
+    # a random 5000-vertex tree plus one edge; an O(n^2) rule-1 loop takes
+    # minutes here
+    rng = random.Random(77)
+    n = 5000
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < n:
+        a, b = sorted(rng.sample(range(n), 2))
+        edges.add((a, b))
+    inst = generate.scores_for_graph(rng, Superstructure(n, edges))
+    res = kernel.kernelize_bnsl(inst)
+    assert res.reduced.n <= 16
+    score, net = lfen_dp.solve_bnsl_lfen(res.reduced)
+    lifted = res.lift(net)
+    assert validate(lifted, "dag").ok
+    assert score_of(inst, lifted) == score

@@ -64,6 +64,27 @@ def test_boundaries_match_edge_scan():
             assert len(bounds[v].delta) <= 2 * lfen_val + 2
 
 
+def test_boundaries_match_definition_on_bfs_and_search_forests():
+    for seed in range(60):
+        rng = random.Random(2600 + seed)
+        n = rng.randint(1, 40)
+        g = generate.random_graph(rng, n, rng.randint(0, 6),
+                                  connected=(seed % 3 != 0), exact_fen=False)
+        for forest in (graphs.feedback_edge_set(g), graphs.lfen_search(g, budget=50).forest):
+            subtrees = subtree_sets(forest)
+            children = forest.children_lists()
+            for b in lfen_dp.boundaries(g, forest):
+                inside = subtrees[b.vertex]
+                expect = set()
+                for x, y in g.edges:
+                    if (x in inside) != (y in inside):
+                        expect.update((x, y))
+                assert b.delta == tuple(sorted(expect))
+                assert b.delta_in == tuple(x for x in b.delta if x in inside)
+                assert b.delta_out == tuple(x for x in b.delta if x not in inside)
+                assert set(b.open_children) | set(b.closed_children) == set(children[b.vertex])
+
+
 def test_leaf_records_empty_family():
     inst = parse_nonzero("2\na 0\nb 1\n4 1 a\n")
     forest = witness_forest(inst)
