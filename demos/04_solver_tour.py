@@ -11,8 +11,7 @@ from bnsl.tw_dp import solve_bnsl_additive
 
 print("-- explicit representation --")
 inst = generate.random_limited_dependents(seed_or_rng=2, n=9, dependents=4)
-dep = dependent_vertices(inst)
-print("dependent vertices:", [inst.names[v] for v in dep.members])
+print("dependent vertices:", [inst.names[v] for v in dependent_vertices(inst)])
 
 s_oracle, _ = exact_bnsl(inst)
 s_records, _ = solve_bnsl_lfen(inst)

@@ -9,15 +9,9 @@ solves the problem; all other vertices stay parentless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .instances import Network, NonZeroInstance
-
-
-@dataclass(frozen=True)
-class DependentSet:
-    members: tuple[int, ...]
 
 
 class TooManyDependentError(ValueError):
@@ -29,12 +23,12 @@ class TooManyDependentError(ValueError):
         )
 
 
-def dependent_vertices(instance: NonZeroInstance) -> DependentSet:
-    members = []
-    for v in range(instance.n):
-        if any(parents for parents in instance.entries.get(v, {})):
-            members.append(v)
-    return DependentSet(tuple(members))
+def dependent_vertices(instance: NonZeroInstance) -> tuple[int, ...]:
+    """Vertices with at least one non-empty candidate parent set, ascending."""
+    return tuple(
+        v for v in range(instance.n)
+        if any(parents for parents in instance.entries.get(v, {}))
+    )
 
 
 def arc_configurations(members: tuple[int, ...]):
@@ -80,8 +74,7 @@ def solve_bnsl_depset(
     instance: NonZeroInstance, max_dependent: int = 5
 ) -> tuple[int, Network]:
     """Optimal acyclic network by dependent-vertex branching."""
-    dep = dependent_vertices(instance)
-    members = dep.members
+    members = dependent_vertices(instance)
     if len(members) > max_dependent:
         raise TooManyDependentError(len(members), max_dependent)
     xset = set(members)

@@ -455,63 +455,92 @@ def check_nice(td: NiceTreeDecomposition, g: Superstructure) -> list[str]:
                 problems.append(f"join {t} children don't copy the bag")
         else:
             problems.append(f"unknown kind {node.kind}")
+    holding: dict[int, list[int]] = {}
+    for t, node in enumerate(nodes):
+        for v in node.bag:
+            holding.setdefault(v, []).append(t)
+    hold_sets = {v: set(ts) for v, ts in holding.items()}
     # edge coverage
     for a, b in g.edges:
-        if not any({a, b} <= node.bag for node in nodes):
+        if hold_sets.get(a, set()).isdisjoint(hold_sets.get(b, ())):
             problems.append(f"edge ({a},{b}) not covered")
-    # subtree (connectedness) property per vertex
+    # subtree (connectedness) property per vertex: every occurrence must
+    # reach the topmost one (the top reached from the last occurrence)
+    # through occurrences only
     parent = {c: t for t, node in enumerate(nodes) for c in node.children}
     for v in range(g.n):
-        holding = [t for t, node in enumerate(nodes) if v in node.bag]
-        if not holding and any(v in e for e in g.edges):
-            problems.append(f"vertex {v} in no bag")
+        if v not in holding:
+            if g.adj[v]:
+                problems.append(f"vertex {v} in no bag")
             continue
-        if not holding:
-            continue
-        hold = set(holding)
-        top = holding[0]
-        for t in holding:
-            # walk towards root while staying in holding set
-            x = t
-            while x in parent and parent[x] in hold:
-                x = parent[x]
-            top = x
-        for t in holding:
-            x = t
-            while x != top:
-                if x not in parent or x not in hold:
-                    problems.append(f"vertex {v} occurrence not connected")
+        hold = hold_sets[v]
+        top = holding[v][-1]
+        while top in parent and parent[top] in hold:
+            top = parent[top]
+        reaches = {top: True}
+        for t in holding[v]:
+            # climb to a node of known outcome, then label the walk with it
+            walk, x = [], t
+            while x not in reaches:
+                walk.append(x)
+                x = parent.get(x)
+                if x not in hold:
                     break
-                x = parent[x]
+            ok = x in hold and reaches[x]
+            for y in walk:
+                reaches[y] = ok
+            if not ok:
+                problems.append(f"vertex {v} occurrence not connected")
     return problems
 
 
 def _min_fill_order(g: Superstructure) -> list[int]:
+    """Greedy elimination order: always the vertex with the fewest
+    non-adjacent neighbour pairs (its fill), ties to the lowest vertex.
+
+    fill[v] is kept up to date under elimination instead of rescanned: a
+    lazily validated heap of (fill, v) gives the pick.  Eliminating v first
+    drops v from each neighbour u, which loses the pairs (v, w) with w not
+    adjacent to v; then each missing edge (a, b) inside N(v) is added, which
+    closes the pair (a, b) at every common neighbour and opens at a the
+    pairs (b, w) for w in N(a) not adjacent to b (and symmetrically at b).
+    """
     adj = {v: set(g.adj[v]) for v in range(g.n)}
+    fill = {}
+    for v, nbrs in adj.items():
+        d = len(nbrs)
+        closed = sum(len(adj[u] & nbrs) for u in nbrs) // 2
+        fill[v] = d * (d - 1) // 2 - closed
+    heap = [(f, v) for v, f in fill.items()]
+    heapq.heapify(heap)
     order = []
-    remaining = set(range(g.n))
-    while remaining:
-        best_v, best_fill = None, None
-        for v in sorted(remaining):
-            nbrs = adj[v]
-            fill = 0
-            nl = sorted(nbrs)
-            for i in range(len(nl)):
-                for j in range(i + 1, len(nl)):
-                    if nl[j] not in adj[nl[i]]:
-                        fill += 1
-            if best_fill is None or fill < best_fill:
-                best_fill, best_v = fill, v
-        v = best_v
-        nbrs = sorted(adj[v])
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                adj[nbrs[i]].add(nbrs[j])
-                adj[nbrs[j]].add(nbrs[i])
-        for w in nbrs:
-            adj[w].discard(v)
-        del adj[v]
-        remaining.remove(v)
+    while heap:
+        f, v = heapq.heappop(heap)
+        if v not in adj or f != fill[v]:
+            continue
+        nbrs = adj.pop(v)
+        del fill[v]
+        changed = set(nbrs)
+        for u in nbrs:
+            nu = adj[u]
+            nu.discard(v)
+            fill[u] -= len(nu) - len(nu & nbrs)
+        nl = sorted(nbrs)
+        for i, a in enumerate(nl):
+            for b in nl[i + 1:]:
+                na, nb = adj[a], adj[b]
+                if b in na:
+                    continue
+                common = na & nb
+                for c in common:
+                    fill[c] -= 1
+                changed |= common
+                fill[a] += len(na) - len(common)
+                fill[b] += len(nb) - len(common)
+                na.add(b)
+                nb.add(a)
+        for u in changed:
+            heapq.heappush(heap, (fill[u], u))
         order.append(v)
     return order
 

@@ -5,10 +5,21 @@ weight each superstructure edge by its better orientation and run a greedy
 forest build.  With a bound q it is a maximum-weight common independent set
 of two matroids over the candidate arcs: the graphic matroid of the
 skeleton (forest-ness) and the partition matroid capping each vertex's
-incoming arcs at q.  The intersection is solved with weight-splitting
-augmenting paths; after every augmentation the current set is maximum
-weight for its cardinality, and the best stage overall is returned (a
-polytree need not be spanning, so a basis is not required).
+incoming arcs at q.
+
+The intersection grows a common independent set I one augmentation at a
+time.  Each round builds the exchange graph of I: a non-member y is a
+source when I+y is a forest and a sink when I+y respects the caps; x->y
+when I-x+y is a forest and y->x when I-x+y respects the caps.  I-x+y is
+independent iff I+y is, or x lies on the circuit I+y closes, so the arcs
+come from two circuits per non-member, read off the rooted forest of I:
+the graphic circuit is I's members on the forest path between y's
+endpoints, the partition circuit is I's members with y's head.  Nodes cost
+-weight outside I and +weight inside; Bellman-Ford finds a minimum-cost
+source-to-sink path, ties broken by fewest arcs, and I is flipped along
+it.  After every augmentation I is maximum weight for its cardinality, and
+the best stage overall is returned (a polytree need not be spanning, so a
+basis is not required).
 """
 
 from __future__ import annotations
@@ -44,12 +55,9 @@ class MatroidOracles:
                 x = parent[x]
             return x
 
-        seen_edges = set()
+        # a repeated skeleton edge (both orientations) closes a 2-cycle
         for e in elements:
-            if e.skeleton_edge in seen_edges:
-                return False
-            seen_edges.add(e.skeleton_edge)
-            a, b = sorted(e.skeleton_edge)
+            a, b = e.skeleton_edge
             ra, rb = find(a), find(b)
             if ra == rb:
                 return False
@@ -110,15 +118,55 @@ def solve_pl_additive_mst(instance: AdditiveInstance) -> tuple[int, Network]:
     return total, Network(instance.n, frozenset(arcs))
 
 
+def _forest_links(items, inside):
+    """Root the forest of the members `inside`: vertex -> (parent vertex,
+    member on the parent edge, depth), and the members grouped by head."""
+    adj: dict[int, list[tuple[int, int]]] = {}
+    by_head: dict[int, list[int]] = {}
+    for i in inside:
+        a, b = items[i].skeleton_edge
+        adj.setdefault(a, []).append((b, i))
+        adj.setdefault(b, []).append((a, i))
+        by_head.setdefault(items[i].arc[1], []).append(i)
+    link: dict[int, tuple] = {}
+    for r in adj:
+        if r in link:
+            continue
+        link[r] = (None, None, 0)
+        stack = [r]
+        while stack:
+            v = stack.pop()
+            depth = link[v][2] + 1
+            for w, i in adj[v]:
+                if w not in link:
+                    link[w] = (v, i, depth)
+                    stack.append(w)
+    return link, by_head
+
+
+def _forest_path(link, u: int, w: int) -> list[int]:
+    """Members on the forest path between two vertices of one tree."""
+    out = []
+    while u != w:
+        (pu, iu, du), (pw, iw, dw) = link[u], link[w]
+        if du >= dw:
+            out.append(iu)
+            u = pu
+        else:
+            out.append(iw)
+            w = pw
+    return out
+
+
 def weighted_matroid_intersection(
     elements: Sequence[GroundElement], oracles: MatroidOracles
 ) -> list[GroundElement]:
     """Maximum-weight common independent set over all cardinalities.
 
-    Augmenting-path scheme: exchange arcs x->y when I-x+y stays independent
-    in the graphic matroid and y->x for the partition matroid; node costs
-    -weight outside I, +weight inside; augment along a minimum-cost,
-    fewest-arcs source-to-sink path while one exists.
+    Augmenting paths over the exchange graph of the current set I (see
+    the module docstring).  Per round each non-member y costs one query of
+    each oracle, on I+y; every node's out-arcs are listed in ascending
+    order, which fixes the order in which Bellman-Ford relaxes them.
     """
     items = list(elements)
     m = len(items)
@@ -126,54 +174,49 @@ def weighted_matroid_intersection(
     best_weight = 0
     best_set: list[int] = []
 
-    def members(exclude=None, include=None):
-        out = [items[i] for i in range(m) if in_set[i] and i != exclude]
-        if include is not None:
-            out.append(items[include])
-        return out
-
     while True:
+        inside = [i for i in range(m) if in_set[i]]
+        chosen = [items[i] for i in inside]
+        link, by_head = _forest_links(items, inside)
         sources = []
         sinks = set()
+        arcs: list[list[int]] = [[] for _ in range(m)]
         for y in range(m):
             if in_set[y]:
                 continue
-            if oracles.graphic_independent(members(include=y)):
+            trial = chosen + [items[y]]
+            if oracles.graphic_independent(trial):
                 sources.append(y)
-            if oracles.partition_independent(members(include=y)):
+                exchange = inside
+            else:
+                exchange = _forest_path(link, *items[y].skeleton_edge)
+            for x in exchange:
+                arcs[x].append(y)
+            if oracles.partition_independent(trial):
                 sinks.add(y)
+                arcs[y] = inside
+            else:
+                arcs[y] = by_head.get(items[y].arc[1], [])
         if not sources:
             break
-        arcs: dict[int, list[int]] = {i: [] for i in range(m)}
-        for x in range(m):
-            if not in_set[x]:
-                continue
-            for y in range(m):
-                if in_set[y]:
-                    continue
-                if oracles.graphic_independent(members(exclude=x, include=y)):
-                    arcs[x].append(y)
-                if oracles.partition_independent(members(exclude=x, include=y)):
-                    arcs[y].append(x)
 
-        def cost(z):
-            return items[z].weight if in_set[z] else -items[z].weight
-
+        cost = [items[z].weight if in_set[z] else -items[z].weight for z in range(m)]
         INF = float("inf")
-        dist = {z: (INF, INF) for z in range(m)}
+        dist = [(INF, INF)] * m
         pred: dict[int, Optional[int]] = {}
         for s in sources:
-            d = (cost(s), 0)
+            d = (cost[s], 0)
             if d < dist[s]:
                 dist[s] = d
                 pred[s] = None
         for _ in range(m + 1):
             changed = False
             for u in range(m):
-                if dist[u][0] == INF:
+                du, hu = dist[u]
+                if du == INF:
                     continue
                 for v in arcs[u]:
-                    nd = (dist[u][0] + cost(v), dist[u][1] + 1)
+                    nd = (du + cost[v], hu + 1)
                     if nd < dist[v]:
                         dist[v] = nd
                         pred[v] = u

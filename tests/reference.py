@@ -1,14 +1,19 @@
 """Independent brute-force references shared by the test modules.
 
 These enumerate partial solutions directly from their definitions and are
-kept free of any solver machinery they are used to check; the one
-exception, `kernelize_rescan`, reuses the kernel's rule applications and
-replaces only the bookkeeping it checks.
+kept free of any solver machinery they are used to check.  Two kinds of
+exception: `kernelize_rescan` reuses the kernel's rule applications and
+replaces only the bookkeeping it checks, and the last three functions are
+the earlier, slower versions of library functions that the fast ones must
+reproduce exactly.
 """
 
 from itertools import product
+from typing import Optional, Sequence
 
-from bnsl.instances import Network, validate
+from bnsl.graphs import NiceTreeDecomposition
+from bnsl.instances import Network, Superstructure, validate
+from bnsl.polytree import GroundElement, MatroidOracles
 
 
 def reach_pairs(n_ids, arcs):
@@ -262,3 +267,199 @@ def kernelize_rescan(instance, polytree):
     dense_of_loose = {loose: d for d, loose in loose_of_reduced.items()}
     vertex_map = {v: dense_of_loose.get(v) for v in range(instance.n)}
     return kernel.KernelResult(reduced, vertex_map, steps, loose_of_reduced, instance.n)
+
+
+# The three functions below are earlier versions of library functions, kept
+# verbatim (only renamed) as references: the pairwise-oracle exchange graph
+# of `polytree.weighted_matroid_intersection`, the per-vertex scan of
+# `graphs.check_nice` and the full-rescan min-fill order of
+# `graphs._min_fill_order`.  The library versions must return exactly what
+# these return.
+
+
+def weighted_matroid_intersection_pairwise(
+    elements: Sequence[GroundElement], oracles: MatroidOracles
+) -> list[GroundElement]:
+    """Maximum-weight common independent set over all cardinalities.
+
+    Augmenting-path scheme: exchange arcs x->y when I-x+y stays independent
+    in the graphic matroid and y->x for the partition matroid; node costs
+    -weight outside I, +weight inside; augment along a minimum-cost,
+    fewest-arcs source-to-sink path while one exists.
+    """
+    items = list(elements)
+    m = len(items)
+    in_set = [False] * m
+    best_weight = 0
+    best_set: list[int] = []
+
+    def members(exclude=None, include=None):
+        out = [items[i] for i in range(m) if in_set[i] and i != exclude]
+        if include is not None:
+            out.append(items[include])
+        return out
+
+    while True:
+        sources = []
+        sinks = set()
+        for y in range(m):
+            if in_set[y]:
+                continue
+            if oracles.graphic_independent(members(include=y)):
+                sources.append(y)
+            if oracles.partition_independent(members(include=y)):
+                sinks.add(y)
+        if not sources:
+            break
+        arcs: dict[int, list[int]] = {i: [] for i in range(m)}
+        for x in range(m):
+            if not in_set[x]:
+                continue
+            for y in range(m):
+                if in_set[y]:
+                    continue
+                if oracles.graphic_independent(members(exclude=x, include=y)):
+                    arcs[x].append(y)
+                if oracles.partition_independent(members(exclude=x, include=y)):
+                    arcs[y].append(x)
+
+        def cost(z):
+            return items[z].weight if in_set[z] else -items[z].weight
+
+        INF = float("inf")
+        dist = {z: (INF, INF) for z in range(m)}
+        pred: dict[int, Optional[int]] = {}
+        for s in sources:
+            d = (cost(s), 0)
+            if d < dist[s]:
+                dist[s] = d
+                pred[s] = None
+        for _ in range(m + 1):
+            changed = False
+            for u in range(m):
+                if dist[u][0] == INF:
+                    continue
+                for v in arcs[u]:
+                    nd = (dist[u][0] + cost(v), dist[u][1] + 1)
+                    if nd < dist[v]:
+                        dist[v] = nd
+                        pred[v] = u
+                        changed = True
+            if not changed:
+                break
+        target = None
+        for y in sorted(sinks):
+            if dist[y][0] == INF:
+                continue
+            if target is None or dist[y] < dist[target]:
+                target = y
+        if target is None:
+            break
+        path = []
+        z = target
+        while z is not None:
+            path.append(z)
+            z = pred.get(z)
+        for z in path:
+            in_set[z] = not in_set[z]
+        weight = sum(items[i].weight for i in range(m) if in_set[i])
+        if weight > best_weight:
+            best_weight = weight
+            best_set = [i for i in range(m) if in_set[i]]
+    return [items[i] for i in best_set]
+
+
+def check_nice_scan(td: NiceTreeDecomposition, g: Superstructure) -> list[str]:
+    """All violated decomposition invariants (empty list when valid)."""
+    problems = []
+    nodes = td.nodes
+    if nodes[td.root].bag:
+        problems.append("root bag not empty")
+    seen_children = set()
+    for t, node in enumerate(nodes):
+        for c in node.children:
+            if c in seen_children:
+                problems.append(f"node {c} has two parents")
+            seen_children.add(c)
+        kids = node.children
+        if node.kind == "leaf":
+            if kids:
+                problems.append(f"leaf {t} has children")
+            if len(node.bag) != 1 and g.n > 0:
+                problems.append(f"leaf {t} bag size {len(node.bag)}")
+        elif node.kind in ("introduce", "forget"):
+            if len(kids) != 1:
+                problems.append(f"{node.kind} {t} has {len(kids)} children")
+            else:
+                child = nodes[kids[0]].bag
+                diff = node.bag ^ child
+                if len(diff) != 1:
+                    problems.append(f"{node.kind} {t} changes {len(diff)} vertices")
+                elif node.kind == "introduce" and not diff <= node.bag:
+                    problems.append(f"introduce {t} removed a vertex")
+                elif node.kind == "forget" and not diff <= child:
+                    problems.append(f"forget {t} added a vertex")
+        elif node.kind == "join":
+            if len(kids) != 2 or any(nodes[c].bag != node.bag for c in kids):
+                problems.append(f"join {t} children don't copy the bag")
+        else:
+            problems.append(f"unknown kind {node.kind}")
+    # edge coverage
+    for a, b in g.edges:
+        if not any({a, b} <= node.bag for node in nodes):
+            problems.append(f"edge ({a},{b}) not covered")
+    # subtree (connectedness) property per vertex
+    parent = {c: t for t, node in enumerate(nodes) for c in node.children}
+    for v in range(g.n):
+        holding = [t for t, node in enumerate(nodes) if v in node.bag]
+        if not holding and any(v in e for e in g.edges):
+            problems.append(f"vertex {v} in no bag")
+            continue
+        if not holding:
+            continue
+        hold = set(holding)
+        top = holding[0]
+        for t in holding:
+            # walk towards root while staying in holding set
+            x = t
+            while x in parent and parent[x] in hold:
+                x = parent[x]
+            top = x
+        for t in holding:
+            x = t
+            while x != top:
+                if x not in parent or x not in hold:
+                    problems.append(f"vertex {v} occurrence not connected")
+                    break
+                x = parent[x]
+    return problems
+
+
+def min_fill_order_rescan(g: Superstructure) -> list[int]:
+    adj = {v: set(g.adj[v]) for v in range(g.n)}
+    order = []
+    remaining = set(range(g.n))
+    while remaining:
+        best_v, best_fill = None, None
+        for v in sorted(remaining):
+            nbrs = adj[v]
+            fill = 0
+            nl = sorted(nbrs)
+            for i in range(len(nl)):
+                for j in range(i + 1, len(nl)):
+                    if nl[j] not in adj[nl[i]]:
+                        fill += 1
+            if best_fill is None or fill < best_fill:
+                best_fill, best_v = fill, v
+        v = best_v
+        nbrs = sorted(adj[v])
+        for i in range(len(nbrs)):
+            for j in range(i + 1, len(nbrs)):
+                adj[nbrs[i]].add(nbrs[j])
+                adj[nbrs[j]].add(nbrs[i])
+        for w in nbrs:
+            adj[w].discard(v)
+        del adj[v]
+        remaining.remove(v)
+        order.append(v)
+    return order

@@ -192,7 +192,7 @@ def test_criterion_8_dependent_vertex_branching():
         rng = random.Random(seed)
         inst = generate.random_limited_dependents(rng, rng.randint(2, 9),
                                                   rng.randint(1, 4))
-        if len(depset.dependent_vertices(inst).members) > 4:
+        if len(depset.dependent_vertices(inst)) > 4:
             continue
         done += 1
         so, _ = oracle.exact_bnsl(inst)

@@ -2,8 +2,16 @@ import random
 
 import pytest
 
-from bnsl import cli
-from bnsl.instances import parse_nonzero, parse_solution, score_of, validate
+from bnsl import cli, generate, graphs, lfen_dp
+from bnsl.instances import (
+    Superstructure,
+    parse_nonzero,
+    parse_solution,
+    score_of,
+    to_nonzero,
+    validate,
+    write_additive,
+)
 
 
 @pytest.fixture
@@ -109,6 +117,34 @@ def test_long_additive_path_solves(capsys, tmp_path):
     code, out, err = run(capsys, "solve", str(p))
     assert code == 0, err
     assert out.strip() == f"max_score={best}"
+
+
+SCALE_N = 5000
+SCALE_EDGES = {
+    "path": [(v, v + 1) for v in range(SCALE_N - 1)],
+    "star": [(0, v) for v in range(1, SCALE_N)],
+    "cycle": [(v, (v + 1) % SCALE_N) for v in range(SCALE_N)],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SCALE_EDGES))
+def test_additive_shapes_at_scale(capsys, tmp_path, shape):
+    # 5000-vertex path, star and cycle through the bag DP (and the forest
+    # solver where the graph is a tree); a min-fill rescan is cubic on the star
+    g = Superstructure(SCALE_N, SCALE_EDGES[shape])
+    inst = generate.additive_for_graph(random.Random(shape), g)
+    p = tmp_path / f"{shape}.inst"
+    p.write_text(write_additive(inst))
+    if shape == "cycle":
+        best, _ = lfen_dp.solve_bnsl_lfen(to_nonzero(inst), graphs.feedback_edge_set(g))
+        runs = [("--algo", "twdp")]
+    else:
+        best = sum(max(0, inst.arc(a, b), inst.arc(b, a)) for a, b in g.edges)
+        runs = [("--algo", "twdp"), ("--mode", "polytree", "--algo", "mst")]
+    for extra in runs:
+        code, out, err = run(capsys, "solve", str(p), *extra)
+        assert code == 0, err
+        assert out.strip() == f"max_score={best}"
 
 
 def test_mst_with_bound_rejected(capsys, tmp_path):

@@ -7,21 +7,21 @@ from bnsl.instances import parse_nonzero, score_of, validate
 
 
 def test_example_all_dependent(example4):
-    assert depset.dependent_vertices(example4).members == (0, 1, 2, 3)
+    assert depset.dependent_vertices(example4) == (0, 1, 2, 3)
     s, net = depset.solve_bnsl_depset(example4)
     assert s == 7 and validate(net, "dag").ok
 
 
 def test_empty_family():
     inst = parse_nonzero("3\na 0\nb 0\nc 0\n")
-    assert depset.dependent_vertices(inst).members == ()
+    assert depset.dependent_vertices(inst) == ()
     s, net = depset.solve_bnsl_depset(inst)
     assert s == 0 and net.arcs == frozenset()
 
 
 def test_explicit_empty_entries_do_not_make_dependent():
     inst = parse_nonzero("2\na 1\n4 0\nb 1\n1 1 a\n")
-    assert depset.dependent_vertices(inst).members == (1,)
+    assert depset.dependent_vertices(inst) == (1,)
     s, _ = depset.solve_bnsl_depset(inst)
     assert s == 5  # a keeps its empty-set score, b takes a
 
@@ -31,7 +31,7 @@ def test_count_matches_rescan():
         rng = random.Random(seed)
         inst = generate.random_limited_dependents(rng, rng.randint(2, 10),
                                                   rng.randint(1, 4))
-        got = depset.dependent_vertices(inst).members
+        got = depset.dependent_vertices(inst)
         want = tuple(
             v for v in range(inst.n)
             if any(p for p in inst.entries.get(v, {}))
@@ -48,7 +48,7 @@ def test_branch_count():
 
 def test_limit_refusal():
     inst = generate.random_nonzero(3, 8, 2)
-    assert len(depset.dependent_vertices(inst).members) > 3
+    assert len(depset.dependent_vertices(inst)) > 3
     with pytest.raises(depset.TooManyDependentError) as e:
         depset.solve_bnsl_depset(inst, max_dependent=3)
     assert "solvers" in str(e.value)
@@ -62,7 +62,7 @@ def test_matches_oracle_random():
         rng = random.Random(seed)
         inst = generate.random_limited_dependents(rng, rng.randint(2, 9),
                                                   rng.randint(1, 4))
-        members = depset.dependent_vertices(inst).members
+        members = depset.dependent_vertices(inst)
         if len(members) > 4:
             continue
         done += 1
@@ -77,7 +77,7 @@ def test_agrees_with_record_solver():
         rng = random.Random(600 + seed)
         inst = generate.random_limited_dependents(rng, rng.randint(2, 8),
                                                   rng.randint(1, 4))
-        if len(depset.dependent_vertices(inst).members) > 4:
+        if len(depset.dependent_vertices(inst)) > 4:
             continue
         assert depset.solve_bnsl_depset(inst)[0] == \
             lfen_dp.solve_bnsl_lfen(inst)[0]
@@ -87,7 +87,7 @@ def test_witness_sources_outside_dependents():
     for seed in range(40):
         rng = random.Random(1200 + seed)
         inst = generate.random_limited_dependents(rng, rng.randint(3, 9), 3)
-        members = set(depset.dependent_vertices(inst).members)
+        members = set(depset.dependent_vertices(inst))
         if len(members) > 4:
             continue
         _, net = depset.solve_bnsl_depset(inst)

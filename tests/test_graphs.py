@@ -5,6 +5,7 @@ import pytest
 
 from bnsl import generate, graphs, oracle
 from bnsl.instances import Superstructure, superstructure
+from reference import check_nice_scan, min_fill_order_rescan
 
 
 def bfs_path(adj, u, w):
@@ -246,3 +247,113 @@ def test_exact_width_known_values():
     assert graphs.tree_decomposition(k4, exact=True).width == 3
     path = Superstructure(4, [(0, 1), (1, 2), (2, 3)])
     assert graphs.tree_decomposition(path, exact=True).width == 1
+
+
+def min_fill_families():
+    """Seeded graphs for the min-fill comparison: the empty graph, a single
+    vertex, stars, cliques, random forests and random graphs of every
+    density."""
+    yield Superstructure(0, [])
+    yield Superstructure(1, [])
+    for n in (2, 3, 9, 40):
+        yield Superstructure(n, [(0, v) for v in range(1, n)])
+    for n in (2, 4, 7, 12):
+        yield Superstructure(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
+    for seed in range(100):
+        rng = random.Random(8000 + seed)
+        yield generate.random_graph(rng, rng.randint(1, 30), 0, connected=False)
+    for seed in range(400):
+        rng = random.Random(9000 + seed)
+        n = rng.randint(2, 24)
+        p = rng.uniform(0.02, 0.9)
+        yield Superstructure(
+            n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+        )
+
+
+def test_min_fill_order_matches_rescan():
+    graphs_seen = 0
+    for i, g in enumerate(min_fill_families()):
+        order = graphs._min_fill_order(g)
+        assert order == min_fill_order_rescan(g)
+        if i % 4 == 0 and g.n > 0:
+            # the decomposition built from either order is the same
+            bags, parent = graphs._bags_from_order(g, min_fill_order_rescan(g))
+            assert graphs.tree_decomposition(g).nodes == graphs.nice_from_raw(bags, parent).nodes
+        graphs_seen += 1
+    assert graphs_seen >= 500
+
+
+def copy_td(td):
+    nodes = [graphs.TDNode(node.bag, node.kind, list(node.children)) for node in td.nodes]
+    return graphs.NiceTreeDecomposition(nodes, td.root, td.width)
+
+
+def mutations(rng, td, g):
+    """(name, decomposition, graph) for each applicable invariant break."""
+    nodes = td.nodes
+    holders = [t for t, node in enumerate(nodes) if node.bag]
+    if holders:
+        bad = copy_td(td)
+        t = rng.choice(holders)
+        node = bad.nodes[t]
+        node.bag = node.bag - {rng.choice(sorted(node.bag))}
+        yield "dropped vertex", bad, g
+    if g.n:
+        bad = copy_td(td)
+        bad.nodes[bad.root].bag = frozenset({rng.randrange(g.n)})
+        yield "non-empty root", bad, g
+    joins = [t for t, node in enumerate(nodes) if node.kind == "join"]
+    if joins and g.n > 1:
+        bad = copy_td(td)
+        child = bad.nodes[bad.nodes[rng.choice(joins)].children[0]]
+        missing = [v for v in range(g.n) if v not in child.bag]
+        if missing:
+            child.bag = child.bag | {rng.choice(missing)}
+            yield "join children differ", bad, g
+    intros = [t for t, node in enumerate(nodes) if node.kind == "introduce"]
+    leaves = [t for t, node in enumerate(nodes) if node.kind == "leaf"]
+    if intros and leaves:
+        bad = copy_td(td)
+        # a leaf is never an ancestor, so the parent map stays acyclic
+        bad.nodes[rng.choice(intros)].children.append(rng.choice(leaves))
+        yield "introduce with two children", bad, g
+    pairs = [
+        (a, b) for a in range(g.n) for b in range(a + 1, g.n)
+        if (a, b) not in g.edges and not any({a, b} <= node.bag for node in nodes)
+    ]
+    if pairs:
+        a, b = rng.choice(pairs)
+        yield "uncovered edge", td, Superstructure(g.n, set(g.edges) | {(a, b)})
+    for v in rng.sample(range(g.n), g.n):
+        holding = {t for t, node in enumerate(nodes) if v in node.bag}
+        near = set(holding)
+        for t in holding:
+            near.update(nodes[t].children)
+        near.update(t for t, node in enumerate(nodes) if holding & set(node.children))
+        far = [t for t in range(len(nodes)) if t not in near]
+        if holding and far:
+            bad = copy_td(td)
+            t = rng.choice(far)
+            bad.nodes[t].bag = bad.nodes[t].bag | {v}
+            yield "disconnected occurrences", bad, g
+            break
+
+
+def test_check_nice_matches_scan():
+    seen = set()
+    for seed in range(120):
+        rng = random.Random(11000 + seed)
+        n = rng.randint(1, 12)
+        g = generate.random_graph(rng, n, rng.randint(0, 5),
+                                  connected=(seed % 3 != 0), exact_fen=False)
+        td = graphs.tree_decomposition(g, exact=(seed % 5 == 0))
+        assert graphs.check_nice(td, g) == check_nice_scan(td, g) == []
+        for name, bad, bad_g in mutations(rng, td, g):
+            problems = graphs.check_nice(bad, bad_g)
+            assert problems, name
+            assert problems == check_nice_scan(bad, bad_g), name
+            seen.add(name)
+            if name == "disconnected occurrences":
+                assert any("not connected" in p for p in problems)
+    assert len(seen) == 6

@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 
 from bnsl import generate, oracle, polytree, tw_dp
 from bnsl.instances import AdditiveInstance, score_of, superstructure, validate
+from reference import weighted_matroid_intersection_pairwise
 
 
 def test_mst_triangle():
@@ -168,3 +170,53 @@ def test_bounded_requires_q():
     inst = AdditiveInstance(2, ("a", "b"), {(0, 1): 1})
     with pytest.raises(ValueError):
         polytree.solve_pl_additive_bounded(inst)
+
+
+def parallel_elements(rng, n, count):
+    """random_elements plus, for some of them, the reverse orientation."""
+    els = random_elements(rng, n, count)
+    for e in list(els):
+        rev = (e.arc[1], e.arc[0])
+        if rng.random() < 0.4 and all(f.arc != rev for f in els):
+            els.append(polytree.GroundElement(rev, rng.randint(1, 9), e.skeleton_edge))
+    rng.shuffle(els)
+    return els
+
+
+def test_intersection_matches_pairwise_reference():
+    for seed in range(320):
+        rng = random.Random(12000 + seed)
+        n = rng.randint(2, 9)
+        q = (1, 2, 3, None)[seed % 4]
+        els = parallel_elements(rng, n, rng.randint(0, 16))
+        oracles = polytree.MatroidOracles(n, q)
+        got = polytree.weighted_matroid_intersection(els, oracles)
+        assert got == weighted_matroid_intersection_pairwise(els, oracles)
+
+
+class CountingOracles:
+    """MatroidOracles that tally queries by the size of the queried set."""
+
+    def __init__(self, n, q):
+        self.inner = polytree.MatroidOracles(n, q)
+        self.by_size = Counter()
+
+    def graphic_independent(self, elements):
+        self.by_size[len(elements)] += 1
+        return self.inner.graphic_independent(elements)
+
+    def partition_independent(self, elements):
+        self.by_size[len(elements)] += 1
+        return self.inner.partition_independent(elements)
+
+
+def test_intersection_oracle_calls_per_augmentation():
+    # each augmentation grows the current set by one, so the queried sizes
+    # tell the rounds apart: at most two queries per ground element a round
+    for seed in range(40):
+        rng = random.Random(13000 + seed)
+        n = rng.randint(3, 10)
+        els = parallel_elements(rng, n, rng.randint(5, 30))
+        oracles = CountingOracles(n, rng.choice([1, 2, None]))
+        polytree.weighted_matroid_intersection(els, oracles)
+        assert max(oracles.by_size.values()) <= 2 * len(els)
