@@ -7,6 +7,13 @@ success (or answer YES), 1 for answer NO / failed verification, 2 for
 usage errors and invalid inputs, 3 for an internal error (a solver
 returned an invalid network or misreported its score, or raised
 RuntimeError, RecursionError included).
+
+`solve --tree FILE` (a spanning forest, one `u v` edge per line) needs
+`--algo lfen`, and `solve --td FILE` (a raw tree decomposition) needs
+`--algo twdp`; given with any other algorithm, after `auto` is resolved,
+either is a usage error.  A tree file whose edges are not a spanning forest
+of the superstructure (an edge outside it, a cycle, a component left
+unspanned) is an invalid input.
 """
 
 from __future__ import annotations
@@ -165,21 +172,16 @@ def cmd_solve(args) -> int:
         raise CliError("matroid intersection needs --max-parents")
     if algo == "twdp" and mode == "polytree" and inst_q(inst) is None:
         raise CliError("polytree bag DP needs --max-parents; use mst instead")
-
-    g = superstructure(inst)
-    forest = None
-    td = None
-    if args.tree:
-        forest = graphs.forest_from_edges(g, _resolve_names(_load_tree(args.tree), inst))
-    if args.td:
-        td = _load_td(args.td, inst)
+    if args.tree and algo != "lfen":
+        raise CliError("--tree is used by --algo lfen only")
+    if args.td and algo != "twdp":
+        raise CliError("--td is used by --algo twdp only")
 
     info = []
     if algo in ("kernel-lfen", "lfen"):
-        score, net = _solve_lfen(inst, mode, algo, forest, info)
+        score, net = _solve_lfen(inst, mode, algo, args.tree, info)
     elif algo == "twdp":
-        if td is None:
-            td = graphs.tree_decomposition(g)
+        td = _load_td(args.td, inst) if args.td else graphs.tree_decomposition(superstructure(inst))
         info.append(f"width={td.width}")
         if mode == "polytree":
             score, net = tw_dp.solve_pl_additive_tw(inst, td)
@@ -226,23 +228,23 @@ def inst_q(inst):
     return inst.max_in_degree if isinstance(inst, AdditiveInstance) else None
 
 
-def _solve_lfen(inst, mode, algo, forest, info):
+def _solve_lfen(inst, mode, algo, tree_path, info):
     work = inst
     result = None
     if algo == "kernel-lfen":
         result = kernel.kernelize_pl(inst) if mode == "polytree" else kernel.kernelize_bnsl(inst)
         work = result.reduced
         info.append(f"kernel_n={work.n}")
-        forest = None  # supplied trees refer to the unreduced instance
     g = superstructure(work)
-    if forest is None:
+    if not tree_path:
         witness = graphs.lfen_search(g)
         forest = witness.forest
         info.append(
             f"fen={len(forest.feedback_edges)} "
             f"lfen<={witness.value}{' exact' if witness.exact else ''}"
         )
-    else:
+    else:  # --algo lfen only, so work is inst
+        forest = graphs.forest_from_edges(g, _resolve_names(_load_tree(tree_path), inst))
         w = graphs.lfen_of_tree(g, forest)
         info.append(f"fen={len(forest.feedback_edges)} lfen<={w.value}")
     if mode == "polytree":
@@ -350,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--max-parents", type=int, metavar="Q")
     ps.add_argument("--target", type=int, metavar="L")
     ps.add_argument("--out", metavar="FILE", help="write the witness network")
-    ps.add_argument("--tree", metavar="FILE", help="spanning tree edge list to use")
-    ps.add_argument("--td", metavar="FILE", help="raw tree decomposition to use")
+    ps.add_argument("--tree", metavar="FILE", help="spanning tree edge list (--algo lfen)")
+    ps.add_argument("--td", metavar="FILE", help="raw tree decomposition (--algo twdp)")
     ps.add_argument("--max-dependent", type=int, default=5)
     ps.set_defaults(func=cmd_solve)
 

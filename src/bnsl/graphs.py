@@ -16,13 +16,16 @@ from typing import Optional
 from .instances import Superstructure
 
 DEFAULT_TREE_BUDGET = 20000
+_SEARCH_ROOTS = 4  # the local search starts from the BFS trees of vertices 0..3
 
 
 @dataclass(frozen=True)
 class SpanningForest:
     """A rooted spanning forest of a superstructure.
 
-    parent[v] is None for component roots; tree_edges/feedback_edges
+    parent[v] is None for component roots; depth[v] is v's distance to its
+    root; order lists every vertex breadth-first, each after its parent
+    (reversed, children come before parents).  tree_edges/feedback_edges
     partition the graph's edge set.
     """
 
@@ -31,6 +34,8 @@ class SpanningForest:
     roots: tuple[int, ...]
     tree_edges: frozenset[tuple[int, int]]
     feedback_edges: frozenset[tuple[int, int]]
+    depth: tuple[int, ...]
+    order: tuple[int, ...]
 
     def children_lists(self) -> dict[int, list[int]]:
         ch: dict[int, list[int]] = {v: [] for v in range(self.n)}
@@ -41,47 +46,20 @@ class SpanningForest:
             ch[v].sort()
         return ch
 
-    def depths(self) -> list[int]:
-        d = [-1] * self.n
-        ch = self.children_lists()
-        for r in self.roots:
-            d[r] = 0
-            stack = [r]
-            while stack:
-                v = stack.pop()
-                for w in ch[v]:
-                    d[w] = d[v] + 1
-                    stack.append(w)
-        return d
-
     def tree_path(self, u: int, w: int) -> list[int]:
         """Vertices on the unique tree path between u and w (inclusive)."""
-        au, aw = [], []
+        up, down = [], []
         x, y = u, w
-        du, dw = self._depth_cache()[u], self._depth_cache()[w]
-        while du > dw:
-            au.append(x)
-            x = self.parent[x]
-            du -= 1
-        while dw > du:
-            aw.append(y)
-            y = self.parent[y]
-            dw -= 1
         while x != y:
-            au.append(x)
-            aw.append(y)
-            x = self.parent[x]
-            y = self.parent[y]
             if x is None or y is None:
                 raise ValueError(f"{u} and {w} are in different components")
-        return au + [x] + aw[::-1]
-
-    def _depth_cache(self) -> list[int]:
-        cache = getattr(self, "_depths", None)
-        if cache is None:
-            cache = self.depths()
-            object.__setattr__(self, "_depths", cache)
-        return cache
+            if self.depth[x] >= self.depth[y]:
+                up.append(x)
+                x = self.parent[x]
+            else:
+                down.append(y)
+                y = self.parent[y]
+        return up + [x] + down[::-1]
 
 
 @dataclass(frozen=True)
@@ -99,69 +77,71 @@ def _norm(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
+def _bfs(adj, sources) -> tuple[list[Optional[int]], list[int], list[int], list[int]]:
+    """Breadth-first forest over `adj` (vertex -> neighbours), one tree from
+    each source not reached yet, neighbours in ascending order: (parent,
+    depth, order, component root) per vertex, -1 depth when unreached."""
+    n = len(adj)
+    parent: list[Optional[int]] = [None] * n
+    depth = [-1] * n
+    root = [-1] * n
+    order: list[int] = []
+    for s in sources:
+        if depth[s] >= 0:
+            continue
+        depth[s] = 0
+        root[s] = s
+        head = len(order)
+        order.append(s)
+        while head < len(order):
+            v = order[head]
+            head += 1
+            for w in sorted(adj[v]):
+                if depth[w] < 0:
+                    parent[w] = v
+                    depth[w] = depth[v] + 1
+                    root[w] = s
+                    order.append(w)
+    return parent, depth, order, root
+
+
+def _bfs_edges(g: Superstructure, sources) -> frozenset[tuple[int, int]]:
+    """Tree edges of the breadth-first forest of g grown from `sources`."""
+    parent = _bfs(g.adj, sources)[0]
+    return frozenset(_norm(v, p) for v, p in enumerate(parent) if p is not None)
+
+
 def forest_from_edges(
     g: Superstructure, tree_edges: frozenset[tuple[int, int]]
 ) -> SpanningForest:
-    """Root the given spanning edge set (BFS from the smallest vertex per
-    component) and classify the remaining edges as feedback edges."""
-    adj: dict[int, list[int]] = {v: [] for v in range(g.n)}
-    for a, b in tree_edges:
-        if _norm(a, b) not in g.edges:
+    """Root the given spanning edge set by one BFS (from the smallest vertex
+    per component) and classify the remaining edges as feedback edges.
+
+    ValueError unless the edges form a spanning forest of g: every edge in
+    g, no cycle (n - #roots edges), every component of g spanned.
+    """
+    tset = frozenset(_norm(a, b) for a, b in tree_edges)
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for a, b in tset:
+        if (a, b) not in g.edges:
             raise ValueError(f"tree edge ({a},{b}) not in the graph")
         adj[a].append(b)
         adj[b].append(a)
-    parent: list[Optional[int]] = [None] * g.n
-    seen = [False] * g.n
-    roots = []
-    from collections import deque
-
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        roots.append(s)
-        seen[s] = True
-        dq = deque([s])
-        while dq:
-            v = dq.popleft()
-            for w in sorted(adj[v]):
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = v
-                    dq.append(w)
-    tset = frozenset(_norm(a, b) for a, b in tree_edges)
-    comps = {}
-    for v in range(g.n):
-        r = v
-        while parent[r] is not None:
-            r = parent[r]
-        comps[v] = r
-    for a, b in g.edges:
-        if comps[a] != comps[b]:
-            raise ValueError("edge set does not span every component")
-    feedback = frozenset(e for e in g.edges if e not in tset)
-    return SpanningForest(g.n, tuple(parent), tuple(roots), tset, feedback)
+    parent, depth, order, root = _bfs(adj, range(g.n))
+    roots = tuple(v for v in order if parent[v] is None)
+    if len(tset) != g.n - len(roots):
+        raise ValueError("tree edges contain a cycle")
+    if any(root[a] != root[b] for a, b in g.edges):
+        raise ValueError("edge set does not span every component")
+    return SpanningForest(
+        g.n, tuple(parent), roots, tset, g.edges - tset, tuple(depth), tuple(order)
+    )
 
 
 def feedback_edge_set(g: Superstructure) -> SpanningForest:
     """BFS spanning forest; the non-tree edges form a minimum feedback edge
     set, of size |E| - n + #components."""
-    tree = set()
-    seen = [False] * g.n
-    from collections import deque
-
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        dq = deque([s])
-        while dq:
-            v = dq.popleft()
-            for w in sorted(g.adj[v]):
-                if not seen[w]:
-                    seen[w] = True
-                    tree.add(_norm(v, w))
-                    dq.append(w)
-    return forest_from_edges(g, frozenset(tree))
+    return forest_from_edges(g, _bfs_edges(g, range(g.n)))
 
 
 def lfen_of_tree(g: Superstructure, forest: SpanningForest) -> LfenWitness:
@@ -283,34 +263,22 @@ def _spanning_trees(g: Superstructure):
     yield from rec(0, [], list(range(n)), 0)
 
 
-def _local_counts_for_tree(
-    g: Superstructure, tree: frozenset[tuple[int, int]]
-) -> tuple[int, tuple[int, ...]]:
-    forest = forest_from_edges(g, tree)
-    w = lfen_of_tree(g, forest)
-    return w.value, w.local_counts
-
-
-def lfen_search(
-    g: Superstructure,
-    budget: int = DEFAULT_TREE_BUDGET,
-    restarts: int = 4,
-) -> LfenWitness:
+def lfen_search(g: Superstructure, budget: int = DEFAULT_TREE_BUDGET) -> LfenWitness:
     """Best witness tree found for the localized feedback measure.
 
     Per component: count the spanning trees (`spanning_tree_count`) and
     enumerate them all when their number fits the budget (result flagged
     exact), otherwise improve a BFS tree by edge swaps (add one non-tree
     edge, drop one tree edge on its cycle) accepting strict improvements,
-    restarting from different BFS roots.  The global value is the maximum
-    over components.
+    restarting from the BFS trees of the first four vertices.  The global
+    value is the maximum over components.
     """
     best_edges: set[tuple[int, int]] = set()
     exact_all = True
     for comp in g.components():
         sub, idx = _component_subgraph(g, comp)
         back = {i: v for v, i in idx.items()}
-        tree, exact = _component_lfen_tree(sub, budget, restarts)
+        tree, exact = _component_lfen_tree(sub, budget)
         exact_all = exact_all and exact
         best_edges.update(_norm(back[a], back[b]) for a, b in tree)
     forest = forest_from_edges(g, frozenset(best_edges))
@@ -318,7 +286,7 @@ def lfen_search(
     return LfenWitness(forest, w.local_counts, w.value, exact_all)
 
 
-def _component_lfen_tree(g: Superstructure, budget: int, restarts: int):
+def _component_lfen_tree(g: Superstructure, budget: int):
     """(tree edge set, exact flag) for a connected graph."""
     if g.edge_count() == g.n - 1:
         return frozenset(g.edges), True
@@ -326,62 +294,38 @@ def _component_lfen_tree(g: Superstructure, budget: int, restarts: int):
     best_key = None
     if spanning_tree_count(g) <= budget:
         for tree in _spanning_trees(g):
-            value, _ = _local_counts_for_tree(g, tree)
+            value = lfen_of_tree(g, forest_from_edges(g, tree)).value
             key = (value, tuple(sorted(tree)))
             if best_key is None or key < best_key:
                 best_key = key
                 best_tree = tree
         return best_tree, True
     # local search fallback
-    best_tree = None
-    best_key = None
-    roots = list(range(min(g.n, max(1, restarts))))
-    for root in roots:
-        tree = _bfs_tree(g, root)
-        value, counts = _local_counts_for_tree(g, tree)
-        improved = True
-        while improved:
-            improved = False
+    for root in range(min(g.n, _SEARCH_ROOTS)):
+        forest = forest_from_edges(g, _bfs_edges(g, [root]))
+        value = lfen_of_tree(g, forest).value
+        while True:
             swap_best = None
-            for e in sorted(g.edges - tree):
-                forest = forest_from_edges(g, tree)
+            for e in sorted(g.edges - forest.tree_edges):
                 path = forest.tree_path(*e)
                 path_edges = sorted(
                     _norm(path[i], path[i + 1]) for i in range(len(path) - 1)
                 )
                 for f in path_edges:
-                    cand = (tree - {f}) | {e}
-                    cval, _ = _local_counts_for_tree(g, cand)
+                    cand = forest_from_edges(g, (forest.tree_edges - {f}) | {e})
+                    cval = lfen_of_tree(g, cand).value
                     if cval < value and (
                         swap_best is None or (cval, e, f) < swap_best[:3]
                     ):
                         swap_best = (cval, e, f, cand)
-            if swap_best is not None:
-                value = swap_best[0]
-                tree = swap_best[3]
-                improved = True
-        key = (value, tuple(sorted(tree)))
+            if swap_best is None:
+                break
+            value, _, _, forest = swap_best
+        key = (value, tuple(sorted(forest.tree_edges)))
         if best_key is None or key < best_key:
             best_key = key
-            best_tree = tree
+            best_tree = forest.tree_edges
     return best_tree, False
-
-
-def _bfs_tree(g: Superstructure, root: int) -> frozenset[tuple[int, int]]:
-    from collections import deque
-
-    seen = [False] * g.n
-    seen[root] = True
-    tree = set()
-    dq = deque([root])
-    while dq:
-        v = dq.popleft()
-        for w in sorted(g.adj[v]):
-            if not seen[w]:
-                seen[w] = True
-                tree.add(_norm(v, w))
-                dq.append(w)
-    return frozenset(tree)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from itertools import product
 from typing import Optional
 
 from . import relations
-from .graphs import DEFAULT_TREE_BUDGET, SpanningForest, lfen_of_tree, lfen_search
+from .graphs import SpanningForest, lfen_of_tree, lfen_search
 from .instances import Network, NonZeroInstance, Superstructure, superstructure
 
 
@@ -40,8 +40,7 @@ def boundaries(g: Superstructure, forest: SpanningForest) -> list[Boundary]:
     connection of a closed subtree runs through that single tree edge.
     """
     children = forest.children_lists()
-    subtree = _subtree_masks(_postorder(forest.roots, children), children)
-    return _boundaries(g, forest, children, subtree)
+    return _boundaries(g, forest, children, _subtree_masks(forest, children))
 
 
 def _boundaries(
@@ -52,7 +51,7 @@ def _boundaries(
     # common ancestor: walk that path once per edge, O(n + sum of lengths)
     n = g.n
     parent = forest.parent
-    depth = forest.depths()
+    depth = forest.depth
     dsets: list[set[int]] = [set() for _ in range(n)]
     for a, b in g.edges:
         x, y = a, b
@@ -79,25 +78,10 @@ def _boundaries(
     return out
 
 
-def _postorder(roots, children) -> list[int]:
-    order = []
-    for r in roots:
-        stack = [(r, False)]
-        while stack:
-            v, done = stack.pop()
-            if done:
-                order.append(v)
-            else:
-                stack.append((v, True))
-                for c in children[v]:
-                    stack.append((c, False))
-    return order
-
-
-def _subtree_masks(order: list[int], children) -> list[int]:
-    """Bitmask of each vertex's subtree, from a post-order of all vertices."""
-    subtree = [0] * len(order)
-    for v in order:
+def _subtree_masks(forest: SpanningForest, children) -> list[int]:
+    """Bitmask of each vertex's subtree, children before parents."""
+    subtree = [0] * forest.n
+    for v in forest.order[::-1]:
         mask = 1 << v
         for c in children[v]:
             mask |= subtree[c]
@@ -106,7 +90,7 @@ def _subtree_masks(order: list[int], children) -> list[int]:
 
 
 class _RecordEngine:
-    """Post-order record DP over a rooted spanning forest.
+    """Leaf-to-root record DP over a rooted spanning forest.
 
     Subclasses fix the key format and build the tables: `root_key`,
     `closed_key(c, take_arc)` (the key of closed child c's record without
@@ -124,8 +108,7 @@ class _RecordEngine:
         self.g = g
         self.forest = forest
         self.children = forest.children_lists()
-        self.order = _postorder(forest.roots, self.children)
-        self.subtree = _subtree_masks(self.order, self.children)
+        self.subtree = _subtree_masks(forest, self.children)
         self.bounds = _boundaries(g, forest, self.children, self.subtree)
         bound = 2 * lfen_of_tree(g, forest).value + 2
         if any(len(b.delta) > bound for b in self.bounds):
@@ -137,8 +120,8 @@ class _RecordEngine:
         return {key: sc for key, (sc, _) in self.tables[v].items()}
 
     def fill(self, stop: Optional[int] = None):
-        """Fill the tables in post-order, up to and including `stop`."""
-        for v in self.order:
+        """Fill the tables children first, up to and including `stop`."""
+        for v in self.forest.order[::-1]:  # children before parents
             self.tables[v] = self.combine_records(v)
             if v == stop:
                 break
@@ -198,11 +181,10 @@ class _RecordEngine:
         return total, Network(self.instance.n, frozenset(arcs))
 
 
-def _engine(cls, instance: NonZeroInstance, forest=None, tree_budget=None):
+def _engine(cls, instance: NonZeroInstance, forest=None):
     g = superstructure(instance)
     if forest is None:
-        budget = DEFAULT_TREE_BUDGET if tree_budget is None else tree_budget
-        forest = lfen_search(g, budget).forest
+        forest = lfen_search(g).forest
     return cls(instance, g, forest)
 
 
@@ -283,11 +265,6 @@ class _BnslEngine(_RecordEngine):
         return table
 
 
-def leaf_records(instance: NonZeroInstance, v: int, forest: Optional[SpanningForest] = None):
-    """Record set of a leaf as {reachability pair set: best score}."""
-    return combine_records(instance, v, forest)
-
-
 def combine_records(
     instance: NonZeroInstance,
     v: int,
@@ -301,12 +278,10 @@ def combine_records(
 
 
 def solve_bnsl_lfen(
-    instance: NonZeroInstance,
-    forest: Optional[SpanningForest] = None,
-    tree_budget: Optional[int] = None,
+    instance: NonZeroInstance, forest: Optional[SpanningForest] = None
 ) -> tuple[int, Network]:
     """Optimal acyclic network via the record DP on a witness tree."""
-    return _engine(_BnslEngine, instance, forest, tree_budget).solve()
+    return _engine(_BnslEngine, instance, forest).solve()
 
 
 def record_tables(
@@ -393,12 +368,10 @@ class _PlEngine(_RecordEngine):
 
 
 def solve_pl_lfen(
-    instance: NonZeroInstance,
-    forest: Optional[SpanningForest] = None,
-    tree_budget: Optional[int] = None,
+    instance: NonZeroInstance, forest: Optional[SpanningForest] = None
 ) -> tuple[int, Network]:
     """Optimal polytree via the component-counting record DP."""
-    return _engine(_PlEngine, instance, forest, tree_budget).solve()
+    return _engine(_PlEngine, instance, forest).solve()
 
 
 def pl_record_tables(

@@ -8,6 +8,7 @@ from bnsl.instances import (
     parse_nonzero,
     parse_solution,
     score_of,
+    superstructure,
     to_nonzero,
     validate,
     write_additive,
@@ -58,9 +59,17 @@ def test_solve_writes_solution(capsys, example_file, tmp_path, example4):
     assert score_of(example4, net) == 7 and validate(net, "dag").ok
 
 
-def test_rep_algo_mismatch_is_usage_error(capsys, example_file):
+def test_rep_algo_mismatch_is_usage_error(capsys, example_file, tmp_path):
     code, _, err = run(capsys, "solve", example_file, "--algo", "twdp")
     assert code == 2 and "additive" in err
+    # structure files only the other algorithm reads are never dropped silently
+    tree = tmp_path / "tree.txt"
+    tree.write_text("a b\nb d\nc d\n")
+    td = tmp_path / "td.txt"
+    td.write_text("b 0 a b c d\n")
+    for argv in (("--tree", str(tree)), ("--algo", "oracle", "--td", str(td))):
+        code, out, err = run(capsys, "solve", example_file, *argv)
+        assert code == 2 and out == "" and argv[-2] in err
     with pytest.raises(SystemExit) as exc:  # argparse rejects unknown flags
         cli.main(["solve", example_file, "--threads", "2"])
     assert exc.value.code == 2
@@ -253,6 +262,20 @@ def test_solve_with_supplied_tree(capsys, example_file, tmp_path):
     code, out, _ = run(capsys, "solve", example_file, "--algo", "lfen",
                        "--tree", str(tree))
     assert code == 0 and out.strip() == "max_score=7"
+
+
+def test_supplied_tree_with_cycle_is_usage_error(capsys, tmp_path):
+    # every superstructure edge of a 12-vertex fen-2 instance: not a forest
+    code, text, _ = run(capsys, "gen", "--n", "12", "--fen", "2", "--seed", "3")
+    assert code == 0
+    p = tmp_path / "inst.scores"
+    p.write_text(text)
+    inst = parse_nonzero(text)
+    tree = tmp_path / "tree.txt"
+    tree.write_text("".join(f"{inst.names[a]} {inst.names[b]}\n"
+                            for a, b in sorted(superstructure(inst).edges)))
+    code, out, err = run(capsys, "solve", str(p), "--algo", "lfen", "--tree", str(tree))
+    assert code == 2 and out == "" and "cycle" in err
 
 
 def test_solve_with_supplied_td(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import random
+import time
 from collections import deque
 
 import pytest
@@ -146,6 +147,107 @@ def test_lfen_search_budget_fallback_upper_bound():
     exact, _ = oracle.exact_lfen(g)
     assert w.value >= exact
     assert w.value <= len(graphs.feedback_edge_set(g).feedback_edges)
+
+
+def random_spanning_forest(rng, g):
+    """A uniform-ish spanning forest: Kruskal over the edges in random order."""
+    parent = list(range(g.n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    edges = sorted(g.edges)
+    rng.shuffle(edges)
+    tree = set()
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            tree.add((a, b))
+    return frozenset(tree)
+
+
+def plain_bfs_forest(n, tree_edges):
+    """(parent, depth, order, roots, root of each vertex, adjacency): BFS
+    over sorted tree neighbours from each vertex not reached yet, in
+    ascending order."""
+    adj = {v: set() for v in range(n)}
+    for a, b in tree_edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    parent, depth, order, roots, root_of = [None] * n, [None] * n, [], [], [None] * n
+    for s in range(n):
+        if depth[s] is not None:
+            continue
+        roots.append(s)
+        depth[s], root_of[s] = 0, s
+        dq = deque([s])
+        while dq:
+            v = dq.popleft()
+            order.append(v)
+            for w in sorted(adj[v]):
+                if depth[w] is None:
+                    parent[w], depth[w], root_of[w] = v, depth[v] + 1, s
+                    dq.append(w)
+    return parent, depth, order, roots, root_of, adj
+
+
+def test_forest_fields_match_plain_bfs():
+    graphs_checked = 0
+    for seed in range(240):
+        rng = random.Random(3100 + seed)
+        n = seed % 4 if seed < 8 else rng.randint(2, 14)  # n = 0 and 1 included
+        g = generate.random_graph(rng, n, rng.randint(0, 5) if seed % 5 else 0,
+                                  connected=(seed % 3 != 0), exact_fen=False)
+        tree = random_spanning_forest(rng, g) if seed % 2 else graphs.feedback_edge_set(g).tree_edges
+        forest = graphs.forest_from_edges(g, tree)
+        parent, depth, order, roots, root_of, adj = plain_bfs_forest(g.n, tree)
+        assert list(forest.parent) == parent
+        assert list(forest.depth) == depth
+        assert list(forest.order) == order
+        assert list(forest.roots) == roots
+        assert forest.tree_edges == tree and forest.feedback_edges == g.edges - tree
+        pos = {v: i for i, v in enumerate(forest.order)}
+        assert sorted(pos) == list(range(g.n))
+        for v, p in enumerate(forest.parent):
+            assert p is None or pos[p] < pos[v]
+        for u in range(g.n):
+            for w in range(g.n):
+                if root_of[u] == root_of[w]:
+                    assert forest.tree_path(u, w) == bfs_path(adj, u, w)[::-1]
+                else:
+                    with pytest.raises(ValueError):
+                        forest.tree_path(u, w)
+        graphs_checked += 1
+    assert graphs_checked >= 200
+
+
+def test_forest_from_edges_rejects_non_forests():
+    g = generate.random_graph(random.Random(12), 12, 2)
+    with pytest.raises(ValueError, match="cycle"):
+        graphs.forest_from_edges(g, g.edges)
+    tree = graphs.feedback_edge_set(g).tree_edges
+    with pytest.raises(ValueError, match="span"):
+        graphs.forest_from_edges(g, tree - {min(tree)})
+    with pytest.raises(ValueError, match="not in the graph"):
+        missing = next((a, b) for a in range(12) for b in range(a + 1, 12)
+                       if (a, b) not in g.edges)
+        graphs.forest_from_edges(g, tree | {missing})
+
+
+def test_feedback_forest_of_long_cycle_is_linear():
+    # one BFS per forest and one walk per feedback edge: the parent's
+    # per-vertex walk to the root was quadratic on this cycle
+    n = 50_000
+    g = Superstructure(n, [(v, (v + 1) % n) for v in range(n)])
+    t0 = time.perf_counter()
+    forest = graphs.feedback_edge_set(g)
+    w = graphs.lfen_of_tree(g, forest)
+    assert time.perf_counter() - t0 < 5.0
+    assert len(forest.feedback_edges) == 1 and w.value == 1
+    assert max(forest.depth) == n // 2
 
 
 def test_spanning_tree_count_matches_enumeration():

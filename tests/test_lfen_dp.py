@@ -91,7 +91,7 @@ def test_leaf_records_empty_family():
     leaf = next(
         v for v in range(2) if not forest.children_lists()[v]
     )
-    recs = lfen_dp.leaf_records(inst, leaf, forest)
+    recs = lfen_dp.combine_records(inst, leaf, forest)
     assert recs[frozenset()] == 0
 
 
@@ -102,7 +102,7 @@ def test_leaf_records_single_parent():
     for v in range(2):
         if children[v]:
             continue
-        recs = lfen_dp.leaf_records(inst, v, forest)
+        recs = lfen_dp.combine_records(inst, v, forest)
         if inst.entries.get(v):
             u = next(iter(inst.entries[v]))
             assert recs == {frozenset(): 0, frozenset({(next(iter(u)), v)}): 5}
@@ -120,7 +120,7 @@ def test_leaf_records_match_enumeration():
         for v in range(inst.n):
             if children[v]:
                 continue
-            got = lfen_dp.leaf_records(inst, v, forest)
+            got = lfen_dp.combine_records(inst, v, forest)
             want = subtree_record_reference(inst, {v}, bounds[v].delta)
             assert got == want
 
