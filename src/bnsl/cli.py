@@ -13,7 +13,12 @@ RuntimeError, RecursionError included).
 `--algo twdp`; given with any other algorithm, after `auto` is resolved,
 either is a usage error.  A tree file whose edges are not a spanning forest
 of the superstructure (an edge outside it, a cycle, a component left
-unspanned) is an invalid input.
+unspanned) is an invalid input, and so is a decomposition file whose tree
+edges leave some bag without a root (a cycle, `e 1 1` included) and a
+`verify --lift` map that is not one `kernelize --map` writes for the
+reduced instance (not a JSON object with the map's fields, a step with an
+unknown rule or a missing field, vertices of the reduced instance left
+unmapped).
 """
 
 from __future__ import annotations
@@ -133,9 +138,16 @@ def _load_td(path, instance):
             raise CliError(f"td file line {i}: unknown record {tok[0]!r}")
     if not bags:
         raise CliError("td file has no bags")
+    children = {b: [] for b in bags}
     for c, p in parent.items():
         if c not in bags or p not in bags:
             raise CliError("td file: edge references unknown bag")
+        children[p].append(c)
+    reached = [b for b in bags if b not in parent]
+    for b in reached:  # walks down from the roots, reaching every bag of a forest
+        reached.extend(children[b])
+    if len(reached) < len(bags):
+        raise CliError("td file: tree edges form a cycle, some bags have no root")
     td = graphs.nice_from_raw(bags, parent)
     problems = graphs.check_nice(td, superstructure(instance))
     if problems:
@@ -277,13 +289,11 @@ def cmd_kernelize(args) -> int:
 def cmd_params(args) -> int:
     inst, _ = _load_instance(args.instance, args.rep)
     g = superstructure(inst)
-    sf = graphs.feedback_edge_set(g)
     witness = graphs.lfen_search(g, budget=args.budget)
     td = graphs.tree_decomposition(g)
     exact = " exact" if witness.exact else ""
-    print(
-        f"fen={len(sf.feedback_edges)} lfen<={witness.value}{exact} tw<={td.width}"
-    )
+    fen = len(witness.forest.feedback_edges)  # |E| - n + #components in any spanning forest
+    print(f"fen={fen} lfen<={witness.value}{exact} tw<={td.width}")
     if args.witness:
         for a, b in sorted(witness.forest.tree_edges):
             print(f"{inst.names[a]} {inst.names[b]}")

@@ -348,9 +348,6 @@ class NiceTreeDecomposition:
     root: int
     width: int
 
-    def __iter__(self):
-        return iter(range(len(self.nodes)))
-
     def postorder(self) -> list[int]:
         order, stack = [], [(self.root, False)]
         while stack:

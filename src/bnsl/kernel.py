@@ -29,6 +29,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from . import graphs
 from .instances import Network, NonZeroInstance, superstructure
 
 
@@ -124,11 +125,11 @@ class _Work:
         return self.entries.get(v, {}).get(parents, 0)
 
     def set_entries(self, v: int, sets: dict[frozenset[int], int]):
-        """Install a score table, dropping zero non-empty sets (they equal
-        the unlisted default and would break the representation).  Parent
+        """Install a score table, dropping zero-score sets (they equal the
+        unlisted default and would break the representation).  Parent
         sets may still name vertices already removed (rule 2 removes the
         inner path before rewriting the anchors); those get no edge."""
-        kept = {p: s for p, s in sets.items() if s > 0 or (not p and s > 0)}
+        kept = {p: s for p, s in sets.items() if s > 0}
         if kept:
             self.entries[v] = kept
         else:
@@ -182,6 +183,40 @@ class _Work:
         return inst, {i: loose for loose, i in dense.items()}
 
 
+class _Arcs:
+    """A network's arcs indexed both ways (heads -> tails in `parents`,
+    tails -> heads in `children`), so a lift step touches only the arcs at
+    its own vertices."""
+
+    def __init__(self):
+        self.parents: dict[int, set[int]] = {}
+        self.children: dict[int, set[int]] = {}
+
+    def add(self, u: int, w: int):
+        self.parents.setdefault(w, set()).add(u)
+        self.children.setdefault(u, set()).add(w)
+
+    def discard(self, u: int, w: int):
+        self.parents.get(w, set()).discard(u)
+        self.children.get(u, set()).discard(w)
+
+    def has(self, u: int, w: int) -> bool:
+        return u in self.parents.get(w, ())
+
+    def parents_of(self, w: int) -> frozenset[int]:
+        return frozenset(self.parents.get(w, ()))
+
+    def isolate(self, x: int):
+        """Drop every arc at x, in O(deg x)."""
+        for u in self.parents.pop(x, ()):
+            self.children.get(u, set()).discard(x)
+        for w in self.children.pop(x, ()):
+            self.parents.get(w, set()).discard(x)
+
+    def pairs(self) -> set[tuple[int, int]]:
+        return {(u, w) for w, us in self.parents.items() for u in us}
+
+
 @dataclass
 class KernelResult:
     """Reduced instance plus everything needed to lift solutions back."""
@@ -194,21 +229,17 @@ class KernelResult:
 
     def lift(self, network: Network) -> Network:
         """Map a reduced-instance network to an original-instance network
-        scoring at least as much (equally for optimal networks)."""
-        arcs = {
-            (self.loose_of_reduced[u], self.loose_of_reduced[v])
-            for u, v in network.arcs
-        }
+        scoring at least as much (equally for optimal networks).  Each step
+        reads and edits only the arcs at its own vertices."""
+        arcs = _Arcs()
+        for u, v in network.arcs:
+            arcs.add(self.loose_of_reduced[u], self.loose_of_reduced[v])
         for step in reversed(self.steps):
-            if step["rule"] == 1:
-                arcs = _lift_rr1(step, arcs)
-            elif step["rule"] == 2:
-                arcs = _lift_rr2(step, arcs)
-            else:
-                arcs = _lift_rr2_pl(step, arcs)
-        if any(u >= self.original_n or v >= self.original_n for u, v in arcs):
+            _LIFTS[step["rule"]](step, arcs)
+        out = arcs.pairs()
+        if any(u >= self.original_n or v >= self.original_n for u, v in out):
             raise RuntimeError("lifted network still uses a gadget vertex")
-        return Network(self.original_n, frozenset(arcs))
+        return Network(self.original_n, frozenset(out))
 
     def to_json(self) -> str:
         def enc_steps(steps):
@@ -242,32 +273,50 @@ class KernelResult:
 
     @staticmethod
     def from_json(text: str, reduced: NonZeroInstance) -> "KernelResult":
-        raw = json.loads(text)
-        steps = []
-        for s in raw["steps"]:
-            t = dict(s)
-            if s["rule"] == 1:
-                t["configs"] = {
-                    frozenset(k): (frozenset(sv), frozenset(av))
-                    for k, sv, av in s["configs"]
-                }
-                t["fallback"] = (
-                    frozenset(s["fallback"][0]),
-                    frozenset(s["fallback"][1]),
-                )
-                t["q"] = list(s["q"])
-            else:
-                t["configs"] = {k: tuple(v) for k, v in s["configs"].items()}
-                if "b_sets" in s:
-                    t["b_sets"] = {k: frozenset(v) for k, v in s["b_sets"].items()}
-            steps.append(t)
-        return KernelResult(
-            reduced,
-            {int(k): v for k, v in raw["vertex_map"].items()},
-            steps,
-            {int(k): v for k, v in raw["loose_of_reduced"].items()},
-            raw["original_n"],
-        )
+        """Read a map written by `to_json` for `reduced`; ValueError when the
+        text is not one."""
+        try:
+            raw = json.loads(text)
+            steps = [_decode_step(s) for s in raw["steps"]]
+            result = KernelResult(
+                reduced,
+                {int(k): v for k, v in raw["vertex_map"].items()},
+                steps,
+                {int(k): v for k, v in raw["loose_of_reduced"].items()},
+                raw["original_n"],
+            )
+        except (KeyError, TypeError, AttributeError, IndexError) as e:
+            raise ValueError(f"malformed kernel map: {type(e).__name__}: {e}") from None
+        if set(result.loose_of_reduced) != set(range(reduced.n)):
+            raise ValueError("kernel map does not cover the reduced instance")
+        return result
+
+
+def _decode_step(s: dict) -> dict:
+    if s["rule"] not in _LIFTS:
+        raise ValueError(f"kernel map has a step with unknown rule {s['rule']!r}")
+    missing = _STEP_FIELDS[s["rule"]] - s.keys()
+    if missing:
+        raise ValueError(f"kernel map step lacks {', '.join(sorted(missing))}")
+    t = dict(s)
+    if s["rule"] == 1:
+        t["configs"] = {
+            frozenset(k): (frozenset(sv), frozenset(av)) for k, sv, av in s["configs"]
+        }
+        t["fallback"] = (frozenset(s["fallback"][0]), frozenset(s["fallback"][1]))
+        t["q"] = list(s["q"])
+    else:
+        t["configs"] = {k: tuple(v) for k, v in s["configs"].items()}
+        if "b_sets" in s:
+            t["b_sets"] = {k: frozenset(v) for k, v in s["b_sets"].items()}
+    return t
+
+
+_STEP_FIELDS = {
+    1: {"v", "q", "configs", "fallback"},
+    2: {"a", "c", "inner", "b", "configs"},
+    3: {"a", "c", "inner", "b", "primes", "configs", "b_sets"},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -285,65 +334,31 @@ def _vertex_score(work: _Work, path_ext, j, prev_state, next_state) -> int:
     return work.score(path_ext[j], frozenset(parents))
 
 
-def _best_config(work: _Work, path_ext, e0: str, em: str, constraint):
+def _best_config(work: _Work, path_ext, e0: str, em: str,
+                 pred=lambda state: True, want=True):
     """Max total score of the inner path vertices over orientations of the
-    internal edges, with fixed end-edge states and an optional constraint:
-    ("not_all", s): internal edges must not all have state s;
-    ("all_present", flag): internal edges all present iff flag.
+    internal edges, with fixed end-edge states, among the configurations in
+    which "every internal edge state satisfies pred" equals `want` (with no
+    internal edges it holds vacuously).
 
     Returns (score, edge state tuple) or None when infeasible.
     """
     m = len(path_ext) - 2
-    if m == 1:
-        if constraint is not None:
-            kind, want = constraint
-            if kind == "not_all":
-                return None  # zero internal edges: "all" holds vacuously
-            if kind == "all_present" and not want:
-                return None
-        return _vertex_score(work, path_ext, 1, e0, em), (e0, em)
-
-    def flag_init(state):
-        if constraint is None:
-            return False
-        kind, want = constraint
-        if kind == "not_all":
-            return state == want
-        return state != _NONE
-
-    def flag_step(flag, state):
-        if constraint is None:
-            return False
-        kind, want = constraint
-        if kind == "not_all":
-            return flag and state == want
-        return flag and state != _NONE
-
-    # layers[j-1]: (state of edge j, flag) -> (best score so far, backptr)
-    cur = {}
-    for st in (_FWD, _BWD, _NONE):
-        sc = _vertex_score(work, path_ext, 1, e0, st)
-        key = (st, flag_init(st))
-        if key not in cur or sc > cur[key][0]:
-            cur[key] = (sc, None)
-    layers = [cur]
-    for j in range(2, m):  # choose edge j between b_j and b_{j+1}
+    # layers[j]: (state of edge j, pred held so far) -> (best score, backptr)
+    layers = [{(e0, True): (0, None)}]
+    for j in range(1, m):  # choose edge j between b_j and b_{j+1}
         nxt = {}
         for (prev, flag), (sc, _) in layers[-1].items():
             for st in (_FWD, _BWD, _NONE):
                 s2 = sc + _vertex_score(work, path_ext, j, prev, st)
-                key = (st, flag_step(flag, st))
+                key = (st, flag and pred(st))
                 if key not in nxt or s2 > nxt[key][0]:
                     nxt[key] = (s2, (prev, flag))
         layers.append(nxt)
     best = None
     for (prev, flag), (sc, _) in layers[-1].items():
-        if constraint is not None:
-            kind, want = constraint
-            if kind == "not_all" and flag:
-                continue
-            if kind == "all_present" and flag != want:
-                continue
+        if flag != want:
+            continue
         total = sc + _vertex_score(work, path_ext, m, prev, em)
         if best is None or total > best[0]:
             best = (total, (prev, flag))
@@ -355,59 +370,51 @@ def _best_config(work: _Work, path_ext, e0: str, em: str, constraint):
         key = layer[key][1]
         states.append(key[0])
     states.reverse()
-    return total, tuple([e0] + states + [em])
+    return total, tuple(states + [em])
 
 
 def _bnsl_path_scores(work: _Work, path_ext) -> PathScores:
     a, c = path_ext[0], path_ext[-1]
     l_max = {}
     configs = {}
-    for bset, tag in (
-        (frozenset(), "max_"),
-        (frozenset([a]), "max_a"),
-        (frozenset([c]), "max_c"),
-        (frozenset([a, c]), "max_ac"),
-    ):
-        e0 = _FWD if a in bset else _NONE
-        em = _BWD if c in bset else _NONE
-        score, cfg = _best_config(work, path_ext, e0, em, None)
-        l_max[bset] = score
-        configs[tag] = cfg
-    got_a = _best_config(work, path_ext, _FWD, _NONE, ("not_all", _FWD))
-    got_c = _best_config(work, path_ext, _NONE, _BWD, ("not_all", _BWD))
+    for bset, e0, em in _fed_by(a, c):
+        l_max[bset], configs["max_" + _btag(bset, a, c)] = _best_config(
+            work, path_ext, e0, em
+        )
     # a single inner vertex leaves the no-through-path families empty; the
     # contraction rule never fires there (it needs >= 4 inner vertices)
-    configs["nopath_a"] = got_a[1] if got_a else None
-    configs["nopath_c"] = got_c[1] if got_c else None
-    return PathScores(
-        a, c, l_max,
-        got_a[0] if got_a else None,
-        got_c[0] if got_c else None,
-        configs,
-    )
+    nopath_a, configs["nopath_a"] = _best_config(
+        work, path_ext, _FWD, _NONE, lambda st: st == _FWD, False
+    ) or (None, None)
+    nopath_c, configs["nopath_c"] = _best_config(
+        work, path_ext, _NONE, _BWD, lambda st: st == _BWD, False
+    ) or (None, None)
+    return PathScores(a, c, l_max, nopath_a, nopath_c, configs)
 
 
 def _pl_path_scores(work: _Work, path_ext) -> PlPathScores:
     a, c = path_ext[0], path_ext[-1]
-    m = len(path_ext) - 2
     l = {}
     configs = {}
-    for bset in (frozenset(), frozenset([a]), frozenset([c]), frozenset([a, c])):
-        e0 = _FWD if a in bset else _NONE
-        em = _BWD if c in bset else _NONE
-        if m == 1:
-            score, cfg = _best_config(work, path_ext, e0, em, None)
-            for p in (0, 1):
-                l[(p, bset)] = score
-                configs[(p, bset)] = cfg
-            continue
+    for bset, e0, em in _fed_by(a, c):
         for p in (0, 1):
-            got = _best_config(work, path_ext, e0, em, ("all_present", p == 1))
-            if got is None:
-                raise RuntimeError("path with >= 2 inner vertices has no configuration")
-            l[(p, bset)] = got[0]
-            configs[(p, bset)] = got[1]
+            # a single inner vertex is both ends of the path, which is then
+            # connected whatever p asks for
+            l[(p, bset)], configs[(p, bset)] = (
+                _best_config(work, path_ext, e0, em, _present, p == 1)
+                or _best_config(work, path_ext, e0, em, _present, True)
+            )
     return PlPathScores(a, c, l, configs)
+
+
+def _present(state: str) -> bool:
+    return state != _NONE
+
+
+def _fed_by(a: int, c: int):
+    """Each set B of anchors feeding the path, with its end-edge states."""
+    for bset in (frozenset(), frozenset([a]), frozenset([c]), frozenset([a, c])):
+        yield bset, _FWD if a in bset else _NONE, _BWD if c in bset else _NONE
 
 
 def path_scores(instance: NonZeroInstance, path: Sequence[int]) -> PathScores:
@@ -445,16 +452,12 @@ def _apply_rr1(work: _Work, v: int, adj) -> dict:
         total = 0
         arcs_out = set()
         for w in q:
-            if w in s:
-                total += work.score(w, frozenset())
+            se, sv = work.score(w, frozenset()), work.score(w, frozenset([v]))
+            if w not in s and sv > se:  # w takes v as its parent
+                total += sv
+                arcs_out.add(w)
             else:
-                se = work.score(w, frozenset())
-                sv = work.score(w, frozenset([v]))
-                if sv > se:
-                    total += sv
-                    arcs_out.add(w)
-                else:
-                    total += se
+                total += se
         return total, frozenset(arcs_out)
 
     old_sets = dict(work.entries.get(v, {}))
@@ -489,19 +492,13 @@ def _apply_rr1(work: _Work, v: int, adj) -> dict:
     return step
 
 
-def _lift_rr1(step, arcs: set) -> set:
+def _lift_rr1(step, arcs: _Arcs):
     v = step["v"]
-    parents = frozenset(u for u, w in arcs if w == v)
-    s_members, arcs_out = step["configs"].get(parents, step["fallback"])
-    out = set(arcs)
+    s_members, arcs_out = step["configs"].get(arcs.parents_of(v), step["fallback"])
     for u in s_members:
-        out.add((u, v))
+        arcs.add(u, v)
     for w in arcs_out:
-        out.add((v, w))
-    return out
-
-
-_BNSL_CASES = ("max_", "max_a", "max_c", "max_ac", "nopath_a", "nopath_c")
+        arcs.add(v, w)
 
 
 def _apply_rr2(work: _Work, path_ext: list[int]) -> dict:
@@ -515,23 +512,11 @@ def _apply_rr2(work: _Work, path_ext: list[int]) -> dict:
     b = work.fresh("p" + work.names[b1])
     for w in inner[1:-1]:
         work.remove(w)
-    work.set_entries(
-        b,
-        {
-            frozenset({b1, bm}): ps.l_max[frozenset()],
-            frozenset({b1, bm, a}): ps.l_max[frozenset([a])],
-            frozenset({b1, bm, c}): ps.l_max[frozenset([c])],
-            frozenset({b1, bm, a, c}): ps.l_max[frozenset([a, c])],
-        },
-    )
+    work.set_entries(b, {bset | {b1, bm}: s for bset, s in ps.l_max.items()})
     work.set_entries(b1, {frozenset({a, b, bm}): ps.l_nopath_a})
     work.set_entries(bm, {frozenset({c, b, b1}): ps.l_nopath_c})
-    for anchor, end in ((a, b1), (c, bm)):
-        sets = work.entries.get(anchor, {})
-        rewritten = {}
-        for parents, s in sets.items():
-            rewritten[parents | {b} if end in parents else parents] = s
-        work.set_entries(anchor, rewritten)
+    _reroute(work, a, b1, {b1, b})
+    _reroute(work, c, bm, {bm, b})
     return {
         "rule": 2,
         "a": a,
@@ -542,47 +527,40 @@ def _apply_rr2(work: _Work, path_ext: list[int]) -> dict:
     }
 
 
-def _lift_rr2(step, arcs: set) -> set:
+def _lift_rr2(step, arcs: _Arcs):
     a, c, b = step["a"], step["c"], step["b"]
-    inner = list(step["inner"])
-    b1, bm = inner[0], inner[-1]
-    region = {a, b, b1, bm, c}
-    parents_b = frozenset(u for u, w in arcs if w == b)
-    parents_b1 = frozenset(u for u, w in arcs if w == b1)
-    parents_bm = frozenset(u for u, w in arcs if w == bm)
-    pa = (b1, a) in arcs
-    pc = (bm, c) in arcs
-    if parents_b1 == frozenset({a, b, bm}):
+    b1, bm = step["inner"][0], step["inner"][-1]
+    pa, pc = arcs.has(b1, a), arcs.has(bm, c)
+    if arcs.parents_of(b1) == {a, b, bm}:
         case = "nopath_a"
-    elif parents_bm == frozenset({c, b, b1}):
+    elif arcs.parents_of(bm) == {c, b, b1}:
         case = "nopath_c"
     else:
-        bset = parents_b & {a, c}
-        case = {
-            frozenset(): "max_",
-            frozenset([a]): "max_a",
-            frozenset([c]): "max_c",
-            frozenset([a, c]): "max_ac",
-        }[frozenset(bset)]
-    config = step["configs"][case]
-    out = set()
-    for (u, w) in arcs:
-        if u == b or w == b:
-            continue
-        if {u, w} <= region and {u, w} & {b1, bm}:
-            continue
-        out.add((u, w))
-    path_ext = [a] + inner + [c]
-    for j, st in enumerate(config):
+        case = "max_" + _btag(arcs.parents_of(b), a, c)
+    # drop the gadget's arcs: all at b, and those among a, b1, bm, c that
+    # touch b1 or bm
+    arcs.isolate(b)
+    for x in (b1, bm):
+        for y in (a, b1, bm, c):
+            arcs.discard(x, y)
+            arcs.discard(y, x)
+    _orient_path(step, case, arcs, pa, pc)
+
+
+def _orient_path(step, case: str, arcs: _Arcs, into_a: bool, into_c: bool):
+    """Add the path's arcs as the edge states of the case's config say, and
+    the arcs from the path's end vertices into the anchors where asked."""
+    a, inner, c = step["a"], step["inner"], step["c"]
+    path_ext = [a] + list(inner) + [c]
+    for j, st in enumerate(step["configs"][case]):
         if st == _FWD:
-            out.add((path_ext[j], path_ext[j + 1]))
+            arcs.add(path_ext[j], path_ext[j + 1])
         elif st == _BWD:
-            out.add((path_ext[j + 1], path_ext[j]))
-    if pa:
-        out.add((b1, a))
-    if pc:
-        out.add((bm, c))
-    return out
+            arcs.add(path_ext[j + 1], path_ext[j])
+    if into_a:
+        arcs.add(inner[0], a)
+    if into_c:
+        arcs.add(inner[-1], c)
 
 
 def _apply_rr2_pl(work: _Work, path_ext: list[int]) -> dict:
@@ -597,7 +575,6 @@ def _apply_rr2_pl(work: _Work, path_ext: list[int]) -> dict:
     b1pp = work.fresh("p" + base + "ss")
     bmp = work.fresh("p" + base + "t")
     bmpp = work.fresh("p" + base + "tt")
-    old_b1, old_bm = inner[0], inner[-1]
     for w in inner:
         work.remove(w)
     b_sets = {
@@ -610,23 +587,10 @@ def _apply_rr2_pl(work: _Work, path_ext: list[int]) -> dict:
         "1_c": frozenset({c, bmp, bmpp, b1p}),
         "0_c": frozenset({bmp, bmpp}),
     }
-    scores = {}
-    for tag, pset in b_sets.items():
-        p = int(tag[0])
-        bs = frozenset(
-            x for x, flag in ((a, "a" in tag[2:]), (c, "c" in tag[2:])) if flag
-        )
-        scores[pset] = ps.l[(p, bs)]
-    work.set_entries(b, scores)
-    for anchor, end, primes in ((a, old_b1, {b1p, b1pp}), (c, old_bm, {bmp, bmpp})):
-        sets = work.entries.get(anchor, {})
-        rewritten = {}
-        for parents, s in sets.items():
-            if end in parents:
-                rewritten[(parents - {end}) | primes] = s
-            else:
-                rewritten[parents] = s
-        work.set_entries(anchor, rewritten)
+    by_tag = {f"{p}_{_btag(bs, a, c)}": s for (p, bs), s in ps.l.items()}
+    work.set_entries(b, {pset: by_tag[tag] for tag, pset in b_sets.items()})
+    _reroute(work, a, inner[0], {b1p, b1pp})
+    _reroute(work, c, inner[-1], {bmp, bmpp})
     return {
         "rule": 3,
         "a": a,
@@ -634,46 +598,40 @@ def _apply_rr2_pl(work: _Work, path_ext: list[int]) -> dict:
         "inner": inner,
         "b": b,
         "primes": [b1p, b1pp, bmp, bmpp],
-        "configs": {f"{p}_{_btag(bs, a, c)}": ps.configs[(p, bs)]
-                    for (p, bs) in ps.configs},
+        "configs": {f"{p}_{_btag(bs, a, c)}": cfg for (p, bs), cfg in ps.configs.items()},
         "b_sets": b_sets,
     }
+
+
+def _reroute(work: _Work, anchor: int, end: int, via: set[int]):
+    """Parent sets of the anchor that name the path's end vertex name the
+    vertices `via` instead."""
+    work.set_entries(anchor, {
+        (parents - {end}) | via if end in parents else parents: s
+        for parents, s in work.entries.get(anchor, {}).items()
+    })
 
 
 def _btag(bset, a, c) -> str:
     return ("a" if a in bset else "") + ("c" if c in bset else "")
 
 
-def _lift_rr2_pl(step, arcs: set) -> set:
+def _lift_rr2_pl(step, arcs: _Arcs):
     a, c, b = step["a"], step["c"], step["b"]
-    inner = list(step["inner"])
     b1p, b1pp, bmp, bmpp = step["primes"]
-    gadget = {b, b1p, b1pp, bmp, bmpp}
-    parents_b = frozenset(u for u, w in arcs if w == b)
-    parents_a = frozenset(u for u, w in arcs if w == a)
-    parents_c = frozenset(u for u, w in arcs if w == c)
-    pa = bool(parents_a & {b1p, b1pp})
-    pc = bool(parents_c & {bmp, bmpp})
-    case = None
-    for tag, pset in step["b_sets"].items():
-        if parents_b == pset:
-            case = tag
-            break
-    if case is None:
-        case = "0_" + _btag(parents_b & {a, c}, a, c)
-    config = step["configs"][case]
-    out = {(u, w) for u, w in arcs if not ({u, w} & gadget)}
-    path_ext = [a] + inner + [c]
-    for j, st in enumerate(config):
-        if st == _FWD:
-            out.add((path_ext[j], path_ext[j + 1]))
-        elif st == _BWD:
-            out.add((path_ext[j + 1], path_ext[j]))
-    if pa:
-        out.add((inner[0], a))
-    if pc:
-        out.add((inner[-1], c))
-    return out
+    parents_b = arcs.parents_of(b)
+    pa = arcs.has(b1p, a) or arcs.has(b1pp, a)
+    pc = arcs.has(bmp, c) or arcs.has(bmpp, c)
+    case = next(
+        (tag for tag, pset in step["b_sets"].items() if parents_b == pset),
+        "0_" + _btag(parents_b, a, c),
+    )
+    for x in (b, b1p, b1pp, bmp, bmpp):
+        arcs.isolate(x)
+    _orient_path(step, case, arcs, pa, pc)
+
+
+_LIFTS = {1: _lift_rr1, 2: _lift_rr2, 3: _lift_rr2_pl}
 
 
 # ---------------------------------------------------------------------------
@@ -682,80 +640,47 @@ def _lift_rr2_pl(step, arcs: set) -> set:
 
 def _find_paths(work: _Work, min_inner: int) -> list[list[int]]:
     """Induced degree-2 paths between marked vertices (feedback edge
-    endpoints and tree branch vertices), longest first."""
-    adj = work.adjacency()
-    verts = sorted(work.vertices)
-    seen = set()
-    paths = []
-    for root in verts:
-        if root in seen:
-            continue
-        comp = []
-        stack = [root]
-        seen.add(root)
-        while stack:
-            x = stack.pop()
-            comp.append(x)
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(comp) == 1:
-            continue
-        comp.sort()
-        tree_adj: dict[int, set[int]] = {v: set() for v in comp}
-        intree = set()
-        feedback = []
-        visited = {comp[0]}
-        from collections import deque
+    endpoints and tree branch vertices), longest first.
 
-        dq = deque([comp[0]])
-        parent = {comp[0]: None}
-        while dq:
-            x = dq.popleft()
-            for y in sorted(adj[x]):
-                if y not in visited:
-                    visited.add(y)
-                    parent[y] = x
-                    tree_adj[x].add(y)
-                    tree_adj[y].add(x)
-                    intree.add((min(x, y), max(x, y)))
-                    dq.append(y)
-        for x in comp:
-            for y in adj[x]:
-                if x < y and (x, y) not in intree:
-                    feedback.append((x, y))
-        marked = {v for v in comp if len(tree_adj[v]) >= 3}
-        for x, y in feedback:
-            marked.add(x)
-            marked.add(y)
-        if not marked:
-            raise RuntimeError("multi-vertex component with no feedback edge")
-        for u in sorted(marked):
-            for w in sorted(tree_adj[u]):
-                if w in marked:
-                    continue
-                inner = []
-                prev, cur = u, w
-                while cur not in marked:
-                    inner.append(cur)
-                    nxts = [x for x in tree_adj[cur] if x != prev]
-                    if not nxts:
-                        inner = None  # pendant chain, no second anchor
-                        break
-                    prev, cur = cur, nxts[0]
-                if inner is not None and len(inner) >= min_inner:
+    The spanning forest is the shared breadth-first one (from the smallest
+    vertex of each component, neighbours ascending).  A vertex is marked when
+    its tree degree is at least 3 or differs from its degree, i.e. it ends a
+    feedback edge; every edge of an unmarked vertex is a tree edge, so the
+    chains between marked vertices are walked on the adjacency itself.
+    """
+    adj = work.adj
+    parent, _, order, root = graphs._bfs(
+        [adj.get(v, ()) for v in range(work.next_id)], sorted(work.vertices)
+    )
+    tree_degree = [0] * work.next_id
+    for v in order:
+        if parent[v] is not None:
+            tree_degree[v] += 1
+            tree_degree[parent[v]] += 1
+    marked = [
+        v for v in order if tree_degree[v] >= 3 or tree_degree[v] != len(adj[v])
+    ]
+    is_marked = set(marked)
+    if {root[v] for v in order if adj[v]} != {root[v] for v in marked}:
+        raise RuntimeError("multi-vertex component with no feedback edge")
+    paths = []
+    for u in marked:
+        for w in adj[u]:
+            if w in is_marked:
+                continue
+            inner = []
+            prev, cur = u, w
+            while cur not in is_marked:
+                inner.append(cur)
+                nxts = [x for x in adj[cur] if x != prev]
+                if not nxts:
+                    break  # pendant chain, no second anchor
+                prev, cur = cur, nxts[0]
+            else:  # record each path once, from its smaller anchor
+                if u < cur and len(inner) >= min_inner:
                     paths.append([u] + inner + [cur])
-    # deduplicate reversed copies
-    uniq = []
-    keys = set()
-    for p in paths:
-        key = frozenset(p[1:-1])
-        if key not in keys:
-            keys.add(key)
-            uniq.append(p)
-    uniq.sort(key=lambda p: (-len(p), p))
-    return uniq
+    paths.sort(key=lambda p: (-len(p), p))
+    return paths
 
 
 def rr1_prune(instance: NonZeroInstance, v: int) -> NonZeroInstance:
@@ -776,25 +701,15 @@ def rr2_contract(instance: NonZeroInstance, path: Sequence[int]) -> NonZeroInsta
 def _kernelize(instance: NonZeroInstance, polytree: bool) -> KernelResult:
     work = _Work(instance)
     steps: list[dict] = []
-    min_inner = 6 if polytree else 4
-    changed = True
-    while changed:
-        changed = False
-        while True:
-            # in a two-vertex component this is the smaller end
-            target = work.rule1_target()
-            if target is None:
-                break
+    min_inner, apply_rr2 = (6, _apply_rr2_pl) if polytree else (4, _apply_rr2)
+    while True:
+        # in a two-vertex component the rule-1 target is the smaller end
+        while (target := work.rule1_target()) is not None:
             steps.append(_apply_rr1(work, target, work.adjacency()))
-            changed = True
         paths = _find_paths(work, min_inner)
-        if paths:
-            path = paths[0]
-            if polytree:
-                steps.append(_apply_rr2_pl(work, path))
-            else:
-                steps.append(_apply_rr2(work, path))
-            changed = True
+        if not paths:
+            break
+        steps.append(apply_rr2(work, paths[0]))
     reduced, loose_of_reduced = work.to_instance()
     dense_of_loose = {loose: d for d, loose in loose_of_reduced.items()}
     vertex_map = {

@@ -3,9 +3,12 @@
 These enumerate partial solutions directly from their definitions and are
 kept free of any solver machinery they are used to check.  Two kinds of
 exception: `kernelize_rescan` reuses the kernel's rule applications and
-replaces only the bookkeeping it checks, and the last three functions are
-the earlier, slower versions of library functions that the fast ones must
-reproduce exactly.
+replaces only the bookkeeping it checks, and the functions after it are
+the earlier versions of library functions that the current ones must
+reproduce exactly: `weighted_matroid_intersection_pairwise`,
+`check_nice_scan`, `min_fill_order_rescan`, `find_paths_own_bfs`, the
+lift (`lift_rescan` with `lift_rr1_rescan`, `lift_rr2_rescan` and
+`lift_rr2_pl_rescan`) and `best_config_two_encodings`.
 """
 
 from itertools import product
@@ -13,6 +16,7 @@ from typing import Optional, Sequence
 
 from bnsl.graphs import NiceTreeDecomposition
 from bnsl.instances import Network, Superstructure, validate
+from bnsl.kernel import _BWD, _FWD, _NONE, _Work, _btag, _vertex_score
 from bnsl.polytree import GroundElement, MatroidOracles
 
 
@@ -238,9 +242,10 @@ def rule1_scan_target(adj):
 def kernelize_rescan(instance, polytree):
     """The kernel's fixed-point loop with the superstructure adjacency
     rebuilt from the score tables at every use and the rule-1 target found
-    by a sorted scan of all vertices (O(n^2) in total); `kernel._Work`
-    keeps the adjacency incrementally and must reproduce this step for
-    step."""
+    by a sorted scan of all vertices (O(n^2) in total), and the paths found
+    by `find_paths_own_bfs`; `kernel._Work` keeps the adjacency
+    incrementally, `kernel._find_paths` reads the shared BFS forest, and
+    together they must reproduce this step for step."""
     from bnsl import kernel
 
     class RescanWork(kernel._Work):
@@ -258,7 +263,7 @@ def kernelize_rescan(instance, polytree):
                 break
             steps.append(kernel._apply_rr1(work, target, work.adjacency()))
             changed = True
-        paths = kernel._find_paths(work, 6 if polytree else 4)
+        paths = find_paths_own_bfs(work, 6 if polytree else 4)
         if paths:
             apply = kernel._apply_rr2_pl if polytree else kernel._apply_rr2
             steps.append(apply(work, paths[0]))
@@ -463,3 +468,269 @@ def min_fill_order_rescan(g: Superstructure) -> list[int]:
         remaining.remove(v)
         order.append(v)
     return order
+
+
+# The functions below are the kernel's contractible-path discovery with its
+# own component DFS and BFS tree, its solution lifting with a scan and a
+# copy of the whole arc set per step, and its path DP with two constraint
+# encodings and a special case for one inner vertex, kept verbatim (only
+# renamed, the lift method taking the `KernelResult` as `self`).
+# `kernel._find_paths`, `KernelResult.lift` and `kernel._best_config` must
+# return exactly what these return, ties broken alike.
+
+
+def find_paths_own_bfs(work: _Work, min_inner: int) -> list[list[int]]:
+    """Induced degree-2 paths between marked vertices (feedback edge
+    endpoints and tree branch vertices), longest first."""
+    adj = work.adjacency()
+    verts = sorted(work.vertices)
+    seen = set()
+    paths = []
+    for root in verts:
+        if root in seen:
+            continue
+        comp = []
+        stack = [root]
+        seen.add(root)
+        while stack:
+            x = stack.pop()
+            comp.append(x)
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if len(comp) == 1:
+            continue
+        comp.sort()
+        tree_adj: dict[int, set[int]] = {v: set() for v in comp}
+        intree = set()
+        feedback = []
+        visited = {comp[0]}
+        from collections import deque
+
+        dq = deque([comp[0]])
+        parent = {comp[0]: None}
+        while dq:
+            x = dq.popleft()
+            for y in sorted(adj[x]):
+                if y not in visited:
+                    visited.add(y)
+                    parent[y] = x
+                    tree_adj[x].add(y)
+                    tree_adj[y].add(x)
+                    intree.add((min(x, y), max(x, y)))
+                    dq.append(y)
+        for x in comp:
+            for y in adj[x]:
+                if x < y and (x, y) not in intree:
+                    feedback.append((x, y))
+        marked = {v for v in comp if len(tree_adj[v]) >= 3}
+        for x, y in feedback:
+            marked.add(x)
+            marked.add(y)
+        if not marked:
+            raise RuntimeError("multi-vertex component with no feedback edge")
+        for u in sorted(marked):
+            for w in sorted(tree_adj[u]):
+                if w in marked:
+                    continue
+                inner = []
+                prev, cur = u, w
+                while cur not in marked:
+                    inner.append(cur)
+                    nxts = [x for x in tree_adj[cur] if x != prev]
+                    if not nxts:
+                        inner = None  # pendant chain, no second anchor
+                        break
+                    prev, cur = cur, nxts[0]
+                if inner is not None and len(inner) >= min_inner:
+                    paths.append([u] + inner + [cur])
+    # deduplicate reversed copies
+    uniq = []
+    keys = set()
+    for p in paths:
+        key = frozenset(p[1:-1])
+        if key not in keys:
+            keys.add(key)
+            uniq.append(p)
+    uniq.sort(key=lambda p: (-len(p), p))
+    return uniq
+
+
+def lift_rescan(self, network: Network) -> Network:
+    """Map a reduced-instance network to an original-instance network
+    scoring at least as much (equally for optimal networks)."""
+    arcs = {
+        (self.loose_of_reduced[u], self.loose_of_reduced[v])
+        for u, v in network.arcs
+    }
+    for step in reversed(self.steps):
+        if step["rule"] == 1:
+            arcs = lift_rr1_rescan(step, arcs)
+        elif step["rule"] == 2:
+            arcs = lift_rr2_rescan(step, arcs)
+        else:
+            arcs = lift_rr2_pl_rescan(step, arcs)
+    if any(u >= self.original_n or v >= self.original_n for u, v in arcs):
+        raise RuntimeError("lifted network still uses a gadget vertex")
+    return Network(self.original_n, frozenset(arcs))
+
+
+def lift_rr1_rescan(step, arcs: set) -> set:
+    v = step["v"]
+    parents = frozenset(u for u, w in arcs if w == v)
+    s_members, arcs_out = step["configs"].get(parents, step["fallback"])
+    out = set(arcs)
+    for u in s_members:
+        out.add((u, v))
+    for w in arcs_out:
+        out.add((v, w))
+    return out
+
+
+def lift_rr2_rescan(step, arcs: set) -> set:
+    a, c, b = step["a"], step["c"], step["b"]
+    inner = list(step["inner"])
+    b1, bm = inner[0], inner[-1]
+    region = {a, b, b1, bm, c}
+    parents_b = frozenset(u for u, w in arcs if w == b)
+    parents_b1 = frozenset(u for u, w in arcs if w == b1)
+    parents_bm = frozenset(u for u, w in arcs if w == bm)
+    pa = (b1, a) in arcs
+    pc = (bm, c) in arcs
+    if parents_b1 == frozenset({a, b, bm}):
+        case = "nopath_a"
+    elif parents_bm == frozenset({c, b, b1}):
+        case = "nopath_c"
+    else:
+        bset = parents_b & {a, c}
+        case = {
+            frozenset(): "max_",
+            frozenset([a]): "max_a",
+            frozenset([c]): "max_c",
+            frozenset([a, c]): "max_ac",
+        }[frozenset(bset)]
+    config = step["configs"][case]
+    out = set()
+    for (u, w) in arcs:
+        if u == b or w == b:
+            continue
+        if {u, w} <= region and {u, w} & {b1, bm}:
+            continue
+        out.add((u, w))
+    path_ext = [a] + inner + [c]
+    for j, st in enumerate(config):
+        if st == _FWD:
+            out.add((path_ext[j], path_ext[j + 1]))
+        elif st == _BWD:
+            out.add((path_ext[j + 1], path_ext[j]))
+    if pa:
+        out.add((b1, a))
+    if pc:
+        out.add((bm, c))
+    return out
+
+
+def lift_rr2_pl_rescan(step, arcs: set) -> set:
+    a, c, b = step["a"], step["c"], step["b"]
+    inner = list(step["inner"])
+    b1p, b1pp, bmp, bmpp = step["primes"]
+    gadget = {b, b1p, b1pp, bmp, bmpp}
+    parents_b = frozenset(u for u, w in arcs if w == b)
+    parents_a = frozenset(u for u, w in arcs if w == a)
+    parents_c = frozenset(u for u, w in arcs if w == c)
+    pa = bool(parents_a & {b1p, b1pp})
+    pc = bool(parents_c & {bmp, bmpp})
+    case = None
+    for tag, pset in step["b_sets"].items():
+        if parents_b == pset:
+            case = tag
+            break
+    if case is None:
+        case = "0_" + _btag(parents_b & {a, c}, a, c)
+    config = step["configs"][case]
+    out = {(u, w) for u, w in arcs if not ({u, w} & gadget)}
+    path_ext = [a] + inner + [c]
+    for j, st in enumerate(config):
+        if st == _FWD:
+            out.add((path_ext[j], path_ext[j + 1]))
+        elif st == _BWD:
+            out.add((path_ext[j + 1], path_ext[j]))
+    if pa:
+        out.add((inner[0], a))
+    if pc:
+        out.add((inner[-1], c))
+    return out
+
+
+def best_config_two_encodings(work: _Work, path_ext, e0: str, em: str, constraint):
+    """Max total score of the inner path vertices over orientations of the
+    internal edges, with fixed end-edge states and an optional constraint:
+    ("not_all", s): internal edges must not all have state s;
+    ("all_present", flag): internal edges all present iff flag.
+
+    Returns (score, edge state tuple) or None when infeasible.
+    """
+    m = len(path_ext) - 2
+    if m == 1:
+        if constraint is not None:
+            kind, want = constraint
+            if kind == "not_all":
+                return None  # zero internal edges: "all" holds vacuously
+            if kind == "all_present" and not want:
+                return None
+        return _vertex_score(work, path_ext, 1, e0, em), (e0, em)
+
+    def flag_init(state):
+        if constraint is None:
+            return False
+        kind, want = constraint
+        if kind == "not_all":
+            return state == want
+        return state != _NONE
+
+    def flag_step(flag, state):
+        if constraint is None:
+            return False
+        kind, want = constraint
+        if kind == "not_all":
+            return flag and state == want
+        return flag and state != _NONE
+
+    # layers[j-1]: (state of edge j, flag) -> (best score so far, backptr)
+    cur = {}
+    for st in (_FWD, _BWD, _NONE):
+        sc = _vertex_score(work, path_ext, 1, e0, st)
+        key = (st, flag_init(st))
+        if key not in cur or sc > cur[key][0]:
+            cur[key] = (sc, None)
+    layers = [cur]
+    for j in range(2, m):  # choose edge j between b_j and b_{j+1}
+        nxt = {}
+        for (prev, flag), (sc, _) in layers[-1].items():
+            for st in (_FWD, _BWD, _NONE):
+                s2 = sc + _vertex_score(work, path_ext, j, prev, st)
+                key = (st, flag_step(flag, st))
+                if key not in nxt or s2 > nxt[key][0]:
+                    nxt[key] = (s2, (prev, flag))
+        layers.append(nxt)
+    best = None
+    for (prev, flag), (sc, _) in layers[-1].items():
+        if constraint is not None:
+            kind, want = constraint
+            if kind == "not_all" and flag:
+                continue
+            if kind == "all_present" and flag != want:
+                continue
+        total = sc + _vertex_score(work, path_ext, m, prev, em)
+        if best is None or total > best[0]:
+            best = (total, (prev, flag))
+    if best is None:
+        return None
+    total, key = best
+    states = [key[0]]
+    for layer in reversed(layers[1:]):
+        key = layer[key][1]
+        states.append(key[0])
+    states.reverse()
+    return total, tuple([e0] + states + [em])

@@ -240,20 +240,42 @@ def test_kernelize_roundtrip(capsys, tmp_path):
     inst_file.write_text(out)
     red_file = tmp_path / "red.scores"
     map_file = tmp_path / "lift.json"
-    code, _, err = run(capsys, "kernelize", str(inst_file),
-                       "--out", str(red_file), "--map", str(map_file))
-    assert code == 0 and "reduced_n=" in err
     sol_file = tmp_path / "red.sol"
-    code, _, _ = run(capsys, "solve", str(red_file), "--algo", "oracle",
-                     "--out", str(sol_file))
-    assert code == 0
-    code, out, _ = run(capsys, "verify", str(inst_file), str(sol_file),
-                       "--lift", str(map_file),
-                       "--reduced-instance", str(red_file))
-    assert code == 0 and out.startswith("valid score=")
-    lifted_score = int(out.strip().split("=")[1])
-    code, out, _ = run(capsys, "solve", str(inst_file), "--algo", "oracle")
-    assert int(out.strip().split("=")[1]) == lifted_score
+    for mode, verify_mode in (("bnsl", "dag"), ("polytree", "polytree")):
+        code, _, err = run(capsys, "kernelize", str(inst_file), "--mode", mode,
+                           "--out", str(red_file), "--map", str(map_file))
+        assert code == 0 and "reduced_n=" in err
+        code, _, _ = run(capsys, "solve", str(red_file), "--algo", "oracle",
+                         "--mode", mode, "--out", str(sol_file))
+        assert code == 0
+        code, out, _ = run(capsys, "verify", str(inst_file), str(sol_file),
+                           "--mode", verify_mode, "--lift", str(map_file),
+                           "--reduced-instance", str(red_file))
+        assert code == 0 and out.startswith("valid score=")
+        lifted_score = int(out.strip().split("=")[1])
+        code, out, _ = run(capsys, "solve", str(inst_file), "--algo", "oracle",
+                           "--mode", mode)
+        assert int(out.strip().split("=")[1]) == lifted_score
+
+
+@pytest.mark.parametrize("text", [
+    "{}",
+    "[1]",
+    '{"original_n": 3, "vertex_map": {}, "loose_of_reduced": {}, "steps": []}',
+    '{"original_n": 4, "vertex_map": {}, "loose_of_reduced": {"0": 0, "1": 1, "2": 2,'
+    ' "3": 3}, "steps": [{"rule": 7, "a": 0, "c": 1, "inner": [2], "b": 3, "configs": {}}]}',
+    '{"original_n": 4, "vertex_map": {}, "loose_of_reduced": {"0": 0, "1": 1, "2": 2,'
+    ' "3": 3}, "steps": [{"rule": 2, "configs": {}}]}',
+], ids=["empty-object", "not-an-object", "reduced-unmapped", "unknown-rule", "missing-field"])
+def test_malformed_lift_map_is_invalid_input(capsys, tmp_path, example_file, text):
+    sol_file = tmp_path / "sol.txt"
+    assert run(capsys, "solve", example_file, "--out", str(sol_file))[0] == 0
+    map_file = tmp_path / "lift.json"
+    map_file.write_text(text)
+    code, out, err = run(capsys, "verify", example_file, str(sol_file),
+                         "--lift", str(map_file), "--reduced-instance", example_file)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "map" in err
 
 
 def test_solve_with_supplied_tree(capsys, example_file, tmp_path):
@@ -292,10 +314,15 @@ def test_bad_td_rejected(capsys, tmp_path):
     p = tmp_path / "a.inst"
     p.write_text("additive 3\nb a 2\nc b 1\n")
     td = tmp_path / "td.txt"
-    td.write_text("b 0 a b\nb 1 c\ne 0 1\n")  # edge bc not covered
-    code, _, err = run(capsys, "solve", str(p), "--algo", "twdp",
-                       "--td", str(td))
-    assert code == 2 and "decomposition" in err
+    for text, reason in (
+        ("b 0 a b\nb 1 c\ne 0 1\n", "decomposition"),  # edge bc not covered
+        ("b 1 a b\nb 2 b c\ne 1 2\ne 2 1\n", "root"),  # a cycle of tree edges
+        ("b 1 a b c\ne 1 1\n", "root"),  # a bag its own parent
+    ):
+        td.write_text(text)
+        code, _, err = run(capsys, "solve", str(p), "--algo", "twdp",
+                           "--td", str(td))
+        assert code == 2 and reason in err
 
 
 def test_depset_polytree_rejected(capsys, example_file):

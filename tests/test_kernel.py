@@ -1,10 +1,12 @@
 import random
+import time
 from itertools import product
 
 import pytest
 
 from bnsl import generate, kernel, lfen_dp, oracle
 from bnsl.instances import (
+    Network,
     NonZeroInstance,
     Superstructure,
     parse_nonzero,
@@ -13,7 +15,14 @@ from bnsl.instances import (
     validate,
     write_nonzero,
 )
-from reference import kernelize_rescan, rule1_scan_target, scan_adjacency
+from reference import (
+    best_config_two_encodings,
+    kernelize_rescan,
+    lift_rescan,
+    random_dag,
+    rule1_scan_target,
+    scan_adjacency,
+)
 
 STATES = ("fwd", "bwd", "none")
 
@@ -37,13 +46,16 @@ def enumerate_configs(path_ext, e0, em):
         yield (e0,) + inner + (em,)
 
 
-def path_oracle_max(inst, path_ext, bset):
+def end_states(path_ext, bset):
+    """End-edge states when the anchors in bset feed the path."""
     a, c = path_ext[0], path_ext[-1]
-    e0 = "fwd" if a in bset else "none"
-    em = "bwd" if c in bset else "none"
+    return "fwd" if a in bset else "none", "bwd" if c in bset else "none"
+
+
+def path_oracle_max(inst, path_ext, bset):
     return max(
         config_score(inst, path_ext, cfg)
-        for cfg in enumerate_configs(path_ext, e0, em)
+        for cfg in enumerate_configs(path_ext, *end_states(path_ext, bset))
     )
 
 
@@ -123,8 +135,20 @@ def test_path_scores_match_enumeration():
         a, c = 0, m + 1
         for bset in (frozenset(), frozenset([a]), frozenset([c]), frozenset([a, c])):
             assert ps.l_max[bset] == path_oracle_max(inst, path_ext, bset)
+            tag = "max_" + ("a" if a in bset else "") + ("c" if c in bset else "")
+            cfg = ps.configs[tag]
+            assert cfg in set(enumerate_configs(path_ext, *end_states(path_ext, bset)))
+            assert config_score(inst, path_ext, cfg) == ps.l_max[bset]
         assert ps.l_nopath_a == path_oracle_nopath(inst, path_ext, True)
         assert ps.l_nopath_c == path_oracle_nopath(inst, path_ext, False)
+        for tag, value, e0, em, through in (
+            ("nopath_a", ps.l_nopath_a, "fwd", "none", "fwd"),
+            ("nopath_c", ps.l_nopath_c, "none", "bwd", "bwd"),
+        ):
+            cfg = ps.configs[tag]
+            assert cfg[0] == e0 and cfg[-1] == em and len(cfg) == m + 1
+            assert not all(st == through for st in cfg[1:-1])
+            assert config_score(inst, path_ext, cfg) == value
 
 
 def test_pl_path_scores_match_enumeration():
@@ -138,6 +162,31 @@ def test_pl_path_scores_match_enumeration():
         for bset in (frozenset(), frozenset([a]), frozenset([c]), frozenset([a, c])):
             for p in (0, 1):
                 assert ps.l[(p, bset)] == path_oracle_pl(inst, path_ext, p, bset)
+                cfg = ps.configs[(p, bset)]
+                assert cfg in set(enumerate_configs(path_ext, *end_states(path_ext, bset)))
+                assert all(st != "none" for st in cfg[1:-1]) == (p == 1)
+                assert config_score(inst, path_ext, cfg) == ps.l[(p, bset)]
+
+
+def test_best_config_matches_two_encoding_reference():
+    # scores up to 2 leave many ties: the configuration kept must be the
+    # one the reference keeps, for every end-edge pair and constraint
+    for seed in range(150):
+        rng = random.Random(700 + seed)
+        m = rng.randint(1, 6)
+        inst = path_instance(rng, m, max_score=2)
+        work = kernel._Work(inst)
+        path_ext = list(range(m + 2))
+        for e0, em in product(("fwd", "none"), ("bwd", "none")):
+            cases = [(None, ())]
+            for s in STATES:
+                cases.append((("not_all", s), (lambda st, s=s: st == s, False)))
+            for want in (False, True):
+                cases.append((("all_present", want), (lambda st: st != "none", want)))
+            for constraint, args in cases:
+                assert kernel._best_config(work, path_ext, e0, em, *args) == (
+                    best_config_two_encodings(work, path_ext, e0, em, constraint)
+                )
 
 
 def test_pl_path_scores_degenerate_single_vertex():
@@ -385,6 +434,40 @@ def test_kernel_result_json_roundtrip():
     assert back.lift(netr) == res.lift(netr)
 
 
+def test_lift_matches_rescan_reference():
+    # the lift must equal the old scan-and-copy one for any network on the
+    # reduced vertices: the optimum, random networks inside the
+    # superstructure, and random DAGs over all pairs (a user's solution file
+    # may have arcs outside it)
+    done = 0
+    for seed in range(100):
+        rng = random.Random(14000 + seed)
+        n = rng.randint(6, 50)
+        try:
+            inst = generate.random_nonzero(
+                rng, n, rng.randint(0, 3), subdivisions=rng.choice([n // 3, n // 2, n - 6])
+            )
+        except ValueError:
+            continue
+        done += 1
+        for polytree in (False, True):
+            res = kernel.kernelize_pl(inst) if polytree else kernel.kernelize_bnsl(inst)
+            red = res.reduced
+            nets = [random_dag(rng, red.n, prob) for prob in (0.1, 0.3, 0.6)]
+            edges = sorted(superstructure(red).edges)
+            for _ in range(3):
+                nets.append(Network(red.n, frozenset(
+                    (u, w) if rng.random() < 0.5 else (w, u)
+                    for u, w in edges if rng.random() < 0.7
+                )))
+            if red.n <= 11:
+                solve = lfen_dp.solve_pl_lfen if polytree else lfen_dp.solve_bnsl_lfen
+                nets.append(solve(red)[1])
+            for net in nets:
+                assert res.lift(net) == lift_rescan(res, net)
+    assert done >= 80
+
+
 def test_incremental_adjacency_matches_rescan_reference():
     done = 0
     for seed in range(160):
@@ -434,18 +517,25 @@ def test_work_adjacency_tracks_random_mutations():
 
 
 def test_tree_plus_one_edge_kernelizes_at_scale():
-    # a random 5000-vertex tree plus one edge; an O(n^2) rule-1 loop takes
-    # minutes here
+    # a random 20 000-vertex tree plus three edges; an O(n^2) rule-1 loop
+    # takes minutes here, and so did a lift that scanned and copied every
+    # arc once per step
     rng = random.Random(77)
-    n = 5000
+    n = 20_000
     edges = {(rng.randrange(v), v) for v in range(1, n)}
-    while len(edges) < n:
+    while len(edges) < n + 2:
         a, b = sorted(rng.sample(range(n), 2))
         edges.add((a, b))
     inst = generate.scores_for_graph(rng, Superstructure(n, edges))
-    res = kernel.kernelize_bnsl(inst)
-    assert res.reduced.n <= 16
-    score, net = lfen_dp.solve_bnsl_lfen(res.reduced)
-    lifted = res.lift(net)
-    assert validate(lifted, "dag").ok
-    assert score_of(inst, lifted) == score
+    for polytree in (False, True):
+        if polytree:
+            res, bound, solve = kernel.kernelize_pl(inst), 24 * 3, lfen_dp.solve_pl_lfen
+        else:
+            res, bound, solve = kernel.kernelize_bnsl(inst), 16 * 3, lfen_dp.solve_bnsl_lfen
+        assert res.reduced.n <= bound
+        score, net = solve(res.reduced)
+        start = time.perf_counter()
+        lifted = res.lift(net)
+        assert time.perf_counter() - start < 2.0
+        assert validate(lifted, "polytree" if polytree else "dag").ok
+        assert score_of(inst, lifted) == score
