@@ -4,9 +4,12 @@ Subcommands: solve, kernelize, params, verify, gen.  Results are printed
 as a single machine-parseable stdout line; diagnostics (parameter values
 of the chosen tree or decomposition) go to stderr.  Exit codes: 0 for
 success (or answer YES), 1 for answer NO / failed verification, 2 for
-usage errors and invalid inputs, 3 for an internal error (a solver
-returned an invalid network or misreported its score, or raised
-RuntimeError, RecursionError included).
+usage errors and invalid inputs (a network score past 2^63-1 included, and
+`gen` arguments it cannot honour: `--n` below 1, a negative `--fen`,
+`--max-score` below 1, `--subdivide` outside 0..N-2, `--subdivide` without
+`--rep nonzero` or `--max-parents` without `--rep additive`), 3 for an
+internal error (a solver returned an invalid network or misreported its
+score, or raised RuntimeError, RecursionError included).
 
 `solve --tree FILE` (a spanning forest, one `u v` edge per line) needs
 `--algo lfen`, and `solve --td FILE` (a raw tree decomposition) needs
@@ -17,8 +20,9 @@ unspanned) is an invalid input, and so is a decomposition file whose tree
 edges leave some bag without a root (a cycle, `e 1 1` included) and a
 `verify --lift` map that is not one `kernelize --map` writes for the
 reduced instance (not a JSON object with the map's fields, a step with an
-unknown rule or a missing field, vertices of the reduced instance left
-unmapped).
+unknown rule, a missing field or a field of the wrong type or shape,
+vertices of the reduced instance left unmapped, a vertex named by a step or
+given to a reduced vertex that is neither original nor made by a step).
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .instances import (
     Network,
     NonZeroInstance,
     ParseError,
+    ScoreOverflowError,
     parse_additive,
     parse_nonzero,
     parse_solution,
@@ -328,6 +333,20 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.n < 1:
+        raise CliError("--n must be at least 1")
+    if args.fen < 0:
+        raise CliError("--fen must be at least 0")
+    if args.max_score < 1:
+        raise CliError("--max-score must be at least 1")
+    if not 0 <= args.subdivide <= max(0, args.n - 2):
+        # the graph it subdivides has --n minus --subdivide vertices and
+        # needs an edge
+        raise CliError("--subdivide must lie between 0 and --n minus 2")
+    if args.rep == "additive" and args.subdivide:
+        raise CliError("--subdivide applies to --rep nonzero only")
+    if args.rep == "nonzero" and args.max_parents is not None:
+        raise CliError("--max-parents applies to --rep additive only")
     if args.rep == "additive":
         inst = generate.random_additive(
             args.seed, args.n, args.fen, args.max_score, args.max_parents
@@ -410,7 +429,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ParseError, ValueError, OSError) as e:
+    except (CliError, ParseError, ValueError, ScoreOverflowError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RuntimeError as e:  # broken invariants, RecursionError included

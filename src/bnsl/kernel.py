@@ -285,6 +285,16 @@ class KernelResult:
                 {int(k): v for k, v in raw["loose_of_reduced"].items()},
                 raw["original_n"],
             )
+            if type(result.original_n) is not int:
+                raise ValueError("kernel map's original_n is not an integer")
+            made = {x for st in steps if st["rule"] != 1 for x in (st["b"], *st.get("primes", ()))}
+            named = list(result.loose_of_reduced.values())
+            for st in steps:
+                named += _step_vertices(st)
+            for v in named:
+                if not (type(v) is int and (0 <= v < result.original_n or v in made)):
+                    raise ValueError(f"kernel map names vertex {v!r}, "
+                                     "neither an original vertex nor one a step creates")
         except (KeyError, TypeError, AttributeError, IndexError) as e:
             raise ValueError(f"malformed kernel map: {type(e).__name__}: {e}") from None
         if set(result.loose_of_reduced) != set(range(reduced.n)):
@@ -305,17 +315,45 @@ def _decode_step(s: dict) -> dict:
         }
         t["fallback"] = (frozenset(s["fallback"][0]), frozenset(s["fallback"][1]))
         t["q"] = list(s["q"])
-    else:
-        t["configs"] = {k: tuple(v) for k, v in s["configs"].items()}
-        if "b_sets" in s:
-            t["b_sets"] = {k: frozenset(v) for k, v in s["b_sets"].items()}
+        return t
+    inner, cases = s["inner"], _CASES[s["rule"]]
+    if not inner:
+        raise ValueError("kernel map step has an empty path")
+    if set(s["configs"]) != cases:
+        raise ValueError("kernel map step needs one config for each of "
+                         + ", ".join(sorted(cases)))
+    t["configs"] = {k: tuple(v) for k, v in s["configs"].items()}
+    if any(len(cfg) != len(inner) + 1 or not set(cfg) <= {_FWD, _BWD, _NONE}
+           for cfg in t["configs"].values()):
+        raise ValueError("kernel map step config needs one edge state per path edge")
+    if s["rule"] == 3:
+        t["b_sets"] = {k: frozenset(v) for k, v in s["b_sets"].items()}
+        if len(s["primes"]) != 4 or not set(t["b_sets"]) <= cases:
+            raise ValueError("kernel map step needs four primes and b_sets named by its cases")
     return t
+
+
+def _step_vertices(t: dict) -> list:
+    """Every vertex a decoded step names."""
+    if t["rule"] == 1:
+        return [t["v"], *t["q"], *t["fallback"][0], *t["fallback"][1],
+                *(x for k, (sv, av) in t["configs"].items() for x in (*k, *sv, *av))]
+    return [t["a"], t["c"], t["b"], *t["inner"], *t.get("primes", ()),
+            *(x for v in t.get("b_sets", {}).values() for x in v)]
 
 
 _STEP_FIELDS = {
     1: {"v", "q", "configs", "fallback"},
     2: {"a", "c", "inner", "b", "configs"},
     3: {"a", "c", "inner", "b", "primes", "configs", "b_sets"},
+}
+
+# the configs a path step keeps: one per case its lift can pick; the tags
+# are _btag of each anchor set _fed_by yields
+_TAGS = ("", "a", "c", "ac")
+_CASES = {
+    2: {"max_" + tag for tag in _TAGS} | {"nopath_a", "nopath_c"},
+    3: {f"{p}_{tag}" for p in (0, 1) for tag in _TAGS},
 }
 
 

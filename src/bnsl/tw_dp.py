@@ -13,11 +13,15 @@ can never help, so the optimum is unaffected and tables stay small.
 
 from __future__ import annotations
 
+from itertools import product
+from operator import add, sub
 from typing import Optional
 
 from . import relations
 from .graphs import NiceTreeDecomposition, tree_decomposition
 from .instances import AdditiveInstance, Network, superstructure
+
+_NO_ARCS: frozenset = frozenset()
 
 
 class _TwEngine:
@@ -32,32 +36,24 @@ class _TwEngine:
             raise ValueError(f"unknown mode {mode!r}; expected 'bnsl' or 'pl'")
         self.inst = instance
         self.td = td
-        self.mode = mode
+        self.pl = mode == "pl"
         self.q = q
         self.g = superstructure(instance)
         self.verts = [tuple(sorted(node.bag)) for node in td.nodes]
         self.tables: dict[int, dict] = {}
 
-    # snapshots: (loc rows, con rows, inn tuple of (v, count)); loc and con
-    # are bit-row relations over the node's sorted bag (bnsl.relations)
-
-    def _inn_key(self, counts: dict) -> tuple:
-        if self.q is None:
-            return ()
-        return tuple(sorted(counts.items()))
+    # snapshots: (loc rows, con rows, inn); loc and con are bit-row relations
+    # over the node's sorted bag (bnsl.relations), inn the parent count of
+    # each bag vertex in the same order, () without a bound; an empty inn
+    # (no bound, or an empty bag) passes every bound test.  Table entries:
+    # (score, arcs introduced here, the key of each child in node.children)
 
     def run_tables(self):
-        nodes = self.td.nodes
+        step = {"leaf": self._leaf, "introduce": self._introduce,
+                "forget": self._forget, "join": self._join}
         for t in self.td.postorder():
-            node = nodes[t]
-            if node.kind == "leaf":
-                self.tables[t] = self._leaf(node)
-            elif node.kind == "introduce":
-                self.tables[t] = self._introduce(t, node)
-            elif node.kind == "forget":
-                self.tables[t] = self._forget(t, node)
-            else:
-                self.tables[t] = self._join(t, node)
+            node = self.td.nodes[t]
+            self.tables[t] = step[node.kind](t, node)
         return self.tables
 
     def solve(self) -> tuple[int, Network]:
@@ -66,176 +62,118 @@ class _TwEngine:
         key = ((), (), ())
         if list(root_table) != [key]:
             raise RuntimeError("root must hold the single empty snapshot")
-        score, _ = root_table[key]
-        arcs = self._collect(self.td.root, key)
+        score = root_table[key][0]
+        arcs: set = set()
+        stack = [(self.td.root, key)]
+        while stack:
+            t, key = stack.pop()
+            entry = self.tables[t][key]
+            arcs |= entry[1]
+            stack.extend(zip(self.td.nodes[t].children, entry[2:]))
         return score, Network(self.inst.n, frozenset(arcs))
 
-    def _leaf(self, node) -> dict:
+    def _classes(self, rows) -> int:
+        """Class count of `rows`, which only the polytree glue reads."""
+        return len(relations.classes(rows)) if self.pl else 0
+
+    def _glue(self, a, b, fresh: int):
+        """Connectivity of the union of two partial networks with boundary
+        relations `a` and `b`, or None when the union is not acyclic (in
+        polytree mode: not a polytree, which it is exactly when the merged
+        rows have `fresh` classes)."""
+        merged = [x | y for x, y in zip(a, b)]
+        if not self.pl:
+            con = relations.closure(merged)
+            return tuple(con) if relations.irreflexive(con) else None
+        if len(relations.classes(merged)) != fresh:
+            return None
+        return tuple(relations.same_class(merged))
+
+    def _leaf(self, t, node) -> dict:
         empty = (0,) * len(node.bag)
-        return {(empty, empty, self._inn_key(dict.fromkeys(node.bag, 0))): (0, ("leaf",))}
+        return {(empty, empty, () if self.q is None else empty): (0, _NO_ARCS)}
 
     def _introduce(self, t, node) -> dict:
         (child,) = node.children
         v = next(iter(node.bag - self.td.nodes[child].bag))
         verts, cverts = self.verts[t], self.verts[child]
-        nbrs = sorted(self.g.adj[v] & node.bag)
-        cand_arcs = [(v, u) for u in nbrs] + [(u, v) for u in nbrs]
+        i = verts.index(v)
+        choices = []  # each undirected edge to v skipped, v->u or u->v
+        edges = [(None, (v, u), (u, v)) for u in sorted(self.g.adj[v] & node.bag)]
+        for picks in product(*edges):
+            arcs = frozenset(a for a in picks if a)
+            inn = () if self.q is None else tuple(sum(y == x for _, y in arcs) for x in verts)
+            if not inn or max(inn) <= self.q:
+                gain = sum(self.inst.arc(x, y) for x, y in arcs)
+                choices.append((arcs, relations.from_pairs(arcs, verts), inn, gain))
         table: dict = {}
-        child_table = self.tables[child]
-        subsets = [(q, relations.from_pairs(q, verts)) for q in _arc_subsets(cand_arcs)]
-        for ckey, (cscore, _) in child_table.items():
-            loc0, con0, inn0 = ckey
-            loc0 = relations.reindex(loc0, cverts, verts)
-            con0 = relations.reindex(con0, cverts, verts)
-            if self.mode == "pl":
-                n_old = len(relations.classes(con0))
-            inn0d = dict(inn0)
-            for q_arcs, q_rows in subsets:
-                gain = 0
-                ok = True
-                if self.q is not None:
-                    innd = dict(inn0d)
-                    innd[v] = 0
-                    for (x, y) in q_arcs:
-                        innd[y] = innd.get(y, 0) + 1
-                        if innd[y] > self.q:
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                    inn = tuple(sorted(innd.items()))
-                else:
-                    inn = ()
-                for (x, y) in q_arcs:
-                    gain += self.inst.arc(x, y)
-                merged = [a | b for a, b in zip(con0, q_rows)]
-                if self.mode == "bnsl":
-                    con = relations.closure(merged)
-                    if not relations.irreflexive(con):
-                        continue
-                else:
-                    if len(relations.classes(merged)) != n_old - len(q_arcs):
-                        continue
-                    con = relations.same_class(merged)
-                loc = tuple(a | b for a, b in zip(loc0, q_rows))
-                key = (loc, tuple(con), inn)
-                val = cscore + gain
+        for ckey, centry in self.tables[child].items():
+            loc0 = relations.reindex(ckey[0], cverts, verts)
+            con0 = relations.reindex(ckey[1], cverts, verts)
+            inn0 = ckey[2][:i] + (0,) + ckey[2][i:]
+            n_old = self._classes(con0)
+            for arcs, rows, cnt, gain in choices:
+                inn = cnt and tuple(map(add, inn0, cnt))
+                if inn and max(inn) > self.q:
+                    continue
+                # each arc of a polytree choice joins v to a new class
+                con = self._glue(con0, rows, n_old - len(arcs))
+                if con is None:
+                    continue
+                key = (tuple(a | b for a, b in zip(loc0, rows)), con, inn)
+                val = centry[0] + gain
                 cur = table.get(key)
                 if cur is None or val > cur[0]:
-                    table[key] = (val, ("intro", ckey, q_arcs))
+                    table[key] = (val, arcs, ckey)
         return table
 
     def _forget(self, t, node) -> dict:
         (child,) = node.children
-        v = next(iter(self.td.nodes[child].bag - node.bag))
         verts, cverts = self.verts[t], self.verts[child]
+        i = cverts.index(next(iter(self.td.nodes[child].bag - node.bag)))
         table: dict = {}
-        for ckey, (cscore, _) in self.tables[child].items():
-            loc0, con0, inn0 = ckey
-            loc = tuple(relations.reindex(loc0, cverts, verts))
-            con = tuple(relations.reindex(con0, cverts, verts))
-            inn = tuple((x, k) for x, k in inn0 if x != v)
-            key = (loc, con, inn)
+        for ckey, centry in self.tables[child].items():
+            loc, con, inn = ckey
+            key = (
+                tuple(relations.reindex(loc, cverts, verts)),
+                tuple(relations.reindex(con, cverts, verts)),
+                inn[:i] + inn[i + 1:],
+            )
             cur = table.get(key)
-            if cur is None or cscore > cur[0]:
-                table[key] = (cscore, ("forget", ckey))
+            if cur is None or centry[0] > cur[0]:
+                table[key] = (centry[0], _NO_ARCS, ckey)
         return table
 
     def _join(self, t, node) -> dict:
         c1, c2 = node.children
-        bag = node.bag
+        verts = self.verts[t]
         by_loc: dict = {}
-        for key2 in self.tables[c2]:
-            by_loc.setdefault(key2[0], []).append(key2)
+        for key2, entry2 in self.tables[c2].items():
+            by_loc.setdefault(key2[0], []).append((key2, entry2[0], self._classes(key2[1])))
         table: dict = {}
-        for key1, (s1, _) in self.tables[c1].items():
+        for key1, entry1 in self.tables[c1].items():
             loc, con1, inn1 = key1
-            loc_arcs = relations.to_pairs(loc, self.verts[t])
-            doublecount = sum(self.inst.arc(x, y) for x, y in loc_arcs)
-            if self.q is not None:
-                indeg_loc: dict = {}
-                for x, y in loc_arcs:
-                    indeg_loc[y] = indeg_loc.get(y, 0) + 1
-            if self.mode == "pl":
-                locc = tuple(relations.same_class(loc))
-                n_shared = len(relations.classes(loc))
-                n1 = len(relations.classes(con1))
-            for key2 in by_loc.get(loc, ()):
-                _, con2, inn2 = key2
-                s2 = self.tables[c2][key2][0]
-                if self.q is not None:
-                    innd = {}
-                    d1, d2 = dict(inn1), dict(inn2)
-                    ok = True
-                    for x in bag:
-                        innd[x] = d1.get(x, 0) + d2.get(x, 0) - indeg_loc.get(x, 0)
-                        if innd[x] > self.q:
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                    inn = tuple(sorted(innd.items()))
-                else:
-                    inn = ()
-                merged = [a | b for a, b in zip(con1, con2)]
-                if self.mode == "bnsl":
-                    con = relations.closure(merged)
-                    if not relations.irreflexive(con):
-                        continue
-                else:
-                    # the two partial polytrees share exactly the bag
-                    # vertices and the loc arcs; contracting loc, their
-                    # union has a forest skeleton iff the loc components
-                    # are exactly the pairs both sides connect and gluing
-                    # the two component partitions merges everything
-                    # freshly: #shared = #classes1 + #classes2 - #merged
-                    if tuple(a & b for a, b in zip(con1, con2)) != locc:
-                        continue
-                    n2 = len(relations.classes(con2))
-                    if n_shared != n1 + n2 - len(relations.classes(merged)):
-                        continue
-                    con = relations.same_class(merged)
-                key = (loc, tuple(con), inn)
-                val = s1 + s2 - doublecount
+            s1 = entry1[0] - sum(self.inst.arc(x, y) for x, y in relations.to_pairs(loc, verts))
+            loc_inn = () if self.q is None else tuple(
+                sum(row >> j & 1 for row in loc) for j in range(len(verts)))
+            # polytrees: both sides are forests that share only the bag and
+            # the loc arcs, so the union's cycle rank is (#classes1 +
+            # #classes2 - #classes(loc)) - #classes(merged), and the class
+            # count alone says whether the union is a forest
+            n_rest = self._classes(con1) - self._classes(loc)
+            for key2, s2, n2 in by_loc.get(loc, ()):
+                inn = inn1 and tuple(map(sub, map(add, inn1, key2[2]), loc_inn))
+                if inn and max(inn) > self.q:
+                    continue
+                con = self._glue(con1, key2[1], n_rest + n2)
+                if con is None:
+                    continue
+                key = (loc, con, inn)
+                val = s1 + s2
                 cur = table.get(key)
                 if cur is None or val > cur[0]:
-                    table[key] = (val, ("join", key1, key2))
+                    table[key] = (val, _NO_ARCS, key1, key2)
         return table
-
-    def _collect(self, t, key) -> set:
-        arcs: set = set()
-        stack = [(t, key)]
-        while stack:
-            t, key = stack.pop()
-            back = self.tables[t][key][1]
-            node = self.td.nodes[t]
-            if back[0] == "leaf":
-                continue
-            if back[0] == "intro":
-                arcs |= back[2]
-                stack.append((node.children[0], back[1]))
-            elif back[0] == "forget":
-                stack.append((node.children[0], back[1]))
-            else:
-                stack.append((node.children[0], back[1]))
-                stack.append((node.children[1], back[2]))
-        return arcs
-
-
-def _arc_subsets(cand: list) -> list[frozenset]:
-    """All arc subsets using each undirected edge at most once."""
-    edges: dict = {}
-    for u, v in cand:
-        edges.setdefault(frozenset((u, v)), []).append((u, v))
-    out = [frozenset()]
-    for pair, orients in edges.items():
-        new = []
-        for s in out:
-            new.append(s)
-            for o in orients:
-                new.append(s | {o})
-        out = new
-    return out
 
 
 def solve_bnsl_additive(
@@ -277,7 +215,8 @@ def snapshot_tables(
     for t, table in tables.items():
         verts = eng.verts[t]
         plain[t] = {
-            (relations.to_pairs(loc, verts), relations.to_pairs(con, verts), inn): val
-            for (loc, con, inn), (val, _) in table.items()
+            (relations.to_pairs(loc, verts), relations.to_pairs(con, verts),
+             tuple(zip(verts, inn))): entry[0]
+            for (loc, con, inn), entry in table.items()
         }
     return plain, td

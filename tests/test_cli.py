@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -258,7 +259,11 @@ def test_kernelize_roundtrip(capsys, tmp_path):
         assert int(out.strip().split("=")[1]) == lifted_score
 
 
-@pytest.mark.parametrize("text", [
+def _rule2_step(lift_map):
+    return next(step for step in lift_map["steps"] if step["rule"] == 2)
+
+
+@pytest.mark.parametrize("lift_map", [
     "{}",
     "[1]",
     '{"original_n": 3, "vertex_map": {}, "loose_of_reduced": {}, "steps": []}',
@@ -266,16 +271,69 @@ def test_kernelize_roundtrip(capsys, tmp_path):
     ' "3": 3}, "steps": [{"rule": 7, "a": 0, "c": 1, "inner": [2], "b": 3, "configs": {}}]}',
     '{"original_n": 4, "vertex_map": {}, "loose_of_reduced": {"0": 0, "1": 1, "2": 2,'
     ' "3": 3}, "steps": [{"rule": 2, "configs": {}}]}',
-], ids=["empty-object", "not-an-object", "reduced-unmapped", "unknown-rule", "missing-field"])
-def test_malformed_lift_map_is_invalid_input(capsys, tmp_path, example_file, text):
-    sol_file = tmp_path / "sol.txt"
-    assert run(capsys, "solve", example_file, "--out", str(sol_file))[0] == 0
+    lambda m: _rule2_step(m).update(configs={}),
+    lambda m: _rule2_step(m).update(inner=[]),
+    lambda m: m.update(original_n="x"),
+    lambda m: m.update(loose_of_reduced=dict.fromkeys(m["loose_of_reduced"], 10**6)),
+    lambda m: _rule2_step(m).update(a=10**6),
+], ids=["empty-object", "not-an-object", "reduced-unmapped", "unknown-rule", "missing-field",
+        "rule2-configs-empty", "rule2-inner-empty", "original-n-not-int", "loose-not-a-vertex",
+        "rule2-anchor-not-a-vertex"])
+def test_malformed_lift_map_is_invalid_input(capsys, tmp_path, example_file, lift_map):
+    # a map text for the worked example, or an edit of the map `kernelize`
+    # writes for an instance whose kernel has a rule-2 step
+    inst_file = red_file = example_file
     map_file = tmp_path / "lift.json"
-    map_file.write_text(text)
-    code, out, err = run(capsys, "verify", example_file, str(sol_file),
-                         "--lift", str(map_file), "--reduced-instance", example_file)
+    if callable(lift_map):
+        inst_file, red_file = str(tmp_path / "inst.scores"), str(tmp_path / "red.scores")
+        assert run(capsys, "gen", "--n", "40", "--fen", "2", "--seed", "3",
+                   "--subdivide", "25", "--out", inst_file)[0] == 0
+        assert run(capsys, "kernelize", inst_file, "--out", red_file,
+                   "--map", str(map_file))[0] == 0
+        edited = json.loads(map_file.read_text())
+        lift_map(edited)
+        lift_map = json.dumps(edited)
+    sol_file = tmp_path / "sol.txt"
+    assert run(capsys, "solve", red_file, "--out", str(sol_file))[0] == 0
+    map_file.write_text(lift_map)
+    code, out, err = run(capsys, "verify", inst_file, str(sol_file),
+                         "--lift", str(map_file), "--reduced-instance", red_file)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "map" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{inst}", "--target", "5"],
+    ["solve", "{inst}", "--mode", "polytree"],
+    ["verify", "{inst}", "{sol}"],
+    ["verify", "{inst}", "{sol}", "--mode", "polytree"],
+], ids=["solve-target", "solve-polytree", "verify", "verify-polytree"])
+def test_score_overflow_is_invalid_input(capsys, tmp_path, argv):
+    inst = tmp_path / "inst.scores"
+    inst.write_text("additive 3\nb a 9223372036854775807\nc b 9223372036854775807\n")
+    sol = tmp_path / "sol.txt"
+    sol.write_text("b <- a\nc <- b\n")
+    code, out, err = run(capsys, *[a.format(inst=inst, sol=sol) for a in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "2^63-1" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--n", "6", "--fen", "-1"], "--fen"),
+    (["--n", "0"], "--n"),
+    (["--n", "-5"], "--n"),
+    (["--n", "5", "--subdivide", "-3"], "--subdivide"),
+    (["--n", "5", "--subdivide", "4"], "--subdivide"),
+    (["--n", "5", "--subdivide", "9"], "--subdivide"),
+    (["--n", "5", "--max-score", "0"], "--max-score"),
+    (["--n", "5", "--rep", "additive", "--subdivide", "2"], "--subdivide"),
+    (["--n", "5", "--rep", "nonzero", "--max-parents", "2"], "--max-parents"),
+], ids=["fen-negative", "n-zero", "n-negative", "subdivide-negative", "subdivide-n-minus-1",
+        "subdivide-above-n", "max-score-zero", "subdivide-additive", "max-parents-nonzero"])
+def test_gen_rejects_arguments_it_cannot_honour(capsys, argv, flag):
+    code, out, err = run(capsys, "gen", "--seed", "1", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and flag in err
 
 
 def test_solve_with_supplied_tree(capsys, example_file, tmp_path):

@@ -11,7 +11,7 @@ from bnsl.instances import (
     validate,
 )
 
-from reference import snapshot_reference
+from reference import TwEngineDicts, snapshot_reference, snapshot_tables_dicts
 
 
 def below_sets(td):
@@ -161,3 +161,22 @@ def test_supplied_decomposition_is_used():
     td = graphs.tree_decomposition(superstructure(inst), exact=True)
     s, _ = tw_dp.solve_bnsl_additive(inst, td)
     assert s == 5
+
+
+def test_tables_and_witness_match_dict_engine():
+    # every node table, insertion order included, and the witness network
+    # equal those of the engine with per-state in-degree dicts
+    for seed in range(300):
+        rng = random.Random(120_000 + seed)
+        q = rng.choice([None, 1, 2, 3])
+        inst = generate.random_additive(rng, rng.randint(1, 11), rng.randint(0, 4), q=q,
+                                        connected=(seed % 3 != 0), exact_fen=False)
+        td = graphs.tree_decomposition(superstructure(inst))
+        for mode in ("bnsl",) if q is None else ("bnsl", "pl"):
+            tables, _ = tw_dp.snapshot_tables(inst, mode, td)
+            want = snapshot_tables_dicts(inst, mode, td)
+            assert list(tables) == list(want)
+            for t, table in tables.items():
+                assert list(table.items()) == list(want[t].items())
+            solve = tw_dp.solve_pl_additive_tw if mode == "pl" else tw_dp.solve_bnsl_additive
+            assert solve(inst, td) == TwEngineDicts(inst, td, mode, q).solve()
