@@ -13,7 +13,6 @@ locally, which is what makes this fast on near-tree superstructures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional
 
 from . import relations
@@ -39,66 +38,50 @@ def boundaries(g: Superstructure, forest: SpanningForest) -> list[Boundary]:
     A child w is closed when delta(w) is just {w, parent}; every deeper
     connection of a closed subtree runs through that single tree edge.
     """
-    children = forest.children_lists()
-    return _boundaries(g, forest, children, _subtree_masks(forest, children))
-
-
-def _boundaries(
-    g: Superstructure, forest: SpanningForest, children, subtree: list[int]
-) -> list[Boundary]:
     # an edge has exactly one endpoint in v's subtree iff v lies on the
     # tree path from an endpoint up to (excluding) the endpoints' lowest
-    # common ancestor: walk that path once per edge, O(n + sum of lengths)
-    n = g.n
+    # common ancestor: walk that path once per edge, O(n + sum of lengths).
+    # On a's side of the path a is inside the subtree and b outside.
     parent = forest.parent
     depth = forest.depth
-    dsets: list[set[int]] = [set() for _ in range(n)]
+    ins: list[set[int]] = [set() for _ in range(g.n)]
+    outs: list[set[int]] = [set() for _ in range(g.n)]
     for a, b in g.edges:
         x, y = a, b
         while x != y:
             if y is None or (x is not None and depth[x] >= depth[y]):
-                dsets[x].update((a, b))
+                ins[x].add(a)
+                outs[x].add(b)
                 x = parent[x]
             else:
-                dsets[y].update((a, b))
+                ins[y].add(b)
+                outs[y].add(a)
                 y = parent[y]
-    deltas = [tuple(sorted(d)) for d in dsets]
+    deltas = [tuple(sorted(i | o)) for i, o in zip(ins, outs)]
     out = []
-    for v in range(n):
-        mask = subtree[v]
-        din = tuple(x for x in deltas[v] if mask >> x & 1)
-        dout = tuple(x for x in deltas[v] if not mask >> x & 1)
-        opens, closeds = [], []
-        for c in children[v]:
-            if len(deltas[c]) <= 2:
-                closeds.append(c)
-            else:
-                opens.append(c)
-        out.append(Boundary(v, deltas[v], din, dout, tuple(opens), tuple(closeds)))
+    for v, children in forest.children_lists().items():
+        opens = tuple(c for c in children if len(deltas[c]) > 2)
+        closeds = tuple(c for c in children if len(deltas[c]) <= 2)
+        din, dout = tuple(sorted(ins[v])), tuple(sorted(outs[v]))
+        out.append(Boundary(v, deltas[v], din, dout, opens, closeds))
     return out
-
-
-def _subtree_masks(forest: SpanningForest, children) -> list[int]:
-    """Bitmask of each vertex's subtree, children before parents."""
-    subtree = [0] * forest.n
-    for v in forest.order[::-1]:
-        mask = 1 << v
-        for c in children[v]:
-            mask |= subtree[c]
-        subtree[v] = mask
-    return subtree
 
 
 class _RecordEngine:
     """Leaf-to-root record DP over a rooted spanning forest.
 
-    Subclasses fix the key format and build the tables: `root_key`,
-    `closed_key(c, take_arc)` (the key of closed child c's record without
-    or with the arc from its tree parent into c), `records(v)` (tables[v]
-    in the public key format) and `combine_records(v)`, which also serves
-    the leaves.  tables[v] maps a key to (score, (parents, closed choice,
-    open choice)): v's parent set, whether each closed child takes the arc
-    from v, and the key picked in each open child's table.
+    Every key is a relation on the sorted delta of its vertex, as bit rows
+    (bnsl.relations); `public(v, key)` gives it in the engine's public
+    format.  `combine_records(v)`, which also serves the leaves, folds the
+    open children into each parent set of v one at a time, over a dense
+    index of everything the combination can mention.  Subclasses supply
+    the fold: `piece(rows)` (v's parent arcs or a child's key, as rows over
+    that index), `glue(state, piece, keep, outside)` (the merged state cut
+    down to the index mask `keep`, or None when the union is not allowed;
+    `outside` masks delta_out(v)) and `rows(state)`.  tables[v] maps a key
+    to (score, (parents, closed choice, open choice)): v's parent set,
+    whether each closed child takes the arc from v, and the key picked in
+    each open child's table.
     """
 
     root_key: tuple = ()
@@ -107,17 +90,19 @@ class _RecordEngine:
         self.instance = instance
         self.g = g
         self.forest = forest
-        self.children = forest.children_lists()
-        self.subtree = _subtree_masks(forest, self.children)
-        self.bounds = _boundaries(g, forest, self.children, self.subtree)
+        self.bounds = boundaries(g, forest)
         bound = 2 * lfen_of_tree(g, forest).value + 2
         if any(len(b.delta) > bound for b in self.bounds):
             raise RuntimeError("boundary exceeds 2k+2")
         self.tables: list[Optional[dict]] = [None] * g.n
 
+    def closed_key(self, c: int, take_arc: bool) -> tuple[int, ...]:
+        arcs = [(self.forest.parent[c], c)] if take_arc else []
+        return tuple(relations.from_pairs(arcs, self.bounds[c].delta))
+
     def records(self, v: int) -> dict:
-        """tables[v] as {key: best score}."""
-        return {key: sc for key, (sc, _) in self.tables[v].items()}
+        """tables[v] as {public key: best score}."""
+        return {self.public(v, key): sc for key, (sc, _) in self.tables[v].items()}
 
     def fill(self, stop: Optional[int] = None):
         """Fill the tables children first, up to and including `stop`."""
@@ -180,27 +165,6 @@ class _RecordEngine:
                 stack.extend(open_choice)
         return total, Network(self.instance.n, frozenset(arcs))
 
-
-def _engine(cls, instance: NonZeroInstance, forest=None):
-    g = superstructure(instance)
-    if forest is None:
-        forest = lfen_search(g).forest
-    return cls(instance, g, forest)
-
-
-class _BnslEngine(_RecordEngine):
-    """Acyclic-network record DP; keys are strict-reachability relations as
-    bit rows over the sorted delta of the vertex (bnsl.relations)."""
-
-    def closed_key(self, c: int, take_arc: bool) -> tuple[int, ...]:
-        arcs = [(self.forest.parent[c], c)] if take_arc else []
-        return tuple(relations.from_pairs(arcs, self.bounds[c].delta))
-
-    def records(self, v: int) -> dict:
-        """tables[v] as {reachability pair set: best score}."""
-        delta = self.bounds[v].delta
-        return {relations.to_pairs(key, delta): sc for key, (sc, _) in self.tables[v].items()}
-
     def combine_records(self, v: int) -> dict:
         b = self.bounds[v]
         opens = b.open_children
@@ -212,6 +176,7 @@ class _BnslEngine(_RecordEngine):
             ground.update(self.bounds[c].delta)
         ground = sorted(ground)
         gidx = {x: i for i, x in enumerate(ground)}
+        outside = sum(1 << gidx[x] for x in b.delta_out)
 
         delta_mask = 0
         for x in b.delta:
@@ -231,7 +196,7 @@ class _BnslEngine(_RecordEngine):
             ctable = self.tables[c]
             cdelta = self.bounds[c].delta
             child_records.append([
-                (relations.reindex(ckey, cdelta, ground), ctable[ckey][0], ckey)
+                (self.piece(relations.reindex(ckey, cdelta, ground)), ctable[ckey][0], ckey)
                 for ckey in sorted(ctable)
             ])
 
@@ -242,27 +207,57 @@ class _BnslEngine(_RecordEngine):
             for p in parents:
                 rows0[gidx[p]] |= vbit
             # fold the open children one by one, deduplicating on the
-            # closure restricted to what later steps can still observe
-            states = {tuple(rows0): (base, ())}
+            # merged state cut down to what later steps can still observe
+            states = {self.piece(rows0): (base, ())}
             for c, keep, crecords in zip(opens, frontier_after, child_records):
                 nxt: dict = {}
-                for rows, (score, chain) in states.items():
-                    for crows, cscore, ckey in crecords:
-                        merged = relations.closure([a | b for a, b in zip(rows, crows)])
-                        if not relations.irreflexive(merged):
+                for state, (score, chain) in states.items():
+                    for cpiece, cscore, ckey in crecords:
+                        merged = self.glue(state, cpiece, keep, outside)
+                        if merged is None:
                             continue
-                        mkey = tuple(relations.restrict(merged, keep))
                         val = score + cscore
-                        cur = nxt.get(mkey)
+                        cur = nxt.get(merged)
                         if cur is None or val > cur[0]:
-                            nxt[mkey] = (val, chain + ((c, ckey),))
+                            nxt[merged] = (val, chain + ((c, ckey),))
                 states = nxt
-            for rows, (score, chain) in states.items():
-                key = tuple(relations.reindex(relations.closure(rows), ground, b.delta))
+            for state, (score, chain) in states.items():
+                key = tuple(relations.reindex(self.rows(state), ground, b.delta))
                 cur = table.get(key)
                 if cur is None or score > cur[0]:
                     table[key] = (score, (parents, closed_choice, chain))
         return table
+
+
+def _engine(cls, instance: NonZeroInstance, forest=None):
+    g = superstructure(instance)
+    if forest is None:
+        forest = lfen_search(g).forest
+    return cls(instance, g, forest)
+
+
+class _BnslEngine(_RecordEngine):
+    """Acyclic-network record DP; keys are strict-reachability relations."""
+
+    def public(self, v: int, key: tuple[int, ...]) -> frozenset:
+        return relations.to_pairs(key, self.bounds[v].delta)
+
+    @staticmethod
+    def piece(rows: list[int]) -> tuple[int, ...]:
+        return tuple(rows)
+
+    @staticmethod
+    def glue(rows, crows, keep: int, outside: int):
+        # restricting a closed relation leaves it closed, so the state
+        # stays the reachability relation of the partial solution
+        merged = relations.closure([a | b for a, b in zip(rows, crows)])
+        if not relations.irreflexive(merged):
+            return None
+        return tuple(relations.restrict(merged, keep))
+
+    @staticmethod
+    def rows(state):
+        return state
 
 
 def combine_records(
@@ -299,72 +294,44 @@ def record_tables(
 
 
 class _PlEngine(_RecordEngine):
-    """Record DP for polytrees: per vertex an equivalence on the inner
-    boundary (components of the partial skeleton inside the subtree) plus
-    the set of arcs entering the subtree from outside."""
+    """Record DP for polytrees.  A key's rows for the inner boundary
+    delta_in relate the vertices that the partial skeleton inside the
+    subtree connects; its rows for delta_out hold the arcs entering the
+    subtree.  Fold states pair such rows with their class count."""
 
-    root_key = ((), frozenset())
-
-    def closed_key(self, c: int, take_arc: bool) -> tuple:
-        return (((c,),), frozenset([(self.forest.parent[c], c)] if take_arc else []))
-
-    def combine_records(self, v: int) -> dict:
+    def public(self, v: int, key: tuple[int, ...]) -> tuple:
+        """(partition of delta_in into components, entering arcs)."""
         b = self.bounds[v]
-        vmask = self.subtree[v]
-        din = sorted(b.delta_in)
-        closed_set = set(b.closed_children)
-        open_records = [
-            [
-                ((c, ckey), self.tables[c][ckey][0])
-                for ckey in sorted(self.tables[c], key=lambda k: (k[0], tuple(sorted(k[1]))))
-            ]
-            for c in b.open_children
-        ]
-        table: dict = {}
-        for parents, base, closed_choice in self.parent_choices(v):
-            for combo in product(*open_records):
-                # glue v, the open children's components and the outside
-                # vertices the arcs touch into one skeleton; closed children
-                # attach by a single edge and cannot close a skeleton cycle,
-                # so their glue arcs stay out of it
-                arcs = [(p, v) for p in sorted(parents) if p not in closed_set]
-                node = {v: 0}
-                size = 1
-                for (_, (part, carcs)), _ in combo:
-                    for cls in part:
-                        for x in cls:
-                            node[x] = size
-                        size += 1
-                    arcs.extend(carcs)
-                for arc in arcs:
-                    for x in arc:
-                        if x not in node:
-                            if vmask >> x & 1:
-                                raise RuntimeError("inside vertex missing from classes")
-                            node[x] = size
-                            size += 1
-                skeleton, inner = [0] * size, [0] * size
-                for x, y in arcs:
-                    skeleton[node[x]] |= 1 << node[y]
-                    if vmask >> x & 1:
-                        inner[node[x]] |= 1 << node[y]
-                # a forest iff every arc merges two components
-                if len(relations.classes(skeleton)) != size - len(arcs):
-                    continue
-                # components of the subgraph induced on the subtree: only
-                # arcs with both endpoints inside count
-                groups = (
-                    tuple(x for x in din if cls >> node[x] & 1)
-                    for cls in relations.classes(inner)
-                )
-                part_key = tuple(sorted(g for g in groups if g))
-                key = (part_key, frozenset((x, y) for x, y in arcs if not vmask >> x & 1))
-                score = base + sum(cscore for _, cscore in combo)
-                cur = table.get(key)
-                if cur is None or score > cur[0]:
-                    open_choice = tuple(choice for choice, _ in combo)
-                    table[key] = (score, (parents, closed_choice, open_choice))
-        return table
+        pairs = relations.to_pairs(key, b.delta)
+        groups = {tuple(y for y in b.delta_in if y == x or (x, y) in pairs) for x in b.delta_in}
+        return tuple(sorted(groups)), frozenset((x, y) for x, y in pairs if x in b.delta_out)
+
+    @staticmethod
+    def piece(rows: list[int]) -> tuple:
+        return tuple(rows), len(relations.classes(rows))
+
+    @staticmethod
+    def glue(state, cpiece, keep: int, outside: int):
+        (rows, count), (crows, ccount) = state, cpiece
+        merged = [a | b for a, b in zip(rows, crows)]
+        # each operand is a forest on the index once each of its components
+        # is cut down to its index vertices, and the operands share no
+        # other vertex.  A forest on d vertices with k components has d - k
+        # edges, so the union (a shared edge counted twice, as the 2-cycle
+        # it closes) is a forest exactly when its d - k_a + d - k_b edges
+        # leave d - that many components, as the bag DP's join also tests
+        if len(relations.classes(merged)) != count + ccount - len(merged):
+            return None
+        # inside tails keep only their components: cut them down to `keep`
+        inner = relations.same_class([0 if outside >> i & 1 else r for i, r in enumerate(merged)])
+        cut = relations.restrict(
+            [r if outside >> i & 1 else s for i, (r, s) in enumerate(zip(merged, inner))], keep
+        )
+        return _PlEngine.piece(cut)
+
+    @staticmethod
+    def rows(state):
+        return state[0]
 
 
 def solve_pl_lfen(

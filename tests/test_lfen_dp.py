@@ -4,6 +4,8 @@ from bnsl import cli, generate, graphs, lfen_dp, oracle, relations
 from bnsl.instances import parse_nonzero, score_of, superstructure, validate
 
 from reference import (
+    BnslEngineProduct,
+    PlEngineProduct,
     random_dag,
     reach_pairs,
     subtree_pl_record_reference,
@@ -300,3 +302,33 @@ def test_supplied_tree_is_respected(example4):
     forest = graphs.forest_from_edges(g, frozenset({(a, b), (b, d), (c, d)}))
     score, net = lfen_dp.solve_bnsl_lfen(example4, forest)
     assert score == 7
+
+
+def test_tables_and_witness_match_product_engine():
+    # the fold over bit-row keys against the engine that took the product
+    # of all open children's tables: acyclic tables (insertion order and
+    # backpointers included) and witnesses are identical; polytree tables
+    # are equal as dicts, and the witness, which may differ on ties, is a
+    # polytree scoring the optimum
+    for seed in range(320):
+        rng = random.Random(130_000 + seed)
+        inst = generate.random_nonzero(rng, rng.randint(1, 13), rng.randint(0, 4),
+                                       connected=(seed % 3 != 0), exact_fen=False,
+                                       extra_sets=rng.choice([0, 0.3, 0.6]))
+        g = superstructure(inst)
+        for forest in (graphs.lfen_search(g).forest, graphs.feedback_edge_set(g)):
+            _, eng = lfen_dp.record_tables(inst, forest)
+            ref = BnslEngineProduct(inst, g, forest)
+            ref.fill()
+            for v in range(inst.n):
+                assert list(eng.tables[v].items()) == list(ref.tables[v].items())
+            assert lfen_dp.solve_bnsl_lfen(inst, forest) == ref.solve()
+
+            tables, _ = lfen_dp.pl_record_tables(inst, forest)
+            ref = PlEngineProduct(inst, g, forest)
+            best, _ = ref.solve()
+            for v in range(inst.n):
+                assert tables[v] == ref.records(v)
+            score, net = lfen_dp.solve_pl_lfen(inst, forest)
+            assert score == best
+            assert validate(net, "polytree").ok and score_of(inst, net) == best
