@@ -11,32 +11,31 @@ usage errors and invalid inputs (a network score past 2^63-1 included, and
 internal error (a solver returned an invalid network or misreported its
 score, or raised RuntimeError, RecursionError included).
 
-`solve --tree FILE` (a spanning forest, one `u v` edge per line) needs
-`--algo lfen`, and `solve --td FILE` (a raw tree decomposition) needs
-`--algo twdp`; given with any other algorithm, after `auto` is resolved,
-either is a usage error.  A tree file whose edges are not a spanning forest
-of the superstructure (an edge outside it, a cycle, a component left
-unspanned) is an invalid input, and so is a decomposition file whose tree
-edges leave some bag without a root (a cycle, `e 1 1` included) and a
-`verify --lift` map that is not one `kernelize --map` writes for the
-reduced instance (not a JSON object with the map's fields, a step with an
-unknown rule, a missing field or a field of the wrong type or shape,
-vertices of the reduced instance left unmapped, a vertex named by a step or
-given to a reduced vertex that is neither original nor made by a step).
+`solve` runs one row of the table `SOLVERS`, a row per accepted
+(algorithm, mode) pair with the representation and in-degree bound it
+accepts; `auto` takes the first row that accepts the input.  Any other
+pair is a usage error, and so is a flag (`--tree`, `--td`,
+`--max-dependent`) given to another algorithm than its `FLAG_OWNERS`
+entry.  Invalid inputs include a tree file whose edges are not a spanning
+forest of the superstructure, a decomposition file with a bag id declared
+twice or not an integer, a bag given two parents or a bag left without a
+root, and a `verify --lift` map that `kernelize --map` did not write for
+the reduced instance (the README lists each case).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
+from typing import Callable, NamedTuple, Optional
 
 from . import depset, generate, graphs, kernel, lfen_dp, oracle, polytree, tw_dp
 from .instances import (
     AdditiveInstance,
-    Network,
-    NonZeroInstance,
     ParseError,
     ScoreOverflowError,
+    _content_lines,
     parse_additive,
     parse_nonzero,
     parse_solution,
@@ -69,11 +68,8 @@ def _write(path, text: str):
 
 
 def _sniff_rep(text: str) -> str:
-    for line in text.splitlines():
-        s = line.strip()
-        if not s or s.startswith("#"):
-            continue
-        return "additive" if s.split()[0] == "additive" else "nonzero"
+    for _, tok in _content_lines(text):
+        return "additive" if tok[0] == "additive" else "nonzero"
     raise CliError("empty instance file")
 
 
@@ -92,28 +88,18 @@ def _load_instance(path: str, rep, target=None, max_parents=None):
     return parse_nonzero(text, target), "nonzero"
 
 
-def _load_tree(path):
-    text = _read(path)
+def _load_tree(path, instance):
+    """Spanning-forest file: one `<u> <v>` edge per line, by vertex name."""
+    index = {name: i for i, name in enumerate(instance.names)}
     edges = set()
-    for i, line in enumerate(text.splitlines(), start=1):
-        s = line.strip()
-        if not s or s.startswith("#"):
-            continue
-        tok = s.split()
+    for i, tok in _content_lines(_read(path)):
         if len(tok) != 2:
             raise CliError(f"tree file line {i}: expected '<u> <v>'")
-        edges.add(tuple(tok))
-    return edges
-
-
-def _resolve_names(pairs, instance):
-    index = {name: i for i, name in enumerate(instance.names)}
-    out = set()
-    for a, b in pairs:
+        a, b = tok
         if a not in index or b not in index:
             raise CliError(f"unknown vertex in tree file: {a} {b}")
-        out.add((min(index[a], index[b]), max(index[a], index[b])))
-    return frozenset(out)
+        edges.add((min(index[a], index[b]), max(index[a], index[b])))
+    return frozenset(edges)
 
 
 def _load_td(path, instance):
@@ -122,23 +108,31 @@ def _load_td(path, instance):
     index = {name: i for i, name in enumerate(instance.names)}
     bags = {}
     parent = {}
-    for i, line in enumerate(_read(path).splitlines(), start=1):
-        s = line.strip()
-        if not s or s.startswith("#"):
-            continue
-        tok = s.split()
+
+    def bag_id(i, tok):
+        try:
+            return int(tok)
+        except ValueError:
+            raise CliError(f"td file line {i}: bag id {tok!r} is not an integer") from None
+
+    for i, tok in _content_lines(_read(path)):
         if tok[0] == "b":
             if len(tok) < 2:
                 raise CliError(f"td file line {i}: bag id missing")
+            b = bag_id(i, tok[1])
+            if b in bags:
+                raise CliError(f"td file line {i}: bag {b} declared twice")
             try:
-                members = frozenset(index[x] for x in tok[2:])
+                bags[b] = frozenset(index[x] for x in tok[2:])
             except KeyError as e:
                 raise CliError(f"td file line {i}: unknown vertex {e}") from None
-            bags[int(tok[1])] = members
         elif tok[0] == "e":
             if len(tok) != 3:
                 raise CliError(f"td file line {i}: expected 'e <parent> <child>'")
-            parent[int(tok[2])] = int(tok[1])
+            c = bag_id(i, tok[2])
+            if c in parent:
+                raise CliError(f"td file line {i}: bag {c} given a second parent")
+            parent[c] = bag_id(i, tok[1])
         else:
             raise CliError(f"td file line {i}: unknown record {tok[0]!r}")
     if not bags:
@@ -160,63 +154,100 @@ def _load_td(path, instance):
     return td
 
 
+KERNELIZE = {"bnsl": kernel.kernelize_bnsl, "polytree": kernel.kernelize_pl}
+
+
+def _run_lfen(inst, mode, args, info, kernelize=False):
+    work = inst
+    if kernelize:
+        result = KERNELIZE[mode](inst)
+        work = result.reduced
+        info.append(f"kernel_n={work.n}")
+    g = superstructure(work)
+    if args.tree:  # only the unkernelized row reads --tree, so work is inst
+        witness = graphs.lfen_of_tree(g, graphs.forest_from_edges(g, _load_tree(args.tree, inst)))
+    else:
+        witness = graphs.lfen_search(g)
+    info.append(
+        f"fen={len(witness.forest.feedback_edges)} "
+        f"lfen<={witness.value}{' exact' if witness.exact else ''}"
+    )
+    solve = lfen_dp.solve_pl_lfen if mode == "polytree" else lfen_dp.solve_bnsl_lfen
+    score, net = solve(work, witness.forest)
+    return (score, result.lift(net)) if kernelize else (score, net)
+
+
+def _run_twdp(inst, mode, args, info):
+    td = _load_td(args.td, inst) if args.td else graphs.tree_decomposition(superstructure(inst))
+    info.append(f"width={td.width}")
+    solve = tw_dp.solve_pl_additive_tw if mode == "polytree" else tw_dp.solve_bnsl_additive
+    return solve(inst, td)
+
+
+def _run_depset(inst, mode, args, info):
+    if args.max_dependent is None:
+        return depset.solve_bnsl_depset(inst)
+    return depset.solve_bnsl_depset(inst, args.max_dependent)
+
+
+class Solver(NamedTuple):
+    rep: Optional[str]  # "nonzero" or "additive"; None takes either
+    bound: Optional[bool]  # True needs an in-degree bound, False refuses one
+    run: Callable  # (inst, mode, args, info) -> (score, net); info gets the stderr line
+
+
+_run_kernel_lfen = functools.partial(_run_lfen, kernelize=True)
+
+# One row per (algorithm, mode) pair `solve` accepts.  `--algo auto` takes
+# the first row of the mode that accepts the input, so the order is the
+# automatic choice.
+SOLVERS = {
+    ("kernel-lfen", "bnsl"): Solver("nonzero", None, _run_kernel_lfen),
+    ("kernel-lfen", "polytree"): Solver("nonzero", None, _run_kernel_lfen),
+    ("lfen", "bnsl"): Solver("nonzero", None, _run_lfen),
+    ("lfen", "polytree"): Solver("nonzero", None, _run_lfen),
+    ("twdp", "bnsl"): Solver("additive", None, _run_twdp),
+    ("mst", "polytree"): Solver("additive", False, lambda i, *_: polytree.solve_pl_additive_mst(i)),
+    ("matroid", "polytree"): Solver(
+        "additive", True, lambda i, *_: polytree.solve_pl_additive_bounded(i)
+    ),
+    ("twdp", "polytree"): Solver("additive", True, _run_twdp),
+    ("depset", "bnsl"): Solver("nonzero", None, _run_depset),
+    ("oracle", "bnsl"): Solver(None, None, lambda i, *_: oracle.exact_bnsl(i)),
+    ("oracle", "polytree"): Solver(None, None, lambda i, *_: oracle.exact_pl(i, inst_q(i))),
+}
+
+# Flags only one algorithm reads, never dropped silently by another.
+FLAG_OWNERS = {"--tree": "lfen", "--td": "twdp", "--max-dependent": "depset"}
+
+
 def cmd_solve(args) -> int:
     inst, rep = _load_instance(
         args.instance, args.rep, args.target, args.max_parents
     )
     mode = args.mode
-    algo = args.algo
-    if algo == "auto":
-        if rep == "additive":
-            if mode == "polytree":
-                algo = "mst" if inst.max_in_degree is None else "matroid"
-            else:
-                algo = "twdp"
+    q = inst_q(inst)
+    fits = [a for (a, m), s in SOLVERS.items()
+            if m == mode and s.rep in (None, rep) and s.bound in (None, q is not None)]
+    algo = fits[0] if args.algo == "auto" else args.algo
+    if algo not in fits:
+        solver = SOLVERS.get((algo, mode))
+        if solver is None:
+            need = f"does not solve --mode {mode}"
+        elif solver.rep != rep:
+            need = f"needs the {solver.rep} representation"
         else:
-            algo = "kernel-lfen"
-
-    nz = {"kernel-lfen", "lfen", "depset"}
-    ad = {"twdp", "mst", "matroid"}
-    if algo in nz and rep != "nonzero":
-        raise CliError(f"--algo {algo} needs the explicit (nonzero) representation")
-    if algo in ad and rep != "additive":
-        raise CliError(f"--algo {algo} needs the additive representation")
-    if algo == "depset" and mode == "polytree":
-        raise CliError("dependent-vertex branching solves the acyclic mode only")
-    if algo == "mst" and inst_q(inst) is not None:
-        raise CliError("spanning-forest solver ignores --max-parents; use matroid")
-    if algo == "matroid" and inst_q(inst) is None:
-        raise CliError("matroid intersection needs --max-parents")
-    if algo == "twdp" and mode == "polytree" and inst_q(inst) is None:
-        raise CliError("polytree bag DP needs --max-parents; use mst instead")
-    if args.tree and algo != "lfen":
-        raise CliError("--tree is used by --algo lfen only")
-    if args.td and algo != "twdp":
-        raise CliError("--td is used by --algo twdp only")
+            verb = "needs" if solver.bound else "refuses"
+            need = f"{verb} an in-degree bound (--max-parents) in --mode {mode}"
+        raise CliError(f"--algo {algo} {need}; this input is solved by {', '.join(fits)}")
+    for flag, owner in FLAG_OWNERS.items():
+        if getattr(args, flag[2:].replace("-", "_")) is not None and algo != owner:
+            raise CliError(f"{flag} is used by --algo {owner} only")
 
     info = []
-    if algo in ("kernel-lfen", "lfen"):
-        score, net = _solve_lfen(inst, mode, algo, args.tree, info)
-    elif algo == "twdp":
-        td = _load_td(args.td, inst) if args.td else graphs.tree_decomposition(superstructure(inst))
-        info.append(f"width={td.width}")
-        if mode == "polytree":
-            score, net = tw_dp.solve_pl_additive_tw(inst, td)
-        else:
-            score, net = tw_dp.solve_bnsl_additive(inst, td)
-    elif algo == "mst":
-        score, net = polytree.solve_pl_additive_mst(inst)
-    elif algo == "matroid":
-        score, net = polytree.solve_pl_additive_bounded(inst)
-    elif algo == "depset":
-        score, net = depset.solve_bnsl_depset(inst, args.max_dependent)
-    else:  # oracle
-        if mode == "polytree":
-            score, net = oracle.exact_pl(inst, inst_q(inst))
-        else:
-            score, net = oracle.exact_bnsl(inst)
+    score, net = SOLVERS[algo, mode].run(inst, mode, args, info)
 
-    check = validate(net, "polytree" if mode == "polytree" else "dag", inst_q(inst))
+    check = validate(net, "polytree" if mode == "polytree" else "dag", q)
     if not check.ok:
         return _internal_error(f"{algo} returned an invalid network: {check}")
     if score_of(inst, net) != score:
@@ -245,42 +276,11 @@ def inst_q(inst):
     return inst.max_in_degree if isinstance(inst, AdditiveInstance) else None
 
 
-def _solve_lfen(inst, mode, algo, tree_path, info):
-    work = inst
-    result = None
-    if algo == "kernel-lfen":
-        result = kernel.kernelize_pl(inst) if mode == "polytree" else kernel.kernelize_bnsl(inst)
-        work = result.reduced
-        info.append(f"kernel_n={work.n}")
-    g = superstructure(work)
-    if not tree_path:
-        witness = graphs.lfen_search(g)
-        forest = witness.forest
-        info.append(
-            f"fen={len(forest.feedback_edges)} "
-            f"lfen<={witness.value}{' exact' if witness.exact else ''}"
-        )
-    else:  # --algo lfen only, so work is inst
-        forest = graphs.forest_from_edges(g, _resolve_names(_load_tree(tree_path), inst))
-        w = graphs.lfen_of_tree(g, forest)
-        info.append(f"fen={len(forest.feedback_edges)} lfen<={w.value}")
-    if mode == "polytree":
-        score, net = lfen_dp.solve_pl_lfen(work, forest)
-    else:
-        score, net = lfen_dp.solve_bnsl_lfen(work, forest)
-    if result is not None:
-        net = result.lift(net)
-    return score, net
-
-
 def cmd_kernelize(args) -> int:
     inst, rep = _load_instance(args.instance, args.rep)
     if rep != "nonzero":
         raise CliError("kernelization works on the explicit representation")
-    result = (
-        kernel.kernelize_pl(inst) if args.mode == "polytree"
-        else kernel.kernelize_bnsl(inst)
-    )
+    result = KERNELIZE[args.mode](inst)
     _write(args.out, write_nonzero(result.reduced))
     if args.map:
         _write(args.map, result.to_json())
@@ -318,8 +318,7 @@ def cmd_verify(args) -> int:
         net = result.lift(net)
     else:
         net = parse_solution(_read(args.solution), inst)
-    mode = "polytree" if args.mode == "polytree" else "dag"
-    check = validate(net, mode, inst_q(inst))
+    check = validate(net, args.mode, inst_q(inst))
     if not check.ok:
         detail = check.reason or "invalid"
         if check.cycle:
@@ -373,22 +372,22 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--mode", choices=["bnsl", "polytree"], default="bnsl")
     ps.add_argument("--rep", choices=["nonzero", "additive"])
     ps.add_argument(
-        "--algo",
-        choices=["auto", "kernel-lfen", "lfen", "twdp", "mst", "matroid",
-                 "depset", "oracle"],
-        default="auto",
+        "--algo", choices=["auto", *dict.fromkeys(algo for algo, _ in SOLVERS)], default="auto"
     )
     ps.add_argument("--max-parents", type=int, metavar="Q")
     ps.add_argument("--target", type=int, metavar="L")
     ps.add_argument("--out", metavar="FILE", help="write the witness network")
-    ps.add_argument("--tree", metavar="FILE", help="spanning tree edge list (--algo lfen)")
-    ps.add_argument("--td", metavar="FILE", help="raw tree decomposition (--algo twdp)")
-    ps.add_argument("--max-dependent", type=int, default=5)
+    ps.add_argument("--tree", metavar="FILE",
+                    help=f"spanning tree edge list (--algo {FLAG_OWNERS['--tree']})")
+    ps.add_argument("--td", metavar="FILE",
+                    help=f"raw tree decomposition (--algo {FLAG_OWNERS['--td']})")
+    ps.add_argument("--max-dependent", type=int, metavar="K",
+                    help=f"branching limit (--algo {FLAG_OWNERS['--max-dependent']})")
     ps.set_defaults(func=cmd_solve)
 
     pk = sub.add_parser("kernelize", help="apply the reduction rules")
     pk.add_argument("instance")
-    pk.add_argument("--mode", choices=["bnsl", "polytree"], default="bnsl")
+    pk.add_argument("--mode", choices=KERNELIZE, default="bnsl")
     pk.add_argument("--rep", choices=["nonzero", "additive"])
     pk.add_argument("--out", metavar="FILE", default="-")
     pk.add_argument("--map", metavar="FILE", help="write the lift tables")

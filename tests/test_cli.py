@@ -1,12 +1,15 @@
 import json
 import random
+import re
 import time
 
 import pytest
 
 from bnsl import cli, generate, graphs, lfen_dp
 from bnsl.instances import (
+    AdditiveInstance,
     Superstructure,
+    parse_additive,
     parse_nonzero,
     parse_solution,
     score_of,
@@ -69,7 +72,8 @@ def test_rep_algo_mismatch_is_usage_error(capsys, example_file, tmp_path):
     tree.write_text("a b\nb d\nc d\n")
     td = tmp_path / "td.txt"
     td.write_text("b 0 a b c d\n")
-    for argv in (("--tree", str(tree)), ("--algo", "oracle", "--td", str(td))):
+    for argv in (("--tree", str(tree)), ("--algo", "oracle", "--td", str(td)),
+                 ("--algo", "lfen", "--max-dependent", "3")):
         code, out, err = run(capsys, "solve", example_file, *argv)
         assert code == 2 and out == "" and argv[-2] in err
     with pytest.raises(SystemExit) as exc:  # argparse rejects unknown flags
@@ -406,11 +410,58 @@ def test_bad_td_rejected(capsys, tmp_path):
         ("b 0 a b\nb 1 c\ne 0 1\n", "decomposition"),  # edge bc not covered
         ("b 1 a b\nb 2 b c\ne 1 2\ne 2 1\n", "root"),  # a cycle of tree edges
         ("b 1 a b c\ne 1 1\n", "root"),  # a bag its own parent
+        ("b 0 a b\nb 0 b c\nb 2 c\ne 0 2\n", "td file line 2"),  # bag 0 declared twice
+        ("b 0 a b\nb 1 b c\nb 2 b\ne 0 1\ne 2 1\n", "td file line 5"),  # two parents
+        ("b x a b c\n", "td file line 1"),  # bag id not an integer
     ):
         td.write_text(text)
         code, _, err = run(capsys, "solve", str(p), "--algo", "twdp",
                            "--td", str(td))
         assert code == 2 and reason in err
+
+
+def test_every_algorithm_mode_combination(capsys, tmp_path):
+    # every forced (algorithm, mode) pair on explicit and additive input,
+    # the additive with no in-degree bound and with q=1 and q=2, either
+    # solves like the oracle with a valid witness or is a usage error that
+    # names an algorithm solving the same input
+    files = []
+    for seed in (1, 2):
+        # 5 explicit vertices stay within dependent-vertex branching's limit
+        for rep, n, q in (("nonzero", 5, None), ("additive", 8, None), ("additive", 8, 1),
+                          ("additive", 8, 2)):
+            bound = () if q is None else ("--max-parents", str(q))
+            code, text, err = run(capsys, "gen", "--rep", rep, "--n", str(n), "--fen", "3",
+                                  "--seed", str(seed), *bound)
+            assert code == 0, err
+            p = tmp_path / f"{rep}{seed}{q}.scores"
+            p.write_text(text)
+            inst = parse_additive(text) if rep == "additive" else parse_nonzero(text)
+            files.append((str(p), inst, q))
+    sol = tmp_path / "sol.txt"
+    for path, inst, q in files:
+        for mode, check_mode in (("bnsl", "dag"), ("polytree", "polytree")):
+            _, out, _ = run(capsys, "solve", path, "--mode", mode, "--algo", "oracle")
+            best = out.strip()
+            solved, refused = set(), {}
+            for algo in ("kernel-lfen", "lfen", "twdp", "mst", "matroid", "depset", "oracle"):
+                if sol.exists():
+                    sol.unlink()
+                code, out, err = run(capsys, "solve", path, "--mode", mode, "--algo", algo,
+                                     "--out", str(sol))
+                if code == 2:
+                    assert out == "" and not sol.exists(), (path, mode, algo)
+                    refused[algo] = err
+                    continue
+                assert code == 0 and out.strip() == best, (path, mode, algo, out, err)
+                net = parse_solution(sol.read_text(), inst)
+                assert validate(net, check_mode, q).ok
+                assert f"max_score={score_of(inst, net)}" == best
+                solved.add(algo)
+            for algo, err in refused.items():
+                assert solved & set(re.findall(r"[\w-]+", err)), (path, mode, algo, err)
+            if mode == "bnsl" and isinstance(inst, AdditiveInstance):
+                assert "twdp" in refused["mst"] and "twdp" in refused["matroid"]
 
 
 def test_depset_polytree_rejected(capsys, example_file):
