@@ -16,11 +16,13 @@ score, or raised RuntimeError, RecursionError included).
 accepts; `auto` takes the first row that accepts the input.  Any other
 pair is a usage error, and so is a flag (`--tree`, `--td`,
 `--max-dependent`) given to another algorithm than its `FLAG_OWNERS`
-entry.  Invalid inputs include a tree file whose edges are not a spanning
+entry, and a negative `--max-dependent`.  Invalid inputs include an empty
+`--tree` or `--td` path, a tree file whose edges are not a spanning
 forest of the superstructure, a decomposition file with a bag id declared
-twice or not an integer, a bag given two parents or a bag left without a
-root, and a `verify --lift` map that `kernelize --map` did not write for
-the reduced instance (the README lists each case).
+twice or not an integer, a bag given two parents, a tree edge to an
+undeclared bag or a bag left without a root, and a `verify --lift` map
+that `kernelize --map` did not write for the reduced instance (the README
+lists each case).
 """
 
 from __future__ import annotations
@@ -108,6 +110,7 @@ def _load_td(path, instance):
     index = {name: i for i, name in enumerate(instance.names)}
     bags = {}
     parent = {}
+    edge_line = {}  # child bag -> line of its tree edge
 
     def bag_id(i, tok):
         try:
@@ -133,14 +136,16 @@ def _load_td(path, instance):
             if c in parent:
                 raise CliError(f"td file line {i}: bag {c} given a second parent")
             parent[c] = bag_id(i, tok[1])
+            edge_line[c] = i
         else:
             raise CliError(f"td file line {i}: unknown record {tok[0]!r}")
     if not bags:
         raise CliError("td file has no bags")
     children = {b: [] for b in bags}
     for c, p in parent.items():
-        if c not in bags or p not in bags:
-            raise CliError("td file: edge references unknown bag")
+        for b in (p, c):
+            if b not in bags:
+                raise CliError(f"td file line {edge_line[c]}: edge references unknown bag {b}")
         children[p].append(c)
     reached = [b for b in bags if b not in parent]
     for b in reached:  # walks down from the roots, reaching every bag of a forest
@@ -164,7 +169,7 @@ def _run_lfen(inst, mode, args, info, kernelize=False):
         work = result.reduced
         info.append(f"kernel_n={work.n}")
     g = superstructure(work)
-    if args.tree:  # only the unkernelized row reads --tree, so work is inst
+    if args.tree is not None:  # only the unkernelized row reads --tree, so work is inst
         witness = graphs.lfen_of_tree(g, graphs.forest_from_edges(g, _load_tree(args.tree, inst)))
     else:
         witness = graphs.lfen_search(g)
@@ -178,7 +183,10 @@ def _run_lfen(inst, mode, args, info, kernelize=False):
 
 
 def _run_twdp(inst, mode, args, info):
-    td = _load_td(args.td, inst) if args.td else graphs.tree_decomposition(superstructure(inst))
+    if args.td is not None:
+        td = _load_td(args.td, inst)
+    else:
+        td = graphs.tree_decomposition(superstructure(inst))
     info.append(f"width={td.width}")
     solve = tw_dp.solve_pl_additive_tw if mode == "polytree" else tw_dp.solve_bnsl_additive
     return solve(inst, td)

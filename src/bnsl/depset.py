@@ -18,8 +18,8 @@ class TooManyDependentError(ValueError):
     def __init__(self, size, limit):
         super().__init__(
             f"{size} dependent vertices exceeds the branching limit {limit} "
-            f"(3^{size * (size - 1) // 2} branches); use the record or "
-            f"kernel-based solvers instead"
+            f"(3^{size * (size - 1) // 2} branches); use the record-DP "
+            f"solvers instead (--algo kernel-lfen or lfen)"
         )
 
 
@@ -73,7 +73,10 @@ def _acyclic(members, arcs) -> bool:
 def solve_bnsl_depset(
     instance: NonZeroInstance, max_dependent: int = 5
 ) -> tuple[int, Network]:
-    """Optimal acyclic network by dependent-vertex branching."""
+    """Optimal acyclic network by dependent-vertex branching over at most
+    `max_dependent` dependent vertices."""
+    if max_dependent < 0:
+        raise ValueError(f"the branching limit must be at least 0, not {max_dependent}")
     members = dependent_vertices(instance)
     if len(members) > max_dependent:
         raise TooManyDependentError(len(members), max_dependent)

@@ -8,13 +8,16 @@ polytrees), and per-bag-vertex parent counts (inn) when an in-degree bound
 applies.  Tables map snapshots to the best achievable partial score.
 
 Arcs are drawn from the superstructure only; any other arc scores zero and
-can never help, so the optimum is unaffected and tables stay small.
+can never help, so the optimum is unaffected and tables stay small.  The
+solvers also drop every snapshot that another one with the same loc
+dominates (`_TwEngine._prune`), which keeps the optimum but may pick
+another optimal network on ties.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from operator import add, sub
+from operator import add, itemgetter, sub
 from typing import Optional
 
 from . import relations
@@ -24,6 +27,14 @@ from .instances import AdditiveInstance, Network, superstructure
 _NO_ARCS: frozenset = frozenset()
 
 
+def _pack(values, width: int) -> int:
+    """`values`, each below 2**width, as the fields of one int."""
+    out = 0
+    for x in values:
+        out = out << width | x
+    return out
+
+
 class _TwEngine:
     def __init__(
         self,
@@ -31,6 +42,7 @@ class _TwEngine:
         td: NiceTreeDecomposition,
         mode: str,
         q: Optional[int],
+        prune: bool = True,
     ):
         if mode not in ("bnsl", "pl"):
             raise ValueError(f"unknown mode {mode!r}; expected 'bnsl' or 'pl'")
@@ -38,6 +50,7 @@ class _TwEngine:
         self.td = td
         self.pl = mode == "pl"
         self.q = q
+        self.prune = prune
         self.g = superstructure(instance)
         self.verts = [tuple(sorted(node.bag)) for node in td.nodes]
         self.tables: dict[int, dict] = {}
@@ -53,7 +66,8 @@ class _TwEngine:
                 "forget": self._forget, "join": self._join}
         for t in self.td.postorder():
             node = self.td.nodes[t]
-            self.tables[t] = step[node.kind](t, node)
+            table = step[node.kind](t, node)
+            self.tables[t] = self._prune(table) if self.prune else table
         return self.tables
 
     def solve(self) -> tuple[int, Network]:
@@ -71,6 +85,59 @@ class _TwEngine:
             arcs |= entry[1]
             stack.extend(zip(self.td.nodes[t].children, entry[2:]))
         return score, Network(self.inst.n, frozenset(arcs))
+
+    def _prune(self, table: dict) -> dict:
+        """The entries of `table` that no other entry dominates, in their
+        insertion order.
+
+        Snapshot (loc, con', inn') with score s' dominates (loc, con, inn)
+        with score s when s' >= s, con' is a subset of con row by row and
+        inn' <= inn at every position.  Dropping the second keeps the
+        optimum, because every later step is monotone in con and inn.  Both
+        snapshots hold the same arcs inside the bag (loc), so they meet the
+        same arc choices and join partners.  One that keeps the second
+        acyclic keeps the first so too, since a subset of the reachable
+        pairs closes no cycle the whole set does not close (for polytrees:
+        a finer partition joins no two vertices of one class).  Parent
+        counts only add up, so the first stays within the bound whenever
+        the second does.  And the results again have a subset con, no
+        larger inn and no lower score, so the root score is unchanged,
+        though a tie may pick another optimal network.  Distinct snapshots
+        never dominate each other both ways, so the entries kept are
+        exactly those no other entry dominates.
+        """
+        groups: dict = {}
+        for key in table:
+            groups.setdefault(key[0], []).append(key)
+        if len(groups) == len(table):
+            return table
+        # con packs into one int of d-bit rows, so con' is a subset of con
+        # when con' & ~con is 0; inn packs into fields of w bits whose top
+        # bit is a guard, so inn' <= inn everywhere when subtracting inn'
+        # from inn with every guard set borrows no guard away
+        d = len(next(iter(table))[1])
+        w = (self.q or 0).bit_length() + 1
+        guard = _pack([1 << w - 1] * d, w)
+        dropped = set()
+        for keys in groups.values():
+            if len(keys) == 1:
+                continue
+            # a dominating snapshot scores at least as much and, when
+            # distinct, has a smaller rank: sorted, it comes first
+            group = []
+            for key in keys:
+                con = _pack(key[1], d)
+                group.append(((-table[key][0], con.bit_count() + sum(key[2])),
+                              con, _pack(key[2], w) | guard, key))
+            group.sort(key=itemgetter(0))
+            kept: dict = {}  # con -> packed inn of each kept snapshot with it
+            for _, con, inn, key in group:
+                if any(not con1 & ~con and any((inn - inn1) & guard == guard for inn1 in inns)
+                       for con1, inns in kept.items()):
+                    dropped.add(key)
+                else:
+                    kept.setdefault(con, []).append(inn & ~guard)
+        return {key: entry for key, entry in table.items() if key not in dropped}
 
     def _classes(self, rows) -> int:
         """Class count of `rows`, which only the polytree glue reads."""
@@ -205,11 +272,12 @@ def snapshot_tables(
     mode: str = "bnsl",
     td: Optional[NiceTreeDecomposition] = None,
 ):
-    """Per-node snapshot tables (for the semantics-verification tests);
-    returns (tables, decomposition)."""
+    """Per-node snapshot tables (for the semantics-verification tests):
+    unpruned, every reachable snapshot with its best score, dominated ones
+    included; returns (tables, decomposition)."""
     if td is None:
         td = tree_decomposition(superstructure(instance))
-    eng = _TwEngine(instance, td, mode, instance.max_in_degree)
+    eng = _TwEngine(instance, td, mode, instance.max_in_degree, prune=False)
     tables = eng.run_tables()
     plain = {}
     for t, table in tables.items():

@@ -392,6 +392,19 @@ def test_supplied_tree_with_cycle_is_usage_error(capsys, tmp_path):
     assert code == 2 and out == "" and "cycle" in err
 
 
+def test_empty_tree_path_is_invalid_input(capsys, example_file):
+    # an empty --tree names no file; it is refused, not taken as absent
+    code, out, err = run(capsys, "solve", example_file, "--algo", "lfen", "--tree", "")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_empty_td_path_is_invalid_input(capsys, tmp_path):
+    p = tmp_path / "a.inst"
+    p.write_text("additive 3\nb a 2\nc b 1\n")
+    code, out, err = run(capsys, "solve", str(p), "--algo", "twdp", "--td", "")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_solve_with_supplied_td(capsys, tmp_path):
     p = tmp_path / "a.inst"
     p.write_text("additive 3\nb a 2\nc b 1\n")
@@ -418,6 +431,19 @@ def test_bad_td_rejected(capsys, tmp_path):
         code, _, err = run(capsys, "solve", str(p), "--algo", "twdp",
                            "--td", str(td))
         assert code == 2 and reason in err
+
+
+def test_td_edge_to_undeclared_bag_names_line_and_bag(capsys, tmp_path):
+    p = tmp_path / "a.inst"
+    p.write_text("additive 3\nb a 2\nc b 1\n")
+    td = tmp_path / "td.txt"
+    for text, reason in (
+        ("b 0 a b\nb 1 a c\ne 0 5\n", "td file line 3: edge references unknown bag 5"),
+        ("b 0 a b c\ne 7 0\n", "td file line 2: edge references unknown bag 7"),
+    ):
+        td.write_text(text)
+        code, out, err = run(capsys, "solve", str(p), "--algo", "twdp", "--td", str(td))
+        assert code == 2 and out == "" and reason in err
 
 
 def test_every_algorithm_mode_combination(capsys, tmp_path):
@@ -462,6 +488,19 @@ def test_every_algorithm_mode_combination(capsys, tmp_path):
                 assert solved & set(re.findall(r"[\w-]+", err)), (path, mode, algo, err)
             if mode == "bnsl" and isinstance(inst, AdditiveInstance):
                 assert "twdp" in refused["mst"] and "twdp" in refused["matroid"]
+
+
+def test_negative_max_dependent_is_usage_error(capsys, example_file):
+    code, out, err = run(capsys, "solve", example_file, "--algo", "depset",
+                         "--max-dependent", "-1")
+    assert code == 2 and out == "" and "at least 0" in err
+
+
+def test_depset_limit_names_the_record_algorithms(capsys, example_file):
+    code, out, err = run(capsys, "solve", example_file, "--algo", "depset",
+                         "--max-dependent", "1")
+    assert code == 2 and out == ""
+    assert "exceeds the branching limit 1" in err and "--algo kernel-lfen or lfen" in err
 
 
 def test_depset_polytree_rejected(capsys, example_file):

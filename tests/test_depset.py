@@ -54,6 +54,12 @@ def test_limit_refusal():
     assert "solvers" in str(e.value)
 
 
+def test_negative_limit_refused():
+    inst = generate.random_nonzero(3, 8, 2)
+    with pytest.raises(ValueError, match="at least 0"):
+        depset.solve_bnsl_depset(inst, max_dependent=-1)
+
+
 def test_matches_oracle_random():
     done = 0
     seed = 0

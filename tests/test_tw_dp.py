@@ -178,5 +178,43 @@ def test_tables_and_witness_match_dict_engine():
             assert list(tables) == list(want)
             for t, table in tables.items():
                 assert list(table.items()) == list(want[t].items())
-            solve = tw_dp.solve_pl_additive_tw if mode == "pl" else tw_dp.solve_bnsl_additive
-            assert solve(inst, td) == TwEngineDicts(inst, td, mode, q).solve()
+            unpruned = tw_dp._TwEngine(inst, td, mode, q, prune=False)
+            assert unpruned.solve() == TwEngineDicts(inst, td, mode, q).solve()
+
+
+def dominates(a, b) -> bool:
+    """Entry a = (key, score) dominates entry b: same loc, a score at least
+    b's, con a subset of b's row by row, inn no larger at any position."""
+    (loc1, con1, inn1), s1 = a
+    (loc2, con2, inn2), s2 = b
+    return (loc1 == loc2 and s1 >= s2 and all(x | y == y for x, y in zip(con1, con2))
+            and all(x <= y for x, y in zip(inn1, inn2)))
+
+
+def test_pruned_tables_keep_the_undominated_entries():
+    # on the seeds above: at every node the pruned table holds exactly the
+    # entries of the unpruned one that no other entry dominates, with their
+    # scores; the optimum is the unpruned one and the witness scores it
+    # (ties may pick another witness than the unpruned engine)
+    for seed in range(300):
+        rng = random.Random(120_000 + seed)
+        q = rng.choice([None, 1, 2, 3])
+        inst = generate.random_additive(rng, rng.randint(1, 11), rng.randint(0, 4), q=q,
+                                        connected=(seed % 3 != 0), exact_fen=False)
+        td = graphs.tree_decomposition(superstructure(inst))
+        for mode in ("bnsl",) if q is None else ("bnsl", "pl"):
+            pruned = tw_dp._TwEngine(inst, td, mode, q)
+            unpruned = tw_dp._TwEngine(inst, td, mode, q, prune=False)
+            score, net = pruned.solve()
+            full_score, _ = unpruned.solve()
+            for t, table in unpruned.tables.items():
+                kept = {key: entry[0] for key, entry in pruned.tables[t].items()}
+                entries = [(key, entry[0]) for key, entry in table.items()]
+                undominated = {key: s for key, s in entries if not any(
+                    other != key and dominates((other, s2), (key, s)) for other, s2 in entries)}
+                assert kept == undominated
+                for entry in entries:
+                    assert entry[0] in kept or any(dominates(k, entry) for k in kept.items())
+            assert score == full_score
+            assert validate(net, "polytree" if mode == "pl" else "dag", q=q).ok
+            assert score_of(inst, net) == score
