@@ -183,11 +183,9 @@ def _run_lfen(inst, mode, args, info, kernelize=False):
 
 
 def _run_twdp(inst, mode, args, info):
-    if args.td is not None:
-        td = _load_td(args.td, inst)
-    else:
-        td = graphs.tree_decomposition(superstructure(inst))
-    info.append(f"width={td.width}")
+    g = superstructure(inst)
+    td = graphs.tree_decomposition(g) if args.td is None else _load_td(args.td, inst)
+    info.append(f"width={td.width} core={tw_dp.core_size(g)}")
     solve = tw_dp.solve_pl_additive_tw if mode == "polytree" else tw_dp.solve_bnsl_additive
     return solve(inst, td)
 

@@ -320,14 +320,21 @@ class _PlEngine(_RecordEngine):
         # edges, so the union (a shared edge counted twice, as the 2-cycle
         # it closes) is a forest exactly when its d - k_a + d - k_b edges
         # leave d - that many components, as the bag DP's join also tests
-        if len(relations.classes(merged)) != count + ccount - len(merged):
+        parts = relations.classes(merged)
+        if len(parts) != count + ccount - len(merged):
             return None
         # inside tails keep only their components: cut them down to `keep`
         inner = relations.same_class([0 if outside >> i & 1 else r for i, r in enumerate(merged)])
         cut = relations.restrict(
             [r if outside >> i & 1 else s for i, (r, s) in enumerate(zip(merged, inner))], keep
         )
-        return _PlEngine.piece(cut)
+        # the cut's classes are the union's classes that meet `keep` and
+        # each dropped index alone: inside rows point inside only, and an
+        # outside row (kept, as all of delta(v)) only at heads of arcs
+        # entering the subtree, which are in delta_in(v) and kept too; so a
+        # path of the union between kept indices runs through inner classes
+        # whose ends are kept, and the cut relates those ends directly
+        return tuple(cut), sum(1 for cls in parts if cls & keep) + len(merged) - keep.bit_count()
 
     @staticmethod
     def rows(state):

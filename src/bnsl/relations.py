@@ -73,9 +73,15 @@ def classes(rows: Sequence[int]) -> list[int]:
 
 def same_class(rows: Sequence[int]) -> list[int]:
     """Pairs of distinct indices in one class of the symmetric closure."""
-    out = [0] * len(rows)
-    for cls in classes(rows):
-        for i in range(len(rows)):
+    return class_rows(classes(rows), len(rows))
+
+
+def class_rows(parts: Iterable[int], d: int) -> list[int]:
+    """Pairs of distinct indices in one of `parts`, index masks that
+    partition range(d)."""
+    out = [0] * d
+    for cls in parts:
+        for i in range(d):
             if cls >> i & 1:
                 out[i] = cls & ~(1 << i)
     return out

@@ -12,17 +12,24 @@ can never help, so the optimum is unaffected and tables stay small.  The
 solvers also drop every snapshot that another one with the same loc
 dominates (`_TwEngine._prune`), which keeps the optimum but may pick
 another optimal network on ties.
+
+The public solvers run the bag DP on the 2-core of the superstructure only
+(`_Fold`): the trees hanging off it are folded bottom up into an in-degree
+bonus that each core vertex collects where it is forgotten, and a walk down
+those trees completes the witness.  `snapshot_tables` keeps the unfolded
+tables of the whole decomposition.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 from operator import add, itemgetter, sub
 from typing import Optional
 
 from . import relations
-from .graphs import NiceTreeDecomposition, tree_decomposition
-from .instances import AdditiveInstance, Network, superstructure
+from .graphs import NiceTreeDecomposition, TDNode, tree_decomposition
+from .instances import AdditiveInstance, Network, Superstructure, superstructure
 
 _NO_ARCS: frozenset = frozenset()
 
@@ -43,15 +50,26 @@ class _TwEngine:
         mode: str,
         q: Optional[int],
         prune: bool = True,
+        fold: Optional[_Fold] = None,
     ):
+        """With `fold`, the tables cover only the 2-core: every bag is cut
+        to it and `solve` adds the folded trees."""
         if mode not in ("bnsl", "pl"):
             raise ValueError(f"unknown mode {mode!r}; expected 'bnsl' or 'pl'")
         self.inst = instance
-        self.td = td
         self.pl = mode == "pl"
         self.q = q
         self.prune = prune
-        self.g = superstructure(instance)
+        self.fold = fold
+        if fold is None:
+            self.g = superstructure(instance)
+            self.bonus: dict = {}
+        else:
+            self.g = fold.g
+            self.bonus = fold.bonus
+            if len(fold.core) < instance.n:
+                td = _core_decomposition(td, fold.core)
+        self.td = td
         self.verts = [tuple(sorted(node.bag)) for node in td.nodes]
         self.tables: dict[int, dict] = {}
 
@@ -84,6 +102,9 @@ class _TwEngine:
             entry = self.tables[t][key]
             arcs |= entry[1]
             stack.extend(zip(self.td.nodes[t].children, entry[2:]))
+        if self.fold is not None:
+            arcs |= self.fold.lift(arcs)
+            score += self.fold.tree_score()
         return score, Network(self.inst.n, frozenset(arcs))
 
     def _prune(self, table: dict) -> dict:
@@ -100,11 +121,13 @@ class _TwEngine:
         pairs closes no cycle the whole set does not close (for polytrees:
         a finer partition joins no two vertices of one class).  Parent
         counts only add up, so the first stays within the bound whenever
-        the second does.  And the results again have a subset con, no
-        larger inn and no lower score, so the root score is unchanged,
-        though a tie may pick another optimal network.  Distinct snapshots
-        never dominate each other both ways, so the entries kept are
-        exactly those no other entry dominates.
+        the second does.  The bonus a forget adds for a vertex's folded
+        pendant trees never grows with the vertex's parent count, so the
+        first collects at least the second's.  And the results again have
+        a subset con, no larger inn and no lower score, so the root score
+        is unchanged, though a tie may pick another optimal network.
+        Distinct snapshots never dominate each other both ways, so the
+        entries kept are exactly those no other entry dominates.
         """
         groups: dict = {}
         for key in table:
@@ -139,9 +162,11 @@ class _TwEngine:
                     kept.setdefault(con, []).append(inn & ~guard)
         return {key: entry for key, entry in table.items() if key not in dropped}
 
-    def _classes(self, rows) -> int:
-        """Class count of `rows`, which only the polytree glue reads."""
-        return len(relations.classes(rows)) if self.pl else 0
+    def _classes(self, con) -> int:
+        """Class count of a snapshot's `con`, which only the polytree glue
+        reads.  A polytree con relates each vertex to the rest of its
+        class, so a row with its own bit added is the class's mask."""
+        return len({row | 1 << i for i, row in enumerate(con)}) if self.pl else 0
 
     def _glue(self, a, b, fresh: int):
         """Connectivity of the union of two partial networks with boundary
@@ -152,9 +177,10 @@ class _TwEngine:
         if not self.pl:
             con = relations.closure(merged)
             return tuple(con) if relations.irreflexive(con) else None
-        if len(relations.classes(merged)) != fresh:
+        parts = relations.classes(merged)
+        if len(parts) != fresh:
             return None
-        return tuple(relations.same_class(merged))
+        return tuple(relations.class_rows(parts, len(merged)))
 
     def _leaf(self, t, node) -> dict:
         empty = (0,) * len(node.bag)
@@ -197,7 +223,9 @@ class _TwEngine:
     def _forget(self, t, node) -> dict:
         (child,) = node.children
         verts, cverts = self.verts[t], self.verts[child]
-        i = cverts.index(next(iter(self.td.nodes[child].bag - node.bag)))
+        v = next(iter(self.td.nodes[child].bag - node.bag))
+        i = cverts.index(v)
+        bonus = self.bonus.get(v, (0,) * ((self.q or 0) + 1))
         table: dict = {}
         for ckey, centry in self.tables[child].items():
             loc, con, inn = ckey
@@ -206,20 +234,29 @@ class _TwEngine:
                 tuple(relations.reindex(con, cverts, verts)),
                 inn[:i] + inn[i + 1:],
             )
+            val = centry[0] + bonus[inn[i] if inn else 0]
             cur = table.get(key)
-            if cur is None or centry[0] > cur[0]:
-                table[key] = (centry[0], _NO_ARCS, ckey)
+            if cur is None or val > cur[0]:
+                table[key] = (val, _NO_ARCS, ckey)
         return table
 
     def _join(self, t, node) -> dict:
         c1, c2 = node.children
         verts = self.verts[t]
+        # the right entries by loc, each group with loc's class count
         by_loc: dict = {}
         for key2, entry2 in self.tables[c2].items():
-            by_loc.setdefault(key2[0], []).append((key2, entry2[0], self._classes(key2[1])))
+            group = by_loc.get(key2[0])
+            if group is None:
+                n_loc = len(relations.classes(key2[0])) if self.pl else 0
+                group = by_loc[key2[0]] = (n_loc, [])
+            group[1].append((key2, entry2[0], self._classes(key2[1])))
         table: dict = {}
         for key1, entry1 in self.tables[c1].items():
             loc, con1, inn1 = key1
+            if loc not in by_loc:
+                continue
+            n_loc, group = by_loc[loc]
             s1 = entry1[0] - sum(self.inst.arc(x, y) for x, y in relations.to_pairs(loc, verts))
             loc_inn = () if self.q is None else tuple(
                 sum(row >> j & 1 for row in loc) for j in range(len(verts)))
@@ -227,8 +264,8 @@ class _TwEngine:
             # the loc arcs, so the union's cycle rank is (#classes1 +
             # #classes2 - #classes(loc)) - #classes(merged), and the class
             # count alone says whether the union is a forest
-            n_rest = self._classes(con1) - self._classes(loc)
-            for key2, s2, n2 in by_loc.get(loc, ()):
+            n_rest = self._classes(con1) - n_loc
+            for key2, s2, n2 in group:
                 inn = inn1 and tuple(map(sub, map(add, inn1, key2[2]), loc_inn))
                 if inn and max(inn) > self.q:
                     continue
@@ -243,15 +280,172 @@ class _TwEngine:
         return table
 
 
+def _peel(g: Superstructure) -> tuple[list[int], dict]:
+    """The vertices that repeatedly peeling degree <= 1 vertices removes, in
+    removal order, and for each the one neighbour it had left then (None
+    for the last vertex of a tree component).  The rest is the 2-core."""
+    deg = [len(g.adj[v]) for v in range(g.n)]
+    order = [v for v in range(g.n) if deg[v] <= 1]
+    up: dict = {}
+    for x in order:  # grows while read: a vertex left with one neighbour joins
+        p = next((y for y in g.adj[x] if y not in up), None)
+        up[x] = p
+        if p is not None:
+            deg[p] -= 1
+            if deg[p] == 1:
+                order.append(p)
+    return order, up
+
+
+def core_size(g: Superstructure) -> int:
+    """Number of vertices of the 2-core of g, the part of the superstructure
+    the public solvers run the bag DP on."""
+    return g.n - len(_peel(g)[0])
+
+
+class _Fold:
+    """The trees hanging off the 2-core of a superstructure, folded bottom up.
+
+    Each peeled vertex x (`_peel`) hangs from `up[x]`.  Its edge to it is a
+    bridge, which closes neither a directed cycle nor a skeleton cycle, so
+    a hanging tree touches the rest of the network only through the
+    in-degree of the vertex it hangs from, in both modes and for any bound
+    q.  `a[x]` is the best score of x's subtree when x takes the arc from
+    `up[x]`, so only q - 1 of its parents can come from below, and `b[x]`
+    the best when it does not.  A child c of x adds base_c = max(a[c] +
+    s(x, c), b[c]) and offers the arc c -> x at gain_c = b[c] + s(c, x) -
+    base_c; x keeps its best positive gains up to its free parent slots
+    (all of them without a bound).
+    """
+
+    def __init__(self, instance: AdditiveInstance, g: Superstructure, q: Optional[int]):
+        self.g = g
+        self.q = q
+        self.arc = instance.arc
+        order, up = _peel(g)
+        self.core = [v for v in range(g.n) if v not in up]
+        self.kids: dict = {}
+        for x in order:
+            if up[x] is not None:
+                self.kids.setdefault(up[x], []).append(x)
+        # x with hanging trees -> (sum of its children's base_c, positive
+        # gain_c paired with c, best first)
+        self.hang: dict = {}
+        self.a: dict = {}
+        self.b: dict = {}
+        self.bonus: dict = {}  # core vertex -> value with i core parents, at index i
+        less = None if q is None else q - 1
+        slots = [None] if q is None else range(q, -1, -1)
+        for x in order + [v for v in self.core if v in self.kids]:
+            if x not in self.kids:  # a leaf of its tree
+                self.a[x] = self.b[x] = 0
+                continue
+            base, gains = 0, []
+            for c in self.kids[x]:
+                keep = max(self.a[c] + self.arc(x, c), self.b[c])
+                base += keep
+                gain = self.b[c] + self.arc(c, x) - keep
+                if gain > 0:
+                    gains.append((-gain, c))
+            gains.sort()
+            self.hang[x] = (base, [(-gain, c) for gain, c in gains])
+            if x in up:
+                self.a[x], self.b[x] = self.value(x, less), self.value(x, q)
+            else:
+                self.bonus[x] = tuple(self.value(x, k) for k in slots)
+        self.roots = [x for x in order if up[x] is None]
+
+    def value(self, x: int, k: Optional[int]) -> int:
+        """Best score of x's hanging trees when at most k of their arcs
+        may enter x (k None: any number)."""
+        base, gains = self.hang[x]
+        return base + sum(gain for gain, _ in gains[:k])
+
+    def tree_score(self) -> int:
+        """Optimum of the tree components, which have no core vertex."""
+        return sum(self.b[r] for r in self.roots)
+
+    def lift(self, core_arcs) -> set:
+        """The arcs of the hanging trees that complete `core_arcs`, without
+        recursion: from each core vertex, given its core in-degree, and
+        from each tree root down.  With them the network scores the core
+        score, every bonus it collected and `tree_score()`."""
+        q = self.q
+        less = None if q is None else q - 1
+        indeg = Counter(y for _, y in core_arcs)
+        stack = [(v, None if q is None else q - indeg[v]) for v in self.bonus]
+        stack += [(r, q) for r in self.roots]
+        arcs = set()
+        while stack:
+            x, k = stack.pop()
+            if x not in self.kids:
+                continue
+            ups = {c for _, c in self.hang[x][1][:k]}
+            for c in self.kids[x]:
+                if c in ups:
+                    arcs.add((c, x))
+                    stack.append((c, q))
+                elif self.a[c] + self.arc(x, c) > self.b[c]:
+                    arcs.add((x, c))
+                    stack.append((c, less))
+                else:
+                    stack.append((c, q))
+        return arcs
+
+
+def _core_decomposition(td: NiceTreeDecomposition, core) -> NiceTreeDecomposition:
+    """`td` with every bag cut to `core`.  Introduce and forget nodes of
+    other vertices, and joins with a side that holds no core vertex, pass
+    their other child through; an introduce onto such a side becomes a
+    leaf."""
+    if not core:
+        return NiceTreeDecomposition([TDNode(frozenset(), "leaf", [])], 0, -1)
+    core = frozenset(core)
+    nodes: list[TDNode] = []
+    eff: dict = {}  # original node -> its node here, None when it holds no core vertex
+    for t in td.postorder():
+        node = td.nodes[t]
+        if node.kind == "join":
+            k1, k2 = (eff[c] for c in node.children)
+            if k1 is None or k2 is None:
+                eff[t] = k2 if k1 is None else k1
+                continue
+            new = TDNode(nodes[k1].bag, "join", [k1, k2])
+        else:
+            bag = node.bag & core
+            k = eff[node.children[0]] if node.children else None
+            if k is None:
+                if not bag:
+                    eff[t] = None
+                    continue
+                new = TDNode(bag, "leaf", [])
+            elif len(bag) == len(nodes[k].bag):
+                eff[t] = k
+                continue
+            else:
+                new = TDNode(bag, node.kind, [k])
+        nodes.append(new)
+        eff[t] = len(nodes) - 1
+    width = max(len(node.bag) for node in nodes) - 1
+    return NiceTreeDecomposition(nodes, eff[td.root], width)
+
+
+def _solve_folded(
+    instance: AdditiveInstance, td: Optional[NiceTreeDecomposition], mode: str
+) -> tuple[int, Network]:
+    g = superstructure(instance)
+    if td is None:
+        td = tree_decomposition(g)
+    q = instance.max_in_degree
+    return _TwEngine(instance, td, mode, q, fold=_Fold(instance, g, q)).solve()
+
+
 def solve_bnsl_additive(
     instance: AdditiveInstance, td: Optional[NiceTreeDecomposition] = None
 ) -> tuple[int, Network]:
     """Optimal acyclic network for additive scores; runs the in-degree
     bounded variant when the instance carries a bound."""
-    if td is None:
-        td = tree_decomposition(superstructure(instance))
-    eng = _TwEngine(instance, td, "bnsl", instance.max_in_degree)
-    return eng.solve()
+    return _solve_folded(instance, td, "bnsl")
 
 
 def solve_pl_additive_tw(
@@ -261,10 +455,7 @@ def solve_pl_additive_tw(
     if instance.max_in_degree is None:
         raise ValueError("polytree bag DP needs an in-degree bound; "
                          "use the spanning-forest solver instead")
-    if td is None:
-        td = tree_decomposition(superstructure(instance))
-    eng = _TwEngine(instance, td, "pl", instance.max_in_degree)
-    return eng.solve()
+    return _solve_folded(instance, td, "pl")
 
 
 def snapshot_tables(

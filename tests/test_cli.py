@@ -140,8 +140,10 @@ SCALE_EDGES = {
     "star": [(0, v) for v in range(1, SCALE_N)],
     "cycle": [(v, (v + 1) % SCALE_N) for v in range(SCALE_N)],
 }
-# seconds per solve; on a shared 2-core VM the bag DP took 2.6 s (path),
-# 4.7 s (star) and 5.4 s (cycle), the forest solver 0.2-0.3 s
+# seconds per solve; on a shared 2-core VM the bag DP took 1.1 s (path) and
+# 1.3 s (star), whose trees fold away completely (core=0; 2.4 and 4.6 s
+# before the fold), and 2.3-2.7 s (cycle, all core); the forest solver
+# 0.2-0.3 s
 SCALE_RUNS = (
     (("--algo", "twdp"), 25.0),
     (("--mode", "polytree", "--algo", "mst"), 5.0),
@@ -170,6 +172,34 @@ def test_additive_shapes_at_scale(capsys, tmp_path, shape):
         want = forest_best if "mst" in extra else best
         assert out.strip() == f"max_score={want}"
         assert elapsed < bound, (extra, elapsed)
+
+
+def test_near_tree_with_bound_at_scale(capsys, tmp_path):
+    # a random 20 000-vertex tree plus 3 edges, q=2, through the bag DP in
+    # both modes; built directly, as generate.random_graph builds an O(n^2)
+    # pair pool.  On a shared 2-core VM each solve took 1.6-1.8 s (core=42)
+    # with the pendant trees folded, 6.1-7.4 s without
+    rng = random.Random("near-tree")
+    edges = {(rng.randrange(v), v) for v in range(1, SCALE_N)}
+    while len(edges) < SCALE_N + 2:
+        a, b = sorted(rng.sample(range(SCALE_N), 2))
+        edges.add((a, b))
+    g = Superstructure(SCALE_N, edges)
+    inst = generate.additive_for_graph(rng, g, q=2)
+    p = tmp_path / "near.inst"
+    p.write_text(write_additive(inst))
+    # the record DP on the explicit form over a BFS tree as the reference
+    explicit = to_nonzero(inst, max_degree=max(g.degree(v) for v in range(g.n)))
+    forest = graphs.feedback_edge_set(g)
+    for mode, reference in (("bnsl", lfen_dp.solve_bnsl_lfen), ("polytree", lfen_dp.solve_pl_lfen)):
+        best, _ = reference(explicit, forest)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "solve", str(p), "--mode", mode, "--algo", "twdp")
+        elapsed = time.perf_counter() - start
+        assert code == 0, err
+        assert out.strip() == f"max_score={best}"
+        assert err.strip() == "width=2 core=42"
+        assert elapsed < 5.0, (mode, elapsed)
 
 
 def test_polytree_record_dp_with_many_open_children(capsys, tmp_path):

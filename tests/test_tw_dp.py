@@ -2,13 +2,17 @@ import random
 
 import pytest
 
-from bnsl import generate, graphs, lfen_dp, oracle, tw_dp
+from bnsl import cli, generate, graphs, lfen_dp, oracle, tw_dp
 from bnsl.instances import (
     AdditiveInstance,
+    Superstructure,
+    parse_additive,
+    parse_solution,
     score_of,
     superstructure,
     to_nonzero,
     validate,
+    write_additive,
 )
 
 from reference import TwEngineDicts, snapshot_reference, snapshot_tables_dicts
@@ -218,3 +222,102 @@ def test_pruned_tables_keep_the_undominated_entries():
             assert score == full_score
             assert validate(net, "polytree" if mode == "pl" else "dag", q=q).ok
             assert score_of(inst, net) == score
+
+
+def hanging_family(seed):
+    """Superstructure with a core of `k` vertices (a cycle, a chord when k
+    >= 4, none when k = 0), long paths, stars and random trees hanging off
+    it, tree-only components and isolated vertices; returns (graph, k)."""
+    rng = random.Random(seed)
+    k = rng.choice([0, 3, 4, 5])
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    if k >= 4:
+        edges.append((0, 2))
+    n = k
+    small = seed % 2 == 0  # small enough for the oracle
+
+    def grow(at, size):
+        # `size` new vertices hanging from `at`; at None the edges to it
+        # are dropped below, so each such vertex roots a tree component
+        nonlocal n
+        shape = rng.choice(["path", "star", "tree"])
+        new = []
+        for _ in range(size):
+            if shape == "path":
+                parent = new[-1] if new else at
+            elif shape == "star":
+                parent = new[0] if new else at
+            else:
+                parent = rng.choice(new + [at])
+            edges.append((parent, n))
+            new.append(n)
+            n += 1
+
+    budget = 9 if small else 26
+    for _ in range(rng.randint(1, 4)):
+        if n < budget - 1:
+            grow(rng.randrange(n) if n else None, rng.randint(1, min(12, budget - 1 - n)))
+    for _ in range(rng.randint(0, 2)):  # tree-only components
+        if n < budget - 1:
+            root = n
+            n += 1
+            grow(root, rng.randint(1, min(6, budget - n)))
+    n += rng.randint(0, min(2, budget - n))  # isolated vertices
+    edges = [(a, b) for a, b in edges if a is not None]
+    return Superstructure(n, edges), k
+
+
+def test_fold_matches_unfolded_dp_and_oracle():
+    # trees hanging off the 2-core are folded into bonuses: the optimum
+    # equals the unfolded, unpruned bag DP's (and the oracle's for n <= 9),
+    # the witness validates and scores it, and the cut decomposition is a
+    # nice decomposition of the core
+    for seed in range(160):
+        g, k = hanging_family(130_000 + seed)
+        q = [None, 1, 2, 3][seed % 4]
+        inst = generate.additive_for_graph(random.Random(seed), g, q=q)
+        assert tw_dp.core_size(g) == k
+        td = graphs.tree_decomposition(g)
+        fold = tw_dp._Fold(inst, g, q)
+        if k:
+            core_g = Superstructure(g.n, [(a, b) for a, b in g.edges
+                                          if a in fold.core and b in fold.core])
+            assert graphs.check_nice(tw_dp._core_decomposition(td, fold.core), core_g) == []
+        for mode in ("bnsl",) if q is None else ("bnsl", "pl"):
+            solve = tw_dp.solve_pl_additive_tw if mode == "pl" else tw_dp.solve_bnsl_additive
+            score, net = solve(inst, td)
+            want, _ = tw_dp._TwEngine(inst, td, mode, q, prune=False).solve()
+            assert score == want, (seed, mode)
+            if g.n <= 9:
+                exact = oracle.exact_pl(inst) if mode == "pl" else oracle.exact_bnsl(inst)
+                assert score == exact[0], (seed, mode)
+            assert validate(net, "polytree" if mode == "pl" else "dag", q=q).ok
+            assert score_of(inst, net) == score
+
+
+def test_fold_with_supplied_td_through_cli(capsys, tmp_path):
+    # a triangle a-b-c with the path c-d-e and the star a-f, a-g hanging
+    # off it, the tree component h-i and an isolated vertex (unnamed in the
+    # file, so in no bag), solved over a hand-written decomposition in both
+    # modes
+    names = "abcdefghij"
+    edges = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (0, 5), (0, 6), (7, 8)]
+    g = Superstructure(len(names), edges)
+    inst = generate.additive_for_graph(random.Random(7), g, q=1)
+    inst = AdditiveInstance(inst.n, tuple(names), inst.arc_scores, max_in_degree=1)
+    p = tmp_path / "a.inst"
+    p.write_text(write_additive(inst))
+    inst = parse_additive(p.read_text())
+    td = tmp_path / "td.txt"
+    td.write_text("b 0 a b c\nb 1 c d\nb 2 d e\nb 3 a f\nb 4 a g\nb 5 h i\n"
+                  "e 0 1\ne 1 2\ne 0 3\ne 0 4\n")
+    for mode, exact in (("bnsl", oracle.exact_bnsl), ("polytree", oracle.exact_pl)):
+        out_path = tmp_path / f"{mode}.sol"
+        code = cli.main(["solve", str(p), "--mode", mode, "--algo", "twdp", "--td", str(td),
+                         "--out", str(out_path)])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        assert err.strip() == "width=2 core=3"
+        assert out.strip() == f"max_score={exact(inst)[0]}"
+        net = parse_solution(out_path.read_text(), inst)
+        assert validate(net, "polytree" if mode == "polytree" else "dag", q=1).ok
