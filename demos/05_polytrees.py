@@ -31,7 +31,7 @@ print("  valid with the cap?", validate(net1, "polytree", q=1).ok)
 s2, _ = solve_pl_additive_tw(capped)
 print("bag DP agrees:", s1 == s2)
 
-# a peek at the machinery: the two independence tests and the augmenting
+# a peek at the machinery: the two independence tests driving the augmenting
 # search over the candidate arcs
 elements = arc_elements(capped)
 oracles = MatroidOracles(capped.n, 1)
@@ -39,3 +39,6 @@ chosen = weighted_matroid_intersection(elements, oracles)
 print(f"{len(elements)} candidate arcs -> {len(chosen)} chosen, weight",
       sum(e.weight for e in chosen))
 assert sum(e.weight for e in chosen) == s1 == score_of(capped, net1)
+# the solver itself asks no oracle: it reads both answers off the forest
+# of the current set, and picks the same arcs
+print("forest answers agree:", weighted_matroid_intersection(elements, q=1) == chosen)

@@ -10,16 +10,22 @@ incoming arcs at q.
 The intersection grows a common independent set I one augmentation at a
 time.  Each round builds the exchange graph of I: a non-member y is a
 source when I+y is a forest and a sink when I+y respects the caps; x->y
-when I-x+y is a forest and y->x when I-x+y respects the caps.  I-x+y is
-independent iff I+y is, or x lies on the circuit I+y closes, so the arcs
-come from two circuits per non-member, read off the rooted forest of I:
-the graphic circuit is I's members on the forest path between y's
-endpoints, the partition circuit is I's members with y's head.  Nodes cost
--weight outside I and +weight inside; Bellman-Ford finds a minimum-cost
-source-to-sink path, ties broken by fewest arcs, and I is flipped along
-it.  After every augmentation I is maximum weight for its cardinality, and
-the best stage overall is returned (a polytree need not be spanning, so a
-basis is not required).
+when I-x+y is a forest and y->x when I-x+y respects the caps.  Both
+questions about I+y are answered in O(1) from the rooted forest of I:
+y's endpoints lie in different trees, and y's head has fewer than q
+members.  I-x+y is independent iff I+y is, or x lies on the circuit I+y
+closes.  So every member has an arc to every source and every sink an
+arc to every member (the dense arcs); the other arcs come from two
+circuits per non-member, read off the same forest: the graphic circuit
+is I's members on the forest path between y's endpoints, the partition
+circuit is I's members with y's head.  Nodes cost -weight outside I and
++weight inside; Bellman-Ford finds a minimum-cost source-to-sink path,
+ties broken by fewest arcs, and I is flipped along it.  The dense and
+partition-circuit arcs are never listed: each node pulls its best
+in-neighbour from running minima, so a pass costs O(m) plus the graphic
+circuits.  After every augmentation I is maximum weight for its
+cardinality, and the best stage overall is returned (a polytree need not
+be spanning, so a basis is not required).
 """
 
 from __future__ import annotations
@@ -120,7 +126,9 @@ def solve_pl_additive_mst(instance: AdditiveInstance) -> tuple[int, Network]:
 
 def _forest_links(items, inside):
     """Root the forest of the members `inside`: vertex -> (parent vertex,
-    member on the parent edge, depth), and the members grouped by head."""
+    member on the parent edge, depth), vertex -> its tree's root, and the
+    members grouped by head.  Vertices that no member touches are left
+    out of both maps."""
     adj: dict[int, list[tuple[int, int]]] = {}
     by_head: dict[int, list[int]] = {}
     for i in inside:
@@ -129,10 +137,12 @@ def _forest_links(items, inside):
         adj.setdefault(b, []).append((a, i))
         by_head.setdefault(items[i].arc[1], []).append(i)
     link: dict[int, tuple] = {}
+    root: dict[int, int] = {}
     for r in adj:
         if r in link:
             continue
         link[r] = (None, None, 0)
+        root[r] = r
         stack = [r]
         while stack:
             v = stack.pop()
@@ -140,8 +150,9 @@ def _forest_links(items, inside):
             for w, i in adj[v]:
                 if w not in link:
                     link[w] = (v, i, depth)
+                    root[w] = r
                     stack.append(w)
-    return link, by_head
+    return link, root, by_head
 
 
 def _forest_path(link, u: int, w: int) -> list[int]:
@@ -158,74 +169,137 @@ def _forest_path(link, u: int, w: int) -> list[int]:
     return out
 
 
+def _node_costs(items, in_set) -> list[int]:
+    """Exchange-graph node costs: +weight inside I, -weight outside."""
+    return [e.weight if inside else -e.weight for e, inside in zip(items, in_set)]
+
+
 def weighted_matroid_intersection(
-    elements: Sequence[GroundElement], oracles: MatroidOracles
+    elements: Sequence[GroundElement],
+    oracles: Optional[MatroidOracles] = None,
+    q: Optional[int] = None,
 ) -> list[GroundElement]:
     """Maximum-weight common independent set over all cardinalities.
 
     Augmenting paths over the exchange graph of the current set I (see
-    the module docstring).  Per round each non-member y costs one query of
-    each oracle, on I+y; every node's out-arcs are listed in ascending
-    order, which fixes the order in which Bellman-Ford relaxes them.
+    the module docstring).  Per round each non-member y needs two
+    answers: is I+y a forest, and does it respect the caps.  With
+    `oracles` they come from one query of each oracle on I+y (`q` is then
+    unused); without, they are read off the rooted forest of I in O(1):
+    y's endpoints lie in different trees, and y's head has fewer than `q`
+    members (always, when `q` is None).  Both give the same result.
+
+    Bellman-Ford runs Gauss-Seidel passes over the nodes in element
+    order, each relaxing its out-arcs with the (cost, hops) it holds when
+    its turn comes (its snapshot).  The dense arcs (every member to every
+    source, every sink to every member) and the partition-circuit arcs
+    (every non-sink to the members with its head) are not built: all arcs
+    into a node add the same node cost, so its best in-neighbour is the
+    earliest one with the least snapshot.  Each node takes the least
+    snapshot published before it (running minima over members, over
+    sinks, and per head over non-sinks) when its turn comes, and the
+    least published after it at the end of the pass.  The graphic-circuit
+    arcs, member to non-source, are relaxed one by one.  This gives the
+    distances, predecessors and pass count of relaxing every arc in
+    ascending order, in O(m + graphic-circuit arcs) per pass.
+
+    Raises RuntimeError if the distances still change after m+1 passes
+    or the predecessors close a cycle, neither of which happens on
+    consistent oracles.
     """
     items = list(elements)
     m = len(items)
+    head = [e.arc[1] for e in items]
     in_set = [False] * m
     best_weight = 0
     best_set: list[int] = []
+    INF = float("inf")
 
     while True:
         inside = [i for i in range(m) if in_set[i]]
         chosen = [items[i] for i in inside]
-        link, by_head = _forest_links(items, inside)
-        sources = []
-        sinks = set()
-        arcs: list[list[int]] = [[] for _ in range(m)]
+        link, root, by_head = _forest_links(items, inside)
+        source = [False] * m
+        sink = [False] * m
+        circuit: list[list[int]] = [[] for _ in range(m)]
         for y in range(m):
             if in_set[y]:
                 continue
-            trial = chosen + [items[y]]
-            if oracles.graphic_independent(trial):
-                sources.append(y)
-                exchange = inside
+            a, b = items[y].skeleton_edge
+            if oracles is None:
+                forest = root.get(a, a) != root.get(b, b)
+                capped = q is None or len(by_head.get(head[y], ())) < q
             else:
-                exchange = _forest_path(link, *items[y].skeleton_edge)
-            for x in exchange:
-                arcs[x].append(y)
-            if oracles.partition_independent(trial):
-                sinks.add(y)
-                arcs[y] = inside
+                trial = chosen + [items[y]]
+                forest = oracles.graphic_independent(trial)
+                capped = oracles.partition_independent(trial)
+            if forest:
+                source[y] = True
             else:
-                arcs[y] = by_head.get(items[y].arc[1], [])
-        if not sources:
+                for x in _forest_path(link, a, b):
+                    circuit[x].append(y)
+            sink[y] = capped
+        if not any(source):
             break
 
-        cost = [items[z].weight if in_set[z] else -items[z].weight for z in range(m)]
-        INF = float("inf")
+        cost = _node_costs(items, in_set)
         dist = [(INF, INF)] * m
-        pred: dict[int, Optional[int]] = {}
-        for s in sources:
-            d = (cost[s], 0)
-            if d < dist[s]:
-                dist[s] = d
-                pred[s] = None
+        pred: list[Optional[int]] = [None] * m
+        for y in range(m):
+            if source[y]:
+                dist[y] = (cost[y], 0)
+
         for _ in range(m + 1):
             changed = False
-            for u in range(m):
-                du, hu = dist[u]
-                if du == INF:
-                    continue
-                for v in arcs[u]:
-                    nd = (du + cost[v], hu + 1)
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        pred[v] = u
-                        changed = True
+            snap: list[Optional[tuple]] = [None] * m
+            # forward: each node pulls from the snapshots published before
+            # it, then publishes its own; backward: from those after it
+            for forward in (True, False):
+                members = sinks = None
+                heads: dict[int, tuple] = {}
+                for u in range(m) if forward else range(m - 1, -1, -1):
+                    if in_set[u]:
+                        best = heads.get(head[u])
+                        if best is None or (sinks is not None and sinks < best):
+                            best = sinks
+                    else:
+                        best = members if source[u] else None
+                    if best is not None:
+                        nd = (best[0] + cost[u], best[1] + 1)
+                        if nd < dist[u]:
+                            dist[u] = nd
+                            pred[u] = best[2]
+                            changed = True
+                    if forward and dist[u][0] != INF:
+                        du, hu = dist[u]
+                        snap[u] = (du, hu, u)
+                        for y in circuit[u]:
+                            nd = (du + cost[y], hu + 1)
+                            if nd < dist[y]:
+                                dist[y] = nd
+                                pred[y] = u
+                                changed = True
+                    s = snap[u]
+                    if s is None:
+                        continue
+                    if in_set[u]:
+                        if members is None or s < members:
+                            members = s
+                    elif sink[u]:
+                        if sinks is None or s < sinks:
+                            sinks = s
+                    else:
+                        least = heads.get(head[u])
+                        if least is None or s < least:
+                            heads[head[u]] = s
             if not changed:
                 break
+        else:
+            raise RuntimeError("matroid intersection: Bellman-Ford did not "
+                               f"converge in {m + 1} passes")
         target = None
-        for y in sorted(sinks):
-            if dist[y][0] == INF:
+        for y in range(m):
+            if not sink[y] or dist[y][0] == INF:
                 continue
             if target is None or dist[y] < dist[target]:
                 target = y
@@ -234,8 +308,10 @@ def weighted_matroid_intersection(
         path = []
         z = target
         while z is not None:
+            if len(path) == m:
+                raise RuntimeError("matroid intersection: predecessor cycle")
             path.append(z)
-            z = pred.get(z)
+            z = pred[z]
         for z in path:
             in_set[z] = not in_set[z]
         weight = sum(items[i].weight for i in range(m) if in_set[i])
@@ -249,9 +325,8 @@ def solve_pl_additive_bounded(instance: AdditiveInstance) -> tuple[int, Network]
     """In-degree-bounded polytree optimum via matroid intersection."""
     if instance.max_in_degree is None:
         raise ValueError("no in-degree bound; use solve_pl_additive_mst")
-    elements = arc_elements(instance)
-    oracles = MatroidOracles(instance.n, instance.max_in_degree)
-    chosen = weighted_matroid_intersection(elements, oracles)
+    chosen = weighted_matroid_intersection(
+        arc_elements(instance), q=instance.max_in_degree)
     arcs = frozenset(e.arc for e in chosen)
     total = sum(e.weight for e in chosen)
     return total, Network(instance.n, arcs)

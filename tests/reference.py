@@ -5,15 +5,16 @@ kept free of any solver machinery they are used to check.  Two kinds of
 exception: `kernelize_rescan` reuses the kernel's rule applications and
 replaces only the bookkeeping it checks, and the functions after it are
 the earlier versions of library functions that the current ones must
-reproduce exactly: `weighted_matroid_intersection_pairwise`,
-`check_nice_scan`, `min_fill_order_rescan`, `find_paths_own_bfs`, the
-lift (`lift_rescan` with `lift_rr1_rescan`, `lift_rr2_rescan` and
-`lift_rr2_pl_rescan`), `best_config_two_encodings` and the bag DP with
-per-state in-degree dicts and tagged backpointers (`TwEngineDicts` with
-`arc_subsets_by_edge`, read through `snapshot_tables_dicts`), and the
-record DP that combines the open children's tables in one product
-(`RecordEngineProduct` with `BnslEngineProduct` and `PlEngineProduct`, on
-boundaries classified by `subtree_masks` in `boundaries_by_subtree_masks`).
+reproduce exactly: `weighted_matroid_intersection_pairwise` and
+`weighted_matroid_intersection_circuits`, `check_nice_scan`,
+`min_fill_order_rescan`, `find_paths_own_bfs`, the lift (`lift_rescan`
+with `lift_rr1_rescan`, `lift_rr2_rescan` and `lift_rr2_pl_rescan`),
+`best_config_two_encodings` and the bag DP with per-state in-degree dicts
+and tagged backpointers (`TwEngineDicts` with `arc_subsets_by_edge`, read
+through `snapshot_tables_dicts`), and the record DP that combines the
+open children's tables in one product (`RecordEngineProduct` with
+`BnslEngineProduct` and `PlEngineProduct`, on boundaries classified by
+`subtree_masks` in `boundaries_by_subtree_masks`).
 """
 
 from itertools import product
@@ -31,7 +32,7 @@ from bnsl.instances import (
 )
 from bnsl.kernel import _BWD, _FWD, _NONE, _Work, _btag, _vertex_score
 from bnsl.lfen_dp import Boundary
-from bnsl.polytree import GroundElement, MatroidOracles
+from bnsl.polytree import GroundElement, MatroidOracles, _forest_links, _forest_path
 
 
 def reach_pairs(n_ids, arcs):
@@ -288,12 +289,14 @@ def kernelize_rescan(instance, polytree):
     return kernel.KernelResult(reduced, vertex_map, steps, loose_of_reduced, instance.n)
 
 
-# The three functions below are earlier versions of library functions, kept
+# The four functions below are earlier versions of library functions, kept
 # verbatim (only renamed) as references: the pairwise-oracle exchange graph
-# of `polytree.weighted_matroid_intersection`, the per-vertex scan of
-# `graphs.check_nice` and the full-rescan min-fill order of
-# `graphs._min_fill_order`.  The library versions must return exactly what
-# these return.
+# of `polytree.weighted_matroid_intersection`, its successor that lists
+# every exchange arc (the dense ones too) and relaxes them all per
+# Bellman-Ford pass (it ignores the roots `_forest_links` now returns), the
+# per-vertex scan of `graphs.check_nice` and the full-rescan min-fill order
+# of `graphs._min_fill_order`.  The library versions must return exactly
+# what these return.
 
 
 def weighted_matroid_intersection_pairwise(
@@ -360,6 +363,93 @@ def weighted_matroid_intersection_pairwise(
                     continue
                 for v in arcs[u]:
                     nd = (dist[u][0] + cost(v), dist[u][1] + 1)
+                    if nd < dist[v]:
+                        dist[v] = nd
+                        pred[v] = u
+                        changed = True
+            if not changed:
+                break
+        target = None
+        for y in sorted(sinks):
+            if dist[y][0] == INF:
+                continue
+            if target is None or dist[y] < dist[target]:
+                target = y
+        if target is None:
+            break
+        path = []
+        z = target
+        while z is not None:
+            path.append(z)
+            z = pred.get(z)
+        for z in path:
+            in_set[z] = not in_set[z]
+        weight = sum(items[i].weight for i in range(m) if in_set[i])
+        if weight > best_weight:
+            best_weight = weight
+            best_set = [i for i in range(m) if in_set[i]]
+    return [items[i] for i in best_set]
+
+
+def weighted_matroid_intersection_circuits(
+    elements: Sequence[GroundElement], oracles: MatroidOracles
+) -> list[GroundElement]:
+    """Maximum-weight common independent set over all cardinalities.
+
+    Augmenting paths over the exchange graph of the current set I (see
+    the module docstring).  Per round each non-member y costs one query of
+    each oracle, on I+y; every node's out-arcs are listed in ascending
+    order, which fixes the order in which Bellman-Ford relaxes them.
+    """
+    items = list(elements)
+    m = len(items)
+    in_set = [False] * m
+    best_weight = 0
+    best_set: list[int] = []
+
+    while True:
+        inside = [i for i in range(m) if in_set[i]]
+        chosen = [items[i] for i in inside]
+        link, _, by_head = _forest_links(items, inside)
+        sources = []
+        sinks = set()
+        arcs: list[list[int]] = [[] for _ in range(m)]
+        for y in range(m):
+            if in_set[y]:
+                continue
+            trial = chosen + [items[y]]
+            if oracles.graphic_independent(trial):
+                sources.append(y)
+                exchange = inside
+            else:
+                exchange = _forest_path(link, *items[y].skeleton_edge)
+            for x in exchange:
+                arcs[x].append(y)
+            if oracles.partition_independent(trial):
+                sinks.add(y)
+                arcs[y] = inside
+            else:
+                arcs[y] = by_head.get(items[y].arc[1], [])
+        if not sources:
+            break
+
+        cost = [items[z].weight if in_set[z] else -items[z].weight for z in range(m)]
+        INF = float("inf")
+        dist = [(INF, INF)] * m
+        pred: dict[int, Optional[int]] = {}
+        for s in sources:
+            d = (cost[s], 0)
+            if d < dist[s]:
+                dist[s] = d
+                pred[s] = None
+        for _ in range(m + 1):
+            changed = False
+            for u in range(m):
+                du, hu = dist[u]
+                if du == INF:
+                    continue
+                for v in arcs[u]:
+                    nd = (du + cost[v], hu + 1)
                     if nd < dist[v]:
                         dist[v] = nd
                         pred[v] = u

@@ -114,6 +114,18 @@ def test_solver_runtime_error_is_internal_error(capsys, example_file, monkeypatc
     assert "Traceback" not in err
 
 
+def test_matroid_without_convergence_is_internal_error(capsys, tmp_path, monkeypatch):
+    from bnsl import polytree
+
+    monkeypatch.setattr(polytree, "_node_costs", lambda items, in_set: [-1] * len(items))
+    p = tmp_path / "a.inst"
+    p.write_text("additive 3\nb a 2\nc b 1\n")
+    code, out, err = run(capsys, "solve", str(p), "--mode", "polytree",
+                         "--max-parents", "2")
+    assert code == 3 and out == ""
+    assert err.startswith("error: internal:") and "did not converge" in err
+
+
 def test_long_additive_path_solves(capsys, tmp_path):
     # a 1500-vertex chain gives a 1500-level decomposition tree; building
     # its nice form once recursed per level

@@ -1,11 +1,15 @@
 import random
+import time
 from collections import Counter
 
 import pytest
 
-from bnsl import generate, oracle, polytree, tw_dp
+from bnsl import generate, graphs, oracle, polytree, tw_dp
 from bnsl.instances import AdditiveInstance, score_of, superstructure, validate
-from reference import weighted_matroid_intersection_pairwise
+from reference import (
+    weighted_matroid_intersection_circuits,
+    weighted_matroid_intersection_pairwise,
+)
 
 
 def test_mst_triangle():
@@ -220,3 +224,47 @@ def test_intersection_oracle_calls_per_augmentation():
         oracles = CountingOracles(n, rng.choice([1, 2, None]))
         polytree.weighted_matroid_intersection(els, oracles)
         assert max(oracles.by_size.values()) <= 2 * len(els)
+
+
+def test_forest_answers_match_oracles_at_larger_m():
+    # the forest-answered loop against the oracle-driven one and against the
+    # loop that lists every exchange arc, element for element; weights in
+    # {1, 2} on a third of the sets force ties in Bellman-Ford
+    for seed in range(200):
+        rng = random.Random(14000 + seed)
+        n = rng.randint(9, 16)
+        q = (1, 2, 3, None)[seed % 4]
+        els = parallel_elements(rng, n, rng.randint(20, 45))[:60]
+        if seed % 3 == 0:
+            els = [polytree.GroundElement(e.arc, rng.choice((1, 2)), e.skeleton_edge)
+                   for e in els]
+        got = polytree.weighted_matroid_intersection(els, q=q)
+        oracles = polytree.MatroidOracles(n, q)
+        assert got == polytree.weighted_matroid_intersection(els, oracles)
+        assert got == weighted_matroid_intersection_circuits(els, oracles)
+
+
+def test_intersection_raises_when_bellman_ford_does_not_converge(monkeypatch):
+    # every node at cost -1 makes the member <-> source-and-sink cycles of
+    # the second round negative, so no pass count suffices
+    monkeypatch.setattr(polytree, "_node_costs", lambda items, in_set: [-1] * len(items))
+    els = [polytree.GroundElement((0, 1), 3, frozenset((0, 1))),
+           polytree.GroundElement((1, 2), 2, frozenset((1, 2)))]
+    with pytest.raises(RuntimeError, match="did not converge"):
+        polytree.weighted_matroid_intersection(els, q=2)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        polytree.weighted_matroid_intersection(els, polytree.MatroidOracles(3, 2))
+
+
+def test_bounded_at_scale():
+    # a near-tree with 594 candidate arcs: about 1 s, and about 30 s when
+    # Bellman-Ford relaxed every dense exchange arc (shared 2-core VM)
+    inst = generate.random_additive(random.Random(400), 400, 3, q=2)
+    start = time.perf_counter()
+    score, net = polytree.solve_pl_additive_bounded(inst)
+    elapsed = time.perf_counter() - start
+    td = graphs.tree_decomposition(superstructure(inst))
+    reference, _ = tw_dp.solve_pl_additive_tw(inst, td)
+    assert score == reference
+    assert validate(net, "polytree", q=2).ok and score_of(inst, net) == score
+    assert elapsed < 10.0, elapsed
