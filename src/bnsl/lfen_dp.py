@@ -78,10 +78,12 @@ class _RecordEngine:
     the fold: `piece(rows)` (v's parent arcs or a child's key, as rows over
     that index), `glue(state, piece, keep, outside)` (the merged state cut
     down to the index mask `keep`, or None when the union is not allowed;
-    `outside` masks delta_out(v)) and `rows(state)`.  tables[v] maps a key
-    to (score, (parents, closed choice, open choice)): v's parent set,
-    whether each closed child takes the arc from v, and the key picked in
-    each open child's table.
+    `outside` masks delta_out(v)) and `rows(state)`.  Glue reads each
+    state and piece through `operand(x)`, made once per state and once per
+    child record (x itself unless a subclass adds to it).  tables[v] maps
+    a key to (score, (parents, closed choice, open choice)): v's parent
+    set, whether each closed child takes the arc from v, and the key
+    picked in each open child's table.
     """
 
     root_key: tuple = ()
@@ -95,6 +97,10 @@ class _RecordEngine:
         if any(len(b.delta) > bound for b in self.bounds):
             raise RuntimeError("boundary exceeds 2k+2")
         self.tables: list[Optional[dict]] = [None] * g.n
+
+    @staticmethod
+    def operand(x):
+        return x
 
     def closed_key(self, c: int, take_arc: bool) -> tuple[int, ...]:
         arcs = [(self.forest.parent[c], c)] if take_arc else []
@@ -196,7 +202,8 @@ class _RecordEngine:
             ctable = self.tables[c]
             cdelta = self.bounds[c].delta
             child_records.append([
-                (self.piece(relations.reindex(ckey, cdelta, ground)), ctable[ckey][0], ckey)
+                (self.operand(self.piece(relations.reindex(ckey, cdelta, ground))),
+                 ctable[ckey][0], ckey)
                 for ckey in sorted(ctable)
             ])
 
@@ -212,8 +219,9 @@ class _RecordEngine:
             for c, keep, crecords in zip(opens, frontier_after, child_records):
                 nxt: dict = {}
                 for state, (score, chain) in states.items():
+                    held = self.operand(state)
                     for cpiece, cscore, ckey in crecords:
-                        merged = self.glue(state, cpiece, keep, outside)
+                        merged = self.glue(held, cpiece, keep, outside)
                         if merged is None:
                             continue
                         val = score + cscore
@@ -247,13 +255,19 @@ class _BnslEngine(_RecordEngine):
         return tuple(rows)
 
     @staticmethod
-    def glue(rows, crows, keep: int, outside: int):
-        # restricting a closed relation leaves it closed, so the state
-        # stays the reachability relation of the partial solution
-        merged = relations.closure([a | b for a, b in zip(rows, crows)])
-        if not relations.irreflexive(merged):
-            return None
-        return tuple(relations.restrict(merged, keep))
+    def operand(rows):
+        """The rows with their support mask."""
+        return rows, relations.support(rows)
+
+    @staticmethod
+    def glue(state, cpiece, keep: int, outside: int):
+        # both operands are closed (v's parent arcs, a child's key, a closed
+        # state cut down to `keep`), so a shortest path of their union
+        # alternates between them and switches only at indices both touch:
+        # Warshall needs pivots there alone, and only a pivot closes a cycle
+        (rows, sup), (crows, csup) = state, cpiece
+        merged = relations.closed_union(rows, crows, sup & csup, keep)
+        return None if merged is None else tuple(merged)
 
     @staticmethod
     def rows(state):

@@ -4,11 +4,15 @@ A relation over a vertex list `verts` is a sequence of ints `rows`, one per
 vertex: bit j of rows[i] is set when (verts[i], verts[j]) is related.  Both
 dynamic programs keep their boundary relations in this form: strict
 reachability for acyclic networks, same-component pairs for polytrees.
+The bag DP closes a merged relation with a full Warshall (`closure`); the
+acyclic record DP merges two relations that are already closed, so
+`closed_union` pivots only on the indices that both of them touch.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from operator import or_
+from typing import Iterable, Optional, Sequence
 
 
 def closure(rows: Sequence[int]) -> list[int]:
@@ -22,6 +26,40 @@ def closure(rows: Sequence[int]) -> list[int]:
             if rows[i] & col:
                 rows[i] |= rk
     return rows
+
+
+def closed_union(a: Sequence[int], b: Sequence[int], shared: int, keep: int) -> Optional[list[int]]:
+    """restrict(closure(a | b), keep) for strict partial orders `a` and `b`
+    (transitive and irreflexive) whose supports meet only inside the index
+    mask `shared`; None when that closure is not irreflexive.
+
+    Transitivity shortens any path of the union until its pairs alternate
+    between `a` and `b`; then each index inside it is one where the path
+    switches operand, which both supports hold.  So Warshall over the
+    pivots in `shared` alone gives the closure, in O(|shared| d).  Neither
+    operand has a cycle, so a cycle of the union alternates too, and the
+    last of its indices taken as a pivot already reaches itself then.
+    """
+    rows = list(map(or_, a, b))
+    while shared:
+        low = shared & -shared
+        rk = rows[low.bit_length() - 1]
+        if rk & low:
+            return None
+        for i, row in enumerate(rows):
+            if row & low:
+                rows[i] = row | rk
+        shared ^= low
+    return restrict(rows, keep)
+
+
+def support(rows: Sequence[int]) -> int:
+    """Index mask of the indices in some pair."""
+    out = 0
+    for i, row in enumerate(rows):
+        if row:
+            out |= row | 1 << i
+    return out
 
 
 def irreflexive(rows: Sequence[int]) -> bool:

@@ -14,7 +14,8 @@ and tagged backpointers (`TwEngineDicts` with `arc_subsets_by_edge`, read
 through `snapshot_tables_dicts`), and the record DP that combines the
 open children's tables in one product (`RecordEngineProduct` with
 `BnslEngineProduct` and `PlEngineProduct`, on boundaries classified by
-`subtree_masks` in `boundaries_by_subtree_masks`).
+`subtree_masks` in `boundaries_by_subtree_masks`), and the acyclic record
+DP's merge by a full Warshall closure (`BnslEngineFullClosure`).
 """
 
 from itertools import product
@@ -31,7 +32,7 @@ from bnsl.instances import (
     validate,
 )
 from bnsl.kernel import _BWD, _FWD, _NONE, _Work, _btag, _vertex_score
-from bnsl.lfen_dp import Boundary
+from bnsl.lfen_dp import Boundary, _BnslEngine
 from bnsl.polytree import GroundElement, MatroidOracles, _forest_links, _forest_path
 
 
@@ -1355,3 +1356,24 @@ class PlEngineProduct(RecordEngineProduct):
                     open_choice = tuple(choice for choice, _ in combo)
                     table[key] = (score, (parents, closed_choice, open_choice))
         return table
+
+
+class BnslEngineFullClosure(_BnslEngine):
+    """The acyclic record DP with its earlier merge, kept verbatim: a full
+    Warshall closure of the union over the fold's whole ground index, then
+    the irreflexivity test, then the cut down to `keep`.  It reads states
+    and pieces as plain rows; the fold driver is the library's, which
+    `BnslEngineProduct` checks on its own."""
+
+    @staticmethod
+    def operand(x):
+        return x
+
+    @staticmethod
+    def glue(rows, crows, keep: int, outside: int):
+        # restricting a closed relation leaves it closed, so the state
+        # stays the reachability relation of the partial solution
+        merged = relations.closure([a | b for a, b in zip(rows, crows)])
+        if not relations.irreflexive(merged):
+            return None
+        return tuple(relations.restrict(merged, keep))

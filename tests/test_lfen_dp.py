@@ -1,9 +1,10 @@
 import random
 
-from bnsl import cli, generate, graphs, lfen_dp, oracle, relations
+from bnsl import cli, generate, graphs, kernel, lfen_dp, oracle, relations
 from bnsl.instances import parse_nonzero, score_of, superstructure, validate
 
 from reference import (
+    BnslEngineFullClosure,
     BnslEngineProduct,
     PlEngineProduct,
     random_dag,
@@ -332,3 +333,21 @@ def test_tables_and_witness_match_product_engine():
             score, net = lfen_dp.solve_pl_lfen(inst, forest)
             assert score == best
             assert validate(net, "polytree").ok and score_of(inst, net) == best
+
+
+def test_tables_match_full_closure_at_kernel_scale():
+    # kernels of subdivided n=60, fen=5 instances, whose largest fold
+    # ground indices hold 13-21 vertices: the glue that pivots only on the
+    # shared support gives the tables of the full Warshall closure, in
+    # insertion order with their backpointers, and the same solve.  The
+    # seeds are ones whose reference fold takes about a second at most
+    for seed in (0, 3, 4, 8, 16, 19, 20, 21):
+        inst = generate.random_nonzero(random.Random(f"rg:{seed}"), 60, 5, subdivisions=40)
+        red = kernel.kernelize_bnsl(inst).reduced
+        g = superstructure(red)
+        for forest in (graphs.lfen_search(g).forest, graphs.feedback_edge_set(g)):
+            ref = BnslEngineFullClosure(red, g, forest)
+            assert lfen_dp.solve_bnsl_lfen(red, forest) == ref.solve()
+            _, eng = lfen_dp.record_tables(red, forest)
+            for v in range(red.n):
+                assert list(eng.tables[v].items()) == list(ref.tables[v].items())
