@@ -298,6 +298,8 @@ def cmd_kernelize(args) -> int:
 
 
 def cmd_params(args) -> int:
+    if args.budget < 0:
+        raise CliError("--budget must be at least 0")
     inst, _ = _load_instance(args.instance, args.rep)
     g = superstructure(inst)
     witness = graphs.lfen_search(g, budget=args.budget)
@@ -403,7 +405,12 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("instance")
     pp.add_argument("--rep", choices=["nonzero", "additive"])
     pp.add_argument("--witness", action="store_true", help="print the witness tree")
-    pp.add_argument("--budget", type=int, default=graphs.DEFAULT_TREE_BUDGET)
+    pp.add_argument(
+        "--budget", type=int, default=graphs.DEFAULT_TREE_BUDGET, metavar="TREES",
+        help="spanning trees per component: a component with at most this many "
+             "is searched by enumerating them all, a larger one by local search "
+             "(default %(default)s)",
+    )
     pp.set_defaults(func=cmd_params)
 
     pv = sub.add_parser("verify", help="check a solution file")

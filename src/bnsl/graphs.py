@@ -11,6 +11,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import add
 from typing import Optional
 
 from .instances import Superstructure
@@ -269,9 +271,12 @@ def lfen_search(g: Superstructure, budget: int = DEFAULT_TREE_BUDGET) -> LfenWit
     Per component: count the spanning trees (`spanning_tree_count`) and
     enumerate them all when their number fits the budget (result flagged
     exact), otherwise improve a BFS tree by edge swaps (add one non-tree
-    edge, drop one tree edge on its cycle) accepting strict improvements,
-    restarting from the BFS trees of the first four vertices.  The global
-    value is the maximum over components.
+    edge, drop one tree edge on its cycle), taking in each round the best
+    strict improvement, restarting from the BFS trees of the first four
+    vertices.  Every candidate swap is scored incrementally from the
+    current tree's paths (`_best_swap`); only the accepted swap's forest is
+    built and its value checked against the score.  The global value is
+    the maximum over components.
     """
     best_edges: set[tuple[int, int]] = set()
     exact_all = True
@@ -303,29 +308,79 @@ def _component_lfen_tree(g: Superstructure, budget: int):
     # local search fallback
     for root in range(min(g.n, _SEARCH_ROOTS)):
         forest = forest_from_edges(g, _bfs_edges(g, [root]))
-        value = lfen_of_tree(g, forest).value
+        w = lfen_of_tree(g, forest)
         while True:
-            swap_best = None
-            for e in sorted(g.edges - forest.tree_edges):
-                path = forest.tree_path(*e)
-                path_edges = sorted(
-                    _norm(path[i], path[i + 1]) for i in range(len(path) - 1)
-                )
-                for f in path_edges:
-                    cand = forest_from_edges(g, (forest.tree_edges - {f}) | {e})
-                    cval = lfen_of_tree(g, cand).value
-                    if cval < value and (
-                        swap_best is None or (cval, e, f) < swap_best[:3]
-                    ):
-                        swap_best = (cval, e, f, cand)
-            if swap_best is None:
+            swap = _best_swap(forest, w.local_counts, w.value)
+            if swap is None:
                 break
-            value, _, _, forest = swap_best
-        key = (value, tuple(sorted(forest.tree_edges)))
+            cval, e, f = swap
+            forest = forest_from_edges(g, (forest.tree_edges - {f}) | {e})
+            w = lfen_of_tree(g, forest)
+            if w.value != cval:
+                raise RuntimeError(
+                    f"swap in {e} for {f} scored lfen {cval}, the rebuilt tree has {w.value}"
+                )
+        key = (w.value, tuple(sorted(forest.tree_edges)))
         if best_key is None or key < best_key:
             best_key = key
             best_tree = forest.tree_edges
     return best_tree, False
+
+
+def _best_swap(forest: SpanningForest, counts: tuple[int, ...], value: int):
+    """Smallest (lfen, e, f) over the swaps T' = T - f + e (e a feedback
+    edge, f a tree edge on its path) with lfen(T') < value, or None.
+
+    Each swap is scored from T's paths instead of a rebuilt forest.  In T',
+    f's path covers exactly the vertices of e's old path P, so dropping e
+    and adding f cancel in the counts.  A feedback edge g whose path avoids
+    f keeps it.  If g's path uses f, it shares a sub-path P[lo..hi] with P
+    (lo < hi) and its new path is the edge set path(g) xor (P + e): it
+    gains the vertices of P outside [lo, hi] and loses those strictly
+    inside.  So only P's counts move, and the swaps at the edges
+    (P[k], P[k+1]) whose set of such g is the same all score alike.
+    """
+    paths = {e: forest.tree_path(*e) for e in sorted(forest.feedback_edges)}
+    on_path: list[list[tuple[int, int]]] = [[] for _ in counts]
+    for e, path in paths.items():
+        for v in path:
+            on_path[v].append(e)
+    by_count = sorted(range(len(counts)), key=counts.__getitem__, reverse=True)
+    best = None
+    for e, path in paths.items():
+        on_e = set(path)
+        # vertices off P keep their counts
+        rest = next((counts[v] for v in by_count if v not in on_e), 0)
+        if rest >= (value if best is None else best[0]):
+            continue  # later e lose ties, so nothing here beats `best`
+        span: dict[tuple[int, int], list[int]] = {}
+        for i, v in enumerate(path):
+            for h in on_path[v]:
+                if h in span:
+                    span[h][1] = i
+                elif h != e:
+                    span[h] = [i, i]
+        spans = [(lo, hi) for lo, hi in span.values() if lo < hi]
+        size = len(path)
+        on_counts = [counts[v] for v in path]
+        cuts = sorted({0, size - 1, *(x for sp in spans for x in sp)})
+        for start, stop in zip(cuts, cuts[1:]):
+            active = [(lo, hi) for lo, hi in spans if lo <= start < hi]
+            if not active:
+                continue  # T' has T's counts
+            diff = [0] * (size + 1)  # +1 before lo and after hi, -1 between
+            for lo, hi in active:
+                diff[0] += 1
+                diff[lo] -= 1
+                diff[lo + 1] -= 1
+                diff[hi] += 1
+                diff[hi + 1] += 1
+            cval = max(rest, max(map(add, on_counts, accumulate(diff[:size]))))
+            if cval < value:
+                f = min(_norm(path[k], path[k + 1]) for k in range(start, stop))
+                if best is None or (cval, e, f) < best:
+                    best = (cval, e, f)
+    return best
 
 
 # ---------------------------------------------------------------------------

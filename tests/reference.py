@@ -15,13 +15,15 @@ through `snapshot_tables_dicts`), and the record DP that combines the
 open children's tables in one product (`RecordEngineProduct` with
 `BnslEngineProduct` and `PlEngineProduct`, on boundaries classified by
 `subtree_masks` in `boundaries_by_subtree_masks`), and the acyclic record
-DP's merge by a full Warshall closure (`BnslEngineFullClosure`).
+DP's merge by a full Warshall closure (`BnslEngineFullClosure`), and the
+lfen local search that scores every swap on a rebuilt forest
+(`component_lfen_tree_rebuild`).
 """
 
 from itertools import product
 from typing import Optional, Sequence
 
-from bnsl import relations
+from bnsl import graphs, relations
 from bnsl.graphs import NiceTreeDecomposition, SpanningForest, lfen_of_tree
 from bnsl.instances import (
     AdditiveInstance,
@@ -1377,3 +1379,46 @@ class BnslEngineFullClosure(_BnslEngine):
         if not relations.irreflexive(merged):
             return None
         return tuple(relations.restrict(merged, keep))
+
+
+def component_lfen_tree_rebuild(g: Superstructure, budget: int):
+    """(tree edge set, exact flag) for a connected graph, scoring every
+    local-search swap on a rebuilt forest."""
+    if g.edge_count() == g.n - 1:
+        return frozenset(g.edges), True
+    best_tree = None
+    best_key = None
+    if graphs.spanning_tree_count(g) <= budget:
+        for tree in graphs._spanning_trees(g):
+            value = graphs.lfen_of_tree(g, graphs.forest_from_edges(g, tree)).value
+            key = (value, tuple(sorted(tree)))
+            if best_key is None or key < best_key:
+                best_key = key
+                best_tree = tree
+        return best_tree, True
+    # local search fallback
+    for root in range(min(g.n, graphs._SEARCH_ROOTS)):
+        forest = graphs.forest_from_edges(g, graphs._bfs_edges(g, [root]))
+        value = graphs.lfen_of_tree(g, forest).value
+        while True:
+            swap_best = None
+            for e in sorted(g.edges - forest.tree_edges):
+                path = forest.tree_path(*e)
+                path_edges = sorted(
+                    graphs._norm(path[i], path[i + 1]) for i in range(len(path) - 1)
+                )
+                for f in path_edges:
+                    cand = graphs.forest_from_edges(g, (forest.tree_edges - {f}) | {e})
+                    cval = graphs.lfen_of_tree(g, cand).value
+                    if cval < value and (
+                        swap_best is None or (cval, e, f) < swap_best[:3]
+                    ):
+                        swap_best = (cval, e, f, cand)
+            if swap_best is None:
+                break
+            value, _, _, forest = swap_best
+        key = (value, tuple(sorted(forest.tree_edges)))
+        if best_key is None or key < best_key:
+            best_key = key
+            best_tree = forest.tree_edges
+    return best_tree, False

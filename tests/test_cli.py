@@ -273,6 +273,21 @@ def test_params_witness_lists_tree(capsys, example_file):
     assert all(len(line.split()) == 2 for line in lines[1:])
 
 
+def test_params_budget_counts_trees(capsys, example_file):
+    # the example has 8 spanning trees: a budget of 8 enumerates them all,
+    # a smaller one runs the local search
+    code, out, _ = run(capsys, "params", example_file, "--budget", "8")
+    assert code == 0 and out.strip() == "fen=2 lfen<=2 exact tw<=2"
+    code, out, _ = run(capsys, "params", example_file, "--budget", "7")
+    assert code == 0 and out.strip() == "fen=2 lfen<=2 tw<=2"
+
+
+def test_params_negative_budget_is_usage_error(capsys, example_file):
+    code, out, err = run(capsys, "params", example_file, "--budget", "-1")
+    assert code == 2 and out == ""
+    assert err.strip() == "error: --budget must be at least 0"
+
+
 def test_verify_valid(capsys, example_file, tmp_path):
     sol = tmp_path / "sol.txt"
     sol.write_text("b <- a c\nc <- a\nd <- b c\n")

@@ -4,9 +4,9 @@ from collections import deque
 
 import pytest
 
-from bnsl import generate, graphs, oracle
+from bnsl import generate, graphs, kernel, oracle
 from bnsl.instances import Superstructure, superstructure
-from reference import check_nice_scan, min_fill_order_rescan
+from reference import check_nice_scan, component_lfen_tree_rebuild, min_fill_order_rescan
 
 
 def bfs_path(adj, u, w):
@@ -288,6 +288,57 @@ def test_lfen_search_exact_at_budget_boundary():
         assert graphs.lfen_search(g, budget=count).exact
         assert not graphs.lfen_search(g, budget=count - 1).exact
     assert seen >= 30
+
+
+def local_search_graphs():
+    """300 seeded connected graphs with n <= 30, every third one a subdivided
+    explicit instance's superstructure, then the kernels of four seeded
+    n=60 fen=5 explicit instances with 40 subdivisions."""
+    for seed in range(300):
+        rng = random.Random(1600 + seed)
+        n = rng.randint(3, 30)
+        if seed % 3 == 0:
+            yield superstructure(generate.random_nonzero(
+                rng, n, rng.randint(1, 6), subdivisions=rng.randint(0, n - 3),
+                exact_fen=False))
+        else:
+            yield generate.random_graph(rng, n, rng.randint(1, 12), exact_fen=False)
+    for seed in range(4):
+        inst = generate.random_nonzero(seed, 60, 5, subdivisions=40)
+        yield superstructure(kernel.kernelize_bnsl(inst).reduced)
+
+
+def test_local_search_matches_rebuild_reference(monkeypatch):
+    # incremental swap scores must walk the reference's exact search path
+    graphs_seen = searched = 0
+    results = []
+    for g in local_search_graphs():
+        graphs_seen += 1
+        if len(g.components()) == 1:
+            tree = graphs._component_lfen_tree(g, 0)
+            assert tree == component_lfen_tree_rebuild(g, 0)
+            searched += g.edge_count() > g.n - 1
+        results.append((g, [graphs.lfen_search(g, budget) for budget in (0, 1, 50)]))
+    assert graphs_seen == 304 and searched >= 290
+    monkeypatch.setattr(graphs, "_component_lfen_tree", component_lfen_tree_rebuild)
+    for g, witnesses in results:
+        assert witnesses == [graphs.lfen_search(g, budget) for budget in (0, 1, 50)]
+
+
+def test_local_search_scales_to_long_chains():
+    # one forest per accepted swap: the rebuild per candidate took 30 s on
+    # this cycle and 11.8 s on the subdivided graph
+    n = 2000
+    cycle = Superstructure(n, [(v, (v + 1) % n) for v in range(n)])
+    t0 = time.perf_counter()
+    w = graphs.lfen_search(cycle, budget=0)
+    assert time.perf_counter() - t0 < 3.0
+    assert w.value == 1 and not w.exact
+    g = superstructure(generate.random_nonzero(1, 5000, 6, subdivisions=4000))
+    t0 = time.perf_counter()
+    w = graphs.lfen_search(g, budget=0)
+    assert time.perf_counter() - t0 < 3.0
+    assert w.value == 4 and not w.exact
 
 
 def test_parameter_hierarchy_local_at_most_feedback():
