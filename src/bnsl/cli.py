@@ -104,9 +104,10 @@ def _load_tree(path, instance):
     return frozenset(edges)
 
 
-def _load_td(path, instance):
+def _load_td(path, instance, g):
     """Raw decomposition file: `b <id> <names...>` bag lines, `e <parent>
-    <child>` tree lines; converted to nice form."""
+    <child>` tree lines; converted to nice form and checked against the
+    superstructure `g`."""
     index = {name: i for i, name in enumerate(instance.names)}
     bags = {}
     parent = {}
@@ -153,7 +154,7 @@ def _load_td(path, instance):
     if len(reached) < len(bags):
         raise CliError("td file: tree edges form a cycle, some bags have no root")
     td = graphs.nice_from_raw(bags, parent)
-    problems = graphs.check_nice(td, superstructure(instance))
+    problems = graphs.check_nice(td, g)
     if problems:
         raise CliError("supplied decomposition invalid: " + "; ".join(problems))
     return td
@@ -184,10 +185,10 @@ def _run_lfen(inst, mode, args, info, kernelize=False):
 
 def _run_twdp(inst, mode, args, info):
     g = superstructure(inst)
-    td = graphs.tree_decomposition(g) if args.td is None else _load_td(args.td, inst)
-    info.append(f"width={td.width} core={tw_dp.core_size(g)}")
-    solve = tw_dp.solve_pl_additive_tw if mode == "polytree" else tw_dp.solve_bnsl_additive
-    return solve(inst, td)
+    td = None if args.td is None else _load_td(args.td, inst, g)
+    fold, td = tw_dp.fold_core(inst, g, td)
+    info.append(f"width={td.width} core={len(fold.core)}")
+    return tw_dp.solve_folded(inst, "pl" if mode == "polytree" else "bnsl", fold, td)
 
 
 def _run_depset(inst, mode, args, info):

@@ -9,6 +9,7 @@ the feedback count.  All draws come from one `random.Random`.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from typing import Optional
 
 from .instances import AdditiveInstance, Network, NonZeroInstance, Superstructure
@@ -90,15 +91,14 @@ def subdivide(seed_or_rng, g: Superstructure, times: int) -> Superstructure:
     preserved); grows long induced paths for the reduction rules."""
     rng = _rng(seed_or_rng)
     n = g.n
-    edges = set(g.edges)
+    edges = sorted(g.edges)  # kept sorted, so each draw sees the same list
     if times and not edges:
         raise ValueError("cannot subdivide an edgeless graph")
     for _ in range(times):
-        e = rng.choice(sorted(edges))
-        edges.remove(e)
-        a, b = e
-        edges.add((min(a, n), max(a, n)))
-        edges.add((min(b, n), max(b, n)))
+        a, b = e = rng.choice(edges)
+        del edges[bisect_left(edges, e)]
+        insort(edges, (a, n))  # n is the largest vertex, so (a, n) is ordered
+        insort(edges, (b, n))
         n += 1
     return Superstructure(n, edges)
 

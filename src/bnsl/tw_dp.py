@@ -16,8 +16,11 @@ another optimal network on ties.
 The public solvers run the bag DP on the 2-core of the superstructure only
 (`_Fold`): the trees hanging off it are folded bottom up into an in-degree
 bonus that each core vertex collects where it is forgotten, and a walk down
-those trees completes the witness.  `snapshot_tables` keeps the unfolded
-tables of the whole decomposition.
+those trees completes the witness.  Without a decomposition they run over
+the min-fill decomposition of the core alone; a supplied one, which
+describes the whole superstructure, is cut to the core
+(`_core_decomposition`).  `snapshot_tables` keeps the unfolded tables of
+the whole decomposition.
 """
 
 from __future__ import annotations
@@ -52,8 +55,8 @@ class _TwEngine:
         prune: bool = True,
         fold: Optional[_Fold] = None,
     ):
-        """With `fold`, the tables cover only the 2-core: every bag is cut
-        to it and `solve` adds the folded trees."""
+        """With `fold`, `td` decomposes the 2-core only (`fold_core`) and
+        `solve` adds the folded trees."""
         if mode not in ("bnsl", "pl"):
             raise ValueError(f"unknown mode {mode!r}; expected 'bnsl' or 'pl'")
         self.inst = instance
@@ -67,8 +70,6 @@ class _TwEngine:
         else:
             self.g = fold.g
             self.bonus = fold.bonus
-            if len(fold.core) < instance.n:
-                td = _core_decomposition(td, fold.core)
         self.td = td
         self.verts = [tuple(sorted(node.bag)) for node in td.nodes]
         self.tables: dict[int, dict] = {}
@@ -297,12 +298,6 @@ def _peel(g: Superstructure) -> tuple[list[int], dict]:
     return order, up
 
 
-def core_size(g: Superstructure) -> int:
-    """Number of vertices of the 2-core of g, the part of the superstructure
-    the public solvers run the bag DP on."""
-    return g.n - len(_peel(g)[0])
-
-
 class _Fold:
     """The trees hanging off the 2-core of a superstructure, folded bottom up.
 
@@ -430,14 +425,41 @@ def _core_decomposition(td: NiceTreeDecomposition, core) -> NiceTreeDecompositio
     return NiceTreeDecomposition(nodes, eff[td.root], width)
 
 
-def _solve_folded(
-    instance: AdditiveInstance, td: Optional[NiceTreeDecomposition], mode: str
-) -> tuple[int, Network]:
-    g = superstructure(instance)
+def _core_min_fill(g: Superstructure, core: list[int]) -> NiceTreeDecomposition:
+    """Min-fill decomposition of the subgraph of g induced by `core` (sorted),
+    over g's vertex numbers."""
+    pos = {v: i for i, v in enumerate(core)}
+    h = Superstructure(len(core), [(pos[a], pos[b]) for a, b in g.edges
+                                   if a in pos and b in pos])
+    td = tree_decomposition(h)
+    nodes = [TDNode(frozenset(core[x] for x in node.bag), node.kind, node.children)
+             for node in td.nodes]
+    return NiceTreeDecomposition(nodes, td.root, td.width)
+
+
+def fold_core(
+    instance: AdditiveInstance, g: Superstructure, td: Optional[NiceTreeDecomposition] = None
+) -> tuple[_Fold, NiceTreeDecomposition]:
+    """The trees hanging off the 2-core of `instance`'s superstructure `g`,
+    folded, and the decomposition the bag DP runs on: `td` cut to the core,
+    or without `td` the min-fill decomposition of the core alone (width -1
+    when the core is empty)."""
+    fold = _Fold(instance, g, instance.max_in_degree)
+    if len(fold.core) == g.n:  # nothing to cut or relabel
+        return fold, tree_decomposition(g) if td is None else td
     if td is None:
-        td = tree_decomposition(g)
-    q = instance.max_in_degree
-    return _TwEngine(instance, td, mode, q, fold=_Fold(instance, g, q)).solve()
+        return fold, _core_min_fill(g, fold.core)
+    return fold, _core_decomposition(td, fold.core)
+
+
+def solve_folded(
+    instance: AdditiveInstance, mode: str, fold: _Fold, td: NiceTreeDecomposition
+) -> tuple[int, Network]:
+    """The bag DP in `mode` ("bnsl" or "pl") over `fold_core`'s result."""
+    if mode == "pl" and instance.max_in_degree is None:
+        raise ValueError("polytree bag DP needs an in-degree bound; "
+                         "use the spanning-forest solver instead")
+    return _TwEngine(instance, td, mode, instance.max_in_degree, fold=fold).solve()
 
 
 def solve_bnsl_additive(
@@ -445,17 +467,14 @@ def solve_bnsl_additive(
 ) -> tuple[int, Network]:
     """Optimal acyclic network for additive scores; runs the in-degree
     bounded variant when the instance carries a bound."""
-    return _solve_folded(instance, td, "bnsl")
+    return solve_folded(instance, "bnsl", *fold_core(instance, superstructure(instance), td))
 
 
 def solve_pl_additive_tw(
     instance: AdditiveInstance, td: Optional[NiceTreeDecomposition] = None
 ) -> tuple[int, Network]:
     """Optimal in-degree-bounded polytree for additive scores."""
-    if instance.max_in_degree is None:
-        raise ValueError("polytree bag DP needs an in-degree bound; "
-                         "use the spanning-forest solver instead")
-    return _solve_folded(instance, td, "pl")
+    return solve_folded(instance, "pl", *fold_core(instance, superstructure(instance), td))
 
 
 def snapshot_tables(

@@ -15,11 +15,13 @@ through `snapshot_tables_dicts`), and the record DP that combines the
 open children's tables in one product (`RecordEngineProduct` with
 `BnslEngineProduct` and `PlEngineProduct`, on boundaries classified by
 `subtree_masks` in `boundaries_by_subtree_masks`), and the acyclic record
-DP's merge by a full Warshall closure (`BnslEngineFullClosure`), and the
+DP's merge by a full Warshall closure (`BnslEngineFullClosure`), the
 lfen local search that scores every swap on a rebuilt forest
-(`component_lfen_tree_rebuild`).
+(`component_lfen_tree_rebuild`), and the subdivision loop that sorts the
+whole edge set for every draw (`subdivide_resort`).
 """
 
+import random
 from itertools import product
 from typing import Optional, Sequence
 
@@ -1422,3 +1424,18 @@ def component_lfen_tree_rebuild(g: Superstructure, budget: int):
             best_key = key
             best_tree = forest.tree_edges
     return best_tree, False
+
+
+def subdivide_resort(rng: random.Random, g: Superstructure, times: int) -> Superstructure:
+    """`generate.subdivide` drawing each edge from a freshly sorted copy of
+    the edge set."""
+    n = g.n
+    edges = set(g.edges)
+    for _ in range(times):
+        e = rng.choice(sorted(edges))
+        edges.remove(e)
+        a, b = e
+        edges.add((min(a, n), max(a, n)))
+        edges.add((min(b, n), max(b, n)))
+        n += 1
+    return Superstructure(n, edges)

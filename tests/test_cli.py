@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from bnsl import cli, generate, graphs, lfen_dp
+from bnsl import cli, generate, graphs, lfen_dp, oracle
 from bnsl.instances import (
     AdditiveInstance,
     Superstructure,
@@ -128,7 +128,9 @@ def test_matroid_without_convergence_is_internal_error(capsys, tmp_path, monkeyp
 
 def test_long_additive_path_solves(capsys, tmp_path):
     # a 1500-vertex chain gives a 1500-level decomposition tree; building
-    # its nice form once recursed per level
+    # its nice form once recursed per level (the solve folds the chain away
+    # and decomposes nothing; the 20 000-cycle below builds such a
+    # decomposition)
     rng = random.Random(15)
     n = 1500
     lines, best = [f"additive {n}"], 0
@@ -146,16 +148,32 @@ def test_long_additive_path_solves(capsys, tmp_path):
     assert out.strip() == f"max_score={best}"
 
 
+def test_empty_core_info_line(capsys, tmp_path):
+    # a path has no 2-core: the fold solves it alone, and the info line
+    # reports the empty decomposition of the empty core
+    g = Superstructure(8, [(v, v + 1) for v in range(7)])
+    inst = generate.additive_for_graph(random.Random(8), g, q=1)
+    p = tmp_path / "path.inst"
+    p.write_text(write_additive(inst))
+    inst = parse_additive(p.read_text())
+    for mode, exact in (("bnsl", oracle.exact_bnsl), ("polytree", oracle.exact_pl)):
+        code, out, err = run(capsys, "solve", str(p), "--mode", mode, "--algo", "twdp")
+        assert code == 0, err
+        assert err.strip() == "width=-1 core=0"
+        assert out.strip() == f"max_score={exact(inst)[0]}"
+
+
 SCALE_N = 20_000
 SCALE_EDGES = {
     "path": [(v, v + 1) for v in range(SCALE_N - 1)],
     "star": [(0, v) for v in range(1, SCALE_N)],
     "cycle": [(v, (v + 1) % SCALE_N) for v in range(SCALE_N)],
 }
-# seconds per solve; on a shared 2-core VM the bag DP took 1.1 s (path) and
-# 1.3 s (star), whose trees fold away completely (core=0; 2.4 and 4.6 s
-# before the fold), and 2.3-2.7 s (cycle, all core); the forest solver
-# 0.2-0.3 s
+# seconds per solve; on a shared 2-core VM the bag DP took 0.6-0.7 s (path
+# and star), whose trees fold away completely (core=0, so nothing is
+# decomposed; 1.2-1.3 s while min-fill decomposed the whole graph, 2.4 and
+# 4.6 s before the fold), and 2.3-2.9 s (cycle, all core); the forest
+# solver 0.2-0.3 s
 SCALE_RUNS = (
     (("--algo", "twdp"), 25.0),
     (("--mode", "polytree", "--algo", "mst"), 5.0),
@@ -189,8 +207,9 @@ def test_additive_shapes_at_scale(capsys, tmp_path, shape):
 def test_near_tree_with_bound_at_scale(capsys, tmp_path):
     # a random 20 000-vertex tree plus 3 edges, q=2, through the bag DP in
     # both modes; built directly, as generate.random_graph builds an O(n^2)
-    # pair pool.  On a shared 2-core VM each solve took 1.6-1.8 s (core=42)
-    # with the pendant trees folded, 6.1-7.4 s without
+    # pair pool.  On a shared 2-core VM each solve took 0.6-0.8 s (core=42)
+    # with min-fill on the core alone, 1.6-1.8 s on the whole graph with
+    # the pendant trees folded, 6.1-7.4 s without
     rng = random.Random("near-tree")
     edges = {(rng.randrange(v), v) for v in range(1, SCALE_N)}
     while len(edges) < SCALE_N + 2:

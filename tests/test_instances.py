@@ -21,6 +21,8 @@ from bnsl.instances import (
     write_solution,
 )
 
+from reference import subdivide_resort
+
 
 def names_to_ids(inst, *names):
     return [inst.names.index(x) for x in names]
@@ -48,6 +50,25 @@ def test_nonzero_roundtrip_random():
         inst = generate.random_nonzero(rng, n, fen, connected=False,
                                        exact_fen=False)
         assert parse_nonzero(write_nonzero(inst)) == inst
+
+
+def test_subdivide_matches_resort_reference():
+    # the sorted edge list kept with bisect draws the same edges as sorting
+    # the edge set for every draw, and leaves the generator in the same
+    # state, so every seeded instance is unchanged
+    for seed in range(60):
+        rng = random.Random(2000 + seed)
+        g = generate.random_graph(rng, rng.randint(2, 60), rng.randint(0, 6),
+                                  connected=(seed % 4 != 0), exact_fen=False)
+        if not g.edges:
+            continue
+        times = rng.randint(0, 80)
+        state = rng.getstate()
+        got = generate.subdivide(rng, g, times)
+        after = rng.random()
+        rng.setstate(state)
+        assert got == subdivide_resort(rng, g, times)
+        assert after == rng.random()
 
 
 def _canon_additive(inst):

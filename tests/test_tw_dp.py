@@ -269,30 +269,55 @@ def hanging_family(seed):
 
 def test_fold_matches_unfolded_dp_and_oracle():
     # trees hanging off the 2-core are folded into bonuses: the optimum
-    # equals the unfolded, unpruned bag DP's (and the oracle's for n <= 9),
-    # the witness validates and scores it, and the cut decomposition is a
-    # nice decomposition of the core
+    # equals the unfolded, unpruned bag DP's (and the oracle's for n <= 9)
+    # over the whole graph's decomposition cut to the core and, without a
+    # decomposition, over the min-fill decomposition of the core alone;
+    # the witnesses validate and score it; both decompositions are nice
+    # decompositions of the core, the core's own of the whole graph's
+    # min-fill width (one empty leaf of width -1 without a core)
     for seed in range(160):
         g, k = hanging_family(130_000 + seed)
         q = [None, 1, 2, 3][seed % 4]
         inst = generate.additive_for_graph(random.Random(seed), g, q=q)
-        assert tw_dp.core_size(g) == k
         td = graphs.tree_decomposition(g)
-        fold = tw_dp._Fold(inst, g, q)
+        fold, own = tw_dp.fold_core(inst, g)
+        assert len(fold.core) == k
         if k:
             core_g = Superstructure(g.n, [(a, b) for a, b in g.edges
                                           if a in fold.core and b in fold.core])
             assert graphs.check_nice(tw_dp._core_decomposition(td, fold.core), core_g) == []
+            assert graphs.check_nice(own, core_g) == []
+            assert own.width == td.width
+        else:
+            assert own.width == -1 and own.nodes == [graphs.TDNode(frozenset(), "leaf", [])]
         for mode in ("bnsl",) if q is None else ("bnsl", "pl"):
             solve = tw_dp.solve_pl_additive_tw if mode == "pl" else tw_dp.solve_bnsl_additive
-            score, net = solve(inst, td)
             want, _ = tw_dp._TwEngine(inst, td, mode, q, prune=False).solve()
-            assert score == want, (seed, mode)
             if g.n <= 9:
                 exact = oracle.exact_pl(inst) if mode == "pl" else oracle.exact_bnsl(inst)
-                assert score == exact[0], (seed, mode)
-            assert validate(net, "polytree" if mode == "pl" else "dag", q=q).ok
-            assert score_of(inst, net) == score
+                assert want == exact[0], (seed, mode)
+            for given in ((td,), ()):
+                score, net = solve(inst, *given)
+                assert score == want, (seed, mode, bool(given))
+                assert validate(net, "polytree" if mode == "pl" else "dag", q=q).ok
+                assert score_of(inst, net) == score
+
+
+def test_core_min_fill_at_scale():
+    # a random 20 000-vertex tree plus 30 sampled edges, unbounded acyclic:
+    # the core's own decomposition gives the optimum of the whole graph's
+    rng = random.Random("tree+30")
+    n = 20_000
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < n - 1 + 30:
+        a, b = sorted(rng.sample(range(n), 2))
+        edges.add((a, b))
+    g = Superstructure(n, edges)
+    inst = generate.additive_for_graph(rng, g)
+    score, net = tw_dp.solve_bnsl_additive(inst)
+    assert score == tw_dp.solve_bnsl_additive(inst, graphs.tree_decomposition(g))[0]
+    assert validate(net, "dag").ok
+    assert score_of(inst, net) == score
 
 
 def test_fold_with_supplied_td_through_cli(capsys, tmp_path):
