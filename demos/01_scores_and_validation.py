@@ -7,7 +7,6 @@ from bnsl import (
     Network,
     parse_nonzero,
     score_of,
-    split_components,
     superstructure,
     validate,
     write_solution,
@@ -52,6 +51,3 @@ print("polytree?", bad.ok, "-", bad.reason,
 
 best, witness = exact_bnsl(inst)
 print("exhaustive optimum:", best)
-
-split = split_components(inst)
-print("connected components:", len(split.components))

@@ -23,7 +23,6 @@ from .instances import (
     parse_nonzero,
     parse_solution,
     score_of,
-    split_components,
     superstructure,
     to_nonzero,
     validate,
@@ -42,7 +41,6 @@ __all__ = [
     "parse_nonzero",
     "parse_solution",
     "score_of",
-    "split_components",
     "superstructure",
     "to_nonzero",
     "validate",

@@ -159,9 +159,7 @@ def lfen_of_tree(g: Superstructure, forest: SpanningForest) -> LfenWitness:
 
 def _component_subgraph(g: Superstructure, comp: list[int]):
     idx = {v: i for i, v in enumerate(comp)}
-    edges = [
-        (idx[a], idx[b]) for a, b in sorted(g.edges) if a in idx and b in idx
-    ]
+    edges = [(idx[a], idx[b]) for a in comp for b in g.adj[a] if a < b]
     return Superstructure(len(comp), edges), idx
 
 
@@ -490,9 +488,16 @@ def check_nice(td: NiceTreeDecomposition, g: Superstructure) -> list[str]:
     return problems
 
 
-def _min_fill_order(g: Superstructure) -> list[int]:
-    """Greedy elimination order: always the vertex with the fewest
-    non-adjacent neighbour pairs (its fill), ties to the lowest vertex.
+def _eliminate(g: Superstructure, vertices, order=None):
+    """Raw decomposition bags and tree of the subgraph of g induced by
+    `vertices`, in g's own vertex numbers, from one elimination pass.
+
+    Each vertex's bag is itself and its neighbours when it is eliminated;
+    its parent is the first of them eliminated after it (bags are keyed in
+    elimination order, and roots are omitted from the parent map).  The
+    vertices go in `order` when one is given, else in greedy min-fill
+    order: always the vertex with the fewest non-adjacent neighbour pairs
+    (its fill), ties to the lowest vertex.
 
     fill[v] is kept up to date under elimination instead of rescanned: a
     lazily validated heap of (fill, v) gives the pick.  Eliminating v first
@@ -501,7 +506,8 @@ def _min_fill_order(g: Superstructure) -> list[int]:
     closes the pair (a, b) at every common neighbour and opens at a the
     pairs (b, w) for w in N(a) not adjacent to b (and symmetrically at b).
     """
-    adj = {v: set(g.adj[v]) for v in range(g.n)}
+    keep = set(vertices)
+    adj = {v: g.adj[v] & keep for v in keep}
     fill = {}
     for v, nbrs in adj.items():
         d = len(nbrs)
@@ -509,13 +515,18 @@ def _min_fill_order(g: Superstructure) -> list[int]:
         fill[v] = d * (d - 1) // 2 - closed
     heap = [(f, v) for v, f in fill.items()]
     heapq.heapify(heap)
-    order = []
-    while heap:
-        f, v = heapq.heappop(heap)
-        if v not in adj or f != fill[v]:
-            continue
+    picks = None if order is None else iter(order)
+    bags: dict[int, frozenset[int]] = {}
+    while adj:
+        if picks is not None:
+            v = next(picks)
+        else:
+            f, v = heapq.heappop(heap)
+            if v not in adj or f != fill[v]:
+                continue
         nbrs = adj.pop(v)
         del fill[v]
+        bags[v] = frozenset(nbrs) | {v}
         changed = set(nbrs)
         for u in nbrs:
             nu = adj[u]
@@ -537,8 +548,10 @@ def _min_fill_order(g: Superstructure) -> list[int]:
                 nb.add(a)
         for u in changed:
             heapq.heappush(heap, (fill[u], u))
-        order.append(v)
-    return order
+    pos = {v: i for i, v in enumerate(bags)}
+    parent = {v: min(bag - {v}, key=pos.__getitem__)
+              for v, bag in bags.items() if len(bag) > 1}
+    return bags, parent
 
 
 def _exact_order(g: Superstructure) -> list[int]:
@@ -595,38 +608,20 @@ def _exact_order(g: Superstructure) -> list[int]:
     return order
 
 
-def _bags_from_order(g: Superstructure, order: list[int]):
-    """Raw decomposition bags and tree from an elimination order."""
-    pos = {v: i for i, v in enumerate(order)}
-    adj = {v: set(g.adj[v]) for v in range(g.n)}
-    bags = {}
-    succ = {}
-    for v in order:
-        later = {w for w in adj[v] if pos[w] > pos[v]}
-        bags[v] = frozenset({v} | later)
-        for a in later:
-            for b in later:
-                if a != b:
-                    adj[a].add(b)
-        for w in later:
-            adj[w].discard(v)
-        if later:
-            succ[v] = min(later, key=lambda w: pos[w])
-    parent = {}
-    for v in order:
-        if v in succ:
-            parent[v] = succ[v]
-    return bags, parent
-
-
-def tree_decomposition(g: Superstructure, exact: bool = False) -> NiceTreeDecomposition:
-    """Nice decomposition from a min-fill elimination order (or the exact
-    optimal order when `exact`); components meet under a shared empty root."""
-    if g.n == 0:
+def tree_decomposition(
+    g: Superstructure, exact: bool = False, vertices=None
+) -> NiceTreeDecomposition:
+    """Nice decomposition of g, or of the subgraph induced by `vertices`
+    over g's vertex numbers, from one min-fill elimination pass (or, when
+    `exact`, the optimal order of the whole graph); components meet under a
+    shared empty root.  No vertex at all gives one empty leaf of width -1."""
+    if exact and vertices is not None:
+        raise ValueError("exact width mode decomposes whole graphs only")
+    order = _exact_order(g) if exact else None
+    bags, parent = _eliminate(g, range(g.n) if vertices is None else vertices, order)
+    if not bags:
         node = TDNode(frozenset(), "leaf", [])
         return NiceTreeDecomposition([node], 0, -1)
-    order = _exact_order(g) if exact else _min_fill_order(g)
-    bags, parent = _bags_from_order(g, order)
     return nice_from_raw(bags, parent)
 
 

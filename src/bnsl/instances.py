@@ -22,7 +22,7 @@ File formats (all whitespace-delimited UTF-8, `#` starts a comment line):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Union
 
 MAX_SCORE = 2**63 - 1
 
@@ -329,60 +329,6 @@ def _skeleton_path(adj: dict[int, set[int]], start: int, goal: int) -> list[int]
         x = prev[x]
     path.reverse()
     return path
-
-
-@dataclass(frozen=True)
-class ComponentSplit:
-    """One sub-instance per connected superstructure component.
-
-    to_local[i] gives the original->local index map of component i;
-    component 0-padded vertices keep their relative order.
-    """
-
-    components: list[Instance]
-    to_local: list[dict[int, int]]
-
-    def merge_networks(self, n: int, nets: Sequence[Network]) -> Network:
-        arcs = set()
-        for comp_net, mapping in zip(nets, self.to_local):
-            back = {loc: orig for orig, loc in mapping.items()}
-            for u, v in comp_net.arcs:
-                arcs.add((back[u], back[v]))
-        return Network(n, frozenset(arcs))
-
-
-def split_components(instance: Instance) -> ComponentSplit:
-    """Cut the instance along superstructure components; scores add up."""
-    g = superstructure(instance)
-    comps = g.components()
-    subs: list[Instance] = []
-    maps: list[dict[int, int]] = []
-    for comp in comps:
-        mapping = {orig: i for i, orig in enumerate(comp)}
-        names = tuple(instance.names[orig] for orig in comp)
-        if isinstance(instance, NonZeroInstance):
-            entries: dict[int, dict[frozenset[int], int]] = {}
-            for v in comp:
-                sets = instance.entries.get(v)
-                if sets:
-                    entries[mapping[v]] = {
-                        frozenset(mapping[p] for p in parents): s
-                        for parents, s in sets.items()
-                    }
-            subs.append(NonZeroInstance(len(comp), names, entries))
-        else:
-            arcs = {
-                (mapping[u], mapping[v]): s
-                for (u, v), s in instance.arc_scores.items()
-                if u in mapping
-            }
-            subs.append(
-                AdditiveInstance(
-                    len(comp), names, arcs, max_in_degree=instance.max_in_degree
-                )
-            )
-        maps.append(mapping)
-    return ComponentSplit(subs, maps)
 
 
 # ---------------------------------------------------------------------------

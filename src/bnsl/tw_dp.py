@@ -17,10 +17,11 @@ The public solvers run the bag DP on the 2-core of the superstructure only
 (`_Fold`): the trees hanging off it are folded bottom up into an in-degree
 bonus that each core vertex collects where it is forgotten, and a walk down
 those trees completes the witness.  Without a decomposition they run over
-the min-fill decomposition of the core alone; a supplied one, which
-describes the whole superstructure, is cut to the core
-(`_core_decomposition`).  `snapshot_tables` keeps the unfolded tables of
-the whole decomposition.
+the min-fill decomposition of the subgraph induced by the core, in the
+superstructure's own vertex numbers (`tree_decomposition(g,
+vertices=core)`); a supplied one, which describes the whole
+superstructure, is cut to the core (`_core_decomposition`).
+`snapshot_tables` keeps the unfolded tables of the whole decomposition.
 """
 
 from __future__ import annotations
@@ -425,18 +426,6 @@ def _core_decomposition(td: NiceTreeDecomposition, core) -> NiceTreeDecompositio
     return NiceTreeDecomposition(nodes, eff[td.root], width)
 
 
-def _core_min_fill(g: Superstructure, core: list[int]) -> NiceTreeDecomposition:
-    """Min-fill decomposition of the subgraph of g induced by `core` (sorted),
-    over g's vertex numbers."""
-    pos = {v: i for i, v in enumerate(core)}
-    h = Superstructure(len(core), [(pos[a], pos[b]) for a, b in g.edges
-                                   if a in pos and b in pos])
-    td = tree_decomposition(h)
-    nodes = [TDNode(frozenset(core[x] for x in node.bag), node.kind, node.children)
-             for node in td.nodes]
-    return NiceTreeDecomposition(nodes, td.root, td.width)
-
-
 def fold_core(
     instance: AdditiveInstance, g: Superstructure, td: Optional[NiceTreeDecomposition] = None
 ) -> tuple[_Fold, NiceTreeDecomposition]:
@@ -445,10 +434,8 @@ def fold_core(
     or without `td` the min-fill decomposition of the core alone (width -1
     when the core is empty)."""
     fold = _Fold(instance, g, instance.max_in_degree)
-    if len(fold.core) == g.n:  # nothing to cut or relabel
-        return fold, tree_decomposition(g) if td is None else td
     if td is None:
-        return fold, _core_min_fill(g, fold.core)
+        return fold, tree_decomposition(g, vertices=fold.core)
     return fold, _core_decomposition(td, fold.core)
 
 

@@ -7,7 +7,8 @@ replaces only the bookkeeping it checks, and the functions after it are
 the earlier versions of library functions that the current ones must
 reproduce exactly: `weighted_matroid_intersection_pairwise` and
 `weighted_matroid_intersection_circuits`, `check_nice_scan`,
-`min_fill_order_rescan`, `find_paths_own_bfs`, the lift (`lift_rescan`
+`min_fill_order_rescan`, `bags_from_order_replay`,
+`core_min_fill_relabeled`, `find_paths_own_bfs`, the lift (`lift_rescan`
 with `lift_rr1_rescan`, `lift_rr2_rescan` and `lift_rr2_pl_rescan`),
 `best_config_two_encodings` and the bag DP with per-state in-degree dicts
 and tagged backpointers (`TwEngineDicts` with `arc_subsets_by_edge`, read
@@ -17,8 +18,10 @@ open children's tables in one product (`RecordEngineProduct` with
 `subtree_masks` in `boundaries_by_subtree_masks`), and the acyclic record
 DP's merge by a full Warshall closure (`BnslEngineFullClosure`), the
 lfen local search that scores every swap on a rebuilt forest
-(`component_lfen_tree_rebuild`), and the subdivision loop that sorts the
-whole edge set for every draw (`subdivide_resort`).
+(`component_lfen_tree_rebuild`), the subdivision loop that sorts the
+whole edge set for every draw (`subdivide_resort`), and the component
+subgraph that scans every edge once per component
+(`component_subgraph_edge_scan`).
 """
 
 import random
@@ -26,7 +29,13 @@ from itertools import product
 from typing import Optional, Sequence
 
 from bnsl import graphs, relations
-from bnsl.graphs import NiceTreeDecomposition, SpanningForest, lfen_of_tree
+from bnsl.graphs import (
+    NiceTreeDecomposition,
+    SpanningForest,
+    TDNode,
+    lfen_of_tree,
+    tree_decomposition,
+)
 from bnsl.instances import (
     AdditiveInstance,
     Network,
@@ -294,14 +303,16 @@ def kernelize_rescan(instance, polytree):
     return kernel.KernelResult(reduced, vertex_map, steps, loose_of_reduced, instance.n)
 
 
-# The four functions below are earlier versions of library functions, kept
+# The six functions below are earlier versions of library functions, kept
 # verbatim (only renamed) as references: the pairwise-oracle exchange graph
 # of `polytree.weighted_matroid_intersection`, its successor that lists
 # every exchange arc (the dense ones too) and relaxes them all per
 # Bellman-Ford pass (it ignores the roots `_forest_links` now returns), the
-# per-vertex scan of `graphs.check_nice` and the full-rescan min-fill order
-# of `graphs._min_fill_order`.  The library versions must return exactly
-# what these return.
+# per-vertex scan of `graphs.check_nice`, the full-rescan min-fill order
+# of the old `graphs._min_fill_order`, the old `graphs._bags_from_order`,
+# which replayed the whole elimination to read off the bags, and the old
+# `tw_dp._core_min_fill`, which decomposed the core through a relabeled
+# copy.  The library versions must return exactly what these return.
 
 
 def weighted_matroid_intersection_pairwise(
@@ -577,6 +588,42 @@ def min_fill_order_rescan(g: Superstructure) -> list[int]:
         remaining.remove(v)
         order.append(v)
     return order
+
+
+def bags_from_order_replay(g: Superstructure, order: list[int]):
+    """Raw decomposition bags and tree from an elimination order."""
+    pos = {v: i for i, v in enumerate(order)}
+    adj = {v: set(g.adj[v]) for v in range(g.n)}
+    bags = {}
+    succ = {}
+    for v in order:
+        later = {w for w in adj[v] if pos[w] > pos[v]}
+        bags[v] = frozenset({v} | later)
+        for a in later:
+            for b in later:
+                if a != b:
+                    adj[a].add(b)
+        for w in later:
+            adj[w].discard(v)
+        if later:
+            succ[v] = min(later, key=lambda w: pos[w])
+    parent = {}
+    for v in order:
+        if v in succ:
+            parent[v] = succ[v]
+    return bags, parent
+
+
+def core_min_fill_relabeled(g: Superstructure, core: list[int]) -> NiceTreeDecomposition:
+    """Min-fill decomposition of the subgraph of g induced by `core` (sorted),
+    over g's vertex numbers."""
+    pos = {v: i for i, v in enumerate(core)}
+    h = Superstructure(len(core), [(pos[a], pos[b]) for a, b in g.edges
+                                   if a in pos and b in pos])
+    td = tree_decomposition(h)
+    nodes = [TDNode(frozenset(core[x] for x in node.bag), node.kind, node.children)
+             for node in td.nodes]
+    return NiceTreeDecomposition(nodes, td.root, td.width)
 
 
 # The functions below are the kernel's contractible-path discovery with its
@@ -1439,3 +1486,11 @@ def subdivide_resort(rng: random.Random, g: Superstructure, times: int) -> Super
         edges.add((min(b, n), max(b, n)))
         n += 1
     return Superstructure(n, edges)
+
+
+def component_subgraph_edge_scan(g: Superstructure, comp: list[int]):
+    idx = {v: i for i, v in enumerate(comp)}
+    edges = [
+        (idx[a], idx[b]) for a, b in sorted(g.edges) if a in idx and b in idx
+    ]
+    return Superstructure(len(comp), edges), idx

@@ -6,7 +6,13 @@ import pytest
 
 from bnsl import generate, graphs, kernel, oracle
 from bnsl.instances import Superstructure, superstructure
-from reference import check_nice_scan, component_lfen_tree_rebuild, min_fill_order_rescan
+from reference import (
+    bags_from_order_replay,
+    check_nice_scan,
+    component_lfen_tree_rebuild,
+    component_subgraph_edge_scan,
+    min_fill_order_rescan,
+)
 
 
 def bfs_path(adj, u, w):
@@ -341,6 +347,35 @@ def test_local_search_scales_to_long_chains():
     assert w.value == 4 and not w.exact
 
 
+def test_lfen_search_linear_in_components(monkeypatch):
+    # each component's subgraph is read off its own vertices' adjacency: the
+    # same witnesses as scanning every edge once per component ...
+    results = []
+    for seed in range(100):
+        rng = random.Random(17000 + seed)
+        n = rng.randint(4, 40)
+        g = superstructure(generate.random_nonzero(
+            rng, n, rng.randint(0, 4), connected=False, exact_fen=False,
+            subdivisions=rng.randint(0, n // 2) if seed % 2 else 0))
+        results.append((g, [graphs.lfen_search(g, budget) for budget in (0, 50, 2000)]))
+    monkeypatch.setattr(graphs, "_component_subgraph", component_subgraph_edge_scan)
+    for g, witnesses in results:
+        assert witnesses == [graphs.lfen_search(g, budget) for budget in (0, 50, 2000)]
+    monkeypatch.undo()
+    # ... without the scan, which took about 12 s on this forest of 2151 trees:
+    # the superstructure of generate.random_nonzero(Random(1), 14000, 0,
+    # connected=False), drawn without that generator's quadratic pool
+    rng = random.Random(1)
+    n = 14000
+    g = Superstructure(n, [(rng.randrange(v), v) for v in range(1, n) if rng.random() >= 0.15])
+    assert len(g.components()) == 2151
+    t0 = time.perf_counter()
+    w = graphs.lfen_search(g)
+    assert time.perf_counter() - t0 < 3.0
+    assert w.forest.tree_edges == g.edges and not w.forest.feedback_edges
+    assert w.local_counts == (0,) * g.n and w.value == 0 and w.exact
+
+
 def test_parameter_hierarchy_local_at_most_feedback():
     for seed in range(100):
         rng = random.Random(900 + seed)
@@ -425,16 +460,36 @@ def min_fill_families():
 
 
 def test_min_fill_order_matches_rescan():
+    # one elimination pass picks the rescan's order and records the bags and
+    # parents that replaying the whole elimination reads off
     graphs_seen = 0
     for i, g in enumerate(min_fill_families()):
-        order = graphs._min_fill_order(g)
-        assert order == min_fill_order_rescan(g)
+        order = min_fill_order_rescan(g)
+        bags, parent = graphs._eliminate(g, range(g.n))
+        assert list(bags) == order
+        assert (bags, parent) == bags_from_order_replay(g, order)
         if i % 4 == 0 and g.n > 0:
-            # the decomposition built from either order is the same
-            bags, parent = graphs._bags_from_order(g, min_fill_order_rescan(g))
-            assert graphs.tree_decomposition(g).nodes == graphs.nice_from_raw(bags, parent).nodes
+            replay = graphs.nice_from_raw(*bags_from_order_replay(g, order))
+            assert graphs.tree_decomposition(g).nodes == replay.nodes
         graphs_seen += 1
     assert graphs_seen >= 500
+
+
+def test_exact_decomposition_matches_replay():
+    # exact mode runs the same pass in the optimal order
+    for seed in range(60):
+        rng = random.Random(12000 + seed)
+        g = generate.random_graph(rng, rng.randint(1, 10), rng.randint(0, 5),
+                                  connected=(seed % 3 != 0), exact_fen=False)
+        td = graphs.tree_decomposition(g, exact=True)
+        replay = graphs.nice_from_raw(*bags_from_order_replay(g, graphs._exact_order(g)))
+        assert (td.nodes, td.root, td.width) == (replay.nodes, replay.root, replay.width)
+
+
+def test_exact_decomposition_rejects_vertices():
+    g = Superstructure(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+    with pytest.raises(ValueError, match="whole graphs"):
+        graphs.tree_decomposition(g, exact=True, vertices=[0, 1, 2])
 
 
 def copy_td(td):

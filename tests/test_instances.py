@@ -12,7 +12,6 @@ from bnsl.instances import (
     parse_nonzero,
     parse_solution,
     score_of,
-    split_components,
     superstructure,
     to_nonzero,
     validate,
@@ -240,38 +239,6 @@ def test_validate_agrees_with_kahn():
                         arcs.add((u, v))
         net = Network(n, frozenset(arcs))
         assert validate(net, "dag").ok == kahn_acyclic(net)
-
-
-def test_split_connected_is_identity(example4):
-    split = split_components(example4)
-    assert len(split.components) == 1
-    assert split.components[0] == example4
-
-
-def test_split_two_copies(example4, example4_text):
-    lines = example4_text.splitlines()
-    second = [line.replace("a", "a2").replace("b", "b2")
-              .replace("c", "c2").replace("d", "d2") for line in lines[1:]]
-    doubled = "8\n" + "\n".join(lines[1:]) + "\n" + "\n".join(second) + "\n"
-    inst = parse_nonzero(doubled)
-    split = split_components(inst)
-    assert len(split.components) == 2
-    total = sum(oracle.exact_bnsl(c)[0] for c in split.components)
-    assert total == 14
-
-
-def test_split_component_sum_matches_oracle():
-    for seed in range(50):
-        rng = random.Random(seed)
-        inst = generate.random_nonzero(rng, rng.randint(2, 10), 1, connected=False,
-                                        exact_fen=False)
-        split = split_components(inst)
-        whole, _ = oracle.exact_bnsl(inst)
-        parts = [oracle.exact_bnsl(c) for c in split.components]
-        assert sum(s for s, _ in parts) == whole
-        merged = split.merge_networks(inst.n, [n for _, n in parts])
-        assert validate(merged, "dag").ok
-        assert score_of(inst, merged) == whole
 
 
 def test_solution_roundtrip(example4):

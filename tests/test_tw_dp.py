@@ -15,7 +15,12 @@ from bnsl.instances import (
     write_additive,
 )
 
-from reference import TwEngineDicts, snapshot_reference, snapshot_tables_dicts
+from reference import (
+    TwEngineDicts,
+    core_min_fill_relabeled,
+    snapshot_reference,
+    snapshot_tables_dicts,
+)
 
 
 def below_sets(td):
@@ -301,6 +306,43 @@ def test_fold_matches_unfolded_dp_and_oracle():
                 assert score == want, (seed, mode, bool(given))
                 assert validate(net, "polytree" if mode == "pl" else "dag", q=q).ok
                 assert score_of(inst, net) == score
+
+
+def postorder_shape(td):
+    """td's bags, kinds and child positions in postorder, and its width:
+    equal for two decompositions that differ only in node numbering."""
+    post = td.postorder()
+    at = {t: i for i, t in enumerate(post)}
+    nodes = [(td.nodes[t].bag, td.nodes[t].kind, [at[c] for c in td.nodes[t].children])
+             for t in post]
+    return nodes, td.width
+
+
+def test_core_decomposition_matches_relabeled_copy():
+    # the core's min-fill decomposition, built in g's own numbers, equals
+    # decomposing a relabeled copy of the core and mapping the bags back,
+    # node for node; cutting an all-core decomposition to the core keeps
+    # its tree and child order
+    families = [hanging_family(140_000 + seed) for seed in range(150)]
+    for seed in range(150):
+        rng = random.Random(150_000 + seed)
+        g = generate.random_graph(rng, rng.randint(3, 30), rng.randint(0, 6),
+                                  connected=(seed % 3 != 0), exact_fen=False)
+        families.append((generate.subdivide(rng, g, rng.randint(0, 30)), None))
+    all_core = 0
+    for i, (g, _) in enumerate(families):
+        inst = generate.additive_for_graph(random.Random(i), g)
+        fold, own = tw_dp.fold_core(inst, g)
+        want = core_min_fill_relabeled(g, fold.core)
+        assert (own.nodes, own.root, own.width) == (want.nodes, want.root, want.width)
+        direct = graphs.tree_decomposition(g, vertices=fold.core)
+        assert (direct.nodes, direct.root, direct.width) == (want.nodes, want.root, want.width)
+        if len(fold.core) == g.n:
+            all_core += 1
+            td = graphs.tree_decomposition(g)
+            cut = tw_dp.fold_core(inst, g, td)[1]
+            assert postorder_shape(cut) == postorder_shape(td)
+    assert all_core >= 20
 
 
 def test_core_min_fill_at_scale():
