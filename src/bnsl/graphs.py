@@ -628,7 +628,9 @@ def tree_decomposition(
 def nice_from_raw(bags: dict, parent: dict) -> NiceTreeDecomposition:
     """Nice decomposition from raw bags and a parent map over bag keys
     (roots omitted from `parent`); bag contents are morphed stepwise along
-    each raw edge and components joined under a shared empty root."""
+    each raw edge and components joined under a shared empty root.  A bag
+    with no vertex and no child covers nothing and is left out (a nice
+    leaf holds one vertex); no bag left gives one empty leaf of width -1."""
     nodes: list[TDNode] = []
 
     def add(bag, kind, children) -> int:
@@ -638,6 +640,19 @@ def nice_from_raw(bags: dict, parent: dict) -> NiceTreeDecomposition:
     children_of: dict[int, list[int]] = {v: [] for v in bags}
     for v, p in parent.items():
         children_of[p].append(v)
+    empty = [v for v in bags if not bags[v] and not children_of[v]]
+    if empty:
+        bags, parent = dict(bags), dict(parent)
+        while empty:
+            v = empty.pop()
+            del bags[v], children_of[v]
+            p = parent.pop(v, None)
+            if p is not None:
+                children_of[p].remove(v)
+                if not bags[p] and not children_of[p]:
+                    empty.append(p)
+        if not bags:
+            return NiceTreeDecomposition([TDNode(frozenset(), "leaf", [])], 0, -1)
     comp_roots = [v for v in bags if v not in parent]
 
     def morph(top: int, cur_bag: frozenset, bag: frozenset) -> int:

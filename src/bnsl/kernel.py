@@ -69,8 +69,9 @@ class _Work:
 
     The superstructure adjacency (`adj`) and each vertex's parent union are
     kept up to date by the three mutators `fresh`, `remove` and
-    `set_entries`.  A min-heap holds every vertex that may have a degree-1
-    neighbour (pushed whenever a vertex's degree drops or rises to 1);
+    `set_entries`, and by `_apply_rr1`, which edits them in place.  A
+    min-heap holds every vertex that may have a degree-1 neighbour
+    (pushed whenever a vertex's degree drops or rises to 1);
     `rule1_target` validates it lazily.
     """
 
@@ -248,10 +249,10 @@ class KernelResult:
                 t = dict(s)
                 if s["rule"] == 1:
                     t["configs"] = [
-                        [sorted(k), list(v[0]), list(v[1])]
+                        [sorted(k), sorted(v[0]), sorted(v[1])]
                         for k, v in s["configs"].items()
                     ]
-                    t["fallback"] = [list(s["fallback"][0]), list(s["fallback"][1])]
+                    t["fallback"] = [sorted(s["fallback"][0]), sorted(s["fallback"][1])]
                 else:
                     t["configs"] = {k: list(v) for k, v in s["configs"].items()}
                     if "b_sets" in s:
@@ -363,41 +364,59 @@ _CASES = {
 _FWD, _BWD, _NONE = "fwd", "bwd", "none"
 
 
-def _vertex_score(work: _Work, path_ext, j, prev_state, next_state) -> int:
-    parents = set()
-    if prev_state == _FWD:
-        parents.add(path_ext[j - 1])
-    if next_state == _BWD:
-        parents.add(path_ext[j + 1])
-    return work.score(path_ext[j], frozenset(parents))
+_STATES = (_FWD, _BWD, _NONE)
 
 
-def _best_config(work: _Work, path_ext, e0: str, em: str,
-                 pred=lambda state: True, want=True):
+def _path_table(work: _Work, path_ext) -> list:
+    """Each inner vertex's four scores, read once per path: table[j][i]
+    for b_j fed from neither side (i = 0), from b_{j+1} only (1), from
+    b_{j-1} only (2) and from both (3); table[0] is unused."""
+    table = [None]
+    for j in range(1, len(path_ext) - 1):
+        sets = work.entries.get(path_ext[j], {})
+        before, after = path_ext[j - 1], path_ext[j + 1]
+        table.append((
+            sets.get(frozenset(), 0),
+            sets.get(frozenset((after,)), 0),
+            sets.get(frozenset((before,)), 0),
+            sets.get(frozenset((before, after)), 0),
+        ))
+    return table
+
+
+def _best_config(table, e0: str, em: str, pred=lambda state: True, want=True):
     """Max total score of the inner path vertices over orientations of the
     internal edges, with fixed end-edge states, among the configurations in
     which "every internal edge state satisfies pred" equals `want` (with no
-    internal edges it holds vacuously).
+    internal edges it holds vacuously).  `table` is the path's
+    `_path_table`; edge states are indices into _STATES inside.
 
     Returns (score, edge state tuple) or None when infeasible.
     """
-    m = len(path_ext) - 2
+    m = len(table) - 1
+    ok = [pred(st) for st in _STATES]
+    # b_j's score index is 2 when edge j-1 points into it (forward), plus 1
+    # when edge j does (backward).
     # layers[j]: (state of edge j, pred held so far) -> (best score, backptr)
-    layers = [{(e0, True): (0, None)}]
+    layers = [{(_STATES.index(e0), True): (0, None)}]
     for j in range(1, m):  # choose edge j between b_j and b_{j+1}
-        nxt = {}
+        scores = table[j]
+        nxt: dict = {}
         for (prev, flag), (sc, _) in layers[-1].items():
-            for st in (_FWD, _BWD, _NONE):
-                s2 = sc + _vertex_score(work, path_ext, j, prev, st)
-                key = (st, flag and pred(st))
-                if key not in nxt or s2 > nxt[key][0]:
+            fed = 2 if prev == 0 else 0
+            for st in (0, 1, 2):
+                s2 = sc + scores[fed + (st == 1)]
+                key = (st, flag and ok[st])
+                cur = nxt.get(key)
+                if cur is None or s2 > cur[0]:
                     nxt[key] = (s2, (prev, flag))
         layers.append(nxt)
     best = None
+    into_m = em == _BWD
     for (prev, flag), (sc, _) in layers[-1].items():
         if flag != want:
             continue
-        total = sc + _vertex_score(work, path_ext, m, prev, em)
+        total = sc + table[m][(2 if prev == 0 else 0) + into_m]
         if best is None or total > best[0]:
             best = (total, (prev, flag))
     if best is None:
@@ -408,30 +427,30 @@ def _best_config(work: _Work, path_ext, e0: str, em: str,
         key = layer[key][1]
         states.append(key[0])
     states.reverse()
-    return total, tuple(states + [em])
+    return total, tuple([_STATES[st] for st in states] + [em])
 
 
 def _bnsl_path_scores(work: _Work, path_ext) -> PathScores:
     a, c = path_ext[0], path_ext[-1]
+    table = _path_table(work, path_ext)
     l_max = {}
     configs = {}
     for bset, e0, em in _fed_by(a, c):
-        l_max[bset], configs["max_" + _btag(bset, a, c)] = _best_config(
-            work, path_ext, e0, em
-        )
+        l_max[bset], configs["max_" + _btag(bset, a, c)] = _best_config(table, e0, em)
     # a single inner vertex leaves the no-through-path families empty; the
     # contraction rule never fires there (it needs >= 4 inner vertices)
     nopath_a, configs["nopath_a"] = _best_config(
-        work, path_ext, _FWD, _NONE, lambda st: st == _FWD, False
+        table, _FWD, _NONE, lambda st: st == _FWD, False
     ) or (None, None)
     nopath_c, configs["nopath_c"] = _best_config(
-        work, path_ext, _NONE, _BWD, lambda st: st == _BWD, False
+        table, _NONE, _BWD, lambda st: st == _BWD, False
     ) or (None, None)
     return PathScores(a, c, l_max, nopath_a, nopath_c, configs)
 
 
 def _pl_path_scores(work: _Work, path_ext) -> PlPathScores:
     a, c = path_ext[0], path_ext[-1]
+    table = _path_table(work, path_ext)
     l = {}
     configs = {}
     for bset, e0, em in _fed_by(a, c):
@@ -439,8 +458,8 @@ def _pl_path_scores(work: _Work, path_ext) -> PlPathScores:
             # a single inner vertex is both ends of the path, which is then
             # connected whatever p asks for
             l[(p, bset)], configs[(p, bset)] = (
-                _best_config(work, path_ext, e0, em, _present, p == 1)
-                or _best_config(work, path_ext, e0, em, _present, True)
+                _best_config(table, e0, em, _present, p == 1)
+                or _best_config(table, e0, em, _present, True)
             )
     return PlPathScores(a, c, l, configs)
 
@@ -481,53 +500,99 @@ def _check_inner_degrees(instance: NonZeroInstance, path):
 
 
 def _apply_rr1(work: _Work, v: int, adj) -> dict:
+    """Rule 1 at v, with Q the degree-1 neighbours of v in `adj`.
+
+    A leaf w in Q scores se alone and se + gain with v as its parent; it
+    takes the arc from v whenever it is not v's parent and gain > 0, so
+    a parent set p of v completes with base - (the gains of the leaves in
+    p).  v's table and parent union change in place (the union loses Q),
+    the leaves are dropped, and of all degrees only v's falls: when it
+    reaches 1, v's last neighbour goes onto the leaf heap.
+    """
     q = sorted(w for w in adj[v] if len(adj[w]) == 1)
     if not q:
         raise ValueError(f"no degree-1 neighbours at {v}")
-    qset = set(q)
+    qset = frozenset(q)
+    empty, from_v = frozenset(), frozenset((v,))
+    base = 0
+    gain = {}
+    for w in q:
+        sets = work.entries.get(w, {})
+        se, sv = sets.get(empty, 0), sets.get(from_v, 0)
+        base += se
+        if sv > se:
+            base += sv - se
+            gain[w] = sv - se
+    takes = frozenset(gain)  # the leaves that take the arc unless they are parents
 
-    def completion(s: frozenset[int]) -> tuple[int, frozenset[int]]:
-        total = 0
-        arcs_out = set()
-        for w in q:
-            se, sv = work.score(w, frozenset()), work.score(w, frozenset([v]))
-            if w not in s and sv > se:  # w takes v as its parent
-                total += sv
-                arcs_out.add(w)
-            else:
-                total += se
-        return total, frozenset(arcs_out)
-
-    old_sets = dict(work.entries.get(v, {}))
-    old_sets.setdefault(frozenset(), work.score(v, frozenset()))
-    new_sets: dict[frozenset[int], int] = {}
-    configs: dict[frozenset[int], tuple[frozenset[int], frozenset[int]]] = {}
-    groups: dict[frozenset[int], list[frozenset[int]]] = {}
-    for parents in old_sets:
-        groups.setdefault(parents - qset, []).append(parents)
-    for reduced_parents, candidates in groups.items():
-        if reduced_parents not in candidates:
-            candidates.append(reduced_parents)  # unlisted base choice, scores 0
-        best = None
-        for p in sorted(candidates, key=lambda s: sorted(s)):
-            comp, arcs_out = completion(frozenset(p & qset))
-            val = work.score(v, p) + comp
-            if best is None or val > best[0]:
-                best = (val, frozenset(p & qset), arcs_out)
-        new_sets[reduced_parents] = best[0]
-        configs[reduced_parents] = (best[1], best[2])
-    _, fb_arcs = completion(frozenset())
+    old_sets = work.entries.get(v, {})
+    if qset.isdisjoint(work.parent_union.get(v, ())):
+        # no leaf is a parent of v: each parent set keeps its name
+        new_sets = {p: sc + base for p, sc in old_sets.items()}
+        new_sets.setdefault(empty, base)
+        configs = dict.fromkeys(new_sets, (empty, takes))
+    else:
+        new_sets, configs = _rr1_groups(old_sets, qset, base, gain, takes)
     step = {
         "rule": 1,
         "v": v,
         "q": q,
         "configs": configs,
-        "fallback": (frozenset(), fb_arcs),
+        "fallback": (frozenset(), takes),
     }
-    work.set_entries(v, new_sets)
+    # what set_entries(v, new_sets) and remove(w) for w in Q would do; of
+    # the new sets only the empty one can score 0 (every other one takes
+    # at least a listed score)
+    if not new_sets[empty]:
+        del new_sets[empty]
+    if new_sets:
+        work.entries[v] = new_sets
+    else:
+        work.entries.pop(v, None)
+    if v in work.parent_union:
+        work.parent_union[v] -= qset
+    nbrs = work.adj[v]
     for w in q:
-        work.remove(w)
+        work.vertices.discard(w)
+        work.entries.pop(w, None)
+        work.names.pop(w, None)
+        work.parent_union.pop(w, None)
+        del work.adj[w]
+        nbrs.discard(w)
+    if len(nbrs) == 1:
+        heapq.heappush(work.leaf_heap, next(iter(nbrs)))
     return step
+
+
+def _rr1_groups(old_sets, qset, base: int, gain: dict, takes: frozenset):
+    """Rule 1's new table and configs when some leaves are parents of v:
+    the parent sets p of v grouped by p - Q, each group keeping its best
+    member (the unlisted p - Q too, at score 0), ties to the first in the
+    order of sorted(p)."""
+    best: dict[frozenset[int], list] = {}  # p - Q -> [score, p]
+
+    def offer(reduced, val, p):
+        cur = best.get(reduced)
+        if cur is None:
+            best[reduced] = [val, p]
+        elif val > cur[0] or val == cur[0] and sorted(p) < sorted(cur[1]):
+            cur[:] = val, p
+
+    for p, sc in old_sets.items():
+        if qset.isdisjoint(p):
+            offer(p, sc + base, p)
+        else:
+            offer(p - qset, sc + base - sum(gain.get(w, 0) for w in p & qset), p)
+    for reduced in [r for r in best if r not in old_sets]:
+        offer(reduced, base, reduced)
+    best.setdefault(frozenset(), [base, frozenset()])
+    new_sets = {}
+    configs = {}
+    for reduced, (val, p) in best.items():
+        members = p & qset
+        new_sets[reduced] = val
+        configs[reduced] = (members, takes - members)
+    return new_sets, configs
 
 
 def _lift_rr1(step, arcs: _Arcs):

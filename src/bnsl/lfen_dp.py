@@ -74,16 +74,25 @@ class _RecordEngine:
     (bnsl.relations); `public(v, key)` gives it in the engine's public
     format.  `combine_records(v)`, which also serves the leaves, folds the
     open children into each parent set of v one at a time, over a dense
-    index of everything the combination can mention.  Subclasses supply
-    the fold: `piece(rows)` (v's parent arcs or a child's key, as rows over
-    that index), `glue(state, piece, keep, outside)` (the merged state cut
-    down to the index mask `keep`, or None when the union is not allowed;
-    `outside` masks delta_out(v)) and `rows(state)`.  Glue reads each
-    state and piece through `operand(x)`, made once per state and once per
-    child record (x itself unless a subclass adds to it).  tables[v] maps
-    a key to (score, (parents, closed choice, open choice)): v's parent
-    set, whether each closed child takes the arc from v, and the key
-    picked in each open child's table.
+    index range(d) of everything the combination can mention, and
+    deduplicates after every child.  Subclasses choose the fold's
+    representation: `piece(rows)` makes v's parent arcs or a child's key,
+    given as rows over the index, into a fold operand; `glue(held, piece,
+    cut, outside)` merges a state with a child record and cuts the result
+    down to the indices later steps can observe (None when the union is
+    not allowed; `outside` masks delta_out(v)); `rows(state, d)` gives a
+    final state's rows over the index.  Glue reads each state through
+    `operand(state, d)`, made once per state and once per child record,
+    and the kept indices through `cut(keep, d)`, made once per vertex and
+    child from their index mask (by default both return their argument).
+    The polytree engine folds tuples of rows with their class count; the
+    acyclic engine packs each state into one int, so that its union,
+    closure and cut are whole-int operations (`relations.closed_union`).
+    Child keys enter the index, and final states leave it for delta(v),
+    through the positions of their vertices in it (`_spread`, `_gather`).
+    tables[v] maps a key to (score, (parents, closed choice, open
+    choice)): v's parent set, whether each closed child takes the arc from
+    v, and the key picked in each open child's table.
     """
 
     root_key: tuple = ()
@@ -99,8 +108,12 @@ class _RecordEngine:
         self.tables: list[Optional[dict]] = [None] * g.n
 
     @staticmethod
-    def operand(x):
-        return x
+    def operand(state, d: int):
+        return state
+
+    @staticmethod
+    def cut(keep: int, d: int):
+        return keep
 
     def closed_key(self, c: int, take_arc: bool) -> tuple[int, ...]:
         arcs = [(self.forest.parent[c], c)] if take_arc else []
@@ -181,12 +194,14 @@ class _RecordEngine:
         for c in opens:
             ground.update(self.bounds[c].delta)
         ground = sorted(ground)
+        d = len(ground)
         gidx = {x: i for i, x in enumerate(ground)}
         outside = sum(1 << gidx[x] for x in b.delta_out)
-
-        delta_mask = 0
-        for x in b.delta:
-            delta_mask |= 1 << gidx[x]
+        at = [gidx[x] for x in b.delta]  # delta(v)'s positions in the index
+        delta_mask = sum(1 << i for i in at)
+        back = [0] * d  # the bit of each of those positions in v's keys
+        for i, g in enumerate(at):
+            back[g] = 1 << i
 
         frontier_after = []
         acc = delta_mask
@@ -195,33 +210,34 @@ class _RecordEngine:
             for x in self.bounds[c].delta:
                 acc |= 1 << gidx[x]
         frontier_after.reverse()  # frontier_after[i]: mask kept after folding opens[i]
+        cuts = [self.cut(keep, d) for keep in frontier_after]
 
         # each open child's records, translated once into the ground index
         child_records = []
         for c in opens:
             ctable = self.tables[c]
-            cdelta = self.bounds[c].delta
+            cat = [gidx[x] for x in self.bounds[c].delta]
             child_records.append([
-                (self.operand(self.piece(relations.reindex(ckey, cdelta, ground))),
-                 ctable[ckey][0], ckey)
+                (self.operand(self.piece(_spread(ckey, cat, d)), d), ctable[ckey][0], ckey)
                 for ckey in sorted(ctable)
             ])
 
         table: dict = {}
         vbit = 1 << gidx[v]
+        operand, glue = self.operand, self.glue
         for parents, base, closed_choice in self.parent_choices(v):
-            rows0 = [0] * len(ground)
+            rows0 = [0] * d
             for p in parents:
                 rows0[gidx[p]] |= vbit
             # fold the open children one by one, deduplicating on the
             # merged state cut down to what later steps can still observe
             states = {self.piece(rows0): (base, ())}
-            for c, keep, crecords in zip(opens, frontier_after, child_records):
+            for c, cut, crecords in zip(opens, cuts, child_records):
                 nxt: dict = {}
                 for state, (score, chain) in states.items():
-                    held = self.operand(state)
+                    held = operand(state, d)
                     for cpiece, cscore, ckey in crecords:
-                        merged = self.glue(held, cpiece, keep, outside)
+                        merged = glue(held, cpiece, cut, outside)
                         if merged is None:
                             continue
                         val = score + cscore
@@ -230,11 +246,41 @@ class _RecordEngine:
                             nxt[merged] = (val, chain + ((c, ckey),))
                 states = nxt
             for state, (score, chain) in states.items():
-                key = tuple(relations.reindex(self.rows(state), ground, b.delta))
+                key = _gather(self.rows(state, d), at, back, delta_mask)
                 cur = table.get(key)
                 if cur is None or score > cur[0]:
                     table[key] = (score, (parents, closed_choice, chain))
         return table
+
+
+def _spread(rows, at: list[int], d: int) -> list[int]:
+    """Rows over a vertex list whose i-th vertex sits at position at[i] of
+    a d-vertex index, as rows over that index."""
+    out = [0] * d
+    for i, row in enumerate(rows):
+        new = 0
+        while row:
+            low = row & -row
+            new |= 1 << at[low.bit_length() - 1]
+            row ^= low
+        out[at[i]] = new
+    return out
+
+
+def _gather(rows, at: list[int], back: list[int], mask: int) -> tuple[int, ...]:
+    """The inverse of `_spread`: the rows at the positions `at` (index mask
+    `mask`, back[at[i]] == 1 << i) over the vertex list they hold; pairs
+    with any other position are dropped."""
+    out = []
+    for g in at:
+        row = rows[g] & mask
+        new = 0
+        while row:
+            low = row & -row
+            new |= back[low.bit_length() - 1]
+            row ^= low
+        out.append(new)
+    return tuple(out)
 
 
 def _engine(cls, instance: NonZeroInstance, forest=None):
@@ -245,33 +291,41 @@ def _engine(cls, instance: NonZeroInstance, forest=None):
 
 
 class _BnslEngine(_RecordEngine):
-    """Acyclic-network record DP; keys are strict-reachability relations."""
+    """Acyclic-network record DP; keys are strict-reachability relations.
+
+    The fold packs each state and each translated child record into one
+    int (`relations.pack`, row i of the index in bits [i*d, (i+1)*d)), so
+    its union, closure and cut are whole-int operations; pack and unpack
+    happen only where v's parent arcs or a child's key come in and where a
+    final state goes out.
+    """
 
     def public(self, v: int, key: tuple[int, ...]) -> frozenset:
         return relations.to_pairs(key, self.bounds[v].delta)
 
-    @staticmethod
-    def piece(rows: list[int]) -> tuple[int, ...]:
-        return tuple(rows)
+    piece = staticmethod(relations.pack)
 
     @staticmethod
-    def operand(rows):
-        """The rows with their support mask."""
-        return rows, relations.support(rows)
+    def operand(state: int, d: int):
+        """The state with its support mask."""
+        return state, relations.support(state, d)
 
     @staticmethod
-    def glue(state, cpiece, keep: int, outside: int):
+    def cut(keep: int, d: int):
+        return relations.cut_mask(keep, d), d
+
+    @staticmethod
+    def glue(held, cpiece, cut, outside: int):
         # both operands are closed (v's parent arcs, a child's key, a closed
-        # state cut down to `keep`), so a shortest path of their union
-        # alternates between them and switches only at indices both touch:
-        # Warshall needs pivots there alone, and only a pivot closes a cycle
-        (rows, sup), (crows, csup) = state, cpiece
-        merged = relations.closed_union(rows, crows, sup & csup, keep)
-        return None if merged is None else tuple(merged)
+        # state cut down to the kept indices), so a shortest path of their
+        # union alternates between them and switches only at indices both
+        # touch: Warshall needs pivots there alone, and only a pivot closes
+        # a cycle
+        (m, sup), (cm, csup) = held, cpiece
+        mask, d = cut
+        return relations.closed_union(m, cm, sup & csup, mask, d)
 
-    @staticmethod
-    def rows(state):
-        return state
+    rows = staticmethod(relations.unpack)
 
 
 def combine_records(
@@ -351,7 +405,7 @@ class _PlEngine(_RecordEngine):
         return tuple(cut), sum(1 for cls in parts if cls & keep) + len(merged) - keep.bit_count()
 
     @staticmethod
-    def rows(state):
+    def rows(state, d: int):
         return state[0]
 
 

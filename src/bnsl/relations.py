@@ -4,14 +4,19 @@ A relation over a vertex list `verts` is a sequence of ints `rows`, one per
 vertex: bit j of rows[i] is set when (verts[i], verts[j]) is related.  Both
 dynamic programs keep their boundary relations in this form: strict
 reachability for acyclic networks, same-component pairs for polytrees.
-The bag DP closes a merged relation with a full Warshall (`closure`); the
-acyclic record DP merges two relations that are already closed, so
-`closed_union` pivots only on the indices that both of them touch.
+The bag DP closes a merged relation with a full Warshall (`closure`).
+
+The acyclic record DP folds in packed form instead: the d rows over its
+ground index range(d) sit in one int, row i in bits [i*d, (i+1)*d)
+(`pack`, `unpack`).  Union is `|`, the cut to an index mask is `&` with
+`cut_mask`, and it merges two relations that are already closed, so
+`closed_union` pivots only on the indices that both of them touch
+(`support`), each pivot a shift, a mask and a product on the whole int.
 """
 
 from __future__ import annotations
 
-from operator import or_
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 
@@ -28,37 +33,68 @@ def closure(rows: Sequence[int]) -> list[int]:
     return rows
 
 
-def closed_union(a: Sequence[int], b: Sequence[int], shared: int, keep: int) -> Optional[list[int]]:
-    """restrict(closure(a | b), keep) for strict partial orders `a` and `b`
-    (transitive and irreflexive) whose supports meet only inside the index
-    mask `shared`; None when that closure is not irreflexive.
+def pack(rows: Sequence[int]) -> int:
+    """Rows over range(d) as one int, row i in bits [i*d, (i+1)*d)."""
+    d = len(rows)
+    return sum(row << i * d for i, row in enumerate(rows))
+
+
+def unpack(m: int, d: int) -> list[int]:
+    """The d rows of a packed relation."""
+    field = (1 << d) - 1
+    return [m >> i * d & field for i in range(d)]
+
+
+@lru_cache(maxsize=None)
+def unit(d: int) -> int:
+    """One bit at the base of each of the d fields of a packed relation."""
+    return sum(1 << i * d for i in range(d))
+
+
+def cut_mask(keep: int, d: int) -> int:
+    """The packed mask that restricts a relation to the indices in `keep`."""
+    return sum(keep << i * d for i in range(d) if keep >> i & 1)
+
+
+def closed_union(a: int, b: int, shared: int, cut: int, d: int) -> Optional[int]:
+    """Packed restrict(closure(a | b), keep), with `cut` = cut_mask(keep,
+    d), for packed strict partial orders `a` and `b` over range(d)
+    (transitive and irreflexive) whose supports meet only inside the
+    index mask `shared`; None when that closure is not irreflexive.
 
     Transitivity shortens any path of the union until its pairs alternate
     between `a` and `b`; then each index inside it is one where the path
     switches operand, which both supports hold.  So Warshall over the
-    pivots in `shared` alone gives the closure, in O(|shared| d).  Neither
-    operand has a cycle, so a cycle of the union alternates too, and the
-    last of its indices taken as a pivot already reaches itself then.
+    pivots in `shared` alone gives the closure, in O(|shared|) operations
+    on d*d-bit ints.  Neither operand has a cycle, so a cycle of the
+    union alternates too, and the last of its indices taken as a pivot
+    already reaches itself then.  A pivot at k adds row k to every row
+    that holds k: `(m >> k) & unit(d)` has bit k of row i at the base of
+    field i, and its product with row k (below 1 << d) cannot carry.
     """
-    rows = list(map(or_, a, b))
+    m = a | b
+    field = (1 << d) - 1
+    units = unit(d)
     while shared:
         low = shared & -shared
-        rk = rows[low.bit_length() - 1]
+        k = low.bit_length() - 1
+        rk = m >> k * d & field
         if rk & low:
             return None
-        for i, row in enumerate(rows):
-            if row & low:
-                rows[i] = row | rk
+        m |= (m >> k & units) * rk
         shared ^= low
-    return restrict(rows, keep)
+    return m & cut
 
 
-def support(rows: Sequence[int]) -> int:
-    """Index mask of the indices in some pair."""
+def support(m: int, d: int) -> int:
+    """Index mask of the indices in some pair of a packed relation."""
+    field = (1 << d) - 1
     out = 0
-    for i, row in enumerate(rows):
-        if row:
-            out |= row | 1 << i
+    while m:
+        i = ((m & -m).bit_length() - 1) // d
+        row = m >> i * d & field
+        out |= row | 1 << i
+        m ^= row << i * d
     return out
 
 

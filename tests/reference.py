@@ -5,7 +5,10 @@ kept free of any solver machinery they are used to check.  Two kinds of
 exception: `kernelize_rescan` reuses the kernel's rule applications and
 replaces only the bookkeeping it checks, and the functions after it are
 the earlier versions of library functions that the current ones must
-reproduce exactly: `weighted_matroid_intersection_pairwise` and
+reproduce exactly: the kernel's old rule 1 and path DP
+(`apply_rr1_set_entries`, `vertex_score`, `best_config_frozensets`,
+`bnsl_path_scores_frozensets` and `pl_path_scores_frozensets`, run by
+`kernelize_old_rules`), `weighted_matroid_intersection_pairwise` and
 `weighted_matroid_intersection_circuits`, `check_nice_scan`,
 `min_fill_order_rescan`, `bags_from_order_replay`,
 `core_min_fill_relabeled`, `find_paths_own_bfs`, the lift (`lift_rescan`
@@ -16,7 +19,10 @@ through `snapshot_tables_dicts`), and the record DP that combines the
 open children's tables in one product (`RecordEngineProduct` with
 `BnslEngineProduct` and `PlEngineProduct`, on boundaries classified by
 `subtree_masks` in `boundaries_by_subtree_masks`), and the acyclic record
-DP's merge by a full Warshall closure (`BnslEngineFullClosure`), the
+DP's merge by a full Warshall closure (`BnslEngineFullClosure`) and by
+the shared-support closure on row lists (`BnslEngineRowGlue` with
+`closed_union_rows` and `support_rows`), both folding tuples of rows
+(`RowFold`), the
 lfen local search that scores every swap on a rebuilt forest
 (`component_lfen_tree_rebuild`), the subdivision loop that sorts the
 whole edge set for every draw (`subdivide_resort`), and the component
@@ -26,6 +32,7 @@ subgraph that scans every edge once per component
 
 import random
 from itertools import product
+from operator import or_
 from typing import Optional, Sequence
 
 from bnsl import graphs, relations
@@ -44,8 +51,8 @@ from bnsl.instances import (
     superstructure,
     validate,
 )
-from bnsl.kernel import _BWD, _FWD, _NONE, _Work, _btag, _vertex_score
-from bnsl.lfen_dp import Boundary, _BnslEngine
+from bnsl.kernel import _BWD, _FWD, _NONE, PathScores, PlPathScores, _Work, _btag, _fed_by, _present
+from bnsl.lfen_dp import Boundary, _BnslEngine, _RecordEngine
 from bnsl.polytree import GroundElement, MatroidOracles, _forest_links, _forest_path
 
 
@@ -297,6 +304,178 @@ def kernelize_rescan(instance, polytree):
             apply = kernel._apply_rr2_pl if polytree else kernel._apply_rr2
             steps.append(apply(work, paths[0]))
             changed = True
+    reduced, loose_of_reduced = work.to_instance()
+    dense_of_loose = {loose: d for d, loose in loose_of_reduced.items()}
+    vertex_map = {v: dense_of_loose.get(v) for v in range(instance.n)}
+    return kernel.KernelResult(reduced, vertex_map, steps, loose_of_reduced, instance.n)
+
+
+# The rule applications below are the kernel's earlier versions, kept
+# verbatim (only renamed): rule 1 through `_Work.set_entries` and
+# `_Work.remove`, with a completion that rescans every leaf per candidate,
+# and the path DP that reads a leaf's score through a frozenset per
+# transition.  `kernelize_old_rules` runs the kernel's fixed-point loop
+# with them; the library must reproduce it exactly.
+
+
+def apply_rr1_set_entries(work: _Work, v: int, adj) -> dict:
+    q = sorted(w for w in adj[v] if len(adj[w]) == 1)
+    if not q:
+        raise ValueError(f"no degree-1 neighbours at {v}")
+    qset = set(q)
+
+    def completion(s: frozenset[int]) -> tuple[int, frozenset[int]]:
+        total = 0
+        arcs_out = set()
+        for w in q:
+            se, sv = work.score(w, frozenset()), work.score(w, frozenset([v]))
+            if w not in s and sv > se:  # w takes v as its parent
+                total += sv
+                arcs_out.add(w)
+            else:
+                total += se
+        return total, frozenset(arcs_out)
+
+    old_sets = dict(work.entries.get(v, {}))
+    old_sets.setdefault(frozenset(), work.score(v, frozenset()))
+    new_sets: dict[frozenset[int], int] = {}
+    configs: dict[frozenset[int], tuple[frozenset[int], frozenset[int]]] = {}
+    groups: dict[frozenset[int], list[frozenset[int]]] = {}
+    for parents in old_sets:
+        groups.setdefault(parents - qset, []).append(parents)
+    for reduced_parents, candidates in groups.items():
+        if reduced_parents not in candidates:
+            candidates.append(reduced_parents)  # unlisted base choice, scores 0
+        best = None
+        for p in sorted(candidates, key=lambda s: sorted(s)):
+            comp, arcs_out = completion(frozenset(p & qset))
+            val = work.score(v, p) + comp
+            if best is None or val > best[0]:
+                best = (val, frozenset(p & qset), arcs_out)
+        new_sets[reduced_parents] = best[0]
+        configs[reduced_parents] = (best[1], best[2])
+    _, fb_arcs = completion(frozenset())
+    step = {
+        "rule": 1,
+        "v": v,
+        "q": q,
+        "configs": configs,
+        "fallback": (frozenset(), fb_arcs),
+    }
+    work.set_entries(v, new_sets)
+    for w in q:
+        work.remove(w)
+    return step
+
+
+
+def vertex_score(work: _Work, path_ext, j, prev_state, next_state) -> int:
+    parents = set()
+    if prev_state == _FWD:
+        parents.add(path_ext[j - 1])
+    if next_state == _BWD:
+        parents.add(path_ext[j + 1])
+    return work.score(path_ext[j], frozenset(parents))
+
+
+def best_config_frozensets(work: _Work, path_ext, e0: str, em: str,
+                 pred=lambda state: True, want=True):
+    """Max total score of the inner path vertices over orientations of the
+    internal edges, with fixed end-edge states, among the configurations in
+    which "every internal edge state satisfies pred" equals `want` (with no
+    internal edges it holds vacuously).
+
+    Returns (score, edge state tuple) or None when infeasible.
+    """
+    m = len(path_ext) - 2
+    # layers[j]: (state of edge j, pred held so far) -> (best score, backptr)
+    layers = [{(e0, True): (0, None)}]
+    for j in range(1, m):  # choose edge j between b_j and b_{j+1}
+        nxt = {}
+        for (prev, flag), (sc, _) in layers[-1].items():
+            for st in (_FWD, _BWD, _NONE):
+                s2 = sc + vertex_score(work, path_ext, j, prev, st)
+                key = (st, flag and pred(st))
+                if key not in nxt or s2 > nxt[key][0]:
+                    nxt[key] = (s2, (prev, flag))
+        layers.append(nxt)
+    best = None
+    for (prev, flag), (sc, _) in layers[-1].items():
+        if flag != want:
+            continue
+        total = sc + vertex_score(work, path_ext, m, prev, em)
+        if best is None or total > best[0]:
+            best = (total, (prev, flag))
+    if best is None:
+        return None
+    total, key = best
+    states = [key[0]]
+    for layer in reversed(layers[1:]):
+        key = layer[key][1]
+        states.append(key[0])
+    states.reverse()
+    return total, tuple(states + [em])
+
+
+
+
+def bnsl_path_scores_frozensets(work: _Work, path_ext) -> PathScores:
+    a, c = path_ext[0], path_ext[-1]
+    l_max = {}
+    configs = {}
+    for bset, e0, em in _fed_by(a, c):
+        l_max[bset], configs["max_" + _btag(bset, a, c)] = best_config_frozensets(
+            work, path_ext, e0, em
+        )
+    # a single inner vertex leaves the no-through-path families empty; the
+    # contraction rule never fires there (it needs >= 4 inner vertices)
+    nopath_a, configs["nopath_a"] = best_config_frozensets(
+        work, path_ext, _FWD, _NONE, lambda st: st == _FWD, False
+    ) or (None, None)
+    nopath_c, configs["nopath_c"] = best_config_frozensets(
+        work, path_ext, _NONE, _BWD, lambda st: st == _BWD, False
+    ) or (None, None)
+    return PathScores(a, c, l_max, nopath_a, nopath_c, configs)
+
+
+def pl_path_scores_frozensets(work: _Work, path_ext) -> PlPathScores:
+    a, c = path_ext[0], path_ext[-1]
+    l = {}
+    configs = {}
+    for bset, e0, em in _fed_by(a, c):
+        for p in (0, 1):
+            # a single inner vertex is both ends of the path, which is then
+            # connected whatever p asks for
+            l[(p, bset)], configs[(p, bset)] = (
+                best_config_frozensets(work, path_ext, e0, em, _present, p == 1)
+                or best_config_frozensets(work, path_ext, e0, em, _present, True)
+            )
+    return PlPathScores(a, c, l, configs)
+
+
+def kernelize_old_rules(instance, polytree):
+    """The kernel's fixed-point loop with the old rule 1
+    (`apply_rr1_set_entries`); before each path contraction it checks
+    that the kernel's path scores, configs in order included, equal the
+    old path DP's on the current working state, so the rule-2 steps it
+    records are the old ones too."""
+    from bnsl import kernel
+
+    work = kernel._Work(instance)
+    steps = []
+    min_inner, apply = (6, kernel._apply_rr2_pl) if polytree else (4, kernel._apply_rr2)
+    new, old = ((kernel._pl_path_scores, pl_path_scores_frozensets) if polytree
+                else (kernel._bnsl_path_scores, bnsl_path_scores_frozensets))
+    while True:
+        while (target := work.rule1_target()) is not None:
+            steps.append(apply_rr1_set_entries(work, target, work.adjacency()))
+        paths = kernel._find_paths(work, min_inner)
+        if not paths:
+            break
+        got, want = new(work, paths[0]), old(work, paths[0])
+        if got != want or list(got.configs.items()) != list(want.configs.items()):
+            raise AssertionError(f"path scores differ on {paths[0]}")
+        steps.append(apply(work, paths[0]))
     reduced, loose_of_reduced = work.to_instance()
     dense_of_loose = {loose: d for d, loose in loose_of_reduced.items()}
     vertex_map = {v: dense_of_loose.get(v) for v in range(instance.n)}
@@ -835,7 +1014,7 @@ def best_config_two_encodings(work: _Work, path_ext, e0: str, em: str, constrain
                 return None  # zero internal edges: "all" holds vacuously
             if kind == "all_present" and not want:
                 return None
-        return _vertex_score(work, path_ext, 1, e0, em), (e0, em)
+        return vertex_score(work, path_ext, 1, e0, em), (e0, em)
 
     def flag_init(state):
         if constraint is None:
@@ -856,7 +1035,7 @@ def best_config_two_encodings(work: _Work, path_ext, e0: str, em: str, constrain
     # layers[j-1]: (state of edge j, flag) -> (best score so far, backptr)
     cur = {}
     for st in (_FWD, _BWD, _NONE):
-        sc = _vertex_score(work, path_ext, 1, e0, st)
+        sc = vertex_score(work, path_ext, 1, e0, st)
         key = (st, flag_init(st))
         if key not in cur or sc > cur[key][0]:
             cur[key] = (sc, None)
@@ -865,7 +1044,7 @@ def best_config_two_encodings(work: _Work, path_ext, e0: str, em: str, constrain
         nxt = {}
         for (prev, flag), (sc, _) in layers[-1].items():
             for st in (_FWD, _BWD, _NONE):
-                s2 = sc + _vertex_score(work, path_ext, j, prev, st)
+                s2 = sc + vertex_score(work, path_ext, j, prev, st)
                 key = (st, flag_step(flag, st))
                 if key not in nxt or s2 > nxt[key][0]:
                     nxt[key] = (s2, (prev, flag))
@@ -878,7 +1057,7 @@ def best_config_two_encodings(work: _Work, path_ext, e0: str, em: str, constrain
                 continue
             if kind == "all_present" and flag != want:
                 continue
-        total = sc + _vertex_score(work, path_ext, m, prev, em)
+        total = sc + vertex_score(work, path_ext, m, prev, em)
         if best is None or total > best[0]:
             best = (total, (prev, flag))
     if best is None:
@@ -1409,16 +1588,25 @@ class PlEngineProduct(RecordEngineProduct):
         return table
 
 
-class BnslEngineFullClosure(_BnslEngine):
-    """The acyclic record DP with its earlier merge, kept verbatim: a full
-    Warshall closure of the union over the fold's whole ground index, then
-    the irreflexivity test, then the cut down to `keep`.  It reads states
-    and pieces as plain rows; the fold driver is the library's, which
-    `BnslEngineProduct` checks on its own."""
+class RowFold(_RecordEngine):
+    """The acyclic record DP's fold on tuples of rows, with the keys'
+    public format of `_BnslEngine` and nothing else of it; subclasses
+    supply the merge."""
+
+    public = _BnslEngine.public
+    piece = staticmethod(tuple)
 
     @staticmethod
-    def operand(x):
-        return x
+    def rows(state, d: int):
+        return state
+
+
+class BnslEngineFullClosure(RowFold):
+    """The acyclic record DP with its earlier merge, kept verbatim: a full
+    Warshall closure of the union over the fold's whole ground index, then
+    the irreflexivity test, then the cut down to `keep`.  It folds plain
+    rows; the fold driver is the library's, which `BnslEngineProduct`
+    checks on its own."""
 
     @staticmethod
     def glue(rows, crows, keep: int, outside: int):
@@ -1428,6 +1616,62 @@ class BnslEngineFullClosure(_BnslEngine):
         if not relations.irreflexive(merged):
             return None
         return tuple(relations.restrict(merged, keep))
+
+
+# The two functions below are the row-list versions of
+# `relations.closed_union` and `relations.support`, kept verbatim (only
+# renamed); `BnslEngineRowGlue` is the acyclic record DP's merge that
+# called them before the fold packed its states into ints.
+
+
+def closed_union_rows(a: Sequence[int], b: Sequence[int], shared: int, keep: int) -> Optional[list[int]]:
+    """restrict(closure(a | b), keep) for strict partial orders `a` and `b`
+    (transitive and irreflexive) whose supports meet only inside the index
+    mask `shared`; None when that closure is not irreflexive.
+
+    Transitivity shortens any path of the union until its pairs alternate
+    between `a` and `b`; then each index inside it is one where the path
+    switches operand, which both supports hold.  So Warshall over the
+    pivots in `shared` alone gives the closure, in O(|shared| d).  Neither
+    operand has a cycle, so a cycle of the union alternates too, and the
+    last of its indices taken as a pivot already reaches itself then.
+    """
+    rows = list(map(or_, a, b))
+    while shared:
+        low = shared & -shared
+        rk = rows[low.bit_length() - 1]
+        if rk & low:
+            return None
+        for i, row in enumerate(rows):
+            if row & low:
+                rows[i] = row | rk
+        shared ^= low
+    return relations.restrict(rows, keep)
+
+
+def support_rows(rows: Sequence[int]) -> int:
+    """Index mask of the indices in some pair."""
+    out = 0
+    for i, row in enumerate(rows):
+        if row:
+            out |= row | 1 << i
+    return out
+
+
+class BnslEngineRowGlue(RowFold):
+    """The acyclic record DP with the shared-support merge on row lists:
+    states and child records are tuples of rows, read with their support
+    mask."""
+
+    @staticmethod
+    def operand(rows, d: int):
+        return rows, support_rows(rows)
+
+    @staticmethod
+    def glue(state, cpiece, keep: int, outside: int):
+        (rows, sup), (crows, csup) = state, cpiece
+        merged = closed_union_rows(rows, crows, sup & csup, keep)
+        return None if merged is None else tuple(merged)
 
 
 def component_lfen_tree_rebuild(g: Superstructure, budget: int):

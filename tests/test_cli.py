@@ -491,6 +491,29 @@ def test_solve_with_supplied_td(capsys, tmp_path):
     assert code == 0 and out.strip() == "max_score=3"
 
 
+def test_td_with_empty_bag(capsys, tmp_path):
+    # a bag that lists no vertex is a valid bag; as a leaf of the raw tree
+    # (under a path's decomposition, and under a triangle's one bag) it
+    # covers nothing, and the solve prints the optimum
+    p = tmp_path / "a.inst"
+    td = tmp_path / "td.txt"
+    for inst, text, best in (
+        ("additive 3\nx1 x0 2\nx2 x1 1\n",
+         "b 0 x0 x1\nb 1 x1 x2\nb 2\ne 0 1\ne 1 2\n", 3),
+        ("additive 3\nx1 x0 2\nx2 x1 1\nx0 x2 1\n", "b 0 x0 x1 x2\nb 1\ne 0 1\n", 3),
+        ("additive 3\nx1 x0 2\nx2 x1 1\nx0 x2 1\n",
+         "b 0 x0 x1 x2\nb 1\nb 2\ne 0 1\ne 1 2\n", 3),
+    ):
+        p.write_text(inst)
+        td.write_text(text)
+        code, out, _ = run(capsys, "solve", str(p), "--algo", "twdp", "--td", str(td))
+        assert code == 0 and out.strip() == f"max_score={best}"
+    # bags that cover no vertex at all are a decomposition of nothing
+    td.write_text("b 0\nb 1\ne 0 1\n")
+    code, out, err = run(capsys, "solve", str(p), "--algo", "twdp", "--td", str(td))
+    assert code == 2 and out == "" and "decomposition" in err
+
+
 def test_bad_td_rejected(capsys, tmp_path):
     p = tmp_path / "a.inst"
     p.write_text("additive 3\nb a 2\nc b 1\n")

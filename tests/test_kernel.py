@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from itertools import product
@@ -17,6 +18,7 @@ from bnsl.instances import (
 )
 from reference import (
     best_config_two_encodings,
+    kernelize_old_rules,
     kernelize_rescan,
     lift_rescan,
     random_dag,
@@ -177,6 +179,7 @@ def test_best_config_matches_two_encoding_reference():
         inst = path_instance(rng, m, max_score=2)
         work = kernel._Work(inst)
         path_ext = list(range(m + 2))
+        table = kernel._path_table(work, path_ext)
         for e0, em in product(("fwd", "none"), ("bwd", "none")):
             cases = [(None, ())]
             for s in STATES:
@@ -184,7 +187,7 @@ def test_best_config_matches_two_encoding_reference():
             for want in (False, True):
                 cases.append((("all_present", want), (lambda st: st != "none", want)))
             for constraint, args in cases:
-                assert kernel._best_config(work, path_ext, e0, em, *args) == (
+                assert kernel._best_config(table, e0, em, *args) == (
                     best_config_two_encodings(work, path_ext, e0, em, constraint)
                 )
 
@@ -432,6 +435,13 @@ def test_kernel_result_json_roundtrip():
     back = kernel.KernelResult.from_json(text, res.reduced)
     _, netr = oracle.exact_bnsl(res.reduced)
     assert back.lift(netr) == res.lift(netr)
+    # vertex sets are written sorted, so a map does not depend on how each
+    # set was built
+    rule1 = [st for st in json.loads(text)["steps"] if st["rule"] == 1]
+    assert rule1
+    for st in rule1:
+        for names in [*st["fallback"], *(x for config in st["configs"] for x in config)]:
+            assert names == sorted(names)
 
 
 def test_lift_matches_rescan_reference():
@@ -486,6 +496,38 @@ def test_incremental_adjacency_matches_rescan_reference():
             assert got.to_json() == want.to_json()
             assert write_nonzero(got.reduced) == write_nonzero(want.reduced)
     assert done >= 100
+
+
+def step_orders(result):
+    """Each step's config keys in insertion order (`==` on the steps
+    ignores dict order)."""
+    return [list(step["configs"]) for step in result.steps]
+
+
+def test_kernel_matches_old_rules():
+    # seeded subdivided instances and near-trees, with scores up to 2 on
+    # every third one (many ties): the kernel's steps, maps and reduced
+    # instances equal those of its loop with the old rule 1 (set_entries
+    # and remove per step, every leaf rescanned per candidate), whose
+    # path contractions also check the path DP against the old one
+    for seed in range(45):
+        rng = random.Random(f"old-rules:{seed}")
+        max_score = 2 if seed % 3 == 0 else 8
+        if seed % 2:
+            n = rng.randint(40, 400)
+            inst = generate.random_nonzero(rng, n, rng.randint(1, 5), max_score,
+                                           subdivisions=rng.randint(n // 2, n - 10))
+        else:
+            inst = generate.random_nonzero(rng, rng.randint(30, 400), rng.randint(0, 2),
+                                           max_score)
+        for polytree, fast in ((False, kernel.kernelize_bnsl), (True, kernel.kernelize_pl)):
+            want = kernelize_old_rules(inst, polytree)
+            got = fast(inst)
+            assert got.steps == want.steps and step_orders(got) == step_orders(want)
+            assert got.to_json() == want.to_json()
+            assert got.vertex_map == want.vertex_map
+            assert write_nonzero(got.reduced) == write_nonzero(want.reduced)
+            assert got.reduced.entries == want.reduced.entries
 
 
 def test_work_adjacency_tracks_random_mutations():

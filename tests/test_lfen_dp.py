@@ -6,6 +6,7 @@ from bnsl.instances import parse_nonzero, score_of, superstructure, validate
 from reference import (
     BnslEngineFullClosure,
     BnslEngineProduct,
+    BnslEngineRowGlue,
     PlEngineProduct,
     random_dag,
     reach_pairs,
@@ -351,3 +352,27 @@ def test_tables_match_full_closure_at_kernel_scale():
             _, eng = lfen_dp.record_tables(red, forest)
             for v in range(red.n):
                 assert list(eng.tables[v].items()) == list(ref.tables[v].items())
+
+
+def test_packed_fold_matches_row_glue_on_benchmark_kernels():
+    # the kernels of the dag-explicit benchmark's subdivided slots (n=60
+    # fen=5, n=200 fen=3, n=800 fen=1) for seeds 1-7, both rounds, drawn
+    # as perfbench/ladders.py draws them, over the witness tree the CLI
+    # searches: the fold on packed ints gives the tables of the fold on
+    # row lists, in insertion order with their backpointers, and the same
+    # solve.  The n=1500 near-tree slot is left out: generating one takes
+    # over a second, and its kernel has cycle rank 1
+    slots = ((60, 5, 40), (200, 3, 150), (800, 1, 700))
+    for seed in range(1, 8):
+        for rnd in range(2):
+            for k, (n, fen, sub) in enumerate(slots):
+                rng = random.Random(f"dag-explicit:{seed}:{rnd}:{k}")
+                inst = generate.random_nonzero(rng, n, fen, subdivisions=sub)
+                red = kernel.kernelize_bnsl(inst).reduced
+                g = superstructure(red)
+                forest = graphs.lfen_search(g).forest
+                ref = BnslEngineRowGlue(red, g, forest)
+                assert lfen_dp.solve_bnsl_lfen(red, forest) == ref.solve()
+                _, eng = lfen_dp.record_tables(red, forest)
+                for v in range(red.n):
+                    assert list(eng.tables[v].items()) == list(ref.tables[v].items())

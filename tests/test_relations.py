@@ -21,13 +21,26 @@ def random_order(rng, d, verts, planted=()):
     return relations.closure(rows)
 
 
+def test_pack_and_cut():
+    for seed in range(200):
+        rng = random.Random(seed)
+        d = rng.randint(0, 14)
+        rows = [rng.getrandbits(d) for _ in range(d)]
+        m = relations.pack(rows)
+        assert m < 1 << d * d and relations.unpack(m, d) == rows
+        keep = rng.getrandbits(d)
+        assert relations.unpack(m & relations.cut_mask(keep, d), d) == (
+            relations.restrict(rows, keep))
+
+
 def test_support_is_the_indices_in_some_pair():
     for seed in range(200):
         rng = random.Random(seed)
         d = rng.randint(0, 14)
         rows = random_order(rng, d, rng.sample(range(d), rng.randint(0, d)))
         pairs = relations.to_pairs(rows, range(d))
-        assert relations.support(rows) == sum({1 << x for pair in pairs for x in pair})
+        assert relations.support(relations.pack(rows), d) == (
+            sum({1 << x for pair in pairs for x in pair}))
 
 
 def test_closed_union_matches_full_closure():
@@ -51,12 +64,13 @@ def test_closed_union_matches_full_closure():
         assert relations.irreflexive(a) and relations.irreflexive(b)
         full = relations.closure([x | y for x, y in zip(a, b)])
         keep = rng.getrandbits(d)
-        shared = relations.support(a) & relations.support(b)
+        pa, pb = relations.pack(a), relations.pack(b)
+        shared = relations.support(pa, d) & relations.support(pb, d)
         # a wider pivot mask than the shared support changes nothing
         for pivots in (shared, shared | rng.getrandbits(d)):
-            got = relations.closed_union(a, b, pivots, keep)
+            got = relations.closed_union(pa, pb, pivots, relations.cut_mask(keep, d), d)
             if relations.irreflexive(full):
-                assert got == relations.restrict(full, keep)
+                assert got == relations.pack(relations.restrict(full, keep))
             else:
                 assert got is None
         if not relations.irreflexive(full):
