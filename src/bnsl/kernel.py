@@ -68,10 +68,9 @@ class _Work:
     """Mutable kernelization state over loose vertex ids.
 
     The superstructure adjacency (`adj`) and each vertex's parent union are
-    kept up to date by the three mutators `fresh`, `remove` and
-    `set_entries`, and by `_apply_rr1`, which edits them in place.  A
-    min-heap holds every vertex that may have a degree-1 neighbour
-    (pushed whenever a vertex's degree drops or rises to 1);
+    kept up to date by the mutators `fresh`, `remove`, `set_entries` and
+    `prune_leaves`.  A min-heap holds every vertex that may have a degree-1
+    neighbour (pushed whenever a vertex's degree drops or rises to 1);
     `rule1_target` validates it lazily.
     """
 
@@ -117,10 +116,11 @@ class _Work:
         self.entries.pop(v, None)
         self.names.pop(v, None)
         self.parent_union.pop(v, None)
-        nbrs = self.adj.pop(v, ())
-        for u in nbrs:
-            self.adj[u].discard(v)
-        self._note_degrees(nbrs)
+        for u in self.adj.pop(v, ()):
+            nbrs = self.adj[u]
+            nbrs.discard(v)
+            if len(nbrs) == 1:
+                heapq.heappush(self.leaf_heap, next(iter(nbrs)))
 
     def score(self, v: int, parents: frozenset[int]) -> int:
         return self.entries.get(v, {}).get(parents, 0)
@@ -149,6 +149,24 @@ class _Work:
                 self.adj[v].add(p)
                 touched.add(p)
         self._note_degrees(touched)
+
+    def prune_leaves(self, v: int, sets: dict[frozenset[int], int], leaves: frozenset[int]):
+        """Rule 1's update: install v's table `sets`, whose non-empty parent
+        sets have positive scores and name every parent of v but `leaves`,
+        then remove the leaves.  v's parent union is cut by the leaves
+        instead of rebuilt as `set_entries` would, and the leaves' edges
+        go with them."""
+        empty = frozenset()
+        if not sets.get(empty, 1):
+            del sets[empty]
+        if sets:
+            self.entries[v] = sets
+        else:
+            self.entries.pop(v, None)
+        if v in self.parent_union:
+            self.parent_union[v] -= leaves
+        for w in leaves:
+            self.remove(w)
 
     def _note_degrees(self, changed):
         for u in changed:
@@ -505,9 +523,9 @@ def _apply_rr1(work: _Work, v: int, adj) -> dict:
     A leaf w in Q scores se alone and se + gain with v as its parent; it
     takes the arc from v whenever it is not v's parent and gain > 0, so
     a parent set p of v completes with base - (the gains of the leaves in
-    p).  v's table and parent union change in place (the union loses Q),
-    the leaves are dropped, and of all degrees only v's falls: when it
-    reaches 1, v's last neighbour goes onto the leaf heap.
+    p).  v's parent sets are grouped by p - Q, each group keeping its best
+    member (the unlisted p - Q too, at score 0), ties to the first in the
+    order of sorted(p).
     """
     q = sorted(w for w in adj[v] if len(adj[w]) == 1)
     if not q:
@@ -525,50 +543,6 @@ def _apply_rr1(work: _Work, v: int, adj) -> dict:
             gain[w] = sv - se
     takes = frozenset(gain)  # the leaves that take the arc unless they are parents
 
-    old_sets = work.entries.get(v, {})
-    if qset.isdisjoint(work.parent_union.get(v, ())):
-        # no leaf is a parent of v: each parent set keeps its name
-        new_sets = {p: sc + base for p, sc in old_sets.items()}
-        new_sets.setdefault(empty, base)
-        configs = dict.fromkeys(new_sets, (empty, takes))
-    else:
-        new_sets, configs = _rr1_groups(old_sets, qset, base, gain, takes)
-    step = {
-        "rule": 1,
-        "v": v,
-        "q": q,
-        "configs": configs,
-        "fallback": (frozenset(), takes),
-    }
-    # what set_entries(v, new_sets) and remove(w) for w in Q would do; of
-    # the new sets only the empty one can score 0 (every other one takes
-    # at least a listed score)
-    if not new_sets[empty]:
-        del new_sets[empty]
-    if new_sets:
-        work.entries[v] = new_sets
-    else:
-        work.entries.pop(v, None)
-    if v in work.parent_union:
-        work.parent_union[v] -= qset
-    nbrs = work.adj[v]
-    for w in q:
-        work.vertices.discard(w)
-        work.entries.pop(w, None)
-        work.names.pop(w, None)
-        work.parent_union.pop(w, None)
-        del work.adj[w]
-        nbrs.discard(w)
-    if len(nbrs) == 1:
-        heapq.heappush(work.leaf_heap, next(iter(nbrs)))
-    return step
-
-
-def _rr1_groups(old_sets, qset, base: int, gain: dict, takes: frozenset):
-    """Rule 1's new table and configs when some leaves are parents of v:
-    the parent sets p of v grouped by p - Q, each group keeping its best
-    member (the unlisted p - Q too, at score 0), ties to the first in the
-    order of sorted(p)."""
     best: dict[frozenset[int], list] = {}  # p - Q -> [score, p]
 
     def offer(reduced, val, p):
@@ -578,21 +552,30 @@ def _rr1_groups(old_sets, qset, base: int, gain: dict, takes: frozenset):
         elif val > cur[0] or val == cur[0] and sorted(p) < sorted(cur[1]):
             cur[:] = val, p
 
+    old_sets = work.entries.get(v, {})
     for p, sc in old_sets.items():
-        if qset.isdisjoint(p):
+        if qset.isdisjoint(p):  # most sets; skips the set algebra below
             offer(p, sc + base, p)
         else:
             offer(p - qset, sc + base - sum(gain.get(w, 0) for w in p & qset), p)
     for reduced in [r for r in best if r not in old_sets]:
         offer(reduced, base, reduced)
-    best.setdefault(frozenset(), [base, frozenset()])
+    best.setdefault(empty, [base, empty])
     new_sets = {}
     configs = {}
     for reduced, (val, p) in best.items():
         members = p & qset
         new_sets[reduced] = val
         configs[reduced] = (members, takes - members)
-    return new_sets, configs
+    step = {
+        "rule": 1,
+        "v": v,
+        "q": q,
+        "configs": configs,
+        "fallback": (frozenset(), takes),
+    }
+    work.prune_leaves(v, new_sets, qset)
+    return step
 
 
 def _lift_rr1(step, arcs: _Arcs):

@@ -89,7 +89,7 @@ class _RecordEngine:
     acyclic engine packs each state into one int, so that its union,
     closure and cut are whole-int operations (`relations.closed_union`).
     Child keys enter the index, and final states leave it for delta(v),
-    through the positions of their vertices in it (`_spread`, `_gather`).
+    through maps compiled once per vertex and child (`relations.remap`).
     tables[v] maps a key to (score, (parents, closed choice, open
     choice)): v's parent set, whether each closed child takes the arc from
     v, and the key picked in each open child's table.
@@ -197,14 +197,10 @@ class _RecordEngine:
         d = len(ground)
         gidx = {x: i for i, x in enumerate(ground)}
         outside = sum(1 << gidx[x] for x in b.delta_out)
-        at = [gidx[x] for x in b.delta]  # delta(v)'s positions in the index
-        delta_mask = sum(1 << i for i in at)
-        back = [0] * d  # the bit of each of those positions in v's keys
-        for i, g in enumerate(at):
-            back[g] = 1 << i
+        to_delta = relations.remap(ground, b.delta)
 
         frontier_after = []
-        acc = delta_mask
+        acc = sum(1 << gidx[x] for x in b.delta)
         for c in reversed(opens):
             frontier_after.append(acc)
             for x in self.bounds[c].delta:
@@ -216,9 +212,9 @@ class _RecordEngine:
         child_records = []
         for c in opens:
             ctable = self.tables[c]
-            cat = [gidx[x] for x in self.bounds[c].delta]
+            to_ground = relations.remap(self.bounds[c].delta, ground)
             child_records.append([
-                (self.operand(self.piece(_spread(ckey, cat, d)), d), ctable[ckey][0], ckey)
+                (self.operand(self.piece(to_ground(ckey)), d), ctable[ckey][0], ckey)
                 for ckey in sorted(ctable)
             ])
 
@@ -246,41 +242,11 @@ class _RecordEngine:
                             nxt[merged] = (val, chain + ((c, ckey),))
                 states = nxt
             for state, (score, chain) in states.items():
-                key = _gather(self.rows(state, d), at, back, delta_mask)
+                key = tuple(to_delta(self.rows(state, d)))
                 cur = table.get(key)
                 if cur is None or score > cur[0]:
                     table[key] = (score, (parents, closed_choice, chain))
         return table
-
-
-def _spread(rows, at: list[int], d: int) -> list[int]:
-    """Rows over a vertex list whose i-th vertex sits at position at[i] of
-    a d-vertex index, as rows over that index."""
-    out = [0] * d
-    for i, row in enumerate(rows):
-        new = 0
-        while row:
-            low = row & -row
-            new |= 1 << at[low.bit_length() - 1]
-            row ^= low
-        out[at[i]] = new
-    return out
-
-
-def _gather(rows, at: list[int], back: list[int], mask: int) -> tuple[int, ...]:
-    """The inverse of `_spread`: the rows at the positions `at` (index mask
-    `mask`, back[at[i]] == 1 << i) over the vertex list they hold; pairs
-    with any other position are dropped."""
-    out = []
-    for g in at:
-        row = rows[g] & mask
-        new = 0
-        while row:
-            low = row & -row
-            new |= back[low.bit_length() - 1]
-            row ^= low
-        out.append(new)
-    return tuple(out)
 
 
 def _engine(cls, instance: NonZeroInstance, forest=None):

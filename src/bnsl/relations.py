@@ -12,6 +12,9 @@ ground index range(d) sit in one int, row i in bits [i*d, (i+1)*d)
 `cut_mask`, and it merges two relations that are already closed, so
 `closed_union` pivots only on the indices that both of them touch
 (`support`), each pivot a shift, a mask and a product on the whole int.
+
+Both DPs move relations between vertex lists through `remap`, which
+compiles a fixed source -> target map once for many relations.
 """
 
 from __future__ import annotations
@@ -108,24 +111,30 @@ def restrict(rows: Sequence[int], mask: int) -> list[int]:
     return [row & mask if mask >> i & 1 else 0 for i, row in enumerate(rows)]
 
 
-def reindex(rows: Sequence[int], src: Sequence, dst: Sequence) -> list[int]:
-    """Rows over vertex list `src` re-expressed over vertex list `dst`;
-    pairs with a vertex missing from `dst` are dropped."""
+def remap(src: Sequence, dst: Sequence):
+    """The fixed map from vertex list `src` to vertex list `dst`, compiled
+    once: the returned function re-expresses rows over `src` as rows over
+    `dst`, dropping pairs with a vertex missing from `dst`.  Its cost per
+    call is one step per kept row and per pair in it."""
     pos = {x: i for i, x in enumerate(dst)}
-    to = [pos.get(x) for x in src]
-    out = [0] * len(dst)
-    for i, row in enumerate(rows):
-        if to[i] is None:
-            continue
-        new = 0
-        j = 0
-        while row:
-            if row & 1 and to[j] is not None:
-                new |= 1 << to[j]
-            row >>= 1
-            j += 1
-        out[to[i]] = new
-    return out
+    moves = [(i, pos[x]) for i, x in enumerate(src) if x in pos]
+    bit = [1 << pos[x] if x in pos else 0 for x in src]
+    kept = sum(1 << i for i, _ in moves)
+    d = len(dst)
+
+    def apply(rows: Sequence[int]) -> list[int]:
+        out = [0] * d
+        for i, j in moves:
+            row = rows[i] & kept
+            new = 0
+            while row:
+                low = row & -row
+                new |= bit[low.bit_length() - 1]
+                row ^= low
+            out[j] = new
+        return out
+
+    return apply
 
 
 def classes(rows: Sequence[int]) -> list[int]:

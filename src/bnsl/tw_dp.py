@@ -202,9 +202,10 @@ class _TwEngine:
                 gain = sum(self.inst.arc(x, y) for x, y in arcs)
                 choices.append((arcs, relations.from_pairs(arcs, verts), inn, gain))
         table: dict = {}
+        to_bag = relations.remap(cverts, verts)
         for ckey, centry in self.tables[child].items():
-            loc0 = relations.reindex(ckey[0], cverts, verts)
-            con0 = relations.reindex(ckey[1], cverts, verts)
+            loc0 = to_bag(ckey[0])
+            con0 = to_bag(ckey[1])
             inn0 = ckey[2][:i] + (0,) + ckey[2][i:]
             n_old = self._classes(con0)
             for arcs, rows, cnt, gain in choices:
@@ -229,11 +230,12 @@ class _TwEngine:
         i = cverts.index(v)
         bonus = self.bonus.get(v, (0,) * ((self.q or 0) + 1))
         table: dict = {}
+        to_bag = relations.remap(cverts, verts)
         for ckey, centry in self.tables[child].items():
             loc, con, inn = ckey
             key = (
-                tuple(relations.reindex(loc, cverts, verts)),
-                tuple(relations.reindex(con, cverts, verts)),
+                tuple(to_bag(loc)),
+                tuple(to_bag(con)),
                 inn[:i] + inn[i + 1:],
             )
             val = centry[0] + bonus[inn[i] if inn else 0]

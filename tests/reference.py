@@ -23,6 +23,8 @@ DP's merge by a full Warshall closure (`BnslEngineFullClosure`) and by
 the shared-support closure on row lists (`BnslEngineRowGlue` with
 `closed_union_rows` and `support_rows`), both folding tuples of rows
 (`RowFold`), the
+general re-indexing that looks every position up per call (`reindex`,
+which the earlier engines above call), the
 lfen local search that scores every swap on a rebuilt forest
 (`component_lfen_tree_rebuild`), the subdivision loop that sorts the
 whole edge set for every draw (`subdivide_resort`), and the component
@@ -1136,8 +1138,8 @@ class TwEngineDicts:
         subsets = [(q, relations.from_pairs(q, verts)) for q in arc_subsets_by_edge(cand_arcs)]
         for ckey, (cscore, _) in child_table.items():
             loc0, con0, inn0 = ckey
-            loc0 = relations.reindex(loc0, cverts, verts)
-            con0 = relations.reindex(con0, cverts, verts)
+            loc0 = reindex(loc0, cverts, verts)
+            con0 = reindex(con0, cverts, verts)
             if self.mode == "pl":
                 n_old = len(relations.classes(con0))
             inn0d = dict(inn0)
@@ -1183,8 +1185,8 @@ class TwEngineDicts:
         table: dict = {}
         for ckey, (cscore, _) in self.tables[child].items():
             loc0, con0, inn0 = ckey
-            loc = tuple(relations.reindex(loc0, cverts, verts))
-            con = tuple(relations.reindex(con0, cverts, verts))
+            loc = tuple(reindex(loc0, cverts, verts))
+            con = tuple(reindex(con0, cverts, verts))
             inn = tuple((x, k) for x, k in inn0 if x != v)
             key = (loc, con, inn)
             cur = table.get(key)
@@ -1485,7 +1487,7 @@ class BnslEngineProduct(RecordEngineProduct):
             ctable = self.tables[c]
             cdelta = self.bounds[c].delta
             child_records.append([
-                (relations.reindex(ckey, cdelta, ground), ctable[ckey][0], ckey)
+                (reindex(ckey, cdelta, ground), ctable[ckey][0], ckey)
                 for ckey in sorted(ctable)
             ])
 
@@ -1512,7 +1514,7 @@ class BnslEngineProduct(RecordEngineProduct):
                             nxt[mkey] = (val, chain + ((c, ckey),))
                 states = nxt
             for rows, (score, chain) in states.items():
-                key = tuple(relations.reindex(relations.closure(rows), ground, b.delta))
+                key = tuple(reindex(relations.closure(rows), ground, b.delta))
                 cur = table.get(key)
                 if cur is None or score > cur[0]:
                     table[key] = (score, (parents, closed_choice, chain))
@@ -1616,6 +1618,30 @@ class BnslEngineFullClosure(RowFold):
         if not relations.irreflexive(merged):
             return None
         return tuple(relations.restrict(merged, keep))
+
+
+# The library's former `relations.reindex`, kept verbatim: the earlier engines
+# above call it; the library now compiles each map once (`relations.remap`).
+
+
+def reindex(rows: Sequence[int], src: Sequence, dst: Sequence) -> list[int]:
+    """Rows over vertex list `src` re-expressed over vertex list `dst`;
+    pairs with a vertex missing from `dst` are dropped."""
+    pos = {x: i for i, x in enumerate(dst)}
+    to = [pos.get(x) for x in src]
+    out = [0] * len(dst)
+    for i, row in enumerate(rows):
+        if to[i] is None:
+            continue
+        new = 0
+        j = 0
+        while row:
+            if row & 1 and to[j] is not None:
+                new |= 1 << to[j]
+            row >>= 1
+            j += 1
+        out[to[i]] = new
+    return out
 
 
 # The two functions below are the row-list versions of

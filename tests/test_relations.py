@@ -1,6 +1,7 @@
 import random
 
 from bnsl import relations
+from reference import reindex
 
 
 def random_order(rng, d, verts, planted=()):
@@ -31,6 +32,22 @@ def test_pack_and_cut():
         keep = rng.getrandbits(d)
         assert relations.unpack(m & relations.cut_mask(keep, d), d) == (
             relations.restrict(rows, keep))
+
+
+def test_remap_matches_reindex():
+    # vertex lists that overlap in part, one missing from the other, or
+    # hold the same vertices in another order
+    for seed in range(300):
+        rng = random.Random(seed)
+        pool = list(range(20))
+        src = rng.sample(pool, rng.randint(0, 9))
+        dst = rng.sample(src, rng.randint(0, len(src))) + rng.sample(
+            [x for x in pool if x not in src], rng.randint(0, 4))
+        rng.shuffle(dst)
+        to_dst = relations.remap(src, dst)
+        for _ in range(5):
+            rows = [rng.getrandbits(len(src)) for _ in src]
+            assert to_dst(rows) == reindex(rows, src, dst)
 
 
 def test_support_is_the_indices_in_some_pair():
