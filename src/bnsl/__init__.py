@@ -6,7 +6,7 @@ Submodules:
   kernel     -- polynomial-time data reduction with solution lifting
   lfen_dp    -- record DP over a witness spanning tree
   tw_dp      -- snapshot DP over a nice tree decomposition (additive scores)
-  relations  -- bit-row boundary relations shared by both DP families
+  relations  -- packed boundary relations shared by both DP families
   polytree   -- spanning-forest and matroid-intersection polytree solvers
   depset     -- branching solver over the dependent-vertex arc space
   oracle     -- exhaustive reference solvers used by the test suites

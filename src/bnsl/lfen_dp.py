@@ -70,32 +70,26 @@ def boundaries(g: Superstructure, forest: SpanningForest) -> list[Boundary]:
 class _RecordEngine:
     """Leaf-to-root record DP over a rooted spanning forest.
 
-    Every key is a relation on the sorted delta of its vertex, as bit rows
+    Every key is a relation on the sorted delta of its vertex, one int
     (bnsl.relations); `public(v, key)` gives it in the engine's public
     format.  `combine_records(v)`, which also serves the leaves, folds the
     open children into each parent set of v one at a time, over a dense
     index range(d) of everything the combination can mention, and
-    deduplicates after every child.  Subclasses choose the fold's
-    representation: `piece(rows)` makes v's parent arcs or a child's key,
-    given as rows over the index, into a fold operand; `glue(held, piece,
-    cut, outside)` merges a state with a child record and cuts the result
-    down to the indices later steps can observe (None when the union is
-    not allowed; `outside` masks delta_out(v)); `rows(state, d)` gives a
-    final state's rows over the index.  Glue reads each state through
-    `operand(state, d)`, made once per state and once per child record,
-    and the kept indices through `cut(keep, d)`, made once per vertex and
-    child from their index mask (by default both return their argument).
-    The polytree engine folds tuples of rows with their class count; the
-    acyclic engine packs each state into one int, so that its union,
-    closure and cut are whole-int operations (`relations.closed_union`).
-    Child keys enter the index, and final states leave it for delta(v),
-    through maps compiled once per vertex and child (`relations.remap`).
+    deduplicates after every child on the merged state cut down to the
+    indices later steps can observe.  Fold states are relations over the
+    index too; child keys enter it, in ascending order, and final states
+    leave it for delta(v), through maps compiled once per vertex and child
+    (`relations.remap`).  Subclasses supply the merge in two hooks:
+    `operand(state, d)` reads a state, or a child record, for the merge,
+    once per state and once per child record; `glue(held, cheld, outside,
+    d)` merges two operands into a state before the cut, or None when the
+    union is not allowed (`outside` masks the rows of delta_out(v)).
     tables[v] maps a key to (score, (parents, closed choice, open
     choice)): v's parent set, whether each closed child takes the arc from
     v, and the key picked in each open child's table.
     """
 
-    root_key: tuple = ()
+    root_key = 0
 
     def __init__(self, instance: NonZeroInstance, g: Superstructure, forest: SpanningForest):
         self.instance = instance
@@ -107,17 +101,9 @@ class _RecordEngine:
             raise RuntimeError("boundary exceeds 2k+2")
         self.tables: list[Optional[dict]] = [None] * g.n
 
-    @staticmethod
-    def operand(state, d: int):
-        return state
-
-    @staticmethod
-    def cut(keep: int, d: int):
-        return keep
-
-    def closed_key(self, c: int, take_arc: bool) -> tuple[int, ...]:
+    def closed_key(self, c: int, take_arc: bool) -> int:
         arcs = [(self.forest.parent[c], c)] if take_arc else []
-        return tuple(relations.from_pairs(arcs, self.bounds[c].delta))
+        return relations.from_pairs(arcs, self.bounds[c].delta)
 
     def records(self, v: int) -> dict:
         """tables[v] as {public key: best score}."""
@@ -196,7 +182,8 @@ class _RecordEngine:
         ground = sorted(ground)
         d = len(ground)
         gidx = {x: i for i, x in enumerate(ground)}
-        outside = sum(1 << gidx[x] for x in b.delta_out)
+        dout = set(b.delta_out)
+        outside = relations.pack(((1 << d) - 1 if x in dout else 0 for x in ground), d)
         to_delta = relations.remap(ground, b.delta)
 
         frontier_after = []
@@ -206,43 +193,39 @@ class _RecordEngine:
             for x in self.bounds[c].delta:
                 acc |= 1 << gidx[x]
         frontier_after.reverse()  # frontier_after[i]: mask kept after folding opens[i]
-        cuts = [self.cut(keep, d) for keep in frontier_after]
+        cuts = [relations.cut_mask(keep, d) for keep in frontier_after]
 
         # each open child's records, translated once into the ground index
+        operand, glue = self.operand, self.glue
         child_records = []
         for c in opens:
             ctable = self.tables[c]
             to_ground = relations.remap(self.bounds[c].delta, ground)
             child_records.append([
-                (self.operand(self.piece(to_ground(ckey)), d), ctable[ckey][0], ckey)
-                for ckey in sorted(ctable)
+                (operand(to_ground(ckey), d), ctable[ckey][0], ckey) for ckey in sorted(ctable)
             ])
 
         table: dict = {}
-        vbit = 1 << gidx[v]
-        operand, glue = self.operand, self.glue
         for parents, base, closed_choice in self.parent_choices(v):
-            rows0 = [0] * d
-            for p in parents:
-                rows0[gidx[p]] |= vbit
             # fold the open children one by one, deduplicating on the
             # merged state cut down to what later steps can still observe
-            states = {self.piece(rows0): (base, ())}
+            states = {relations.from_pairs([(p, v) for p in parents], ground): (base, ())}
             for c, cut, crecords in zip(opens, cuts, child_records):
                 nxt: dict = {}
                 for state, (score, chain) in states.items():
                     held = operand(state, d)
-                    for cpiece, cscore, ckey in crecords:
-                        merged = glue(held, cpiece, cut, outside)
+                    for cheld, cscore, ckey in crecords:
+                        merged = glue(held, cheld, outside, d)
                         if merged is None:
                             continue
+                        merged &= cut
                         val = score + cscore
                         cur = nxt.get(merged)
                         if cur is None or val > cur[0]:
                             nxt[merged] = (val, chain + ((c, ckey),))
                 states = nxt
             for state, (score, chain) in states.items():
-                key = tuple(to_delta(self.rows(state, d)))
+                key = to_delta(state)
                 cur = table.get(key)
                 if cur is None or score > cur[0]:
                     table[key] = (score, (parents, closed_choice, chain))
@@ -257,19 +240,10 @@ def _engine(cls, instance: NonZeroInstance, forest=None):
 
 
 class _BnslEngine(_RecordEngine):
-    """Acyclic-network record DP; keys are strict-reachability relations.
+    """Acyclic-network record DP; keys are strict-reachability relations."""
 
-    The fold packs each state and each translated child record into one
-    int (`relations.pack`, row i of the index in bits [i*d, (i+1)*d)), so
-    its union, closure and cut are whole-int operations; pack and unpack
-    happen only where v's parent arcs or a child's key come in and where a
-    final state goes out.
-    """
-
-    def public(self, v: int, key: tuple[int, ...]) -> frozenset:
+    def public(self, v: int, key: int) -> frozenset:
         return relations.to_pairs(key, self.bounds[v].delta)
-
-    piece = staticmethod(relations.pack)
 
     @staticmethod
     def operand(state: int, d: int):
@@ -277,21 +251,14 @@ class _BnslEngine(_RecordEngine):
         return state, relations.support(state, d)
 
     @staticmethod
-    def cut(keep: int, d: int):
-        return relations.cut_mask(keep, d), d
-
-    @staticmethod
-    def glue(held, cpiece, cut, outside: int):
+    def glue(held, cheld, outside: int, d: int):
         # both operands are closed (v's parent arcs, a child's key, a closed
         # state cut down to the kept indices), so a shortest path of their
         # union alternates between them and switches only at indices both
         # touch: Warshall needs pivots there alone, and only a pivot closes
         # a cycle
-        (m, sup), (cm, csup) = held, cpiece
-        mask, d = cut
-        return relations.closed_union(m, cm, sup & csup, mask, d)
-
-    rows = staticmethod(relations.unpack)
+        (m, sup), (cm, csup) = held, cheld
+        return relations.closed_union(m, cm, sup & csup, d)
 
 
 def combine_records(
@@ -331,9 +298,9 @@ class _PlEngine(_RecordEngine):
     """Record DP for polytrees.  A key's rows for the inner boundary
     delta_in relate the vertices that the partial skeleton inside the
     subtree connects; its rows for delta_out hold the arcs entering the
-    subtree.  Fold states pair such rows with their class count."""
+    subtree."""
 
-    def public(self, v: int, key: tuple[int, ...]) -> tuple:
+    def public(self, v: int, key: int) -> tuple:
         """(partition of delta_in into components, entering arcs)."""
         b = self.bounds[v]
         pairs = relations.to_pairs(key, b.delta)
@@ -341,38 +308,26 @@ class _PlEngine(_RecordEngine):
         return tuple(sorted(groups)), frozenset((x, y) for x, y in pairs if x in b.delta_out)
 
     @staticmethod
-    def piece(rows: list[int]) -> tuple:
-        return tuple(rows), len(relations.classes(rows))
+    def operand(state: int, d: int):
+        """The state with its class count."""
+        return state, len(relations.classes(state, d))
 
     @staticmethod
-    def glue(state, cpiece, keep: int, outside: int):
-        (rows, count), (crows, ccount) = state, cpiece
-        merged = [a | b for a, b in zip(rows, crows)]
+    def glue(held, cheld, outside: int, d: int):
+        (m, count), (cm, ccount) = held, cheld
+        merged = m | cm
         # each operand is a forest on the index once each of its components
         # is cut down to its index vertices, and the operands share no
         # other vertex.  A forest on d vertices with k components has d - k
         # edges, so the union (a shared edge counted twice, as the 2-cycle
         # it closes) is a forest exactly when its d - k_a + d - k_b edges
         # leave d - that many components, as the bag DP's join also tests
-        parts = relations.classes(merged)
-        if len(parts) != count + ccount - len(merged):
+        if len(relations.classes(merged, d)) != count + ccount - d:
             return None
-        # inside tails keep only their components: cut them down to `keep`
-        inner = relations.same_class([0 if outside >> i & 1 else r for i, r in enumerate(merged)])
-        cut = relations.restrict(
-            [r if outside >> i & 1 else s for i, (r, s) in enumerate(zip(merged, inner))], keep
-        )
-        # the cut's classes are the union's classes that meet `keep` and
-        # each dropped index alone: inside rows point inside only, and an
-        # outside row (kept, as all of delta(v)) only at heads of arcs
-        # entering the subtree, which are in delta_in(v) and kept too; so a
-        # path of the union between kept indices runs through inner classes
-        # whose ends are kept, and the cut relates those ends directly
-        return tuple(cut), sum(1 for cls in parts if cls & keep) + len(merged) - keep.bit_count()
-
-    @staticmethod
-    def rows(state, d: int):
-        return state[0]
+        # inside tails keep only their components; inside rows point inside
+        # only, and outside rows keep their arcs entering the subtree
+        inner = relations.classes(merged & ~outside, d)
+        return merged & outside | relations.class_rows(inner, d)
 
 
 def solve_pl_lfen(

@@ -38,14 +38,6 @@ from .instances import AdditiveInstance, Network, Superstructure, superstructure
 _NO_ARCS: frozenset = frozenset()
 
 
-def _pack(values, width: int) -> int:
-    """`values`, each below 2**width, as the fields of one int."""
-    out = 0
-    for x in values:
-        out = out << width | x
-    return out
-
-
 class _TwEngine:
     def __init__(
         self,
@@ -75,8 +67,8 @@ class _TwEngine:
         self.verts = [tuple(sorted(node.bag)) for node in td.nodes]
         self.tables: dict[int, dict] = {}
 
-    # snapshots: (loc rows, con rows, inn); loc and con are bit-row relations
-    # over the node's sorted bag (bnsl.relations), inn the parent count of
+    # snapshots: (loc, con, inn); loc and con are relations over the node's
+    # sorted bag, one int each (bnsl.relations), inn the parent count of
     # each bag vertex in the same order, () without a bound; an empty inn
     # (no bound, or an empty bag) passes every bound test.  Table entries:
     # (score, arcs introduced here, the key of each child in node.children)
@@ -93,7 +85,7 @@ class _TwEngine:
     def solve(self) -> tuple[int, Network]:
         self.run_tables()
         root_table = self.tables[self.td.root]
-        key = ((), (), ())
+        key = (0, 0, ())
         if list(root_table) != [key]:
             raise RuntimeError("root must hold the single empty snapshot")
         score = root_table[key][0]
@@ -136,13 +128,12 @@ class _TwEngine:
             groups.setdefault(key[0], []).append(key)
         if len(groups) == len(table):
             return table
-        # con packs into one int of d-bit rows, so con' is a subset of con
-        # when con' & ~con is 0; inn packs into fields of w bits whose top
-        # bit is a guard, so inn' <= inn everywhere when subtracting inn'
-        # from inn with every guard set borrows no guard away
-        d = len(next(iter(table))[1])
+        # con' is a subset of con when con' & ~con is 0; inn packs into
+        # fields of w bits whose top bit is a guard, so inn' <= inn
+        # everywhere when subtracting inn' from inn with every guard set
+        # borrows no guard away
         w = (self.q or 0).bit_length() + 1
-        guard = _pack([1 << w - 1] * d, w)
+        guard = relations.pack([1 << w - 1] * len(next(iter(table))[2]), w)
         dropped = set()
         for keys in groups.values():
             if len(keys) == 1:
@@ -151,9 +142,9 @@ class _TwEngine:
             # distinct, has a smaller rank: sorted, it comes first
             group = []
             for key in keys:
-                con = _pack(key[1], d)
+                con = key[1]
                 group.append(((-table[key][0], con.bit_count() + sum(key[2])),
-                              con, _pack(key[2], w) | guard, key))
+                              con, relations.pack(key[2], w) | guard, key))
             group.sort(key=itemgetter(0))
             kept: dict = {}  # con -> packed inn of each kept snapshot with it
             for _, con, inn, key in group:
@@ -164,59 +155,61 @@ class _TwEngine:
                     kept.setdefault(con, []).append(inn & ~guard)
         return {key: entry for key, entry in table.items() if key not in dropped}
 
-    def _classes(self, con) -> int:
-        """Class count of a snapshot's `con`, which only the polytree glue
-        reads.  A polytree con relates each vertex to the rest of its
-        class, so a row with its own bit added is the class's mask."""
-        return len({row | 1 << i for i, row in enumerate(con)}) if self.pl else 0
+    def _aux(self, con: int, d: int) -> int:
+        """What `_glue` reads of a con over d bag indices besides itself:
+        its class count in polytree mode, its support in acyclic mode."""
+        return len(relations.classes(con, d)) if self.pl else relations.support(con, d)
 
-    def _glue(self, a, b, fresh: int):
+    def _glue(self, a: int, b: int, d: int, pivots: int, fresh: int) -> Optional[int]:
         """Connectivity of the union of two partial networks with boundary
-        relations `a` and `b`, or None when the union is not acyclic (in
-        polytree mode: not a polytree, which it is exactly when the merged
-        rows have `fresh` classes)."""
-        merged = [x | y for x, y in zip(a, b)]
+        relations `a` and `b` over d bag indices, or None when the union is
+        not acyclic.  Acyclic mode reads only `pivots`, where it runs
+        `relations.closed_union`; polytree mode reads only `fresh`: the
+        union is a polytree exactly when the merged rows have that many
+        classes."""
         if not self.pl:
-            con = relations.closure(merged)
-            return tuple(con) if relations.irreflexive(con) else None
-        parts = relations.classes(merged)
-        if len(parts) != fresh:
-            return None
-        return tuple(relations.class_rows(parts, len(merged)))
+            return relations.closed_union(a, b, pivots, d)
+        parts = relations.classes(a | b, d)
+        return relations.class_rows(parts, d) if len(parts) == fresh else None
 
     def _leaf(self, t, node) -> dict:
-        empty = (0,) * len(node.bag)
-        return {(empty, empty, () if self.q is None else empty): (0, _NO_ARCS)}
+        return {(0, 0, () if self.q is None else (0,) * len(node.bag)): (0, _NO_ARCS)}
 
     def _introduce(self, t, node) -> dict:
         (child,) = node.children
         v = next(iter(node.bag - self.td.nodes[child].bag))
         verts, cverts = self.verts[t], self.verts[child]
+        d = len(verts)
         i = verts.index(v)
-        choices = []  # each undirected edge to v skipped, v->u or u->v
+        # each undirected edge to v skipped, v->u or u->v.  con is closed,
+        # and every arc of a choice touches v, so a shortest path of their
+        # union switches operand, or takes two arcs in a row, only at the
+        # choice's support: glue pivots there
+        choices = []
         edges = [(None, (v, u), (u, v)) for u in sorted(self.g.adj[v] & node.bag)]
         for picks in product(*edges):
             arcs = frozenset(a for a in picks if a)
             inn = () if self.q is None else tuple(sum(y == x for _, y in arcs) for x in verts)
             if not inn or max(inn) <= self.q:
                 gain = sum(self.inst.arc(x, y) for x, y in arcs)
-                choices.append((arcs, relations.from_pairs(arcs, verts), inn, gain))
+                rows = relations.from_pairs(arcs, verts)
+                choices.append((arcs, rows, relations.support(rows, d), inn, gain))
         table: dict = {}
         to_bag = relations.remap(cverts, verts)
         for ckey, centry in self.tables[child].items():
             loc0 = to_bag(ckey[0])
             con0 = to_bag(ckey[1])
             inn0 = ckey[2][:i] + (0,) + ckey[2][i:]
-            n_old = self._classes(con0)
-            for arcs, rows, cnt, gain in choices:
+            n_old = len(relations.classes(con0, d)) if self.pl else 0
+            for arcs, rows, pivots, cnt, gain in choices:
                 inn = cnt and tuple(map(add, inn0, cnt))
                 if inn and max(inn) > self.q:
                     continue
                 # each arc of a polytree choice joins v to a new class
-                con = self._glue(con0, rows, n_old - len(arcs))
+                con = self._glue(con0, rows, d, pivots, n_old - len(arcs))
                 if con is None:
                     continue
-                key = (tuple(a | b for a, b in zip(loc0, rows)), con, inn)
+                key = (loc0 | rows, con, inn)
                 val = centry[0] + gain
                 cur = table.get(key)
                 if cur is None or val > cur[0]:
@@ -233,11 +226,7 @@ class _TwEngine:
         to_bag = relations.remap(cverts, verts)
         for ckey, centry in self.tables[child].items():
             loc, con, inn = ckey
-            key = (
-                tuple(to_bag(loc)),
-                tuple(to_bag(con)),
-                inn[:i] + inn[i + 1:],
-            )
+            key = (to_bag(loc), to_bag(con), inn[:i] + inn[i + 1:])
             val = centry[0] + bonus[inn[i] if inn else 0]
             cur = table.get(key)
             if cur is None or val > cur[0]:
@@ -247,14 +236,17 @@ class _TwEngine:
     def _join(self, t, node) -> dict:
         c1, c2 = node.children
         verts = self.verts[t]
-        # the right entries by loc, each group with loc's class count
+        d = len(verts)
+        units = relations.unit(d)
+        # the right entries by loc, each group with loc's class count and
+        # each entry with what the glue reads of its con
         by_loc: dict = {}
         for key2, entry2 in self.tables[c2].items():
             group = by_loc.get(key2[0])
             if group is None:
-                n_loc = len(relations.classes(key2[0])) if self.pl else 0
+                n_loc = len(relations.classes(key2[0], d)) if self.pl else 0
                 group = by_loc[key2[0]] = (n_loc, [])
-            group[1].append((key2, entry2[0], self._classes(key2[1])))
+            group[1].append((key2, entry2[0], self._aux(key2[1], d)))
         table: dict = {}
         for key1, entry1 in self.tables[c1].items():
             loc, con1, inn1 = key1
@@ -263,17 +255,18 @@ class _TwEngine:
             n_loc, group = by_loc[loc]
             s1 = entry1[0] - sum(self.inst.arc(x, y) for x, y in relations.to_pairs(loc, verts))
             loc_inn = () if self.q is None else tuple(
-                sum(row >> j & 1 for row in loc) for j in range(len(verts)))
-            # polytrees: both sides are forests that share only the bag and
-            # the loc arcs, so the union's cycle rank is (#classes1 +
-            # #classes2 - #classes(loc)) - #classes(merged), and the class
-            # count alone says whether the union is a forest
-            n_rest = self._classes(con1) - n_loc
-            for key2, s2, n2 in group:
+                (loc >> j & units).bit_count() for j in range(d))
+            # acyclic: both cons are closed, so glue pivots on their shared
+            # support.  Polytrees: both sides are forests that share only
+            # the bag and the loc arcs, so the union's cycle rank is
+            # (#classes1 + #classes2 - #classes(loc)) - #classes(merged),
+            # and the class count alone says whether the union is a forest
+            aux1 = self._aux(con1, d)
+            for key2, s2, aux2 in group:
                 inn = inn1 and tuple(map(sub, map(add, inn1, key2[2]), loc_inn))
                 if inn and max(inn) > self.q:
                     continue
-                con = self._glue(con1, key2[1], n_rest + n2)
+                con = self._glue(con1, key2[1], d, aux1 & aux2, aux1 - n_loc + aux2)
                 if con is None:
                     continue
                 key = (loc, con, inn)

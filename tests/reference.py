@@ -21,10 +21,13 @@ open children's tables in one product (`RecordEngineProduct` with
 `subtree_masks` in `boundaries_by_subtree_masks`), and the acyclic record
 DP's merge by a full Warshall closure (`BnslEngineFullClosure`) and by
 the shared-support closure on row lists (`BnslEngineRowGlue` with
-`closed_union_rows` and `support_rows`), both folding tuples of rows
-(`RowFold`), the
-general re-indexing that looks every position up per call (`reindex`,
-which the earlier engines above call), the
+`closed_union_rows` and `support_rows`), both merging tuples of rows
+(`RowFold`), the general re-indexing that looks every position up per
+call (`reindex`, which the earlier engines above call), the library's
+relation helpers on lists of bit rows, with which the references and
+tests build and read relations (`closure`, `irreflexive`, `restrict`,
+`same_class`, and the row forms of `classes`, `class_rows`, `from_pairs`,
+`to_pairs` and `remap`; `unpack` gives a packed relation's rows), the
 lfen local search that scores every swap on a rebuilt forest
 (`component_lfen_tree_rebuild`), the subdivision loop that sorts the
 whole edge set for every draw (`subdivide_resort`), and the component
@@ -35,7 +38,7 @@ subgraph that scans every edge once per component
 import random
 from itertools import product
 from operator import or_
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from bnsl import graphs, relations
 from bnsl.graphs import (
@@ -1135,13 +1138,13 @@ class TwEngineDicts:
         cand_arcs = [(v, u) for u in nbrs] + [(u, v) for u in nbrs]
         table: dict = {}
         child_table = self.tables[child]
-        subsets = [(q, relations.from_pairs(q, verts)) for q in arc_subsets_by_edge(cand_arcs)]
+        subsets = [(q, from_pairs(q, verts)) for q in arc_subsets_by_edge(cand_arcs)]
         for ckey, (cscore, _) in child_table.items():
             loc0, con0, inn0 = ckey
             loc0 = reindex(loc0, cverts, verts)
             con0 = reindex(con0, cverts, verts)
             if self.mode == "pl":
-                n_old = len(relations.classes(con0))
+                n_old = len(classes(con0))
             inn0d = dict(inn0)
             for q_arcs, q_rows in subsets:
                 gain = 0
@@ -1163,13 +1166,13 @@ class TwEngineDicts:
                     gain += self.inst.arc(x, y)
                 merged = [a | b for a, b in zip(con0, q_rows)]
                 if self.mode == "bnsl":
-                    con = relations.closure(merged)
-                    if not relations.irreflexive(con):
+                    con = closure(merged)
+                    if not irreflexive(con):
                         continue
                 else:
-                    if len(relations.classes(merged)) != n_old - len(q_arcs):
+                    if len(classes(merged)) != n_old - len(q_arcs):
                         continue
-                    con = relations.same_class(merged)
+                    con = same_class(merged)
                 loc = tuple(a | b for a, b in zip(loc0, q_rows))
                 key = (loc, tuple(con), inn)
                 val = cscore + gain
@@ -1203,16 +1206,16 @@ class TwEngineDicts:
         table: dict = {}
         for key1, (s1, _) in self.tables[c1].items():
             loc, con1, inn1 = key1
-            loc_arcs = relations.to_pairs(loc, self.verts[t])
+            loc_arcs = to_pairs(loc, self.verts[t])
             doublecount = sum(self.inst.arc(x, y) for x, y in loc_arcs)
             if self.q is not None:
                 indeg_loc: dict = {}
                 for x, y in loc_arcs:
                     indeg_loc[y] = indeg_loc.get(y, 0) + 1
             if self.mode == "pl":
-                locc = tuple(relations.same_class(loc))
-                n_shared = len(relations.classes(loc))
-                n1 = len(relations.classes(con1))
+                locc = tuple(same_class(loc))
+                n_shared = len(classes(loc))
+                n1 = len(classes(con1))
             for key2 in by_loc.get(loc, ()):
                 _, con2, inn2 = key2
                 s2 = self.tables[c2][key2][0]
@@ -1232,8 +1235,8 @@ class TwEngineDicts:
                     inn = ()
                 merged = [a | b for a, b in zip(con1, con2)]
                 if self.mode == "bnsl":
-                    con = relations.closure(merged)
-                    if not relations.irreflexive(con):
+                    con = closure(merged)
+                    if not irreflexive(con):
                         continue
                 else:
                     # the two partial polytrees share exactly the bag
@@ -1244,10 +1247,10 @@ class TwEngineDicts:
                     # freshly: #shared = #classes1 + #classes2 - #merged
                     if tuple(a & b for a, b in zip(con1, con2)) != locc:
                         continue
-                    n2 = len(relations.classes(con2))
-                    if n_shared != n1 + n2 - len(relations.classes(merged)):
+                    n2 = len(classes(con2))
+                    if n_shared != n1 + n2 - len(classes(merged)):
                         continue
-                    con = relations.same_class(merged)
+                    con = same_class(merged)
                 key = (loc, tuple(con), inn)
                 val = s1 + s2 - doublecount
                 cur = table.get(key)
@@ -1300,7 +1303,7 @@ def snapshot_tables_dicts(instance: AdditiveInstance, mode: str, td: NiceTreeDec
     for t, table in tables.items():
         verts = eng.verts[t]
         plain[t] = {
-            (relations.to_pairs(loc, verts), relations.to_pairs(con, verts), inn): val
+            (to_pairs(loc, verts), to_pairs(con, verts), inn): val
             for (loc, con, inn), (val, _) in table.items()
         }
     return plain
@@ -1450,12 +1453,12 @@ class BnslEngineProduct(RecordEngineProduct):
 
     def closed_key(self, c: int, take_arc: bool) -> tuple[int, ...]:
         arcs = [(self.forest.parent[c], c)] if take_arc else []
-        return tuple(relations.from_pairs(arcs, self.bounds[c].delta))
+        return tuple(from_pairs(arcs, self.bounds[c].delta))
 
     def records(self, v: int) -> dict:
         """tables[v] as {reachability pair set: best score}."""
         delta = self.bounds[v].delta
-        return {relations.to_pairs(key, delta): sc for key, (sc, _) in self.tables[v].items()}
+        return {to_pairs(key, delta): sc for key, (sc, _) in self.tables[v].items()}
 
     def combine_records(self, v: int) -> dict:
         b = self.bounds[v]
@@ -1504,17 +1507,17 @@ class BnslEngineProduct(RecordEngineProduct):
                 nxt: dict = {}
                 for rows, (score, chain) in states.items():
                     for crows, cscore, ckey in crecords:
-                        merged = relations.closure([a | b for a, b in zip(rows, crows)])
-                        if not relations.irreflexive(merged):
+                        merged = closure([a | b for a, b in zip(rows, crows)])
+                        if not irreflexive(merged):
                             continue
-                        mkey = tuple(relations.restrict(merged, keep))
+                        mkey = tuple(restrict(merged, keep))
                         val = score + cscore
                         cur = nxt.get(mkey)
                         if cur is None or val > cur[0]:
                             nxt[mkey] = (val, chain + ((c, ckey),))
                 states = nxt
             for rows, (score, chain) in states.items():
-                key = tuple(reindex(relations.closure(rows), ground, b.delta))
+                key = tuple(reindex(closure(rows), ground, b.delta))
                 cur = table.get(key)
                 if cur is None or score > cur[0]:
                     table[key] = (score, (parents, closed_choice, chain))
@@ -1572,13 +1575,13 @@ class PlEngineProduct(RecordEngineProduct):
                     if vmask >> x & 1:
                         inner[node[x]] |= 1 << node[y]
                 # a forest iff every arc merges two components
-                if len(relations.classes(skeleton)) != size - len(arcs):
+                if len(classes(skeleton)) != size - len(arcs):
                     continue
                 # components of the subgraph induced on the subtree: only
                 # arcs with both endpoints inside count
                 groups = (
                     tuple(x for x in din if cls >> node[x] & 1)
-                    for cls in relations.classes(inner)
+                    for cls in classes(inner)
                 )
                 part_key = tuple(sorted(g for g in groups if g))
                 key = (part_key, frozenset((x, y) for x, y in arcs if not vmask >> x & 1))
@@ -1591,33 +1594,39 @@ class PlEngineProduct(RecordEngineProduct):
 
 
 class RowFold(_RecordEngine):
-    """The acyclic record DP's fold on tuples of rows, with the keys'
-    public format of `_BnslEngine` and nothing else of it; subclasses
-    supply the merge."""
+    """The acyclic record DP's fold with a merge on tuples of rows, with the
+    keys' public format of `_BnslEngine` and nothing else of it: `operand`
+    unpacks each state and child record, and `glue` packs the result of
+    the subclass's `row_glue`.  The library's fold cuts every merged state
+    down to the indices it keeps, so `row_glue` is asked to keep every
+    index."""
 
     public = _BnslEngine.public
-    piece = staticmethod(tuple)
 
     @staticmethod
-    def rows(state, d: int):
-        return state
+    def operand(state: int, d: int):
+        return tuple(unpack(state, d))
+
+    def glue(self, held, cheld, outside: int, d: int):
+        rows = self.row_glue(held, cheld, (1 << d) - 1, outside)
+        return None if rows is None else relations.pack(rows, d)
 
 
 class BnslEngineFullClosure(RowFold):
     """The acyclic record DP with its earlier merge, kept verbatim: a full
     Warshall closure of the union over the fold's whole ground index, then
-    the irreflexivity test, then the cut down to `keep`.  It folds plain
+    the irreflexivity test, then the cut down to `keep`.  It merges plain
     rows; the fold driver is the library's, which `BnslEngineProduct`
     checks on its own."""
 
     @staticmethod
-    def glue(rows, crows, keep: int, outside: int):
+    def row_glue(rows, crows, keep: int, outside: int):
         # restricting a closed relation leaves it closed, so the state
         # stays the reachability relation of the partial solution
-        merged = relations.closure([a | b for a, b in zip(rows, crows)])
-        if not relations.irreflexive(merged):
+        merged = closure([a | b for a, b in zip(rows, crows)])
+        if not irreflexive(merged):
             return None
-        return tuple(relations.restrict(merged, keep))
+        return tuple(restrict(merged, keep))
 
 
 # The library's former `relations.reindex`, kept verbatim: the earlier engines
@@ -1642,6 +1651,122 @@ def reindex(rows: Sequence[int], src: Sequence, dst: Sequence) -> list[int]:
             j += 1
         out[to[i]] = new
     return out
+
+
+# The library's former row helpers, kept verbatim: the library now keeps
+# every relation packed into one int (bnsl.relations), while the references
+# above and the tests build and read relations as lists of bit rows, row i
+# over index i (bit j set when i is related to j).  `unpack` gives the rows
+# of a packed relation, `relations.pack(rows, d)` packs them again.
+
+
+def unpack(m: int, d: int) -> list[int]:
+    """The d rows of a relation packed by `relations.pack`, row 0 in the
+    top field."""
+    field = (1 << d) - 1
+    return [m >> (d - 1 - i) * d & field for i in range(d)]
+
+
+def closure(rows: Sequence[int]) -> list[int]:
+    """Transitive closure (Warshall)."""
+    rows = list(rows)
+    d = len(rows)
+    for k in range(d):
+        col = 1 << k
+        rk = rows[k]
+        for i in range(d):
+            if rows[i] & col:
+                rows[i] |= rk
+    return rows
+
+
+def irreflexive(rows: Sequence[int]) -> bool:
+    """True when no index is related to itself."""
+    return not any(row >> i & 1 for i, row in enumerate(rows))
+
+
+def restrict(rows: Sequence[int], mask: int) -> list[int]:
+    """Only the pairs with both indices in `mask`."""
+    return [row & mask if mask >> i & 1 else 0 for i, row in enumerate(rows)]
+
+
+def remap(src: Sequence, dst: Sequence):
+    """The fixed map from vertex list `src` to vertex list `dst`, compiled
+    once: the returned function re-expresses rows over `src` as rows over
+    `dst`, dropping pairs with a vertex missing from `dst`.  Its cost per
+    call is one step per kept row and per pair in it."""
+    pos = {x: i for i, x in enumerate(dst)}
+    moves = [(i, pos[x]) for i, x in enumerate(src) if x in pos]
+    bit = [1 << pos[x] if x in pos else 0 for x in src]
+    kept = sum(1 << i for i, _ in moves)
+    d = len(dst)
+
+    def apply(rows: Sequence[int]) -> list[int]:
+        out = [0] * d
+        for i, j in moves:
+            row = rows[i] & kept
+            new = 0
+            while row:
+                low = row & -row
+                new |= bit[low.bit_length() - 1]
+                row ^= low
+            out[j] = new
+        return out
+
+    return apply
+
+
+def classes(rows: Sequence[int]) -> list[int]:
+    """Index masks of the connected classes of the symmetric closure; every
+    index lies in exactly one class."""
+    out: list[int] = []
+    for i, row in enumerate(rows):
+        cls = row | 1 << i
+        rest = []
+        for other in out:
+            if other & cls:
+                cls |= other
+            else:
+                rest.append(other)
+        rest.append(cls)
+        out = rest
+    return out
+
+
+def same_class(rows: Sequence[int]) -> list[int]:
+    """Pairs of distinct indices in one class of the symmetric closure."""
+    return class_rows(classes(rows), len(rows))
+
+
+def class_rows(parts: Iterable[int], d: int) -> list[int]:
+    """Pairs of distinct indices in one of `parts`, index masks that
+    partition range(d)."""
+    out = [0] * d
+    for cls in parts:
+        for i in range(d):
+            if cls >> i & 1:
+                out[i] = cls & ~(1 << i)
+    return out
+
+
+def from_pairs(pairs: Iterable[tuple], verts: Sequence) -> list[int]:
+    """Rows over `verts` holding the given vertex pairs."""
+    pos = {x: i for i, x in enumerate(verts)}
+    rows = [0] * len(verts)
+    for x, y in pairs:
+        rows[pos[x]] |= 1 << pos[y]
+    return rows
+
+
+def to_pairs(rows: Sequence[int], verts: Sequence) -> frozenset:
+    """The vertex pairs held by rows over `verts`."""
+    return frozenset(
+        (verts[i], verts[j])
+        for i, row in enumerate(rows)
+        for j in range(len(verts))
+        if row >> j & 1
+    )
+
 
 
 # The two functions below are the row-list versions of
@@ -1672,7 +1797,7 @@ def closed_union_rows(a: Sequence[int], b: Sequence[int], shared: int, keep: int
             if row & low:
                 rows[i] = row | rk
         shared ^= low
-    return relations.restrict(rows, keep)
+    return restrict(rows, keep)
 
 
 def support_rows(rows: Sequence[int]) -> int:
@@ -1686,15 +1811,15 @@ def support_rows(rows: Sequence[int]) -> int:
 
 class BnslEngineRowGlue(RowFold):
     """The acyclic record DP with the shared-support merge on row lists:
-    states and child records are tuples of rows, read with their support
-    mask."""
+    states and child records are read as rows with their support mask."""
 
     @staticmethod
-    def operand(rows, d: int):
+    def operand(state: int, d: int):
+        rows = unpack(state, d)
         return rows, support_rows(rows)
 
     @staticmethod
-    def glue(state, cpiece, keep: int, outside: int):
+    def row_glue(state, cpiece, keep: int, outside: int):
         (rows, sup), (crows, csup) = state, cpiece
         merged = closed_union_rows(rows, crows, sup & csup, keep)
         return None if merged is None else tuple(merged)

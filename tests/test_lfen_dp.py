@@ -8,11 +8,32 @@ from reference import (
     BnslEngineProduct,
     BnslEngineRowGlue,
     PlEngineProduct,
+    classes,
+    closure,
+    from_pairs,
+    irreflexive,
     random_dag,
     reach_pairs,
+    same_class,
     subtree_pl_record_reference,
     subtree_record_reference,
+    to_pairs,
+    unpack,
 )
+
+
+def row_table(eng, v):
+    """eng.tables[v] as a list of items with every packed key, the chain's
+    child keys included, turned into the row tuple of its relation."""
+    bounds = eng.bounds
+
+    def rows(c, key):
+        return tuple(unpack(key, len(bounds[c].delta)))
+
+    return [
+        (rows(v, key), (score, (parents, closed, tuple((c, rows(c, ck)) for c, ck in chain))))
+        for key, (score, (parents, closed, chain)) in eng.tables[v].items()
+    ]
 
 
 def witness_forest(instance):
@@ -206,17 +227,24 @@ def test_union_acyclicity_criterion():
         union = d1.arcs | d2.arcs
         con1 = reach_pairs(range(n), d1.arcs)
         con2 = reach_pairs(range(n), d2.arcs)
-        closure = reach_pairs(range(n), con1 | con2)
-        irreflexive = not any(u == v for u, v in closure)
+        closed_pairs = reach_pairs(range(n), con1 | con2)
+        loop_free = not any(u == v for u, v in closed_pairs)
         acyclic = not any(u == v for u, v in reach_pairs(range(n), union))
-        assert irreflexive == acyclic
+        assert loop_free == acyclic
         hits += not acyclic
-        # the bit-row relations of bnsl.relations agree with the references
+        # the row helpers and the packed relations of bnsl.relations agree
+        # with the references
         verts = list(range(n))
-        rows1, rows2 = relations.from_pairs(con1, verts), relations.from_pairs(con2, verts)
-        rows = relations.closure([a | b for a, b in zip(rows1, rows2)])
-        assert relations.to_pairs(rows, verts) == closure
-        assert relations.irreflexive(rows) == irreflexive
+        rows1, rows2 = from_pairs(con1, verts), from_pairs(con2, verts)
+        rows = closure([a | b for a, b in zip(rows1, rows2)])
+        assert to_pairs(rows, verts) == closed_pairs
+        assert irreflexive(rows) == loop_free
+        m1, m2 = relations.from_pairs(con1, verts), relations.from_pairs(con2, verts)
+        assert (m1, m2) == (relations.pack(rows1, n), relations.pack(rows2, n))
+        shared = relations.support(m1, n) & relations.support(m2, n)
+        closed = relations.closed_union(m1, m2, shared, n)
+        assert (closed is not None) == loop_free
+        assert closed is None or relations.to_pairs(closed, verts) == closed_pairs
         root = list(verts)
 
         def find(x):
@@ -227,12 +255,14 @@ def test_union_acyclicity_criterion():
         for u, v in union:
             root[find(u)] = find(v)
         expect = {frozenset(x for x in verts if find(x) == r) for r in map(find, verts)}
-        union_rows = relations.from_pairs(union, verts)
-        got = {frozenset(x for x in verts if cls >> x & 1) for cls in relations.classes(union_rows)}
-        assert got == expect and len(relations.classes(union_rows)) == len(expect)
-        assert relations.to_pairs(relations.same_class(union_rows), verts) == {
-            (x, y) for x in verts for y in verts if x != y and find(x) == find(y)
-        }
+        union_rows = from_pairs(union, verts)
+        got = {frozenset(x for x in verts if cls >> x & 1) for cls in classes(union_rows)}
+        assert got == expect and len(classes(union_rows)) == len(expect)
+        same = {(x, y) for x in verts for y in verts if x != y and find(x) == find(y)}
+        assert to_pairs(same_class(union_rows), verts) == same
+        parts = relations.classes(relations.from_pairs(union, verts), n)
+        assert {frozenset(x for x in verts if cls >> x & 1) for cls in parts} == expect
+        assert relations.to_pairs(relations.class_rows(parts, n), verts) == same
     assert hits > 50  # both outcomes actually exercised
 
 
@@ -307,11 +337,12 @@ def test_supplied_tree_is_respected(example4):
 
 
 def test_tables_and_witness_match_product_engine():
-    # the fold over bit-row keys against the engine that took the product
-    # of all open children's tables: acyclic tables (insertion order and
-    # backpointers included) and witnesses are identical; polytree tables
-    # are equal as dicts, and the witness, which may differ on ties, is a
-    # polytree scoring the optimum
+    # the fold over packed keys against the engine that took the product
+    # of all open children's tables on row keys: acyclic tables (insertion
+    # order and backpointers, the chains' keys included, compared on row
+    # tuples) and witnesses are identical; polytree tables are equal as
+    # dicts, and the witness, which may differ on ties, is a polytree
+    # scoring the optimum
     for seed in range(320):
         rng = random.Random(130_000 + seed)
         inst = generate.random_nonzero(rng, rng.randint(1, 13), rng.randint(0, 4),
@@ -323,7 +354,7 @@ def test_tables_and_witness_match_product_engine():
             ref = BnslEngineProduct(inst, g, forest)
             ref.fill()
             for v in range(inst.n):
-                assert list(eng.tables[v].items()) == list(ref.tables[v].items())
+                assert row_table(eng, v) == list(ref.tables[v].items())
             assert lfen_dp.solve_bnsl_lfen(inst, forest) == ref.solve()
 
             tables, _ = lfen_dp.pl_record_tables(inst, forest)
@@ -339,9 +370,10 @@ def test_tables_and_witness_match_product_engine():
 def test_tables_match_full_closure_at_kernel_scale():
     # kernels of subdivided n=60, fen=5 instances, whose largest fold
     # ground indices hold 13-21 vertices: the glue that pivots only on the
-    # shared support gives the tables of the full Warshall closure, in
-    # insertion order with their backpointers, and the same solve.  The
-    # seeds are ones whose reference fold takes about a second at most
+    # shared support gives the tables of the full Warshall closure on row
+    # lists, in insertion order with their backpointers, and the same
+    # solve.  The seeds are ones whose reference fold takes about a second
+    # at most
     for seed in (0, 3, 4, 8, 16, 19, 20, 21):
         inst = generate.random_nonzero(random.Random(f"rg:{seed}"), 60, 5, subdivisions=40)
         red = kernel.kernelize_bnsl(inst).reduced
@@ -351,14 +383,14 @@ def test_tables_match_full_closure_at_kernel_scale():
             assert lfen_dp.solve_bnsl_lfen(red, forest) == ref.solve()
             _, eng = lfen_dp.record_tables(red, forest)
             for v in range(red.n):
-                assert list(eng.tables[v].items()) == list(ref.tables[v].items())
+                assert row_table(eng, v) == row_table(ref, v)
 
 
 def test_packed_fold_matches_row_glue_on_benchmark_kernels():
     # the kernels of the dag-explicit benchmark's subdivided slots (n=60
     # fen=5, n=200 fen=3, n=800 fen=1) for seeds 1-7, both rounds, drawn
     # as perfbench/ladders.py draws them, over the witness tree the CLI
-    # searches: the fold on packed ints gives the tables of the fold on
+    # searches: the merge on packed ints gives the tables of the merge on
     # row lists, in insertion order with their backpointers, and the same
     # solve.  The n=1500 near-tree slot is left out: generating one takes
     # over a second, and its kernel has cycle rank 1
@@ -375,4 +407,4 @@ def test_packed_fold_matches_row_glue_on_benchmark_kernels():
                 assert lfen_dp.solve_bnsl_lfen(red, forest) == ref.solve()
                 _, eng = lfen_dp.record_tables(red, forest)
                 for v in range(red.n):
-                    assert list(eng.tables[v].items()) == list(ref.tables[v].items())
+                    assert row_table(eng, v) == row_table(ref, v)

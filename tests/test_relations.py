@@ -1,7 +1,18 @@
 import random
 
 from bnsl import relations
-from reference import reindex
+from reference import (
+    class_rows,
+    classes,
+    closure,
+    from_pairs,
+    irreflexive,
+    reindex,
+    remap,
+    restrict,
+    to_pairs,
+    unpack,
+)
 
 
 def random_order(rng, d, verts, planted=()):
@@ -19,24 +30,31 @@ def random_order(rng, d, verts, planted=()):
     for _ in range(rng.randint(0, len(verts)) if len(verts) > 1 else 0):
         i, j = sorted(rng.sample(range(len(order)), 2))
         rows[order[i]] |= 1 << order[j]
-    return relations.closure(rows)
+    return closure(rows)
 
 
 def test_pack_and_cut():
+    # d = 0 is the bag DP's empty root bag and a closed root's empty delta
+    assert relations.pack([], 0) == relations.unit(0) == relations.cut_mask(0, 0) == 0
     for seed in range(200):
         rng = random.Random(seed)
         d = rng.randint(0, 14)
         rows = [rng.getrandbits(d) for _ in range(d)]
-        m = relations.pack(rows)
-        assert m < 1 << d * d and relations.unpack(m, d) == rows
+        m = relations.pack(rows, d)
+        assert m < 1 << d * d and unpack(m, d) == rows
+        assert relations.unit(d) == relations.pack([1] * d, d)
         keep = rng.getrandbits(d)
-        assert relations.unpack(m & relations.cut_mask(keep, d), d) == (
-            relations.restrict(rows, keep))
+        assert unpack(m & relations.cut_mask(keep, d), d) == restrict(rows, keep)
+        # row 0 in the top field: ints sort as their row tuples
+        many = [tuple(rng.getrandbits(d) for _ in range(d)) for _ in range(20)]
+        assert sorted(relations.pack(r, d) for r in many) == [
+            relations.pack(r, d) for r in sorted(many)]
 
 
 def test_remap_matches_reindex():
     # vertex lists that overlap in part, one missing from the other, or
     # hold the same vertices in another order
+    assert relations.remap([], [])(0) == 0
     for seed in range(300):
         rng = random.Random(seed)
         pool = list(range(20))
@@ -45,9 +63,33 @@ def test_remap_matches_reindex():
             [x for x in pool if x not in src], rng.randint(0, 4))
         rng.shuffle(dst)
         to_dst = relations.remap(src, dst)
+        to_dst_rows = remap(src, dst)
         for _ in range(5):
             rows = [rng.getrandbits(len(src)) for _ in src]
-            assert to_dst(rows) == reindex(rows, src, dst)
+            want = reindex(rows, src, dst)
+            assert to_dst_rows(rows) == want
+            assert to_dst(relations.pack(rows, len(src))) == relations.pack(want, len(dst))
+
+
+def test_pair_and_class_functions_match_row_forms():
+    # from_pairs, to_pairs, classes and class_rows against the row helpers,
+    # on random relations, symmetric ones (the polytree cons) included
+    assert relations.classes(0, 0) == [] and relations.class_rows([], 0) == 0
+    assert relations.to_pairs(0, ()) == frozenset() and relations.from_pairs([], ()) == 0
+    for seed in range(300):
+        rng = random.Random(50_000 + seed)
+        d = rng.randint(0, 12)
+        verts = rng.sample(range(40), d)
+        pairs = {(x, y) for x in verts for y in verts if rng.random() < 0.15}
+        if seed % 2:
+            pairs |= {(y, x) for x, y in pairs}
+        rows = from_pairs(pairs, verts)
+        m = relations.from_pairs(pairs, verts)
+        assert m == relations.pack(rows, d)
+        assert relations.to_pairs(m, verts) == to_pairs(rows, verts) == pairs
+        parts = relations.classes(m, d)
+        assert parts == classes(rows)
+        assert relations.class_rows(parts, d) == relations.pack(class_rows(parts, d), d)
 
 
 def test_support_is_the_indices_in_some_pair():
@@ -55,8 +97,8 @@ def test_support_is_the_indices_in_some_pair():
         rng = random.Random(seed)
         d = rng.randint(0, 14)
         rows = random_order(rng, d, rng.sample(range(d), rng.randint(0, d)))
-        pairs = relations.to_pairs(rows, range(d))
-        assert relations.support(relations.pack(rows), d) == (
+        pairs = to_pairs(rows, range(d))
+        assert relations.support(relations.pack(rows, d), d) == (
             sum({1 << x for pair in pairs for x in pair}))
 
 
@@ -78,20 +120,50 @@ def test_closed_union_matches_full_closure():
                          planted_a)
         b = random_order(rng, d, shared_verts + rng.sample(rest, rng.randint(0, len(rest))),
                          planted_b)
-        assert relations.irreflexive(a) and relations.irreflexive(b)
-        full = relations.closure([x | y for x, y in zip(a, b)])
+        assert irreflexive(a) and irreflexive(b)
+        full = closure([x | y for x, y in zip(a, b)])
         keep = rng.getrandbits(d)
-        pa, pb = relations.pack(a), relations.pack(b)
+        pa, pb = relations.pack(a, d), relations.pack(b, d)
         shared = relations.support(pa, d) & relations.support(pb, d)
-        # a wider pivot mask than the shared support changes nothing
+        # a wider pivot mask than the shared support changes nothing; the
+        # record DP cuts the result down to `keep`
         for pivots in (shared, shared | rng.getrandbits(d)):
-            got = relations.closed_union(pa, pb, pivots, relations.cut_mask(keep, d), d)
-            if relations.irreflexive(full):
-                assert got == relations.pack(relations.restrict(full, keep))
+            got = relations.closed_union(pa, pb, pivots, d)
+            if irreflexive(full):
+                assert got == relations.pack(full, d)
+                assert got & relations.cut_mask(keep, d) == relations.pack(restrict(full, keep), d)
             else:
                 assert got is None
-        if not relations.irreflexive(full):
+        if not irreflexive(full):
             cycles += 1
             if not any(a[x] >> y & 1 and b[y] >> x & 1 for x in range(d) for y in range(d)):
                 long_cycles += 1
     assert cycles > 500 and long_cycles > 50
+
+
+def test_closed_union_of_an_order_and_a_star():
+    # the bag DP's introduce: a strict partial order on every index but v,
+    # and arcs that all touch v (each edge at most one way); the support of
+    # the arcs is enough to pivot on, both for the closure and for cycles
+    cycles = 0
+    for seed in range(2000):
+        rng = random.Random(9_000 + seed)
+        d = rng.randint(1, 12)
+        v = rng.randrange(d)
+        others = [x for x in range(d) if x != v]
+        a = random_order(rng, d, others)
+        b = [0] * d
+        for u in rng.sample(others, rng.randint(0, len(others))):
+            if rng.random() < 0.5:
+                b[v] |= 1 << u
+            else:
+                b[u] |= 1 << v
+        full = closure([x | y for x, y in zip(a, b)])
+        pb = relations.pack(b, d)
+        got = relations.closed_union(relations.pack(a, d), pb, relations.support(pb, d), d)
+        if irreflexive(full):
+            assert got == relations.pack(full, d)
+        else:
+            assert got is None
+            cycles += 1
+    assert cycles > 300

@@ -20,6 +20,7 @@ from reference import (
     core_min_fill_relabeled,
     snapshot_reference,
     snapshot_tables_dicts,
+    unpack,
 )
 
 
@@ -172,9 +173,27 @@ def test_supplied_decomposition_is_used():
     assert s == 5
 
 
+def dict_key(eng, t, key):
+    """A packed snapshot key of node t in the dict engine's format: loc and
+    con as row tuples, inn as (vertex, count) pairs."""
+    verts = eng.verts[t]
+    loc, con, inn = key
+    return tuple(unpack(loc, len(verts))), tuple(unpack(con, len(verts))), tuple(zip(verts, inn))
+
+
+def dict_entry(entry) -> tuple:
+    """A dict-engine entry as (score, arcs introduced, child keys)."""
+    score, back = entry
+    if back[0] == "intro":
+        return score, back[2], (back[1],)
+    return score, frozenset(), back[1:]
+
+
 def test_tables_and_witness_match_dict_engine():
     # every node table, insertion order included, and the witness network
-    # equal those of the engine with per-state in-degree dicts
+    # equal those of the engine with per-state in-degree dicts, and so do
+    # the unpruned engine's own tables with their backpointers, compared
+    # on row tuples and (vertex, count) pairs
     for seed in range(300):
         rng = random.Random(120_000 + seed)
         q = rng.choice([None, 1, 2, 3])
@@ -188,15 +207,23 @@ def test_tables_and_witness_match_dict_engine():
             for t, table in tables.items():
                 assert list(table.items()) == list(want[t].items())
             unpruned = tw_dp._TwEngine(inst, td, mode, q, prune=False)
-            assert unpruned.solve() == TwEngineDicts(inst, td, mode, q).solve()
+            ref = TwEngineDicts(inst, td, mode, q)
+            assert unpruned.solve() == ref.solve()
+            for t, table in unpruned.tables.items():
+                children = td.nodes[t].children
+                got = [(dict_key(unpruned, t, key), (entry[0], entry[1], tuple(
+                    dict_key(unpruned, c, ck) for c, ck in zip(children, entry[2:]))))
+                    for key, entry in table.items()]
+                assert got == [(key, dict_entry(entry)) for key, entry in ref.tables[t].items()]
 
 
 def dominates(a, b) -> bool:
     """Entry a = (key, score) dominates entry b: same loc, a score at least
-    b's, con a subset of b's row by row, inn no larger at any position."""
+    b's, con a subset of b's (packed, so row by row at once), inn no larger
+    at any position."""
     (loc1, con1, inn1), s1 = a
     (loc2, con2, inn2), s2 = b
-    return (loc1 == loc2 and s1 >= s2 and all(x | y == y for x, y in zip(con1, con2))
+    return (loc1 == loc2 and s1 >= s2 and con1 & ~con2 == 0
             and all(x <= y for x, y in zip(inn1, inn2)))
 
 
