@@ -12,7 +12,7 @@ import random
 from bisect import bisect_left, insort
 from typing import Optional
 
-from .instances import AdditiveInstance, Network, NonZeroInstance, Superstructure
+from .instances import AdditiveInstance, Network, NonZeroInstance, Superstructure, find
 
 
 def _rng(seed_or_rng) -> random.Random:
@@ -72,18 +72,11 @@ def random_graph(
 
 def _components_of(n, edges):
     comp = list(range(n))
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
     for a, b in edges:
-        ra, rb = find(a), find(b)
+        ra, rb = find(comp, a), find(comp, b)
         if ra != rb:
             comp[ra] = rb
-    return [find(v) for v in range(n)]
+    return [find(comp, v) for v in range(n)]
 
 
 def subdivide(seed_or_rng, g: Superstructure, times: int) -> Superstructure:

@@ -15,7 +15,7 @@ from itertools import accumulate
 from operator import add
 from typing import Optional
 
-from .instances import Superstructure
+from .instances import Superstructure, find
 
 DEFAULT_TREE_BUDGET = 20000
 _SEARCH_ROOTS = 4  # the local search starts from the BFS trees of vertices 0..3
@@ -215,18 +215,11 @@ def _spanning_trees(g: Superstructure):
     def connected_with(available: list[bool], union: list[int]) -> bool:
         # can the remaining edges still span everything merged so far?
         parent = union[:]
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        comps = len({find(v) for v in range(n)})
+        comps = len({find(parent, v) for v in range(n)})
         for i, (a, b) in enumerate(edges):
             if not available[i]:
                 continue
-            ra, rb = find(a), find(b)
+            ra, rb = find(parent, a), find(parent, b)
             if ra != rb:
                 parent[ra] = rb
                 comps -= 1
@@ -240,13 +233,6 @@ def _spanning_trees(g: Superstructure):
             return
         if i == m:
             return
-
-        def find(par, x):
-            while par[x] != x:
-                par[x] = par[par[x]]
-                x = par[x]
-            return x
-
         a, b = edges[i]
         ra, rb = find(union, a), find(union, b)
         if ra != rb:
@@ -614,23 +600,21 @@ def tree_decomposition(
     """Nice decomposition of g, or of the subgraph induced by `vertices`
     over g's vertex numbers, from one min-fill elimination pass (or, when
     `exact`, the optimal order of the whole graph); components meet under a
-    shared empty root.  No vertex at all gives one empty leaf of width -1."""
+    shared empty root.  No vertex at all gives `nice_from_raw`'s empty leaf
+    of width -1."""
     if exact and vertices is not None:
         raise ValueError("exact width mode decomposes whole graphs only")
     order = _exact_order(g) if exact else None
-    bags, parent = _eliminate(g, range(g.n) if vertices is None else vertices, order)
-    if not bags:
-        node = TDNode(frozenset(), "leaf", [])
-        return NiceTreeDecomposition([node], 0, -1)
-    return nice_from_raw(bags, parent)
+    return nice_from_raw(*_eliminate(g, range(g.n) if vertices is None else vertices, order))
 
 
 def nice_from_raw(bags: dict, parent: dict) -> NiceTreeDecomposition:
     """Nice decomposition from raw bags and a parent map over bag keys
     (roots omitted from `parent`); bag contents are morphed stepwise along
-    each raw edge and components joined under a shared empty root.  A bag
-    with no vertex and no child covers nothing and is left out (a nice
-    leaf holds one vertex); no bag left gives one empty leaf of width -1."""
+    each raw edge, children in ascending key order, and components joined
+    under a shared empty root.  A bag with no vertex and no child covers
+    nothing and is left out (a nice leaf holds one vertex); no bag left, or
+    none given, gives one empty leaf of width -1."""
     nodes: list[TDNode] = []
 
     def add(bag, kind, children) -> int:
@@ -651,8 +635,8 @@ def nice_from_raw(bags: dict, parent: dict) -> NiceTreeDecomposition:
                 children_of[p].remove(v)
                 if not bags[p] and not children_of[p]:
                     empty.append(p)
-        if not bags:
-            return NiceTreeDecomposition([TDNode(frozenset(), "leaf", [])], 0, -1)
+    if not bags:
+        return NiceTreeDecomposition([TDNode(frozenset(), "leaf", [])], 0, -1)
     comp_roots = [v for v in bags if v not in parent]
 
     def morph(top: int, cur_bag: frozenset, bag: frozenset) -> int:

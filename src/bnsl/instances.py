@@ -234,6 +234,14 @@ class Validation:
         return self.ok
 
 
+def find(parent: list[int], x: int) -> int:
+    """Root of x in the union-find forest `parent`, halving the path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def _directed_cycle(n: int, arcs: Iterable[tuple[int, int]]) -> Optional[list[int]]:
     """Some directed cycle as a vertex list, or None if acyclic."""
     out: dict[int, list[int]] = {v: [] for v in range(n)}
@@ -284,16 +292,9 @@ def validate(network: Network, mode: str, q: Optional[int] = None) -> Validation
             return Validation(False, "directed cycle", cycle=cyc)
     else:
         parent = list(range(network.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         added: dict[int, set[int]] = {v: set() for v in range(network.n)}
         for u, v in sorted(network.arcs):
-            ru, rv = find(u), find(v)
+            ru, rv = find(parent, u), find(parent, v)
             if ru == rv:
                 cyc = _skeleton_path(added, v, u)
                 return Validation(False, "skeleton cycle", cycle=cyc)

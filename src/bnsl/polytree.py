@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .instances import AdditiveInstance, Network, superstructure
+from .instances import AdditiveInstance, Network, find, superstructure
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class MatroidOracles:
     def graphic_independent(self, elements: Sequence[GroundElement]) -> bool:
         parent = list(range(self.n))
 
-        def find(x):
+        def find(x):  # its own copy: tests check the library against it
             while parent[x] != x:
                 parent[x] = parent[parent[x]]
                 x = parent[x]
@@ -101,17 +101,10 @@ def solve_pl_additive_mst(instance: AdditiveInstance) -> tuple[int, Network]:
             weighted.append((w, a, b))
     weighted.sort(key=lambda t: (-t[0], t[1], t[2]))
     parent = list(range(g.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     arcs = set()
     total = 0
     for w, a, b in weighted:
-        ra, rb = find(a), find(b)
+        ra, rb = find(parent, a), find(parent, b)
         if ra == rb:
             continue
         parent[ra] = rb

@@ -19,8 +19,9 @@ bonus that each core vertex collects where it is forgotten, and a walk down
 those trees completes the witness.  Without a decomposition they run over
 the min-fill decomposition of the subgraph induced by the core, in the
 superstructure's own vertex numbers (`tree_decomposition(g,
-vertices=core)`); a supplied one, which describes the whole
-superstructure, is cut to the core (`_core_decomposition`).
+vertices=core)`).  A supplied one, which describes the whole
+superstructure, is cut to the core on its raw bags: each node's bag meets
+the core, and `nice_from_raw` rebuilds the cut tree.
 `snapshot_tables` keeps the unfolded tables of the whole decomposition.
 """
 
@@ -32,7 +33,7 @@ from operator import add, itemgetter, sub
 from typing import Optional
 
 from . import relations
-from .graphs import NiceTreeDecomposition, TDNode, tree_decomposition
+from .graphs import NiceTreeDecomposition, nice_from_raw, tree_decomposition
 from .instances import AdditiveInstance, Network, Superstructure, superstructure
 
 _NO_ARCS: frozenset = frozenset()
@@ -384,54 +385,21 @@ class _Fold:
         return arcs
 
 
-def _core_decomposition(td: NiceTreeDecomposition, core) -> NiceTreeDecomposition:
-    """`td` with every bag cut to `core`.  Introduce and forget nodes of
-    other vertices, and joins with a side that holds no core vertex, pass
-    their other child through; an introduce onto such a side becomes a
-    leaf."""
-    if not core:
-        return NiceTreeDecomposition([TDNode(frozenset(), "leaf", [])], 0, -1)
-    core = frozenset(core)
-    nodes: list[TDNode] = []
-    eff: dict = {}  # original node -> its node here, None when it holds no core vertex
-    for t in td.postorder():
-        node = td.nodes[t]
-        if node.kind == "join":
-            k1, k2 = (eff[c] for c in node.children)
-            if k1 is None or k2 is None:
-                eff[t] = k2 if k1 is None else k1
-                continue
-            new = TDNode(nodes[k1].bag, "join", [k1, k2])
-        else:
-            bag = node.bag & core
-            k = eff[node.children[0]] if node.children else None
-            if k is None:
-                if not bag:
-                    eff[t] = None
-                    continue
-                new = TDNode(bag, "leaf", [])
-            elif len(bag) == len(nodes[k].bag):
-                eff[t] = k
-                continue
-            else:
-                new = TDNode(bag, node.kind, [k])
-        nodes.append(new)
-        eff[t] = len(nodes) - 1
-    width = max(len(node.bag) for node in nodes) - 1
-    return NiceTreeDecomposition(nodes, eff[td.root], width)
-
-
 def fold_core(
     instance: AdditiveInstance, g: Superstructure, td: Optional[NiceTreeDecomposition] = None
 ) -> tuple[_Fold, NiceTreeDecomposition]:
     """The trees hanging off the 2-core of `instance`'s superstructure `g`,
-    folded, and the decomposition the bag DP runs on: `td` cut to the core,
-    or without `td` the min-fill decomposition of the core alone (width -1
-    when the core is empty)."""
+    folded, and the decomposition the bag DP runs on (width -1 when the core
+    is empty): without `td` the min-fill decomposition of the core alone,
+    else `td` cut to the core, each node a raw bag that keeps its core
+    vertices and its parent, rebuilt by `nice_from_raw`."""
     fold = _Fold(instance, g, instance.max_in_degree)
     if td is None:
         return fold, tree_decomposition(g, vertices=fold.core)
-    return fold, _core_decomposition(td, fold.core)
+    core = frozenset(fold.core)
+    bags = {t: node.bag & core for t, node in enumerate(td.nodes)}
+    parent = {c: t for t, node in enumerate(td.nodes) for c in node.children}
+    return fold, nice_from_raw(bags, parent)
 
 
 def solve_folded(

@@ -11,7 +11,8 @@ reproduce exactly: the kernel's old rule 1 and path DP
 `kernelize_old_rules`), `weighted_matroid_intersection_pairwise` and
 `weighted_matroid_intersection_circuits`, `check_nice_scan`,
 `min_fill_order_rescan`, `bags_from_order_replay`,
-`core_min_fill_relabeled`, `find_paths_own_bfs`, the lift (`lift_rescan`
+`core_min_fill_relabeled`, the node-by-node cut of a decomposition to
+the 2-core (`core_decomposition_rewrite`), `find_paths_own_bfs`, the lift (`lift_rescan`
 with `lift_rr1_rescan`, `lift_rr2_rescan` and `lift_rr2_pl_rescan`),
 `best_config_two_encodings` and the bag DP with per-state in-degree dicts
 and tagged backpointers (`TwEngineDicts` with `arc_subsets_by_edge`, read
@@ -808,6 +809,43 @@ def core_min_fill_relabeled(g: Superstructure, core: list[int]) -> NiceTreeDecom
     nodes = [TDNode(frozenset(core[x] for x in node.bag), node.kind, node.children)
              for node in td.nodes]
     return NiceTreeDecomposition(nodes, td.root, td.width)
+
+
+def core_decomposition_rewrite(td: NiceTreeDecomposition, core) -> NiceTreeDecomposition:
+    """`td` with every bag cut to `core`.  Introduce and forget nodes of
+    other vertices, and joins with a side that holds no core vertex, pass
+    their other child through; an introduce onto such a side becomes a
+    leaf."""
+    if not core:
+        return NiceTreeDecomposition([TDNode(frozenset(), "leaf", [])], 0, -1)
+    core = frozenset(core)
+    nodes: list[TDNode] = []
+    eff: dict = {}  # original node -> its node here, None when it holds no core vertex
+    for t in td.postorder():
+        node = td.nodes[t]
+        if node.kind == "join":
+            k1, k2 = (eff[c] for c in node.children)
+            if k1 is None or k2 is None:
+                eff[t] = k2 if k1 is None else k1
+                continue
+            new = TDNode(nodes[k1].bag, "join", [k1, k2])
+        else:
+            bag = node.bag & core
+            k = eff[node.children[0]] if node.children else None
+            if k is None:
+                if not bag:
+                    eff[t] = None
+                    continue
+                new = TDNode(bag, "leaf", [])
+            elif len(bag) == len(nodes[k].bag):
+                eff[t] = k
+                continue
+            else:
+                new = TDNode(bag, node.kind, [k])
+        nodes.append(new)
+        eff[t] = len(nodes) - 1
+    width = max(len(node.bag) for node in nodes) - 1
+    return NiceTreeDecomposition(nodes, eff[td.root], width)
 
 
 # The functions below are the kernel's contractible-path discovery with its

@@ -407,6 +407,21 @@ def test_decomposition_edgeless():
     assert graphs.check_nice(td, g) == []
 
 
+def test_decomposition_without_vertices():
+    # no bag, or only bags with no vertex, gives one empty leaf of width -1;
+    # so does decomposing a graph with no vertex, or no vertex of a graph
+    empty = ([graphs.TDNode(frozenset(), "leaf", [])], 0, -1)
+    raws = [({}, {}), ({3: frozenset()}, {}),
+            ({0: frozenset(), 1: frozenset(), 2: frozenset()}, {1: 0, 2: 1})]
+    g = Superstructure(4, [(0, 1), (1, 2)])
+    for td in ([graphs.nice_from_raw(*raw) for raw in raws]
+               + [graphs.tree_decomposition(Superstructure(0, [])),
+                  graphs.tree_decomposition(Superstructure(0, []), exact=True),
+                  graphs.tree_decomposition(g, vertices=[])]):
+        assert (td.nodes, td.root, td.width) == empty
+        assert graphs.check_nice(td, Superstructure(0, [])) == []
+
+
 def test_decomposition_invariants_random():
     for seed in range(100):
         rng = random.Random(seed)

@@ -17,6 +17,7 @@ from bnsl.instances import (
 
 from reference import (
     TwEngineDicts,
+    core_decomposition_rewrite,
     core_min_fill_relabeled,
     snapshot_reference,
     snapshot_tables_dicts,
@@ -317,7 +318,7 @@ def test_fold_matches_unfolded_dp_and_oracle():
         if k:
             core_g = Superstructure(g.n, [(a, b) for a, b in g.edges
                                           if a in fold.core and b in fold.core])
-            assert graphs.check_nice(tw_dp._core_decomposition(td, fold.core), core_g) == []
+            assert graphs.check_nice(tw_dp.fold_core(inst, g, td)[1], core_g) == []
             assert graphs.check_nice(own, core_g) == []
             assert own.width == td.width
         else:
@@ -370,6 +371,70 @@ def test_core_decomposition_matches_relabeled_copy():
             cut = tw_dp.fold_core(inst, g, td)[1]
             assert postorder_shape(cut) == postorder_shape(td)
     assert all_core >= 20
+
+
+def relabeled_min_fill(g, rng):
+    """Min-fill decomposition of a randomly relabeled copy of g with its
+    bags mapped back, node numbers kept (as the benchmark's check builds
+    its decomposition)."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    inv = sorted(range(g.n), key=perm.__getitem__)
+    h = Superstructure(g.n, [(min(perm[a], perm[b]), max(perm[a], perm[b])) for a, b in g.edges])
+    td = graphs.tree_decomposition(h)
+    nodes = [graphs.TDNode(frozenset(inv[x] for x in node.bag), node.kind, node.children)
+             for node in td.nodes]
+    return graphs.NiceTreeDecomposition(nodes, td.root, td.width)
+
+
+def padded_raw(g, rng):
+    """Raw bags of g eliminated in a random order, plus extra bags under
+    random ones (some a subset of their parent's bag, some empty and
+    childless), as a nice decomposition."""
+    order = list(range(g.n))
+    rng.shuffle(order)
+    bags, parent = graphs._eliminate(g, range(g.n), order)
+    bags, parent = dict(bags), dict(parent)
+    for key in range(g.n, g.n + rng.randint(1, 6)):
+        p = rng.choice(list(bags))
+        sub = sorted(bags[p])
+        bags[key] = frozenset(rng.sample(sub, rng.randint(0, len(sub)))) if rng.random() < 0.6 else frozenset()
+        parent[key] = p
+    return graphs.nice_from_raw(bags, parent)
+
+
+def test_cut_matches_node_rewrite():
+    # cutting a supplied decomposition to the core on its raw bags gives
+    # the node-by-node rewrite's decomposition, node for node, on
+    # whole-graph min-fill, exact, relabeled and padded random-order
+    # decompositions, with and without a core; the bag DP over both gives
+    # the same score and witness
+    cases = 0
+    for seed in range(120):
+        if seed % 2:
+            g, _ = hanging_family(170_000 + seed)
+        else:
+            rng = random.Random(171_000 + seed)
+            g = generate.random_graph(rng, rng.randint(1, 12), rng.randint(0, 5),
+                                      connected=(seed % 3 != 0), exact_fen=False)
+            g = generate.subdivide(rng, g, rng.randint(0, 12) if g.edges else 0)
+        rng = random.Random(172_000 + seed)
+        q = [None, 1, 2][seed % 3]
+        inst = generate.additive_for_graph(rng, g, q=q)
+        fold, _ = tw_dp.fold_core(inst, g)
+        tds = [graphs.tree_decomposition(g), relabeled_min_fill(g, rng), padded_raw(g, rng)]
+        if g.n <= 12:
+            tds.append(graphs.tree_decomposition(g, exact=True))
+        for td in tds:
+            want = core_decomposition_rewrite(td, fold.core)
+            got = tw_dp.fold_core(inst, g, td)[1]
+            assert (postorder_shape(got), got.root) == (postorder_shape(want), want.root), seed
+            cases += not fold.core
+            if seed % 4 == 0:
+                mode = "pl" if q is not None and seed % 8 == 0 else "bnsl"
+                assert (tw_dp.solve_folded(inst, mode, fold, got)
+                        == tw_dp.solve_folded(inst, mode, fold, want))
+    assert cases >= 20
 
 
 def test_core_min_fill_at_scale():
