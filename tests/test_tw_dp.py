@@ -394,11 +394,10 @@ def padded_raw(g, rng):
     order = list(range(g.n))
     rng.shuffle(order)
     bags, parent = graphs._eliminate(g, range(g.n), order)
-    bags, parent = dict(bags), dict(parent)
     for key in range(g.n, g.n + rng.randint(1, 6)):
         p = rng.choice(list(bags))
-        sub = sorted(bags[p])
-        bags[key] = frozenset(rng.sample(sub, rng.randint(0, len(sub)))) if rng.random() < 0.6 else frozenset()
+        sub = sorted(bags[p]) if rng.random() < 0.6 else []
+        bags[key] = frozenset(rng.sample(sub, rng.randint(0, len(sub))))
         parent[key] = p
     return graphs.nice_from_raw(bags, parent)
 
@@ -409,7 +408,7 @@ def test_cut_matches_node_rewrite():
     # whole-graph min-fill, exact, relabeled and padded random-order
     # decompositions, with and without a core; the bag DP over both gives
     # the same score and witness
-    cases = 0
+    empty_cores = 0
     for seed in range(120):
         if seed % 2:
             g, _ = hanging_family(170_000 + seed)
@@ -429,12 +428,12 @@ def test_cut_matches_node_rewrite():
             want = core_decomposition_rewrite(td, fold.core)
             got = tw_dp.fold_core(inst, g, td)[1]
             assert (postorder_shape(got), got.root) == (postorder_shape(want), want.root), seed
-            cases += not fold.core
+            empty_cores += not fold.core
             if seed % 4 == 0:
                 mode = "pl" if q is not None and seed % 8 == 0 else "bnsl"
                 assert (tw_dp.solve_folded(inst, mode, fold, got)
                         == tw_dp.solve_folded(inst, mode, fold, want))
-    assert cases >= 20
+    assert empty_cores >= 20
 
 
 def test_core_min_fill_at_scale():
