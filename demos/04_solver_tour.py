@@ -15,9 +15,9 @@ print("dependent vertices:", [inst.names[v] for v in dependent_vertices(inst)])
 
 s_oracle, _ = exact_bnsl(inst)
 s_records, _ = solve_bnsl_lfen(inst)
-s_branch, _ = solve_bnsl_depset(inst)
-print(f"subset DP {s_oracle} | record DP {s_records} | branching {s_branch}")
-assert s_oracle == s_records == s_branch
+s_depset, _ = solve_bnsl_depset(inst)
+print(f"subset DP {s_oracle} | record DP {s_records} | dependent-vertex DP {s_depset}")
+assert s_oracle == s_records == s_depset
 
 print("-- additive representation --")
 add = generate.random_additive(seed_or_rng=9, n=9, fen=3, q=2)

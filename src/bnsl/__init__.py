@@ -8,7 +8,7 @@ Submodules:
   tw_dp      -- snapshot DP over a nice tree decomposition (additive scores)
   relations  -- packed boundary relations shared by both DP families
   polytree   -- spanning-forest and matroid-intersection polytree solvers
-  depset     -- branching solver over the dependent-vertex arc space
+  depset     -- subset DP over the dependent vertices
   oracle     -- exhaustive reference solvers used by the test suites
   generate   -- reproducible random instances
 """

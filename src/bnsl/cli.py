@@ -75,7 +75,9 @@ def _sniff_rep(text: str) -> str:
     raise CliError("empty instance file")
 
 
-def _load_instance(path: str, rep, target=None, max_parents=None):
+def _load_instance(path: str, target=None, max_parents=None, rep=None):
+    """Parse an instance file; `rep` forces a representation, else the
+    header decides."""
     text = _read(path)
     rep = rep or _sniff_rep(text)
     if rep == "additive":
@@ -229,9 +231,7 @@ FLAG_OWNERS = {"--tree": "lfen", "--td": "twdp", "--max-dependent": "depset"}
 
 
 def cmd_solve(args) -> int:
-    inst, rep = _load_instance(
-        args.instance, args.rep, args.target, args.max_parents
-    )
+    inst, rep = _load_instance(args.instance, args.target, args.max_parents)
     mode = args.mode
     q = inst_q(inst)
     fits = [a for (a, m), s in SOLVERS.items()
@@ -284,7 +284,7 @@ def inst_q(inst):
 
 
 def cmd_kernelize(args) -> int:
-    inst, rep = _load_instance(args.instance, args.rep)
+    inst, rep = _load_instance(args.instance)
     if rep != "nonzero":
         raise CliError("kernelization works on the explicit representation")
     result = KERNELIZE[args.mode](inst)
@@ -301,7 +301,7 @@ def cmd_kernelize(args) -> int:
 def cmd_params(args) -> int:
     if args.budget < 0:
         raise CliError("--budget must be at least 0")
-    inst, _ = _load_instance(args.instance, args.rep)
+    inst, _ = _load_instance(args.instance)
     g = superstructure(inst)
     witness = graphs.lfen_search(g, budget=args.budget)
     td = graphs.tree_decomposition(g)
@@ -315,13 +315,11 @@ def cmd_params(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    inst, rep = _load_instance(
-        args.instance, args.rep, max_parents=args.max_parents
-    )
+    inst, _ = _load_instance(args.instance, max_parents=args.max_parents)
     if args.lift:
         if not args.reduced_instance:
             raise CliError("--lift needs --reduced-instance")
-        red, _ = _load_instance(args.reduced_instance, "nonzero")
+        red, _ = _load_instance(args.reduced_instance, rep="nonzero")
         net = parse_solution(_read(args.solution), red)
         result = kernel.KernelResult.from_json(_read(args.lift), red)
         net = result.lift(net)
@@ -379,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("solve", help="compute the optimal network")
     ps.add_argument("instance")
     ps.add_argument("--mode", choices=["bnsl", "polytree"], default="bnsl")
-    ps.add_argument("--rep", choices=["nonzero", "additive"])
     ps.add_argument(
         "--algo", choices=["auto", *dict.fromkeys(algo for algo, _ in SOLVERS)], default="auto"
     )
@@ -391,20 +388,19 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--td", metavar="FILE",
                     help=f"raw tree decomposition (--algo {FLAG_OWNERS['--td']})")
     ps.add_argument("--max-dependent", type=int, metavar="K",
-                    help=f"branching limit (--algo {FLAG_OWNERS['--max-dependent']})")
+                    help=f"dependent-vertex limit of the subset DP "
+                         f"(--algo {FLAG_OWNERS['--max-dependent']})")
     ps.set_defaults(func=cmd_solve)
 
     pk = sub.add_parser("kernelize", help="apply the reduction rules")
     pk.add_argument("instance")
     pk.add_argument("--mode", choices=KERNELIZE, default="bnsl")
-    pk.add_argument("--rep", choices=["nonzero", "additive"])
     pk.add_argument("--out", metavar="FILE", default="-")
     pk.add_argument("--map", metavar="FILE", help="write the lift tables")
     pk.set_defaults(func=cmd_kernelize)
 
     pp = sub.add_parser("params", help="superstructure parameters")
     pp.add_argument("instance")
-    pp.add_argument("--rep", choices=["nonzero", "additive"])
     pp.add_argument("--witness", action="store_true", help="print the witness tree")
     pp.add_argument(
         "--budget", type=int, default=graphs.DEFAULT_TREE_BUDGET, metavar="TREES",
@@ -418,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("instance")
     pv.add_argument("solution")
     pv.add_argument("--mode", choices=["dag", "polytree"], default="dag")
-    pv.add_argument("--rep", choices=["nonzero", "additive"])
     pv.add_argument("--max-parents", type=int)
     pv.add_argument("--lift", metavar="MAPFILE", help="lift through kernel tables")
     pv.add_argument("--reduced-instance", metavar="FILE")

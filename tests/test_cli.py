@@ -81,6 +81,18 @@ def test_rep_algo_mismatch_is_usage_error(capsys, example_file, tmp_path):
     assert exc.value.code == 2
 
 
+def test_rep_is_a_gen_option_only(capsys, example_file):
+    # the other subcommands read the representation off the file header
+    for argv in (["solve", example_file], ["kernelize", example_file],
+                 ["params", example_file], ["verify", example_file, example_file]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--rep", "nonzero"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --rep nonzero" in capsys.readouterr().err
+    code, out, _ = run(capsys, "gen", "--n", "3", "--seed", "1", "--rep", "nonzero")
+    assert code == 0 and out
+
+
 def test_wrong_solver_result_is_internal_error(capsys, example_file, monkeypatch):
     from bnsl import lfen_dp
     from bnsl.instances import Network
@@ -599,7 +611,7 @@ def test_depset_limit_names_the_record_algorithms(capsys, example_file):
     code, out, err = run(capsys, "solve", example_file, "--algo", "depset",
                          "--max-dependent", "1")
     assert code == 2 and out == ""
-    assert "exceeds the branching limit 1" in err and "--algo kernel-lfen or lfen" in err
+    assert "exceeds the limit 1 (2^4 vertex subsets)" in err and "--algo kernel-lfen or lfen" in err
 
 
 def test_depset_polytree_rejected(capsys, example_file):

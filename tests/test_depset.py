@@ -39,13 +39,6 @@ def test_count_matches_rescan():
         assert got == want
 
 
-def test_branch_count():
-    for k in range(0, 5):
-        members = tuple(range(k))
-        assert sum(1 for _ in depset.arc_configurations(members)) == \
-            3 ** (k * (k - 1) // 2)
-
-
 def test_limit_refusal():
     inst = generate.random_nonzero(3, 8, 2)
     assert len(depset.dependent_vertices(inst)) > 3
@@ -66,14 +59,14 @@ def test_matches_oracle_random():
     while done < 200:
         seed += 1
         rng = random.Random(seed)
-        inst = generate.random_limited_dependents(rng, rng.randint(2, 9),
-                                                  rng.randint(1, 4))
+        inst = generate.random_limited_dependents(rng, rng.randint(2, 12),
+                                                  rng.randint(1, 8))
         members = depset.dependent_vertices(inst)
-        if len(members) > 4:
+        if len(members) > 8:
             continue
         done += 1
         so, _ = oracle.exact_bnsl(inst)
-        sd, net = depset.solve_bnsl_depset(inst)
+        sd, net = depset.solve_bnsl_depset(inst, max_dependent=8)
         assert so == sd
         assert validate(net, "dag").ok and score_of(inst, net) == sd
 
