@@ -26,14 +26,25 @@ in-neighbour from running minima, so a pass costs O(m) plus the graphic
 circuits.  After every augmentation I is maximum weight for its
 cardinality, and the best stage overall is returned (a polytree need not
 be spanning, so a basis is not required).
+
+The bounded solver runs the intersection on the 2-core of the
+superstructure only, with the bag DP's fold (`tw_dp.Fold`).  The trees
+hanging off the core touch it only through the in-degree of the core
+vertex they hang from: with k core parents, x collects a base plus its
+q - k best positive gains.  Those gains enter the ground set as virtual
+arcs into x, each from a fresh leaf id (n, n+1, ...), so the core arcs
+plus the virtual arcs an optimum picks score the folded optimum less the
+bases, and the hanging trees leave the ground set.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .instances import AdditiveInstance, Network, find, superstructure
+from .tw_dp import Fold
 
 
 @dataclass(frozen=True)
@@ -314,13 +325,46 @@ def weighted_matroid_intersection(
     return [items[i] for i in best_set]
 
 
-def solve_pl_additive_bounded(instance: AdditiveInstance) -> tuple[int, Network]:
-    """In-degree-bounded polytree optimum via matroid intersection."""
-    if instance.max_in_degree is None:
-        raise ValueError("no in-degree bound; use solve_pl_additive_mst")
-    chosen = weighted_matroid_intersection(
-        arc_elements(instance), q=instance.max_in_degree)
-    arcs = frozenset(e.arc for e in chosen)
-    total = sum(e.weight for e in chosen)
-    return total, Network(instance.n, arcs)
+def folded_elements(instance: AdditiveInstance, fold: Fold) -> list[GroundElement]:
+    """The ground set on `fold`'s 2-core: every positive arc with both ends
+    in the core, then, for each core vertex x with hanging trees, one
+    virtual arc per gain among its q best, from a fresh leaf id (n, n+1,
+    ...) into x and weighing that gain."""
+    core = frozenset(fold.core)
+    out = [e for e in arc_elements(instance) if e.skeleton_edge <= core]
+    leaf = instance.n
+    for x in sorted(fold.bonus):
+        for gain, _ in fold.hang[x][1][:fold.q]:
+            out.append(GroundElement((leaf, x), gain, frozenset((leaf, x))))
+            leaf += 1
+    return out
 
+
+def solve_pl_additive_bounded(instance: AdditiveInstance) -> tuple[int, Network]:
+    """In-degree-bounded polytree optimum via matroid intersection on the
+    2-core of the superstructure.
+
+    The trees hanging off the core are folded as the bag DP folds them
+    (`tw_dp.Fold`): a core vertex x with k parents in the core collects
+    bonus[x][k], its hanging trees' best score with q - k parent slots
+    left, that is a base plus its q - k best positive gains.  The gains
+    enter the ground set as virtual arcs (`folded_elements`): each comes
+    from a leaf of its own, so it never closes a skeleton cycle, and it
+    counts against x's cap as a core arc does.  Given the core arcs chosen,
+    the best virtual arcs fill x's free slots, so the intersection's
+    optimum plus the bases is the folded optimum.  The score is summed as
+    the bag DP sums it (core arcs, each core vertex's bonus at its core
+    in-degree, the tree components), and `Fold.lift` completes the
+    witness, so the two agree by construction.
+    """
+    q = instance.max_in_degree
+    if q is None:
+        raise ValueError("no in-degree bound; use solve_pl_additive_mst")
+    fold = Fold(instance, superstructure(instance), q)
+    chosen = weighted_matroid_intersection(folded_elements(instance, fold), q=q)
+    core = [e for e in chosen if e.arc[0] < instance.n]  # virtual arcs start at n
+    arcs = [e.arc for e in core]
+    indeg = Counter(v for _, v in arcs)
+    total = sum(e.weight for e in core) + fold.tree_score()
+    total += sum(bonus[indeg[x]] for x, bonus in fold.bonus.items())
+    return total, Network(instance.n, frozenset(arcs) | fold.lift(arcs))

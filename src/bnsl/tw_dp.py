@@ -14,14 +14,16 @@ dominates (`_TwEngine._prune`), which keeps the optimum but may pick
 another optimal network on ties.
 
 The public solvers run the bag DP on the 2-core of the superstructure only
-(`_Fold`): the trees hanging off it are folded bottom up into an in-degree
+(`Fold`): the trees hanging off it are folded bottom up into an in-degree
 bonus that each core vertex collects where it is forgotten, and a walk down
 those trees completes the witness.  Without a decomposition they run over
 the min-fill decomposition of the subgraph induced by the core, in the
 superstructure's own vertex numbers (`tree_decomposition(g,
 vertices=core)`).  A supplied one, which describes the whole
 superstructure, is cut to the core on its raw bags: each node's bag meets
-the core, and `nice_from_raw` rebuilds the cut tree.
+the core, and `nice_from_raw` rebuilds the cut tree.  The bounded
+polytree matroid (`polytree.solve_pl_additive_bounded`) shares `Fold`: it
+runs on the same core, each bonus entering as virtual arcs.
 `snapshot_tables` keeps the unfolded tables of the whole decomposition.
 """
 
@@ -47,7 +49,7 @@ class _TwEngine:
         mode: str,
         q: Optional[int],
         prune: bool = True,
-        fold: Optional[_Fold] = None,
+        fold: Optional[Fold] = None,
     ):
         """With `fold`, `td` decomposes the 2-core only (`fold_core`) and
         `solve` adds the folded trees."""
@@ -295,7 +297,7 @@ def _peel(g: Superstructure) -> tuple[list[int], dict]:
     return order, up
 
 
-class _Fold:
+class Fold:
     """The trees hanging off the 2-core of a superstructure, folded bottom up.
 
     Each peeled vertex x (`_peel`) hangs from `up[x]`.  Its edge to it is a
@@ -387,13 +389,13 @@ class _Fold:
 
 def fold_core(
     instance: AdditiveInstance, g: Superstructure, td: Optional[NiceTreeDecomposition] = None
-) -> tuple[_Fold, NiceTreeDecomposition]:
+) -> tuple[Fold, NiceTreeDecomposition]:
     """The trees hanging off the 2-core of `instance`'s superstructure `g`,
     folded, and the decomposition the bag DP runs on (width -1 when the core
     is empty): without `td` the min-fill decomposition of the core alone,
     else `td` cut to the core, each node a raw bag that keeps its core
     vertices and its parent, rebuilt by `nice_from_raw`."""
-    fold = _Fold(instance, g, instance.max_in_degree)
+    fold = Fold(instance, g, instance.max_in_degree)
     if td is None:
         return fold, tree_decomposition(g, vertices=fold.core)
     core = frozenset(fold.core)
@@ -403,7 +405,7 @@ def fold_core(
 
 
 def solve_folded(
-    instance: AdditiveInstance, mode: str, fold: _Fold, td: NiceTreeDecomposition
+    instance: AdditiveInstance, mode: str, fold: Fold, td: NiceTreeDecomposition
 ) -> tuple[int, Network]:
     """The bag DP in `mode` ("bnsl" or "pl") over `fold_core`'s result."""
     if mode == "pl" and instance.max_in_degree is None:

@@ -131,7 +131,8 @@ def test_matroid_without_convergence_is_internal_error(capsys, tmp_path, monkeyp
 
     monkeypatch.setattr(polytree, "_node_costs", lambda items, in_set: [-1] * len(items))
     p = tmp_path / "a.inst"
-    p.write_text("additive 3\nb a 2\nc b 1\n")
+    # a triangle: the matroid runs on the 2-core, and a path has none
+    p.write_text("additive 3\nb a 2\nc b 1\na c 1\n")
     code, out, err = run(capsys, "solve", str(p), "--mode", "polytree",
                          "--max-parents", "2")
     assert code == 3 and out == ""

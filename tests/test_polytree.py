@@ -132,7 +132,7 @@ def test_matroid_axioms_spot_check():
 def test_bounded_matches_oracle_and_bag_dp():
     for seed in range(200):
         rng = random.Random(5000 + seed)
-        n = rng.randint(2, 8)
+        n = rng.randint(2, 11)
         q = rng.choice([1, 2, 3])
         inst = generate.random_additive(rng, n, rng.randint(0, 3), q=q,
                                         connected=(seed % 4 != 0), exact_fen=False)
@@ -257,8 +257,9 @@ def test_intersection_raises_when_bellman_ford_does_not_converge(monkeypatch):
 
 
 def test_bounded_at_scale():
-    # a near-tree with 594 candidate arcs: about 1 s, and about 30 s when
-    # Bellman-Ford relaxed every dense exchange arc (shared 2-core VM)
+    # a near-tree with 594 candidate arcs, 63 on the folded 2-core: about
+    # 0.02 s, 1 s unfolded, and about 30 s unfolded when Bellman-Ford
+    # relaxed every dense exchange arc (shared 2-core VM)
     inst = generate.random_additive(random.Random(400), 400, 3, q=2)
     start = time.perf_counter()
     score, net = polytree.solve_pl_additive_bounded(inst)
@@ -268,3 +269,58 @@ def test_bounded_at_scale():
     assert score == reference
     assert validate(net, "polytree", q=2).ok and score_of(inst, net) == score
     assert elapsed < 10.0, elapsed
+
+
+def folded_cases():
+    """Seeded instances for the folded matroid, q 1-3: every fifth a forest
+    (no core), every fourth in several components."""
+    for seed in range(330):
+        rng = random.Random(15000 + seed)
+        q = 1 + seed % 3
+        n = rng.randint(2, 40)
+        fen = 0 if seed % 5 == 0 else rng.randint(1, 4)
+        yield q, generate.random_additive(rng, n, fen, q=q, connected=(seed % 4 != 0),
+                                          exact_fen=False)
+
+
+def test_folded_matches_unfolded_intersection():
+    forests = tree_components = crowded = 0
+    for q, inst in folded_cases():
+        score, net = polytree.solve_pl_additive_bounded(inst)
+        unfolded = polytree.weighted_matroid_intersection(polytree.arc_elements(inst), q=q)
+        assert score == sum(e.weight for e in unfolded)
+        assert validate(net, "polytree", q=q).ok and score_of(inst, net) == score
+        fold = tw_dp.Fold(inst, superstructure(inst), q)
+        forests += not fold.core
+        tree_components += bool(fold.core and fold.roots)
+        # a core vertex with more positive hanging gains than virtual arcs
+        crowded += any(len(fold.hang[x][1]) > q for x in fold.bonus)
+    assert forests >= 20 and tree_components >= 20 and crowded >= 20
+
+
+def test_folded_ground_set_through_oracles():
+    # the virtual arcs' leaves are n, n+1, ...: the oracles number the
+    # vertices 0 .. n + #virtual - 1 and must give the forest answers
+    virtual_total = 0
+    for q, inst in folded_cases():
+        elements = polytree.folded_elements(inst, tw_dp.Fold(inst, superstructure(inst), q))
+        virtual = sorted(e.arc[0] for e in elements if e.arc[0] >= inst.n)
+        assert virtual == list(range(inst.n, inst.n + len(virtual)))
+        oracles = polytree.MatroidOracles(inst.n + len(virtual), q)
+        assert (polytree.weighted_matroid_intersection(elements, oracles)
+                == polytree.weighted_matroid_intersection(elements, q=q))
+        virtual_total += len(virtual)
+    assert virtual_total >= 300
+
+
+def test_folded_near_tree_at_scale():
+    # gen --rep additive --n 1500 --fen 2 --max-parents 2 --seed 1: 2253
+    # candidate arcs, 65 on the folded 25-vertex core; about 0.05 s, 16-21 s
+    # unfolded
+    inst = generate.random_additive(1, 1500, 2, q=2)
+    start = time.perf_counter()
+    score, net = polytree.solve_pl_additive_bounded(inst)
+    elapsed = time.perf_counter() - start
+    assert score == tw_dp.solve_pl_additive_tw(inst)[0] == 7300
+    assert validate(net, "polytree", q=2).ok and score_of(inst, net) == score
+    assert elapsed < 5.0, elapsed
