@@ -75,12 +75,10 @@ def _sniff_rep(text: str) -> str:
     raise CliError("empty instance file")
 
 
-def _load_instance(path: str, target=None, max_parents=None, rep=None):
-    """Parse an instance file; `rep` forces a representation, else the
-    header decides."""
+def _load_instance(path: str, target=None, max_parents=None):
+    """Parse an instance file in the representation its header names."""
     text = _read(path)
-    rep = rep or _sniff_rep(text)
-    if rep == "additive":
+    if _sniff_rep(text) == "additive":
         inst = parse_additive(text, target)
         if max_parents is not None:
             inst = AdditiveInstance(
@@ -319,7 +317,9 @@ def cmd_verify(args) -> int:
     if args.lift:
         if not args.reduced_instance:
             raise CliError("--lift needs --reduced-instance")
-        red, _ = _load_instance(args.reduced_instance, rep="nonzero")
+        red, rep = _load_instance(args.reduced_instance)
+        if rep != "nonzero":
+            raise CliError("--reduced-instance must be in the explicit representation")
         net = parse_solution(_read(args.solution), red)
         result = kernel.KernelResult.from_json(_read(args.lift), red)
         net = result.lift(net)

@@ -26,42 +26,11 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 from . import graphs
-from .instances import Network, NonZeroInstance, superstructure
-
-
-@dataclass(frozen=True)
-class PathScores:
-    """Best path contributions for the acyclic variant.
-
-    l_max[B] for B <= {a, c}: anchors in B feed the path (arc into the
-    adjacent end vertex), internal edges free.  l_nopath_a: a feeds the
-    path, c does not, and no directed path runs from a through to the far
-    end (l_nopath_c symmetric).
-    """
-
-    a: int
-    c: int
-    l_max: dict[frozenset[int], int]
-    l_nopath_a: int
-    l_nopath_c: int
-    configs: dict[str, tuple[str, ...]] = field(default_factory=dict, repr=False)
-
-
-@dataclass(frozen=True)
-class PlPathScores:
-    """Best path contributions for the polytree variant: l[(p, B)] with
-    p=1 iff the path's two ends stay connected (all internal edges kept)."""
-
-    a: int
-    c: int
-    l: dict[tuple[int, frozenset[int]], int]
-    configs: dict[tuple[int, frozenset[int]], tuple[str, ...]] = field(
-        default_factory=dict, repr=False
-    )
+from .instances import Network, NonZeroInstance
 
 
 class _Work:
@@ -75,7 +44,6 @@ class _Work:
     """
 
     def __init__(self, instance: NonZeroInstance):
-        self.n0 = instance.n
         self.names = {v: instance.names[v] for v in range(instance.n)}
         self.entries: dict[int, dict[frozenset[int], int]] = {
             v: dict(sets) for v, sets in instance.entries.items()
@@ -94,10 +62,6 @@ class _Work:
         self.leaf_heap = sorted(
             next(iter(nbrs)) for nbrs in self.adj.values() if len(nbrs) == 1
         )
-
-    @property
-    def n(self) -> int:
-        return len(self.vertices)
 
     def fresh(self, base: str) -> int:
         v = self.next_id
@@ -184,10 +148,6 @@ class _Work:
             heapq.heappop(heap)
         return None
 
-    def adjacency(self) -> dict[int, set[int]]:
-        """The superstructure adjacency (maintained; callers only read it)."""
-        return self.adj
-
     def to_instance(self) -> tuple[NonZeroInstance, dict[int, int]]:
         """Compact to dense ids; returns (instance, loose id of each dense id)."""
         order = sorted(self.vertices)
@@ -241,7 +201,6 @@ class KernelResult:
     """Reduced instance plus everything needed to lift solutions back."""
 
     reduced: NonZeroInstance
-    vertex_map: dict[int, Optional[int]]
     steps: list[dict]
     loose_of_reduced: dict[int, int]
     original_n: int
@@ -281,7 +240,6 @@ class KernelResult:
         return json.dumps(
             {
                 "original_n": self.original_n,
-                "vertex_map": {str(k): v for k, v in self.vertex_map.items()},
                 "loose_of_reduced": {
                     str(k): v for k, v in self.loose_of_reduced.items()
                 },
@@ -299,7 +257,6 @@ class KernelResult:
             steps = [_decode_step(s) for s in raw["steps"]]
             result = KernelResult(
                 reduced,
-                {int(k): v for k, v in raw["vertex_map"].items()},
                 steps,
                 {int(k): v for k, v in raw["loose_of_reduced"].items()},
                 raw["original_n"],
@@ -367,8 +324,11 @@ _STEP_FIELDS = {
     3: {"a", "c", "inner", "b", "primes", "configs", "b_sets"},
 }
 
-# the configs a path step keeps: one per case its lift can pick; the tags
-# are _btag of each anchor set _fed_by yields
+# A path step's cases, one per gadget state its lift can read back.
+# `_bnsl_path_cases` (rule 2) and `_pl_path_cases` (rule 2', recorded as
+# rule 3) return them as one case table {tag: (score, edge states)}; each
+# tag joins a prefix to the _btag of an anchor set that _fed_by yields.
+# The step keeps each tag's edge states as its configs.
 _TAGS = ("", "a", "c", "ac")
 _CASES = {
     2: {"max_" + tag for tag in _TAGS} | {"nopath_a", "nopath_c"},
@@ -380,8 +340,6 @@ _CASES = {
 # path-score dynamic programs
 
 _FWD, _BWD, _NONE = "fwd", "bwd", "none"
-
-
 _STATES = (_FWD, _BWD, _NONE)
 
 
@@ -448,38 +406,39 @@ def _best_config(table, e0: str, em: str, pred=lambda state: True, want=True):
     return total, tuple([_STATES[st] for st in states] + [em])
 
 
-def _bnsl_path_scores(work: _Work, path_ext) -> PathScores:
+def _bnsl_path_cases(work: _Work, path_ext) -> dict:
+    """Rule 2's case table {tag: (score, edge states)}: "max_" and the
+    anchors feeding the path (internal edges free) for each anchor set,
+    then "nopath_a" (a feeds the path, c does not, and no directed path
+    runs from a through to the far end) and "nopath_c" (symmetric)."""
     a, c = path_ext[0], path_ext[-1]
     table = _path_table(work, path_ext)
-    l_max = {}
-    configs = {}
-    for bset, e0, em in _fed_by(a, c):
-        l_max[bset], configs["max_" + _btag(bset, a, c)] = _best_config(table, e0, em)
+    cases = {
+        "max_" + _btag(bset, a, c): _best_config(table, e0, em) for bset, e0, em in _fed_by(a, c)
+    }
     # a single inner vertex leaves the no-through-path families empty; the
     # contraction rule never fires there (it needs >= 4 inner vertices)
-    nopath_a, configs["nopath_a"] = _best_config(
-        table, _FWD, _NONE, lambda st: st == _FWD, False
-    ) or (None, None)
-    nopath_c, configs["nopath_c"] = _best_config(
-        table, _NONE, _BWD, lambda st: st == _BWD, False
-    ) or (None, None)
-    return PathScores(a, c, l_max, nopath_a, nopath_c, configs)
+    for tag, e0, em, through in (("nopath_a", _FWD, _NONE, _FWD), ("nopath_c", _NONE, _BWD, _BWD)):
+        cases[tag] = _best_config(table, e0, em, lambda st: st == through, False) or (None, None)
+    return cases
 
 
-def _pl_path_scores(work: _Work, path_ext) -> PlPathScores:
+def _pl_path_cases(work: _Work, path_ext) -> dict:
+    """Rule 2''s case table {tag: (score, edge states)}: p and the anchors
+    feeding the path, with p=1 iff the path's two ends stay connected (all
+    internal edges kept)."""
     a, c = path_ext[0], path_ext[-1]
     table = _path_table(work, path_ext)
-    l = {}
-    configs = {}
+    cases = {}
     for bset, e0, em in _fed_by(a, c):
         for p in (0, 1):
             # a single inner vertex is both ends of the path, which is then
             # connected whatever p asks for
-            l[(p, bset)], configs[(p, bset)] = (
+            cases[f"{p}_{_btag(bset, a, c)}"] = (
                 _best_config(table, e0, em, _present, p == 1)
                 or _best_config(table, e0, em, _present, True)
             )
-    return PlPathScores(a, c, l, configs)
+    return cases
 
 
 def _present(state: str) -> bool:
@@ -492,33 +451,13 @@ def _fed_by(a: int, c: int):
         yield bset, _FWD if a in bset else _NONE, _BWD if c in bset else _NONE
 
 
-def path_scores(instance: NonZeroInstance, path: Sequence[int]) -> PathScores:
-    """Public path-score computation; path = [a, b_1, ..., b_m, c] with all
-    inner vertices of superstructure degree exactly 2."""
-    work = _Work(instance)
-    _check_inner_degrees(instance, path)
-    return _bnsl_path_scores(work, list(path))
-
-
-def pl_path_scores(instance: NonZeroInstance, path: Sequence[int]) -> PlPathScores:
-    work = _Work(instance)
-    _check_inner_degrees(instance, path)
-    return _pl_path_scores(work, list(path))
-
-
-def _check_inner_degrees(instance: NonZeroInstance, path):
-    g = superstructure(instance)
-    for b in path[1:-1]:
-        if g.degree(b) != 2:
-            raise ValueError(f"inner path vertex {b} has degree {g.degree(b)} != 2")
-
-
 # ---------------------------------------------------------------------------
 # rule applications on the working state
 
 
-def _apply_rr1(work: _Work, v: int, adj) -> dict:
-    """Rule 1 at v, with Q the degree-1 neighbours of v in `adj`.
+def _apply_rr1(work: _Work, v: int) -> dict:
+    """Rule 1 at v, with Q the degree-1 neighbours of v in the working
+    superstructure.
 
     A leaf w in Q scores se alone and se + gain with v as its parent; it
     takes the arc from v whenever it is not v's parent and gain > 0, so
@@ -527,6 +466,7 @@ def _apply_rr1(work: _Work, v: int, adj) -> dict:
     member (the unlisted p - Q too, at score 0), ties to the first in the
     order of sorted(p).
     """
+    adj = work.adj
     q = sorted(w for w in adj[v] if len(adj[w]) == 1)
     if not q:
         raise ValueError(f"no degree-1 neighbours at {v}")
@@ -588,19 +528,24 @@ def _lift_rr1(step, arcs: _Arcs):
 
 
 def _apply_rr2(work: _Work, path_ext: list[int]) -> dict:
+    """Rule 2 on the path, from its case table: the fresh hub b scores
+    each "max_" case under its feeding anchors plus b_1 and b_m, and b_1
+    (b_m) scores "nopath_a" ("nopath_c") under a (c), b and the other end.
+    The step keeps each case's edge states as its configs."""
     a, c = path_ext[0], path_ext[-1]
     inner = path_ext[1:-1]
-    m = len(inner)
-    if m < 4:
+    if len(inner) < 4:
         raise ValueError("rule 2 needs at least 4 inner vertices")
-    ps = _bnsl_path_scores(work, path_ext)
+    cases = _bnsl_path_cases(work, path_ext)
     b1, bm = inner[0], inner[-1]
     b = work.fresh("p" + work.names[b1])
     for w in inner[1:-1]:
         work.remove(w)
-    work.set_entries(b, {bset | {b1, bm}: s for bset, s in ps.l_max.items()})
-    work.set_entries(b1, {frozenset({a, b, bm}): ps.l_nopath_a})
-    work.set_entries(bm, {frozenset({c, b, b1}): ps.l_nopath_c})
+    work.set_entries(b, {
+        bset | {b1, bm}: cases["max_" + _btag(bset, a, c)][0] for bset, _, _ in _fed_by(a, c)
+    })
+    work.set_entries(b1, {frozenset({a, b, bm}): cases["nopath_a"][0]})
+    work.set_entries(bm, {frozenset({c, b, b1}): cases["nopath_c"][0]})
     _reroute(work, a, b1, {b1, b})
     _reroute(work, c, bm, {bm, b})
     return {
@@ -609,7 +554,7 @@ def _apply_rr2(work: _Work, path_ext: list[int]) -> dict:
         "c": c,
         "inner": inner,
         "b": b,
-        "configs": dict(ps.configs),
+        "configs": {tag: cfg for tag, (_, cfg) in cases.items()},
     }
 
 
@@ -650,11 +595,14 @@ def _orient_path(step, case: str, arcs: _Arcs, into_a: bool, into_c: bool):
 
 
 def _apply_rr2_pl(work: _Work, path_ext: list[int]) -> dict:
+    """Rule 2' on the path, from its case table: five fresh vertices
+    replace it, and the hub b scores each case under its set in `b_sets`.
+    The step keeps each case's edge states as its configs."""
     a, c = path_ext[0], path_ext[-1]
     inner = path_ext[1:-1]
     if len(inner) < 6:
         raise ValueError("polytree rule 2 needs at least 6 inner vertices")
-    ps = _pl_path_scores(work, path_ext)
+    cases = _pl_path_cases(work, path_ext)
     base = work.names[inner[0]]
     b = work.fresh("p" + base)
     b1p = work.fresh("p" + base + "s")
@@ -673,8 +621,7 @@ def _apply_rr2_pl(work: _Work, path_ext: list[int]) -> dict:
         "1_c": frozenset({c, bmp, bmpp, b1p}),
         "0_c": frozenset({bmp, bmpp}),
     }
-    by_tag = {f"{p}_{_btag(bs, a, c)}": s for (p, bs), s in ps.l.items()}
-    work.set_entries(b, {pset: by_tag[tag] for tag, pset in b_sets.items()})
+    work.set_entries(b, {pset: cases[tag][0] for tag, pset in b_sets.items()})
     _reroute(work, a, inner[0], {b1p, b1pp})
     _reroute(work, c, inner[-1], {bmp, bmpp})
     return {
@@ -684,7 +631,7 @@ def _apply_rr2_pl(work: _Work, path_ext: list[int]) -> dict:
         "inner": inner,
         "b": b,
         "primes": [b1p, b1pp, bmp, bmpp],
-        "configs": {f"{p}_{_btag(bs, a, c)}": cfg for (p, bs), cfg in ps.configs.items()},
+        "configs": {tag: cfg for tag, (_, cfg) in cases.items()},
         "b_sets": b_sets,
     }
 
@@ -769,21 +716,6 @@ def _find_paths(work: _Work, min_inner: int) -> list[list[int]]:
     return paths
 
 
-def rr1_prune(instance: NonZeroInstance, v: int) -> NonZeroInstance:
-    """One application of rule 1 at v (public single-step form)."""
-    work = _Work(instance)
-    _apply_rr1(work, v, work.adjacency())
-    return work.to_instance()[0]
-
-
-def rr2_contract(instance: NonZeroInstance, path: Sequence[int]) -> NonZeroInstance:
-    """One application of rule 2 on the given path (public single-step)."""
-    work = _Work(instance)
-    _check_inner_degrees(instance, path)
-    _apply_rr2(work, list(path))
-    return work.to_instance()[0]
-
-
 def _kernelize(instance: NonZeroInstance, polytree: bool) -> KernelResult:
     work = _Work(instance)
     steps: list[dict] = []
@@ -791,17 +723,13 @@ def _kernelize(instance: NonZeroInstance, polytree: bool) -> KernelResult:
     while True:
         # in a two-vertex component the rule-1 target is the smaller end
         while (target := work.rule1_target()) is not None:
-            steps.append(_apply_rr1(work, target, work.adjacency()))
+            steps.append(_apply_rr1(work, target))
         paths = _find_paths(work, min_inner)
         if not paths:
             break
         steps.append(apply_rr2(work, paths[0]))
     reduced, loose_of_reduced = work.to_instance()
-    dense_of_loose = {loose: d for d, loose in loose_of_reduced.items()}
-    vertex_map = {
-        v: dense_of_loose.get(v) for v in range(instance.n)
-    }
-    return KernelResult(reduced, vertex_map, steps, loose_of_reduced, instance.n)
+    return KernelResult(reduced, steps, loose_of_reduced, instance.n)
 
 
 def kernelize_bnsl(instance: NonZeroInstance) -> KernelResult:

@@ -109,12 +109,10 @@ class _RecordEngine:
         """tables[v] as {public key: best score}."""
         return {self.public(v, key): sc for key, (sc, _) in self.tables[v].items()}
 
-    def fill(self, stop: Optional[int] = None):
-        """Fill the tables children first, up to and including `stop`."""
-        for v in self.forest.order[::-1]:  # children before parents
+    def fill(self):
+        """Fill the tables, children before parents."""
+        for v in self.forest.order[::-1]:
             self.tables[v] = self.combine_records(v)
-            if v == stop:
-                break
 
     def parent_choices(self, v: int):
         """(parents, score, closed choice) for each parent set of v, the
@@ -259,18 +257,6 @@ class _BnslEngine(_RecordEngine):
         # a cycle
         (m, sup), (cm, csup) = held, cheld
         return relations.closed_union(m, cm, sup & csup, d)
-
-
-def combine_records(
-    instance: NonZeroInstance,
-    v: int,
-    forest: Optional[SpanningForest] = None,
-):
-    """Record set of a vertex as {reachability pair set: best score},
-    computing all descendants first."""
-    eng = _engine(_BnslEngine, instance, forest)
-    eng.fill(stop=v)
-    return eng.records(v)
 
 
 def solve_bnsl_lfen(

@@ -7,7 +7,9 @@ replaces only the bookkeeping it checks, and the functions after it are
 the earlier versions of library functions that the current ones must
 reproduce exactly: the kernel's old rule 1 and path DP
 (`apply_rr1_set_entries`, `vertex_score`, `best_config_frozensets`,
-`bnsl_path_scores_frozensets` and `pl_path_scores_frozensets`, run by
+`bnsl_path_scores_frozensets` and `pl_path_scores_frozensets`, with the
+dataclasses they return, `PathScores` and `PlPathScores`, which
+`case_table` turns into the kernel's case table; all run by
 `kernelize_old_rules`), `weighted_matroid_intersection_pairwise` and
 `weighted_matroid_intersection_circuits`, `check_nice_scan`,
 `min_fill_order_rescan`, `bags_from_order_replay`,
@@ -37,6 +39,7 @@ subgraph that scans every edge once per component
 """
 
 import random
+from dataclasses import dataclass, field
 from itertools import product
 from operator import or_
 from typing import Iterable, Optional, Sequence
@@ -57,7 +60,7 @@ from bnsl.instances import (
     superstructure,
     validate,
 )
-from bnsl.kernel import _BWD, _FWD, _NONE, PathScores, PlPathScores, _Work, _btag, _fed_by, _present
+from bnsl.kernel import _BWD, _FWD, _NONE, _Work, _btag, _fed_by, _present
 from bnsl.lfen_dp import Boundary, _BnslEngine, _RecordEngine
 from bnsl.polytree import GroundElement, MatroidOracles, _forest_links, _forest_path
 
@@ -286,24 +289,24 @@ def kernelize_rescan(instance, polytree):
     rebuilt from the score tables at every use and the rule-1 target found
     by a sorted scan of all vertices (O(n^2) in total), and the paths found
     by `find_paths_own_bfs`; `kernel._Work` keeps the adjacency
-    incrementally, `kernel._find_paths` reads the shared BFS forest, and
-    together they must reproduce this step for step."""
+    incrementally (it must equal the rebuilt one before each rule-1 search
+    and so before each path search), `kernel._find_paths` reads the shared
+    BFS forest, and together they must reproduce this step for step."""
     from bnsl import kernel
 
-    class RescanWork(kernel._Work):
-        def adjacency(self):
-            return scan_adjacency(self)
-
-    work = RescanWork(instance)
+    work = kernel._Work(instance)
     steps = []
     changed = True
     while changed:
         changed = False
         while True:
-            target = rule1_scan_target(work.adjacency())
+            adj = scan_adjacency(work)
+            if adj != work.adj:
+                raise AssertionError("incremental adjacency differs from the rescan")
+            target = rule1_scan_target(adj)
             if target is None:
                 break
-            steps.append(kernel._apply_rr1(work, target, work.adjacency()))
+            steps.append(kernel._apply_rr1(work, target))
             changed = True
         paths = find_paths_own_bfs(work, 6 if polytree else 4)
         if paths:
@@ -311,16 +314,15 @@ def kernelize_rescan(instance, polytree):
             steps.append(apply(work, paths[0]))
             changed = True
     reduced, loose_of_reduced = work.to_instance()
-    dense_of_loose = {loose: d for d, loose in loose_of_reduced.items()}
-    vertex_map = {v: dense_of_loose.get(v) for v in range(instance.n)}
-    return kernel.KernelResult(reduced, vertex_map, steps, loose_of_reduced, instance.n)
+    return kernel.KernelResult(reduced, steps, loose_of_reduced, instance.n)
 
 
 # The rule applications below are the kernel's earlier versions, kept
 # verbatim (only renamed): rule 1 through `_Work.set_entries` and
 # `_Work.remove`, with a completion that rescans every leaf per candidate,
 # and the path DP that reads a leaf's score through a frozenset per
-# transition.  `kernelize_old_rules` runs the kernel's fixed-point loop
+# transition, with the two result dataclasses the kernel used before its
+# case table.  `kernelize_old_rules` runs the kernel's fixed-point loop
 # with them; the library must reproduce it exactly.
 
 
@@ -425,6 +427,37 @@ def best_config_frozensets(work: _Work, path_ext, e0: str, em: str,
 
 
 
+@dataclass(frozen=True)
+class PathScores:
+    """Best path contributions for the acyclic variant.
+
+    l_max[B] for B <= {a, c}: anchors in B feed the path (arc into the
+    adjacent end vertex), internal edges free.  l_nopath_a: a feeds the
+    path, c does not, and no directed path runs from a through to the far
+    end (l_nopath_c symmetric).
+    """
+
+    a: int
+    c: int
+    l_max: dict[frozenset[int], int]
+    l_nopath_a: int
+    l_nopath_c: int
+    configs: dict[str, tuple[str, ...]] = field(default_factory=dict, repr=False)
+
+
+@dataclass(frozen=True)
+class PlPathScores:
+    """Best path contributions for the polytree variant: l[(p, B)] with
+    p=1 iff the path's two ends stay connected (all internal edges kept)."""
+
+    a: int
+    c: int
+    l: dict[tuple[int, frozenset[int]], int]
+    configs: dict[tuple[int, frozenset[int]], tuple[str, ...]] = field(
+        default_factory=dict, repr=False
+    )
+
+
 def bnsl_path_scores_frozensets(work: _Work, path_ext) -> PathScores:
     a, c = path_ext[0], path_ext[-1]
     l_max = {}
@@ -459,33 +492,43 @@ def pl_path_scores_frozensets(work: _Work, path_ext) -> PlPathScores:
     return PlPathScores(a, c, l, configs)
 
 
+def case_table(ps) -> dict:
+    """An old path DP's result as the kernel's case table {tag: (score,
+    edge states)}, in the order of its configs."""
+    a, c = ps.a, ps.c
+    if isinstance(ps, PlPathScores):
+        return {f"{p}_{_btag(bset, a, c)}": (ps.l[(p, bset)], cfg)
+                for (p, bset), cfg in ps.configs.items()}
+    score = {"max_" + _btag(bset, a, c): s for bset, s in ps.l_max.items()}
+    score.update(nopath_a=ps.l_nopath_a, nopath_c=ps.l_nopath_c)
+    return {tag: (score[tag], cfg) for tag, cfg in ps.configs.items()}
+
+
 def kernelize_old_rules(instance, polytree):
     """The kernel's fixed-point loop with the old rule 1
     (`apply_rr1_set_entries`); before each path contraction it checks
-    that the kernel's path scores, configs in order included, equal the
-    old path DP's on the current working state, so the rule-2 steps it
-    records are the old ones too."""
+    that the kernel's case table, scores and configs in order, equals
+    the old path DP's (through `case_table`) on the current working
+    state, so the rule-2 steps it records are the old ones too."""
     from bnsl import kernel
 
     work = kernel._Work(instance)
     steps = []
     min_inner, apply = (6, kernel._apply_rr2_pl) if polytree else (4, kernel._apply_rr2)
-    new, old = ((kernel._pl_path_scores, pl_path_scores_frozensets) if polytree
-                else (kernel._bnsl_path_scores, bnsl_path_scores_frozensets))
+    new, old = ((kernel._pl_path_cases, pl_path_scores_frozensets) if polytree
+                else (kernel._bnsl_path_cases, bnsl_path_scores_frozensets))
     while True:
         while (target := work.rule1_target()) is not None:
-            steps.append(apply_rr1_set_entries(work, target, work.adjacency()))
+            steps.append(apply_rr1_set_entries(work, target, work.adj))
         paths = kernel._find_paths(work, min_inner)
         if not paths:
             break
-        got, want = new(work, paths[0]), old(work, paths[0])
-        if got != want or list(got.configs.items()) != list(want.configs.items()):
+        got, want = new(work, paths[0]), case_table(old(work, paths[0]))
+        if list(got.items()) != list(want.items()):
             raise AssertionError(f"path scores differ on {paths[0]}")
         steps.append(apply(work, paths[0]))
     reduced, loose_of_reduced = work.to_instance()
-    dense_of_loose = {loose: d for d, loose in loose_of_reduced.items()}
-    vertex_map = {v: dense_of_loose.get(v) for v in range(instance.n)}
-    return kernel.KernelResult(reduced, vertex_map, steps, loose_of_reduced, instance.n)
+    return kernel.KernelResult(reduced, steps, loose_of_reduced, instance.n)
 
 
 # The six functions below are earlier versions of library functions, kept
@@ -852,7 +895,9 @@ def core_decomposition_rewrite(td: NiceTreeDecomposition, core) -> NiceTreeDecom
 # own component DFS and BFS tree, its solution lifting with a scan and a
 # copy of the whole arc set per step, and its path DP with two constraint
 # encodings and a special case for one inner vertex, kept verbatim (only
-# renamed, the lift method taking the `KernelResult` as `self`).
+# renamed, the lift method taking the `KernelResult` as `self`, and the
+# path discovery reading the working state's `adj`, which an accessor
+# returned before).
 # `kernel._find_paths`, `KernelResult.lift` and `kernel._best_config` must
 # return exactly what these return, ties broken alike.
 
@@ -860,7 +905,7 @@ def core_decomposition_rewrite(td: NiceTreeDecomposition, core) -> NiceTreeDecom
 def find_paths_own_bfs(work: _Work, min_inner: int) -> list[list[int]]:
     """Induced degree-2 paths between marked vertices (feedback edge
     endpoints and tree branch vertices), longest first."""
-    adj = work.adjacency()
+    adj = work.adj
     verts = sorted(work.vertices)
     seen = set()
     paths = []

@@ -382,6 +382,45 @@ def test_kernelize_roundtrip(capsys, tmp_path):
         assert int(out.strip().split("=")[1]) == lifted_score
 
 
+def test_lift_ignores_vertex_map_key(capsys, tmp_path):
+    # maps once carried a "vertex_map" field that nothing read; one that
+    # still has it lifts as one without it
+    inst_file, red_file = str(tmp_path / "inst.scores"), str(tmp_path / "red.scores")
+    map_file, sol_file = tmp_path / "lift.json", str(tmp_path / "red.sol")
+    assert run(capsys, "gen", "--n", "40", "--fen", "2", "--seed", "3",
+               "--subdivide", "25", "--out", inst_file)[0] == 0
+    for mode, verify_mode in (("bnsl", "dag"), ("polytree", "polytree")):
+        assert run(capsys, "kernelize", inst_file, "--mode", mode, "--out", red_file,
+                   "--map", str(map_file))[0] == 0
+        assert run(capsys, "solve", red_file, "--mode", mode, "--out", sol_file)[0] == 0
+        written = json.loads(map_file.read_text())
+        assert "vertex_map" not in written
+        dense = {loose: int(d) for d, loose in written["loose_of_reduced"].items()}
+        old = {"original_n": written["original_n"],
+               "vertex_map": {str(v): dense.get(v) for v in range(written["original_n"])},
+               **written}
+        outs = []
+        for text in (json.dumps(written, indent=1), json.dumps(old, indent=1)):
+            map_file.write_text(text)
+            code, out, _ = run(capsys, "verify", inst_file, sol_file, "--mode", verify_mode,
+                               "--lift", str(map_file), "--reduced-instance", red_file)
+            assert code == 0 and out.startswith("valid score=")
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+
+def test_additive_reduced_instance_is_invalid_input(capsys, tmp_path, example_file):
+    red_file, map_file = str(tmp_path / "red.scores"), str(tmp_path / "lift.json")
+    assert run(capsys, "gen", "--rep", "additive", "--n", "4", "--fen", "1",
+               "--seed", "1", "--out", red_file)[0] == 0
+    assert run(capsys, "kernelize", example_file, "--out", str(tmp_path / "k.scores"),
+               "--map", map_file)[0] == 0
+    code, out, err = run(capsys, "verify", example_file, str(tmp_path / "sol.txt"),
+                         "--lift", map_file, "--reduced-instance", red_file)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --reduced-instance")
+
+
 def _rule2_step(lift_map):
     return next(step for step in lift_map["steps"] if step["rule"] == 2)
 

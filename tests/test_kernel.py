@@ -3,8 +3,6 @@ import random
 import time
 from itertools import product
 
-import pytest
-
 from bnsl import generate, kernel, lfen_dp, oracle
 from bnsl.instances import (
     Network,
@@ -89,6 +87,20 @@ def path_oracle_pl(inst, path_ext, p, bset):
     return best
 
 
+def rr1_prune(inst, v):
+    """One application of rule 1 at v."""
+    work = kernel._Work(inst)
+    kernel._apply_rr1(work, v)
+    return work.to_instance()[0]
+
+
+def rr2_contract(inst, path):
+    """One application of rule 2 on the path."""
+    work = kernel._Work(inst)
+    kernel._apply_rr2(work, list(path))
+    return work.to_instance()[0]
+
+
 def path_instance(rng, m, max_score=6):
     """A single induced path a, b_1..b_m, c with random scores."""
     n = m + 2
@@ -105,11 +117,11 @@ def test_path_scores_single_inner_vertex():
         "3\na 0\nb 3\n3 1 a\n2 1 c\n4 2 a c\nc 0\n"
     )
     a, b, c = 0, 1, 2
-    ps = kernel.path_scores(inst, [a, b, c])
-    assert ps.l_max[frozenset({a, c})] == 4
-    assert ps.l_max[frozenset({a})] == 3
-    assert ps.l_max[frozenset({c})] == 2
-    assert ps.l_max[frozenset()] == 0
+    cases = kernel._bnsl_path_cases(kernel._Work(inst), [a, b, c])
+    assert [(tag, score) for tag, (score, _) in cases.items()] == [
+        ("max_", 0), ("max_a", 3), ("max_c", 2), ("max_ac", 4),
+        ("nopath_a", None), ("nopath_c", None),
+    ]
 
 
 def test_path_scores_values_are_maxima_of_families():
@@ -120,11 +132,11 @@ def test_path_scores_values_are_maxima_of_families():
         m = rng.randint(2, 5)
         inst = path_instance(rng, m)
         path_ext = list(range(m + 2))
-        ps = kernel.path_scores(inst, path_ext)
-        a, c = 0, m + 1
-        assert ps.l_nopath_a <= ps.l_max[frozenset([a])]
-        assert ps.l_nopath_c <= ps.l_max[frozenset([c])]
-        assert all(v >= 0 for v in ps.l_max.values())
+        score = {tag: sc for tag, (sc, _) in kernel._bnsl_path_cases(
+            kernel._Work(inst), path_ext).items()}
+        assert score["nopath_a"] <= score["max_a"]
+        assert score["nopath_c"] <= score["max_c"]
+        assert all(score[tag] >= 0 for tag in ("max_", "max_a", "max_c", "max_ac"))
 
 
 def test_path_scores_match_enumeration():
@@ -133,21 +145,21 @@ def test_path_scores_match_enumeration():
         m = rng.randint(2, 6)
         inst = path_instance(rng, m)
         path_ext = list(range(m + 2))
-        ps = kernel.path_scores(inst, path_ext)
+        cases = kernel._bnsl_path_cases(kernel._Work(inst), path_ext)
         a, c = 0, m + 1
+        assert list(cases) == ["max_", "max_a", "max_c", "max_ac", "nopath_a", "nopath_c"]
         for bset in (frozenset(), frozenset([a]), frozenset([c]), frozenset([a, c])):
-            assert ps.l_max[bset] == path_oracle_max(inst, path_ext, bset)
             tag = "max_" + ("a" if a in bset else "") + ("c" if c in bset else "")
-            cfg = ps.configs[tag]
+            value, cfg = cases[tag]
+            assert value == path_oracle_max(inst, path_ext, bset)
             assert cfg in set(enumerate_configs(path_ext, *end_states(path_ext, bset)))
-            assert config_score(inst, path_ext, cfg) == ps.l_max[bset]
-        assert ps.l_nopath_a == path_oracle_nopath(inst, path_ext, True)
-        assert ps.l_nopath_c == path_oracle_nopath(inst, path_ext, False)
-        for tag, value, e0, em, through in (
-            ("nopath_a", ps.l_nopath_a, "fwd", "none", "fwd"),
-            ("nopath_c", ps.l_nopath_c, "none", "bwd", "bwd"),
+            assert config_score(inst, path_ext, cfg) == value
+        for tag, e0, em, through in (
+            ("nopath_a", "fwd", "none", "fwd"),
+            ("nopath_c", "none", "bwd", "bwd"),
         ):
-            cfg = ps.configs[tag]
+            value, cfg = cases[tag]
+            assert value == path_oracle_nopath(inst, path_ext, tag == "nopath_a")
             assert cfg[0] == e0 and cfg[-1] == em and len(cfg) == m + 1
             assert not all(st == through for st in cfg[1:-1])
             assert config_score(inst, path_ext, cfg) == value
@@ -159,15 +171,16 @@ def test_pl_path_scores_match_enumeration():
         m = rng.randint(2, 6)
         inst = path_instance(rng, m)
         path_ext = list(range(m + 2))
-        ps = kernel.pl_path_scores(inst, path_ext)
+        cases = kernel._pl_path_cases(kernel._Work(inst), path_ext)
         a, c = 0, m + 1
+        assert list(cases) == ["0_", "1_", "0_a", "1_a", "0_c", "1_c", "0_ac", "1_ac"]
         for bset in (frozenset(), frozenset([a]), frozenset([c]), frozenset([a, c])):
             for p in (0, 1):
-                assert ps.l[(p, bset)] == path_oracle_pl(inst, path_ext, p, bset)
-                cfg = ps.configs[(p, bset)]
+                value, cfg = cases[f"{p}_" + ("a" if a in bset else "") + ("c" if c in bset else "")]
+                assert value == path_oracle_pl(inst, path_ext, p, bset)
                 assert cfg in set(enumerate_configs(path_ext, *end_states(path_ext, bset)))
                 assert all(st != "none" for st in cfg[1:-1]) == (p == 1)
-                assert config_score(inst, path_ext, cfg) == ps.l[(p, bset)]
+                assert config_score(inst, path_ext, cfg) == value
 
 
 def test_best_config_matches_two_encoding_reference():
@@ -194,22 +207,17 @@ def test_best_config_matches_two_encoding_reference():
 
 def test_pl_path_scores_degenerate_single_vertex():
     inst = parse_nonzero("3\na 0\nb 3\n3 1 a\n2 1 c\n4 2 a c\nc 0\n")
-    ps = kernel.pl_path_scores(inst, [0, 1, 2])
-    for bset in (frozenset(), frozenset([0]), frozenset([2]), frozenset([0, 2])):
-        assert ps.l[(0, bset)] == ps.l[(1, bset)]
-    assert ps.l[(1, frozenset([0]))] == 3
-
-
-def test_path_scores_rejects_bad_degree(example4):
-    with pytest.raises(ValueError):
-        kernel.path_scores(example4, [0, 1, 3])  # b has degree 3
+    cases = kernel._pl_path_cases(kernel._Work(inst), [0, 1, 2])
+    for tag in ("", "a", "c", "ac"):
+        assert cases["0_" + tag] == cases["1_" + tag]
+    assert cases["1_a"][0] == 3
 
 
 def test_rr1_star():
     inst = parse_nonzero(
         "4\nh 0\nl1 1\n1 1 h\nl2 1\n1 1 h\nl3 1\n1 1 h\n"
     )
-    reduced = kernel.rr1_prune(inst, 0)
+    reduced = rr1_prune(inst, 0)
     assert reduced.n == 1
     assert reduced.entries == {0: {frozenset(): 3}}
     assert oracle.exact_bnsl(reduced)[0] == oracle.exact_bnsl(inst)[0] == 3
@@ -217,7 +225,7 @@ def test_rr1_star():
 
 def test_rr1_single_absorbed_neighbour():
     inst = parse_nonzero("2\nv 1\n5 1 q\nq 0\n")
-    reduced = kernel.rr1_prune(inst, 0)
+    reduced = rr1_prune(inst, 0)
     assert reduced.n == 1
     assert reduced.entries == {0: {frozenset(): 5}}
 
@@ -237,7 +245,7 @@ def test_rr1_preserves_optimum_random():
         if target is None:
             continue
         checked += 1
-        reduced = kernel.rr1_prune(inst, target)
+        reduced = rr1_prune(inst, target)
         assert oracle.exact_bnsl(reduced)[0] == oracle.exact_bnsl(inst)[0]
         if checked >= 100:
             break
@@ -249,7 +257,7 @@ def test_rr2_contract_structure():
     inst = path_instance(rng, 4)
     path = list(range(6))
     s0 = oracle.exact_bnsl(inst)[0]
-    reduced = kernel.rr2_contract(inst, path)
+    reduced = rr2_contract(inst, path)
     # anchors + end vertices + one fresh hub replace the 4 inner vertices
     assert reduced.n == 5
     assert oracle.exact_bnsl(reduced)[0] == s0
@@ -278,7 +286,7 @@ def test_rr2_preserves_optimum_random():
         if not paths:
             continue
         done += 1
-        reduced = kernel.rr2_contract(inst, paths[0])
+        reduced = rr2_contract(inst, paths[0])
         assert oracle.exact_bnsl(reduced)[0] == oracle.exact_bnsl(inst)[0]
         if done >= 100:
             break
@@ -408,7 +416,7 @@ def test_rule_order_does_not_change_optimum():
         so, _ = oracle.exact_bnsl(inst)
         work = kernel._Work(inst)
         while True:
-            adj = work.adjacency()
+            adj = work.adj
             rr1_targets = sorted(
                 v for v in work.vertices
                 if any(len(adj[w]) == 1 for w in adj[v])
@@ -421,7 +429,7 @@ def test_rule_order_does_not_change_optimum():
                 break
             kind, arg = rng.choice(moves)
             if kind == "rr1":
-                kernel._apply_rr1(work, arg, work.adjacency())
+                kernel._apply_rr1(work, arg)
             else:
                 kernel._apply_rr2(work, list(arg))
         reduced, _ = work.to_instance()
@@ -525,7 +533,6 @@ def test_kernel_matches_old_rules():
             got = fast(inst)
             assert got.steps == want.steps and step_orders(got) == step_orders(want)
             assert got.to_json() == want.to_json()
-            assert got.vertex_map == want.vertex_map
             assert write_nonzero(got.reduced) == write_nonzero(want.reduced)
             assert got.reduced.entries == want.reduced.entries
 
@@ -554,7 +561,7 @@ def test_work_adjacency_tracks_random_mutations():
                     for _ in range(rng.randint(0, 3))
                 })
             adj = scan_adjacency(work)
-            assert work.adjacency() == adj
+            assert work.adj == adj
             assert work.rule1_target() == rule1_scan_target(adj)
 
 

@@ -116,7 +116,7 @@ def test_leaf_records_empty_family():
     leaf = next(
         v for v in range(2) if not forest.children_lists()[v]
     )
-    recs = lfen_dp.combine_records(inst, leaf, forest)
+    recs = lfen_dp.record_tables(inst, forest)[0][leaf]
     assert recs[frozenset()] == 0
 
 
@@ -124,10 +124,11 @@ def test_leaf_records_single_parent():
     inst = parse_nonzero("2\nu 0\nv 1\n5 1 u\n")
     forest = witness_forest(inst)
     children = forest.children_lists()
+    tables, _ = lfen_dp.record_tables(inst, forest)
     for v in range(2):
         if children[v]:
             continue
-        recs = lfen_dp.combine_records(inst, v, forest)
+        recs = tables[v]
         if inst.entries.get(v):
             u = next(iter(inst.entries[v]))
             assert recs == {frozenset(): 0, frozenset({(next(iter(u)), v)}): 5}
@@ -142,10 +143,11 @@ def test_leaf_records_match_enumeration():
         forest = graphs.lfen_search(g).forest
         bounds = lfen_dp.boundaries(g, forest)
         children = forest.children_lists()
+        tables, _ = lfen_dp.record_tables(inst, forest)
         for v in range(inst.n):
             if children[v]:
                 continue
-            got = lfen_dp.combine_records(inst, v, forest)
+            got = tables[v]
             want = subtree_record_reference(inst, {v}, bounds[v].delta)
             assert got == want
 
@@ -156,7 +158,7 @@ def test_combine_records_closed_children_formula():
     g = superstructure(inst)
     forest = graphs.forest_from_edges(g, g.edges)
     hub = 0
-    recs = lfen_dp.combine_records(inst, hub, forest)
+    recs = lfen_dp.record_tables(inst, forest)[0][hub]
     assert recs == {frozenset(): 9}  # each leaf takes the hub when it pays
 
 
