@@ -75,19 +75,17 @@ def _sniff_rep(text: str) -> str:
     raise CliError("empty instance file")
 
 
-def _load_instance(path: str, target=None, max_parents=None):
+def _load_instance(path: str, max_parents=None):
     """Parse an instance file in the representation its header names."""
     text = _read(path)
     if _sniff_rep(text) == "additive":
-        inst = parse_additive(text, target)
+        inst = parse_additive(text)
         if max_parents is not None:
-            inst = AdditiveInstance(
-                inst.n, inst.names, inst.arc_scores, target, max_parents
-            )
+            inst = AdditiveInstance(inst.n, inst.names, inst.arc_scores, max_parents)
         return inst, "additive"
     if max_parents is not None:
         raise CliError("--max-parents applies to the additive representation only")
-    return parse_nonzero(text, target), "nonzero"
+    return parse_nonzero(text), "nonzero"
 
 
 def _load_tree(path, instance):
@@ -221,7 +219,7 @@ SOLVERS = {
     ("twdp", "polytree"): Solver("additive", True, _run_twdp),
     ("depset", "bnsl"): Solver("nonzero", None, _run_depset),
     ("oracle", "bnsl"): Solver(None, None, lambda i, *_: oracle.exact_bnsl(i)),
-    ("oracle", "polytree"): Solver(None, None, lambda i, *_: oracle.exact_pl(i, inst_q(i))),
+    ("oracle", "polytree"): Solver(None, None, lambda i, *_: oracle.exact_pl(i)),
 }
 
 # Flags only one algorithm reads, never dropped silently by another.
@@ -229,7 +227,7 @@ FLAG_OWNERS = {"--tree": "lfen", "--td": "twdp", "--max-dependent": "depset"}
 
 
 def cmd_solve(args) -> int:
-    inst, rep = _load_instance(args.instance, args.target, args.max_parents)
+    inst, rep = _load_instance(args.instance, args.max_parents)
     mode = args.mode
     q = inst_q(inst)
     fits = [a for (a, m), s in SOLVERS.items()

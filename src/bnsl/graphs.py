@@ -388,16 +388,22 @@ class NiceTreeDecomposition:
     width: int
 
     def postorder(self) -> list[int]:
-        order, stack = [], [(self.root, False)]
-        while stack:
-            t, done = stack.pop()
-            if done:
-                order.append(t)
-            else:
-                stack.append((t, True))
-                for c in self.nodes[t].children:
-                    stack.append((c, False))
-        return order
+        """Node ids, each after its children, children walked right to left."""
+        return [t for t, _ in _postorder(self.root, lambda t: reversed(self.nodes[t].children))]
+
+
+def _postorder(root, children):
+    """(node, parent) for each node under `root`, after its children, which
+    go in the order `children(node)` gives; the root's parent is None."""
+    stack = [(root, None, iter(children(root)))]
+    while stack:
+        v, p, kids = stack[-1]
+        for c in kids:
+            stack.append((c, v, iter(children(c))))
+            break
+        else:
+            stack.pop()
+            yield v, p
 
 
 def check_nice(td: NiceTreeDecomposition, g: Superstructure) -> list[str]:
@@ -610,34 +616,37 @@ def tree_decomposition(
 
 def nice_from_raw(bags: dict, parent: dict) -> NiceTreeDecomposition:
     """Nice decomposition from raw bags and a parent map over bag keys
-    (roots omitted from `parent`); bag contents are morphed stepwise along
-    each raw edge, children in ascending key order, and components joined
-    under a shared empty root.  A bag with no vertex and no child covers
-    nothing and is left out (a nice leaf holds one vertex); no bag left, or
-    none given, gives one empty leaf of width -1."""
+    (roots omitted from `parent`), built in one post-order walk: every raw
+    root hangs from one virtual bag with no vertex, and each child's bag is
+    morphed stepwise into its parent's (children in ascending key order,
+    meeting under joins), so the roots' bags are forgotten and the
+    components meet under empty joins.  A bag with no vertex and no child
+    covers nothing and is left out (a nice leaf holds one vertex); no bag
+    left, or none given, gives one empty leaf of width -1."""
     nodes: list[TDNode] = []
 
     def add(bag, kind, children) -> int:
         nodes.append(TDNode(frozenset(bag), kind, list(children)))
         return len(nodes) - 1
 
-    children_of: dict[int, list[int]] = {v: [] for v in bags}
+    bags, parent = dict(bags), dict(parent)
+    children_of: dict = {v: [] for v in bags}
     for v, p in parent.items():
         children_of[p].append(v)
     empty = [v for v in bags if not bags[v] and not children_of[v]]
-    if empty:
-        bags, parent = dict(bags), dict(parent)
-        while empty:
-            v = empty.pop()
-            del bags[v], children_of[v]
-            p = parent.pop(v, None)
-            if p is not None:
-                children_of[p].remove(v)
-                if not bags[p] and not children_of[p]:
-                    empty.append(p)
+    while empty:
+        v = empty.pop()
+        del bags[v], children_of[v]
+        p = parent.pop(v, None)
+        if p is not None:
+            children_of[p].remove(v)
+            if not bags[p] and not children_of[p]:
+                empty.append(p)
     if not bags:
         return NiceTreeDecomposition([TDNode(frozenset(), "leaf", [])], 0, -1)
-    comp_roots = [v for v in bags if v not in parent]
+    virtual = object()
+    children_of[virtual] = [v for v in bags if v not in parent]
+    bags[virtual] = frozenset()
 
     def morph(top: int, cur_bag: frozenset, bag: frozenset) -> int:
         """Forget the extras of a child's bag, then introduce the missing."""
@@ -650,7 +659,7 @@ def nice_from_raw(bags: dict, parent: dict) -> NiceTreeDecomposition:
             cur = add(cur_bag, "introduce", [cur])
         return cur
 
-    def close(v: int, sub_tops: list[int]) -> int:
+    def close(v, sub_tops: list[int]) -> int:
         """Top node for bags[v] once its children's subtrees are built."""
         bag = bags[v]
         if not sub_tops:
@@ -668,36 +677,12 @@ def nice_from_raw(bags: dict, parent: dict) -> NiceTreeDecomposition:
             sub_tops.append(add(bag, "join", [a, b]))
         return sub_tops[0]
 
-    def build(root: int) -> int:
-        """Nice subtree whose top node has bag bags[root]; returns node id.
-        Children in sorted order, each child's subtree and morph emitted
-        before the next child's: a depth-first walk on an explicit stack."""
-        stack = [(root, sorted(children_of[root]), [])]
-        while True:
-            v, kids, sub_tops = stack[-1]
-            if len(sub_tops) < len(kids):
-                c = kids[len(sub_tops)]
-                stack.append((c, sorted(children_of[c]), []))
-                continue
-            top = close(v, sub_tops)
-            stack.pop()
-            if not stack:
-                return top
-            p, _, p_tops = stack[-1]
-            p_tops.append(morph(top, bags[v], bags[p]))
-
-    tops = []
-    for r in sorted(comp_roots):
-        top = build(r)
-        cur_bag = bags[r]
-        for x in sorted(cur_bag):
-            cur_bag = cur_bag - {x}
-            top = add(cur_bag, "forget", [top])
-        tops.append(top)
-    while len(tops) > 1:
-        b = tops.pop()
-        a = tops.pop()
-        tops.append(add(frozenset(), "join", [a, b]))
-    root = tops[0]
+    # each child's subtree and morph are emitted before the next child's
+    subs: dict = {v: [] for v in bags}
+    for v, p in _postorder(virtual, lambda v: sorted(children_of[v])):
+        t = close(v, subs.pop(v))
+        if p is not None:
+            subs[p].append(morph(t, bags[v], bags[p]))
+    # the walk ends at the virtual bag, whose top node is the root
     width = max(len(node.bag) for node in nodes) - 1
-    return NiceTreeDecomposition(nodes, root, width)
+    return NiceTreeDecomposition(nodes, t, width)

@@ -9,6 +9,9 @@ Two score representations are supported:
     a parent set is the sum of its singleton scores.  Optionally carries an
     in-degree bound q.
 
+An instance holds names, scores and (additive only) that bound; the
+decision threshold of `bnsl solve --target` is the CLI's own.
+
 File formats (all whitespace-delimited UTF-8, `#` starts a comment line):
 
   explicit score file          additive score file        solution file
@@ -51,7 +54,6 @@ class NonZeroInstance:
     n: int
     names: tuple[str, ...]
     entries: dict[int, dict[frozenset[int], int]]
-    target: Optional[int] = None
 
     def __post_init__(self):
         if len(self.names) != self.n:
@@ -93,7 +95,6 @@ class AdditiveInstance:
     n: int
     names: tuple[str, ...]
     arc_scores: dict[tuple[int, int], int]
-    target: Optional[int] = None
     max_in_degree: Optional[int] = None
 
     def __post_init__(self):
@@ -344,7 +345,7 @@ def _content_lines(text: str) -> Iterator[tuple[int, list[str]]]:
         yield i, stripped.split()
 
 
-def parse_nonzero(text: str, target: Optional[int] = None) -> NonZeroInstance:
+def parse_nonzero(text: str) -> NonZeroInstance:
     """Parse an explicit score file (see module docstring for the grammar)."""
     lines = _content_lines(text)
     try:
@@ -412,7 +413,7 @@ def parse_nonzero(text: str, target: Optional[int] = None) -> NonZeroInstance:
             sets[pset] = score
         if sets:
             entries[v] = sets
-    return NonZeroInstance(n, tuple(names), entries, target)
+    return NonZeroInstance(n, tuple(names), entries)
 
 
 def write_nonzero(instance: NonZeroInstance) -> str:
@@ -426,7 +427,7 @@ def write_nonzero(instance: NonZeroInstance) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_additive(text: str, target: Optional[int] = None) -> AdditiveInstance:
+def parse_additive(text: str) -> AdditiveInstance:
     """Parse an additive score file: header `additive <n> [q]`, arc lines."""
     lines = _content_lines(text)
     try:
@@ -478,7 +479,7 @@ def parse_additive(text: str, target: Optional[int] = None) -> AdditiveInstance:
         names.append(cand)
         used.add(cand)
         k += 1
-    return AdditiveInstance(n, tuple(names), arcs, target, q)
+    return AdditiveInstance(n, tuple(names), arcs, q)
 
 
 def write_additive(instance: AdditiveInstance) -> str:
@@ -569,5 +570,5 @@ def to_nonzero(instance: AdditiveInstance, max_degree: int = 6) -> NonZeroInstan
                 sets[frozenset(combo)] = sum(instance.arc(u, v) for u in combo)
         if sets:
             entries[v] = sets
-    return NonZeroInstance(instance.n, instance.names, entries, instance.target)
+    return NonZeroInstance(instance.n, instance.names, entries)
 

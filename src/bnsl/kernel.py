@@ -51,7 +51,6 @@ class _Work:
         self.vertices = set(range(instance.n))
         self.next_id = instance.n
         self.used_names = set(self.names.values())
-        self.target = instance.target
         self.adj: dict[int, set[int]] = {v: set() for v in self.vertices}
         self.parent_union: dict[int, set[int]] = {}
         for v, sets in self.entries.items():
@@ -158,7 +157,7 @@ class _Work:
                 frozenset(dense[p] for p in parents): s for parents, s in sets.items()
             }
         names = tuple(self.names[v] for v in order)
-        inst = NonZeroInstance(len(order), names, entries, self.target)
+        inst = NonZeroInstance(len(order), names, entries)
         return inst, {i: loose for loose, i in dense.items()}
 
 

@@ -10,7 +10,6 @@ from itertools import combinations
 from typing import Optional
 
 from .instances import (
-    AdditiveInstance,
     Instance,
     Network,
     NonZeroInstance,
@@ -121,26 +120,25 @@ def exact_bnsl(instance: Instance) -> tuple[int, Network]:
     return best[full], Network(n, frozenset(arcs))
 
 
-def exact_pl(instance: Instance, q: Optional[int] = None) -> tuple[int, Network]:
+def exact_pl(instance: Instance) -> tuple[int, Network]:
     """Optimal polytree by exhaustive orientation of skeleton-forest edge
-    subsets of the superstructure, filtered by the in-degree bound."""
+    subsets of the superstructure, filtered by the instance's own bound."""
     n = instance.n
     g = superstructure(instance)
     edges = sorted(g.edges)
     m = len(edges)
     if m > 16:
         raise OracleLimitError(f"polytree search limited to 16 edges, got {m}")
-    if q is None and isinstance(instance, AdditiveInstance):
-        q = instance.max_in_degree
-
     if isinstance(instance, NonZeroInstance):
         tables = _nonzero_tables(instance)
+        q = None
 
         def gain(v: int, old_mask: int, new_mask: int) -> int:
             t = tables[v]
             return t.get(new_mask, 0) - t.get(old_mask, 0)
 
     else:
+        q = instance.max_in_degree
 
         def gain(v: int, old_mask: int, new_mask: int) -> int:
             added = new_mask & ~old_mask

@@ -49,11 +49,11 @@ from .tw_dp import Fold
 
 @dataclass(frozen=True)
 class GroundElement:
-    """One candidate arc; both orientations of an edge share skeleton_edge."""
+    """One candidate arc and its weight; the graphic matroid reads the arc's
+    two endpoints, so both orientations of an edge are one skeleton edge."""
 
     arc: tuple[int, int]
     weight: int
-    skeleton_edge: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ class MatroidOracles:
 
         # a repeated skeleton edge (both orientations) closes a 2-cycle
         for e in elements:
-            a, b = e.skeleton_edge
+            a, b = e.arc
             ra, rb = find(a), find(b)
             if ra == rb:
                 return False
@@ -98,7 +98,7 @@ def arc_elements(instance: AdditiveInstance) -> list[GroundElement]:
     improve a solution and are left out)."""
     out = []
     for (u, v), w in sorted(instance.arc_scores.items()):
-        out.append(GroundElement((u, v), w, frozenset((u, v))))
+        out.append(GroundElement((u, v), w))
     return out
 
 
@@ -136,7 +136,7 @@ def _forest_links(items, inside):
     adj: dict[int, list[tuple[int, int]]] = {}
     by_head: dict[int, list[int]] = {}
     for i in inside:
-        a, b = items[i].skeleton_edge
+        a, b = items[i].arc
         adj.setdefault(a, []).append((b, i))
         adj.setdefault(b, []).append((a, i))
         by_head.setdefault(items[i].arc[1], []).append(i)
@@ -221,7 +221,6 @@ def weighted_matroid_intersection(
 
     while True:
         inside = [i for i in range(m) if in_set[i]]
-        chosen = [items[i] for i in inside]
         link, root, by_head = _forest_links(items, inside)
         source = [False] * m
         sink = [False] * m
@@ -229,12 +228,12 @@ def weighted_matroid_intersection(
         for y in range(m):
             if in_set[y]:
                 continue
-            a, b = items[y].skeleton_edge
+            a, b = items[y].arc
             if oracles is None:
                 forest = root.get(a, a) != root.get(b, b)
                 capped = q is None or len(by_head.get(head[y], ())) < q
             else:
-                trial = chosen + [items[y]]
+                trial = [items[i] for i in inside + [y]]
                 forest = oracles.graphic_independent(trial)
                 capped = oracles.partition_independent(trial)
             if forest:
@@ -331,11 +330,11 @@ def folded_elements(instance: AdditiveInstance, fold: Fold) -> list[GroundElemen
     virtual arc per gain among its q best, from a fresh leaf id (n, n+1,
     ...) into x and weighing that gain."""
     core = frozenset(fold.core)
-    out = [e for e in arc_elements(instance) if e.skeleton_edge <= core]
+    out = [e for e in arc_elements(instance) if core.issuperset(e.arc)]
     leaf = instance.n
     for x in sorted(fold.bonus):
         for gain, _ in fold.hang[x][1][:fold.q]:
-            out.append(GroundElement((leaf, x), gain, frozenset((leaf, x))))
+            out.append(GroundElement((leaf, x), gain))
             leaf += 1
     return out
 
@@ -360,7 +359,7 @@ def solve_pl_additive_bounded(instance: AdditiveInstance) -> tuple[int, Network]
     q = instance.max_in_degree
     if q is None:
         raise ValueError("no in-degree bound; use solve_pl_additive_mst")
-    fold = Fold(instance, superstructure(instance), q)
+    fold = Fold(instance, superstructure(instance))
     chosen = weighted_matroid_intersection(folded_elements(instance, fold), q=q)
     core = [e for e in chosen if e.arc[0] < instance.n]  # virtual arcs start at n
     arcs = [e.arc for e in core]

@@ -47,17 +47,16 @@ class _TwEngine:
         instance: AdditiveInstance,
         td: NiceTreeDecomposition,
         mode: str,
-        q: Optional[int],
         prune: bool = True,
         fold: Optional[Fold] = None,
     ):
-        """With `fold`, `td` decomposes the 2-core only (`fold_core`) and
-        `solve` adds the folded trees."""
+        """Bounded by `instance.max_in_degree`.  With `fold`, `td` decomposes
+        the 2-core only (`fold_core`) and `solve` adds the folded trees."""
         if mode not in ("bnsl", "pl"):
             raise ValueError(f"unknown mode {mode!r}; expected 'bnsl' or 'pl'")
         self.inst = instance
         self.pl = mode == "pl"
-        self.q = q
+        self.q = instance.max_in_degree
         self.prune = prune
         self.fold = fold
         if fold is None:
@@ -304,7 +303,7 @@ class Fold:
     bridge, which closes neither a directed cycle nor a skeleton cycle, so
     a hanging tree touches the rest of the network only through the
     in-degree of the vertex it hangs from, in both modes and for any bound
-    q.  `a[x]` is the best score of x's subtree when x takes the arc from
+    q, which is the instance's own `max_in_degree`.  `a[x]` is the best score of x's subtree when x takes the arc from
     `up[x]`, so only q - 1 of its parents can come from below, and `b[x]`
     the best when it does not.  A child c of x adds base_c = max(a[c] +
     s(x, c), b[c]) and offers the arc c -> x at gain_c = b[c] + s(c, x) -
@@ -312,9 +311,9 @@ class Fold:
     (all of them without a bound).
     """
 
-    def __init__(self, instance: AdditiveInstance, g: Superstructure, q: Optional[int]):
+    def __init__(self, instance: AdditiveInstance, g: Superstructure):
         self.g = g
-        self.q = q
+        self.q = q = instance.max_in_degree
         self.arc = instance.arc
         order, up = _peel(g)
         self.core = [v for v in range(g.n) if v not in up]
@@ -395,7 +394,7 @@ def fold_core(
     is empty): without `td` the min-fill decomposition of the core alone,
     else `td` cut to the core, each node a raw bag that keeps its core
     vertices and its parent, rebuilt by `nice_from_raw`."""
-    fold = Fold(instance, g, instance.max_in_degree)
+    fold = Fold(instance, g)
     if td is None:
         return fold, tree_decomposition(g, vertices=fold.core)
     core = frozenset(fold.core)
@@ -411,7 +410,7 @@ def solve_folded(
     if mode == "pl" and instance.max_in_degree is None:
         raise ValueError("polytree bag DP needs an in-degree bound; "
                          "use the spanning-forest solver instead")
-    return _TwEngine(instance, td, mode, instance.max_in_degree, fold=fold).solve()
+    return _TwEngine(instance, td, mode, fold=fold).solve()
 
 
 def solve_bnsl_additive(
@@ -439,7 +438,7 @@ def snapshot_tables(
     included; returns (tables, decomposition)."""
     if td is None:
         td = tree_decomposition(superstructure(instance))
-    eng = _TwEngine(instance, td, mode, instance.max_in_degree, prune=False)
+    eng = _TwEngine(instance, td, mode, prune=False)
     tables = eng.run_tables()
     plain = {}
     for t, table in tables.items():

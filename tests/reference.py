@@ -14,7 +14,10 @@ dataclasses they return, `PathScores` and `PlPathScores`, which
 `weighted_matroid_intersection_circuits`, `check_nice_scan`,
 `min_fill_order_rescan`, `bags_from_order_replay`,
 `core_min_fill_relabeled`, the node-by-node cut of a decomposition to
-the 2-core (`core_decomposition_rewrite`), `find_paths_own_bfs`, the lift (`lift_rescan`
+the 2-core (`core_decomposition_rewrite`), the nice-decomposition builder
+that finished each component in a separate loop (`nice_from_raw_stack`)
+and the post-order walk on (node, done) pairs (`postorder_done_pairs`),
+`find_paths_own_bfs`, the lift (`lift_rescan`
 with `lift_rr1_rescan`, `lift_rr2_rescan` and `lift_rr2_pl_rescan`),
 `best_config_two_encodings` and the bag DP with per-state in-degree dicts
 and tagged backpointers (`TwEngineDicts` with `arc_subsets_by_edge`, read
@@ -666,7 +669,7 @@ def weighted_matroid_intersection_circuits(
                 sources.append(y)
                 exchange = inside
             else:
-                exchange = _forest_path(link, *items[y].skeleton_edge)
+                exchange = _forest_path(link, *items[y].arc)
             for x in exchange:
                 arcs[x].append(y)
             if oracles.partition_independent(trial):
@@ -889,6 +892,122 @@ def core_decomposition_rewrite(td: NiceTreeDecomposition, core) -> NiceTreeDecom
         eff[t] = len(nodes) - 1
     width = max(len(node.bag) for node in nodes) - 1
     return NiceTreeDecomposition(nodes, eff[td.root], width)
+
+
+# The nice-decomposition builder that walked each raw component on its own
+# explicit stack, then forgot each root's bag and joined the components
+# pairwise under empty bags in a separate loop, and the post-order walk on
+# a stack of (node, done) pairs, kept verbatim (only renamed, the walk
+# taking the decomposition as an argument).  `graphs.nice_from_raw` and
+# `NiceTreeDecomposition.postorder` must return exactly what these return.
+
+
+def nice_from_raw_stack(bags: dict, parent: dict) -> NiceTreeDecomposition:
+    """Nice decomposition from raw bags and a parent map over bag keys
+    (roots omitted from `parent`); bag contents are morphed stepwise along
+    each raw edge, children in ascending key order, and components joined
+    under a shared empty root.  A bag with no vertex and no child covers
+    nothing and is left out (a nice leaf holds one vertex); no bag left, or
+    none given, gives one empty leaf of width -1."""
+    nodes: list[TDNode] = []
+
+    def add(bag, kind, children) -> int:
+        nodes.append(TDNode(frozenset(bag), kind, list(children)))
+        return len(nodes) - 1
+
+    children_of: dict[int, list[int]] = {v: [] for v in bags}
+    for v, p in parent.items():
+        children_of[p].append(v)
+    empty = [v for v in bags if not bags[v] and not children_of[v]]
+    if empty:
+        bags, parent = dict(bags), dict(parent)
+        while empty:
+            v = empty.pop()
+            del bags[v], children_of[v]
+            p = parent.pop(v, None)
+            if p is not None:
+                children_of[p].remove(v)
+                if not bags[p] and not children_of[p]:
+                    empty.append(p)
+    if not bags:
+        return NiceTreeDecomposition([TDNode(frozenset(), "leaf", [])], 0, -1)
+    comp_roots = [v for v in bags if v not in parent]
+
+    def morph(top: int, cur_bag: frozenset, bag: frozenset) -> int:
+        """Forget the extras of a child's bag, then introduce the missing."""
+        cur = top
+        for x in sorted(cur_bag - bag):
+            cur_bag = cur_bag - {x}
+            cur = add(cur_bag, "forget", [cur])
+        for x in sorted(bag - cur_bag):
+            cur_bag = cur_bag | {x}
+            cur = add(cur_bag, "introduce", [cur])
+        return cur
+
+    def close(v: int, sub_tops: list[int]) -> int:
+        """Top node for bags[v] once its children's subtrees are built."""
+        bag = bags[v]
+        if not sub_tops:
+            # build the bag from a singleton leaf
+            vs = sorted(bag)
+            cur = add({vs[0]}, "leaf", [])
+            cur_bag = {vs[0]}
+            for x in vs[1:]:
+                cur_bag.add(x)
+                cur = add(cur_bag, "introduce", [cur])
+            return cur
+        while len(sub_tops) > 1:
+            b = sub_tops.pop()
+            a = sub_tops.pop()
+            sub_tops.append(add(bag, "join", [a, b]))
+        return sub_tops[0]
+
+    def build(root: int) -> int:
+        """Nice subtree whose top node has bag bags[root]; returns node id.
+        Children in sorted order, each child's subtree and morph emitted
+        before the next child's: a depth-first walk on an explicit stack."""
+        stack = [(root, sorted(children_of[root]), [])]
+        while True:
+            v, kids, sub_tops = stack[-1]
+            if len(sub_tops) < len(kids):
+                c = kids[len(sub_tops)]
+                stack.append((c, sorted(children_of[c]), []))
+                continue
+            top = close(v, sub_tops)
+            stack.pop()
+            if not stack:
+                return top
+            p, _, p_tops = stack[-1]
+            p_tops.append(morph(top, bags[v], bags[p]))
+
+    tops = []
+    for r in sorted(comp_roots):
+        top = build(r)
+        cur_bag = bags[r]
+        for x in sorted(cur_bag):
+            cur_bag = cur_bag - {x}
+            top = add(cur_bag, "forget", [top])
+        tops.append(top)
+    while len(tops) > 1:
+        b = tops.pop()
+        a = tops.pop()
+        tops.append(add(frozenset(), "join", [a, b]))
+    root = tops[0]
+    width = max(len(node.bag) for node in nodes) - 1
+    return NiceTreeDecomposition(nodes, root, width)
+
+
+def postorder_done_pairs(td: NiceTreeDecomposition) -> list[int]:
+    order, stack = [], [(td.root, False)]
+    while stack:
+        t, done = stack.pop()
+        if done:
+            order.append(t)
+        else:
+            stack.append((t, True))
+            for c in td.nodes[t].children:
+                stack.append((c, False))
+    return order
 
 
 # The functions below are the kernel's contractible-path discovery with its

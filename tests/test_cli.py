@@ -641,6 +641,35 @@ def test_every_algorithm_mode_combination(capsys, tmp_path):
                 assert "twdp" in refused["mst"] and "twdp" in refused["matroid"]
 
 
+@pytest.mark.parametrize("text", ["0\n", "1\nx 0\n", "additive 0\n", "additive 1 1\n"],
+                         ids=["explicit-0", "explicit-1", "additive-0", "additive-1-q1"])
+def test_every_solver_on_no_variable_and_on_one(capsys, tmp_path, text):
+    # every SOLVERS row, forced: either max_score=0 with an --out network
+    # that verify accepts, or a usage error that names exactly the
+    # algorithms that solve the file in that mode
+    path = tmp_path / "tiny.scores"
+    path.write_text(text)
+    sol = tmp_path / "sol.txt"
+    for mode, check_mode in (("bnsl", "dag"), ("polytree", "polytree")):
+        solved, refused = [], []
+        for algo in [a for a, m in cli.SOLVERS if m == mode]:
+            if sol.exists():
+                sol.unlink()
+            code, out, err = run(capsys, "solve", str(path), "--mode", mode, "--algo", algo,
+                                 "--out", str(sol))
+            if code == 2:
+                assert out == "" and not sol.exists(), (mode, algo)
+                refused.append(err)
+                continue
+            assert (code, out) == (0, "max_score=0\n"), (mode, algo, err)
+            code, out, _ = run(capsys, "verify", str(path), str(sol), "--mode", check_mode)
+            assert (code, out) == (0, "valid score=0\n"), (mode, algo)
+            solved.append(algo)
+        assert solved
+        for err in refused:
+            assert err.endswith(f"; this input is solved by {', '.join(solved)}\n"), err
+
+
 def test_negative_max_dependent_is_usage_error(capsys, example_file):
     code, out, err = run(capsys, "solve", example_file, "--algo", "depset",
                          "--max-dependent", "-1")

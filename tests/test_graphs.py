@@ -12,6 +12,8 @@ from reference import (
     component_lfen_tree_rebuild,
     component_subgraph_edge_scan,
     min_fill_order_rescan,
+    nice_from_raw_stack,
+    postorder_done_pairs,
 )
 
 
@@ -499,6 +501,43 @@ def test_exact_decomposition_matches_replay():
         td = graphs.tree_decomposition(g, exact=True)
         replay = graphs.nice_from_raw(*bags_from_order_replay(g, graphs._exact_order(g)))
         assert (td.nodes, td.root, td.width) == (replay.nodes, replay.root, replay.width)
+
+
+def raw_families():
+    """Seeded raw inputs for the builder: no bag, then per graph (forests
+    and graphs in several components among them) the min-fill bags of the
+    whole graph and of a random vertex subset, bags eliminated in a random
+    order, and a min-fill decomposition cut to a random vertex subset as
+    `fold_core` cuts one (empty bags and bags that only pass children on
+    included)."""
+    yield {}, {}
+    for seed in range(260):
+        rng = random.Random(13000 + seed)
+        g = generate.random_graph(rng, rng.randint(1, 18), rng.randint(0, 5),
+                                  connected=(seed % 3 == 0), exact_fen=False)
+        yield graphs._eliminate(g, range(g.n))
+        yield graphs._eliminate(g, rng.sample(range(g.n), rng.randint(1, g.n)))
+        order = list(range(g.n))
+        rng.shuffle(order)
+        yield graphs._eliminate(g, range(g.n), order)
+        td = graphs.tree_decomposition(g)
+        keep = frozenset(rng.sample(range(g.n), rng.randint(0, g.n)))
+        yield ({t: node.bag & keep for t, node in enumerate(td.nodes)},
+               {c: t for t, node in enumerate(td.nodes) for c in node.children})
+
+
+def test_nice_from_raw_matches_stack_builder():
+    # one post-order walk under a virtual empty bag builds, node for node,
+    # the decomposition the per-component stack and the separate root loop
+    # built, and walks it in the same post-order
+    seen = 0
+    for bags, parent in raw_families():
+        got = graphs.nice_from_raw(bags, parent)
+        want = nice_from_raw_stack(bags, parent)
+        assert (got.nodes, got.root, got.width) == (want.nodes, want.root, want.width)
+        assert got.postorder() == postorder_done_pairs(want)
+        seen += 1
+    assert seen >= 1000
 
 
 def test_exact_decomposition_rejects_vertices():

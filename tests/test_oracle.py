@@ -122,6 +122,6 @@ def test_common_independent_empty_and_single():
 
     oracles = MatroidOracles(3, 1)
     assert oracle.exact_common_independent([], oracles) == (0, ())
-    e = GroundElement((0, 1), 5, frozenset((0, 1)))
+    e = GroundElement((0, 1), 5)
     w, Sel = oracle.exact_common_independent([e], oracles)
     assert w == 5 and list(Sel) == [e]

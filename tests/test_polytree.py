@@ -56,21 +56,20 @@ def random_elements(rng, n, count):
     pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
     rng.shuffle(pairs)
     for a, b in pairs[:count]:
-        els.append(polytree.GroundElement((a, b), rng.randint(1, 9),
-                                          frozenset((a, b))))
+        els.append(polytree.GroundElement((a, b), rng.randint(1, 9)))
     return els
 
 
 def test_intersection_single_element():
     oracles = polytree.MatroidOracles(2, 1)
-    e = polytree.GroundElement((0, 1), 4, frozenset((0, 1)))
+    e = polytree.GroundElement((0, 1), 4)
     assert polytree.weighted_matroid_intersection([e], oracles) == [e]
 
 
 def test_intersection_parallel_orientations():
     oracles = polytree.MatroidOracles(2, 2)
-    e1 = polytree.GroundElement((0, 1), 2, frozenset((0, 1)))
-    e2 = polytree.GroundElement((1, 0), 3, frozenset((0, 1)))
+    e1 = polytree.GroundElement((0, 1), 2)
+    e2 = polytree.GroundElement((1, 0), 3)
     got = polytree.weighted_matroid_intersection([e1, e2], oracles)
     assert got == [e2]
 
@@ -182,7 +181,7 @@ def parallel_elements(rng, n, count):
     for e in list(els):
         rev = (e.arc[1], e.arc[0])
         if rng.random() < 0.4 and all(f.arc != rev for f in els):
-            els.append(polytree.GroundElement(rev, rng.randint(1, 9), e.skeleton_edge))
+            els.append(polytree.GroundElement(rev, rng.randint(1, 9)))
     rng.shuffle(els)
     return els
 
@@ -236,8 +235,7 @@ def test_forest_answers_match_oracles_at_larger_m():
         q = (1, 2, 3, None)[seed % 4]
         els = parallel_elements(rng, n, rng.randint(20, 45))[:60]
         if seed % 3 == 0:
-            els = [polytree.GroundElement(e.arc, rng.choice((1, 2)), e.skeleton_edge)
-                   for e in els]
+            els = [polytree.GroundElement(e.arc, rng.choice((1, 2))) for e in els]
         got = polytree.weighted_matroid_intersection(els, q=q)
         oracles = polytree.MatroidOracles(n, q)
         assert got == polytree.weighted_matroid_intersection(els, oracles)
@@ -248,8 +246,8 @@ def test_intersection_raises_when_bellman_ford_does_not_converge(monkeypatch):
     # every node at cost -1 makes the member <-> source-and-sink cycles of
     # the second round negative, so no pass count suffices
     monkeypatch.setattr(polytree, "_node_costs", lambda items, in_set: [-1] * len(items))
-    els = [polytree.GroundElement((0, 1), 3, frozenset((0, 1))),
-           polytree.GroundElement((1, 2), 2, frozenset((1, 2)))]
+    els = [polytree.GroundElement((0, 1), 3),
+           polytree.GroundElement((1, 2), 2)]
     with pytest.raises(RuntimeError, match="did not converge"):
         polytree.weighted_matroid_intersection(els, q=2)
     with pytest.raises(RuntimeError, match="did not converge"):
@@ -290,7 +288,7 @@ def test_folded_matches_unfolded_intersection():
         unfolded = polytree.weighted_matroid_intersection(polytree.arc_elements(inst), q=q)
         assert score == sum(e.weight for e in unfolded)
         assert validate(net, "polytree", q=q).ok and score_of(inst, net) == score
-        fold = tw_dp.Fold(inst, superstructure(inst), q)
+        fold = tw_dp.Fold(inst, superstructure(inst))
         forests += not fold.core
         tree_components += bool(fold.core and fold.roots)
         # a core vertex with more positive hanging gains than virtual arcs
@@ -303,7 +301,7 @@ def test_folded_ground_set_through_oracles():
     # vertices 0 .. n + #virtual - 1 and must give the forest answers
     virtual_total = 0
     for q, inst in folded_cases():
-        elements = polytree.folded_elements(inst, tw_dp.Fold(inst, superstructure(inst), q))
+        elements = polytree.folded_elements(inst, tw_dp.Fold(inst, superstructure(inst)))
         virtual = sorted(e.arc[0] for e in elements if e.arc[0] >= inst.n)
         assert virtual == list(range(inst.n, inst.n + len(virtual)))
         oracles = polytree.MatroidOracles(inst.n + len(virtual), q)

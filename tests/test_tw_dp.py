@@ -207,7 +207,7 @@ def test_tables_and_witness_match_dict_engine():
             assert list(tables) == list(want)
             for t, table in tables.items():
                 assert list(table.items()) == list(want[t].items())
-            unpruned = tw_dp._TwEngine(inst, td, mode, q, prune=False)
+            unpruned = tw_dp._TwEngine(inst, td, mode, prune=False)
             ref = TwEngineDicts(inst, td, mode, q)
             assert unpruned.solve() == ref.solve()
             for t, table in unpruned.tables.items():
@@ -240,8 +240,8 @@ def test_pruned_tables_keep_the_undominated_entries():
                                         connected=(seed % 3 != 0), exact_fen=False)
         td = graphs.tree_decomposition(superstructure(inst))
         for mode in ("bnsl",) if q is None else ("bnsl", "pl"):
-            pruned = tw_dp._TwEngine(inst, td, mode, q)
-            unpruned = tw_dp._TwEngine(inst, td, mode, q, prune=False)
+            pruned = tw_dp._TwEngine(inst, td, mode)
+            unpruned = tw_dp._TwEngine(inst, td, mode, prune=False)
             score, net = pruned.solve()
             full_score, _ = unpruned.solve()
             for t, table in unpruned.tables.items():
@@ -325,7 +325,7 @@ def test_fold_matches_unfolded_dp_and_oracle():
             assert own.width == -1 and own.nodes == [graphs.TDNode(frozenset(), "leaf", [])]
         for mode in ("bnsl",) if q is None else ("bnsl", "pl"):
             solve = tw_dp.solve_pl_additive_tw if mode == "pl" else tw_dp.solve_bnsl_additive
-            want, _ = tw_dp._TwEngine(inst, td, mode, q, prune=False).solve()
+            want, _ = tw_dp._TwEngine(inst, td, mode, prune=False).solve()
             if g.n <= 9:
                 exact = oracle.exact_pl(inst) if mode == "pl" else oracle.exact_bnsl(inst)
                 assert want == exact[0], (seed, mode)
