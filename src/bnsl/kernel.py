@@ -32,26 +32,27 @@ from typing import Optional
 from . import graphs
 from .instances import Network, NonZeroInstance
 
+_EMPTY = frozenset()
+
 
 class _Work:
     """Mutable kernelization state over loose vertex ids.
 
-    The superstructure adjacency (`adj`) and each vertex's parent union are
-    kept up to date by the mutators `fresh`, `remove`, `set_entries` and
-    `prune_leaves`.  A min-heap holds every vertex that may have a degree-1
-    neighbour (pushed whenever a vertex's degree drops or rises to 1);
-    `rule1_target` validates it lazily.
+    The superstructure adjacency (`adj`, keyed by the live vertices) and
+    each vertex's parent union are kept up to date by the mutators `fresh`,
+    `remove`, `set_entries` and `prune_leaves`.  A min-heap holds every
+    vertex that may have a degree-1 neighbour (pushed whenever a vertex's
+    degree drops or rises to 1); `rule1_target` validates it lazily.
     """
 
     def __init__(self, instance: NonZeroInstance):
-        self.names = {v: instance.names[v] for v in range(instance.n)}
-        self.entries: dict[int, dict[frozenset[int], int]] = {
-            v: dict(sets) for v, sets in instance.entries.items()
-        }
-        self.vertices = set(range(instance.n))
+        self.names = dict(enumerate(instance.names))
+        # the mutators replace a table and never edit one, so each is shared
+        # with the instance until then
+        self.entries: dict[int, dict[frozenset[int], int]] = dict(instance.entries)
         self.next_id = instance.n
         self.used_names = set(self.names.values())
-        self.adj: dict[int, set[int]] = {v: set() for v in self.vertices}
+        self.adj: dict[int, set[int]] = {v: set() for v in range(instance.n)}
         self.parent_union: dict[int, set[int]] = {}
         for v, sets in self.entries.items():
             union = self.parent_union[v] = set().union(*sets)
@@ -70,12 +71,10 @@ class _Work:
             name += "'"
         self.used_names.add(name)
         self.names[v] = name
-        self.vertices.add(v)
         self.adj[v] = set()
         return v
 
     def remove(self, v: int):
-        self.vertices.discard(v)
         self.entries.pop(v, None)
         self.names.pop(v, None)
         self.parent_union.pop(v, None)
@@ -116,20 +115,26 @@ class _Work:
     def prune_leaves(self, v: int, sets: dict[frozenset[int], int], leaves: frozenset[int]):
         """Rule 1's update: install v's table `sets`, whose non-empty parent
         sets have positive scores and name every parent of v but `leaves`,
-        then remove the leaves.  v's parent union is cut by the leaves
-        instead of rebuilt as `set_entries` would, and the leaves' edges
-        go with them."""
-        empty = frozenset()
-        if not sets.get(empty, 1):
-            del sets[empty]
+        then remove the leaves, whose only neighbour is v.  v's parent union
+        is cut by the leaves instead of rebuilt as `set_entries` would, and
+        v's adjacency loses them at once."""
+        if not sets.get(_EMPTY, 1):
+            del sets[_EMPTY]
+        entries = self.entries
         if sets:
-            self.entries[v] = sets
+            entries[v] = sets
         else:
-            self.entries.pop(v, None)
+            entries.pop(v, None)
         if v in self.parent_union:
             self.parent_union[v] -= leaves
         for w in leaves:
-            self.remove(w)
+            entries.pop(w, None)
+            del self.names[w], self.adj[w]
+            self.parent_union.pop(w, None)
+        nbrs = self.adj[v]
+        nbrs -= leaves
+        if len(nbrs) == 1:
+            heapq.heappush(self.leaf_heap, next(iter(nbrs)))
 
     def _note_degrees(self, changed):
         for u in changed:
@@ -139,17 +144,18 @@ class _Work:
 
     def rule1_target(self) -> Optional[int]:
         """Smallest vertex with a degree-1 neighbour, or None."""
-        heap = self.leaf_heap
+        heap, adj = self.leaf_heap, self.adj
         while heap:
             v = heap[0]
-            if v in self.adj and any(len(self.adj[w]) == 1 for w in self.adj[v]):
-                return v
+            for w in adj.get(v, ()):
+                if len(adj[w]) == 1:
+                    return v
             heapq.heappop(heap)
         return None
 
     def to_instance(self) -> tuple[NonZeroInstance, dict[int, int]]:
         """Compact to dense ids; returns (instance, loose id of each dense id)."""
-        order = sorted(self.vertices)
+        order = sorted(self.adj)
         dense = {loose: i for i, loose in enumerate(order)}
         entries = {}
         for v, sets in self.entries.items():
@@ -219,6 +225,7 @@ class KernelResult:
         return Network(self.original_n, frozenset(out))
 
     def to_json(self) -> str:
+        """The map as one JSON line; no indent, so json's C encoder writes it."""
         def enc_steps(steps):
             out = []
             for s in steps:
@@ -236,16 +243,11 @@ class KernelResult:
                 out.append(t)
             return out
 
-        return json.dumps(
-            {
-                "original_n": self.original_n,
-                "loose_of_reduced": {
-                    str(k): v for k, v in self.loose_of_reduced.items()
-                },
-                "steps": enc_steps(self.steps),
-            },
-            indent=1,
-        )
+        return json.dumps({
+            "original_n": self.original_n,
+            "loose_of_reduced": {str(k): v for k, v in self.loose_of_reduced.items()},
+            "steps": enc_steps(self.steps),
+        })
 
     @staticmethod
     def from_json(text: str, reduced: NonZeroInstance) -> "KernelResult":
@@ -465,54 +467,52 @@ def _apply_rr1(work: _Work, v: int) -> dict:
     member (the unlisted p - Q too, at score 0), ties to the first in the
     order of sorted(p).
     """
-    adj = work.adj
-    q = sorted(w for w in adj[v] if len(adj[w]) == 1)
+    adj, entries = work.adj, work.entries
+    q = [w for w in adj[v] if len(adj[w]) == 1]
     if not q:
         raise ValueError(f"no degree-1 neighbours at {v}")
+    q.sort()
     qset = frozenset(q)
-    empty, from_v = frozenset(), frozenset((v,))
+    from_v = frozenset((v,))
     base = 0
     gain = {}
     for w in q:
-        sets = work.entries.get(w, {})
-        se, sv = sets.get(empty, 0), sets.get(from_v, 0)
+        sets = entries.get(w)
+        if sets is None:
+            continue
+        se, sv = sets.get(_EMPTY, 0), sets.get(from_v, 0)
         base += se
         if sv > se:
             base += sv - se
             gain[w] = sv - se
     takes = frozenset(gain)  # the leaves that take the arc unless they are parents
 
-    best: dict[frozenset[int], list] = {}  # p - Q -> [score, p]
-
-    def offer(reduced, val, p):
-        cur = best.get(reduced)
-        if cur is None:
-            best[reduced] = [val, p]
-        elif val > cur[0] or val == cur[0] and sorted(p) < sorted(cur[1]):
-            cur[:] = val, p
-
-    old_sets = work.entries.get(v, {})
-    for p, sc in old_sets.items():
+    best: dict[frozenset[int], tuple] = {}  # p - Q -> (score, p, p & Q)
+    old_sets = entries.get(v, {})
+    for p, val in old_sets.items():
+        val += base
         if qset.isdisjoint(p):  # most sets; skips the set algebra below
-            offer(p, sc + base, p)
+            reduced, members = p, _EMPTY
         else:
-            offer(p - qset, sc + base - sum(gain.get(w, 0) for w in p & qset), p)
+            members = p & qset
+            reduced = p - members
+            val -= sum([gain.get(w, 0) for w in members])
+        cur = best.get(reduced)
+        if cur is None or val > cur[0] or val == cur[0] and sorted(p) < sorted(cur[1]):
+            best[reduced] = (val, p, members)
     for reduced in [r for r in best if r not in old_sets]:
-        offer(reduced, base, reduced)
-    best.setdefault(empty, [base, empty])
+        cur = best[reduced]
+        if base > cur[0] or base == cur[0] and sorted(reduced) < sorted(cur[1]):
+            best[reduced] = (base, reduced, _EMPTY)
+    if _EMPTY not in best:
+        best[_EMPTY] = (base, _EMPTY, _EMPTY)
+    none_in = (_EMPTY, takes)  # the config of every p disjoint from Q
     new_sets = {}
     configs = {}
-    for reduced, (val, p) in best.items():
-        members = p & qset
+    for reduced, (val, _, members) in best.items():
         new_sets[reduced] = val
-        configs[reduced] = (members, takes - members)
-    step = {
-        "rule": 1,
-        "v": v,
-        "q": q,
-        "configs": configs,
-        "fallback": (frozenset(), takes),
-    }
+        configs[reduced] = (members, takes - members) if members else none_in
+    step = {"rule": 1, "v": v, "q": q, "configs": configs, "fallback": none_in}
     work.prune_leaves(v, new_sets, qset)
     return step
 
@@ -682,7 +682,7 @@ def _find_paths(work: _Work, min_inner: int) -> list[list[int]]:
     """
     adj = work.adj
     parent, _, order, root = graphs._bfs(
-        [adj.get(v, ()) for v in range(work.next_id)], sorted(work.vertices)
+        list(map(adj.get, range(work.next_id))), sorted(adj)  # removed ids stay unreached
     )
     tree_degree = [0] * work.next_id
     for v in order:

@@ -5,12 +5,13 @@ kept free of any solver machinery they are used to check.  Two kinds of
 exception: `kernelize_rescan` reuses the kernel's rule applications and
 replaces only the bookkeeping it checks, and the functions after it are
 the earlier versions of library functions that the current ones must
-reproduce exactly: the kernel's old rule 1 and path DP
+reproduce exactly: the kernel's old rules 1 and path DP
 (`apply_rr1_set_entries`, `vertex_score`, `best_config_frozensets`,
 `bnsl_path_scores_frozensets` and `pl_path_scores_frozensets`, with the
 dataclasses they return, `PathScores` and `PlPathScores`, which
 `case_table` turns into the kernel's case table; all run by
-`kernelize_old_rules`), `weighted_matroid_intersection_pairwise` and
+`kernelize_old_rules`; and `apply_rr1_offer` with `prune_leaves_per_leaf`,
+run by `kernelize_rr1_offer`), `weighted_matroid_intersection_pairwise` and
 `weighted_matroid_intersection_circuits`, `check_nice_scan`,
 `min_fill_order_rescan`, `bags_from_order_replay`,
 `core_min_fill_relabeled`, the node-by-node cut of a decomposition to
@@ -61,7 +62,6 @@ from bnsl.instances import (
     NonZeroInstance,
     Superstructure,
     superstructure,
-    validate,
 )
 from bnsl.kernel import _BWD, _FWD, _NONE, _Work, _btag, _fed_by, _present
 from bnsl.lfen_dp import Boundary, _BnslEngine, _RecordEngine
@@ -269,7 +269,7 @@ def random_dag(rng, n, prob=0.35):
 def scan_adjacency(work):
     """Superstructure adjacency of a kernel working state, rebuilt from its
     score tables; parent sets naming removed vertices give no edge."""
-    adj = {v: set() for v in work.vertices}
+    adj = {v: set() for v in work.adj}
     for v, sets in work.entries.items():
         for parents in sets:
             for p in parents:
@@ -530,6 +530,115 @@ def kernelize_old_rules(instance, polytree):
         if list(got.items()) != list(want.items()):
             raise AssertionError(f"path scores differ on {paths[0]}")
         steps.append(apply(work, paths[0]))
+    reduced, loose_of_reduced = work.to_instance()
+    return kernel.KernelResult(reduced, steps, loose_of_reduced, instance.n)
+
+
+# Rule 1 before its lean step, kept verbatim (only renamed, and the
+# `_Work.prune_leaves` it called made a function on the working state): a
+# nested `offer` closure, set algebra for every parent set of v, and the
+# leaves removed one by one through `_Work.remove`.  `kernelize_rr1_offer`
+# runs the kernel's fixed-point loop with it; the library must reproduce
+# it exactly.
+
+
+def apply_rr1_offer(work: _Work, v: int) -> dict:
+    """Rule 1 at v, with Q the degree-1 neighbours of v in the working
+    superstructure.
+
+    A leaf w in Q scores se alone and se + gain with v as its parent; it
+    takes the arc from v whenever it is not v's parent and gain > 0, so
+    a parent set p of v completes with base - (the gains of the leaves in
+    p).  v's parent sets are grouped by p - Q, each group keeping its best
+    member (the unlisted p - Q too, at score 0), ties to the first in the
+    order of sorted(p).
+    """
+    adj = work.adj
+    q = sorted(w for w in adj[v] if len(adj[w]) == 1)
+    if not q:
+        raise ValueError(f"no degree-1 neighbours at {v}")
+    qset = frozenset(q)
+    empty, from_v = frozenset(), frozenset((v,))
+    base = 0
+    gain = {}
+    for w in q:
+        sets = work.entries.get(w, {})
+        se, sv = sets.get(empty, 0), sets.get(from_v, 0)
+        base += se
+        if sv > se:
+            base += sv - se
+            gain[w] = sv - se
+    takes = frozenset(gain)  # the leaves that take the arc unless they are parents
+
+    best: dict[frozenset[int], list] = {}  # p - Q -> [score, p]
+
+    def offer(reduced, val, p):
+        cur = best.get(reduced)
+        if cur is None:
+            best[reduced] = [val, p]
+        elif val > cur[0] or val == cur[0] and sorted(p) < sorted(cur[1]):
+            cur[:] = val, p
+
+    old_sets = work.entries.get(v, {})
+    for p, sc in old_sets.items():
+        if qset.isdisjoint(p):  # most sets; skips the set algebra below
+            offer(p, sc + base, p)
+        else:
+            offer(p - qset, sc + base - sum(gain.get(w, 0) for w in p & qset), p)
+    for reduced in [r for r in best if r not in old_sets]:
+        offer(reduced, base, reduced)
+    best.setdefault(empty, [base, empty])
+    new_sets = {}
+    configs = {}
+    for reduced, (val, p) in best.items():
+        members = p & qset
+        new_sets[reduced] = val
+        configs[reduced] = (members, takes - members)
+    step = {
+        "rule": 1,
+        "v": v,
+        "q": q,
+        "configs": configs,
+        "fallback": (frozenset(), takes),
+    }
+    prune_leaves_per_leaf(work, v, new_sets, qset)
+    return step
+
+
+def prune_leaves_per_leaf(work: _Work, v: int, sets: dict[frozenset[int], int],
+                          leaves: frozenset[int]):
+    """Rule 1's update: install v's table `sets`, whose non-empty parent
+    sets have positive scores and name every parent of v but `leaves`,
+    then remove the leaves.  v's parent union is cut by the leaves
+    instead of rebuilt as `set_entries` would, and the leaves' edges
+    go with them."""
+    empty = frozenset()
+    if not sets.get(empty, 1):
+        del sets[empty]
+    if sets:
+        work.entries[v] = sets
+    else:
+        work.entries.pop(v, None)
+    if v in work.parent_union:
+        work.parent_union[v] -= leaves
+    for w in leaves:
+        work.remove(w)
+
+
+def kernelize_rr1_offer(instance, polytree):
+    """The kernel's fixed-point loop with `apply_rr1_offer` as rule 1."""
+    from bnsl import kernel
+
+    work = kernel._Work(instance)
+    steps = []
+    min_inner, apply_rr2 = (6, kernel._apply_rr2_pl) if polytree else (4, kernel._apply_rr2)
+    while True:
+        while (target := work.rule1_target()) is not None:
+            steps.append(apply_rr1_offer(work, target))
+        paths = kernel._find_paths(work, min_inner)
+        if not paths:
+            break
+        steps.append(apply_rr2(work, paths[0]))
     reduced, loose_of_reduced = work.to_instance()
     return kernel.KernelResult(reduced, steps, loose_of_reduced, instance.n)
 
@@ -1025,7 +1134,7 @@ def find_paths_own_bfs(work: _Work, min_inner: int) -> list[list[int]]:
     """Induced degree-2 paths between marked vertices (feedback edge
     endpoints and tree branch vertices), longest first."""
     adj = work.adj
-    verts = sorted(work.vertices)
+    verts = sorted(work.adj)
     seen = set()
     paths = []
     for root in verts:

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 import re
@@ -124,6 +125,41 @@ def test_solver_runtime_error_is_internal_error(capsys, example_file, monkeypatc
     assert code == 3 and out == ""
     assert err.startswith("error: internal:") and str(error) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_main_leaves_the_collector_as_it_found_it(capsys, example_file, tmp_path, monkeypatch,
+                                                  enabled):
+    # main runs each command with the cyclic collector off and gives the
+    # caller back its own setting, however the command ends
+    bad = tmp_path / "bad.scores"
+    bad.write_text("2\nx 0\n")
+
+    def broken(*args):
+        raise RuntimeError("broken invariant")
+
+    def main(*argv):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as e:
+            code = f"SystemExit {e.code}"
+        return code, gc.isenabled()
+
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        codes = [
+            main("solve", example_file),
+            main("params", example_file, "--budget", "-1"),  # CliError
+            main("solve", str(bad)),  # ParseError
+            main("solve", example_file, "--threads", "2"),  # argparse
+        ]
+        monkeypatch.setattr(lfen_dp, "solve_bnsl_lfen", broken)
+        codes.append(main("solve", example_file, "--algo", "lfen"))
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+    assert codes == [(code, enabled) for code in (0, 2, 2, "SystemExit 2", 3)]
 
 
 def test_matroid_without_convergence_is_internal_error(capsys, tmp_path, monkeypatch):
@@ -342,6 +378,21 @@ def test_verify_polytree_mode(capsys, example_file, tmp_path):
     assert code == 1 and "skeleton" in out
 
 
+def test_verify_mode_dag_is_bnsl(capsys, example_file, tmp_path):
+    # verify takes --mode bnsl|polytree as solve and kernelize do; dag, its
+    # old spelling, prints the same, and so does the default
+    sol = tmp_path / "sol.txt"
+    for text in ("b <- a c\nc <- a\nd <- b c\n", "a <- b\nb <- c\nc <- a\n"):
+        sol.write_text(text)
+        results = [run(capsys, "verify", example_file, str(sol), *mode)
+                   for mode in (("--mode", "bnsl"), ("--mode", "dag"), ())]
+        assert results[0] == results[1] == results[2]
+    assert results[0][0] == 1 and results[0][1].startswith("invalid: directed cycle")
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--help"])
+    assert "--mode {bnsl,polytree}" in capsys.readouterr().out
+
+
 def test_gen_deterministic(capsys):
     code1, out1, _ = run(capsys, "gen", "--n", "8", "--fen", "2", "--seed", "5")
     code2, out2, _ = run(capsys, "gen", "--n", "8", "--fen", "2", "--seed", "5")
@@ -365,7 +416,7 @@ def test_kernelize_roundtrip(capsys, tmp_path):
     red_file = tmp_path / "red.scores"
     map_file = tmp_path / "lift.json"
     sol_file = tmp_path / "red.sol"
-    for mode, verify_mode in (("bnsl", "dag"), ("polytree", "polytree")):
+    for mode in ("bnsl", "polytree"):
         code, _, err = run(capsys, "kernelize", str(inst_file), "--mode", mode,
                            "--out", str(red_file), "--map", str(map_file))
         assert code == 0 and "reduced_n=" in err
@@ -373,7 +424,7 @@ def test_kernelize_roundtrip(capsys, tmp_path):
                          "--mode", mode, "--out", str(sol_file))
         assert code == 0
         code, out, _ = run(capsys, "verify", str(inst_file), str(sol_file),
-                           "--mode", verify_mode, "--lift", str(map_file),
+                           "--mode", mode, "--lift", str(map_file),
                            "--reduced-instance", str(red_file))
         assert code == 0 and out.startswith("valid score=")
         lifted_score = int(out.strip().split("=")[1])
@@ -389,7 +440,7 @@ def test_lift_ignores_vertex_map_key(capsys, tmp_path):
     map_file, sol_file = tmp_path / "lift.json", str(tmp_path / "red.sol")
     assert run(capsys, "gen", "--n", "40", "--fen", "2", "--seed", "3",
                "--subdivide", "25", "--out", inst_file)[0] == 0
-    for mode, verify_mode in (("bnsl", "dag"), ("polytree", "polytree")):
+    for mode in ("bnsl", "polytree"):
         assert run(capsys, "kernelize", inst_file, "--mode", mode, "--out", red_file,
                    "--map", str(map_file))[0] == 0
         assert run(capsys, "solve", red_file, "--mode", mode, "--out", sol_file)[0] == 0
@@ -402,7 +453,7 @@ def test_lift_ignores_vertex_map_key(capsys, tmp_path):
         outs = []
         for text in (json.dumps(written, indent=1), json.dumps(old, indent=1)):
             map_file.write_text(text)
-            code, out, _ = run(capsys, "verify", inst_file, sol_file, "--mode", verify_mode,
+            code, out, _ = run(capsys, "verify", inst_file, sol_file, "--mode", mode,
                                "--lift", str(map_file), "--reduced-instance", red_file)
             assert code == 0 and out.startswith("valid score=")
             outs.append(out)
@@ -650,7 +701,7 @@ def test_every_solver_on_no_variable_and_on_one(capsys, tmp_path, text):
     path = tmp_path / "tiny.scores"
     path.write_text(text)
     sol = tmp_path / "sol.txt"
-    for mode, check_mode in (("bnsl", "dag"), ("polytree", "polytree")):
+    for mode in ("bnsl", "polytree"):
         solved, refused = [], []
         for algo in [a for a, m in cli.SOLVERS if m == mode]:
             if sol.exists():
@@ -662,7 +713,7 @@ def test_every_solver_on_no_variable_and_on_one(capsys, tmp_path, text):
                 refused.append(err)
                 continue
             assert (code, out) == (0, "max_score=0\n"), (mode, algo, err)
-            code, out, _ = run(capsys, "verify", str(path), str(sol), "--mode", check_mode)
+            code, out, _ = run(capsys, "verify", str(path), str(sol), "--mode", mode)
             assert (code, out) == (0, "valid score=0\n"), (mode, algo)
             solved.append(algo)
         assert solved

@@ -4,7 +4,6 @@ import pytest
 
 from bnsl import generate, oracle
 from bnsl.instances import (
-    AdditiveInstance,
     Network,
     NonZeroInstance,
     ParseError,

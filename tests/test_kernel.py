@@ -6,7 +6,6 @@ from itertools import product
 from bnsl import generate, kernel, lfen_dp, oracle
 from bnsl.instances import (
     Network,
-    NonZeroInstance,
     Superstructure,
     parse_nonzero,
     score_of,
@@ -18,6 +17,7 @@ from reference import (
     best_config_two_encodings,
     kernelize_old_rules,
     kernelize_rescan,
+    kernelize_rr1_offer,
     lift_rescan,
     random_dag,
     rule1_scan_target,
@@ -418,7 +418,7 @@ def test_rule_order_does_not_change_optimum():
         while True:
             adj = work.adj
             rr1_targets = sorted(
-                v for v in work.vertices
+                v for v in adj
                 if any(len(adj[w]) == 1 for w in adj[v])
             )
             paths = kernel._find_paths(work, 4)
@@ -443,6 +443,11 @@ def test_kernel_result_json_roundtrip():
     back = kernel.KernelResult.from_json(text, res.reduced)
     _, netr = oracle.exact_bnsl(res.reduced)
     assert back.lift(netr) == res.lift(netr)
+    # maps are written on one line; the indented layout written before
+    # reads back to the same steps
+    assert "\n" not in text
+    indented = kernel.KernelResult.from_json(json.dumps(json.loads(text), indent=1), res.reduced)
+    assert indented == back and indented.steps == res.steps
     # vertex sets are written sorted, so a map does not depend on how each
     # set was built
     rule1 = [st for st in json.loads(text)["steps"] if st["rule"] == 1]
@@ -537,6 +542,40 @@ def test_kernel_matches_old_rules():
             assert got.reduced.entries == want.reduced.entries
 
 
+def test_kernel_matches_rule1_offer_reference():
+    # the lean rule 1 against its earlier version (an `offer` closure, set
+    # algebra for every parent set, leaves removed one by one): the same
+    # reduced files, the same maps as JSON and the same lifted networks, on
+    # the four benchmark families of explicit instances (seeds 1-5) and on
+    # small subdivided instances, every third with many ties
+    families = [(60, 5, 40), (200, 3, 150), (800, 1, 700), (1500, 1, 0)]
+    insts = [generate.random_nonzero(random.Random(f"rr1:{seed}:{n}"), n, fen, subdivisions=sub)
+             for seed in range(1, 6) for n, fen, sub in families]
+    for seed in range(40):
+        rng = random.Random(f"rr1-small:{seed}")
+        n = rng.randint(6, 50)
+        insts.append(generate.random_nonzero(rng, n, rng.randint(0, 3), 2 if seed % 3 == 0 else 8,
+                                             subdivisions=rng.choice([n // 3, n - 6])))
+    rng = random.Random(5)
+    for inst in insts:
+        text = write_nonzero(inst)
+        for polytree, fast in ((False, kernel.kernelize_bnsl), (True, kernel.kernelize_pl)):
+            want = kernelize_rr1_offer(inst, polytree)
+            got = fast(inst)
+            assert write_nonzero(inst) == text  # the kernel shares tables, never edits them
+            assert write_nonzero(got.reduced) == write_nonzero(want.reduced)
+            assert json.loads(got.to_json()) == json.loads(want.to_json())
+            assert step_orders(got) == step_orders(want)
+            red = got.reduced
+            nets = [random_dag(rng, red.n, prob) for prob in (0.1, 0.4)]
+            edges = sorted(superstructure(red).edges)  # and one orientation of them all
+            nets.append(Network(red.n, frozenset(
+                (u, w) if rng.random() < 0.5 else (w, u) for u, w in edges
+            )))
+            for net in nets:
+                assert got.lift(net) == want.lift(net)
+
+
 def test_work_adjacency_tracks_random_mutations():
     # includes what the rules rarely do: tables that drop a live parent
     # (zero scores), removals that leave references behind, fresh vertices
@@ -546,7 +585,7 @@ def test_work_adjacency_tracks_random_mutations():
                                        exact_fen=False)
         work = kernel._Work(inst)
         for _ in range(60):
-            live = sorted(work.vertices)
+            live = sorted(work.adj)
             op = rng.random()
             if op < 0.15 and len(live) > 2:
                 work.remove(rng.choice(live))
