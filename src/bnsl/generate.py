@@ -12,7 +12,7 @@ import random
 from bisect import bisect_left, insort
 from typing import Optional
 
-from .instances import AdditiveInstance, Network, NonZeroInstance, Superstructure, find
+from .instances import AdditiveInstance, NonZeroInstance, Superstructure, find
 
 
 def _rng(seed_or_rng) -> random.Random:
@@ -227,23 +227,3 @@ def random_limited_dependents(
             inst_entries.setdefault(v, {})[frozenset()] = rng.randint(1, max_score)
     inst_entries = {v: s for v, s in inst_entries.items() if s}
     return NonZeroInstance(n, names, inst_entries)
-
-
-def random_network(seed_or_rng, instance, arc_prob: float = 0.35) -> Network:
-    """A random acyclic network over the instance's superstructure arcs
-    (random vertex order, forward arcs only)."""
-    from .instances import superstructure as ss
-
-    rng = _rng(seed_or_rng)
-    g = ss(instance)
-    order = list(range(instance.n))
-    rng.shuffle(order)
-    pos = {v: i for i, v in enumerate(order)}
-    arcs = set()
-    for a, b in sorted(g.edges):
-        if rng.random() < arc_prob:
-            if pos[a] < pos[b]:
-                arcs.add((a, b))
-            else:
-                arcs.add((b, a))
-    return Network(instance.n, frozenset(arcs))

@@ -208,45 +208,47 @@ def spanning_tree_count(g: Superstructure) -> int:
 
 def _spanning_trees(g: Superstructure):
     """Yield every spanning tree (edge frozenset) of a connected graph once,
-    by branching on each edge: contract it into the tree or delete it."""
-    edges = sorted(g.edges)
-    m, n = len(edges), g.n
+    by branching on each edge: contract it into the tree or delete it.
+    The branching lives in module-level functions, not closures, which
+    would refer to themselves and leave reference cycles behind."""
+    yield from _spanning_branch(sorted(g.edges), g.n, 0, [], list(range(g.n)), 0)
 
-    def connected_with(available: list[bool], union: list[int]) -> bool:
-        # can the remaining edges still span everything merged so far?
-        parent = union[:]
-        comps = len({find(parent, v) for v in range(n)})
-        for i, (a, b) in enumerate(edges):
-            if not available[i]:
-                continue
-            ra, rb = find(parent, a), find(parent, b)
-            if ra != rb:
-                parent[ra] = rb
-                comps -= 1
-                if comps == 1:
-                    return True
-        return comps == 1
 
-    def rec(i: int, chosen: list[int], union: list[int], count: int):
-        if count == n - 1:
-            yield frozenset(edges[j] for j in chosen)
-            return
-        if i == m:
-            return
-        a, b = edges[i]
-        ra, rb = find(union, a), find(union, b)
+def _spanning_branch(edges: list, n: int, i: int, chosen: list[int], union: list[int],
+                     count: int):
+    """The spanning trees that take the edges `chosen` (merged into the
+    union-find forest `union`, `count` of them) and decide edges[i:]."""
+    if count == n - 1:
+        yield frozenset(edges[j] for j in chosen)
+        return
+    if i == len(edges):
+        return
+    a, b = edges[i]
+    ra, rb = find(union, a), find(union, b)
+    if ra != rb:
+        u2 = union[:]
+        u2[ra] = rb
+        chosen.append(i)
+        yield from _spanning_branch(edges, n, i + 1, chosen, u2, count + 1)
+        chosen.pop()
+    # deletion branch: only if the rest can still connect
+    if _still_spans(edges, n, i + 1, union):
+        yield from _spanning_branch(edges, n, i + 1, chosen, union, count)
+
+
+def _still_spans(edges: list, n: int, start: int, union: list[int]) -> bool:
+    """Whether edges[start:] can still connect everything merged so far in
+    the union-find forest `union`."""
+    parent = union[:]
+    comps = len({find(parent, v) for v in range(n)})
+    for a, b in edges[start:]:
+        ra, rb = find(parent, a), find(parent, b)
         if ra != rb:
-            u2 = union[:]
-            u2[ra] = rb
-            chosen.append(i)
-            yield from rec(i + 1, chosen, u2, count + 1)
-            chosen.pop()
-        # deletion branch: only if the rest can still connect
-        avail = [j > i for j in range(m)]
-        if connected_with(avail, union):
-            yield from rec(i + 1, chosen, union, count)
-
-    yield from rec(0, [], list(range(n)), 0)
+            parent[ra] = rb
+            comps -= 1
+            if comps == 1:
+                return True
+    return comps == 1
 
 
 def lfen_search(g: Superstructure, budget: int = DEFAULT_TREE_BUDGET) -> LfenWitness:

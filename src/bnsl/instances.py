@@ -196,16 +196,12 @@ class Superstructure:
 
 def superstructure(instance: Instance) -> Superstructure:
     """Union of {child, parent} pairs over all entries/arcs of the instance."""
-    edges = set()
     if isinstance(instance, NonZeroInstance):
-        for v, sets in instance.entries.items():
-            for parents in sets:
-                for p in parents:
-                    edges.add((min(p, v), max(p, v)))
+        pairs = ((p, v) for v, sets in instance.entries.items()
+                 for parents in sets for p in parents)
     else:
-        for (u, v) in instance.arc_scores:
-            edges.add((min(u, v), max(u, v)))
-    return Superstructure(instance.n, edges)
+        pairs = instance.arc_scores  # its keys, the (parent, child) pairs
+    return Superstructure(instance.n, pairs)
 
 
 def score_of(instance: Instance, network: Network) -> int:
@@ -429,12 +425,14 @@ def write_nonzero(instance: NonZeroInstance) -> str:
 
 def parse_additive(text: str) -> AdditiveInstance:
     """Parse an additive score file: header `additive <n> [q]`, arc lines."""
-    lines = _content_lines(text)
-    try:
-        line_no, tok = next(lines)
-    except StopIteration:
-        raise ParseError(1, "empty file") from None
-    if not tok or tok[0] != "additive" or len(tok) not in (2, 3):
+    lines = enumerate(text.splitlines(), start=1)
+    for line_no, raw in lines:
+        tok = raw.split()
+        if tok and tok[0][0] != "#":
+            break
+    else:
+        raise ParseError(1, "empty file")
+    if tok[0] != "additive" or len(tok) not in (2, 3):
         raise ParseError(line_no, "expected header 'additive <n> [q]'")
     n = _parse_nat(line_no, tok[1], "variable count")
     q = None
@@ -445,22 +443,26 @@ def parse_additive(text: str) -> AdditiveInstance:
 
     index: dict[str, int] = {}
     arcs: dict[tuple[int, int], int] = {}
-
-    def var(line_no, name):
-        if name not in index:
-            if len(index) >= n:
-                raise ParseError(line_no, f"more than {n} distinct variables")
-            index[name] = len(index)
-        return index[name]
-
-    for line_no, tok in lines:
+    for line_no, raw in lines:
+        tok = raw.split()
+        if not tok or tok[0][0] == "#":
+            continue
         if len(tok) != 3:
             raise ParseError(line_no, "expected '<child> <parent> <score>'")
-        child = var(line_no, tok[0])
-        parent = var(line_no, tok[1])
+        child_name, parent_name, score_s = tok
+        child = index.get(child_name)
+        if child is None:
+            if len(index) >= n:
+                raise ParseError(line_no, f"more than {n} distinct variables")
+            child = index[child_name] = len(index)
+        parent = index.get(parent_name)
+        if parent is None:
+            if len(index) >= n:
+                raise ParseError(line_no, f"more than {n} distinct variables")
+            parent = index[parent_name] = len(index)
         if child == parent:
             raise ParseError(line_no, "variable used as its own parent")
-        score = _parse_nat(line_no, tok[2], "score")
+        score = _parse_nat(line_no, score_s, "score")
         if score < 1:
             raise ParseError(line_no, "listed arc with zero score")
         if score > MAX_SCORE:
@@ -469,7 +471,7 @@ def parse_additive(text: str) -> AdditiveInstance:
             raise ParseError(line_no, "duplicate arc")
         arcs[(parent, child)] = score
 
-    names = list(sorted(index, key=index.get))
+    names = list(index)
     used = set(names)
     k = len(names)
     while len(names) < n:

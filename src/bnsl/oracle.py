@@ -271,32 +271,3 @@ def _tree_local_value(n, tree_edges, extra_edges) -> int:
             counts[x] += 1
             x = prev[x]
     return max(counts, default=0)
-
-
-def exact_common_independent(
-    elements, oracles, per_cardinality: bool = False
-):
-    """Best common independent subset(s) by full subset scan.
-
-    `oracles` must expose graphic_independent(list) and
-    partition_independent(list).  With per_cardinality, returns a dict
-    cardinality -> (weight, subset); otherwise (weight, subset).
-    """
-    items = list(elements)
-    if len(items) > 14:
-        raise OracleLimitError("subset scan limited to 14 ground elements")
-    best: dict[int, tuple[int, tuple]] = {}
-    overall = (0, ())
-    for mask in range(1 << len(items)):
-        subset = [items[i] for i in range(len(items)) if mask & (1 << i)]
-        if not oracles.graphic_independent(subset):
-            continue
-        if not oracles.partition_independent(subset):
-            continue
-        weight = sum(e.weight for e in subset)
-        k = len(subset)
-        if k not in best or weight > best[k][0]:
-            best[k] = (weight, tuple(subset))
-        if weight > overall[0]:
-            overall = (weight, tuple(subset))
-    return best if per_cardinality else overall

@@ -30,7 +30,6 @@ runs on the same core, each bonus entering as virtual arcs.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import product
 from operator import add, itemgetter, sub
 from typing import Optional
 
@@ -125,6 +124,8 @@ class _TwEngine:
         Distinct snapshots never dominate each other both ways, so the
         entries kept are exactly those no other entry dominates.
         """
+        if len(table) < 2:
+            return table
         groups: dict = {}
         for key in table:
             groups.setdefault(key[0], []).append(key)
@@ -150,9 +151,10 @@ class _TwEngine:
             group.sort(key=itemgetter(0))
             kept: dict = {}  # con -> packed inn of each kept snapshot with it
             for _, con, inn, key in group:
-                if any(not con1 & ~con and any((inn - inn1) & guard == guard for inn1 in inns)
-                       for con1, inns in kept.items()):
-                    dropped.add(key)
+                for con1, inns in kept.items():
+                    if not con1 & ~con and any((inn - inn1) & guard == guard for inn1 in inns):
+                        dropped.add(key)
+                        break
                 else:
                     kept.setdefault(con, []).append(inn & ~guard)
         return {key: entry for key, entry in table.items() if key not in dropped}
@@ -180,24 +182,48 @@ class _TwEngine:
     def _introduce(self, t, node) -> dict:
         (child,) = node.children
         v = next(iter(node.bag - self.td.nodes[child].bag))
-        verts, cverts = self.verts[t], self.verts[child]
+        verts = self.verts[t]
         d = len(verts)
         i = verts.index(v)
-        # each undirected edge to v skipped, v->u or u->v.  con is closed,
-        # and every arc of a choice touches v, so a shortest path of their
-        # union switches operand, or takes two arcs in a row, only at the
-        # choice's support: glue pivots there
+        q = self.q
+        score = self.inst.arc_scores.get
+        # each undirected edge to v skipped, v->u or u->v, in the order
+        # `itertools.product` lists them: the choices are grown one bag
+        # neighbour at a time, the first the slowest, each step adding one
+        # arc's bit, support, count and score.  Only v's own parent count
+        # can pass q; a choice is dropped as soon as it does.  con is
+        # closed, and every arc of a choice touches v, so a shortest path
+        # of their union switches operand, or takes two arcs in a row, only
+        # at the choice's support: glue pivots there
+        v_row = (d - 1 - i) * d
+        grown = [((), 0, 0, 0, 0)]  # arcs, rows, support, parents of v, gain
+        nbrs = self.g.adj[v]
+        for j, u in enumerate(verts):
+            if u not in nbrs:
+                continue
+            out_arc, out_bit, out_gain = (v, u), 1 << v_row + j, score((v, u), 0)
+            in_arc, in_bit, in_gain = (u, v), 1 << (d - 1 - j) * d + i, score((u, v), 0)
+            pair = 1 << i | 1 << j
+            prev, grown = grown, []
+            for choice in prev:
+                arcs, rows, sup, k, gain = choice
+                grown.append(choice)
+                grown.append((arcs + (out_arc,), rows | out_bit, sup | pair, k, gain + out_gain))
+                if q is None or k < q:
+                    grown.append((arcs + (in_arc,), rows | in_bit, sup | pair, k + 1,
+                                  gain + in_gain))
+        # a choice's parent counts: one at each head of an arc from v, k at v
         choices = []
-        edges = [(None, (v, u), (u, v)) for u in sorted(self.g.adj[v] & node.bag)]
-        for picks in product(*edges):
-            arcs = frozenset(a for a in picks if a)
-            inn = () if self.q is None else tuple(sum(y == x for _, y in arcs) for x in verts)
-            if not inn or max(inn) <= self.q:
-                gain = sum(self.inst.arc(x, y) for x, y in arcs)
-                rows = relations.from_pairs(arcs, verts)
-                choices.append((arcs, rows, relations.support(rows, d), inn, gain))
+        for arcs, rows, sup, k, gain in grown:
+            if q is None:
+                cnt = ()
+            else:
+                cnt = [rows >> v_row + x & 1 for x in range(d)]
+                cnt[i] = k
+                cnt = tuple(cnt)
+            choices.append((frozenset(arcs), rows, sup, cnt, gain))
         table: dict = {}
-        to_bag = relations.remap(cverts, verts)
+        to_bag = relations.insert_index(d - 1, i)
         for ckey, centry in self.tables[child].items():
             loc0 = to_bag(ckey[0])
             con0 = to_bag(ckey[1])
@@ -205,7 +231,7 @@ class _TwEngine:
             n_old = len(relations.classes(con0, d)) if self.pl else 0
             for arcs, rows, pivots, cnt, gain in choices:
                 inn = cnt and tuple(map(add, inn0, cnt))
-                if inn and max(inn) > self.q:
+                if inn and max(inn) > q:
                     continue
                 # each arc of a polytree choice joins v to a new class
                 con = self._glue(con0, rows, d, pivots, n_old - len(arcs))
@@ -220,12 +246,12 @@ class _TwEngine:
 
     def _forget(self, t, node) -> dict:
         (child,) = node.children
-        verts, cverts = self.verts[t], self.verts[child]
+        cverts = self.verts[child]
         v = next(iter(self.td.nodes[child].bag - node.bag))
         i = cverts.index(v)
         bonus = self.bonus.get(v, (0,) * ((self.q or 0) + 1))
         table: dict = {}
-        to_bag = relations.remap(cverts, verts)
+        to_bag = relations.drop_index(len(cverts), i)
         for ckey, centry in self.tables[child].items():
             loc, con, inn = ckey
             key = (to_bag(loc), to_bag(con), inn[:i] + inn[i + 1:])
@@ -240,24 +266,28 @@ class _TwEngine:
         verts = self.verts[t]
         d = len(verts)
         units = relations.unit(d)
-        # the right entries by loc, each group with loc's class count and
-        # each entry with what the glue reads of its con
+        score = self.inst.arc_scores.get
+        # the right entries by loc, each group with loc's class count, the
+        # score of its arcs (both sides count them) and its parent counts,
+        # and each entry with what the glue reads of its con
         by_loc: dict = {}
         for key2, entry2 in self.tables[c2].items():
-            group = by_loc.get(key2[0])
+            loc = key2[0]
+            group = by_loc.get(loc)
             if group is None:
-                n_loc = len(relations.classes(key2[0], d)) if self.pl else 0
-                group = by_loc[key2[0]] = (n_loc, [])
-            group[1].append((key2, entry2[0], self._aux(key2[1], d)))
+                n_loc = len(relations.classes(loc, d)) if self.pl else 0
+                loc_score = sum(score(arc, 0) for arc in relations.to_pairs(loc, verts))
+                loc_inn = () if self.q is None else tuple(
+                    (loc >> j & units).bit_count() for j in range(d))
+                group = by_loc[loc] = (n_loc, loc_score, loc_inn, [])
+            group[3].append((key2, entry2[0], self._aux(key2[1], d)))
         table: dict = {}
         for key1, entry1 in self.tables[c1].items():
             loc, con1, inn1 = key1
             if loc not in by_loc:
                 continue
-            n_loc, group = by_loc[loc]
-            s1 = entry1[0] - sum(self.inst.arc(x, y) for x, y in relations.to_pairs(loc, verts))
-            loc_inn = () if self.q is None else tuple(
-                (loc >> j & units).bit_count() for j in range(d))
+            n_loc, loc_score, loc_inn, group = by_loc[loc]
+            s1 = entry1[0] - loc_score
             # acyclic: both cons are closed, so glue pivots on their shared
             # support.  Polytrees: both sides are forests that share only
             # the bag and the loc arcs, so the union's cycle rank is
@@ -283,11 +313,16 @@ def _peel(g: Superstructure) -> tuple[list[int], dict]:
     """The vertices that repeatedly peeling degree <= 1 vertices removes, in
     removal order, and for each the one neighbour it had left then (None
     for the last vertex of a tree component).  The rest is the 2-core."""
-    deg = [len(g.adj[v]) for v in range(g.n)]
+    adj = g.adj
+    deg = [len(adj[v]) for v in range(g.n)]
     order = [v for v in range(g.n) if deg[v] <= 1]
     up: dict = {}
     for x in order:  # grows while read: a vertex left with one neighbour joins
-        p = next((y for y in g.adj[x] if y not in up), None)
+        p = None
+        for y in adj[x]:
+            if y not in up:
+                p = y
+                break
         up[x] = p
         if p is not None:
             deg[p] -= 1
@@ -314,45 +349,57 @@ class Fold:
     def __init__(self, instance: AdditiveInstance, g: Superstructure):
         self.g = g
         self.q = q = instance.max_in_degree
-        self.arc = instance.arc
+        self.arc_scores = score = instance.arc_scores
         order, up = _peel(g)
         self.core = [v for v in range(g.n) if v not in up]
-        self.kids: dict = {}
+        self.kids = kids = {}
         for x in order:
-            if up[x] is not None:
-                self.kids.setdefault(up[x], []).append(x)
+            p = up[x]
+            if p is None:
+                continue
+            if p in kids:
+                kids[p].append(x)
+            else:
+                kids[p] = [x]
         # x with hanging trees -> (sum of its children's base_c, positive
         # gain_c paired with c, best first)
-        self.hang: dict = {}
-        self.a: dict = {}
-        self.b: dict = {}
-        self.bonus: dict = {}  # core vertex -> value with i core parents, at index i
-        less = None if q is None else q - 1
-        slots = [None] if q is None else range(q, -1, -1)
-        for x in order + [v for v in self.core if v in self.kids]:
-            if x not in self.kids:  # a leaf of its tree
-                self.a[x] = self.b[x] = 0
+        self.hang = hang = {}
+        self.a = a = {}
+        self.b = b = {}
+        self.bonus = bonus = {}  # core vertex -> value with i core parents, at index i
+        for x in order + [v for v in self.core if v in kids]:
+            cs = kids.get(x)
+            if cs is None:  # a leaf of its tree
+                a[x] = b[x] = 0
                 continue
             base, gains = 0, []
-            for c in self.kids[x]:
-                keep = max(self.a[c] + self.arc(x, c), self.b[c])
+            for c in cs:
+                keep = a[c] + score.get((x, c), 0)
+                if b[c] > keep:
+                    keep = b[c]
                 base += keep
-                gain = self.b[c] + self.arc(c, x) - keep
+                gain = b[c] + score.get((c, x), 0) - keep
                 if gain > 0:
                     gains.append((-gain, c))
-            gains.sort()
-            self.hang[x] = (base, [(-gain, c) for gain, c in gains])
+            # best[k]: the value with at most k arcs up into x
+            best = [base]
+            if gains:
+                gains.sort()
+                gains = [(-gain, c) for gain, c in gains]
+                for gain, _ in gains:
+                    best.append(best[-1] + gain)
+            hang[x] = (base, gains)
+            top = len(gains)
             if x in up:
-                self.a[x], self.b[x] = self.value(x, less), self.value(x, q)
+                if q is None:
+                    a[x] = b[x] = best[top]
+                else:
+                    a[x], b[x] = best[min(q - 1, top)], best[min(q, top)]
+            elif q is None:
+                bonus[x] = (best[top],)
             else:
-                self.bonus[x] = tuple(self.value(x, k) for k in slots)
+                bonus[x] = tuple(best[min(k, top)] for k in range(q, -1, -1))
         self.roots = [x for x in order if up[x] is None]
-
-    def value(self, x: int, k: Optional[int]) -> int:
-        """Best score of x's hanging trees when at most k of their arcs
-        may enter x (k None: any number)."""
-        base, gains = self.hang[x]
-        return base + sum(gain for gain, _ in gains[:k])
 
     def tree_score(self) -> int:
         """Optimum of the tree components, which have no core vertex."""
@@ -365,24 +412,29 @@ class Fold:
         score, every bonus it collected and `tree_score()`."""
         q = self.q
         less = None if q is None else q - 1
+        score, kids, hang, a, b = self.arc_scores, self.kids, self.hang, self.a, self.b
         indeg = Counter(y for _, y in core_arcs)
         stack = [(v, None if q is None else q - indeg[v]) for v in self.bonus]
         stack += [(r, q) for r in self.roots]
         arcs = set()
         while stack:
             x, k = stack.pop()
-            if x not in self.kids:
+            cs = kids.get(x)
+            if cs is None:
                 continue
-            ups = {c for _, c in self.hang[x][1][:k]}
-            for c in self.kids[x]:
+            gains = hang[x][1]
+            ups = {c for _, c in gains[:k]} if gains else ()
+            for c in cs:
                 if c in ups:
                     arcs.add((c, x))
-                    stack.append((c, q))
-                elif self.a[c] + self.arc(x, c) > self.b[c]:
+                    free = q
+                elif a[c] + score.get((x, c), 0) > b[c]:
                     arcs.add((x, c))
-                    stack.append((c, less))
+                    free = less
                 else:
-                    stack.append((c, q))
+                    free = q
+                if c in kids:
+                    stack.append((c, free))
         return arcs
 
 

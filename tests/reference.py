@@ -39,16 +39,25 @@ lfen local search that scores every swap on a rebuilt forest
 (`component_lfen_tree_rebuild`), the subdivision loop that sorts the
 whole edge set for every draw (`subdivide_resort`), and the component
 subgraph that scans every edge once per component
-(`component_subgraph_edge_scan`).
+(`component_subgraph_edge_scan`), the bag DP's steps before they dropped
+their per-node overhead (`TwEngineProduct`), the pendant-tree fold on
+generators (`FoldGenerators` with `peel_generator`) and the additive
+parser with a per-token closure (`parse_additive_closure`).  Last come
+two helpers that only the tests use, moved here from the library: the
+subset scan for a best common independent set
+(`exact_common_independent`, formerly in `bnsl.oracle`) and a random
+acyclic network over an instance's superstructure (`random_network`,
+formerly in `bnsl.generate`).
 """
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
-from operator import or_
+from operator import add, itemgetter, or_, sub
 from typing import Iterable, Optional, Sequence
 
-from bnsl import graphs, relations
+from bnsl import generate, graphs, relations
 from bnsl.graphs import (
     NiceTreeDecomposition,
     SpanningForest,
@@ -57,15 +66,21 @@ from bnsl.graphs import (
     tree_decomposition,
 )
 from bnsl.instances import (
+    MAX_SCORE,
     AdditiveInstance,
     Network,
     NonZeroInstance,
+    ParseError,
     Superstructure,
+    _content_lines,
+    _parse_nat,
     superstructure,
 )
 from bnsl.kernel import _BWD, _FWD, _NONE, _Work, _btag, _fed_by, _present
 from bnsl.lfen_dp import Boundary, _BnslEngine, _RecordEngine
+from bnsl.oracle import OracleLimitError
 from bnsl.polytree import GroundElement, MatroidOracles, _forest_links, _forest_path
+from bnsl.tw_dp import _NO_ARCS, _TwEngine
 
 
 def reach_pairs(n_ids, arcs):
@@ -2200,3 +2215,377 @@ def component_subgraph_edge_scan(g: Superstructure, comp: list[int]):
         (idx[a], idx[b]) for a, b in sorted(g.edges) if a in idx and b in idx
     ]
     return Superstructure(len(comp), edges), idx
+
+
+def exact_common_independent(
+    elements, oracles, per_cardinality: bool = False
+):
+    """Best common independent subset(s) by full subset scan.
+
+    `oracles` must expose graphic_independent(list) and
+    partition_independent(list).  With per_cardinality, returns a dict
+    cardinality -> (weight, subset); otherwise (weight, subset).
+    """
+    items = list(elements)
+    if len(items) > 14:
+        raise OracleLimitError("subset scan limited to 14 ground elements")
+    best: dict[int, tuple[int, tuple]] = {}
+    overall = (0, ())
+    for mask in range(1 << len(items)):
+        subset = [items[i] for i in range(len(items)) if mask & (1 << i)]
+        if not oracles.graphic_independent(subset):
+            continue
+        if not oracles.partition_independent(subset):
+            continue
+        weight = sum(e.weight for e in subset)
+        k = len(subset)
+        if k not in best or weight > best[k][0]:
+            best[k] = (weight, tuple(subset))
+        if weight > overall[0]:
+            overall = (weight, tuple(subset))
+    return best if per_cardinality else overall
+
+
+def random_network(seed_or_rng, instance, arc_prob: float = 0.35) -> Network:
+    """A random acyclic network over the instance's superstructure arcs
+    (random vertex order, forward arcs only)."""
+    from bnsl.instances import superstructure as ss
+
+    rng = generate._rng(seed_or_rng)
+    g = ss(instance)
+    order = list(range(instance.n))
+    rng.shuffle(order)
+    pos = {v: i for i, v in enumerate(order)}
+    arcs = set()
+    for a, b in sorted(g.edges):
+        if rng.random() < arc_prob:
+            if pos[a] < pos[b]:
+                arcs.add((a, b))
+            else:
+                arcs.add((b, a))
+    return Network(instance.n, frozenset(arcs))
+
+
+class TwEngineProduct(_TwEngine):
+    """The bag DP's steps before they dropped their per-node overhead: each
+    introduce lists its arc choices with `itertools.product` and rebuilds
+    every choice's arcs, parent counts, rows and support; introduce and
+    forget compile a fresh `relations.remap` per node; each join entry
+    sums its loc arcs' scores and counts; `_prune` groups every table."""
+
+    def _prune(self, table: dict) -> dict:
+        """The entries of `table` that no other entry dominates, in their
+        insertion order.
+
+        Snapshot (loc, con', inn') with score s' dominates (loc, con, inn)
+        with score s when s' >= s, con' is a subset of con row by row and
+        inn' <= inn at every position.  Dropping the second keeps the
+        optimum, because every later step is monotone in con and inn.  Both
+        snapshots hold the same arcs inside the bag (loc), so they meet the
+        same arc choices and join partners.  One that keeps the second
+        acyclic keeps the first so too, since a subset of the reachable
+        pairs closes no cycle the whole set does not close (for polytrees:
+        a finer partition joins no two vertices of one class).  Parent
+        counts only add up, so the first stays within the bound whenever
+        the second does.  The bonus a forget adds for a vertex's folded
+        pendant trees never grows with the vertex's parent count, so the
+        first collects at least the second's.  And the results again have
+        a subset con, no larger inn and no lower score, so the root score
+        is unchanged, though a tie may pick another optimal network.
+        Distinct snapshots never dominate each other both ways, so the
+        entries kept are exactly those no other entry dominates.
+        """
+        groups: dict = {}
+        for key in table:
+            groups.setdefault(key[0], []).append(key)
+        if len(groups) == len(table):
+            return table
+        # con' is a subset of con when con' & ~con is 0; inn packs into
+        # fields of w bits whose top bit is a guard, so inn' <= inn
+        # everywhere when subtracting inn' from inn with every guard set
+        # borrows no guard away
+        w = (self.q or 0).bit_length() + 1
+        guard = relations.pack([1 << w - 1] * len(next(iter(table))[2]), w)
+        dropped = set()
+        for keys in groups.values():
+            if len(keys) == 1:
+                continue
+            # a dominating snapshot scores at least as much and, when
+            # distinct, has a smaller rank: sorted, it comes first
+            group = []
+            for key in keys:
+                con = key[1]
+                group.append(((-table[key][0], con.bit_count() + sum(key[2])),
+                              con, relations.pack(key[2], w) | guard, key))
+            group.sort(key=itemgetter(0))
+            kept: dict = {}  # con -> packed inn of each kept snapshot with it
+            for _, con, inn, key in group:
+                if any(not con1 & ~con and any((inn - inn1) & guard == guard for inn1 in inns)
+                       for con1, inns in kept.items()):
+                    dropped.add(key)
+                else:
+                    kept.setdefault(con, []).append(inn & ~guard)
+        return {key: entry for key, entry in table.items() if key not in dropped}
+
+    def _introduce(self, t, node) -> dict:
+        (child,) = node.children
+        v = next(iter(node.bag - self.td.nodes[child].bag))
+        verts, cverts = self.verts[t], self.verts[child]
+        d = len(verts)
+        i = verts.index(v)
+        # each undirected edge to v skipped, v->u or u->v.  con is closed,
+        # and every arc of a choice touches v, so a shortest path of their
+        # union switches operand, or takes two arcs in a row, only at the
+        # choice's support: glue pivots there
+        choices = []
+        edges = [(None, (v, u), (u, v)) for u in sorted(self.g.adj[v] & node.bag)]
+        for picks in product(*edges):
+            arcs = frozenset(a for a in picks if a)
+            inn = () if self.q is None else tuple(sum(y == x for _, y in arcs) for x in verts)
+            if not inn or max(inn) <= self.q:
+                gain = sum(self.inst.arc(x, y) for x, y in arcs)
+                rows = relations.from_pairs(arcs, verts)
+                choices.append((arcs, rows, relations.support(rows, d), inn, gain))
+        table: dict = {}
+        to_bag = relations.remap(cverts, verts)
+        for ckey, centry in self.tables[child].items():
+            loc0 = to_bag(ckey[0])
+            con0 = to_bag(ckey[1])
+            inn0 = ckey[2][:i] + (0,) + ckey[2][i:]
+            n_old = len(relations.classes(con0, d)) if self.pl else 0
+            for arcs, rows, pivots, cnt, gain in choices:
+                inn = cnt and tuple(map(add, inn0, cnt))
+                if inn and max(inn) > self.q:
+                    continue
+                # each arc of a polytree choice joins v to a new class
+                con = self._glue(con0, rows, d, pivots, n_old - len(arcs))
+                if con is None:
+                    continue
+                key = (loc0 | rows, con, inn)
+                val = centry[0] + gain
+                cur = table.get(key)
+                if cur is None or val > cur[0]:
+                    table[key] = (val, arcs, ckey)
+        return table
+
+    def _forget(self, t, node) -> dict:
+        (child,) = node.children
+        verts, cverts = self.verts[t], self.verts[child]
+        v = next(iter(self.td.nodes[child].bag - node.bag))
+        i = cverts.index(v)
+        bonus = self.bonus.get(v, (0,) * ((self.q or 0) + 1))
+        table: dict = {}
+        to_bag = relations.remap(cverts, verts)
+        for ckey, centry in self.tables[child].items():
+            loc, con, inn = ckey
+            key = (to_bag(loc), to_bag(con), inn[:i] + inn[i + 1:])
+            val = centry[0] + bonus[inn[i] if inn else 0]
+            cur = table.get(key)
+            if cur is None or val > cur[0]:
+                table[key] = (val, _NO_ARCS, ckey)
+        return table
+
+    def _join(self, t, node) -> dict:
+        c1, c2 = node.children
+        verts = self.verts[t]
+        d = len(verts)
+        units = relations.unit(d)
+        # the right entries by loc, each group with loc's class count and
+        # each entry with what the glue reads of its con
+        by_loc: dict = {}
+        for key2, entry2 in self.tables[c2].items():
+            group = by_loc.get(key2[0])
+            if group is None:
+                n_loc = len(relations.classes(key2[0], d)) if self.pl else 0
+                group = by_loc[key2[0]] = (n_loc, [])
+            group[1].append((key2, entry2[0], self._aux(key2[1], d)))
+        table: dict = {}
+        for key1, entry1 in self.tables[c1].items():
+            loc, con1, inn1 = key1
+            if loc not in by_loc:
+                continue
+            n_loc, group = by_loc[loc]
+            s1 = entry1[0] - sum(self.inst.arc(x, y) for x, y in relations.to_pairs(loc, verts))
+            loc_inn = () if self.q is None else tuple(
+                (loc >> j & units).bit_count() for j in range(d))
+            # acyclic: both cons are closed, so glue pivots on their shared
+            # support.  Polytrees: both sides are forests that share only
+            # the bag and the loc arcs, so the union's cycle rank is
+            # (#classes1 + #classes2 - #classes(loc)) - #classes(merged),
+            # and the class count alone says whether the union is a forest
+            aux1 = self._aux(con1, d)
+            for key2, s2, aux2 in group:
+                inn = inn1 and tuple(map(sub, map(add, inn1, key2[2]), loc_inn))
+                if inn and max(inn) > self.q:
+                    continue
+                con = self._glue(con1, key2[1], d, aux1 & aux2, aux1 - n_loc + aux2)
+                if con is None:
+                    continue
+                key = (loc, con, inn)
+                val = s1 + s2
+                cur = table.get(key)
+                if cur is None or val > cur[0]:
+                    table[key] = (val, _NO_ARCS, key1, key2)
+        return table
+
+
+def peel_generator(g: Superstructure) -> tuple[list[int], dict]:
+    """The vertices that repeatedly peeling degree <= 1 vertices removes, in
+    removal order, and for each the one neighbour it had left then (None
+    for the last vertex of a tree component).  The rest is the 2-core."""
+    deg = [len(g.adj[v]) for v in range(g.n)]
+    order = [v for v in range(g.n) if deg[v] <= 1]
+    up: dict = {}
+    for x in order:  # grows while read: a vertex left with one neighbour joins
+        p = next((y for y in g.adj[x] if y not in up), None)
+        up[x] = p
+        if p is not None:
+            deg[p] -= 1
+            if deg[p] == 1:
+                order.append(p)
+    return order, up
+
+
+class FoldGenerators:
+    """The trees hanging off the 2-core of a superstructure, folded bottom up.
+
+    Each peeled vertex x (`peel_generator`) hangs from `up[x]`.  Its edge to it is a
+    bridge, which closes neither a directed cycle nor a skeleton cycle, so
+    a hanging tree touches the rest of the network only through the
+    in-degree of the vertex it hangs from, in both modes and for any bound
+    q, which is the instance's own `max_in_degree`.  `a[x]` is the best score of x's subtree when x takes the arc from
+    `up[x]`, so only q - 1 of its parents can come from below, and `b[x]`
+    the best when it does not.  A child c of x adds base_c = max(a[c] +
+    s(x, c), b[c]) and offers the arc c -> x at gain_c = b[c] + s(c, x) -
+    base_c; x keeps its best positive gains up to its free parent slots
+    (all of them without a bound).
+    """
+
+    def __init__(self, instance: AdditiveInstance, g: Superstructure):
+        self.g = g
+        self.q = q = instance.max_in_degree
+        self.arc = instance.arc
+        order, up = peel_generator(g)
+        self.core = [v for v in range(g.n) if v not in up]
+        self.kids: dict = {}
+        for x in order:
+            if up[x] is not None:
+                self.kids.setdefault(up[x], []).append(x)
+        # x with hanging trees -> (sum of its children's base_c, positive
+        # gain_c paired with c, best first)
+        self.hang: dict = {}
+        self.a: dict = {}
+        self.b: dict = {}
+        self.bonus: dict = {}  # core vertex -> value with i core parents, at index i
+        less = None if q is None else q - 1
+        slots = [None] if q is None else range(q, -1, -1)
+        for x in order + [v for v in self.core if v in self.kids]:
+            if x not in self.kids:  # a leaf of its tree
+                self.a[x] = self.b[x] = 0
+                continue
+            base, gains = 0, []
+            for c in self.kids[x]:
+                keep = max(self.a[c] + self.arc(x, c), self.b[c])
+                base += keep
+                gain = self.b[c] + self.arc(c, x) - keep
+                if gain > 0:
+                    gains.append((-gain, c))
+            gains.sort()
+            self.hang[x] = (base, [(-gain, c) for gain, c in gains])
+            if x in up:
+                self.a[x], self.b[x] = self.value(x, less), self.value(x, q)
+            else:
+                self.bonus[x] = tuple(self.value(x, k) for k in slots)
+        self.roots = [x for x in order if up[x] is None]
+
+    def value(self, x: int, k: Optional[int]) -> int:
+        """Best score of x's hanging trees when at most k of their arcs
+        may enter x (k None: any number)."""
+        base, gains = self.hang[x]
+        return base + sum(gain for gain, _ in gains[:k])
+
+    def tree_score(self) -> int:
+        """Optimum of the tree components, which have no core vertex."""
+        return sum(self.b[r] for r in self.roots)
+
+    def lift(self, core_arcs) -> set:
+        """The arcs of the hanging trees that complete `core_arcs`, without
+        recursion: from each core vertex, given its core in-degree, and
+        from each tree root down.  With them the network scores the core
+        score, every bonus it collected and `tree_score()`."""
+        q = self.q
+        less = None if q is None else q - 1
+        indeg = Counter(y for _, y in core_arcs)
+        stack = [(v, None if q is None else q - indeg[v]) for v in self.bonus]
+        stack += [(r, q) for r in self.roots]
+        arcs = set()
+        while stack:
+            x, k = stack.pop()
+            if x not in self.kids:
+                continue
+            ups = {c for _, c in self.hang[x][1][:k]}
+            for c in self.kids[x]:
+                if c in ups:
+                    arcs.add((c, x))
+                    stack.append((c, q))
+                elif self.a[c] + self.arc(x, c) > self.b[c]:
+                    arcs.add((x, c))
+                    stack.append((c, less))
+                else:
+                    stack.append((c, q))
+        return arcs
+
+
+def parse_additive_closure(text: str) -> AdditiveInstance:
+    """Parse an additive score file: header `additive <n> [q]`, arc lines."""
+    lines = _content_lines(text)
+    try:
+        line_no, tok = next(lines)
+    except StopIteration:
+        raise ParseError(1, "empty file") from None
+    if not tok or tok[0] != "additive" or len(tok) not in (2, 3):
+        raise ParseError(line_no, "expected header 'additive <n> [q]'")
+    n = _parse_nat(line_no, tok[1], "variable count")
+    q = None
+    if len(tok) == 3:
+        q = _parse_nat(line_no, tok[2], "in-degree bound")
+        if q <= 0:
+            raise ParseError(line_no, "in-degree bound must be positive")
+
+    index: dict[str, int] = {}
+    arcs: dict[tuple[int, int], int] = {}
+
+    def var(line_no, name):
+        if name not in index:
+            if len(index) >= n:
+                raise ParseError(line_no, f"more than {n} distinct variables")
+            index[name] = len(index)
+        return index[name]
+
+    for line_no, tok in lines:
+        if len(tok) != 3:
+            raise ParseError(line_no, "expected '<child> <parent> <score>'")
+        child = var(line_no, tok[0])
+        parent = var(line_no, tok[1])
+        if child == parent:
+            raise ParseError(line_no, "variable used as its own parent")
+        score = _parse_nat(line_no, tok[2], "score")
+        if score < 1:
+            raise ParseError(line_no, "listed arc with zero score")
+        if score > MAX_SCORE:
+            raise ParseError(line_no, "score exceeds 2^63-1")
+        if (parent, child) in arcs:
+            raise ParseError(line_no, "duplicate arc")
+        arcs[(parent, child)] = score
+
+    names = list(sorted(index, key=index.get))
+    used = set(names)
+    k = len(names)
+    while len(names) < n:
+        cand = f"v{k}"
+        while cand in used:
+            cand += "_"
+        names.append(cand)
+        used.add(cand)
+        k += 1
+    return AdditiveInstance(n, tuple(names), arcs, q)

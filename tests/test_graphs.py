@@ -1,3 +1,4 @@
+import gc
 import random
 import time
 from collections import deque
@@ -296,6 +297,25 @@ def test_lfen_search_exact_at_budget_boundary():
         assert graphs.lfen_search(g, budget=count).exact
         assert not graphs.lfen_search(g, budget=count - 1).exact
     assert seen >= 30
+
+
+def test_enumerating_lfen_search_leaves_no_cyclic_garbage():
+    # the CLI runs with the cyclic collector off, so anything a search
+    # leaves in reference cycles stays until the process ends: a 4-cycle
+    # and a triangle sharing a vertex, 12 spanning trees, all enumerated
+    g = Superstructure(6, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 3)])
+    assert graphs.spanning_tree_count(g) == 12
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        witness = graphs.lfen_search(g)
+        left = gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert witness.exact
+    assert left == 0
 
 
 def local_search_graphs():

@@ -19,7 +19,7 @@ from bnsl.instances import (
     write_solution,
 )
 
-from reference import subdivide_resort
+from reference import parse_additive_closure, random_network, subdivide_resort
 
 
 def names_to_ids(inst, *names):
@@ -173,7 +173,7 @@ def test_score_of_matches_by_vertex_recomputation():
         rng = random.Random(seed)
         inst = generate.random_nonzero(rng, rng.randint(2, 8), 1, connected=False,
                                         exact_fen=False)
-        net = generate.random_network(rng, inst)
+        net = random_network(rng, inst)
         expect = sum(
             inst.score(v, net.parents(v)) for v in range(inst.n)
         )
@@ -258,3 +258,61 @@ def test_to_nonzero_preserves_optimum():
         s1, _ = oracle.exact_bnsl(inst)
         s2, _ = oracle.exact_bnsl(expanded)
         assert s1 == s2
+
+
+def parse_outcome(parse, text):
+    """The instance `parse` reads from `text`, its fields with the arcs in
+    file order, or its ParseError's message and line number."""
+    try:
+        inst = parse(text)
+    except ParseError as e:
+        return "error", str(e), e.line_no
+    return inst, list(inst.arc_scores.items())
+
+
+def test_parse_additive_matches_closure_parser():
+    # the one-loop parser reads the same instances as the parser with a
+    # per-token closure, arcs in the same order, and rejects the same
+    # malformed files with the same message and line number: seeded files
+    # with comments, blank lines and unused names, then each with one line
+    # broken, dropped or repeated
+    fixed = ["", "\n# only a comment\n", "additive\n", "additive 2 1 1\n", "additiv 2\n",
+             "additive x\n", "additive 2 -1\n", "additive 2 0\n", "additive 1\na b 1\n",
+             "additive 2\na a 1\n", "additive 2\na b 0\n", "additive 2\na b -3\n",
+             "additive 2\na b x\n", f"additive 2\na b {2**63}\n", "additive 2\na b\n",
+             "additive 2\na b 1\na b 2\n", "additive 3\n  # c\n\tb a 1 \n", "additive 0\n"]
+    for text in fixed:
+        assert parse_outcome(parse_additive, text) == parse_outcome(parse_additive_closure, text)
+    errors = 0
+    for seed in range(150):
+        rng = random.Random(170_000 + seed)
+        inst = generate.random_additive(rng, rng.randint(1, 12), rng.randint(0, 3),
+                                        q=rng.choice([None, 1, 2, 3]), connected=(seed % 3 != 0),
+                                        exact_fen=False)
+        lines = write_additive(inst).splitlines()
+        for _ in range(rng.randint(0, 4)):
+            lines.insert(rng.randint(0, len(lines)), rng.choice(["", "   ", "# note", "  #x y"]))
+        texts = ["\n".join(lines) + "\n"]
+        for _ in range(4):
+            broken = list(lines)
+            at = rng.randrange(len(broken))
+            tok = broken[at].split()
+            how = rng.choice(["token", "drop", "repeat", "extra"])
+            if how == "token" and tok:
+                # a header may not announce a huge n: the parsers would list
+                # a name for every variable
+                huge = [] if tok[0] == "additive" else [str(2**63)]
+                tok[rng.randrange(len(tok))] = rng.choice(["0", "-2", "x", "a", "3"] + huge)
+                broken[at] = " ".join(tok)
+            elif how == "drop":
+                del broken[at]
+            elif how == "repeat":
+                broken.insert(at, broken[at])
+            else:
+                broken[at] += " 7"
+            texts.append("\n".join(broken))
+        for text in texts:
+            want = parse_outcome(parse_additive_closure, text)
+            assert parse_outcome(parse_additive, text) == want
+            errors += want[0] == "error"
+    assert errors >= 200

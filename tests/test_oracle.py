@@ -11,6 +11,7 @@ from bnsl.instances import (
     superstructure,
     validate,
 )
+from reference import exact_common_independent
 
 
 def test_example_optimum(example4):
@@ -121,7 +122,7 @@ def test_common_independent_empty_and_single():
     from bnsl.polytree import GroundElement, MatroidOracles
 
     oracles = MatroidOracles(3, 1)
-    assert oracle.exact_common_independent([], oracles) == (0, ())
+    assert exact_common_independent([], oracles) == (0, ())
     e = GroundElement((0, 1), 5)
-    w, Sel = oracle.exact_common_independent([e], oracles)
+    w, Sel = exact_common_independent([e], oracles)
     assert w == 5 and list(Sel) == [e]

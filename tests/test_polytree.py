@@ -7,6 +7,7 @@ import pytest
 from bnsl import generate, graphs, oracle, polytree, tw_dp
 from bnsl.instances import AdditiveInstance, score_of, superstructure, validate
 from reference import (
+    exact_common_independent,
     weighted_matroid_intersection_circuits,
     weighted_matroid_intersection_pairwise,
 )
@@ -84,7 +85,7 @@ def test_intersection_matches_subset_oracle():
         got = polytree.weighted_matroid_intersection(els, oracles)
         assert oracles.graphic_independent(got)
         assert oracles.partition_independent(got)
-        w_best, _ = oracle.exact_common_independent(els, oracles)
+        w_best, _ = exact_common_independent(els, oracles)
         assert sum(e.weight for e in got) == w_best
 
 
@@ -96,7 +97,7 @@ def test_intersection_stagewise_extremal():
         n = rng.randint(2, 5)
         els = random_elements(rng, n, rng.randint(0, 10))
         oracles = polytree.MatroidOracles(n, 2)
-        per = oracle.exact_common_independent(els, oracles, per_cardinality=True)
+        per = exact_common_independent(els, oracles, per_cardinality=True)
         got = polytree.weighted_matroid_intersection(els, oracles)
         w = sum(e.weight for e in got)
         assert w == max((v for v, _ in per.values()), default=0)

@@ -71,6 +71,22 @@ def test_remap_matches_reindex():
             assert to_dst(relations.pack(rows, len(src))) == relations.pack(want, len(dst))
 
 
+def test_insert_and_drop_index_match_remap():
+    # two sorted vertex lists that differ by one vertex: the per-shape maps
+    # equal the general remap between them, both ways
+    for seed in range(300):
+        rng = random.Random(20_000 + seed)
+        dst = sorted(rng.sample(range(30), rng.randint(1, 10)))
+        i = rng.randrange(len(dst))
+        src = dst[:i] + dst[i + 1:]
+        s = len(src)
+        for _ in range(5):
+            m = rng.getrandbits(s * s)
+            assert relations.insert_index(s, i)(m) == relations.remap(src, dst)(m)
+            m = rng.getrandbits((s + 1) ** 2)
+            assert relations.drop_index(s + 1, i)(m) == relations.remap(dst, src)(m)
+
+
 def test_pair_and_class_functions_match_row_forms():
     # from_pairs, to_pairs, classes and class_rows against the row helpers,
     # on random relations, symmetric ones (the polytree cons) included

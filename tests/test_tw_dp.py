@@ -16,7 +16,9 @@ from bnsl.instances import (
 )
 
 from reference import (
+    FoldGenerators,
     TwEngineDicts,
+    TwEngineProduct,
     core_decomposition_rewrite,
     core_min_fill_relabeled,
     snapshot_reference,
@@ -479,3 +481,63 @@ def test_fold_with_supplied_td_through_cli(capsys, tmp_path):
         assert out.strip() == f"max_score={exact(inst)[0]}"
         net = parse_solution(out_path.read_text(), inst)
         assert validate(net, "polytree" if mode == "polytree" else "dag", q=1).ok
+
+
+def step_family():
+    """Seeded additive instances for the bag DP's steps: chains, trees,
+    near-trees (cycle rank 1-2, long pendant trees) and denser graphs of
+    min-fill width up to 5, each shape with bound none, 1, 2 and 3."""
+    for seed in range(80):
+        rng = random.Random(140_000 + seed)
+        shape = ("chain", "tree", "near-tree", "dense")[seed % 4]
+        if shape == "chain":
+            n = rng.randint(2, 30)
+            g = Superstructure(n, [(i, i + 1) for i in range(n - 1)])
+        elif shape == "tree":
+            g = generate.random_graph(rng, rng.randint(2, 30))
+        elif shape == "near-tree":
+            g = generate.random_graph(rng, rng.randint(5, 40), rng.randint(1, 2))
+        else:
+            g = generate.random_graph(rng, rng.randint(10, 16), rng.randint(7, 12),
+                                      max_degree=4, exact_fen=False)
+        yield shape, generate.additive_for_graph(rng, g, q=[None, 1, 2, 3][seed // 4 % 4])
+
+
+def test_steps_and_fold_match_product_engine():
+    # the steps that grow arc choices one neighbour at a time and take one
+    # index map per bag shape give the tables of the old steps, in
+    # insertion order (keys, scores, arcs, backpointers), and the same
+    # score and witness: unfolded over the whole graph's decomposition,
+    # pruned and (up to width 3) unpruned, and folded, over the core's
+    # own decomposition or (every other instance) over the whole graph's
+    # cut to the core.  The fold equals the one built on generators, field
+    # by field, and lifts the same arcs
+    widths, shapes = set(), set()
+    for k, (shape, inst) in enumerate(step_family()):
+        g = superstructure(inst)
+        td = graphs.tree_decomposition(g)
+        if td.width > 5:
+            continue
+        widths.add(td.width)
+        shapes.add(shape)
+        fold, old = tw_dp.Fold(inst, g), FoldGenerators(inst, g)
+        assert (fold.g, fold.q, fold.core, fold.kids, fold.hang, fold.a, fold.b,
+                fold.bonus, fold.roots) == (old.g, old.q, old.core, old.kids, old.hang,
+                                            old.a, old.b, old.bonus, old.roots)
+        assert set(vars(fold)) - {"arc_scores"} == set(vars(old)) - {"arc"}
+        for mode in ("bnsl",) if inst.max_in_degree is None else ("bnsl", "pl"):
+            runs = [(td, None, True)] + [(td, None, False)] * (td.width <= 3)
+            runs.append((tw_dp.fold_core(inst, g, td if k % 2 else None)[1], fold, True))
+            for dec, with_fold, prune in runs:
+                new = tw_dp._TwEngine(inst, dec, mode, prune, fold=with_fold)
+                ref = TwEngineProduct(inst, dec, mode, prune, fold=with_fold and old)
+                score, net = new.solve()
+                assert (score, net) == ref.solve()
+                assert list(new.tables) == list(ref.tables)
+                for t, table in new.tables.items():
+                    assert list(table.items()) == list(ref.tables[t].items())
+                if with_fold is not None:
+                    core_arcs = {(x, y) for x, y in net.arcs if x not in fold.kids.get(y, ())
+                                 and y not in fold.kids.get(x, ())}
+                    assert fold.lift(core_arcs) == old.lift(core_arcs)
+    assert widths == {1, 2, 3, 4, 5} and len(shapes) == 4
