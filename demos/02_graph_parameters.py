@@ -33,7 +33,3 @@ print("per-vertex counts:", list(w.local_counts))
 td = tree_decomposition(g)
 print("nice decomposition width:", td.width, "nodes:", len(td.nodes))
 print("invariant violations:", check_nice(td, g) or "none")
-
-small = superstructure(generate.random_nonzero(seed_or_rng=3, n=9, fen=2))
-td_exact = tree_decomposition(small, exact=True)
-print("exact-width mode on a small graph:", td_exact.width)

@@ -9,7 +9,9 @@ usage errors and invalid inputs (a network score past 2^63-1 included, and
 `--max-score` below 1, `--subdivide` outside 0..N-2, `--subdivide` without
 `--rep nonzero` or `--max-parents` without `--rep additive`), 3 for an
 internal error (a solver returned an invalid network or misreported its
-score, or raised RuntimeError, RecursionError included).
+score, or raised RuntimeError, RecursionError included, or a command ran
+out of memory: MemoryError), each as one `error: internal: ...` line with
+no traceback.
 
 `solve` runs one row of the table `SOLVERS`, a row per accepted
 (algorithm, mode) pair with the representation and in-degree bound it
@@ -448,7 +450,7 @@ def main(argv=None) -> int:
     except (CliError, ParseError, ValueError, ScoreOverflowError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except RuntimeError as e:  # broken invariants, RecursionError included
+    except (RuntimeError, MemoryError) as e:  # broken invariants (RecursionError too), no memory
         return _internal_error(f"{type(e).__name__}: {e}")
     finally:
         if collecting:

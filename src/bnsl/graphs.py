@@ -482,16 +482,15 @@ def check_nice(td: NiceTreeDecomposition, g: Superstructure) -> list[str]:
     return problems
 
 
-def _eliminate(g: Superstructure, vertices, order=None):
+def _eliminate(g: Superstructure, vertices):
     """Raw decomposition bags and tree of the subgraph of g induced by
     `vertices`, in g's own vertex numbers, from one elimination pass.
 
     Each vertex's bag is itself and its neighbours when it is eliminated;
     its parent is the first of them eliminated after it (bags are keyed in
     elimination order, and roots are omitted from the parent map).  The
-    vertices go in `order` when one is given, else in greedy min-fill
-    order: always the vertex with the fewest non-adjacent neighbour pairs
-    (its fill), ties to the lowest vertex.
+    vertices go in greedy min-fill order: always the vertex with the fewest
+    non-adjacent neighbour pairs (its fill), ties to the lowest vertex.
 
     fill[v] is kept up to date under elimination instead of rescanned: a
     lazily validated heap of (fill, v) gives the pick.  Eliminating v first
@@ -509,15 +508,11 @@ def _eliminate(g: Superstructure, vertices, order=None):
         fill[v] = d * (d - 1) // 2 - closed
     heap = [(f, v) for v, f in fill.items()]
     heapq.heapify(heap)
-    picks = None if order is None else iter(order)
     bags: dict[int, frozenset[int]] = {}
     while adj:
-        if picks is not None:
-            v = next(picks)
-        else:
-            f, v = heapq.heappop(heap)
-            if v not in adj or f != fill[v]:
-                continue
+        f, v = heapq.heappop(heap)
+        if v not in adj or f != fill[v]:
+            continue
         nbrs = adj.pop(v)
         del fill[v]
         bags[v] = frozenset(nbrs) | {v}
@@ -548,72 +543,12 @@ def _eliminate(g: Superstructure, vertices, order=None):
     return bags, parent
 
 
-def _exact_order(g: Superstructure) -> list[int]:
-    """Optimal elimination order by dynamic programming over vertex subsets
-    (feasible up to ~n=12; used for test-grade exact widths)."""
-    n = g.n
-    if n > 14:
-        raise ValueError("exact width mode is limited to small graphs")
-    verts = list(range(n))
-
-    def q(mask: int, v: int) -> int:
-        # vertices outside mask|{v} reachable from v through mask
-        seen = 1 << v
-        stack = [v]
-        out = 0
-        while stack:
-            x = stack.pop()
-            for y in g.adj[x]:
-                bit = 1 << y
-                if seen & bit:
-                    continue
-                seen |= bit
-                if mask & bit:
-                    stack.append(y)
-                else:
-                    out += 1
-        return out
-
-    full = (1 << n) - 1
-    opt = {0: -1}
-    choice = {}
-    masks = sorted(range(full + 1), key=lambda m: bin(m).count("1"))
-    for mask in masks:
-        if mask == 0:
-            continue
-        best, bestv = None, None
-        for v in verts:
-            bit = 1 << v
-            if not mask & bit:
-                continue
-            prev = mask ^ bit
-            val = max(opt[prev], q(prev, v))
-            if best is None or val < best:
-                best, bestv = val, v
-        opt[mask] = best
-        choice[mask] = bestv
-    order = []
-    mask = full
-    while mask:
-        v = choice[mask]
-        order.append(v)
-        mask ^= 1 << v
-    order.reverse()
-    return order
-
-
-def tree_decomposition(
-    g: Superstructure, exact: bool = False, vertices=None
-) -> NiceTreeDecomposition:
+def tree_decomposition(g: Superstructure, vertices=None) -> NiceTreeDecomposition:
     """Nice decomposition of g, or of the subgraph induced by `vertices`
-    over g's vertex numbers, from one min-fill elimination pass (or, when
-    `exact`, the optimal order of the whole graph); components meet under a
-    shared empty root.  No vertex at all gives `nice_from_raw`'s empty leaf
-    of width -1."""
-    if exact and vertices is not None:
-        raise ValueError("exact width mode decomposes whole graphs only")
-    order = _exact_order(g) if exact else None
-    return nice_from_raw(*_eliminate(g, range(g.n) if vertices is None else vertices, order))
+    over g's vertex numbers, from one min-fill elimination pass; components
+    meet under a shared empty root.  No vertex at all gives `nice_from_raw`'s
+    empty leaf of width -1."""
+    return nice_from_raw(*_eliminate(g, range(g.n) if vertices is None else vertices))
 
 
 def nice_from_raw(bags: dict, parent: dict) -> NiceTreeDecomposition:

@@ -6,14 +6,12 @@ against these.  Parent sets are handled as bitmasks throughout.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Optional
 
 from .instances import (
     Instance,
     Network,
     NonZeroInstance,
-    Superstructure,
     superstructure,
 )
 
@@ -190,84 +188,3 @@ def exact_pl(instance: Instance) -> tuple[int, Network]:
         # gain() above is relative to the all-empty assignment
     rec(0, list(range(n)), 0)
     return base + best_score, Network(n, frozenset(best_arcs))
-
-
-def exact_lfen(
-    g: Superstructure, budget: int = 2_000_000
-) -> tuple[int, frozenset[tuple[int, int]]]:
-    """Minimum over all spanning trees of the per-vertex local feedback
-    count; returns (value, witness tree edges).  Enumeration by edge
-    combinations, independent of the search in the graphs module."""
-    total_value = 0
-    witness: set[tuple[int, int]] = set()
-    checked = 0
-    for comp in g.components():
-        idx = {v: i for i, v in enumerate(comp)}
-        back = {i: v for v, i in idx.items()}
-        cedges = [
-            (idx[a], idx[b]) for a, b in sorted(g.edges) if a in idx and b in idx
-        ]
-        nc = len(comp)
-        best_val, best_tree = None, None
-        for combo in combinations(range(len(cedges)), nc - 1):
-            checked += 1
-            if checked > budget:
-                raise OracleLimitError("spanning tree enumeration budget exceeded")
-            parent = list(range(nc))
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            ok = True
-            for j in combo:
-                a, b = cedges[j]
-                ra, rb = find(a), find(b)
-                if ra == rb:
-                    ok = False
-                    break
-                parent[ra] = rb
-            if not ok:
-                continue
-            tree = [cedges[j] for j in combo]
-            val = _tree_local_value(nc, tree, [e for e in cedges if e not in set(tree)])
-            key = (val, tuple(sorted(tree)))
-            if best_val is None or key < (best_val, tuple(sorted(best_tree))):
-                best_val, best_tree = val, tree
-        if best_val is None:  # single-vertex component
-            best_val, best_tree = 0, []
-        total_value = max(total_value, best_val)
-        witness.update(
-            (min(back[a], back[b]), max(back[a], back[b])) for a, b in best_tree
-        )
-    return total_value, frozenset(witness)
-
-
-def _tree_local_value(n, tree_edges, extra_edges) -> int:
-    """max over vertices of the number of extra edges whose tree path
-    contains the vertex (BFS per extra edge)."""
-    from collections import deque
-
-    adj: dict[int, list[int]] = {v: [] for v in range(n)}
-    for a, b in tree_edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    counts = [0] * n
-    for u, w in extra_edges:
-        prev = {u: None}
-        dq = deque([u])
-        while dq:
-            x = dq.popleft()
-            if x == w:
-                break
-            for y in adj[x]:
-                if y not in prev:
-                    prev[y] = x
-                    dq.append(y)
-        x = w
-        while x is not None:
-            counts[x] += 1
-            x = prev[x]
-    return max(counts, default=0)

@@ -43,17 +43,22 @@ subgraph that scans every edge once per component
 their per-node overhead (`TwEngineProduct`), the pendant-tree fold on
 generators (`FoldGenerators` with `peel_generator`) and the additive
 parser with a per-token closure (`parse_additive_closure`).  Last come
-two helpers that only the tests use, moved here from the library: the
+the helpers that only the tests use, moved here from the library: the
 subset scan for a best common independent set
-(`exact_common_independent`, formerly in `bnsl.oracle`) and a random
+(`exact_common_independent`, formerly in `bnsl.oracle`), a random
 acyclic network over an instance's superstructure (`random_network`,
-formerly in `bnsl.generate`).
+formerly in `bnsl.generate`), the optimal elimination order by a DP over
+vertex subsets (`exact_order`, formerly `bnsl.graphs._exact_order`) with
+the nice decomposition it gives (`exact_decomposition`, what
+`tree_decomposition`'s exact-width mode built), and the exact localized
+feedback edge number by spanning-tree enumeration (`exact_lfen` with
+`_tree_local_value`, formerly in `bnsl.oracle`).
 """
 
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
 from operator import add, itemgetter, or_, sub
 from typing import Iterable, Optional, Sequence
 
@@ -2264,6 +2269,146 @@ def random_network(seed_or_rng, instance, arc_prob: float = 0.35) -> Network:
             else:
                 arcs.add((b, a))
     return Network(instance.n, frozenset(arcs))
+
+
+def exact_order(g: Superstructure) -> list[int]:
+    """Optimal elimination order by dynamic programming over vertex subsets
+    (feasible up to ~n=12; used for test-grade exact widths)."""
+    n = g.n
+    if n > 14:
+        raise ValueError("exact width mode is limited to small graphs")
+    verts = list(range(n))
+
+    def q(mask: int, v: int) -> int:
+        # vertices outside mask|{v} reachable from v through mask
+        seen = 1 << v
+        stack = [v]
+        out = 0
+        while stack:
+            x = stack.pop()
+            for y in g.adj[x]:
+                bit = 1 << y
+                if seen & bit:
+                    continue
+                seen |= bit
+                if mask & bit:
+                    stack.append(y)
+                else:
+                    out += 1
+        return out
+
+    full = (1 << n) - 1
+    opt = {0: -1}
+    choice = {}
+    masks = sorted(range(full + 1), key=lambda m: bin(m).count("1"))
+    for mask in masks:
+        if mask == 0:
+            continue
+        best, bestv = None, None
+        for v in verts:
+            bit = 1 << v
+            if not mask & bit:
+                continue
+            prev = mask ^ bit
+            val = max(opt[prev], q(prev, v))
+            if best is None or val < best:
+                best, bestv = val, v
+        opt[mask] = best
+        choice[mask] = bestv
+    order = []
+    mask = full
+    while mask:
+        v = choice[mask]
+        order.append(v)
+        mask ^= 1 << v
+    order.reverse()
+    return order
+
+
+def exact_lfen(
+    g: Superstructure, budget: int = 2_000_000
+) -> tuple[int, frozenset[tuple[int, int]]]:
+    """Minimum over all spanning trees of the per-vertex local feedback
+    count; returns (value, witness tree edges).  Enumeration by edge
+    combinations, independent of the search in the graphs module."""
+    total_value = 0
+    witness: set[tuple[int, int]] = set()
+    checked = 0
+    for comp in g.components():
+        idx = {v: i for i, v in enumerate(comp)}
+        back = {i: v for v, i in idx.items()}
+        cedges = [
+            (idx[a], idx[b]) for a, b in sorted(g.edges) if a in idx and b in idx
+        ]
+        nc = len(comp)
+        best_val, best_tree = None, None
+        for combo in combinations(range(len(cedges)), nc - 1):
+            checked += 1
+            if checked > budget:
+                raise OracleLimitError("spanning tree enumeration budget exceeded")
+            parent = list(range(nc))
+
+            def find(x):
+                while parent[x] != x:
+                    parent[x] = parent[parent[x]]
+                    x = parent[x]
+                return x
+
+            ok = True
+            for j in combo:
+                a, b = cedges[j]
+                ra, rb = find(a), find(b)
+                if ra == rb:
+                    ok = False
+                    break
+                parent[ra] = rb
+            if not ok:
+                continue
+            tree = [cedges[j] for j in combo]
+            val = _tree_local_value(nc, tree, [e for e in cedges if e not in set(tree)])
+            key = (val, tuple(sorted(tree)))
+            if best_val is None or key < (best_val, tuple(sorted(best_tree))):
+                best_val, best_tree = val, tree
+        if best_val is None:  # single-vertex component
+            best_val, best_tree = 0, []
+        total_value = max(total_value, best_val)
+        witness.update(
+            (min(back[a], back[b]), max(back[a], back[b])) for a, b in best_tree
+        )
+    return total_value, frozenset(witness)
+
+
+def _tree_local_value(n, tree_edges, extra_edges) -> int:
+    """max over vertices of the number of extra edges whose tree path
+    contains the vertex (BFS per extra edge)."""
+    from collections import deque
+
+    adj: dict[int, list[int]] = {v: [] for v in range(n)}
+    for a, b in tree_edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    counts = [0] * n
+    for u, w in extra_edges:
+        prev = {u: None}
+        dq = deque([u])
+        while dq:
+            x = dq.popleft()
+            if x == w:
+                break
+            for y in adj[x]:
+                if y not in prev:
+                    prev[y] = x
+                    dq.append(y)
+        x = w
+        while x is not None:
+            counts[x] += 1
+            x = prev[x]
+    return max(counts, default=0)
+
+
+def exact_decomposition(g: Superstructure) -> NiceTreeDecomposition:
+    """Nice decomposition of g in its optimal elimination order."""
+    return graphs.nice_from_raw(*bags_from_order_replay(g, exact_order(g)))
 
 
 class TwEngineProduct(_TwEngine):

@@ -18,6 +18,7 @@ from bnsl.instances import (
 
 from conftest import EXAMPLE4
 from reference import (
+    exact_lfen,
     random_dag,
     reach_pairs,
     snapshot_reference,
@@ -213,7 +214,7 @@ def test_criterion_9_parameter_hierarchy():
                                   connected=(seed % 3 != 0), exact_fen=False)
         done += 1
         fen = len(graphs.feedback_edge_set(g).feedback_edges)
-        exact, _ = oracle.exact_lfen(g)
+        exact, _ = exact_lfen(g)
         assert exact <= fen
         search = graphs.lfen_search(g, budget=rng.choice([2, 20_000]))
         assert search.value >= exact

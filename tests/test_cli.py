@@ -113,7 +113,8 @@ def test_wrong_solver_result_is_internal_error(capsys, example_file, monkeypatch
     assert code == 3 and out == "" and "invalid network" in err
 
 
-@pytest.mark.parametrize("error", [RuntimeError("broken invariant"), RecursionError("too deep")])
+@pytest.mark.parametrize("error", [RuntimeError("broken invariant"), RecursionError("too deep"),
+                                   MemoryError("out of memory")])
 def test_solver_runtime_error_is_internal_error(capsys, example_file, monkeypatch, error):
     from bnsl import lfen_dp
 

@@ -5,13 +5,15 @@ from collections import deque
 
 import pytest
 
-from bnsl import generate, graphs, kernel, oracle
+from bnsl import generate, graphs, kernel
 from bnsl.instances import Superstructure, superstructure
 from reference import (
     bags_from_order_replay,
     check_nice_scan,
     component_lfen_tree_rebuild,
     component_subgraph_edge_scan,
+    exact_decomposition,
+    exact_lfen,
     min_fill_order_rescan,
     nice_from_raw_stack,
     postorder_done_pairs,
@@ -144,7 +146,7 @@ def test_lfen_search_matches_enumeration_oracle():
                                   connected=(seed % 3 != 0), exact_fen=False)
         w = graphs.lfen_search(g)
         assert w.exact
-        exact, _ = oracle.exact_lfen(g)
+        exact, _ = exact_lfen(g)
         assert w.value == exact
 
 
@@ -153,7 +155,7 @@ def test_lfen_search_budget_fallback_upper_bound():
     g = generate.random_graph(rng, 9, 5)
     w = graphs.lfen_search(g, budget=3)
     assert not w.exact
-    exact, _ = oracle.exact_lfen(g)
+    exact, _ = exact_lfen(g)
     assert w.value >= exact
     assert w.value <= len(graphs.feedback_edge_set(g).feedback_edges)
 
@@ -405,7 +407,7 @@ def test_parameter_hierarchy_local_at_most_feedback():
         g = generate.random_graph(rng, n, rng.randint(0, 4),
                                   connected=(seed % 4 != 0), exact_fen=False)
         fen = len(graphs.feedback_edge_set(g).feedback_edges)
-        exact, _ = oracle.exact_lfen(g)
+        exact, _ = exact_lfen(g)
         assert exact <= fen
         w = graphs.lfen_search(g, budget=5)
         assert w.value >= exact
@@ -417,7 +419,7 @@ def test_decomposition_example_width(example4):
     td = graphs.tree_decomposition(g)
     assert graphs.check_nice(td, g) == []
     assert td.width == 2
-    td_exact = graphs.tree_decomposition(g, exact=True)
+    td_exact = exact_decomposition(g)
     assert graphs.check_nice(td_exact, g) == []
     assert td_exact.width == 2
 
@@ -438,7 +440,7 @@ def test_decomposition_without_vertices():
     g = Superstructure(4, [(0, 1), (1, 2)])
     for td in ([graphs.nice_from_raw(*raw) for raw in raws]
                + [graphs.tree_decomposition(Superstructure(0, [])),
-                  graphs.tree_decomposition(Superstructure(0, []), exact=True),
+                  exact_decomposition(Superstructure(0, [])),
                   graphs.tree_decomposition(g, vertices=[])]):
         assert (td.nodes, td.root, td.width) == empty
         assert graphs.check_nice(td, Superstructure(0, [])) == []
@@ -460,18 +462,18 @@ def test_min_fill_width_close_to_exact():
         g = generate.random_graph(rng, rng.randint(2, 9), rng.randint(0, 4),
                                   exact_fen=False)
         heur = graphs.tree_decomposition(g).width
-        best = graphs.tree_decomposition(g, exact=True).width
+        best = exact_decomposition(g).width
         assert heur >= best
-        assert graphs.check_nice(graphs.tree_decomposition(g, exact=True), g) == []
+        assert graphs.check_nice(exact_decomposition(g), g) == []
 
 
 def test_exact_width_known_values():
     cyc = Superstructure(5, [(i, (i + 1) % 5) for i in range(5)])
-    assert graphs.tree_decomposition(cyc, exact=True).width == 2
+    assert exact_decomposition(cyc).width == 2
     k4 = Superstructure(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
-    assert graphs.tree_decomposition(k4, exact=True).width == 3
+    assert exact_decomposition(k4).width == 3
     path = Superstructure(4, [(0, 1), (1, 2), (2, 3)])
-    assert graphs.tree_decomposition(path, exact=True).width == 1
+    assert exact_decomposition(path).width == 1
 
 
 def min_fill_families():
@@ -512,17 +514,6 @@ def test_min_fill_order_matches_rescan():
     assert graphs_seen >= 500
 
 
-def test_exact_decomposition_matches_replay():
-    # exact mode runs the same pass in the optimal order
-    for seed in range(60):
-        rng = random.Random(12000 + seed)
-        g = generate.random_graph(rng, rng.randint(1, 10), rng.randint(0, 5),
-                                  connected=(seed % 3 != 0), exact_fen=False)
-        td = graphs.tree_decomposition(g, exact=True)
-        replay = graphs.nice_from_raw(*bags_from_order_replay(g, graphs._exact_order(g)))
-        assert (td.nodes, td.root, td.width) == (replay.nodes, replay.root, replay.width)
-
-
 def raw_families():
     """Seeded raw inputs for the builder: no bag, then per graph (forests
     and graphs in several components among them) the min-fill bags of the
@@ -539,7 +530,7 @@ def raw_families():
         yield graphs._eliminate(g, rng.sample(range(g.n), rng.randint(1, g.n)))
         order = list(range(g.n))
         rng.shuffle(order)
-        yield graphs._eliminate(g, range(g.n), order)
+        yield bags_from_order_replay(g, order)
         td = graphs.tree_decomposition(g)
         keep = frozenset(rng.sample(range(g.n), rng.randint(0, g.n)))
         yield ({t: node.bag & keep for t, node in enumerate(td.nodes)},
@@ -558,12 +549,6 @@ def test_nice_from_raw_matches_stack_builder():
         assert got.postorder() == postorder_done_pairs(want)
         seen += 1
     assert seen >= 1000
-
-
-def test_exact_decomposition_rejects_vertices():
-    g = Superstructure(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
-    with pytest.raises(ValueError, match="whole graphs"):
-        graphs.tree_decomposition(g, exact=True, vertices=[0, 1, 2])
 
 
 def copy_td(td):
@@ -629,7 +614,7 @@ def test_check_nice_matches_scan():
         n = rng.randint(1, 12)
         g = generate.random_graph(rng, n, rng.randint(0, 5),
                                   connected=(seed % 3 != 0), exact_fen=False)
-        td = graphs.tree_decomposition(g, exact=(seed % 5 == 0))
+        td = exact_decomposition(g) if seed % 5 == 0 else graphs.tree_decomposition(g)
         assert graphs.check_nice(td, g) == check_nice_scan(td, g) == []
         for name, bad, bad_g in mutations(rng, td, g):
             problems = graphs.check_nice(bad, bad_g)

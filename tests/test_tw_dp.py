@@ -19,8 +19,10 @@ from reference import (
     FoldGenerators,
     TwEngineDicts,
     TwEngineProduct,
+    bags_from_order_replay,
     core_decomposition_rewrite,
     core_min_fill_relabeled,
+    exact_decomposition,
     snapshot_reference,
     snapshot_tables_dicts,
     unpack,
@@ -171,7 +173,7 @@ def test_agreement_with_record_solver_via_expansion():
 
 def test_supplied_decomposition_is_used():
     inst = AdditiveInstance(3, ("a", "b", "c"), {(0, 1): 2, (1, 2): 3})
-    td = graphs.tree_decomposition(superstructure(inst), exact=True)
+    td = exact_decomposition(superstructure(inst))
     s, _ = tw_dp.solve_bnsl_additive(inst, td)
     assert s == 5
 
@@ -395,7 +397,7 @@ def padded_raw(g, rng):
     childless), as a nice decomposition."""
     order = list(range(g.n))
     rng.shuffle(order)
-    bags, parent = graphs._eliminate(g, range(g.n), order)
+    bags, parent = bags_from_order_replay(g, order)
     for key in range(g.n, g.n + rng.randint(1, 6)):
         p = rng.choice(list(bags))
         sub = sorted(bags[p]) if rng.random() < 0.6 else []
@@ -425,7 +427,7 @@ def test_cut_matches_node_rewrite():
         fold, _ = tw_dp.fold_core(inst, g)
         tds = [graphs.tree_decomposition(g), relabeled_min_fill(g, rng), padded_raw(g, rng)]
         if g.n <= 12:
-            tds.append(graphs.tree_decomposition(g, exact=True))
+            tds.append(exact_decomposition(g))
         for td in tds:
             want = core_decomposition_rewrite(td, fold.core)
             got = tw_dp.fold_core(inst, g, td)[1]
