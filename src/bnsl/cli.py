@@ -22,16 +22,23 @@ entry, and a negative `--max-dependent`.  Invalid inputs include an empty
 `--tree` or `--td` path, a tree file whose edges are not a spanning
 forest of the superstructure, a decomposition file with a bag id declared
 twice or not an integer, a bag given two parents, a tree edge to an
-undeclared bag or a bag left without a root, and a `verify --lift` map
-that `kernelize --map` did not write for the reduced instance (the README
-lists each case).
+undeclared bag or a bag left without a root, a solution line that names
+one parent twice, and a `verify --lift` map that `kernelize --map` did
+not write for the reduced instance (the README lists each case).
+
+`build_parser` builds the argument parser once per process and hands the
+same one to every later call: the parser depends only on the module's
+constant tables, `parse_args` returns a fresh namespace each time, and
+building it costs 0.6-0.7 ms, a tenth of a small solve, which the
+benchmark's worker, the tests and library callers of `main` paid on every
+command.
 
 `main` runs a command with the cyclic garbage collector off and restores
-the caller's setting after it.  A command leaves a few hundred objects in
-cycles (the argument parser, and the closures of a spanning-tree
-enumeration), but it holds millions of live score tables, sets and dicts,
-and every full collection walks all of them: at 200 000 vertices the
-collector took half of a solve's time.  Reference counting frees the rest.
+the caller's setting after it.  A command leaves few objects in cycles
+(building the parser leaves about a hundred, once), but it holds millions
+of live score tables, sets and dicts, and every full collection walks all
+of them: at 200 000 vertices the collector took half of a solve's time.
+Reference counting frees the rest.
 """
 
 from __future__ import annotations
@@ -375,6 +382,7 @@ def cmd_gen(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="bnsl",

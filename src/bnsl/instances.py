@@ -135,10 +135,11 @@ class Network:
     def parents(self, v: int) -> frozenset[int]:
         return frozenset(u for u, w in self.arcs if w == v)
 
-    def parent_map(self) -> dict[int, set[int]]:
-        out: dict[int, set[int]] = {v: set() for v in range(self.n)}
+    def parent_map(self) -> list[list[int]]:
+        """Parents of each vertex, indexed by vertex, in no fixed order."""
+        out: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.arcs:
-            out[v].add(u)
+            out[v].append(u)
         return out
 
 
@@ -208,13 +209,12 @@ def score_of(instance: Instance, network: Network) -> int:
     """Total score of `network` under `instance`'s score family."""
     if network.n != instance.n:
         raise ValueError("network size does not match instance")
-    total = 0
     if isinstance(instance, NonZeroInstance):
-        for v, parents in network.parent_map().items():
-            total += instance.score(v, frozenset(parents))
+        pm = network.parent_map()  # an unlisted vertex scores 0
+        total = sum([sets.get(frozenset(pm[v]), 0) for v, sets in instance.entries.items()])
     else:
-        for u, v in network.arcs:
-            total += instance.arc(u, v)
+        scores = instance.arc_scores
+        total = sum([scores.get(arc, 0) for arc in network.arcs])
     if total > MAX_SCORE:
         raise ScoreOverflowError(f"network score {total} exceeds 2^63-1")
     return total
@@ -277,9 +277,19 @@ def _directed_cycle(n: int, arcs: Iterable[tuple[int, int]]) -> Optional[list[in
 
 def validate(network: Network, mode: str, q: Optional[int] = None) -> Validation:
     """Check a candidate solution: acyclic ("dag") or skeleton-forest
-    ("polytree"), plus the in-degree bound when q is given."""
+    ("polytree"), plus the in-degree bound when q is given.
+
+    One linear pass accepts a valid network: a Kahn count of the vertices
+    a topological order reaches (dag) or a union-find over the arcs in any
+    order (polytree), and one in-degree count.  Only a network it refuses
+    goes through the ordered diagnosis below, which names the first fault
+    in a fixed order (both orientations of an arc, then a directed or a
+    skeleton cycle, then an in-degree past q) with its cycle or vertex.
+    """
     if mode not in ("dag", "polytree"):
         raise ValueError(f"unknown mode {mode!r}")
+    if _accepts(network, mode, q):
+        return Validation(True)
     for u, v in network.arcs:
         if (v, u) in network.arcs:
             return Validation(False, "both orientations present", cycle=[u, v])
@@ -305,6 +315,37 @@ def validate(network: Network, mode: str, q: Optional[int] = None) -> Validation
             if indeg[v] > q:
                 return Validation(False, f"in-degree exceeds {q}", vertex=v)
     return Validation(True)
+
+
+def _accepts(network: Network, mode: str, q: Optional[int]) -> bool:
+    """True when `validate` finds no fault: one pass over the arcs, then a
+    Kahn count in dag mode."""
+    n = network.n
+    indeg = [0] * n
+    if mode == "dag":
+        out: list[list[int]] = [[] for _ in range(n)]
+        for u, v in network.arcs:
+            out[u].append(v)
+            indeg[v] += 1
+    else:
+        root = list(range(n))
+        for u, v in network.arcs:
+            indeg[v] += 1
+            ru, rv = find(root, u), find(root, v)
+            if ru == rv:  # a second skeleton path, or both orientations
+                return False
+            root[ru] = rv
+    if q is not None and n and max(indeg) > q:
+        return False
+    if mode == "polytree":
+        return True
+    order = [v for v in range(n) if not indeg[v]]
+    for v in order:  # grows as it goes: each vertex whose last in-arc it drops
+        for w in out[v]:
+            indeg[w] -= 1
+            if not indeg[w]:
+                order.append(w)
+    return len(order) == n  # a vertex on or below a cycle is never reached
 
 
 def _skeleton_path(adj: dict[int, set[int]], start: int, goal: int) -> list[int]:
@@ -518,17 +559,16 @@ def parse_solution(text: str, instance: Instance) -> Network:
             p = index[name]
             if p == child:
                 raise ParseError(line_no, "variable is its own parent")
+            if (p, child) in arcs:  # all of child's arcs come from this line
+                raise ParseError(line_no, f"parent {name!r} repeated")
             arcs.add((p, child))
     return Network(instance.n, frozenset(arcs))
 
 
 def write_solution(network: Network, instance: Instance) -> str:
-    out = []
-    pm = network.parent_map()
-    for v in range(network.n):
-        if pm[v]:
-            ps = " ".join(instance.names[p] for p in sorted(pm[v]))
-            out.append(f"{instance.names[v]} <- {ps}")
+    names = instance.names
+    out = [f"{names[v]} <- {' '.join([names[p] for p in sorted(ps)])}"
+           for v, ps in enumerate(network.parent_map()) if ps]
     return "\n".join(out) + ("\n" if out else "")
 
 

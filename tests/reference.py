@@ -41,8 +41,12 @@ whole edge set for every draw (`subdivide_resort`), and the component
 subgraph that scans every edge once per component
 (`component_subgraph_edge_scan`), the bag DP's steps before they dropped
 their per-node overhead (`TwEngineProduct`), the pendant-tree fold on
-generators (`FoldGenerators` with `peel_generator`) and the additive
-parser with a per-token closure (`parse_additive_closure`).  Last come
+generators (`FoldGenerators` with `peel_generator`), the additive
+parser with a per-token closure (`parse_additive_closure`), and the
+result checks and writer that built a parent set per vertex (`parent_sets`,
+the earlier `Network.parent_map`, read by `score_of_parent_sets` and
+`write_solution_parent_sets`) and ran the ordered diagnosis on every
+network (`validate_ordered`), which sit at the end of the file.  Last come
 the helpers that only the tests use, moved here from the library: the
 subset scan for a best common independent set
 (`exact_common_independent`, formerly in `bnsl.oracle`), a random
@@ -76,9 +80,14 @@ from bnsl.instances import (
     Network,
     NonZeroInstance,
     ParseError,
+    ScoreOverflowError,
     Superstructure,
+    Validation,
     _content_lines,
+    _directed_cycle,
     _parse_nat,
+    _skeleton_path,
+    find,
     superstructure,
 )
 from bnsl.kernel import _BWD, _FWD, _NONE, _Work, _btag, _fed_by, _present
@@ -2734,3 +2743,70 @@ def parse_additive_closure(text: str) -> AdditiveInstance:
         used.add(cand)
         k += 1
     return AdditiveInstance(n, tuple(names), arcs, q)
+
+
+def parent_sets(network: Network) -> dict[int, set[int]]:
+    """The parent set of every vertex, empty ones included (the earlier
+    `Network.parent_map`)."""
+    out: dict[int, set[int]] = {v: set() for v in range(network.n)}
+    for u, v in network.arcs:
+        out[v].add(u)
+    return out
+
+
+def score_of_parent_sets(instance, network: Network) -> int:
+    """Total score of `network` under `instance`'s score family."""
+    if network.n != instance.n:
+        raise ValueError("network size does not match instance")
+    total = 0
+    if isinstance(instance, NonZeroInstance):
+        for v, parents in parent_sets(network).items():
+            total += instance.score(v, frozenset(parents))
+    else:
+        for u, v in network.arcs:
+            total += instance.arc(u, v)
+    if total > MAX_SCORE:
+        raise ScoreOverflowError(f"network score {total} exceeds 2^63-1")
+    return total
+
+
+def validate_ordered(network: Network, mode: str, q: Optional[int] = None) -> Validation:
+    """Check a candidate solution: acyclic ("dag") or skeleton-forest
+    ("polytree"), plus the in-degree bound when q is given."""
+    if mode not in ("dag", "polytree"):
+        raise ValueError(f"unknown mode {mode!r}")
+    for u, v in network.arcs:
+        if (v, u) in network.arcs:
+            return Validation(False, "both orientations present", cycle=[u, v])
+    if mode == "dag":
+        cyc = _directed_cycle(network.n, network.arcs)
+        if cyc is not None:
+            return Validation(False, "directed cycle", cycle=cyc)
+    else:
+        parent = list(range(network.n))
+        added: dict[int, set[int]] = {v: set() for v in range(network.n)}
+        for u, v in sorted(network.arcs):
+            ru, rv = find(parent, u), find(parent, v)
+            if ru == rv:
+                cyc = _skeleton_path(added, v, u)
+                return Validation(False, "skeleton cycle", cycle=cyc)
+            parent[ru] = rv
+            added[u].add(v)
+            added[v].add(u)
+    if q is not None:
+        indeg = [0] * network.n
+        for _, v in network.arcs:
+            indeg[v] += 1
+            if indeg[v] > q:
+                return Validation(False, f"in-degree exceeds {q}", vertex=v)
+    return Validation(True)
+
+
+def write_solution_parent_sets(network: Network, instance) -> str:
+    out = []
+    pm = parent_sets(network)
+    for v in range(network.n):
+        if pm[v]:
+            ps = " ".join(instance.names[p] for p in sorted(pm[v]))
+            out.append(f"{instance.names[v]} <- {ps}")
+    return "\n".join(out) + ("\n" if out else "")

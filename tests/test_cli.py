@@ -394,6 +394,51 @@ def test_verify_mode_dag_is_bnsl(capsys, example_file, tmp_path):
     assert "--mode {bnsl,polytree}" in capsys.readouterr().out
 
 
+def test_verify_refuses_a_repeated_parent(capsys, tmp_path):
+    # a parent named twice on one line is invalid input, not one arc
+    inst = tmp_path / "three.scores"
+    inst.write_text("3\na 1\n5 1 b\nb 0\nc 0\n")
+    sol = tmp_path / "sol.txt"
+    sol.write_text("a <- b b\n")
+    assert run(capsys, "verify", str(inst), str(sol)) == (
+        2, "", "error: line 1: parent 'b' repeated\n")
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, example_file, tmp_path):
+    # main reuses one parser per process: each call prints and returns what
+    # it would on a freshly built parser, whatever the call before it set
+    assert cli.build_parser() is cli.build_parser()
+    tree = tmp_path / "tree.txt"
+    tree.write_text("a b\nb d\nc d\n")
+    calls = [
+        ["solve", example_file, "--threads", "2"],  # argparse usage error
+        ["solve", example_file],
+        ["solve", example_file, "--target", "1"],
+        ["solve", example_file],
+        ["solve", example_file, "--algo", "lfen", "--tree", str(tree)],
+        ["solve", example_file, "--algo", "auto"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            code = f"SystemExit {e.code}"
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    reused = [outcome(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == ["SystemExit 2", 0, 0, 0, 0, 0]
+    assert reused[2][1] == "max_score=7 answer=YES\n" and reused[3][1] == "max_score=7\n"
+    # the supplied tree's value, then auto's kernel and its own tree search
+    assert (reused[4][2], reused[5][2]) == ("fen=2 lfen<=2\n", "kernel_n=4 fen=2 lfen<=2 exact\n")
+
+
 def test_gen_deterministic(capsys):
     code1, out1, _ = run(capsys, "gen", "--n", "8", "--fen", "2", "--seed", "5")
     code2, out2, _ = run(capsys, "gen", "--n", "8", "--fen", "2", "--seed", "5")

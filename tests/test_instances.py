@@ -4,9 +4,12 @@ import pytest
 
 from bnsl import generate, oracle
 from bnsl.instances import (
+    MAX_SCORE,
+    AdditiveInstance,
     Network,
     NonZeroInstance,
     ParseError,
+    ScoreOverflowError,
     parse_additive,
     parse_nonzero,
     parse_solution,
@@ -19,7 +22,14 @@ from bnsl.instances import (
     write_solution,
 )
 
-from reference import parse_additive_closure, random_network, subdivide_resort
+from reference import (
+    parse_additive_closure,
+    random_network,
+    score_of_parent_sets,
+    subdivide_resort,
+    validate_ordered,
+    write_solution_parent_sets,
+)
 
 
 def names_to_ids(inst, *names):
@@ -117,11 +127,16 @@ def test_additive_q_header():
         ("2\na 1\n1 2 b\nb 0\n", "expected 2 parent"),
         ("2\na 1\n1 1 c\nb 0\n", "unknown"),
         ("2\na 3\n1 1 b\n", "truncated"),
+        ("a <- b\nc <- a b a\n", "line 2: parent 'a' repeated"),
     ],
 )
 def test_parse_errors(text, fragment):
+    # a solution file (its lines hold `<-`) is read against three variables
     with pytest.raises(ParseError) as e:
-        parse_nonzero(text)
+        if "<-" in text:
+            parse_solution(text, parse_nonzero("3\na 0\nb 0\nc 0\n"))
+        else:
+            parse_nonzero(text)
     assert fragment in str(e.value)
 
 
@@ -238,6 +253,93 @@ def test_validate_agrees_with_kahn():
                         arcs.add((u, v))
         net = Network(n, frozenset(arcs))
         assert validate(net, "dag").ok == kahn_acyclic(net)
+
+
+def seeded_networks():
+    """Seeded networks on 0 to 40 vertices, each kind `validate` must tell
+    apart: acyclic ones (sparse, dense or polytrees), then with a 2-cycle,
+    with a longer directed cycle, and acyclic with a skeleton cycle only;
+    many also pass an in-degree of 1, 2 or 3."""
+    for seed in range(410):
+        rng = random.Random(290_000 + seed)
+        n, kind = seed % 41, seed // 41 % 5
+        order = list(range(n))
+        rng.shuffle(order)
+        if kind == 0:  # acyclic: each arc runs forward in `order`
+            density = rng.choice([0.05, 0.2])
+            arcs = {(order[i], order[j]) for i in range(n) for j in range(i + 1, n)
+                    if rng.random() < density}
+        else:  # a polytree: each vertex hangs from an earlier one, or roots a tree
+            arcs = set()
+            for j in range(1, n):
+                if rng.random() < 0.9:
+                    u, v = order[rng.randrange(j)], order[j]
+                    arcs.add((u, v) if kind == 4 or rng.random() < 0.5 else (v, u))
+        if kind == 2 and arcs:
+            u, v = rng.choice(sorted(arcs))
+            arcs.add((v, u))
+        elif kind == 3 and n >= 3:
+            ring = rng.sample(range(n), rng.randint(3, n))
+            arcs |= {(a, b) for a, b in zip(ring, ring[1:] + ring[:1])}
+        elif kind == 4 and n >= 3:  # a forward chord: still acyclic
+            i, j = sorted(rng.sample(range(n), 2))
+            arcs.add((order[i], order[j]))
+        yield seed, Network(n, frozenset(arcs))
+
+
+def test_validate_equals_ordered_diagnosis():
+    # the one-pass accept and the failure-only diagnosis return what the
+    # ordered checks return on every network: field for field, so the
+    # reason, the cycle and the vertex `verify` prints are the same
+    faults = {}
+    for seed, net in seeded_networks():
+        for mode in ("dag", "polytree"):
+            for q in (None, 1, 2, 3):
+                want = validate_ordered(net, mode, q)
+                assert validate(net, mode, q) == want, (seed, mode, q)
+                faults[want.reason] = faults.get(want.reason, 0) + 1
+    assert set(faults) == {None, "both orientations present", "directed cycle",
+                           "skeleton cycle", "in-degree exceeds 1",
+                           "in-degree exceeds 2", "in-degree exceeds 3"}
+    assert min(faults.values()) >= 20
+
+
+def test_score_of_and_write_solution_equal_parent_set_versions():
+    # both representations, scores that hit, miss and list the empty set,
+    # totals past 2^63-1, and the written bytes under random names
+    overflows = 0
+    for seed, net in seeded_networks():
+        rng = random.Random(seed)
+        n = net.n
+        names = tuple(f"{rng.choice('abcxyz')}{v}" for v in rng.sample(range(10 * n), n))
+        big = seed % 7 == 0
+        entries = {}
+        for v in range(n):
+            sets = {}
+            if rng.random() < 0.5:
+                sets[frozenset(u for u, w in net.arcs if w == v)] = rng.randint(1, 9)
+            if rng.random() < 0.3:
+                sets[frozenset()] = rng.randint(0, 9)
+            if n > 1 and rng.random() < 0.4:
+                sets[frozenset(rng.sample([u for u in range(n) if u != v], 1))] = 5
+            if big:
+                sets = {s: MAX_SCORE // 2 for s in sets}
+            if sets:
+                entries[v] = sets
+        arcs = {a: MAX_SCORE // 3 if big else rng.randint(1, 9)
+                for a in net.arcs if rng.random() < 0.7}
+        for inst in (NonZeroInstance(n, names, entries), AdditiveInstance(n, names, arcs)):
+            try:
+                want = score_of_parent_sets(inst, net)
+            except ScoreOverflowError as e:
+                with pytest.raises(ScoreOverflowError) as got:
+                    score_of(inst, net)
+                assert str(got.value) == str(e)
+                overflows += 1
+            else:
+                assert score_of(inst, net) == want, seed
+            assert write_solution(net, inst) == write_solution_parent_sets(net, inst)
+    assert overflows >= 20
 
 
 def test_solution_roundtrip(example4):
