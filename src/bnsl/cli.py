@@ -179,14 +179,25 @@ KERNELIZE = {"bnsl": kernel.kernelize_bnsl, "polytree": kernel.kernelize_pl}
 
 
 def _run_lfen(inst, mode, args, info, kernelize=False):
-    work = inst
+    """Reduce the instance (`kernel-lfen`: the mode's kernel; `lfen`: rule
+    1 alone), search or read a witness tree of the reduced instance, run
+    the record DP on it and lift the solution back."""
     if kernelize:
         result = KERNELIZE[mode](inst)
-        work = result.reduced
-        info.append(f"kernel_n={work.n}")
+        info.append(f"kernel_n={result.reduced.n}")
+    else:
+        result = kernel.absorb_leaves(inst)
+    work = result.reduced
     g = superstructure(work)
-    if args.tree is not None:  # only the unkernelized row reads --tree, so work is inst
-        witness = graphs.lfen_of_tree(g, graphs.forest_from_edges(g, _load_tree(args.tree, inst)))
+    if args.tree is not None:  # only the lfen row reads --tree
+        # check the file against the input, then cut it to the kept
+        # vertices: rule 1 removes pendant vertices only, whose edges are
+        # bridges, and keeps every edge among the others
+        tree = _load_tree(args.tree, inst)
+        graphs.forest_from_edges(superstructure(inst), tree)
+        dense = {loose: i for i, loose in result.loose_of_reduced.items()}
+        kept = {(dense[a], dense[b]) for a, b in tree if a in dense and b in dense}
+        witness = graphs.lfen_of_tree(g, graphs.forest_from_edges(g, kept))
     else:
         witness = graphs.lfen_search(g)
     info.append(
@@ -195,7 +206,7 @@ def _run_lfen(inst, mode, args, info, kernelize=False):
     )
     solve = lfen_dp.solve_pl_lfen if mode == "polytree" else lfen_dp.solve_bnsl_lfen
     score, net = solve(work, witness.forest)
-    return (score, result.lift(net)) if kernelize else (score, net)
+    return score, result.lift(net)
 
 
 def _run_twdp(inst, mode, args, info):

@@ -14,6 +14,9 @@ from typing import Optional
 
 from .instances import AdditiveInstance, NonZeroInstance, Superstructure, find
 
+_EMPTY_SET_PROB = 0.15  # scores_for_graph: chance of an explicit empty-set score
+_BOTH_ARCS_PROB = 0.5  # additive_for_graph: chance that an edge scores both arcs
+
 
 def _rng(seed_or_rng) -> random.Random:
     if isinstance(seed_or_rng, random.Random):
@@ -101,7 +104,6 @@ def scores_for_graph(
     g: Superstructure,
     max_score: int = 8,
     extra_sets: float = 0.7,
-    empty_prob: float = 0.15,
 ) -> NonZeroInstance:
     """Random explicit score family whose superstructure is exactly g.
 
@@ -124,7 +126,7 @@ def scores_for_graph(
             subset = frozenset(rng.sample(nbrs, k))
             if subset not in entries[v]:
                 entries[v][subset] = rng.randint(1, max_score)
-        if rng.random() < empty_prob:
+        if rng.random() < _EMPTY_SET_PROB:
             entries[v][frozenset()] = rng.randint(1, max_score)
     entries = {v: sets for v, sets in entries.items() if sets}
     names = tuple(f"x{i}" for i in range(g.n))
@@ -136,7 +138,6 @@ def additive_for_graph(
     g: Superstructure,
     max_score: int = 8,
     q: Optional[int] = None,
-    both_prob: float = 0.5,
 ) -> AdditiveInstance:
     """Random additive scores whose superstructure is exactly g."""
     rng = _rng(seed_or_rng)
@@ -144,7 +145,7 @@ def additive_for_graph(
     for a, b in sorted(g.edges):
         first = (a, b) if rng.random() < 0.5 else (b, a)
         arcs[first] = rng.randint(1, max_score)
-        if rng.random() < both_prob:
+        if rng.random() < _BOTH_ARCS_PROB:
             u, v = first
             arcs[(v, u)] = rng.randint(1, max_score)
     names = tuple(f"x{i}" for i in range(g.n))

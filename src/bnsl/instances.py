@@ -132,9 +132,6 @@ class Network:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"arc ({u},{v}) out of range")
 
-    def parents(self, v: int) -> frozenset[int]:
-        return frozenset(u for u, w in self.arcs if w == v)
-
     def parent_map(self) -> list[list[int]]:
         """Parents of each vertex, indexed by vertex, in no fixed order."""
         out: list[list[int]] = [[] for _ in range(self.n)]

@@ -13,9 +13,10 @@ Two rules shrink an instance without changing the optimal score:
     two ends.
 
 After exhaustive application the vertex count is bounded by a constant
-multiple of the superstructure's feedback edge number.  Each application is
-recorded so a solution of the reduced instance can be lifted back to one of
-the original instance with the same score.
+multiple of the superstructure's feedback edge number (`absorb_leaves`
+applies rule 1 alone).  Each application is recorded so a solution of the
+reduced instance can be lifted back to one of the original instance with
+the same score.
 
 Internally the working instance lives in a "loose" id space where gadget
 vertices get fresh ids and removed ids simply disappear; only the final
@@ -83,9 +84,6 @@ class _Work:
             nbrs.discard(v)
             if len(nbrs) == 1:
                 heapq.heappush(self.leaf_heap, next(iter(nbrs)))
-
-    def score(self, v: int, parents: frozenset[int]) -> int:
-        return self.entries.get(v, {}).get(parents, 0)
 
     def set_entries(self, v: int, sets: dict[frozenset[int], int]):
         """Install a score table, dropping zero-score sets (they equal the
@@ -715,18 +713,20 @@ def _find_paths(work: _Work, min_inner: int) -> list[list[int]]:
     return paths
 
 
-def _kernelize(instance: NonZeroInstance, polytree: bool) -> KernelResult:
+def _kernelize(instance: NonZeroInstance, path_rule: Optional[tuple]) -> KernelResult:
+    """Rule 1 exhaustively, then one path contraction at a time by
+    `path_rule`, (min inner vertices, application), until neither applies;
+    rule 1 alone when `path_rule` is None."""
     work = _Work(instance)
     steps: list[dict] = []
-    min_inner, apply_rr2 = (6, _apply_rr2_pl) if polytree else (4, _apply_rr2)
     while True:
         # in a two-vertex component the rule-1 target is the smaller end
         while (target := work.rule1_target()) is not None:
             steps.append(_apply_rr1(work, target))
-        paths = _find_paths(work, min_inner)
+        paths = [] if path_rule is None else _find_paths(work, path_rule[0])
         if not paths:
             break
-        steps.append(apply_rr2(work, paths[0]))
+        steps.append(path_rule[1](work, paths[0]))
     reduced, loose_of_reduced = work.to_instance()
     return KernelResult(reduced, steps, loose_of_reduced, instance.n)
 
@@ -734,9 +734,19 @@ def _kernelize(instance: NonZeroInstance, polytree: bool) -> KernelResult:
 def kernelize_bnsl(instance: NonZeroInstance) -> KernelResult:
     """Exhaustive rules 1 and 2; the reduced instance has the same optimal
     score and at most 16 * (feedback edge number) variables."""
-    return _kernelize(instance, polytree=False)
+    return _kernelize(instance, (4, _apply_rr2))
 
 
 def kernelize_pl(instance: NonZeroInstance) -> KernelResult:
     """Polytree variant: rules 1 and 2'; at most 24 * fen variables."""
-    return _kernelize(instance, polytree=True)
+    return _kernelize(instance, (6, _apply_rr2_pl))
+
+
+def absorb_leaves(instance: NonZeroInstance) -> KernelResult:
+    """Exhaustive rule 1 alone, the same in both modes: every pendant tree
+    is absorbed into the vertex it hangs from.  The reduced instance keeps
+    the superstructure's 2-core, one vertex of each tree component and
+    every edge among the kept vertices (each reduced non-empty parent set
+    scores at least the set it came from), so every spanning forest, cut
+    to the kept vertices, keeps its feedback edges and their tree paths."""
+    return _kernelize(instance, None)

@@ -28,16 +28,11 @@ class Boundary:
     delta: tuple[int, ...]
     delta_in: tuple[int, ...]
     delta_out: tuple[int, ...]
-    open_children: tuple[int, ...]
-    closed_children: tuple[int, ...]
+    children: tuple[int, ...]
 
 
 def boundaries(g: Superstructure, forest: SpanningForest) -> list[Boundary]:
-    """Per-vertex boundary data for a rooted spanning forest of g.
-
-    A child w is closed when delta(w) is just {w, parent}; every deeper
-    connection of a closed subtree runs through that single tree edge.
-    """
+    """Per-vertex boundary data for a rooted spanning forest of g."""
     # an edge has exactly one endpoint in v's subtree iff v lies on the
     # tree path from an endpoint up to (excluding) the endpoints' lowest
     # common ancestor: walk that path once per edge, O(n + sum of lengths).
@@ -57,13 +52,10 @@ def boundaries(g: Superstructure, forest: SpanningForest) -> list[Boundary]:
                 ins[y].add(b)
                 outs[y].add(a)
                 y = parent[y]
-    deltas = [tuple(sorted(i | o)) for i, o in zip(ins, outs)]
     out = []
     for v, children in forest.children_lists().items():
-        opens = tuple(c for c in children if len(deltas[c]) > 2)
-        closeds = tuple(c for c in children if len(deltas[c]) <= 2)
         din, dout = tuple(sorted(ins[v])), tuple(sorted(outs[v]))
-        out.append(Boundary(v, deltas[v], din, dout, opens, closeds))
+        out.append(Boundary(v, tuple(sorted(ins[v] | outs[v])), din, dout, tuple(children)))
     return out
 
 
@@ -73,7 +65,7 @@ class _RecordEngine:
     Every key is a relation on the sorted delta of its vertex, one int
     (bnsl.relations); `public(v, key)` gives it in the engine's public
     format.  `combine_records(v)`, which also serves the leaves, folds the
-    open children into each parent set of v one at a time, over a dense
+    children into each parent set of v one at a time, over a dense
     index range(d) of everything the combination can mention, and
     deduplicates after every child on the merged state cut down to the
     indices later steps can observe.  Fold states are relations over the
@@ -84,9 +76,11 @@ class _RecordEngine:
     once per state and once per child record; `glue(held, cheld, outside,
     d)` merges two operands into a state before the cut, or None when the
     union is not allowed (`outside` masks the rows of delta_out(v)).
-    tables[v] maps a key to (score, (parents, closed choice, open
-    choice)): v's parent set, whether each closed child takes the arc from
-    v, and the key picked in each open child's table.
+    tables[v] maps a key to (score, (parents, chain)): v's parent set, and
+    (child, key) for the record picked in each child's table.  A child
+    whose subtree meets the rest of the graph only through its tree edge
+    is folded the same way; the CLI removes such pendant trees with the
+    kernel's rule 1 before it runs the DP (`kernel.absorb_leaves`).
     """
 
     root_key = 0
@@ -101,10 +95,6 @@ class _RecordEngine:
             raise RuntimeError("boundary exceeds 2k+2")
         self.tables: list[Optional[dict]] = [None] * g.n
 
-    def closed_key(self, c: int, take_arc: bool) -> int:
-        arcs = [(self.forest.parent[c], c)] if take_arc else []
-        return relations.from_pairs(arcs, self.bounds[c].delta)
-
     def records(self, v: int) -> dict:
         """tables[v] as {public key: best score}."""
         return {self.public(v, key): sc for key, (sc, _) in self.tables[v].items()}
@@ -115,38 +105,11 @@ class _RecordEngine:
             self.tables[v] = self.combine_records(v)
 
     def parent_choices(self, v: int):
-        """(parents, score, closed choice) for each parent set of v, the
-        score including the best record of every closed child that fits;
-        parent sets that no closed-child record fits are skipped."""
-        closed_info = []
-        for c in self.bounds[v].closed_children:
-            s_empty = self.tables[c].get(self.closed_key(c, False))
-            s_arc = self.tables[c].get(self.closed_key(c, True))
-            closed_info.append(
-                (c, s_empty[0] if s_empty else None, s_arc[0] if s_arc else None)
-            )
+        """(parents, score) for each parent set of v."""
         for parents in self.instance.parent_sets(v):
             if not parents <= self.g.adj[v]:
                 raise RuntimeError("parent outside superstructure")
-            base = self.instance.score(v, parents)
-            closed_choice = []
-            feasible = True
-            for c, s_empty, s_arc in closed_info:
-                if c in parents:
-                    if s_empty is None:
-                        feasible = False
-                        break
-                    base += s_empty
-                    closed_choice.append((c, False))
-                else:
-                    if s_arc is not None and (s_empty is None or s_arc > s_empty):
-                        base += s_arc
-                        closed_choice.append((c, True))
-                    else:
-                        base += s_empty
-                        closed_choice.append((c, False))
-            if feasible:
-                yield parents, base, tuple(closed_choice)
+            yield parents, self.instance.score(v, parents)
 
     def solve(self) -> tuple[int, Network]:
         """Optimum score and a witness network, collected without recursion."""
@@ -161,21 +124,19 @@ class _RecordEngine:
             stack = [(r, self.root_key)]
             while stack:
                 v, key = stack.pop()
-                parents, closed_choice, open_choice = self.tables[v][key][1]
+                parents, chain = self.tables[v][key][1]
                 arcs.update((p, v) for p in parents)
-                for c, take_arc in closed_choice:
-                    stack.append((c, self.closed_key(c, take_arc)))
-                stack.extend(open_choice)
+                stack.extend(chain)
         return total, Network(self.instance.n, frozenset(arcs))
 
     def combine_records(self, v: int) -> dict:
         b = self.bounds[v]
-        opens = b.open_children
+        children = b.children
 
         # dense local index over everything the combination can mention
         ground = {v}
         ground.update(self.g.adj[v])
-        for c in opens:
+        for c in children:
             ground.update(self.bounds[c].delta)
         ground = sorted(ground)
         d = len(ground)
@@ -186,17 +147,17 @@ class _RecordEngine:
 
         frontier_after = []
         acc = sum(1 << gidx[x] for x in b.delta)
-        for c in reversed(opens):
+        for c in reversed(children):
             frontier_after.append(acc)
             for x in self.bounds[c].delta:
                 acc |= 1 << gidx[x]
-        frontier_after.reverse()  # frontier_after[i]: mask kept after folding opens[i]
+        frontier_after.reverse()  # frontier_after[i]: mask kept after folding children[i]
         cuts = [relations.cut_mask(keep, d) for keep in frontier_after]
 
-        # each open child's records, translated once into the ground index
+        # each child's records, translated once into the ground index
         operand, glue = self.operand, self.glue
         child_records = []
-        for c in opens:
+        for c in children:
             ctable = self.tables[c]
             to_ground = relations.remap(self.bounds[c].delta, ground)
             child_records.append([
@@ -204,11 +165,11 @@ class _RecordEngine:
             ])
 
         table: dict = {}
-        for parents, base, closed_choice in self.parent_choices(v):
-            # fold the open children one by one, deduplicating on the
+        for parents, base in self.parent_choices(v):
+            # fold the children one by one, deduplicating on the
             # merged state cut down to what later steps can still observe
             states = {relations.from_pairs([(p, v) for p in parents], ground): (base, ())}
-            for c, cut, crecords in zip(opens, cuts, child_records):
+            for c, cut, crecords in zip(children, cuts, child_records):
                 nxt: dict = {}
                 for state, (score, chain) in states.items():
                     held = operand(state, d)
@@ -226,7 +187,7 @@ class _RecordEngine:
                 key = to_delta(state)
                 cur = table.get(key)
                 if cur is None or score > cur[0]:
-                    table[key] = (score, (parents, closed_choice, chain))
+                    table[key] = (score, (parents, chain))
         return table
 
 

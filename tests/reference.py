@@ -25,7 +25,10 @@ and tagged backpointers (`TwEngineDicts` with `arc_subsets_by_edge`, read
 through `snapshot_tables_dicts`), and the record DP that combines the
 open children's tables in one product (`RecordEngineProduct` with
 `BnslEngineProduct` and `PlEngineProduct`, on boundaries classified by
-`subtree_masks` in `boundaries_by_subtree_masks`), and the acyclic record
+`subtree_masks` in `boundaries_by_subtree_masks`), the record DP that
+added each closed child's best record to its parent's score
+(`RecordEngineClosed` with `BnslEngineClosed` and `PlEngineClosed`, on the
+open/closed split of `boundaries_split`), and the acyclic record
 DP's merge by a full Warshall closure (`BnslEngineFullClosure`) and by
 the shared-support closure on row lists (`BnslEngineRowGlue` with
 `closed_union_rows` and `support_rows`), both merging tuples of rows
@@ -54,9 +57,12 @@ acyclic network over an instance's superstructure (`random_network`,
 formerly in `bnsl.generate`), the optimal elimination order by a DP over
 vertex subsets (`exact_order`, formerly `bnsl.graphs._exact_order`) with
 the nice decomposition it gives (`exact_decomposition`, what
-`tree_decomposition`'s exact-width mode built), and the exact localized
+`tree_decomposition`'s exact-width mode built), the exact localized
 feedback edge number by spanning-tree enumeration (`exact_lfen` with
-`_tree_local_value`, formerly in `bnsl.oracle`).
+`_tree_local_value`, formerly in `bnsl.oracle`), a network's parent set
+of one vertex (`network_parents`, formerly `Network.parents`) and a score
+read off the kernel's working state (`work_score`, formerly
+`kernel._Work.score`).
 """
 
 import random
@@ -91,7 +97,7 @@ from bnsl.instances import (
     superstructure,
 )
 from bnsl.kernel import _BWD, _FWD, _NONE, _Work, _btag, _fed_by, _present
-from bnsl.lfen_dp import Boundary, _BnslEngine, _RecordEngine
+from bnsl.lfen_dp import _BnslEngine, _PlEngine, _RecordEngine
 from bnsl.oracle import OracleLimitError
 from bnsl.polytree import GroundElement, MatroidOracles, _forest_links, _forest_path
 from bnsl.tw_dp import _NO_ARCS, _TwEngine
@@ -350,7 +356,8 @@ def kernelize_rescan(instance, polytree):
 
 
 # The rule applications below are the kernel's earlier versions, kept
-# verbatim (only renamed): rule 1 through `_Work.set_entries` and
+# verbatim (only renamed, and reading scores through `work_score`, the
+# former `_Work.score`): rule 1 through `_Work.set_entries` and
 # `_Work.remove`, with a completion that rescans every leaf per candidate,
 # and the path DP that reads a leaf's score through a frozenset per
 # transition, with the two result dataclasses the kernel used before its
@@ -368,7 +375,7 @@ def apply_rr1_set_entries(work: _Work, v: int, adj) -> dict:
         total = 0
         arcs_out = set()
         for w in q:
-            se, sv = work.score(w, frozenset()), work.score(w, frozenset([v]))
+            se, sv = work_score(work, w, frozenset()), work_score(work, w, frozenset([v]))
             if w not in s and sv > se:  # w takes v as its parent
                 total += sv
                 arcs_out.add(w)
@@ -377,7 +384,7 @@ def apply_rr1_set_entries(work: _Work, v: int, adj) -> dict:
         return total, frozenset(arcs_out)
 
     old_sets = dict(work.entries.get(v, {}))
-    old_sets.setdefault(frozenset(), work.score(v, frozenset()))
+    old_sets.setdefault(frozenset(), work_score(work, v, frozenset()))
     new_sets: dict[frozenset[int], int] = {}
     configs: dict[frozenset[int], tuple[frozenset[int], frozenset[int]]] = {}
     groups: dict[frozenset[int], list[frozenset[int]]] = {}
@@ -389,7 +396,7 @@ def apply_rr1_set_entries(work: _Work, v: int, adj) -> dict:
         best = None
         for p in sorted(candidates, key=lambda s: sorted(s)):
             comp, arcs_out = completion(frozenset(p & qset))
-            val = work.score(v, p) + comp
+            val = work_score(work, v, p) + comp
             if best is None or val > best[0]:
                 best = (val, frozenset(p & qset), arcs_out)
         new_sets[reduced_parents] = best[0]
@@ -415,7 +422,7 @@ def vertex_score(work: _Work, path_ext, j, prev_state, next_state) -> int:
         parents.add(path_ext[j - 1])
     if next_state == _BWD:
         parents.add(path_ext[j + 1])
-    return work.score(path_ext[j], frozenset(parents))
+    return work_score(work, path_ext[j], frozenset(parents))
 
 
 def best_config_frozensets(work: _Work, path_ext, e0: str, em: str,
@@ -1649,9 +1656,239 @@ def snapshot_tables_dicts(instance: AdditiveInstance, mode: str, td: NiceTreeDec
     return plain
 
 
+# The record DP as it was before it folded every child one way, kept
+# verbatim (only renamed): boundaries that split the children into open
+# ones and closed ones (`SplitBoundary`, `boundaries_split`), and the
+# engine (`RecordEngineClosed`) whose `parent_choices` adds the best record
+# of each closed child (a child whose delta is just itself and its parent)
+# to the parent set's score, looked up by `closed_key`, and whose `solve`
+# reads the closed choices back.  `BnslEngineClosed` and `PlEngineClosed`
+# take the public key format and the merge hooks from the library's
+# engines; `BnslEngineProduct` and `PlEngineProduct` below read the same
+# split boundaries.
+
+
+@dataclass(frozen=True)
+class SplitBoundary:
+    """Endpoints of edges with exactly one endpoint inside v's subtree."""
+
+    vertex: int
+    delta: tuple[int, ...]
+    delta_in: tuple[int, ...]
+    delta_out: tuple[int, ...]
+    open_children: tuple[int, ...]
+    closed_children: tuple[int, ...]
+
+
+def boundaries_split(g: Superstructure, forest: SpanningForest) -> list[SplitBoundary]:
+    """Per-vertex boundary data for a rooted spanning forest of g.
+
+    A child w is closed when delta(w) is just {w, parent}; every deeper
+    connection of a closed subtree runs through that single tree edge.
+    """
+    # an edge has exactly one endpoint in v's subtree iff v lies on the
+    # tree path from an endpoint up to (excluding) the endpoints' lowest
+    # common ancestor: walk that path once per edge, O(n + sum of lengths).
+    # On a's side of the path a is inside the subtree and b outside.
+    parent = forest.parent
+    depth = forest.depth
+    ins: list[set[int]] = [set() for _ in range(g.n)]
+    outs: list[set[int]] = [set() for _ in range(g.n)]
+    for a, b in g.edges:
+        x, y = a, b
+        while x != y:
+            if y is None or (x is not None and depth[x] >= depth[y]):
+                ins[x].add(a)
+                outs[x].add(b)
+                x = parent[x]
+            else:
+                ins[y].add(b)
+                outs[y].add(a)
+                y = parent[y]
+    deltas = [tuple(sorted(i | o)) for i, o in zip(ins, outs)]
+    out = []
+    for v, children in forest.children_lists().items():
+        opens = tuple(c for c in children if len(deltas[c]) > 2)
+        closeds = tuple(c for c in children if len(deltas[c]) <= 2)
+        din, dout = tuple(sorted(ins[v])), tuple(sorted(outs[v]))
+        out.append(SplitBoundary(v, deltas[v], din, dout, opens, closeds))
+    return out
+
+
+class RecordEngineClosed:
+    """Leaf-to-root record DP over a rooted spanning forest.
+
+    Every key is a relation on the sorted delta of its vertex, one int
+    (bnsl.relations); `public(v, key)` gives it in the engine's public
+    format.  `combine_records(v)`, which also serves the leaves, folds the
+    open children into each parent set of v one at a time, over a dense
+    index range(d) of everything the combination can mention, and
+    deduplicates after every child on the merged state cut down to the
+    indices later steps can observe.  Fold states are relations over the
+    index too; child keys enter it, in ascending order, and final states
+    leave it for delta(v), through maps compiled once per vertex and child
+    (`relations.remap`).  Subclasses supply the merge in two hooks:
+    `operand(state, d)` reads a state, or a child record, for the merge,
+    once per state and once per child record; `glue(held, cheld, outside,
+    d)` merges two operands into a state before the cut, or None when the
+    union is not allowed (`outside` masks the rows of delta_out(v)).
+    tables[v] maps a key to (score, (parents, closed choice, open
+    choice)): v's parent set, whether each closed child takes the arc from
+    v, and the key picked in each open child's table.
+    """
+
+    root_key = 0
+
+    def __init__(self, instance: NonZeroInstance, g: Superstructure, forest: SpanningForest):
+        self.instance = instance
+        self.g = g
+        self.forest = forest
+        self.bounds = boundaries_split(g, forest)
+        bound = 2 * lfen_of_tree(g, forest).value + 2
+        if any(len(b.delta) > bound for b in self.bounds):
+            raise RuntimeError("boundary exceeds 2k+2")
+        self.tables: list[Optional[dict]] = [None] * g.n
+
+    def closed_key(self, c: int, take_arc: bool) -> int:
+        arcs = [(self.forest.parent[c], c)] if take_arc else []
+        return relations.from_pairs(arcs, self.bounds[c].delta)
+
+    def records(self, v: int) -> dict:
+        """tables[v] as {public key: best score}."""
+        return {self.public(v, key): sc for key, (sc, _) in self.tables[v].items()}
+
+    def fill(self):
+        """Fill the tables, children before parents."""
+        for v in self.forest.order[::-1]:
+            self.tables[v] = self.combine_records(v)
+
+    def parent_choices(self, v: int):
+        """(parents, score, closed choice) for each parent set of v, the
+        score including the best record of every closed child that fits;
+        parent sets that no closed-child record fits are skipped."""
+        closed_info = []
+        for c in self.bounds[v].closed_children:
+            s_empty = self.tables[c].get(self.closed_key(c, False))
+            s_arc = self.tables[c].get(self.closed_key(c, True))
+            closed_info.append(
+                (c, s_empty[0] if s_empty else None, s_arc[0] if s_arc else None)
+            )
+        for parents in self.instance.parent_sets(v):
+            if not parents <= self.g.adj[v]:
+                raise RuntimeError("parent outside superstructure")
+            base = self.instance.score(v, parents)
+            closed_choice = []
+            feasible = True
+            for c, s_empty, s_arc in closed_info:
+                if c in parents:
+                    if s_empty is None:
+                        feasible = False
+                        break
+                    base += s_empty
+                    closed_choice.append((c, False))
+                else:
+                    if s_arc is not None and (s_empty is None or s_arc > s_empty):
+                        base += s_arc
+                        closed_choice.append((c, True))
+                    else:
+                        base += s_empty
+                        closed_choice.append((c, False))
+            if feasible:
+                yield parents, base, tuple(closed_choice)
+
+    def solve(self) -> tuple[int, Network]:
+        """Optimum score and a witness network, collected without recursion."""
+        self.fill()
+        total = 0
+        arcs: set[tuple[int, int]] = set()
+        for r in self.forest.roots:
+            table = self.tables[r]
+            if list(table) != [self.root_key]:
+                raise RuntimeError("root must hold the single empty record")
+            total += table[self.root_key][0]
+            stack = [(r, self.root_key)]
+            while stack:
+                v, key = stack.pop()
+                parents, closed_choice, open_choice = self.tables[v][key][1]
+                arcs.update((p, v) for p in parents)
+                for c, take_arc in closed_choice:
+                    stack.append((c, self.closed_key(c, take_arc)))
+                stack.extend(open_choice)
+        return total, Network(self.instance.n, frozenset(arcs))
+
+    def combine_records(self, v: int) -> dict:
+        b = self.bounds[v]
+        opens = b.open_children
+
+        # dense local index over everything the combination can mention
+        ground = {v}
+        ground.update(self.g.adj[v])
+        for c in opens:
+            ground.update(self.bounds[c].delta)
+        ground = sorted(ground)
+        d = len(ground)
+        gidx = {x: i for i, x in enumerate(ground)}
+        dout = set(b.delta_out)
+        outside = relations.pack(((1 << d) - 1 if x in dout else 0 for x in ground), d)
+        to_delta = relations.remap(ground, b.delta)
+
+        frontier_after = []
+        acc = sum(1 << gidx[x] for x in b.delta)
+        for c in reversed(opens):
+            frontier_after.append(acc)
+            for x in self.bounds[c].delta:
+                acc |= 1 << gidx[x]
+        frontier_after.reverse()  # frontier_after[i]: mask kept after folding opens[i]
+        cuts = [relations.cut_mask(keep, d) for keep in frontier_after]
+
+        # each open child's records, translated once into the ground index
+        operand, glue = self.operand, self.glue
+        child_records = []
+        for c in opens:
+            ctable = self.tables[c]
+            to_ground = relations.remap(self.bounds[c].delta, ground)
+            child_records.append([
+                (operand(to_ground(ckey), d), ctable[ckey][0], ckey) for ckey in sorted(ctable)
+            ])
+
+        table: dict = {}
+        for parents, base, closed_choice in self.parent_choices(v):
+            # fold the open children one by one, deduplicating on the
+            # merged state cut down to what later steps can still observe
+            states = {relations.from_pairs([(p, v) for p in parents], ground): (base, ())}
+            for c, cut, crecords in zip(opens, cuts, child_records):
+                nxt: dict = {}
+                for state, (score, chain) in states.items():
+                    held = operand(state, d)
+                    for cheld, cscore, ckey in crecords:
+                        merged = glue(held, cheld, outside, d)
+                        if merged is None:
+                            continue
+                        merged &= cut
+                        val = score + cscore
+                        cur = nxt.get(merged)
+                        if cur is None or val > cur[0]:
+                            nxt[merged] = (val, chain + ((c, ckey),))
+                states = nxt
+            for state, (score, chain) in states.items():
+                key = to_delta(state)
+                cur = table.get(key)
+                if cur is None or score > cur[0]:
+                    table[key] = (score, (parents, closed_choice, chain))
+        return table
+
+
+class BnslEngineClosed(RecordEngineClosed, _BnslEngine):
+    """The earlier acyclic record DP, with the library's merge hooks."""
+
+
+class PlEngineClosed(RecordEngineClosed, _PlEngine):
+    """The earlier polytree record DP, with the library's merge hooks."""
+
+
 def boundaries_by_subtree_masks(
     g: Superstructure, forest: SpanningForest, children, subtree: list[int]
-) -> list[Boundary]:
+) -> list[SplitBoundary]:
     # an edge has exactly one endpoint in v's subtree iff v lies on the
     # tree path from an endpoint up to (excluding) the endpoints' lowest
     # common ancestor: walk that path once per edge, O(n + sum of lengths)
@@ -1680,7 +1917,7 @@ def boundaries_by_subtree_masks(
                 closeds.append(c)
             else:
                 opens.append(c)
-        out.append(Boundary(v, deltas[v], din, dout, tuple(opens), tuple(closeds)))
+        out.append(SplitBoundary(v, deltas[v], din, dout, tuple(opens), tuple(closeds)))
     return out
 
 
@@ -2418,6 +2655,17 @@ def _tree_local_value(n, tree_edges, extra_edges) -> int:
 def exact_decomposition(g: Superstructure) -> NiceTreeDecomposition:
     """Nice decomposition of g in its optimal elimination order."""
     return graphs.nice_from_raw(*bags_from_order_replay(g, exact_order(g)))
+
+
+def network_parents(network: Network, v: int) -> frozenset[int]:
+    """v's parent set in `network` (formerly `Network.parents`)."""
+    return frozenset(u for u, w in network.arcs if w == v)
+
+
+def work_score(work: _Work, v: int, parents: frozenset[int]) -> int:
+    """v's score for `parents` in the kernel's working state, 0 when
+    unlisted (formerly `kernel._Work.score`)."""
+    return work.entries.get(v, {}).get(parents, 0)
 
 
 class TwEngineProduct(_TwEngine):

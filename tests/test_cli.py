@@ -617,6 +617,79 @@ def test_supplied_tree_with_cycle_is_usage_error(capsys, tmp_path):
     assert code == 2 and out == "" and "cycle" in err
 
 
+def pendant_tree_instance(capsys, tmp_path):
+    """gen --n 40 --fen 3 --seed 5 (20 leaves) with its BFS forest."""
+    code, text, _ = run(capsys, "gen", "--n", "40", "--fen", "3", "--seed", "5")
+    assert code == 0
+    p = tmp_path / "p40.scores"
+    p.write_text(text)
+    inst = parse_nonzero(text)
+    g = superstructure(inst)
+    return p, inst, g, graphs.feedback_edge_set(g)
+
+
+def write_tree(path, inst, edges):
+    path.write_text("".join(f"{inst.names[a]} {inst.names[b]}\n" for a, b in sorted(edges)))
+
+
+def test_supplied_tree_with_pendant_trees(capsys, tmp_path):
+    # --algo lfen absorbs the 20 leaves and their pendant trees, and cuts the
+    # supplied forest to the vertices it keeps: the score and info line of
+    # the record DP over the whole forest of the whole instance
+    p, inst, g, forest = pendant_tree_instance(capsys, tmp_path)
+    assert sum(g.degree(v) == 1 for v in range(g.n)) == 20
+    tree = tmp_path / "p40.tree"
+    write_tree(tree, inst, forest.tree_edges)
+    info = f"fen=3 lfen<={graphs.lfen_of_tree(g, forest).value}"
+    for mode, solve in (("bnsl", lfen_dp.solve_bnsl_lfen), ("polytree", lfen_dp.solve_pl_lfen)):
+        sol = tmp_path / f"p40-{mode}.sol"
+        code, out, err = run(capsys, "solve", str(p), "--mode", mode, "--algo", "lfen",
+                             "--tree", str(tree), "--out", str(sol))
+        assert code == 0, err
+        assert out.strip() == f"max_score={solve(inst, forest)[0]}" == "max_score=204"
+        assert err.strip() == info == "fen=3 lfen<=3"
+        net = parse_solution(sol.read_text(), inst)
+        assert validate(net, "polytree" if mode == "polytree" else "dag").ok
+        assert score_of(inst, net) == 204
+
+
+def test_supplied_tree_is_checked_against_the_input(capsys, tmp_path):
+    # a forest that leaves a pendant edge out, or takes a non-edge at a
+    # leaf, names vertices that rule 1 removes; it is refused all the same,
+    # with the message of the whole superstructure's check
+    p, inst, g, forest = pendant_tree_instance(capsys, tmp_path)
+    leaf = min(v for v in range(g.n) if g.degree(v) == 1)
+    stranger = min(v for v in range(g.n) if v != leaf and v not in g.adj[leaf])
+    pendant = next(e for e in sorted(forest.tree_edges) if leaf in e)
+    bad = (min(leaf, stranger), max(leaf, stranger))
+    cases = (
+        (forest.tree_edges - {pendant}, "error: edge set does not span every component"),
+        (forest.tree_edges | {bad}, f"error: tree edge ({bad[0]},{bad[1]}) not in the graph"),
+    )
+    tree = tmp_path / "bad.tree"
+    for edges, message in cases:
+        write_tree(tree, inst, edges)
+        for mode in ("bnsl", "polytree"):
+            code, out, err = run(capsys, "solve", str(p), "--mode", mode, "--algo", "lfen",
+                                 "--tree", str(tree))
+            assert (code, out, err.strip()) == (2, "", message)
+
+
+def test_lfen_on_a_long_near_tree(capsys, tmp_path):
+    # 1500 vertices, cycle rank 1: rule 1 absorbs every pendant tree and
+    # leaves the cycle.  Searched on the whole graph, the spanning-tree
+    # enumeration ran out of stack (RecursionError, exit 3)
+    code, text, _ = run(capsys, "gen", "--n", "1500", "--fen", "1", "--seed", "1")
+    assert code == 0
+    p = tmp_path / "nt.scores"
+    p.write_text(text)
+    for mode in ("bnsl", "polytree"):
+        code, out, err = run(capsys, "solve", str(p), "--mode", mode, "--algo", "lfen")
+        assert code == 0, err
+        assert out.strip() == "max_score=6800"
+        assert err.strip() == "fen=1 lfen<=1 exact"
+
+
 def test_empty_tree_path_is_invalid_input(capsys, example_file):
     # an empty --tree names no file; it is refused, not taken as absent
     code, out, err = run(capsys, "solve", example_file, "--algo", "lfen", "--tree", "")

@@ -23,6 +23,7 @@ from bnsl.instances import (
 )
 
 from reference import (
+    network_parents,
     parse_additive_closure,
     random_network,
     score_of_parent_sets,
@@ -190,7 +191,7 @@ def test_score_of_matches_by_vertex_recomputation():
                                         exact_fen=False)
         net = random_network(rng, inst)
         expect = sum(
-            inst.score(v, net.parents(v)) for v in range(inst.n)
+            inst.score(v, network_parents(net, v)) for v in range(inst.n)
         )
         assert score_of(inst, net) == expect
         assert expect <= sum(

@@ -252,6 +252,32 @@ def test_rr1_preserves_optimum_random():
     assert checked >= 50
 
 
+def test_absorb_leaves_keeps_the_core_and_its_edges():
+    # rule 1 alone leaves no degree-1 vertex and keeps every edge among the
+    # vertices it keeps, which is what `--algo lfen` needs to cut a
+    # supplied spanning forest down to them; the steps are the rule-1
+    # prefix of both kernels, and the lifted optimum is the input's
+    for seed in range(120):
+        rng = random.Random(f"absorb:{seed}")
+        n = rng.randint(1, 12)
+        inst = generate.random_nonzero(rng, n, rng.randint(0, 3), connected=(seed % 3 != 0),
+                                       exact_fen=False, subdivisions=rng.randint(0, (n - 1) // 2))
+        result = kernel.absorb_leaves(inst)
+        red = result.reduced
+        kept = result.loose_of_reduced
+        g, gr = superstructure(inst), superstructure(red)
+        assert all(gr.degree(v) != 1 for v in range(red.n))
+        assert gr.edges == {(a, b) for a in range(red.n) for b in range(a + 1, red.n)
+                            if (kept[a], kept[b]) in g.edges}
+        assert all(step["rule"] == 1 for step in result.steps)
+        for full in (kernel.kernelize_bnsl(inst), kernel.kernelize_pl(inst)):
+            assert full.steps[:len(result.steps)] == result.steps
+        best, net = oracle.exact_bnsl(red)
+        lifted = result.lift(net)
+        assert validate(lifted, "dag").ok
+        assert score_of(inst, lifted) == best == oracle.exact_bnsl(inst)[0]
+
+
 def test_rr2_contract_structure():
     rng = random.Random(17)
     inst = path_instance(rng, 4)

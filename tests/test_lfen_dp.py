@@ -1,12 +1,15 @@
 import random
+from operator import itemgetter
 
 from bnsl import cli, generate, graphs, kernel, lfen_dp, oracle, relations
 from bnsl.instances import parse_nonzero, score_of, superstructure, validate
 
 from reference import (
+    BnslEngineClosed,
     BnslEngineFullClosure,
     BnslEngineProduct,
     BnslEngineRowGlue,
+    PlEngineClosed,
     PlEngineProduct,
     classes,
     closure,
@@ -31,9 +34,20 @@ def row_table(eng, v):
         return tuple(unpack(key, len(bounds[c].delta)))
 
     return [
-        (rows(v, key), (score, (parents, closed, tuple((c, rows(c, ck)) for c, ck in chain))))
-        for key, (score, (parents, closed, chain)) in eng.tables[v].items()
+        (rows(v, key), (score, (parents, tuple((c, rows(c, ck)) for c, ck in chain))))
+        for key, (score, (parents, chain)) in eng.tables[v].items()
     ]
+
+
+def one_chain_table(ref, v):
+    """ref.tables[v] of an engine that keeps closed children apart, in the
+    fold's entry format: each closed choice becomes the key `closed_key`
+    names, merged with the open choices into one chain in child order."""
+    out = []
+    for key, (score, (parents, closed, opens)) in ref.tables[v].items():
+        chain = [(c, ref.closed_key(c, take_arc)) for c, take_arc in closed] + list(opens)
+        out.append((key, (score, (parents, tuple(sorted(chain, key=itemgetter(0)))))))
+    return out
 
 
 def witness_forest(instance):
@@ -59,14 +73,17 @@ def subtree_sets(forest):
 
 
 def test_boundaries_closed_child_and_root(example4):
+    # a child whose delta has at most two vertices meets the rest of the
+    # graph only through its tree edge
     g = superstructure(example4)
     forest = graphs.lfen_search(g).forest
     bounds = lfen_dp.boundaries(g, forest)
     root = forest.roots[0]
     assert bounds[root].delta == ()
     for v in range(g.n):
-        for c in bounds[v].closed_children:
-            assert set(bounds[c].delta) == {v, c}
+        for c in bounds[v].children:
+            if len(bounds[c].delta) <= 2:
+                assert set(bounds[c].delta) == {v, c}
 
 
 def test_boundaries_match_edge_scan():
@@ -107,7 +124,7 @@ def test_boundaries_match_definition_on_bfs_and_search_forests():
                 assert b.delta == tuple(sorted(expect))
                 assert b.delta_in == tuple(x for x in b.delta if x in inside)
                 assert b.delta_out == tuple(x for x in b.delta if x not in inside)
-                assert set(b.open_children) | set(b.closed_children) == set(children[b.vertex])
+                assert b.children == tuple(children[b.vertex])
 
 
 def test_leaf_records_empty_family():
@@ -340,9 +357,10 @@ def test_supplied_tree_is_respected(example4):
 
 def test_tables_and_witness_match_product_engine():
     # the fold over packed keys against the engine that took the product
-    # of all open children's tables on row keys: acyclic tables (insertion
-    # order and backpointers, the chains' keys included, compared on row
-    # tuples) and witnesses are identical; polytree tables are equal as
+    # of all open children's tables on row keys and kept closed children
+    # apart: acyclic tables (insertion order and backpointers, the chains'
+    # keys included, compared on row tuples, the closed choices merged into
+    # the chain) and witnesses are identical; polytree tables are equal as
     # dicts, and the witness, which may differ on ties, is a polytree
     # scoring the optimum
     for seed in range(320):
@@ -356,7 +374,7 @@ def test_tables_and_witness_match_product_engine():
             ref = BnslEngineProduct(inst, g, forest)
             ref.fill()
             for v in range(inst.n):
-                assert row_table(eng, v) == list(ref.tables[v].items())
+                assert row_table(eng, v) == one_chain_table(ref, v)
             assert lfen_dp.solve_bnsl_lfen(inst, forest) == ref.solve()
 
             tables, _ = lfen_dp.pl_record_tables(inst, forest)
@@ -410,3 +428,35 @@ def test_packed_fold_matches_row_glue_on_benchmark_kernels():
                 _, eng = lfen_dp.record_tables(red, forest)
                 for v in range(red.n):
                     assert row_table(eng, v) == row_table(ref, v)
+
+
+def test_tables_and_witness_match_closed_child_engine():
+    # the fold that takes every child one way against the earlier engine,
+    # which added each closed child's best record to the parent set's
+    # score: 130 seeded instances with pendant trees and subdivided edges,
+    # each raw and kernelized by its mode's kernel, over a searched and a
+    # BFS forest, in both modes (1040 instance-forest pairs).  Tables are
+    # identical (keys, insertion order, scores and backpointers, the closed
+    # choices merged into the chain) and so are witnesses
+    pairs = 0
+    engines = (
+        (lfen_dp._BnslEngine, BnslEngineClosed, kernel.kernelize_bnsl),
+        (lfen_dp._PlEngine, PlEngineClosed, kernel.kernelize_pl),
+    )
+    for seed in range(130):
+        rng = random.Random(310_000 + seed)
+        n = rng.randint(1, 24)
+        inst = generate.random_nonzero(rng, n, rng.randint(0, 3), connected=(seed % 3 != 0),
+                                       exact_fen=False, subdivisions=rng.randint(0, (n - 1) // 2),
+                                       extra_sets=rng.choice([0, 0.3, 0.7]))
+        for engine, closed_engine, kernelize in engines:
+            for work in (inst, kernelize(inst).reduced):
+                g = superstructure(work)
+                for forest in (graphs.lfen_search(g).forest, graphs.feedback_edge_set(g)):
+                    eng = engine(work, g, forest)
+                    ref = closed_engine(work, g, forest)
+                    assert eng.solve() == ref.solve()
+                    for v in range(work.n):
+                        assert list(eng.tables[v].items()) == one_chain_table(ref, v)
+                    pairs += 1
+    assert pairs == 1040
