@@ -3,7 +3,7 @@
 Run:  python demos/04_solver_tour.py
 """
 
-from bnsl import generate, superstructure, to_nonzero
+from bnsl import generate, to_nonzero
 from bnsl.depset import dependent_vertices, solve_bnsl_depset
 from bnsl.lfen_dp import solve_bnsl_lfen
 from bnsl.oracle import exact_bnsl

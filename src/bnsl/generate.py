@@ -16,6 +16,7 @@ from .instances import AdditiveInstance, NonZeroInstance, Superstructure, find
 
 _EMPTY_SET_PROB = 0.15  # scores_for_graph: chance of an explicit empty-set score
 _BOTH_ARCS_PROB = 0.5  # additive_for_graph: chance that an edge scores both arcs
+_DEPENDENTS_EMPTY_PROB = 0.2  # random_limited_dependents: chance of an empty-set score
 
 
 def _rng(seed_or_rng) -> random.Random:
@@ -193,7 +194,6 @@ def random_limited_dependents(
     n: int,
     dependents: int,
     max_score: int = 8,
-    empty_prob: float = 0.2,
 ) -> NonZeroInstance:
     """Instance where only a chosen few vertices have candidate parents.
 
@@ -224,7 +224,7 @@ def random_limited_dependents(
     names = tuple(f"x{i}" for i in range(n))
     inst_entries = {v: sets for v, sets in entries.items() if sets}
     for v in range(n):
-        if rng.random() < empty_prob:
+        if rng.random() < _DEPENDENTS_EMPTY_PROB:
             inst_entries.setdefault(v, {})[frozenset()] = rng.randint(1, max_score)
     inst_entries = {v: s for v, s in inst_entries.items() if s}
     return NonZeroInstance(n, names, inst_entries)

@@ -15,10 +15,7 @@ relations, the indices that both of them touch: `support`), each pivot a
 shift, a mask and a product on the whole int.  `classes` gives
 the connected classes and `class_rows` their same-class relation.  The
 record DP moves relations between vertex lists through `remap`, which
-compiles a fixed source -> target map once for many relations.  The bag
-DP's two sorted bags differ by one vertex, so its map depends only on the
-smaller bag's size and the vertex's position: `insert_index` and
-`drop_index` compile one per shape.
+compiles a fixed source -> target map once for many relations.
 """
 
 from __future__ import annotations
@@ -113,54 +110,6 @@ def remap(src: Sequence, dst: Sequence):
                 new |= bit[low.bit_length() - 1]
                 row ^= low
             out |= new << to
-        return out
-
-    return apply
-
-
-@lru_cache(maxsize=None)
-def insert_index(s: int, i: int):
-    """The map from relations over range(s) to relations over range(s + 1)
-    that inserts index i, unrelated, before the old index i: old index a
-    becomes a, or a + 1 from i on.  Compiled once per shape; each call
-    costs one step per non-empty row."""
-    d = s + 1
-    low = (1 << i) - 1
-    # to[f]: where field f (row s - 1 - f) lands
-    to = [(d - 1 - (a if a < i else a + 1)) * d for a in range(s - 1, -1, -1)]
-
-    def apply(m: int) -> int:
-        out = 0
-        while m:
-            f = (m.bit_length() - 1) // s
-            row = m >> f * s
-            m ^= row << f * s
-            out |= (row & low | (row >> i) << i + 1) << to[f]
-        return out
-
-    return apply
-
-
-@lru_cache(maxsize=None)
-def drop_index(s: int, i: int):
-    """The map from relations over range(s) to relations over range(s - 1)
-    that drops index i and every pair holding it: old index a becomes a,
-    or a - 1 after i.  Compiled once per shape; each call costs one step
-    per non-empty row."""
-    d = s - 1
-    low = (1 << i) - 1
-    # to[f]: where field f (row s - 1 - f) lands, None for the dropped row
-    to = [None if a == i else (d - 1 - (a if a < i else a - 1)) * d
-          for a in range(s - 1, -1, -1)]
-
-    def apply(m: int) -> int:
-        out = 0
-        while m:
-            f = (m.bit_length() - 1) // s
-            row = m >> f * s
-            m ^= row << f * s
-            if to[f] is not None:
-                out |= (row & low | (row >> i + 1) << i) << to[f]
         return out
 
     return apply

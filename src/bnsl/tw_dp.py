@@ -5,7 +5,10 @@ partial network on the vertices seen so far: the arcs among bag vertices
 (loc), what the bag can observe of connectivity through forgotten vertices
 (con: strict reachability for acyclic networks, same-component pairs for
 polytrees), and per-bag-vertex parent counts (inn) when an in-degree bound
-applies.  Tables map snapshots to the best achievable partial score.
+applies.  Tables map snapshots to the best achievable partial score.  Each
+vertex keeps one index while it is in the bag, so every relation lives on
+the same width + 1 indices at every node: an introduce passes its child's
+snapshots on as they are, and a forget clears one row and one column.
 
 Arcs are drawn from the superstructure only; any other arc scores zero and
 can never help, so the optimum is unaffected and tables stay small.  The
@@ -65,14 +68,28 @@ class _TwEngine:
             self.g = fold.g
             self.bonus = fold.bonus
         self.td = td
-        self.verts = [tuple(sorted(node.bag)) for node in td.nodes]
+        # verts[t][j]: the vertex at index j of node t's bag, None where the
+        # index is free.  A vertex keeps one index from the highest node that
+        # holds it down to every node below that does, taking the lowest
+        # free index where it first appears, so introduce and forget leave
+        # every other vertex where it is
+        self.verts: list = [None] * len(td.nodes)
+        stack = [(td.root, (None,) * (td.width + 1))]
+        while stack:
+            t, above = stack.pop()
+            node = td.nodes[t]
+            row = [x if x in node.bag else None for x in above]
+            for x in sorted(node.bag.difference(row)):
+                row[row.index(None)] = x
+            self.verts[t] = row = tuple(row)
+            stack.extend((c, row) for c in node.children)
         self.tables: dict[int, dict] = {}
 
-    # snapshots: (loc, con, inn); loc and con are relations over the node's
-    # sorted bag, one int each (bnsl.relations), inn the parent count of
-    # each bag vertex in the same order, () without a bound; an empty inn
-    # (no bound, or an empty bag) passes every bound test.  Table entries:
-    # (score, arcs introduced here, the key of each child in node.children)
+    # snapshots: (loc, con, inn); loc and con are relations over the width
+    # + 1 bag indices, one int each (bnsl.relations), inn the parent count
+    # at each index (0 where it is free), () without a bound; an empty inn
+    # (no bound) passes every bound test.  Table entries: (score, arcs
+    # introduced here, the key of each child in node.children)
 
     def run_tables(self):
         step = {"leaf": self._leaf, "introduce": self._introduce,
@@ -86,7 +103,7 @@ class _TwEngine:
     def solve(self) -> tuple[int, Network]:
         self.run_tables()
         root_table = self.tables[self.td.root]
-        key = (0, 0, ())
+        key = (0, 0, () if self.q is None else (0,) * len(self.verts[self.td.root]))
         if list(root_table) != [key]:
             raise RuntimeError("root must hold the single empty snapshot")
         score = root_table[key][0]
@@ -177,7 +194,7 @@ class _TwEngine:
         return relations.class_rows(parts, d) if len(parts) == fresh else None
 
     def _leaf(self, t, node) -> dict:
-        return {(0, 0, () if self.q is None else (0,) * len(node.bag)): (0, _NO_ARCS)}
+        return {(0, 0, () if self.q is None else (0,) * len(self.verts[t])): (0, _NO_ARCS)}
 
     def _introduce(self, t, node) -> dict:
         (child,) = node.children
@@ -189,7 +206,8 @@ class _TwEngine:
         score = self.inst.arc_scores.get
         # each undirected edge to v skipped, v->u or u->v, in the order
         # `itertools.product` lists them: the choices are grown one bag
-        # neighbour at a time, the first the slowest, each step adding one
+        # neighbour at a time in vertex order, the first the slowest (so
+        # tables do not depend on the indices), each step adding one
         # arc's bit, support, count and score.  Only v's own parent count
         # can pass q; a choice is dropped as soon as it does.  con is
         # closed, and every arc of a choice touches v, so a shortest path
@@ -198,9 +216,7 @@ class _TwEngine:
         v_row = (d - 1 - i) * d
         grown = [((), 0, 0, 0, 0)]  # arcs, rows, support, parents of v, gain
         nbrs = self.g.adj[v]
-        for j, u in enumerate(verts):
-            if u not in nbrs:
-                continue
+        for u, j in sorted((u, j) for j, u in enumerate(verts) if u in nbrs):
             out_arc, out_bit, out_gain = (v, u), 1 << v_row + j, score((v, u), 0)
             in_arc, in_bit, in_gain = (u, v), 1 << (d - 1 - j) * d + i, score((u, v), 0)
             pair = 1 << i | 1 << j
@@ -223,11 +239,8 @@ class _TwEngine:
                 cnt = tuple(cnt)
             choices.append((frozenset(arcs), rows, sup, cnt, gain))
         table: dict = {}
-        to_bag = relations.insert_index(d - 1, i)
         for ckey, centry in self.tables[child].items():
-            loc0 = to_bag(ckey[0])
-            con0 = to_bag(ckey[1])
-            inn0 = ckey[2][:i] + (0,) + ckey[2][i:]
+            loc0, con0, inn0 = ckey
             n_old = len(relations.classes(con0, d)) if self.pl else 0
             for arcs, rows, pivots, cnt, gain in choices:
                 inn = cnt and tuple(map(add, inn0, cnt))
@@ -247,14 +260,15 @@ class _TwEngine:
     def _forget(self, t, node) -> dict:
         (child,) = node.children
         cverts = self.verts[child]
+        d = len(cverts)
         v = next(iter(self.td.nodes[child].bag - node.bag))
         i = cverts.index(v)
         bonus = self.bonus.get(v, (0,) * ((self.q or 0) + 1))
         table: dict = {}
-        to_bag = relations.drop_index(len(cverts), i)
+        keep = relations.cut_mask((1 << d) - 1 ^ 1 << i, d)
         for ckey, centry in self.tables[child].items():
             loc, con, inn = ckey
-            key = (to_bag(loc), to_bag(con), inn[:i] + inn[i + 1:])
+            key = (loc & keep, con & keep, inn and inn[:i] + (0,) + inn[i + 1:])
             val = centry[0] + bonus[inn[i] if inn else 0]
             cur = table.get(key)
             if cur is None or val > cur[0]:
@@ -495,9 +509,10 @@ def snapshot_tables(
     plain = {}
     for t, table in tables.items():
         verts = eng.verts[t]
+        order = sorted((x, j) for j, x in enumerate(verts) if x is not None)
         plain[t] = {
             (relations.to_pairs(loc, verts), relations.to_pairs(con, verts),
-             tuple(zip(verts, inn))): entry[0]
+             inn and tuple((x, inn[j]) for x, j in order)): entry[0]
             for (loc, con, inn), entry in table.items()
         }
     return plain, td

@@ -43,7 +43,9 @@ lfen local search that scores every swap on a rebuilt forest
 whole edge set for every draw (`subdivide_resort`), and the component
 subgraph that scans every edge once per component
 (`component_subgraph_edge_scan`), the bag DP's steps before they dropped
-their per-node overhead (`TwEngineProduct`), the pendant-tree fold on
+their per-node overhead (`TwEngineProduct`, over each node's sorted
+bag), the per-shape index maps that moved the bag DP's relations between
+two sorted bags (`insert_index` and `drop_index`), the pendant-tree fold on
 generators (`FoldGenerators` with `peel_generator`), the additive
 parser with a per-token closure (`parse_additive_closure`), and the
 result checks and writer that built a parent set per vertex (`parent_sets`,
@@ -68,6 +70,7 @@ read off the kernel's working state (`work_score`, formerly
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations, product
 from operator import add, itemgetter, or_, sub
 from typing import Iterable, Optional, Sequence
@@ -2673,7 +2676,13 @@ class TwEngineProduct(_TwEngine):
     introduce lists its arc choices with `itertools.product` and rebuilds
     every choice's arcs, parent counts, rows and support; introduce and
     forget compile a fresh `relations.remap` per node; each join entry
-    sums its loc arcs' scores and counts; `_prune` groups every table."""
+    sums its loc arcs' scores and counts; `_prune` groups every table.
+    Its relations and parent counts are over each node's sorted bag, the
+    layout before each vertex kept one index while in the bag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.verts = [tuple(sorted(node.bag)) for node in self.td.nodes]
 
     def _prune(self, table: dict) -> dict:
         """The entries of `table` that no other entry dominates, in their
@@ -2830,6 +2839,53 @@ class TwEngineProduct(_TwEngine):
                     table[key] = (val, _NO_ARCS, key1, key2)
         return table
 
+
+@lru_cache(maxsize=None)
+def insert_index(s: int, i: int):
+    """The map from relations over range(s) to relations over range(s + 1)
+    that inserts index i, unrelated, before the old index i: old index a
+    becomes a, or a + 1 from i on.  Compiled once per shape; each call
+    costs one step per non-empty row."""
+    d = s + 1
+    low = (1 << i) - 1
+    # to[f]: where field f (row s - 1 - f) lands
+    to = [(d - 1 - (a if a < i else a + 1)) * d for a in range(s - 1, -1, -1)]
+
+    def apply(m: int) -> int:
+        out = 0
+        while m:
+            f = (m.bit_length() - 1) // s
+            row = m >> f * s
+            m ^= row << f * s
+            out |= (row & low | (row >> i) << i + 1) << to[f]
+        return out
+
+    return apply
+
+
+@lru_cache(maxsize=None)
+def drop_index(s: int, i: int):
+    """The map from relations over range(s) to relations over range(s - 1)
+    that drops index i and every pair holding it: old index a becomes a,
+    or a - 1 after i.  Compiled once per shape; each call costs one step
+    per non-empty row."""
+    d = s - 1
+    low = (1 << i) - 1
+    # to[f]: where field f (row s - 1 - f) lands, None for the dropped row
+    to = [None if a == i else (d - 1 - (a if a < i else a - 1)) * d
+          for a in range(s - 1, -1, -1)]
+
+    def apply(m: int) -> int:
+        out = 0
+        while m:
+            f = (m.bit_length() - 1) // s
+            row = m >> f * s
+            m ^= row << f * s
+            if to[f] is not None:
+                out |= (row & low | (row >> i + 1) << i) << to[f]
+        return out
+
+    return apply
 
 def peel_generator(g: Superstructure) -> tuple[list[int], dict]:
     """The vertices that repeatedly peeling degree <= 1 vertices removes, in

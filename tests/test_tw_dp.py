@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from bnsl import cli, generate, graphs, lfen_dp, oracle, tw_dp
+from bnsl import cli, generate, graphs, lfen_dp, oracle, relations, tw_dp
 from bnsl.instances import (
     AdditiveInstance,
     Superstructure,
@@ -178,12 +178,23 @@ def test_supplied_decomposition_is_used():
     assert s == 5
 
 
+def sorted_key(eng, t, key):
+    """A packed snapshot key of node t over the node's sorted bag: loc and
+    con carried there by `relations.remap`, inn the parent counts in sorted
+    vertex order."""
+    verts = eng.verts[t]
+    bag = sorted(eng.td.nodes[t].bag)
+    to_bag = relations.remap(verts, bag)
+    loc, con, inn = key
+    return to_bag(loc), to_bag(con), inn and tuple(inn[verts.index(x)] for x in bag)
+
+
 def dict_key(eng, t, key):
     """A packed snapshot key of node t in the dict engine's format: loc and
-    con as row tuples, inn as (vertex, count) pairs."""
-    verts = eng.verts[t]
-    loc, con, inn = key
-    return tuple(unpack(loc, len(verts))), tuple(unpack(con, len(verts))), tuple(zip(verts, inn))
+    con as row tuples over the sorted bag, inn as (vertex, count) pairs."""
+    bag = sorted(eng.td.nodes[t].bag)
+    loc, con, inn = sorted_key(eng, t, key)
+    return tuple(unpack(loc, len(bag))), tuple(unpack(con, len(bag))), tuple(zip(bag, inn))
 
 
 def dict_entry(entry) -> tuple:
@@ -506,9 +517,10 @@ def step_family():
 
 
 def test_steps_and_fold_match_product_engine():
-    # the steps that grow arc choices one neighbour at a time and take one
-    # index map per bag shape give the tables of the old steps, in
-    # insertion order (keys, scores, arcs, backpointers), and the same
+    # the steps that grow arc choices one neighbour at a time and keep each
+    # vertex at one index while it is in the bag give the tables of the old
+    # steps over sorted bags, in insertion order (keys carried to the sorted
+    # bag, scores, arcs, backpointers), and the same
     # score and witness: unfolded over the whole graph's decomposition,
     # pruned and (up to width 3) unpruned, and folded, over the core's
     # own decomposition or (every other instance) over the whole graph's
@@ -537,9 +549,44 @@ def test_steps_and_fold_match_product_engine():
                 assert (score, net) == ref.solve()
                 assert list(new.tables) == list(ref.tables)
                 for t, table in new.tables.items():
-                    assert list(table.items()) == list(ref.tables[t].items())
+                    children = dec.nodes[t].children
+                    got = [(sorted_key(new, t, key), entry[:2] + tuple(
+                        sorted_key(new, c, ck) for c, ck in zip(children, entry[2:])))
+                        for key, entry in table.items()]
+                    assert got == list(ref.tables[t].items())
                 if with_fold is not None:
                     core_arcs = {(x, y) for x, y in net.arcs if x not in fold.kids.get(y, ())
                                  and y not in fold.kids.get(x, ())}
                     assert fold.lift(core_arcs) == old.lift(core_arcs)
     assert widths == {1, 2, 3, 4, 5} and len(shapes) == 4
+
+
+def test_each_vertex_keeps_one_index():
+    # over min-fill decompositions of the whole graph, of the 2-core alone
+    # and the whole graph's cut to the core: each node's index list holds
+    # exactly its bag on width + 1 indices, a vertex sits at one index at
+    # every node that holds it, and a join's children share their parent's
+    count, kinds = 0, set()
+    for seed in range(200):
+        rng = random.Random(230_000 + seed)
+        inst = generate.random_additive(rng, rng.randint(1, 40), rng.randint(0, 12),
+                                        q=rng.choice([None, 2]), connected=(seed % 3 != 0),
+                                        exact_fen=False)
+        g = superstructure(inst)
+        whole = graphs.tree_decomposition(g)
+        for td in (whole, tw_dp.fold_core(inst, g)[1], tw_dp.fold_core(inst, g, whole)[1]):
+            eng = tw_dp._TwEngine(inst, td, "bnsl")
+            index: dict = {}
+            for t, node in enumerate(td.nodes):
+                verts = eng.verts[t]
+                kinds.add(node.kind)
+                assert len(verts) == td.width + 1
+                held = [x for x in verts if x is not None]
+                assert len(held) == len(node.bag) and set(held) == node.bag
+                for j, x in enumerate(verts):
+                    if x is not None:
+                        assert index.setdefault(x, j) == j
+                if node.kind == "join":
+                    assert all(eng.verts[c] == verts for c in node.children)
+            count += 1
+    assert count == 600 and kinds == {"leaf", "introduce", "forget", "join"}
