@@ -157,6 +157,28 @@ def lfen_of_tree(g: Superstructure, forest: SpanningForest) -> LfenWitness:
     return LfenWitness(forest, tuple(counts), value)
 
 
+def peel(g: Superstructure) -> tuple[list[int], dict]:
+    """The vertices that repeatedly peeling degree <= 1 vertices removes, in
+    removal order, and for each the one neighbour it had left then (None
+    for the last vertex of a tree component).  The rest is the 2-core."""
+    adj = g.adj
+    deg = [len(adj[v]) for v in range(g.n)]
+    order = [v for v in range(g.n) if deg[v] <= 1]
+    up: dict = {}
+    for x in order:  # grows while read: a vertex left with one neighbour joins
+        p = None
+        for y in adj[x]:
+            if y not in up:
+                p = y
+                break
+        up[x] = p
+        if p is not None:
+            deg[p] -= 1
+            if deg[p] == 1:
+                order.append(p)
+    return order, up
+
+
 def _component_subgraph(g: Superstructure, comp: list[int]):
     idx = {v: i for i, v in enumerate(comp)}
     edges = [(idx[a], idx[b]) for a in comp for b in g.adj[a] if a < b]
@@ -284,6 +306,12 @@ def _component_lfen_tree(g: Superstructure, budget: int):
     best_tree = None
     best_key = None
     if spanning_tree_count(g) <= budget:
+        if g.edge_count() == g.n:
+            # one cycle, the 2-core: every tree drops one of its edges and
+            # scores 1, and the smallest sorted edge tuple drops the largest
+            up = peel(g)[1]
+            drop = max(e for e in g.edges if e[0] not in up and e[1] not in up)
+            return g.edges - {drop}, True
         for tree in _spanning_trees(g):
             value = lfen_of_tree(g, forest_from_edges(g, tree)).value
             key = (value, tuple(sorted(tree)))

@@ -24,7 +24,9 @@ File formats (all whitespace-delimited UTF-8, `#` starts a comment line):
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Optional, Union
 
 MAX_SCORE = 2**63 - 1
@@ -373,14 +375,14 @@ def _skeleton_path(adj: dict[int, set[int]], start: int, goal: int) -> list[int]
 
 def _content_lines(text: str) -> Iterator[tuple[int, list[str]]]:
     for i, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield i, stripped.split()
+        tok = raw.split()
+        if tok and tok[0][0] != "#":
+            yield i, tok
 
 
 def parse_nonzero(text: str) -> NonZeroInstance:
-    """Parse an explicit score file (see module docstring for the grammar)."""
+    """Parse an explicit score file (see module docstring for the grammar)
+    in two passes: the block headers, then the entries, every name known."""
     lines = _content_lines(text)
     try:
         line_no, tok = next(lines)
@@ -390,38 +392,32 @@ def parse_nonzero(text: str) -> NonZeroInstance:
         raise ParseError(line_no, "expected a single variable count")
     n = _parse_nat(line_no, tok[0], "variable count")
 
-    names: list[str] = []
     index: dict[str, int] = {}
-    blocks: list[tuple[int, int, int]] = []  # (var, entry_count, line)
-    pending: list[tuple[int, list[str]]] = list(lines)
-    pos = 0
-    while pos < len(pending):
-        line_no, tok = pending[pos]
-        pos += 1
+    counts: list[int] = []
+    header = 1  # the line of the last block header read
+    for header, tok in lines:
         if len(tok) != 2:
-            raise ParseError(line_no, "expected '<varname> <entry-count>'")
+            raise ParseError(header, "expected '<varname> <entry-count>'")
         name, cnt_s = tok
         if name in index:
-            raise ParseError(line_no, f"variable {name!r} declared twice")
-        cnt = _parse_nat(line_no, cnt_s, "entry count")
-        index[name] = len(names)
-        names.append(name)
-        blocks.append((index[name], cnt, line_no))
-        pos += cnt
-        if pos > len(pending):
-            raise ParseError(line_no, f"{cnt} entries announced, file truncated")
-    if len(names) != n:
-        raise ParseError(line_no if pending else 1,
-                         f"declared {n} variables, found {len(names)}")
+            raise ParseError(header, f"variable {name!r} declared twice")
+        cnt = _parse_nat(header, cnt_s, "entry count")
+        index[name] = len(counts)
+        counts.append(cnt)
+        # skip the entry lines (islice stops at sys.maxsize, past any text)
+        if cnt and next(islice(lines, min(cnt - 1, sys.maxsize), None), None) is None:
+            raise ParseError(header, f"{cnt} entries announced, file truncated")
+    if len(index) != n:
+        raise ParseError(header, f"declared {n} variables, found {len(index)}")
 
     entries: dict[int, dict[frozenset[int], int]] = {}
-    pos = 0
-    for v, cnt, _ in blocks:
-        pos += 1
+    lines = _content_lines(text)
+    next(lines)  # the variable count
+    # each block's vertex is the index's own int, which its parent sets share
+    for v, cnt in zip(index.values(), counts):
+        next(lines)  # the block header
         sets: dict[frozenset[int], int] = {}
-        for _ in range(cnt):
-            line_no, tok = pending[pos]
-            pos += 1
+        for line_no, tok in islice(lines, cnt):
             if len(tok) < 2:
                 raise ParseError(line_no, "expected '<score> <k> <parents...>'")
             score = _parse_nat(line_no, tok[0], "score")
@@ -447,7 +443,7 @@ def parse_nonzero(text: str) -> NonZeroInstance:
             sets[pset] = score
         if sets:
             entries[v] = sets
-    return NonZeroInstance(n, tuple(names), entries)
+    return NonZeroInstance(n, tuple(index), entries)
 
 
 def write_nonzero(instance: NonZeroInstance) -> str:

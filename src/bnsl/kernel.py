@@ -39,11 +39,11 @@ _EMPTY = frozenset()
 class _Work:
     """Mutable kernelization state over loose vertex ids.
 
-    The superstructure adjacency (`adj`, keyed by the live vertices) and
-    each vertex's parent union are kept up to date by the mutators `fresh`,
-    `remove`, `set_entries` and `prune_leaves`.  A min-heap holds every
-    vertex that may have a degree-1 neighbour (pushed whenever a vertex's
-    degree drops or rises to 1); `rule1_target` validates it lazily.
+    The superstructure adjacency (`adj`, keyed by the live vertices) is kept
+    up to date by the mutators `fresh`, `remove`, `set_entries` and
+    `prune_leaves`.  A min-heap holds every vertex that may have a degree-1
+    neighbour (pushed whenever a vertex's degree drops or rises to 1);
+    `rule1_target` validates it lazily.
     """
 
     def __init__(self, instance: NonZeroInstance):
@@ -54,10 +54,8 @@ class _Work:
         self.next_id = instance.n
         self.used_names = set(self.names.values())
         self.adj: dict[int, set[int]] = {v: set() for v in range(instance.n)}
-        self.parent_union: dict[int, set[int]] = {}
         for v, sets in self.entries.items():
-            union = self.parent_union[v] = set().union(*sets)
-            for p in union:
+            for p in set().union(*sets):
                 self.adj[v].add(p)
                 self.adj[p].add(v)
         self.leaf_heap = sorted(
@@ -78,28 +76,28 @@ class _Work:
     def remove(self, v: int):
         self.entries.pop(v, None)
         self.names.pop(v, None)
-        self.parent_union.pop(v, None)
-        for u in self.adj.pop(v, ()):
-            nbrs = self.adj[u]
-            nbrs.discard(v)
-            if len(nbrs) == 1:
-                heapq.heappush(self.leaf_heap, next(iter(nbrs)))
+        nbrs = self.adj.pop(v, ())
+        for u in nbrs:
+            self.adj[u].discard(v)
+        self._note_degrees(nbrs)
 
     def set_entries(self, v: int, sets: dict[frozenset[int], int]):
         """Install a score table, dropping zero-score sets (they equal the
         unlisted default and would break the representation).  Parent
         sets may still name vertices already removed (rule 2 removes the
-        inner path before rewriting the anchors); those get no edge."""
+        inner path before rewriting the anchors); those get no edge.  The
+        edge to a parent that the new table drops survives exactly when
+        that parent's own table still names v."""
         kept = {p: s for p, s in sets.items() if s > 0}
+        old = set().union(*self.entries.get(v, ()))
         if kept:
             self.entries[v] = kept
         else:
             self.entries.pop(v, None)
-        old = self.parent_union.get(v, set())
-        new = self.parent_union[v] = set().union(*kept)
+        new = set().union(*kept)
         touched = {v}
         for p in old - new:
-            if p in self.adj and v not in self.parent_union.get(p, ()):
+            if p in self.adj and not any(v in ps for ps in self.entries.get(p, ())):
                 self.adj[p].discard(v)
                 self.adj[v].discard(p)
                 touched.add(p)
@@ -113,9 +111,8 @@ class _Work:
     def prune_leaves(self, v: int, sets: dict[frozenset[int], int], leaves: frozenset[int]):
         """Rule 1's update: install v's table `sets`, whose non-empty parent
         sets have positive scores and name every parent of v but `leaves`,
-        then remove the leaves, whose only neighbour is v.  v's parent union
-        is cut by the leaves instead of rebuilt as `set_entries` would, and
-        v's adjacency loses them at once."""
+        then remove the leaves, whose only neighbour is v.  v's adjacency
+        loses them at once instead of edge by edge as in `set_entries`."""
         if not sets.get(_EMPTY, 1):
             del sets[_EMPTY]
         entries = self.entries
@@ -123,16 +120,11 @@ class _Work:
             entries[v] = sets
         else:
             entries.pop(v, None)
-        if v in self.parent_union:
-            self.parent_union[v] -= leaves
         for w in leaves:
             entries.pop(w, None)
             del self.names[w], self.adj[w]
-            self.parent_union.pop(w, None)
-        nbrs = self.adj[v]
-        nbrs -= leaves
-        if len(nbrs) == 1:
-            heapq.heappush(self.leaf_heap, next(iter(nbrs)))
+        self.adj[v] -= leaves
+        self._note_degrees((v,))
 
     def _note_degrees(self, changed):
         for u in changed:

@@ -37,7 +37,7 @@ from operator import add, itemgetter, sub
 from typing import Optional
 
 from . import relations
-from .graphs import NiceTreeDecomposition, nice_from_raw, tree_decomposition
+from .graphs import NiceTreeDecomposition, nice_from_raw, peel, tree_decomposition
 from .instances import AdditiveInstance, Network, Superstructure, superstructure
 
 _NO_ARCS: frozenset = frozenset()
@@ -323,48 +323,27 @@ class _TwEngine:
         return table
 
 
-def _peel(g: Superstructure) -> tuple[list[int], dict]:
-    """The vertices that repeatedly peeling degree <= 1 vertices removes, in
-    removal order, and for each the one neighbour it had left then (None
-    for the last vertex of a tree component).  The rest is the 2-core."""
-    adj = g.adj
-    deg = [len(adj[v]) for v in range(g.n)]
-    order = [v for v in range(g.n) if deg[v] <= 1]
-    up: dict = {}
-    for x in order:  # grows while read: a vertex left with one neighbour joins
-        p = None
-        for y in adj[x]:
-            if y not in up:
-                p = y
-                break
-        up[x] = p
-        if p is not None:
-            deg[p] -= 1
-            if deg[p] == 1:
-                order.append(p)
-    return order, up
-
-
 class Fold:
     """The trees hanging off the 2-core of a superstructure, folded bottom up.
 
-    Each peeled vertex x (`_peel`) hangs from `up[x]`.  Its edge to it is a
-    bridge, which closes neither a directed cycle nor a skeleton cycle, so
-    a hanging tree touches the rest of the network only through the
-    in-degree of the vertex it hangs from, in both modes and for any bound
-    q, which is the instance's own `max_in_degree`.  `a[x]` is the best score of x's subtree when x takes the arc from
-    `up[x]`, so only q - 1 of its parents can come from below, and `b[x]`
-    the best when it does not.  A child c of x adds base_c = max(a[c] +
-    s(x, c), b[c]) and offers the arc c -> x at gain_c = b[c] + s(c, x) -
-    base_c; x keeps its best positive gains up to its free parent slots
-    (all of them without a bound).
+    Each peeled vertex x (`graphs.peel`) hangs from `up[x]`.  Its edge to
+    it is a bridge, which closes neither a directed cycle nor a skeleton
+    cycle, so a hanging tree touches the rest of the network only through
+    the in-degree of the vertex it hangs from, in both modes and for any
+    bound q, which is the instance's own `max_in_degree`.  `a[x]` is the
+    best score of x's subtree when x takes the arc from `up[x]`, so only
+    q - 1 of its parents can come from below, and `b[x]` the best when it
+    does not.  A child c of x adds base_c = max(a[c] + s(x, c), b[c]) and
+    offers the arc c -> x at gain_c = b[c] + s(c, x) - base_c; x keeps its
+    best positive gains up to its free parent slots (all of them without a
+    bound).
     """
 
     def __init__(self, instance: AdditiveInstance, g: Superstructure):
         self.g = g
         self.q = q = instance.max_in_degree
         self.arc_scores = score = instance.arc_scores
-        order, up = _peel(g)
+        order, up = peel(g)
         self.core = [v for v in range(g.n) if v not in up]
         self.kids = kids = {}
         for x in order:

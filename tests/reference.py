@@ -47,7 +47,10 @@ their per-node overhead (`TwEngineProduct`, over each node's sorted
 bag), the per-shape index maps that moved the bag DP's relations between
 two sorted bags (`insert_index` and `drop_index`), the pendant-tree fold on
 generators (`FoldGenerators` with `peel_generator`), the additive
-parser with a per-token closure (`parse_additive_closure`), and the
+parser with a per-token closure (`parse_additive_closure`), the explicit
+parser that listed every content line before it read a block
+(`parse_nonzero_pending`, reading its lines through the earlier
+`_content_lines`, `content_lines_strip`), and the
 result checks and writer that built a parent set per vertex (`parent_sets`,
 the earlier `Network.parent_map`, read by `score_of_parent_sets` and
 `write_solution_parent_sets`) and ran the ordered diagnosis on every
@@ -73,7 +76,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
 from operator import add, itemgetter, or_, sub
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from bnsl import generate, graphs, relations
 from bnsl.graphs import (
@@ -573,8 +576,9 @@ def kernelize_old_rules(instance, polytree):
     return kernel.KernelResult(reduced, steps, loose_of_reduced, instance.n)
 
 
-# Rule 1 before its lean step, kept verbatim (only renamed, and the
-# `_Work.prune_leaves` it called made a function on the working state): a
+# Rule 1 before its lean step, kept verbatim (only renamed, the
+# `_Work.prune_leaves` it called made a function on the working state, and
+# less that function's cut of the parent-union copy `_Work` kept then): a
 # nested `offer` closure, set algebra for every parent set of v, and the
 # leaves removed one by one through `_Work.remove`.  `kernelize_rr1_offer`
 # runs the kernel's fixed-point loop with it; the library must reproduce
@@ -648,9 +652,7 @@ def prune_leaves_per_leaf(work: _Work, v: int, sets: dict[frozenset[int], int],
                           leaves: frozenset[int]):
     """Rule 1's update: install v's table `sets`, whose non-empty parent
     sets have positive scores and name every parent of v but `leaves`,
-    then remove the leaves.  v's parent union is cut by the leaves
-    instead of rebuilt as `set_entries` would, and the leaves' edges
-    go with them."""
+    then remove the leaves, and the leaves' edges go with them."""
     empty = frozenset()
     if not sets.get(empty, 1):
         del sets[empty]
@@ -658,8 +660,6 @@ def prune_leaves_per_leaf(work: _Work, v: int, sets: dict[frozenset[int], int],
         work.entries[v] = sets
     else:
         work.entries.pop(v, None)
-    if v in work.parent_union:
-        work.parent_union[v] -= leaves
     for w in leaves:
         work.remove(w)
 
@@ -3047,6 +3047,85 @@ def parse_additive_closure(text: str) -> AdditiveInstance:
         used.add(cand)
         k += 1
     return AdditiveInstance(n, tuple(names), arcs, q)
+
+
+def content_lines_strip(text: str) -> Iterator[tuple[int, list[str]]]:
+    for i, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        yield i, stripped.split()
+
+
+def parse_nonzero_pending(text: str) -> NonZeroInstance:
+    """Parse an explicit score file (see module docstring for the grammar)."""
+    lines = content_lines_strip(text)
+    try:
+        line_no, tok = next(lines)
+    except StopIteration:
+        raise ParseError(1, "empty file") from None
+    if len(tok) != 1:
+        raise ParseError(line_no, "expected a single variable count")
+    n = _parse_nat(line_no, tok[0], "variable count")
+
+    names: list[str] = []
+    index: dict[str, int] = {}
+    blocks: list[tuple[int, int, int]] = []  # (var, entry_count, line)
+    pending: list[tuple[int, list[str]]] = list(lines)
+    pos = 0
+    while pos < len(pending):
+        line_no, tok = pending[pos]
+        pos += 1
+        if len(tok) != 2:
+            raise ParseError(line_no, "expected '<varname> <entry-count>'")
+        name, cnt_s = tok
+        if name in index:
+            raise ParseError(line_no, f"variable {name!r} declared twice")
+        cnt = _parse_nat(line_no, cnt_s, "entry count")
+        index[name] = len(names)
+        names.append(name)
+        blocks.append((index[name], cnt, line_no))
+        pos += cnt
+        if pos > len(pending):
+            raise ParseError(line_no, f"{cnt} entries announced, file truncated")
+    if len(names) != n:
+        raise ParseError(line_no if pending else 1,
+                         f"declared {n} variables, found {len(names)}")
+
+    entries: dict[int, dict[frozenset[int], int]] = {}
+    pos = 0
+    for v, cnt, _ in blocks:
+        pos += 1
+        sets: dict[frozenset[int], int] = {}
+        for _ in range(cnt):
+            line_no, tok = pending[pos]
+            pos += 1
+            if len(tok) < 2:
+                raise ParseError(line_no, "expected '<score> <k> <parents...>'")
+            score = _parse_nat(line_no, tok[0], "score")
+            k = _parse_nat(line_no, tok[1], "parent count")
+            if len(tok) != 2 + k:
+                raise ParseError(line_no, f"expected {k} parent names, got {len(tok) - 2}")
+            parents = []
+            for name in tok[2:]:
+                if name not in index:
+                    raise ParseError(line_no, f"unknown variable {name!r}")
+                parents.append(index[name])
+            pset = frozenset(parents)
+            if len(pset) != k:
+                raise ParseError(line_no, "repeated parent in one set")
+            if v in pset:
+                raise ParseError(line_no, "variable listed in its own parent set")
+            if pset in sets:
+                raise ParseError(line_no, "duplicate parent set for this variable")
+            if pset and score < 1:
+                raise ParseError(line_no, "non-empty parent set with zero score")
+            if score > MAX_SCORE:
+                raise ParseError(line_no, "score exceeds 2^63-1")
+            sets[pset] = score
+        if sets:
+            entries[v] = sets
+    return NonZeroInstance(n, tuple(names), entries)
 
 
 def parent_sets(network: Network) -> dict[int, set[int]]:

@@ -18,6 +18,7 @@ from bnsl.instances import (
     to_nonzero,
     validate,
     write_additive,
+    write_nonzero,
 )
 
 
@@ -688,6 +689,22 @@ def test_lfen_on_a_long_near_tree(capsys, tmp_path):
         assert code == 0, err
         assert out.strip() == "max_score=6800"
         assert err.strip() == "fen=1 lfen<=1 exact"
+
+
+def test_lfen_on_one_long_cycle(capsys, tmp_path):
+    # a 1500-cycle: each of its 1500 spanning trees drops one edge and
+    # scores 1, so the search takes the tree without the largest edge.
+    # Enumerating them ran out of stack (RecursionError, exit 3)
+    n = 1500
+    g = Superstructure(n, [(v, (v + 1) % n) for v in range(n)])
+    p = tmp_path / "cycle.scores"
+    p.write_text(write_nonzero(generate.scores_for_graph(random.Random(1), g)))
+    assert run(capsys, "params", str(p)) == (0, "fen=1 lfen<=1 exact tw<=2\n", "")
+    code, out, err = run(capsys, "solve", str(p))
+    assert (code, out) == (0, "max_score=7295\n"), err
+    for mode in ("bnsl", "polytree"):
+        code, out, err = run(capsys, "solve", str(p), "--mode", mode, "--algo", "lfen")
+        assert (code, out, err) == (0, "max_score=7295\n", "fen=1 lfen<=1 exact\n")
 
 
 def test_empty_tree_path_is_invalid_input(capsys, example_file):

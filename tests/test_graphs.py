@@ -150,6 +150,25 @@ def test_lfen_search_matches_enumeration_oracle():
         assert w.value == exact
 
 
+def test_unicyclic_closed_form_matches_enumeration():
+    # a connected graph with one cycle: the tree without the cycle's largest
+    # edge is the one the enumeration picks, flagged exact, with and without
+    # subdivided edges
+    subdivided = 0
+    for seed in range(400):
+        rng = random.Random(2600 + seed)
+        g = generate.random_graph(rng, rng.randint(3, 20), 1)
+        if seed % 2:
+            g = generate.subdivide(rng, g, rng.randint(1, 20))
+            subdivided += 1
+        assert g.edge_count() == g.n and len(g.components()) == 1
+        budget = graphs.spanning_tree_count(g)
+        tree, exact = graphs._component_lfen_tree(g, budget)
+        assert (tree, exact) == component_lfen_tree_rebuild(g, budget)
+        assert exact and isinstance(tree, frozenset)
+    assert subdivided == 200
+
+
 def test_lfen_search_budget_fallback_upper_bound():
     rng = random.Random(5)
     g = generate.random_graph(rng, 9, 5)

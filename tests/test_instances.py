@@ -25,6 +25,7 @@ from bnsl.instances import (
 from reference import (
     network_parents,
     parse_additive_closure,
+    parse_nonzero_pending,
     random_network,
     score_of_parent_sets,
     subdivide_resort,
@@ -419,3 +420,69 @@ def test_parse_additive_matches_closure_parser():
             assert parse_outcome(parse_additive, text) == want
             errors += want[0] == "error"
     assert errors >= 200
+
+
+def nonzero_outcome(parse, text):
+    """The instance `parse` reads from `text`, its tables with the sets in
+    file order, or its ParseError's message and line number."""
+    try:
+        inst = parse(text)
+    except ParseError as e:
+        return "error", str(e), e.line_no
+    return inst, [(v, list(sets.items())) for v, sets in inst.entries.items()]
+
+
+def test_parse_nonzero_matches_pending_parser():
+    # the two-pass parser reads the same instances as the parser that
+    # listed every content line first, tables and sets in the same order,
+    # and rejects the same malformed files with the same message and line
+    # number: fixed edge cases, then seeded files with comments and blank
+    # lines, each also with one line broken, dropped, repeated or extended
+    fixed = ["", "\n# only a comment\n", "2 3\n", "x\n", "-1\n", "0\n", "1\n",
+             "\n\n1\n", "2\na 0\n", "1\na\n", "1\na 0 0\n", "2\na 0\na 0\n",
+             "1\na x\n", "1\na -1\n", "1\na 2\n1 0\n", f"1\na {2**63}\n",
+             f"1\na {2**70}\n", "2\na 1\nb 0\n", "1\na 1\n3\n",
+             "2\na 1\n3 1 b\nb 0\n", "2\na 1\n3 1 c\nb 0\n", "2\na 1\n3 2 b\nb 0\n",
+             "2\na 1\n3 2 b b\nb 0\n", "1\na 1\n3 1 a\n", "2\na 2\n3 1 b\n4 1 b\nb 0\n",
+             "2\na 1\n0 1 b\nb 0\n", f"2\na 1\n{2**63} 1 b\nb 0\n", "1\na 1\n0 0\n",
+             "1\na 1\n-1 0\n", "1\na 1\nx 0\n", "1\na 1\n1 y\n",
+             "2\n\n# c\n  a 1 \n\t3 1 b\n b 0\n", "1\na 0\n b 0\n", "1\na 0\n# a 0\n",
+             "1\n\t#c\na\x0b0\x0c\n", "1\n\u3000a 0\u3000\n", "1\n#\na 0 # x\n", "1\n a#b 0\n",
+             "1\r\na 1\r\n\r\n 2 0\r\n", "2\na 1\n1 1 #b\n#b 0\n"]
+    for text in fixed:
+        assert nonzero_outcome(parse_nonzero, text) == nonzero_outcome(parse_nonzero_pending,
+                                                                       text), text
+    texts = errors = 0
+    for seed in range(300):
+        rng = random.Random(190_000 + seed)
+        n = rng.randint(1, 12)
+        connected = seed % 3 != 0
+        inst = generate.random_nonzero(rng, n, rng.randint(0, 3), connected=connected,
+                                       subdivisions=rng.randint(0, n - 2) if connected and n > 2
+                                       and seed % 2 else 0, exact_fen=False)
+        lines = write_nonzero(inst).splitlines()
+        for _ in range(rng.randint(0, 4)):
+            lines.insert(rng.randint(0, len(lines)), rng.choice(["", "   ", "# note", "  #x 1"]))
+        variants = ["\n".join(lines) + "\n"]
+        for _ in range(8):
+            broken = list(lines)
+            at = rng.randrange(len(broken))
+            tok = broken[at].split()
+            how = rng.choice(["token", "token", "drop", "repeat", "extra"])
+            if how == "token" and tok:
+                tok[rng.randrange(len(tok))] = rng.choice(
+                    ["0", "1", "2", "-2", "x", "x0", "x1", "3", str(2**63), str(2**70)])
+                broken[at] = " ".join(tok)
+            elif how == "drop":
+                del broken[at]
+            elif how == "repeat":
+                broken.insert(at, broken[at])
+            else:
+                broken[at] += rng.choice([" 7", " x0"])
+            variants.append("\n".join(broken))
+        for text in variants:
+            want = nonzero_outcome(parse_nonzero_pending, text)
+            assert nonzero_outcome(parse_nonzero, text) == want, text
+            texts += 1
+            errors += want[0] == "error"
+    assert texts == 2700 and 1000 <= errors <= 2400
