@@ -403,12 +403,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("solve", help="compute the optimal network")
     ps.add_argument("instance")
-    ps.add_argument("--mode", choices=["bnsl", "polytree"], default="bnsl")
+    ps.add_argument("--mode", choices=["bnsl", "polytree"], default="bnsl",
+                    help="learn an acyclic network (bnsl) or a polytree (default %(default)s)")
     ps.add_argument(
-        "--algo", choices=["auto", *dict.fromkeys(algo for algo, _ in SOLVERS)], default="auto"
+        "--algo", choices=["auto", *dict.fromkeys(algo for algo, _ in SOLVERS)], default="auto",
+        help="solver; auto, the default, takes the first one that accepts the mode, "
+             "representation and in-degree bound",
     )
-    ps.add_argument("--max-parents", type=int, metavar="Q")
-    ps.add_argument("--target", type=int, metavar="L")
+    ps.add_argument("--max-parents", type=int, metavar="Q",
+                    help="in-degree bound, in place of the file's (additive instances only)")
+    ps.add_argument("--target", type=int, metavar="L",
+                    help="also print answer=YES when the optimum is at least L, "
+                         "else answer=NO and exit 1")
     ps.add_argument("--out", metavar="FILE", help="write the witness network")
     ps.add_argument("--tree", metavar="FILE",
                     help=f"spanning tree edge list (--algo {FLAG_OWNERS['--tree']})")
@@ -442,9 +448,12 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("solution")
     pv.add_argument("--mode", choices=["bnsl", "polytree", "dag"], default="bnsl",
                     metavar="{bnsl,polytree}", help="dag is the old spelling of bnsl")
-    pv.add_argument("--max-parents", type=int)
+    pv.add_argument("--max-parents", type=int, metavar="Q",
+                    help="in-degree bound the solution must keep, in place of the file's "
+                         "(additive instances only)")
     pv.add_argument("--lift", metavar="MAPFILE", help="lift through kernel tables")
-    pv.add_argument("--reduced-instance", metavar="FILE")
+    pv.add_argument("--reduced-instance", metavar="FILE",
+                    help="the reduced instance the solution is over (needed by --lift)")
     pv.set_defaults(func=cmd_verify)
 
     pg = sub.add_parser("gen", help="generate a random instance")

@@ -4,11 +4,13 @@ For additive scores the state at a decomposition node is a snapshot of the
 partial network on the vertices seen so far: the arcs among bag vertices
 (loc), what the bag can observe of connectivity through forgotten vertices
 (con: strict reachability for acyclic networks, same-component pairs for
-polytrees), and per-bag-vertex parent counts (inn) when an in-degree bound
-applies.  Tables map snapshots to the best achievable partial score.  Each
-vertex keeps one index while it is in the bag, so every relation lives on
-the same width + 1 indices at every node: an introduce passes its child's
-snapshots on as they are, and a forget clears one row and one column.
+polytrees), and the parent count of each bag vertex (inn), one int of
+fields as `relations.pack` lays them out, 0 without an in-degree bound.
+Tables map snapshots to the best achievable partial score.  Each vertex
+keeps one index while it is in the bag, so every relation and every count
+lives on the same width + 1 indices at every node: an introduce passes its
+child's snapshots on as they are, and a forget clears one row and one
+column of each relation and one field of inn.
 
 Arcs are drawn from the superstructure only; any other arc scores zero and
 can never help, so the optimum is unaffected and tables stay small.  The
@@ -33,7 +35,6 @@ runs on the same core, each bonus entering as virtual arcs.
 from __future__ import annotations
 
 from collections import Counter
-from operator import add, itemgetter, sub
 from typing import Optional
 
 from . import relations
@@ -83,13 +84,23 @@ class _TwEngine:
                 row[row.index(None)] = x
             self.verts[t] = row = tuple(row)
             stack.extend((c, row) for c in node.children)
+        d, q = td.width + 1, self.q or 0
+        self.w = w = q.bit_length() + 1
+        ones = 0 if self.q is None else relations.pack([1] * d, w)
+        self.units = [ones & (1 << w) - 1 << (d - 1 - j) * w for j in range(d)]
+        self.guard = ones << w - 1
+        self.over = ones * ((1 << w - 1) - 1 - q)
         self.tables: dict[int, dict] = {}
 
     # snapshots: (loc, con, inn); loc and con are relations over the width
     # + 1 bag indices, one int each (bnsl.relations), inn the parent count
-    # at each index (0 where it is free), () without a bound; an empty inn
-    # (no bound) passes every bound test.  Table entries: (score, arcs
-    # introduced here, the key of each child in node.children)
+    # at each index (0 where it is free) in a field of w bits, index 0 in
+    # the top field.  A count stays at most 2q < 2**w, so no field carries
+    # into the next.  units[j] is one count at index j, guard the top bit
+    # of every field, and inn + over sets a field's guard exactly when its
+    # count is above q; without a bound all three are 0, so inn is 0 and
+    # passes every bound test.  Table entries: (score, arcs introduced
+    # here, the key of each child in node.children)
 
     def run_tables(self):
         step = {"leaf": self._leaf, "introduce": self._introduce,
@@ -103,7 +114,7 @@ class _TwEngine:
     def solve(self) -> tuple[int, Network]:
         self.run_tables()
         root_table = self.tables[self.td.root]
-        key = (0, 0, () if self.q is None else (0,) * len(self.verts[self.td.root]))
+        key = (0, 0, 0)
         if list(root_table) != [key]:
             raise RuntimeError("root must hold the single empty snapshot")
         score = root_table[key][0]
@@ -138,42 +149,37 @@ class _TwEngine:
         first collects at least the second's.  And the results again have
         a subset con, no larger inn and no lower score, so the root score
         is unchanged, though a tie may pick another optimal network.
-        Distinct snapshots never dominate each other both ways, so the
-        entries kept are exactly those no other entry dominates.
+        Each loc group is read in the order of (-score, con, inn), and an
+        entry is dropped when one kept before it dominates it.  A distinct
+        dominator comes first, as a subset con and an inn no larger in any
+        field are no larger ints.  Distinct snapshots never dominate each
+        other both ways, so every dominated entry has an undominated
+        dominator, kept before it: the entries kept are exactly those no
+        other entry dominates.
         """
-        if len(table) < 2:
-            return table
         groups: dict = {}
         for key in table:
             groups.setdefault(key[0], []).append(key)
         if len(groups) == len(table):
             return table
-        # con' is a subset of con when con' & ~con is 0; inn packs into
-        # fields of w bits whose top bit is a guard, so inn' <= inn
-        # everywhere when subtracting inn' from inn with every guard set
-        # borrows no guard away
-        w = (self.q or 0).bit_length() + 1
-        guard = relations.pack([1 << w - 1] * len(next(iter(table))[2]), w)
+        # con' is a subset of con when con' & ~con is 0, and inn' <= inn at
+        # every index when subtracting inn' from inn with every guard set
+        # borrows no guard away (fields below the guard hold at most q)
+        guard = self.guard
         dropped = set()
         for keys in groups.values():
             if len(keys) == 1:
                 continue
-            # a dominating snapshot scores at least as much and, when
-            # distinct, has a smaller rank: sorted, it comes first
-            group = []
-            for key in keys:
-                con = key[1]
-                group.append(((-table[key][0], con.bit_count() + sum(key[2])),
-                              con, relations.pack(key[2], w) | guard, key))
-            group.sort(key=itemgetter(0))
-            kept: dict = {}  # con -> packed inn of each kept snapshot with it
-            for _, con, inn, key in group:
+            kept: dict = {}  # con -> inn of each kept snapshot with it
+            for _, key in sorted((-table[k][0], k) for k in keys):
+                _, con, inn = key
+                high = inn | guard
                 for con1, inns in kept.items():
-                    if not con1 & ~con and any((inn - inn1) & guard == guard for inn1 in inns):
+                    if not con1 & ~con and any((high - inn1) & guard == guard for inn1 in inns):
                         dropped.add(key)
                         break
                 else:
-                    kept.setdefault(con, []).append(inn & ~guard)
+                    kept.setdefault(con, []).append(inn)
         return {key: entry for key, entry in table.items() if key not in dropped}
 
     def _aux(self, con: int, d: int) -> int:
@@ -194,7 +200,7 @@ class _TwEngine:
         return relations.class_rows(parts, d) if len(parts) == fresh else None
 
     def _leaf(self, t, node) -> dict:
-        return {(0, 0, () if self.q is None else (0,) * len(self.verts[t])): (0, _NO_ARCS)}
+        return {(0, 0, 0): (0, _NO_ARCS)}
 
     def _introduce(self, t, node) -> dict:
         (child,) = node.children
@@ -202,49 +208,40 @@ class _TwEngine:
         verts = self.verts[t]
         d = len(verts)
         i = verts.index(v)
-        q = self.q
+        units, over, guard = self.units, self.over, self.guard
         score = self.inst.arc_scores.get
         # each undirected edge to v skipped, v->u or u->v, in the order
         # `itertools.product` lists them: the choices are grown one bag
         # neighbour at a time in vertex order, the first the slowest (so
         # tables do not depend on the indices), each step adding one
-        # arc's bit, support, count and score.  Only v's own parent count
-        # can pass q; a choice is dropped as soon as it does.  con is
+        # arc's bit, support, parent count and score.  Only v's own parent
+        # count can pass q; a choice is dropped as soon as it does.  con is
         # closed, and every arc of a choice touches v, so a shortest path
         # of their union switches operand, or takes two arcs in a row, only
         # at the choice's support: glue pivots there
-        v_row = (d - 1 - i) * d
-        grown = [((), 0, 0, 0, 0)]  # arcs, rows, support, parents of v, gain
+        grown = [((), 0, 0, 0, 0)]  # arcs, rows, support, parent counts, gain
         nbrs = self.g.adj[v]
         for u, j in sorted((u, j) for j, u in enumerate(verts) if u in nbrs):
-            out_arc, out_bit, out_gain = (v, u), 1 << v_row + j, score((v, u), 0)
+            out_arc, out_bit, out_gain = (v, u), 1 << (d - 1 - i) * d + j, score((v, u), 0)
             in_arc, in_bit, in_gain = (u, v), 1 << (d - 1 - j) * d + i, score((u, v), 0)
             pair = 1 << i | 1 << j
             prev, grown = grown, []
             for choice in prev:
-                arcs, rows, sup, k, gain = choice
+                arcs, rows, sup, cnt, gain = choice
                 grown.append(choice)
-                grown.append((arcs + (out_arc,), rows | out_bit, sup | pair, k, gain + out_gain))
-                if q is None or k < q:
-                    grown.append((arcs + (in_arc,), rows | in_bit, sup | pair, k + 1,
+                grown.append((arcs + (out_arc,), rows | out_bit, sup | pair, cnt + units[j],
+                              gain + out_gain))
+                if not cnt + units[i] + over & guard:
+                    grown.append((arcs + (in_arc,), rows | in_bit, sup | pair, cnt + units[i],
                                   gain + in_gain))
-        # a choice's parent counts: one at each head of an arc from v, k at v
-        choices = []
-        for arcs, rows, sup, k, gain in grown:
-            if q is None:
-                cnt = ()
-            else:
-                cnt = [rows >> v_row + x & 1 for x in range(d)]
-                cnt[i] = k
-                cnt = tuple(cnt)
-            choices.append((frozenset(arcs), rows, sup, cnt, gain))
+        choices = [(frozenset(arcs), *rest) for arcs, *rest in grown]
         table: dict = {}
         for ckey, centry in self.tables[child].items():
             loc0, con0, inn0 = ckey
             n_old = len(relations.classes(con0, d)) if self.pl else 0
             for arcs, rows, pivots, cnt, gain in choices:
-                inn = cnt and tuple(map(add, inn0, cnt))
-                if inn and max(inn) > q:
+                inn = inn0 + cnt
+                if inn + over & guard:
                     continue
                 # each arc of a polytree choice joins v to a new class
                 con = self._glue(con0, rows, d, pivots, n_old - len(arcs))
@@ -266,10 +263,11 @@ class _TwEngine:
         bonus = self.bonus.get(v, (0,) * ((self.q or 0) + 1))
         table: dict = {}
         keep = relations.cut_mask((1 << d) - 1 ^ 1 << i, d)
+        at, field = (d - 1 - i) * self.w, (1 << self.w) - 1
         for ckey, centry in self.tables[child].items():
             loc, con, inn = ckey
-            key = (loc & keep, con & keep, inn and inn[:i] + (0,) + inn[i + 1:])
-            val = centry[0] + bonus[inn[i] if inn else 0]
+            key = (loc & keep, con & keep, inn & ~(field << at))
+            val = centry[0] + bonus[inn >> at & field]
             cur = table.get(key)
             if cur is None or val > cur[0]:
                 table[key] = (val, _NO_ARCS, ckey)
@@ -279,7 +277,7 @@ class _TwEngine:
         c1, c2 = node.children
         verts = self.verts[t]
         d = len(verts)
-        units = relations.unit(d)
+        cols, units, over, guard = relations.unit(d), self.units, self.over, self.guard
         score = self.inst.arc_scores.get
         # the right entries by loc, each group with loc's class count, the
         # score of its arcs (both sides count them) and its parent counts,
@@ -291,8 +289,7 @@ class _TwEngine:
             if group is None:
                 n_loc = len(relations.classes(loc, d)) if self.pl else 0
                 loc_score = sum(score(arc, 0) for arc in relations.to_pairs(loc, verts))
-                loc_inn = () if self.q is None else tuple(
-                    (loc >> j & units).bit_count() for j in range(d))
+                loc_inn = sum((loc >> j & cols).bit_count() * units[j] for j in range(d))
                 group = by_loc[loc] = (n_loc, loc_score, loc_inn, [])
             group[3].append((key2, entry2[0], self._aux(key2[1], d)))
         table: dict = {}
@@ -309,8 +306,8 @@ class _TwEngine:
             # and the class count alone says whether the union is a forest
             aux1 = self._aux(con1, d)
             for key2, s2, aux2 in group:
-                inn = inn1 and tuple(map(sub, map(add, inn1, key2[2]), loc_inn))
-                if inn and max(inn) > self.q:
+                inn = inn1 + key2[2] - loc_inn
+                if inn + over & guard:
                     continue
                 con = self._glue(con1, key2[1], d, aux1 & aux2, aux1 - n_loc + aux2)
                 if con is None:
@@ -486,12 +483,15 @@ def snapshot_tables(
     eng = _TwEngine(instance, td, mode, prune=False)
     tables = eng.run_tables()
     plain = {}
+    field = (1 << eng.w) - 1
     for t, table in tables.items():
         verts = eng.verts[t]
-        order = sorted((x, j) for j, x in enumerate(verts) if x is not None)
+        # each bag vertex with where its count sits in inn; none without a bound
+        order = sorted((x, (len(verts) - 1 - j) * eng.w) for j, x in enumerate(verts)
+                       if x is not None and eng.q is not None)
         plain[t] = {
             (relations.to_pairs(loc, verts), relations.to_pairs(con, verts),
-             inn and tuple((x, inn[j]) for x, j in order)): entry[0]
+             tuple((x, inn >> at & field) for x, at in order)): entry[0]
             for (loc, con, inn), entry in table.items()
         }
     return plain, td

@@ -2678,11 +2678,35 @@ class TwEngineProduct(_TwEngine):
     forget compile a fresh `relations.remap` per node; each join entry
     sums its loc arcs' scores and counts; `_prune` groups every table.
     Its relations and parent counts are over each node's sorted bag, the
-    layout before each vertex kept one index while in the bag."""
+    layout before each vertex kept one index while in the bag.  Its parent
+    counts are a tuple per snapshot, () without a bound, as before they
+    were packed into one int."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.verts = [tuple(sorted(node.bag)) for node in self.td.nodes]
+
+    def solve(self) -> tuple[int, Network]:
+        self.run_tables()
+        root_table = self.tables[self.td.root]
+        key = (0, 0, () if self.q is None else (0,) * len(self.verts[self.td.root]))
+        if list(root_table) != [key]:
+            raise RuntimeError("root must hold the single empty snapshot")
+        score = root_table[key][0]
+        arcs: set = set()
+        stack = [(self.td.root, key)]
+        while stack:
+            t, key = stack.pop()
+            entry = self.tables[t][key]
+            arcs |= entry[1]
+            stack.extend(zip(self.td.nodes[t].children, entry[2:]))
+        if self.fold is not None:
+            arcs |= self.fold.lift(arcs)
+            score += self.fold.tree_score()
+        return score, Network(self.inst.n, frozenset(arcs))
+
+    def _leaf(self, t, node) -> dict:
+        return {(0, 0, () if self.q is None else (0,) * len(self.verts[t])): (0, _NO_ARCS)}
 
     def _prune(self, table: dict) -> dict:
         """The entries of `table` that no other entry dominates, in their

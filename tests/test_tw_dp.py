@@ -178,14 +178,25 @@ def test_supplied_decomposition_is_used():
     assert s == 5
 
 
+def counts(eng, inn) -> tuple:
+    """The parent counts packed in `inn` at each of `eng`'s width + 1 bag
+    indices, fields of q.bit_length() + 1 bits with index 0 on top; () on
+    an engine without a bound."""
+    if eng.q is None:
+        return ()
+    d, w = eng.td.width + 1, eng.q.bit_length() + 1
+    return tuple(inn >> (d - 1 - j) * w & (1 << w) - 1 for j in range(d))
+
+
 def sorted_key(eng, t, key):
     """A packed snapshot key of node t over the node's sorted bag: loc and
     con carried there by `relations.remap`, inn the parent counts in sorted
-    vertex order."""
+    vertex order, () without a bound."""
     verts = eng.verts[t]
     bag = sorted(eng.td.nodes[t].bag)
     to_bag = relations.remap(verts, bag)
     loc, con, inn = key
+    inn = counts(eng, inn)
     return to_bag(loc), to_bag(con), inn and tuple(inn[verts.index(x)] for x in bag)
 
 
@@ -233,14 +244,14 @@ def test_tables_and_witness_match_dict_engine():
                 assert got == [(key, dict_entry(entry)) for key, entry in ref.tables[t].items()]
 
 
-def dominates(a, b) -> bool:
-    """Entry a = (key, score) dominates entry b: same loc, a score at least
-    b's, con a subset of b's (packed, so row by row at once), inn no larger
-    at any position."""
+def dominates(eng, a, b) -> bool:
+    """Entry a = (key, score) of `eng` dominates entry b: same loc, a score
+    at least b's, con a subset of b's (packed, so row by row at once), inn
+    no larger at any position."""
     (loc1, con1, inn1), s1 = a
     (loc2, con2, inn2), s2 = b
     return (loc1 == loc2 and s1 >= s2 and con1 & ~con2 == 0
-            and all(x <= y for x, y in zip(inn1, inn2)))
+            and all(x <= y for x, y in zip(counts(eng, inn1), counts(eng, inn2))))
 
 
 def test_pruned_tables_keep_the_undominated_entries():
@@ -263,13 +274,70 @@ def test_pruned_tables_keep_the_undominated_entries():
                 kept = {key: entry[0] for key, entry in pruned.tables[t].items()}
                 entries = [(key, entry[0]) for key, entry in table.items()]
                 undominated = {key: s for key, s in entries if not any(
-                    other != key and dominates((other, s2), (key, s)) for other, s2 in entries)}
+                    other != key and dominates(unpruned, (other, s2), (key, s))
+                    for other, s2 in entries)}
                 assert kept == undominated
                 for entry in entries:
-                    assert entry[0] in kept or any(dominates(k, entry) for k in kept.items())
+                    assert entry[0] in kept or any(
+                        dominates(unpruned, k, entry) for k in kept.items())
             assert score == full_score
             assert validate(net, "polytree" if mode == "pl" else "dag", q=q).ok
             assert score_of(inst, net) == score
+
+
+def test_packed_counts_match_tuple_arithmetic():
+    # the bag DP's steps on packed parent counts against the same steps on
+    # count tuples, for q = 1..6 on 1..12 bag indices (a clique's
+    # decomposition) and counts up to 2q: introduce adds one count at the
+    # head of each arc of a choice, join adds both sides' counts and
+    # subtracts loc's, and both reject a count above q through the guard;
+    # forget clears one field and reads the bonus index from it; _prune
+    # finds no field of inn' larger than inn's.  Without a bound every
+    # count is 0
+    rng = random.Random(340_000)
+    for d in range(1, 13):
+        clique = {(x, y): 1 for x in range(d) for y in range(x + 1, d)}
+        for q in (None, 1, 2, 3, 4, 5, 6):
+            inst = AdditiveInstance(d, tuple(f"v{x}" for x in range(d)), clique, q)
+            eng = tw_dp._TwEngine(inst, graphs.tree_decomposition(superstructure(inst)), "bnsl")
+            assert eng.td.width == d - 1
+            if q is None:
+                assert eng.units == [0] * d and eng.guard == eng.over == 0
+                continue
+            w = q.bit_length() + 1
+            units, over, guard = eng.units, eng.over, eng.guard
+            assert units == [relations.pack([x == j for x in range(d)], w) for j in range(d)]
+            assert guard == relations.pack([1 << w - 1] * d, w)
+
+            def pack(counts):
+                return sum(c * u for c, u in zip(counts, units))
+
+            for _ in range(100):
+                a = [rng.randint(0, q) for _ in range(d)]
+                b = [rng.randint(0, q) for _ in range(d)]
+                loc = [rng.randint(0, min(x, y)) for x, y in zip(a, b)]
+                both = [x + y - z for x, y, z in zip(a, b, loc)]
+                inn = pack(a) + pack(b) - pack(loc)
+                assert inn == relations.pack(both, w)
+                assert bool(inn + over & guard) == (max(both) > q)
+                # v at index i, with k in-arcs and one out-arc to each of heads
+                i, k = rng.randrange(d), rng.randint(0, q + 1)
+                heads = [j for j in range(d) if j != i and rng.random() < 0.5]
+                grown = [x + (j in heads) for j, x in enumerate(a)]
+                grown[i] = k
+                inn = pack(a[:i] + [0] + a[i + 1:]) + k * units[i] + sum(units[j] for j in heads)
+                assert inn == relations.pack(grown, w)
+                assert bool(inn + over & guard) == (max(grown) > q)
+                big = [rng.randint(0, 2 * q) for _ in range(d)]
+                inn = relations.pack(big, w)
+                assert inn + over & guard == relations.pack([(x > q) << w - 1 for x in big], w)
+                at, field = (d - 1 - i) * eng.w, (1 << eng.w) - 1
+                assert inn >> at & field == big[i]
+                assert inn & ~(field << at) == relations.pack(big[:i] + [0] + big[i + 1:], w)
+                up = [min(q, x + rng.randint(0, 1)) for x in a]
+                for c in (b, up, a):
+                    no_larger = ((pack(c) | guard) - pack(a)) & guard == guard
+                    assert no_larger == all(x <= y for x, y in zip(a, c))
 
 
 def hanging_family(seed):
