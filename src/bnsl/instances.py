@@ -75,6 +75,16 @@ class NonZeroInstance:
                 if score < 0 or score > MAX_SCORE:
                     raise ValueError(f"score {score} outside [0, 2^63)")
 
+    @classmethod
+    def _parsed(cls, n: int, names: tuple[str, ...], entries) -> "NonZeroInstance":
+        """The instance without `__post_init__`'s checks, for `parse_nonzero`,
+        which refuses every input they refuse before it builds one."""
+        inst = object.__new__(cls)
+        object.__setattr__(inst, "n", n)
+        object.__setattr__(inst, "names", names)
+        object.__setattr__(inst, "entries", entries)
+        return inst
+
     def score(self, v: int, parents: frozenset[int]) -> int:
         """Score of `v` taking exactly `parents`; 0 when unlisted."""
         return self.entries.get(v, {}).get(parents, 0)
@@ -380,14 +390,27 @@ def _content_lines(text: str) -> Iterator[tuple[int, list[str]]]:
             yield i, tok
 
 
+def _content_raw(text: str) -> Iterator[tuple[int, str]]:
+    """The lines `_content_lines` yields, untokenized: `str.lstrip` and
+    `str.split` share one definition of whitespace, so a line has a token
+    exactly when its stripped form is not empty, and that form starts with
+    the first token."""
+    for i, raw in enumerate(text.splitlines(), start=1):
+        head = raw.lstrip()[:1]
+        if head and head != "#":
+            yield i, raw
+
+
 def parse_nonzero(text: str) -> NonZeroInstance:
     """Parse an explicit score file (see module docstring for the grammar)
-    in two passes: the block headers, then the entries, every name known."""
-    lines = _content_lines(text)
+    in two passes: the block headers, which skip the entry lines without
+    splitting them, then the entries, every name known."""
+    lines = _content_raw(text)
     try:
-        line_no, tok = next(lines)
+        line_no, raw = next(lines)
     except StopIteration:
         raise ParseError(1, "empty file") from None
+    tok = raw.split()
     if len(tok) != 1:
         raise ParseError(line_no, "expected a single variable count")
     n = _parse_nat(line_no, tok[0], "variable count")
@@ -395,7 +418,8 @@ def parse_nonzero(text: str) -> NonZeroInstance:
     index: dict[str, int] = {}
     counts: list[int] = []
     header = 1  # the line of the last block header read
-    for header, tok in lines:
+    for header, raw in lines:
+        tok = raw.split()
         if len(tok) != 2:
             raise ParseError(header, "expected '<varname> <entry-count>'")
         name, cnt_s = tok
@@ -443,7 +467,7 @@ def parse_nonzero(text: str) -> NonZeroInstance:
             sets[pset] = score
         if sets:
             entries[v] = sets
-    return NonZeroInstance(n, tuple(index), entries)
+    return NonZeroInstance._parsed(n, tuple(index), entries)
 
 
 def write_nonzero(instance: NonZeroInstance) -> str:

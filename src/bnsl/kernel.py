@@ -40,10 +40,10 @@ class _Work:
     """Mutable kernelization state over loose vertex ids.
 
     The superstructure adjacency (`adj`, keyed by the live vertices) is kept
-    up to date by the mutators `fresh`, `remove`, `set_entries` and
-    `prune_leaves`.  A min-heap holds every vertex that may have a degree-1
-    neighbour (pushed whenever a vertex's degree drops or rises to 1);
-    `rule1_target` validates it lazily.
+    up to date by the mutators `fresh`, `remove` and `set_entries`, and by
+    rule 1 (`_apply_rr1`).  A min-heap holds every vertex that may have a
+    degree-1 neighbour (pushed whenever a vertex's degree drops or rises
+    to 1); `rule1_target` validates it lazily.
     """
 
     def __init__(self, instance: NonZeroInstance):
@@ -107,24 +107,6 @@ class _Work:
                 self.adj[v].add(p)
                 touched.add(p)
         self._note_degrees(touched)
-
-    def prune_leaves(self, v: int, sets: dict[frozenset[int], int], leaves: frozenset[int]):
-        """Rule 1's update: install v's table `sets`, whose non-empty parent
-        sets have positive scores and name every parent of v but `leaves`,
-        then remove the leaves, whose only neighbour is v.  v's adjacency
-        loses them at once instead of edge by edge as in `set_entries`."""
-        if not sets.get(_EMPTY, 1):
-            del sets[_EMPTY]
-        entries = self.entries
-        if sets:
-            entries[v] = sets
-        else:
-            entries.pop(v, None)
-        for w in leaves:
-            entries.pop(w, None)
-            del self.names[w], self.adj[w]
-        self.adj[v] -= leaves
-        self._note_degrees((v,))
 
     def _note_degrees(self, changed):
         for u in changed:
@@ -455,18 +437,22 @@ def _apply_rr1(work: _Work, v: int) -> dict:
     a parent set p of v completes with base - (the gains of the leaves in
     p).  v's parent sets are grouped by p - Q, each group keeping its best
     member (the unlisted p - Q too, at score 0), ties to the first in the
-    order of sorted(p).
+    order of sorted(p).  No two members share p, so the best member
+    does not depend on the order they are offered in, and one pass over
+    v's table builds the new table and the step's configs together; a
+    group's member p is its key | its config's parents from Q.  v's table
+    is replaced, the leaves dropped, and the heap learns of v's remaining
+    neighbour when v is a leaf now.
     """
     adj, entries = work.adj, work.entries
-    q = [w for w in adj[v] if len(adj[w]) == 1]
-    if not q:
-        raise ValueError(f"no degree-1 neighbours at {v}")
-    q.sort()
-    qset = frozenset(q)
     from_v = frozenset((v,))
+    q = []
     base = 0
     gain = {}
-    for w in q:
+    for w in sorted(adj[v]):
+        if len(adj[w]) != 1:
+            continue
+        q.append(w)
         sets = entries.get(w)
         if sets is None:
             continue
@@ -475,10 +461,15 @@ def _apply_rr1(work: _Work, v: int) -> dict:
         if sv > se:
             base += sv - se
             gain[w] = sv - se
+    if not q:
+        raise ValueError(f"no degree-1 neighbours at {v}")
+    qset = frozenset(q)
     takes = frozenset(gain)  # the leaves that take the arc unless they are parents
+    none_in = (_EMPTY, takes)  # the config of every p disjoint from Q
 
-    best: dict[frozenset[int], tuple] = {}  # p - Q -> (score, p, p & Q)
     old_sets = entries.get(v, {})
+    new_sets: dict[frozenset[int], int] = {}  # p - Q -> best score
+    configs: dict[frozenset[int], tuple] = {}  # p - Q -> (p & Q, arcs from v)
     for p, val in old_sets.items():
         val += base
         if qset.isdisjoint(p):  # most sets; skips the set algebra below
@@ -486,25 +477,32 @@ def _apply_rr1(work: _Work, v: int) -> dict:
         else:
             members = p & qset
             reduced = p - members
-            val -= sum([gain.get(w, 0) for w in members])
-        cur = best.get(reduced)
-        if cur is None or val > cur[0] or val == cur[0] and sorted(p) < sorted(cur[1]):
-            best[reduced] = (val, p, members)
-    for reduced in [r for r in best if r not in old_sets]:
-        cur = best[reduced]
-        if base > cur[0] or base == cur[0] and sorted(reduced) < sorted(cur[1]):
-            best[reduced] = (base, reduced, _EMPTY)
-    if _EMPTY not in best:
-        best[_EMPTY] = (base, _EMPTY, _EMPTY)
-    none_in = (_EMPTY, takes)  # the config of every p disjoint from Q
-    new_sets = {}
-    configs = {}
-    for reduced, (val, _, members) in best.items():
-        new_sets[reduced] = val
-        configs[reduced] = (members, takes - members) if members else none_in
-    step = {"rule": 1, "v": v, "q": q, "configs": configs, "fallback": none_in}
-    work.prune_leaves(v, new_sets, qset)
-    return step
+            for w in members:
+                val -= gain.get(w, 0)
+            if reduced not in new_sets and reduced not in old_sets:
+                new_sets[reduced] = base  # the unlisted p - Q
+                configs[reduced] = none_in
+        cur = new_sets.get(reduced)
+        if (cur is None or val > cur
+                or val == cur and sorted(p) < sorted(reduced | configs[reduced][0])):
+            new_sets[reduced] = val
+            configs[reduced] = (members, takes - members) if members else none_in
+    if _EMPTY not in new_sets:
+        new_sets[_EMPTY] = base
+        configs[_EMPTY] = none_in
+    if not new_sets[_EMPTY]:
+        del new_sets[_EMPTY]
+    if new_sets:
+        entries[v] = new_sets
+    else:
+        entries.pop(v, None)
+    names = work.names
+    for w in q:
+        entries.pop(w, None)
+        del names[w], adj[w]
+    adj[v] -= qset
+    work._note_degrees((v,))
+    return {"rule": 1, "v": v, "q": q, "configs": configs, "fallback": none_in}
 
 
 def _lift_rr1(step, arcs: _Arcs):

@@ -206,17 +206,26 @@ class _BnslEngine(_RecordEngine):
 
     @staticmethod
     def operand(state: int, d: int):
-        """The state with its support mask."""
-        return state, relations.support(state, d)
+        """The state with its support mask and its transpose."""
+        return state, relations.support(state, d), relations.transpose(state, d)
 
     @staticmethod
     def glue(held, cheld, outside: int, d: int):
-        # both operands are closed (v's parent arcs, a child's key, a closed
-        # state cut down to the kept indices), so a shortest path of their
-        # union alternates between them and switches only at indices both
-        # touch: Warshall needs pivots there alone, and only a pivot closes
-        # a cycle
-        (m, sup), (cm, csup) = held, cheld
+        """The closed union, or None when it has a cycle.
+
+        A pair (i, j) of the state whose converse (j, i) the child holds is
+        a 2-cycle of the union, whose closure then relates i to itself:
+        `closed_union` would return None too, so one AND on the child's
+        transpose rejects the pair first.  Longer cycles (a shortest one
+        may alternate between the operands four times) are left to
+        `closed_union`.  Both operands are closed (v's parent arcs, a
+        child's key, a closed state cut down to the kept indices), so a
+        shortest path of their union alternates between them and switches
+        only at indices both touch: Warshall needs pivots there alone, and
+        only a pivot closes a cycle."""
+        (m, sup, _), (cm, csup, cmt) = held, cheld
+        if m & cmt:
+            return None
         return relations.closed_union(m, cm, sup & csup, d)
 
 
@@ -261,14 +270,22 @@ class _PlEngine(_RecordEngine):
 
     @staticmethod
     def glue(held, cheld, outside: int, d: int):
+        """The merged state, or None when the union is not a forest.
+
+        Each operand is a forest on the index once each of its components
+        is cut down to its index vertices, and the operands share no other
+        vertex.  A forest on d vertices with k components has d - k edges,
+        so the union (a shared edge counted twice, as the 2-cycle it
+        closes) is a forest exactly when its d - k_a + d - k_b edges leave
+        d - that many components, as the bag DP's join also tests.  A pair
+        of distinct indices that both operands relate joins them in both
+        forests: the union then holds two paths between them (or one edge
+        twice), fails that count, and is rejected by one AND before the
+        classes are counted."""
         (m, count), (cm, ccount) = held, cheld
+        if m & cm:
+            return None
         merged = m | cm
-        # each operand is a forest on the index once each of its components
-        # is cut down to its index vertices, and the operands share no
-        # other vertex.  A forest on d vertices with k components has d - k
-        # edges, so the union (a shared edge counted twice, as the 2-cycle
-        # it closes) is a forest exactly when its d - k_a + d - k_b edges
-        # leave d - that many components, as the bag DP's join also tests
         if len(relations.classes(merged, d)) != count + ccount - d:
             return None
         # inside tails keep only their components; inside rows point inside

@@ -8,11 +8,12 @@ the lexicographic order of their row tuples.  Both dynamic programs keep
 every boundary relation in this form: strict reachability for acyclic
 networks, same-component pairs for polytrees.
 
-Union is `|`, the cut to an index mask is `&` with `cut_mask`, and
-`closed_union` closes the union of two relations by pivoting only on the
-indices where a path can pass from one to the other (for two closed
-relations, the indices that both of them touch: `support`), each pivot a
-shift, a mask and a product on the whole int.  `classes` gives
+Union is `|`, the cut to an index mask is `&` with `cut_mask`, the
+converse is `transpose`, and `closed_union` closes the union of two
+relations by pivoting only on the indices where a path can pass from one
+to the other (for two closed relations, the indices that both of them
+touch: `support`), each pivot a shift, a mask and a product on the whole
+int.  `classes` gives
 the connected classes and `class_rows` their same-class relation.  The
 record DP moves relations between vertex lists through `remap`, which
 compiles a fixed source -> target map once for many relations.
@@ -42,6 +43,19 @@ def unit(d: int) -> int:
 def cut_mask(keep: int, d: int) -> int:
     """The mask that restricts a relation to the indices in `keep`."""
     return sum(keep << (d - 1 - i) * d for i in range(d) if keep >> i & 1)
+
+
+def transpose(m: int, d: int) -> int:
+    """The converse relation: (j, i) for each pair (i, j).  The pair at
+    bit k = f * d + j (row d - 1 - f, column j) moves to bit
+    d*d - 1 - (j * d + f); one step per pair."""
+    top = d * d - 1
+    out = 0
+    while m:
+        k = m.bit_length() - 1
+        out |= 1 << top - k % d * d - k // d
+        m ^= 1 << k
+    return out
 
 
 def closed_union(a: int, b: int, shared: int, d: int) -> Optional[int]:

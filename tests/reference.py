@@ -10,8 +10,10 @@ reproduce exactly: the kernel's old rules 1 and path DP
 `bnsl_path_scores_frozensets` and `pl_path_scores_frozensets`, with the
 dataclasses they return, `PathScores` and `PlPathScores`, which
 `case_table` turns into the kernel's case table; all run by
-`kernelize_old_rules`; and `apply_rr1_offer` with `prune_leaves_per_leaf`,
-run by `kernelize_rr1_offer`), `weighted_matroid_intersection_pairwise` and
+`kernelize_old_rules`; `apply_rr1_offer` with `prune_leaves_per_leaf`,
+run by `kernelize_rr1_offer`; and `apply_rr1_best` with
+`prune_leaves_at_once`, run by `kernelize_rr1_best`),
+`weighted_matroid_intersection_pairwise` and
 `weighted_matroid_intersection_circuits`, `check_nice_scan`,
 `min_fill_order_rescan`, `bags_from_order_replay`,
 `core_min_fill_relabeled`, the node-by-node cut of a decomposition to
@@ -28,7 +30,9 @@ open children's tables in one product (`RecordEngineProduct` with
 `subtree_masks` in `boundaries_by_subtree_masks`), the record DP that
 added each closed child's best record to its parent's score
 (`RecordEngineClosed` with `BnslEngineClosed` and `PlEngineClosed`, on the
-open/closed split of `boundaries_split`), and the acyclic record
+open/closed split of `boundaries_split`), the record-DP glues before their
+cheap cycle rejects (`bnsl_glue_closed_union` and `pl_glue_class_count`),
+and the acyclic record
 DP's merge by a full Warshall closure (`BnslEngineFullClosure`) and by
 the shared-support closure on row lists (`BnslEngineRowGlue` with
 `closed_union_rows` and `support_rows`), both merging tuples of rows
@@ -102,7 +106,7 @@ from bnsl.instances import (
     find,
     superstructure,
 )
-from bnsl.kernel import _BWD, _FWD, _NONE, _Work, _btag, _fed_by, _present
+from bnsl.kernel import _BWD, _EMPTY, _FWD, _NONE, _Work, _btag, _fed_by, _present
 from bnsl.lfen_dp import _BnslEngine, _PlEngine, _RecordEngine
 from bnsl.oracle import OracleLimitError
 from bnsl.polytree import GroundElement, MatroidOracles, _forest_links, _forest_path
@@ -678,6 +682,115 @@ def kernelize_rr1_offer(instance, polytree):
         if not paths:
             break
         steps.append(apply_rr2(work, paths[0]))
+    reduced, loose_of_reduced = work.to_instance()
+    return kernel.KernelResult(reduced, steps, loose_of_reduced, instance.n)
+
+
+# Rule 1 before it became one loop, kept verbatim (only renamed, and the
+# `_Work.prune_leaves` it called made a function on the working state):
+# `apply_rr1_best` keeps each group's best member as a (score, p, p & Q)
+# triple in `best`, compares the unlisted p - Q in a second pass and builds
+# the new table and configs from `best` in a third, then
+# `prune_leaves_at_once` installs the table and drops the leaves.
+# `kernelize_rr1_best` runs the kernel's fixed-point loop with it; the
+# library must reproduce it exactly, heap order included.
+
+
+def apply_rr1_best(work: _Work, v: int) -> dict:
+    """Rule 1 at v, with Q the degree-1 neighbours of v in the working
+    superstructure.
+
+    A leaf w in Q scores se alone and se + gain with v as its parent; it
+    takes the arc from v whenever it is not v's parent and gain > 0, so
+    a parent set p of v completes with base - (the gains of the leaves in
+    p).  v's parent sets are grouped by p - Q, each group keeping its best
+    member (the unlisted p - Q too, at score 0), ties to the first in the
+    order of sorted(p).
+    """
+    adj, entries = work.adj, work.entries
+    q = [w for w in adj[v] if len(adj[w]) == 1]
+    if not q:
+        raise ValueError(f"no degree-1 neighbours at {v}")
+    q.sort()
+    qset = frozenset(q)
+    from_v = frozenset((v,))
+    base = 0
+    gain = {}
+    for w in q:
+        sets = entries.get(w)
+        if sets is None:
+            continue
+        se, sv = sets.get(_EMPTY, 0), sets.get(from_v, 0)
+        base += se
+        if sv > se:
+            base += sv - se
+            gain[w] = sv - se
+    takes = frozenset(gain)  # the leaves that take the arc unless they are parents
+
+    best: dict[frozenset[int], tuple] = {}  # p - Q -> (score, p, p & Q)
+    old_sets = entries.get(v, {})
+    for p, val in old_sets.items():
+        val += base
+        if qset.isdisjoint(p):  # most sets; skips the set algebra below
+            reduced, members = p, _EMPTY
+        else:
+            members = p & qset
+            reduced = p - members
+            val -= sum([gain.get(w, 0) for w in members])
+        cur = best.get(reduced)
+        if cur is None or val > cur[0] or val == cur[0] and sorted(p) < sorted(cur[1]):
+            best[reduced] = (val, p, members)
+    for reduced in [r for r in best if r not in old_sets]:
+        cur = best[reduced]
+        if base > cur[0] or base == cur[0] and sorted(reduced) < sorted(cur[1]):
+            best[reduced] = (base, reduced, _EMPTY)
+    if _EMPTY not in best:
+        best[_EMPTY] = (base, _EMPTY, _EMPTY)
+    none_in = (_EMPTY, takes)  # the config of every p disjoint from Q
+    new_sets = {}
+    configs = {}
+    for reduced, (val, _, members) in best.items():
+        new_sets[reduced] = val
+        configs[reduced] = (members, takes - members) if members else none_in
+    step = {"rule": 1, "v": v, "q": q, "configs": configs, "fallback": none_in}
+    prune_leaves_at_once(work, v, new_sets, qset)
+    return step
+
+
+def prune_leaves_at_once(work: _Work, v: int, sets: dict[frozenset[int], int],
+                         leaves: frozenset[int]):
+    """Rule 1's update: install v's table `sets`, whose non-empty parent
+    sets have positive scores and name every parent of v but `leaves`,
+    then remove the leaves, whose only neighbour is v.  v's adjacency
+    loses them at once instead of edge by edge as in `set_entries`."""
+    if not sets.get(_EMPTY, 1):
+        del sets[_EMPTY]
+    entries = work.entries
+    if sets:
+        entries[v] = sets
+    else:
+        entries.pop(v, None)
+    for w in leaves:
+        entries.pop(w, None)
+        del work.names[w], work.adj[w]
+    work.adj[v] -= leaves
+    work._note_degrees((v,))
+
+
+def kernelize_rr1_best(instance, path_rule):
+    """The kernel's fixed-point loop with `apply_rr1_best` as rule 1;
+    `path_rule` as in `kernel._kernelize`."""
+    from bnsl import kernel
+
+    work = kernel._Work(instance)
+    steps = []
+    while True:
+        while (target := work.rule1_target()) is not None:
+            steps.append(apply_rr1_best(work, target))
+        paths = [] if path_rule is None else kernel._find_paths(work, path_rule[0])
+        if not paths:
+            break
+        steps.append(path_rule[1](work, paths[0]))
     reduced, loose_of_reduced = work.to_instance()
     return kernel.KernelResult(reduced, steps, loose_of_reduced, instance.n)
 
@@ -1887,6 +2000,26 @@ class BnslEngineClosed(RecordEngineClosed, _BnslEngine):
 
 class PlEngineClosed(RecordEngineClosed, _PlEngine):
     """The earlier polytree record DP, with the library's merge hooks."""
+
+
+# The record-DP glues before their cheap cycle rejects, on the library's
+# operands: the acyclic one closes every union by `relations.closed_union`
+# (its 2-cycles too), the polytree one counts the classes of every union.
+# The library's glues must return what these return on every pair.
+
+
+def bnsl_glue_closed_union(held, cheld, outside: int, d: int):
+    (m, sup, _), (cm, csup, _) = held, cheld
+    return relations.closed_union(m, cm, sup & csup, d)
+
+
+def pl_glue_class_count(held, cheld, outside: int, d: int):
+    (m, count), (cm, ccount) = held, cheld
+    merged = m | cm
+    if len(relations.classes(merged, d)) != count + ccount - d:
+        return None
+    inner = relations.classes(merged & ~outside, d)
+    return merged & outside | relations.class_rows(inner, d)
 
 
 def boundaries_by_subtree_masks(

@@ -486,3 +486,48 @@ def test_parse_nonzero_matches_pending_parser():
             texts += 1
             errors += want[0] == "error"
     assert texts == 2700 and 1000 <= errors <= 2400
+
+
+def test_parser_and_constructor_refuse_what_they_refused():
+    # the parser builds its instance without `__post_init__`, whose checks
+    # it makes itself first: each file that breaks one of them is refused
+    # with its message and line, as by the parser that went through the
+    # public constructor; the public constructor still refuses each bad
+    # table with its own message; and every instance the parser reads is
+    # one the public constructor accepts, equal to the parsed one
+    refused = {
+        "2\na 1\n3 1 a\nb 0\n": "line 3: variable listed in its own parent set",
+        "2\na 1\n3 1 c\nb 0\n": "line 3: unknown variable 'c'",
+        "2\na 1\n0 1 b\nb 0\n": "line 3: non-empty parent set with zero score",
+        "2\na 1\n-1 0\nb 0\n": "line 3: score must be non-negative",
+        f"2\na 1\n{2**63} 0\nb 0\n": "line 3: score exceeds 2^63-1",
+        "2\na 0\n": "line 2: declared 2 variables, found 1",
+        "1\na 0\nb 0\n": "line 3: declared 1 variables, found 2",
+    }
+    for text, message in refused.items():
+        for parse in (parse_nonzero, parse_nonzero_pending):
+            with pytest.raises(ParseError) as e:
+                parse(text)
+            assert str(e.value) == message
+    bad_tables = [
+        ((2, ("a",), {}), "names/variable count mismatch"),
+        ((1, ("a",), {1: {frozenset(): 1}}), "child index 1 out of range"),
+        ((2, ("a", "b"), {0: {frozenset({0}): 1}}), "variable 0 occurs in its own parent set"),
+        ((2, ("a", "b"), {0: {frozenset({2}): 1}}), "parent index out of range for child 0"),
+        ((2, ("a", "b"), {1: {frozenset({0}): 0}}),
+         "non-empty parent set of 1 listed with score 0"),
+        ((2, ("a", "b"), {1: {frozenset(): -1}}), "score -1 outside [0, 2^63)"),
+        ((2, ("a", "b"), {1: {frozenset({0}): 2**63}}), f"score {2**63} outside [0, 2^63)"),
+    ]
+    for args, message in bad_tables:
+        with pytest.raises(ValueError) as e:
+            NonZeroInstance(*args)
+        assert str(e.value) == message
+    for seed in range(100):
+        rng = random.Random(f"post-init:{seed}")
+        n = rng.randint(1, 30)
+        inst = generate.random_nonzero(rng, n, rng.randint(0, 3), rng.choice([1, 8, MAX_SCORE]),
+                                       connected=seed % 3 != 0, exact_fen=False)
+        parsed = parse_nonzero(write_nonzero(inst))
+        assert type(parsed) is NonZeroInstance
+        assert NonZeroInstance(parsed.n, parsed.names, parsed.entries) == parsed == inst

@@ -17,6 +17,7 @@ from reference import (
     best_config_two_encodings,
     kernelize_old_rules,
     kernelize_rescan,
+    kernelize_rr1_best,
     kernelize_rr1_offer,
     lift_rescan,
     random_dag,
@@ -600,6 +601,64 @@ def test_kernel_matches_rule1_offer_reference():
             )))
             for net in nets:
                 assert got.lift(net) == want.lift(net)
+
+
+def pendant_heavy(rng, core_n, pendants, max_score, extra_sets):
+    """A random connected core with pendant stars, paths and caterpillars
+    hung from random vertices, scored by `generate.scores_for_graph`: many
+    vertices take more than one rule-1 step in heap order, and their
+    leaves are often among their parents."""
+    core = generate.random_graph(rng, core_n, rng.randint(0, 3), exact_fen=False)
+    edges = set(core.edges)
+    n = core.n
+    for _ in range(pendants):
+        at = rng.randrange(n)
+        for _ in range(rng.randint(1, 4)):  # a path hung from `at`, ...
+            edges.add((at, n))
+            at, n = n, n + 1
+            for _ in range(rng.randint(0, 3)):  # ... each vertex with its own leaves
+                edges.add((at, n))
+                n += 1
+    return generate.scores_for_graph(rng, Superstructure(n, edges), max_score,
+                                     extra_sets=extra_sets)
+
+
+def test_rule1_loop_matches_best_triples_reference():
+    # the one-loop rule 1 against its earlier version (`best` triples, a
+    # second pass for the unlisted sets, then `prune_leaves`): the same step
+    # lists (config keys in insertion order too), maps as JSON and reduced
+    # files, through both kernels and `absorb_leaves`, on seeded subdivided
+    # instances and pendant-heavy ones, every third scored up to 2 (many
+    # ties) and some with an extra set per neighbour
+    rules = ((kernel.kernelize_bnsl, (4, kernel._apply_rr2)),
+             (kernel.kernelize_pl, (6, kernel._apply_rr2_pl)),
+             (kernel.absorb_leaves, None))
+    steps = multi = 0
+    for seed in range(60):
+        rng = random.Random(f"rr1-loop:{seed}")
+        max_score = 2 if seed % 3 == 0 else 8
+        extra_sets = rng.choice([0.3, 0.7, 1.5])
+        if seed % 2:
+            n = rng.randint(20, 300)
+            inst = generate.random_nonzero(rng, n, rng.randint(0, 4), max_score,
+                                           subdivisions=rng.randint(n // 3, n - 8),
+                                           connected=seed % 5 != 0, exact_fen=False,
+                                           extra_sets=extra_sets)
+        else:
+            inst = pendant_heavy(rng, rng.randint(3, 30), rng.randint(5, 60), max_score,
+                                 extra_sets)
+        text = write_nonzero(inst)
+        for fast, path_rule in rules:
+            want = kernelize_rr1_best(inst, path_rule)
+            got = fast(inst)
+            assert write_nonzero(inst) == text
+            assert got.steps == want.steps and step_orders(got) == step_orders(want)
+            assert got.to_json() == want.to_json()
+            assert write_nonzero(got.reduced) == write_nonzero(want.reduced)
+            targets = [st["v"] for st in got.steps if st["rule"] == 1]
+            steps += len(targets)
+            multi += len(targets) - len(set(targets))
+    assert steps > 20_000 and multi > 5000
 
 
 def test_work_adjacency_tracks_random_mutations():

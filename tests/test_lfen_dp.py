@@ -11,10 +11,12 @@ from reference import (
     BnslEngineRowGlue,
     PlEngineClosed,
     PlEngineProduct,
+    bnsl_glue_closed_union,
     classes,
     closure,
     from_pairs,
     irreflexive,
+    pl_glue_class_count,
     random_dag,
     reach_pairs,
     same_class,
@@ -460,3 +462,129 @@ def test_tables_and_witness_match_closed_child_engine():
                         assert list(eng.tables[v].items()) == one_chain_table(ref, v)
                     pairs += 1
     assert pairs == 1040
+
+
+def random_strict_order(rng, d, planted=()):
+    """A strict partial order on range(d), packed: the `planted` pairs,
+    which share no index, and random pairs along a random linear order of
+    the indices that agrees with them, closed."""
+    order = rng.sample(range(d), d)
+    for x, y in planted:
+        i, j = order.index(x), order.index(y)
+        if i > j:
+            order[i], order[j] = y, x
+    rows = [0] * d
+    for x, y in planted:
+        rows[x] |= 1 << y
+    for _ in range(rng.randint(0, d) if d > 1 else 0):
+        i, j = sorted(rng.sample(range(d), 2))
+        rows[order[i]] |= 1 << order[j]
+    return relations.pack(closure(rows), d)
+
+
+def random_pl_state(rng, d, outs):
+    """A polytree engine state on range(d): the same-class pairs of a random
+    partition of the inner indices, and arcs from some of the `outs` rows
+    into inner indices; every fourth one an irreflexive random relation."""
+    if rng.random() < 0.25:
+        diagonal = sum(1 << (d - 1 - i) * d + i for i in range(d))
+        return rng.getrandbits(d * d) & rng.getrandbits(d * d) & ~diagonal
+    inner = [x for x in range(d) if x not in outs]
+    rng.shuffle(inner)
+    parts, at = [], 0
+    while at < len(inner):
+        k = rng.randint(1, 3)
+        parts.append(sum(1 << x for x in inner[at:at + k]))
+        at += k
+    parts += [1 << x for x in outs]
+    m = relations.class_rows(parts, d)
+    for x in outs:
+        if inner and rng.random() < 0.5:
+            m |= 1 << (d - 1 - x) * d + rng.choice(inner)
+    return m
+
+
+def test_cycle_rejects_agree_with_the_full_glues_on_random_relations():
+    # each engine's glue with its cheap reject against the glue without it
+    # (the acyclic one closing every union, the polytree one counting the
+    # classes of every union): the same None or the same int on operands
+    # made by the engine's `operand` over d <= 12 indices.  Acyclic
+    # operands are strict partial orders along two random linear orders,
+    # so many unions close a cycle, some only through four or more indices
+    tally = {"two": 0, "longer": 0, "closed": 0}
+    for seed in range(3000):
+        rng = random.Random(f"reject:{seed}")
+        d = rng.randint(1, 12)
+        outside = relations.pack((rng.choice([0, (1 << d) - 1]) for _ in range(d)), d)
+        # half of the pairs get a ring of 4 to 12 indices whose pairs
+        # alternate between the operands
+        ring = rng.sample(range(d), d // 2 * 2) if d >= 4 and seed % 2 else []
+        planted = (list(zip(ring[0::2], ring[1::2])), list(zip(ring[1::2], ring[2::2] + ring[:1])))
+        held, cheld = (lfen_dp._BnslEngine.operand(random_strict_order(rng, d, pairs), d)
+                       for pairs in planted)
+        got = lfen_dp._BnslEngine.glue(held, cheld, outside, d)
+        assert got == bnsl_glue_closed_union(held, cheld, outside, d)
+        kind = "closed" if got is not None else "two" if held[0] & cheld[2] else "longer"
+        tally[kind] += 1
+    assert tally["two"] > 1000 and tally["longer"] > 50 and tally["closed"] > 1000, tally
+    tally = {"shared": 0, "count": 0, "forest": 0}
+    for seed in range(3000):
+        rng = random.Random(f"pl-reject:{seed}")
+        d = rng.randint(1, 12)
+        outs = set(rng.sample(range(d), rng.randint(0, d // 2)))
+        outside = relations.pack(((1 << d) - 1 if x in outs else 0 for x in range(d)), d)
+        held, cheld = (lfen_dp._PlEngine.operand(random_pl_state(rng, d, outs), d)
+                       for _ in range(2))
+        got = lfen_dp._PlEngine.glue(held, cheld, outside, d)
+        assert got == pl_glue_class_count(held, cheld, outside, d)
+        kind = "forest" if got is not None else "shared" if held[0] & cheld[0] else "count"
+        tally[kind] += 1
+    assert min(tally.values()) > 300, tally
+
+
+def checked_engine(engine, plain, cheap, tally):
+    """`engine` whose glue also runs `plain` on every pair and asserts the
+    same result; `tally` counts the pairs, those `cheap` rejects, and the
+    other rejected ones."""
+
+    class Checked(engine):
+        def glue(self, held, cheld, outside, d):
+            got = engine.glue(held, cheld, outside, d)
+            assert got == plain(held, cheld, outside, d)
+            tally["pairs"] += 1
+            if got is None:
+                tally["cheap" if cheap(held, cheld) else "other"] += 1
+            return got
+
+    return Checked
+
+
+def test_cycle_rejects_agree_with_the_full_glues_on_benchmark_kernels():
+    # the kernels of the dag-explicit benchmark's subdivided slots and of
+    # the polytree benchmark's explicit slots, seeds 1-3, both rounds, drawn
+    # as perfbench/ladders.py draws them, through each mode's kernel and
+    # record DP over the witness tree the CLI searches: every glued pair
+    # gives what the glue without its cheap reject gives
+    slots = (("dag-explicit", 0, 60, 5, 40), ("dag-explicit", 1, 200, 3, 150),
+             ("dag-explicit", 2, 800, 1, 700), ("polytree", 6, 200, 1, 150),
+             ("polytree", 7, 800, 1, 700))
+    modes = (
+        (lfen_dp._BnslEngine, bnsl_glue_closed_union, lambda h, c: h[0] & c[2],
+         kernel.kernelize_bnsl),
+        (lfen_dp._PlEngine, pl_glue_class_count, lambda h, c: h[0] & c[0], kernel.kernelize_pl),
+    )
+    tallies = []
+    for engine, plain, cheap, kernelize in modes:
+        tally = {"pairs": 0, "cheap": 0, "other": 0}
+        for seed in range(1, 4):
+            for rnd in range(2):
+                for workload, k, n, fen, sub in slots:
+                    rng = random.Random(f"{workload}:{seed}:{rnd}:{k}")
+                    red = kernelize(generate.random_nonzero(rng, n, fen, subdivisions=sub)).reduced
+                    g = superstructure(red)
+                    eng = checked_engine(engine, plain, cheap, tally)(
+                        red, g, graphs.lfen_search(g).forest)
+                    eng.solve()
+        tallies.append(tally)
+    bnsl, pl = tallies
+    assert bnsl["cheap"] > 50_000 and pl["cheap"] > 100_000, tallies

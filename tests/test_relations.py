@@ -121,6 +121,21 @@ def test_support_is_the_indices_in_some_pair():
             sum({1 << x for pair in pairs for x in pair}))
 
 
+def test_transpose_is_the_converse():
+    # every pair turned around, on dense and sparse relations, d = 0 too;
+    # turning twice gives the relation back
+    for seed in range(500):
+        rng = random.Random(f"transpose:{seed}")
+        d = rng.randint(0, 14)
+        rows = [rng.getrandbits(d) & rng.getrandbits(d) if seed % 2 else rng.getrandbits(d)
+                for _ in range(d)]
+        m = relations.pack(rows, d)
+        pairs = to_pairs(rows, range(d))
+        t = relations.transpose(m, d)
+        assert to_pairs(unpack(t, d), range(d)) == {(y, x) for x, y in pairs}
+        assert relations.transpose(t, d) == m
+
+
 def test_closed_union_matches_full_closure():
     # pairs of strict partial orders whose supports overlap.  Half of them
     # get a planted cycle whose pairs alternate between the operands around
