@@ -8,6 +8,12 @@ on the boundary delta(v), for polytrees the connected components of the
 inner boundary plus the arcs entering the subtree.  Per state only the best
 score is kept; boundaries stay small when few non-tree edges interfere
 locally, which is what makes this fast on near-tree superstructures.
+
+The solvers also drop every record that another record of the same vertex
+dominates, with a subset key and a score at least as high
+(`_RecordEngine._prune`), which keeps the optimum but may pick another
+optimal network on ties.  `record_tables` and `pl_record_tables` return
+the unpruned tables.
 """
 
 from __future__ import annotations
@@ -80,15 +86,21 @@ class _RecordEngine:
     (child, key) for the record picked in each child's table.  A child
     whose subtree meets the rest of the graph only through its tree edge
     is folded the same way; the CLI removes such pendant trees with the
-    kernel's rule 1 before it runs the DP (`kernel.absorb_leaves`).
+    kernel's rule 1 before it runs the DP (`kernel.absorb_leaves`).  With
+    `prune`, `fill` keeps only the records of each table that no other
+    record dominates (`_prune`), so a tie may pick another optimal network.
     """
 
     root_key = 0
 
-    def __init__(self, instance: NonZeroInstance, g: Superstructure, forest: SpanningForest):
+    def __init__(
+        self, instance: NonZeroInstance, g: Superstructure, forest: SpanningForest,
+        prune: bool = True,
+    ):
         self.instance = instance
         self.g = g
         self.forest = forest
+        self.prune = prune
         self.bounds = boundaries(g, forest)
         bound = 2 * lfen_of_tree(g, forest).value + 2
         if any(len(b.delta) > bound for b in self.bounds):
@@ -102,7 +114,47 @@ class _RecordEngine:
     def fill(self):
         """Fill the tables, children before parents."""
         for v in self.forest.order[::-1]:
-            self.tables[v] = self.combine_records(v)
+            table = self.combine_records(v)
+            self.tables[v] = self._prune(table) if self.prune else table
+
+    @staticmethod
+    def _prune(table: dict) -> dict:
+        """The entries of `table` that no other entry dominates, in their
+        insertion order.
+
+        Record (key', s') dominates (key, s) when key' is a subset of key,
+        read as pair sets, and s' >= s.  Dropping the second keeps the
+        optimum, because every later step is monotone in the key.  A
+        subset of a strict order closes no cycle that the whole order does
+        not close, in the 2-cycle AND and in `closed_union`, and its closed
+        union with any operand is a subset of the whole order's.  A subset
+        of a polytree key shares no pair that the whole key does not share,
+        and the class-count test passes for it whenever it passes for the
+        whole key: a sub-forest of a forest is a forest (the rank of a
+        graphic matroid is submodular), and its classes refine the whole
+        key's.  `& cut` and `remap` keep subsets, and scores add.  So
+        whatever a dominated record is merged into, its dominator, merged
+        with the same parent set and the same other records, gives a subset
+        key with a score at least as high, at every vertex up to the root,
+        which holds the one empty key: the root score is unchanged, though
+        a tie may pick another optimal network.  No part of the key has to
+        match: an arc on a boundary edge is chosen once, by its head's
+        parent set, and the reverse arc closes a cycle that the key
+        catches.  Entries are read in the order of (-score, key), where a
+        distinct dominator comes first, as a proper subset is a smaller
+        int, and an entry is dropped when one kept before it dominates it.  Distinct records
+        never dominate each other both ways, so every dominated entry has
+        an undominated dominator, kept before it: the entries kept are
+        exactly those no other entry dominates.
+        """
+        kept: list = []
+        for _, key in sorted((-entry[0], key) for key, entry in table.items()):
+            if all(other & ~key for other in kept):
+                kept.append(key)
+        if len(kept) == len(table):
+            return table
+        keep = set(kept)
+        return {key: entry for key, entry in table.items() if key in keep}
 
     def parent_choices(self, v: int):
         """(parents, score) for each parent set of v."""
@@ -191,11 +243,11 @@ class _RecordEngine:
         return table
 
 
-def _engine(cls, instance: NonZeroInstance, forest=None):
+def _engine(cls, instance: NonZeroInstance, forest=None, prune: bool = True):
     g = superstructure(instance)
     if forest is None:
         forest = lfen_search(g).forest
-    return cls(instance, g, forest)
+    return cls(instance, g, forest, prune)
 
 
 class _BnslEngine(_RecordEngine):
@@ -241,7 +293,7 @@ def record_tables(
 ):
     """All per-vertex record tables as {vertex: {pair set: score}} (for the
     record-semantics verification tests)."""
-    eng = _engine(_BnslEngine, instance, forest)
+    eng = _engine(_BnslEngine, instance, forest, prune=False)
     eng.fill()
     return {v: eng.records(v) for v in range(instance.n)}, eng
 
@@ -306,6 +358,6 @@ def pl_record_tables(
 ):
     """All per-vertex polytree record tables as {vertex: {(partition,
     entering arcs): score}}."""
-    eng = _engine(_PlEngine, instance, forest)
+    eng = _engine(_PlEngine, instance, forest, prune=False)
     eng.fill()
     return {v: eng.records(v) for v in range(instance.n)}, eng

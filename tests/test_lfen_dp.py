@@ -401,7 +401,7 @@ def test_tables_match_full_closure_at_kernel_scale():
         red = kernel.kernelize_bnsl(inst).reduced
         g = superstructure(red)
         for forest in (graphs.lfen_search(g).forest, graphs.feedback_edge_set(g)):
-            ref = BnslEngineFullClosure(red, g, forest)
+            ref = BnslEngineFullClosure(red, g, forest, prune=False)
             assert lfen_dp.solve_bnsl_lfen(red, forest) == ref.solve()
             _, eng = lfen_dp.record_tables(red, forest)
             for v in range(red.n):
@@ -425,7 +425,7 @@ def test_packed_fold_matches_row_glue_on_benchmark_kernels():
                 red = kernel.kernelize_bnsl(inst).reduced
                 g = superstructure(red)
                 forest = graphs.lfen_search(g).forest
-                ref = BnslEngineRowGlue(red, g, forest)
+                ref = BnslEngineRowGlue(red, g, forest, prune=False)
                 assert lfen_dp.solve_bnsl_lfen(red, forest) == ref.solve()
                 _, eng = lfen_dp.record_tables(red, forest)
                 for v in range(red.n):
@@ -455,7 +455,7 @@ def test_tables_and_witness_match_closed_child_engine():
             for work in (inst, kernelize(inst).reduced):
                 g = superstructure(work)
                 for forest in (graphs.lfen_search(g).forest, graphs.feedback_edge_set(g)):
-                    eng = engine(work, g, forest)
+                    eng = engine(work, g, forest, prune=False)
                     ref = closed_engine(work, g, forest)
                     assert eng.solve() == ref.solve()
                     for v in range(work.n):
@@ -583,8 +583,138 @@ def test_cycle_rejects_agree_with_the_full_glues_on_benchmark_kernels():
                     red = kernelize(generate.random_nonzero(rng, n, fen, subdivisions=sub)).reduced
                     g = superstructure(red)
                     eng = checked_engine(engine, plain, cheap, tally)(
-                        red, g, graphs.lfen_search(g).forest)
+                        red, g, graphs.lfen_search(g).forest, prune=False)
                     eng.solve()
         tallies.append(tally)
     bnsl, pl = tallies
     assert bnsl["cheap"] > 50_000 and pl["cheap"] > 100_000, tallies
+
+
+def test_pruned_solves_match_oracle():
+    # the solves, which drop dominated records, against the exhaustive
+    # oracles in both modes over the searched and the BFS forest: the same
+    # optimum and a valid witness that scores it.  Some tables must lose
+    # records to the prune, or the test shows nothing
+    cases = shrunk = 0
+    for seed in range(320):
+        rng = random.Random(f"prune-oracle:{seed}")
+        n = rng.randint(2, 9)
+        inst = generate.random_nonzero(rng, n, rng.randint(0, 3), max_degree=4,
+                                       connected=(seed % 4 != 0), exact_fen=False,
+                                       extra_sets=rng.choice([0, 0.3, 0.6]))
+        g = superstructure(inst)
+        best, _ = oracle.exact_bnsl(inst)
+        pl_best = oracle.exact_pl(inst)[0] if g.edge_count() <= 13 else None
+        for forest in (graphs.lfen_search(g).forest, graphs.feedback_edge_set(g)):
+            score, net = lfen_dp.solve_bnsl_lfen(inst, forest)
+            assert score == best
+            assert validate(net, "dag").ok and score_of(inst, net) == best
+            if pl_best is not None:
+                score, net = lfen_dp.solve_pl_lfen(inst, forest)
+                assert score == pl_best
+                assert validate(net, "polytree").ok and score_of(inst, net) == pl_best
+            shrunk += check_prune(lfen_dp._BnslEngine, inst, g, forest) > 0
+            cases += 1
+    assert cases == 640 and shrunk > 100, shrunk
+
+
+def undominated(table):
+    """The items of a record table that no other item dominates (a subset
+    key, read as a pair set, with a score at least as high), in order."""
+    return [(key, entry) for key, entry in table.items()
+            if not any(other != key and not other & ~key and table[other][0] >= entry[0]
+                       for other in table)]
+
+
+def check_prune(engine, work, g, forest):
+    """Fill a pruned `engine` on `work`, checking that each table it keeps is
+    the undominated part of the table its fold made, in insertion order;
+    the number of records dropped."""
+    made = {}
+
+    class Recording(engine):
+        def combine_records(self, v):
+            made[v] = table = engine.combine_records(self, v)
+            return table
+
+    eng = Recording(work, g, forest)
+    eng.fill()
+    for v in range(work.n):
+        assert list(eng.tables[v].items()) == undominated(made[v])
+    return sum(len(made[v]) - len(eng.tables[v]) for v in range(work.n))
+
+
+def test_pruned_tables_are_the_undominated_records():
+    # the dag-explicit benchmark's kernels of seeds 1-7 (drawn as in
+    # test_packed_fold_matches_row_glue_on_benchmark_kernels) and the
+    # 1040 instance-forest pairs of
+    # test_tables_and_witness_match_closed_child_engine
+    dropped = 0
+    slots = ((60, 5, 40), (200, 3, 150), (800, 1, 700))
+    for seed in range(1, 8):
+        for rnd in range(2):
+            for k, (n, fen, sub) in enumerate(slots):
+                rng = random.Random(f"dag-explicit:{seed}:{rnd}:{k}")
+                inst = generate.random_nonzero(rng, n, fen, subdivisions=sub)
+                red = kernel.kernelize_bnsl(inst).reduced
+                g = superstructure(red)
+                dropped += check_prune(lfen_dp._BnslEngine, red, g, graphs.lfen_search(g).forest)
+    assert dropped > 1000, dropped
+    pairs = {lfen_dp._BnslEngine: 0, lfen_dp._PlEngine: 0}
+    dropped = dict.fromkeys(pairs, 0)
+    for seed in range(130):
+        rng = random.Random(310_000 + seed)
+        n = rng.randint(1, 24)
+        inst = generate.random_nonzero(rng, n, rng.randint(0, 3), connected=(seed % 3 != 0),
+                                       exact_fen=False, subdivisions=rng.randint(0, (n - 1) // 2),
+                                       extra_sets=rng.choice([0, 0.3, 0.7]))
+        for engine, kernelize in ((lfen_dp._BnslEngine, kernel.kernelize_bnsl),
+                                  (lfen_dp._PlEngine, kernel.kernelize_pl)):
+            for work in (inst, kernelize(inst).reduced):
+                g = superstructure(work)
+                for forest in (graphs.lfen_search(g).forest, graphs.feedback_edge_set(g)):
+                    dropped[engine] += check_prune(engine, work, g, forest)
+                    pairs[engine] += 1
+    assert sum(pairs.values()) == 1040 and min(dropped.values()) > 100, dropped
+
+
+def random_subset_order(rng, m, d):
+    """A strict partial order inside the strict partial order `m` on
+    range(d): the closure of a random subset of its pairs."""
+    return relations.pack(closure(unpack(m & rng.getrandbits(d * d), d)), d)
+
+
+def test_glues_are_monotone_in_the_key():
+    # what the prune's proof uses: with a' a subset of a, the glue of a'
+    # and b fails only where that of a and b fails, and is then a subset
+    # of it, with a' on either side.  Acyclic keys are strict partial
+    # orders, checked through closed_union alone and through the glue;
+    # polytree operands are any irreflexive relations and their subsets
+    tally = {"bnsl": 0, "pl": 0}
+    for seed in range(3000):
+        rng = random.Random(f"monotone:{seed}")
+        d = rng.randint(1, 12)
+        outs = set(rng.sample(range(d), rng.randint(0, d // 2)))
+        outside = relations.pack(((1 << d) - 1 if x in outs else 0 for x in range(d)), d)
+        a, b = random_strict_order(rng, d), random_strict_order(rng, d)
+        sub = random_subset_order(rng, a, d)
+        assert not sub & ~a
+        sup_b = relations.support(b, d)
+        whole = relations.closed_union(a, b, relations.support(a, d) & sup_b, d)
+        part = relations.closed_union(sub, b, relations.support(sub, d) & sup_b, d)
+        assert whole is None or part is not None and not part & ~whole
+        op = lfen_dp._BnslEngine.operand
+        for x, y, x1, y1 in ((a, b, sub, b), (b, a, b, sub)):
+            whole = lfen_dp._BnslEngine.glue(op(x, d), op(y, d), outside, d)
+            part = lfen_dp._BnslEngine.glue(op(x1, d), op(y1, d), outside, d)
+            assert whole is None or part is not None and not part & ~whole
+            tally["bnsl"] += whole is not None and part != whole
+        a, b = random_pl_state(rng, d, outs), random_pl_state(rng, d, outs)
+        sub = a & rng.getrandbits(d * d)
+        op = lfen_dp._PlEngine.operand
+        for x, y, x1, y1 in ((a, b, sub, b), (b, a, b, sub)):
+            whole = lfen_dp._PlEngine.glue(op(x, d), op(y, d), outside, d)
+            part = lfen_dp._PlEngine.glue(op(x1, d), op(y1, d), outside, d)
+            assert whole is None or part is not None and not part & ~whole
+            tally["pl"] += whole is not None and part != whole
+    assert tally["bnsl"] > 1000 and tally["pl"] > 200, tally
