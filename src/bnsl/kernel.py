@@ -490,12 +490,12 @@ def _apply_rr1(work: _Work, v: int) -> dict:
     if _EMPTY not in new_sets:
         new_sets[_EMPTY] = base
         configs[_EMPTY] = none_in
+    # the new table is never empty: a listed p outside Q keeps p - Q at p's
+    # score or more, at least 1; otherwise the edge to a leaf w is w's {v}
+    # (base >= 1) or a non-empty p inside Q (the empty set's group >= 1)
     if not new_sets[_EMPTY]:
         del new_sets[_EMPTY]
-    if new_sets:
-        entries[v] = new_sets
-    else:
-        entries.pop(v, None)
+    entries[v] = new_sets
     names = work.names
     for w in q:
         entries.pop(w, None)

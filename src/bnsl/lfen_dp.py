@@ -11,9 +11,10 @@ locally, which is what makes this fast on near-tree superstructures.
 
 The solvers also drop every record that another record of the same vertex
 dominates, with a subset key and a score at least as high
-(`_RecordEngine._prune`), which keeps the optimum but may pick another
+(`_RecordEngine._prune`, through the bag DP's prune
+`relations.undominated`), which keeps the optimum but may pick another
 optimal network on ties.  `record_tables` and `pl_record_tables` return
-the unpruned tables.
+the tables the solvers keep.
 """
 
 from __future__ import annotations
@@ -86,21 +87,17 @@ class _RecordEngine:
     (child, key) for the record picked in each child's table.  A child
     whose subtree meets the rest of the graph only through its tree edge
     is folded the same way; the CLI removes such pendant trees with the
-    kernel's rule 1 before it runs the DP (`kernel.absorb_leaves`).  With
-    `prune`, `fill` keeps only the records of each table that no other
-    record dominates (`_prune`), so a tie may pick another optimal network.
+    kernel's rule 1 before it runs the DP (`kernel.absorb_leaves`).  `fill`
+    keeps only the records of each table that no other record dominates
+    (`_prune`), so a tie may pick another optimal network.
     """
 
     root_key = 0
 
-    def __init__(
-        self, instance: NonZeroInstance, g: Superstructure, forest: SpanningForest,
-        prune: bool = True,
-    ):
+    def __init__(self, instance: NonZeroInstance, g: Superstructure, forest: SpanningForest):
         self.instance = instance
         self.g = g
         self.forest = forest
-        self.prune = prune
         self.bounds = boundaries(g, forest)
         bound = 2 * lfen_of_tree(g, forest).value + 2
         if any(len(b.delta) > bound for b in self.bounds):
@@ -114,13 +111,13 @@ class _RecordEngine:
     def fill(self):
         """Fill the tables, children before parents."""
         for v in self.forest.order[::-1]:
-            table = self.combine_records(v)
-            self.tables[v] = self._prune(table) if self.prune else table
+            self.tables[v] = self._prune(self.combine_records(v))
 
     @staticmethod
     def _prune(table: dict) -> dict:
         """The entries of `table` that no other entry dominates, in their
-        insertion order.
+        insertion order (`relations.undominated`, the whole table one group
+        with zero counts).
 
         Record (key', s') dominates (key, s) when key' is a subset of key,
         read as pair sets, and s' >= s.  Dropping the second keeps the
@@ -140,21 +137,10 @@ class _RecordEngine:
         a tie may pick another optimal network.  No part of the key has to
         match: an arc on a boundary edge is chosen once, by its head's
         parent set, and the reverse arc closes a cycle that the key
-        catches.  Entries are read in the order of (-score, key), where a
-        distinct dominator comes first, as a proper subset is a smaller
-        int, and an entry is dropped when one kept before it dominates it.  Distinct records
-        never dominate each other both ways, so every dominated entry has
-        an undominated dominator, kept before it: the entries kept are
-        exactly those no other entry dominates.
+        catches.
         """
-        kept: list = []
-        for _, key in sorted((-entry[0], key) for key, entry in table.items()):
-            if all(other & ~key for other in kept):
-                kept.append(key)
-        if len(kept) == len(table):
-            return table
-        keep = set(kept)
-        return {key: entry for key, entry in table.items() if key in keep}
+        kept = relations.undominated({(0, key, 0): entry for key, entry in table.items()}, 0)
+        return {key: entry for (_, key, _), entry in kept.items()}
 
     def parent_choices(self, v: int):
         """(parents, score) for each parent set of v."""
@@ -243,11 +229,11 @@ class _RecordEngine:
         return table
 
 
-def _engine(cls, instance: NonZeroInstance, forest=None, prune: bool = True):
+def _engine(cls, instance: NonZeroInstance, forest=None):
     g = superstructure(instance)
     if forest is None:
         forest = lfen_search(g).forest
-    return cls(instance, g, forest, prune)
+    return cls(instance, g, forest)
 
 
 class _BnslEngine(_RecordEngine):
@@ -291,9 +277,9 @@ def solve_bnsl_lfen(
 def record_tables(
     instance: NonZeroInstance, forest: Optional[SpanningForest] = None
 ):
-    """All per-vertex record tables as {vertex: {pair set: score}} (for the
-    record-semantics verification tests)."""
-    eng = _engine(_BnslEngine, instance, forest, prune=False)
+    """The per-vertex record tables that `solve_bnsl_lfen` keeps, as
+    {vertex: {pair set: score}}, and the engine that filled them."""
+    eng = _engine(_BnslEngine, instance, forest)
     eng.fill()
     return {v: eng.records(v) for v in range(instance.n)}, eng
 
@@ -356,8 +342,8 @@ def solve_pl_lfen(
 def pl_record_tables(
     instance: NonZeroInstance, forest: Optional[SpanningForest] = None
 ):
-    """All per-vertex polytree record tables as {vertex: {(partition,
-    entering arcs): score}}."""
-    eng = _engine(_PlEngine, instance, forest, prune=False)
+    """The per-vertex record tables that `solve_pl_lfen` keeps, as {vertex:
+    {(partition, entering arcs): score}}, and the engine that filled them."""
+    eng = _engine(_PlEngine, instance, forest)
     eng.fill()
     return {v: eng.records(v) for v in range(instance.n)}, eng

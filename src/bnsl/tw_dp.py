@@ -15,8 +15,9 @@ column of each relation and one field of inn.
 Arcs are drawn from the superstructure only; any other arc scores zero and
 can never help, so the optimum is unaffected and tables stay small.  The
 solvers also drop every snapshot that another one with the same loc
-dominates (`_TwEngine._prune`), which keeps the optimum but may pick
-another optimal network on ties.
+dominates (`_TwEngine._prune`, through `relations.undominated`, which the
+record DP shares), which keeps the optimum but may pick another optimal
+network on ties.
 
 The public solvers run the bag DP on the 2-core of the superstructure only
 (`Fold`): the trees hanging off it are folded bottom up into an in-degree
@@ -29,7 +30,7 @@ superstructure, is cut to the core on its raw bags: each node's bag meets
 the core, and `nice_from_raw` rebuilds the cut tree.  The bounded
 polytree matroid (`polytree.solve_pl_additive_bounded`) shares `Fold`: it
 runs on the same core, each bonus entering as virtual arcs.
-`snapshot_tables` keeps the unfolded tables of the whole decomposition.
+`snapshot_tables` returns the tables that the solvers keep.
 """
 
 from __future__ import annotations
@@ -45,29 +46,18 @@ _NO_ARCS: frozenset = frozenset()
 
 
 class _TwEngine:
-    def __init__(
-        self,
-        instance: AdditiveInstance,
-        td: NiceTreeDecomposition,
-        mode: str,
-        prune: bool = True,
-        fold: Optional[Fold] = None,
-    ):
-        """Bounded by `instance.max_in_degree`.  With `fold`, `td` decomposes
-        the 2-core only (`fold_core`) and `solve` adds the folded trees."""
+    def __init__(self, instance: AdditiveInstance, td: NiceTreeDecomposition, mode: str,
+                 fold: Fold):
+        """Bounded by `instance.max_in_degree`.  `td` decomposes the 2-core
+        of `fold` (`fold_core`), and `solve` adds the folded trees."""
         if mode not in ("bnsl", "pl"):
             raise ValueError(f"unknown mode {mode!r}; expected 'bnsl' or 'pl'")
         self.inst = instance
         self.pl = mode == "pl"
         self.q = instance.max_in_degree
-        self.prune = prune
         self.fold = fold
-        if fold is None:
-            self.g = superstructure(instance)
-            self.bonus: dict = {}
-        else:
-            self.g = fold.g
-            self.bonus = fold.bonus
+        self.g = fold.g
+        self.bonus = fold.bonus
         self.td = td
         # verts[t][j]: the vertex at index j of node t's bag, None where the
         # index is free.  A vertex keeps one index from the highest node that
@@ -107,8 +97,7 @@ class _TwEngine:
                 "forget": self._forget, "join": self._join}
         for t in self.td.postorder():
             node = self.td.nodes[t]
-            table = step[node.kind](t, node)
-            self.tables[t] = self._prune(table) if self.prune else table
+            self.tables[t] = self._prune(step[node.kind](t, node))
         return self.tables
 
     def solve(self) -> tuple[int, Network]:
@@ -125,14 +114,27 @@ class _TwEngine:
             entry = self.tables[t][key]
             arcs |= entry[1]
             stack.extend(zip(self.td.nodes[t].children, entry[2:]))
-        if self.fold is not None:
-            arcs |= self.fold.lift(arcs)
-            score += self.fold.tree_score()
-        return score, Network(self.inst.n, frozenset(arcs))
+        arcs |= self.fold.lift(arcs)
+        return score + self.fold.tree_score(), Network(self.inst.n, frozenset(arcs))
+
+    def records(self, t: int) -> dict:
+        """tables[t] as {(loc pairs, con pairs, ((vertex, parent count),
+        ...) in vertex order, () without a bound): best score}."""
+        verts = self.verts[t]
+        field = (1 << self.w) - 1
+        # each bag vertex with where its count sits in inn; none without a bound
+        order = sorted((x, (len(verts) - 1 - j) * self.w) for j, x in enumerate(verts)
+                       if x is not None and self.q is not None)
+        return {
+            (relations.to_pairs(loc, verts), relations.to_pairs(con, verts),
+             tuple((x, inn >> at & field) for x, at in order)): entry[0]
+            for (loc, con, inn), entry in self.tables[t].items()
+        }
 
     def _prune(self, table: dict) -> dict:
         """The entries of `table` that no other entry dominates, in their
-        insertion order.
+        insertion order (`relations.undominated`, grouped by loc, the
+        parent counts compared under the guard bits).
 
         Snapshot (loc, con', inn') with score s' dominates (loc, con, inn)
         with score s when s' >= s, con' is a subset of con row by row and
@@ -148,39 +150,10 @@ class _TwEngine:
         pendant trees never grows with the vertex's parent count, so the
         first collects at least the second's.  And the results again have
         a subset con, no larger inn and no lower score, so the root score
-        is unchanged, though a tie may pick another optimal network.
-        Each loc group is read in the order of (-score, con, inn), and an
-        entry is dropped when one kept before it dominates it.  A distinct
-        dominator comes first, as a subset con and an inn no larger in any
-        field are no larger ints.  Distinct snapshots never dominate each
-        other both ways, so every dominated entry has an undominated
-        dominator, kept before it: the entries kept are exactly those no
-        other entry dominates.
+        is unchanged, though a tie may pick another optimal network.  A
+        field of inn holds at most q, below its guard bit.
         """
-        groups: dict = {}
-        for key in table:
-            groups.setdefault(key[0], []).append(key)
-        if len(groups) == len(table):
-            return table
-        # con' is a subset of con when con' & ~con is 0, and inn' <= inn at
-        # every index when subtracting inn' from inn with every guard set
-        # borrows no guard away (fields below the guard hold at most q)
-        guard = self.guard
-        dropped = set()
-        for keys in groups.values():
-            if len(keys) == 1:
-                continue
-            kept: dict = {}  # con -> inn of each kept snapshot with it
-            for _, key in sorted((-table[k][0], k) for k in keys):
-                _, con, inn = key
-                high = inn | guard
-                for con1, inns in kept.items():
-                    if not con1 & ~con and any((high - inn1) & guard == guard for inn1 in inns):
-                        dropped.add(key)
-                        break
-                else:
-                    kept.setdefault(con, []).append(inn)
-        return {key: entry for key, entry in table.items() if key not in dropped}
+        return relations.undominated(table, self.guard)
 
     def _aux(self, con: int, d: int) -> int:
         """What `_glue` reads of a con over d bag indices besides itself:
@@ -452,7 +425,7 @@ def solve_folded(
     if mode == "pl" and instance.max_in_degree is None:
         raise ValueError("polytree bag DP needs an in-degree bound; "
                          "use the spanning-forest solver instead")
-    return _TwEngine(instance, td, mode, fold=fold).solve()
+    return _TwEngine(instance, td, mode, fold).solve()
 
 
 def solve_bnsl_additive(
@@ -475,23 +448,11 @@ def snapshot_tables(
     mode: str = "bnsl",
     td: Optional[NiceTreeDecomposition] = None,
 ):
-    """Per-node snapshot tables (for the semantics-verification tests):
-    unpruned, every reachable snapshot with its best score, dominated ones
-    included; returns (tables, decomposition)."""
-    if td is None:
-        td = tree_decomposition(superstructure(instance))
-    eng = _TwEngine(instance, td, mode, prune=False)
-    tables = eng.run_tables()
-    plain = {}
-    field = (1 << eng.w) - 1
-    for t, table in tables.items():
-        verts = eng.verts[t]
-        # each bag vertex with where its count sits in inn; none without a bound
-        order = sorted((x, (len(verts) - 1 - j) * eng.w) for j, x in enumerate(verts)
-                       if x is not None and eng.q is not None)
-        plain[t] = {
-            (relations.to_pairs(loc, verts), relations.to_pairs(con, verts),
-             tuple((x, inn >> at & field) for x, at in order)): entry[0]
-            for (loc, con, inn), entry in table.items()
-        }
-    return plain, td
+    """The per-node snapshot tables that the bag DP in `mode` keeps, over
+    `fold_core(instance, g, td)`'s decomposition as `solve_bnsl_additive(
+    instance, td)` and `solve_pl_additive_tw(instance, td)` run it, with
+    plain keys (`_TwEngine.records`); returns (tables, that decomposition)."""
+    fold, td = fold_core(instance, superstructure(instance), td)
+    eng = _TwEngine(instance, td, mode, fold)
+    eng.run_tables()
+    return {t: eng.records(t) for t in eng.tables}, td

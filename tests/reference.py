@@ -71,7 +71,14 @@ feedback edge number by spanning-tree enumeration (`exact_lfen` with
 `_tree_local_value`, formerly in `bnsl.oracle`), a network's parent set
 of one vertex (`network_parents`, formerly `Network.parents`) and a score
 read off the kernel's working state (`work_score`, formerly
-`kernel._Work.score`).
+`kernel._Work.score`).  With them sit the DP tables that the solvers no
+longer keep: a mixin whose `_prune` keeps each table whole (`KeepWhole`,
+put before an engine by `keep_whole`) and a stand-in fold that folds
+nothing (`WholeGraph`), read by `unpruned_record_tables` and
+`unpruned_pl_record_tables` (formerly `lfen_dp.record_tables` and
+`lfen_dp.pl_record_tables`) and by `unfolded_snapshot_tables` (formerly
+`tw_dp.snapshot_tables`), which return what those returned before the
+library functions returned the solvers' own tables.
 """
 
 import random
@@ -107,7 +114,7 @@ from bnsl.instances import (
     superstructure,
 )
 from bnsl.kernel import _BWD, _EMPTY, _FWD, _NONE, _Work, _btag, _fed_by, _present
-from bnsl.lfen_dp import _BnslEngine, _PlEngine, _RecordEngine
+from bnsl.lfen_dp import _BnslEngine, _PlEngine, _RecordEngine, _engine
 from bnsl.oracle import OracleLimitError
 from bnsl.polytree import GroundElement, MatroidOracles, _forest_links, _forest_path
 from bnsl.tw_dp import _NO_ARCS, _TwEngine
@@ -1758,7 +1765,7 @@ def arc_subsets_by_edge(cand: list) -> list[frozenset]:
 
 
 def snapshot_tables_dicts(instance: AdditiveInstance, mode: str, td: NiceTreeDecomposition):
-    """`TwEngineDicts` tables with plain keys, as `tw_dp.snapshot_tables`
+    """`TwEngineDicts` tables with plain keys, as `unfolded_snapshot_tables`
     returns them."""
     eng = TwEngineDicts(instance, td, mode, instance.max_in_degree)
     tables = eng.run_tables()
@@ -2802,6 +2809,68 @@ def work_score(work: _Work, v: int, parents: frozenset[int]) -> int:
     """v's score for `parents` in the kernel's working state, 0 when
     unlisted (formerly `kernel._Work.score`)."""
     return work.entries.get(v, {}).get(parents, 0)
+
+
+class KeepWhole:
+    """Mixin for a DP engine of `bnsl.lfen_dp` or `bnsl.tw_dp`, or one
+    derived from them, whose `_prune` keeps every table whole."""
+
+    def _prune(self, table: dict) -> dict:
+        return table
+
+
+@lru_cache(maxsize=None)
+def keep_whole(engine: type) -> type:
+    """`engine` with `KeepWhole` before it: it fills every table whole."""
+    return type(f"Whole{engine.__name__}", (KeepWhole, engine), {})
+
+
+class WholeGraph:
+    """A stand-in for `tw_dp.Fold` that folds nothing: the bag DP runs on
+    the whole superstructure, no vertex collects a bonus, and the lift
+    adds no arc and no score."""
+
+    def __init__(self, instance: AdditiveInstance):
+        self.g = superstructure(instance)
+        self.bonus: dict = {}
+
+    def lift(self, core_arcs) -> set:
+        return set()
+
+    def tree_score(self) -> int:
+        return 0
+
+
+def unpruned_record_tables(instance: NonZeroInstance, forest: Optional[SpanningForest] = None,
+                           engine: type = _BnslEngine):
+    """All per-vertex record tables of `engine` as {vertex: {public key:
+    score}}, dominated records included, and the engine that filled them
+    (formerly `lfen_dp.record_tables`)."""
+    eng = _engine(keep_whole(engine), instance, forest)
+    eng.fill()
+    return {v: eng.records(v) for v in range(instance.n)}, eng
+
+
+def unpruned_pl_record_tables(instance: NonZeroInstance,
+                              forest: Optional[SpanningForest] = None):
+    """All per-vertex polytree record tables as {vertex: {(partition,
+    entering arcs): score}}, dominated records included, and the engine
+    (formerly `lfen_dp.pl_record_tables`)."""
+    return unpruned_record_tables(instance, forest, _PlEngine)
+
+
+def unfolded_snapshot_tables(instance: AdditiveInstance, mode: str = "bnsl",
+                             td: Optional[NiceTreeDecomposition] = None):
+    """Per-node snapshot tables of the bag DP over the whole
+    superstructure, every reachable snapshot with its best score,
+    dominated ones included, with `_TwEngine.records`'s plain keys; without
+    `td`, over the min-fill decomposition.  Returns (tables, decomposition)
+    (formerly `tw_dp.snapshot_tables`)."""
+    if td is None:
+        td = tree_decomposition(superstructure(instance))
+    eng = keep_whole(_TwEngine)(instance, td, mode, WholeGraph(instance))
+    eng.run_tables()
+    return {t: eng.records(t) for t in eng.tables}, td
 
 
 class TwEngineProduct(_TwEngine):

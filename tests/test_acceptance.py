@@ -23,6 +23,8 @@ from reference import (
     reach_pairs,
     snapshot_reference,
     subtree_record_reference,
+    unfolded_snapshot_tables,
+    unpruned_record_tables,
 )
 
 
@@ -236,7 +238,7 @@ def test_criterion_10_record_and_snapshot_semantics():
                                        exact_fen=False)
         g = superstructure(inst)
         forest = graphs.lfen_search(g).forest
-        tables, eng = lfen_dp.record_tables(inst, forest)
+        tables, eng = unpruned_record_tables(inst, forest)
         bounds = lfen_dp.boundaries(g, forest)
         children = forest.children_lists()
         subtree = {}
@@ -256,7 +258,7 @@ def test_criterion_10_record_and_snapshot_semantics():
         q = rng.choice([None, 2])
         inst = generate.random_additive(rng, n, rng.randint(0, 2), q=q,
                                         exact_fen=False)
-        tables, td = tw_dp.snapshot_tables(inst, "bnsl")
+        tables, td = unfolded_snapshot_tables(inst, "bnsl")
         below = {}
         for t in td.postorder():
             s = set(td.nodes[t].bag)

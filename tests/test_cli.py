@@ -1,7 +1,9 @@
 import gc
+import io
 import json
 import random
 import re
+import sys
 import time
 
 import pytest
@@ -925,3 +927,93 @@ def test_solve_deterministic_across_processes(tmp_path):
         assert r.returncode == 0, r.stderr
         outs.append((r.stdout, sol.read_text()))
     assert outs[0] == outs[1]
+
+
+def check_refused(capsys, tmp_path, argv, message, out=True):
+    """`argv` exits 2 with `error: <message>` as its one stderr line and
+    nothing on stdout; with `out`, it is given an `--out` file and leaves
+    none."""
+    path = tmp_path / "refused.out"
+    if out:
+        argv = (*argv, "--out", str(path))
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert not path.exists()
+
+
+def test_solve_reads_the_instance_from_stdin(capsys, monkeypatch, tmp_path, example4_text,
+                                             example4):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(example4_text))
+    out = tmp_path / "sol.txt"
+    code, stdout, _ = run(capsys, "solve", "-", "--out", str(out))
+    assert (code, stdout) == (0, "max_score=7\n")
+    assert score_of(example4, parse_solution(out.read_text(), example4)) == 7
+
+
+def test_instance_refusals(capsys, tmp_path, example_file):
+    empty = tmp_path / "empty.scores"
+    empty.write_text("# no variables\n\n")
+    additive = tmp_path / "a.inst"
+    additive.write_text("additive 3\nb a 2\nc b 1\n")
+    for argv, message in (
+        (("solve", str(empty)), "empty instance file"),
+        (("solve", example_file, "--max-parents", "2"),
+         "--max-parents applies to the additive representation only"),
+        (("kernelize", str(additive)), "kernelization works on the explicit representation"),
+    ):
+        check_refused(capsys, tmp_path, argv, message)
+
+
+def test_tree_file_refusals(capsys, tmp_path, example_file):
+    tree = tmp_path / "tree.txt"
+    for text, message in (
+        ("a b\nb c d\n", "tree file line 2: expected '<u> <v>'"),
+        ("a b\nb z\n", "unknown vertex in tree file: b z"),
+    ):
+        tree.write_text(text)
+        check_refused(capsys, tmp_path, ("solve", example_file, "--algo", "lfen",
+                                         "--tree", str(tree)), message)
+
+
+def test_td_file_refusals(capsys, tmp_path):
+    p = tmp_path / "a.inst"
+    p.write_text("additive 3\nb a 2\nc b 1\n")
+    td = tmp_path / "td.txt"
+    for text, message in (
+        ("b 0 a b c\nb\n", "td file line 2: bag id missing"),
+        ("b 0 a z\n", "td file line 1: unknown vertex 'z'"),
+        ("b 0 a b c\ne 0\n", "td file line 2: expected 'e <parent> <child>'"),
+        ("b 0 a b c\nx 0\n", "td file line 2: unknown record 'x'"),
+        ("# no bags\n", "td file has no bags"),
+    ):
+        td.write_text(text)
+        check_refused(capsys, tmp_path, ("solve", str(p), "--algo", "twdp", "--td", str(td)),
+                      message)
+
+
+def test_verify_refusals(capsys, tmp_path, example_file):
+    # a solution line must read `<child> <- <parents...>` over the
+    # instance's variables, each child on one line and never its own
+    # parent; --lift reads a reduced instance
+    sol = tmp_path / "sol.txt"
+    for text, message in (
+        ("b <- a\nb a c\n", "line 2: expected '<child> <- <parents...>'"),
+        ("z <- a\n", "line 1: unknown variable 'z'"),
+        ("b <- a\nc <- a\nb <- c\n", "line 3: variable 'b' listed twice"),
+        ("b <- a z\n", "line 1: unknown variable 'z'"),
+        ("b <- a b\n", "line 1: variable is its own parent"),
+    ):
+        sol.write_text(text)
+        check_refused(capsys, tmp_path, ("verify", example_file, str(sol)), message, out=False)
+    sol.write_text("b <- a\n")
+    check_refused(capsys, tmp_path, ("verify", example_file, str(sol), "--lift", "lift.json"),
+                  "--lift needs --reduced-instance", out=False)
+
+
+def test_verify_names_the_vertex_over_the_bound(capsys, tmp_path):
+    p = tmp_path / "a.inst"
+    p.write_text("additive 3 1\nc a 2\nc b 1\n")
+    sol = tmp_path / "sol.txt"
+    sol.write_text("c <- a b\n")
+    assert run(capsys, "verify", str(p), str(sol)) == (1, "invalid: in-degree exceeds 1 at c\n", "")
+    assert run(capsys, "verify", str(p), str(sol), "--max-parents", "2") == (
+        0, "valid score=3\n", "")

@@ -643,3 +643,24 @@ def test_check_nice_matches_scan():
             if name == "disconnected occurrences":
                 assert any("not connected" in p for p in problems)
     assert len(seen) == 6
+
+
+def test_check_nice_names_each_malformed_node():
+    # hand-built decompositions, each with one malformed node: a leaf with
+    # a child, an introduce whose bag lost a vertex, a forget whose bag
+    # gained one, and a kind check_nice does not know
+    node, bag = graphs.TDNode, frozenset
+    one, edge = Superstructure(1, []), Superstructure(2, [(0, 1)])
+    cases = [
+        ([node(bag(), "forget", [1]), node(bag({0}), "leaf", [2]),
+          node(bag({0}), "leaf", [])], one, "leaf 1 has children"),
+        ([node(bag(), "introduce", [1]), node(bag({0}), "leaf", [])], one,
+         "introduce 0 removed a vertex"),
+        ([node(bag(), "forget", [1]), node(bag({1}), "forget", [2]),
+          node(bag({0, 1}), "forget", [3]), node(bag({0}), "leaf", [])], edge,
+         "forget 2 added a vertex"),
+        ([node(bag(), "forget", [1]), node(bag({0}), "branch", [])], one, "unknown kind branch"),
+    ]
+    for nodes, g, problem in cases:
+        td = graphs.NiceTreeDecomposition(nodes, 0, max(len(n.bag) for n in nodes) - 1)
+        assert graphs.check_nice(td, g) == check_nice_scan(td, g) == [problem]

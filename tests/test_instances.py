@@ -10,6 +10,7 @@ from bnsl.instances import (
     NonZeroInstance,
     ParseError,
     ScoreOverflowError,
+    Superstructure,
     parse_additive,
     parse_nonzero,
     parse_solution,
@@ -531,3 +532,29 @@ def test_parser_and_constructor_refuse_what_they_refused():
         parsed = parse_nonzero(write_nonzero(inst))
         assert type(parsed) is NonZeroInstance
         assert NonZeroInstance(parsed.n, parsed.names, parsed.entries) == parsed == inst
+
+
+def test_constructors_score_of_and_validate_refuse_bad_arguments():
+    # each refusal with its own message: the additive instance, network
+    # and superstructure constructors, a network of another size than the
+    # instance it is scored against, and a mode validate does not know
+    refusals = [
+        (lambda: AdditiveInstance(2, ("a",), {}), "names/variable count mismatch"),
+        (lambda: AdditiveInstance(2, ("a", "b"), {}, 0), "in-degree bound must be positive"),
+        (lambda: AdditiveInstance(2, ("a", "b"), {(1, 1): 1}), "self-arc on variable 1"),
+        (lambda: AdditiveInstance(2, ("a", "b"), {(0, 2): 1}), "arc (0,2) out of range"),
+        (lambda: AdditiveInstance(2, ("a", "b"), {(0, 1): 0}), "arc score 0 outside [1, 2^63)"),
+        (lambda: AdditiveInstance(2, ("a", "b"), {(0, 1): 2**63}),
+         f"arc score {2**63} outside [1, 2^63)"),
+        (lambda: Network(2, frozenset({(1, 1)})), "self-arc on 1"),
+        (lambda: Network(2, frozenset({(-1, 0)})), "arc (-1,0) out of range"),
+        (lambda: Superstructure(3, [(0, 1), (2, 2)]), "self-loop on 2"),
+        (lambda: Superstructure(3, [(0, 3)]), "edge (0,3) out of range"),
+        (lambda: score_of(parse_nonzero("2\na 0\nb 0\n"), Network(3, frozenset())),
+         "network size does not match instance"),
+        (lambda: validate(Network(2, frozenset()), "forest"), "unknown mode 'forest'"),
+    ]
+    for make, message in refusals:
+        with pytest.raises(ValueError) as e:
+            make()
+        assert str(e.value) == message

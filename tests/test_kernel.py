@@ -231,6 +231,23 @@ def test_rr1_single_absorbed_neighbour():
     assert reduced.entries == {0: {frozenset(): 5}}
 
 
+def test_rr1_drops_a_zero_empty_set_group():
+    # v lists only {w, x}, with w a leaf that lists nothing: every leaf of v
+    # adds 0 (base 0), so the empty-set group of v scores 0 and is left out
+    # of v's new table, which keeps {x} alone.  The lift hands w back to v,
+    # and the optimum, 8, is the input's
+    inst = parse_nonzero("4\nv 1\n5 2 w x\nw 0\nx 1\n3 1 y\ny 1\n2 1 v\n")
+    result = kernel.absorb_leaves(inst)
+    assert [(step["rule"], step["v"], step["q"]) for step in result.steps] == [(1, 0, [1])]
+    red = result.reduced
+    assert red.names == ("v", "x", "y")
+    assert red.entries == {0: {frozenset({1}): 5}, 1: {frozenset({2}): 3}, 2: {frozenset({0}): 2}}
+    best, net = oracle.exact_bnsl(red)
+    lifted = result.lift(net)
+    assert best == oracle.exact_bnsl(inst)[0] == score_of(inst, lifted) == 8
+    assert validate(lifted, "dag").ok and (1, 0) in lifted.arcs
+
+
 def test_rr1_preserves_optimum_random():
     checked = 0
     for seed in range(200):

@@ -16,6 +16,7 @@ from reference import (
     closure,
     from_pairs,
     irreflexive,
+    keep_whole,
     pl_glue_class_count,
     random_dag,
     reach_pairs,
@@ -24,6 +25,8 @@ from reference import (
     subtree_record_reference,
     to_pairs,
     unpack,
+    unpruned_pl_record_tables,
+    unpruned_record_tables,
 )
 
 
@@ -135,7 +138,7 @@ def test_leaf_records_empty_family():
     leaf = next(
         v for v in range(2) if not forest.children_lists()[v]
     )
-    recs = lfen_dp.record_tables(inst, forest)[0][leaf]
+    recs = unpruned_record_tables(inst, forest)[0][leaf]
     assert recs[frozenset()] == 0
 
 
@@ -143,7 +146,7 @@ def test_leaf_records_single_parent():
     inst = parse_nonzero("2\nu 0\nv 1\n5 1 u\n")
     forest = witness_forest(inst)
     children = forest.children_lists()
-    tables, _ = lfen_dp.record_tables(inst, forest)
+    tables, _ = unpruned_record_tables(inst, forest)
     for v in range(2):
         if children[v]:
             continue
@@ -162,7 +165,7 @@ def test_leaf_records_match_enumeration():
         forest = graphs.lfen_search(g).forest
         bounds = lfen_dp.boundaries(g, forest)
         children = forest.children_lists()
-        tables, _ = lfen_dp.record_tables(inst, forest)
+        tables, _ = unpruned_record_tables(inst, forest)
         for v in range(inst.n):
             if children[v]:
                 continue
@@ -177,7 +180,7 @@ def test_combine_records_closed_children_formula():
     g = superstructure(inst)
     forest = graphs.forest_from_edges(g, g.edges)
     hub = 0
-    recs = lfen_dp.record_tables(inst, forest)[0][hub]
+    recs = unpruned_record_tables(inst, forest)[0][hub]
     assert recs == {frozenset(): 9}  # each leaf takes the hub when it pays
 
 
@@ -213,7 +216,7 @@ def test_record_tables_witnessed_and_maximal():
                                        extra_sets=0.3, exact_fen=False)
         g = superstructure(inst)
         forest = graphs.lfen_search(g).forest
-        tables, eng = lfen_dp.record_tables(inst, forest)
+        tables, eng = unpruned_record_tables(inst, forest)
         subtrees = subtree_sets(forest)
         bounds = lfen_dp.boundaries(g, forest)
         k = graphs.lfen_of_tree(g, forest).value
@@ -228,7 +231,7 @@ def test_root_table_single_record():
         rng = random.Random(500 + seed)
         inst = generate.random_nonzero(rng, rng.randint(2, 8), rng.randint(0, 2),
                                        exact_fen=False)
-        tables, eng = lfen_dp.record_tables(inst)
+        tables, eng = unpruned_record_tables(inst)
         so, _ = oracle.exact_bnsl(inst)
         roots = eng.forest.roots
         total = 0
@@ -339,7 +342,7 @@ def test_pl_record_tables_witnessed_and_maximal():
                                        extra_sets=0.3, exact_fen=False)
         g = superstructure(inst)
         forest = graphs.lfen_search(g).forest
-        tables, eng = lfen_dp.pl_record_tables(inst, forest)
+        tables, eng = unpruned_pl_record_tables(inst, forest)
         subtrees = subtree_sets(forest)
         bounds = lfen_dp.boundaries(g, forest)
         for v in range(inst.n):
@@ -372,14 +375,14 @@ def test_tables_and_witness_match_product_engine():
                                        extra_sets=rng.choice([0, 0.3, 0.6]))
         g = superstructure(inst)
         for forest in (graphs.lfen_search(g).forest, graphs.feedback_edge_set(g)):
-            _, eng = lfen_dp.record_tables(inst, forest)
+            _, eng = unpruned_record_tables(inst, forest)
             ref = BnslEngineProduct(inst, g, forest)
             ref.fill()
             for v in range(inst.n):
                 assert row_table(eng, v) == one_chain_table(ref, v)
             assert lfen_dp.solve_bnsl_lfen(inst, forest) == ref.solve()
 
-            tables, _ = lfen_dp.pl_record_tables(inst, forest)
+            tables, _ = unpruned_pl_record_tables(inst, forest)
             ref = PlEngineProduct(inst, g, forest)
             best, _ = ref.solve()
             for v in range(inst.n):
@@ -401,9 +404,9 @@ def test_tables_match_full_closure_at_kernel_scale():
         red = kernel.kernelize_bnsl(inst).reduced
         g = superstructure(red)
         for forest in (graphs.lfen_search(g).forest, graphs.feedback_edge_set(g)):
-            ref = BnslEngineFullClosure(red, g, forest, prune=False)
+            ref = keep_whole(BnslEngineFullClosure)(red, g, forest)
             assert lfen_dp.solve_bnsl_lfen(red, forest) == ref.solve()
-            _, eng = lfen_dp.record_tables(red, forest)
+            _, eng = unpruned_record_tables(red, forest)
             for v in range(red.n):
                 assert row_table(eng, v) == row_table(ref, v)
 
@@ -425,9 +428,9 @@ def test_packed_fold_matches_row_glue_on_benchmark_kernels():
                 red = kernel.kernelize_bnsl(inst).reduced
                 g = superstructure(red)
                 forest = graphs.lfen_search(g).forest
-                ref = BnslEngineRowGlue(red, g, forest, prune=False)
+                ref = keep_whole(BnslEngineRowGlue)(red, g, forest)
                 assert lfen_dp.solve_bnsl_lfen(red, forest) == ref.solve()
-                _, eng = lfen_dp.record_tables(red, forest)
+                _, eng = unpruned_record_tables(red, forest)
                 for v in range(red.n):
                     assert row_table(eng, v) == row_table(ref, v)
 
@@ -455,7 +458,7 @@ def test_tables_and_witness_match_closed_child_engine():
             for work in (inst, kernelize(inst).reduced):
                 g = superstructure(work)
                 for forest in (graphs.lfen_search(g).forest, graphs.feedback_edge_set(g)):
-                    eng = engine(work, g, forest, prune=False)
+                    eng = keep_whole(engine)(work, g, forest)
                     ref = closed_engine(work, g, forest)
                     assert eng.solve() == ref.solve()
                     for v in range(work.n):
@@ -582,8 +585,8 @@ def test_cycle_rejects_agree_with_the_full_glues_on_benchmark_kernels():
                     rng = random.Random(f"{workload}:{seed}:{rnd}:{k}")
                     red = kernelize(generate.random_nonzero(rng, n, fen, subdivisions=sub)).reduced
                     g = superstructure(red)
-                    eng = checked_engine(engine, plain, cheap, tally)(
-                        red, g, graphs.lfen_search(g).forest, prune=False)
+                    eng = keep_whole(checked_engine(engine, plain, cheap, tally))(
+                        red, g, graphs.lfen_search(g).forest)
                     eng.solve()
         tallies.append(tally)
     bnsl, pl = tallies
@@ -718,3 +721,45 @@ def test_glues_are_monotone_in_the_key():
             assert whole is None or part is not None and not part & ~whole
             tally["pl"] += whole is not None and part != whole
     assert tally["bnsl"] > 1000 and tally["pl"] > 200, tally
+
+
+def test_record_tables_are_the_solvers_tables(monkeypatch):
+    # the kernels of the explicit slots of the dag-explicit and polytree
+    # benchmarks, seeds 1-3, both rounds, drawn as perfbench/ladders.py
+    # draws them, over the witness tree the CLI searches: `record_tables`
+    # and `pl_record_tables` return the tables that the solver's own engine
+    # fills, in insertion order, and the engine they return solves the
+    # same.  The n=1500 near-tree slot is left out, as in
+    # test_packed_fold_matches_row_glue_on_benchmark_kernels
+    filled = []
+    original = lfen_dp._RecordEngine.fill
+
+    def fill(self):
+        filled.append(self)
+        original(self)
+
+    monkeypatch.setattr(lfen_dp._RecordEngine, "fill", fill)
+    slots = (("dag-explicit", 0, 60, 5, 40), ("dag-explicit", 1, 200, 3, 150),
+             ("dag-explicit", 2, 800, 1, 700), ("polytree", 6, 200, 1, 150),
+             ("polytree", 7, 800, 1, 700))
+    modes = {"dag-explicit": (kernel.kernelize_bnsl, lfen_dp.solve_bnsl_lfen,
+                              lfen_dp.record_tables),
+             "polytree": (kernel.kernelize_pl, lfen_dp.solve_pl_lfen, lfen_dp.pl_record_tables)}
+    dropped = 0
+    for seed in range(1, 4):
+        for rnd in range(2):
+            for workload, k, n, fen, sub in slots:
+                kernelize, solve, tables_of = modes[workload]
+                rng = random.Random(f"{workload}:{seed}:{rnd}:{k}")
+                red = kernelize(generate.random_nonzero(rng, n, fen, subdivisions=sub)).reduced
+                forest = graphs.lfen_search(superstructure(red)).forest
+                filled.clear()
+                solved = solve(red, forest)
+                (eng,) = filled
+                tables, ref = tables_of(red, forest)
+                assert type(ref) is type(eng) and ref.solve() == solved
+                for v in range(red.n):
+                    assert list(tables[v].items()) == list(eng.records(v).items())
+                whole, _ = unpruned_record_tables(red, forest, type(eng))
+                dropped += sum(map(len, whole.values())) - sum(map(len, tables.values()))
+    assert dropped > 1000, dropped

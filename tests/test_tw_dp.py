@@ -1,4 +1,7 @@
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,12 +22,15 @@ from reference import (
     FoldGenerators,
     TwEngineDicts,
     TwEngineProduct,
+    WholeGraph,
     bags_from_order_replay,
     core_decomposition_rewrite,
     core_min_fill_relabeled,
     exact_decomposition,
+    keep_whole,
     snapshot_reference,
     snapshot_tables_dicts,
+    unfolded_snapshot_tables,
     unpack,
 )
 
@@ -42,7 +48,7 @@ def below_sets(td):
 
 def test_leaf_table():
     inst = AdditiveInstance(2, ("a", "b"), {(0, 1): 3}, max_in_degree=1)
-    tables, td = tw_dp.snapshot_tables(inst)
+    tables, td = unfolded_snapshot_tables(inst)
     for t in td.postorder():
         if td.nodes[t].kind == "leaf":
             (v,) = td.nodes[t].bag
@@ -127,7 +133,7 @@ def test_snapshots_witnessed_and_maximal():
         q = rng.choice([None, 2])
         inst = generate.random_additive(rng, n, rng.randint(0, 2), q=q,
                                         exact_fen=False)
-        tables, td = tw_dp.snapshot_tables(inst, "bnsl")
+        tables, td = unfolded_snapshot_tables(inst, "bnsl")
         below = below_sets(td)
         for t in td.postorder():
             want = snapshot_reference(inst, below[t], td.nodes[t].bag, q, "bnsl")
@@ -140,7 +146,7 @@ def test_pl_snapshots_witnessed_and_maximal():
         n = rng.randint(3, 7)
         inst = generate.random_additive(rng, n, rng.randint(0, 2), q=2,
                                         exact_fen=False)
-        tables, td = tw_dp.snapshot_tables(inst, "pl")
+        tables, td = unfolded_snapshot_tables(inst, "pl")
         below = below_sets(td)
         for t in td.postorder():
             want = snapshot_reference(inst, below[t], td.nodes[t].bag, 2, "pl")
@@ -152,7 +158,7 @@ def test_root_snapshot_single_key():
         rng = random.Random(95_000 + seed)
         inst = generate.random_additive(rng, rng.randint(2, 8), rng.randint(0, 2),
                                         q=rng.choice([None, 2]), exact_fen=False)
-        tables, td = tw_dp.snapshot_tables(inst, "bnsl")
+        tables, td = unfolded_snapshot_tables(inst, "bnsl")
         assert list(tables[td.root]) == [(frozenset(), frozenset(), ())]
         so, _ = oracle.exact_bnsl(inst)
         assert tables[td.root][(frozenset(), frozenset(), ())] == so
@@ -228,12 +234,12 @@ def test_tables_and_witness_match_dict_engine():
                                         connected=(seed % 3 != 0), exact_fen=False)
         td = graphs.tree_decomposition(superstructure(inst))
         for mode in ("bnsl",) if q is None else ("bnsl", "pl"):
-            tables, _ = tw_dp.snapshot_tables(inst, mode, td)
+            tables, _ = unfolded_snapshot_tables(inst, mode, td)
             want = snapshot_tables_dicts(inst, mode, td)
             assert list(tables) == list(want)
             for t, table in tables.items():
                 assert list(table.items()) == list(want[t].items())
-            unpruned = tw_dp._TwEngine(inst, td, mode, prune=False)
+            unpruned = keep_whole(tw_dp._TwEngine)(inst, td, mode, WholeGraph(inst))
             ref = TwEngineDicts(inst, td, mode, q)
             assert unpruned.solve() == ref.solve()
             for t, table in unpruned.tables.items():
@@ -266,8 +272,8 @@ def test_pruned_tables_keep_the_undominated_entries():
                                         connected=(seed % 3 != 0), exact_fen=False)
         td = graphs.tree_decomposition(superstructure(inst))
         for mode in ("bnsl",) if q is None else ("bnsl", "pl"):
-            pruned = tw_dp._TwEngine(inst, td, mode)
-            unpruned = tw_dp._TwEngine(inst, td, mode, prune=False)
+            pruned = tw_dp._TwEngine(inst, td, mode, WholeGraph(inst))
+            unpruned = keep_whole(tw_dp._TwEngine)(inst, td, mode, WholeGraph(inst))
             score, net = pruned.solve()
             full_score, _ = unpruned.solve()
             for t, table in unpruned.tables.items():
@@ -299,7 +305,8 @@ def test_packed_counts_match_tuple_arithmetic():
         clique = {(x, y): 1 for x in range(d) for y in range(x + 1, d)}
         for q in (None, 1, 2, 3, 4, 5, 6):
             inst = AdditiveInstance(d, tuple(f"v{x}" for x in range(d)), clique, q)
-            eng = tw_dp._TwEngine(inst, graphs.tree_decomposition(superstructure(inst)), "bnsl")
+            td = graphs.tree_decomposition(superstructure(inst))
+            eng = tw_dp._TwEngine(inst, td, "bnsl", WholeGraph(inst))
             assert eng.td.width == d - 1
             if q is None:
                 assert eng.units == [0] * d and eng.guard == eng.over == 0
@@ -408,7 +415,7 @@ def test_fold_matches_unfolded_dp_and_oracle():
             assert own.width == -1 and own.nodes == [graphs.TDNode(frozenset(), "leaf", [])]
         for mode in ("bnsl",) if q is None else ("bnsl", "pl"):
             solve = tw_dp.solve_pl_additive_tw if mode == "pl" else tw_dp.solve_bnsl_additive
-            want, _ = tw_dp._TwEngine(inst, td, mode, prune=False).solve()
+            want, _ = keep_whole(tw_dp._TwEngine)(inst, td, mode, WholeGraph(inst)).solve()
             if g.n <= 9:
                 exact = oracle.exact_pl(inst) if mode == "pl" else oracle.exact_bnsl(inst)
                 assert want == exact[0], (seed, mode)
@@ -608,11 +615,13 @@ def test_steps_and_fold_match_product_engine():
                                             old.a, old.b, old.bonus, old.roots)
         assert set(vars(fold)) - {"arc_scores"} == set(vars(old)) - {"arc"}
         for mode in ("bnsl",) if inst.max_in_degree is None else ("bnsl", "pl"):
-            runs = [(td, None, True)] + [(td, None, False)] * (td.width <= 3)
-            runs.append((tw_dp.fold_core(inst, g, td if k % 2 else None)[1], fold, True))
-            for dec, with_fold, prune in runs:
-                new = tw_dp._TwEngine(inst, dec, mode, prune, fold=with_fold)
-                ref = TwEngineProduct(inst, dec, mode, prune, fold=with_fold and old)
+            whole = WholeGraph(inst)
+            runs = [(td, whole, whole, True)] + [(td, whole, whole, False)] * (td.width <= 3)
+            runs.append((tw_dp.fold_core(inst, g, td if k % 2 else None)[1], fold, old, True))
+            for dec, new_fold, old_fold, prune in runs:
+                wrap = (lambda engine: engine) if prune else keep_whole
+                new = wrap(tw_dp._TwEngine)(inst, dec, mode, new_fold)
+                ref = wrap(TwEngineProduct)(inst, dec, mode, old_fold)
                 score, net = new.solve()
                 assert (score, net) == ref.solve()
                 assert list(new.tables) == list(ref.tables)
@@ -622,7 +631,7 @@ def test_steps_and_fold_match_product_engine():
                         sorted_key(new, c, ck) for c, ck in zip(children, entry[2:])))
                         for key, entry in table.items()]
                     assert got == list(ref.tables[t].items())
-                if with_fold is not None:
+                if new_fold is fold:
                     core_arcs = {(x, y) for x, y in net.arcs if x not in fold.kids.get(y, ())
                                  and y not in fold.kids.get(x, ())}
                     assert fold.lift(core_arcs) == old.lift(core_arcs)
@@ -643,7 +652,7 @@ def test_each_vertex_keeps_one_index():
         g = superstructure(inst)
         whole = graphs.tree_decomposition(g)
         for td in (whole, tw_dp.fold_core(inst, g)[1], tw_dp.fold_core(inst, g, whole)[1]):
-            eng = tw_dp._TwEngine(inst, td, "bnsl")
+            eng = tw_dp._TwEngine(inst, td, "bnsl", WholeGraph(inst))
             index: dict = {}
             for t, node in enumerate(td.nodes):
                 verts = eng.verts[t]
@@ -658,3 +667,50 @@ def test_each_vertex_keeps_one_index():
                     assert all(eng.verts[c] == verts for c in node.children)
             count += 1
     assert count == 600 and kinds == {"leaf", "introduce", "forget", "join"}
+
+
+def benchmark_ladders():
+    """perfbench/ladders.py, loaded from the source checkout."""
+    name = "perfbench_ladders"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "ladders.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+def test_snapshot_tables_are_the_solvers_tables(monkeypatch):
+    # the twdp slots of the dag-additive and polytree benchmarks, seeds
+    # 1-3, round 0, drawn by perfbench/ladders.py, with the whole graph's
+    # min-fill decomposition and without one: `snapshot_tables` returns
+    # `fold_core`'s decomposition and, in insertion order, the tables that
+    # the solver's own engine fills over it
+    engines = []
+    original = tw_dp._TwEngine.run_tables
+
+    def run_tables(self):
+        engines.append(self)
+        return original(self)
+
+    monkeypatch.setattr(tw_dp._TwEngine, "run_tables", run_tables)
+    workloads = (("dag-additive", "bnsl", tw_dp.solve_bnsl_additive),
+                 ("polytree", "pl", tw_dp.solve_pl_additive_tw))
+    runs = {mode: 0 for _, mode, _ in workloads}
+    for workload, mode, solve in workloads:
+        for seed in range(1, 4):
+            for k, slot in enumerate(benchmark_ladders().WORKLOADS[workload]):
+                if slot.algo != "twdp":
+                    continue
+                inst = slot.make(random.Random(f"{workload}:{seed}:0:{k}"))
+                for td in (graphs.tree_decomposition(superstructure(inst)), None):
+                    engines.clear()
+                    solve(inst, td)
+                    (eng,) = engines
+                    tables, dec = tw_dp.snapshot_tables(inst, mode, td)
+                    assert dec == eng.td
+                    assert list(tables) == list(eng.tables)
+                    for t, table in tables.items():
+                        assert list(table.items()) == list(eng.records(t).items())
+                    runs[mode] += 1
+    assert min(runs.values()) >= 6, runs
