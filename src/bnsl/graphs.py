@@ -228,20 +228,23 @@ def spanning_tree_count(g: Superstructure) -> int:
     return int(count)
 
 
-def _spanning_trees(g: Superstructure):
-    """Yield every spanning tree (edge frozenset) of a connected graph once,
-    by branching on each edge: contract it into the tree or delete it.
-    The branching lives in module-level functions, not closures, which
-    would refer to themselves and leave reference cycles behind."""
-    yield from _spanning_branch(sorted(g.edges), g.n, 0, [], list(range(g.n)), 0)
+def _spanning_trees(g: Superstructure, taken: frozenset):
+    """Yield once each spanning tree (edge frozenset) of a connected graph
+    that holds the forest `taken`, by branching on each other edge:
+    contract it into the tree or delete it.  The branching lives in
+    module-level functions, not closures, which would refer to themselves
+    and leave reference cycles behind."""
+    union = list(range(g.n))
+    for a, b in taken:
+        union[find(union, a)] = find(union, b)
+    yield from _spanning_branch(sorted(g.edges - taken), g.n, 0, list(taken), union)
 
 
-def _spanning_branch(edges: list, n: int, i: int, chosen: list[int], union: list[int],
-                     count: int):
+def _spanning_branch(edges: list, n: int, i: int, chosen: list, union: list[int]):
     """The spanning trees that take the edges `chosen` (merged into the
-    union-find forest `union`, `count` of them) and decide edges[i:]."""
-    if count == n - 1:
-        yield frozenset(edges[j] for j in chosen)
+    union-find forest `union`) and decide edges[i:]."""
+    if len(chosen) == n - 1:
+        yield frozenset(chosen)
         return
     if i == len(edges):
         return
@@ -250,12 +253,12 @@ def _spanning_branch(edges: list, n: int, i: int, chosen: list[int], union: list
     if ra != rb:
         u2 = union[:]
         u2[ra] = rb
-        chosen.append(i)
-        yield from _spanning_branch(edges, n, i + 1, chosen, u2, count + 1)
+        chosen.append(edges[i])
+        yield from _spanning_branch(edges, n, i + 1, chosen, u2)
         chosen.pop()
     # deletion branch: only if the rest can still connect
     if _still_spans(edges, n, i + 1, union):
-        yield from _spanning_branch(edges, n, i + 1, chosen, union, count)
+        yield from _spanning_branch(edges, n, i + 1, chosen, union)
 
 
 def _still_spans(edges: list, n: int, start: int, union: list[int]) -> bool:
@@ -276,15 +279,16 @@ def _still_spans(edges: list, n: int, start: int, union: list[int]) -> bool:
 def lfen_search(g: Superstructure, budget: int = DEFAULT_TREE_BUDGET) -> LfenWitness:
     """Best witness tree found for the localized feedback measure.
 
-    Per component: count the spanning trees (`spanning_tree_count`) and
-    enumerate them all when their number fits the budget (result flagged
-    exact), otherwise improve a BFS tree by edge swaps (add one non-tree
-    edge, drop one tree edge on its cycle), taking in each round the best
-    strict improvement, restarting from the BFS trees of the first four
-    vertices.  Every candidate swap is scored incrementally from the
-    current tree's paths (`_best_swap`); only the accepted swap's forest is
-    built and its value checked against the score.  The global value is
-    the maximum over components.
+    Per component: count the spanning trees (`spanning_tree_count`) and,
+    when their number fits the budget, enumerate those that hold the edges
+    the least tree holds (`_chain_forest`; result flagged exact), otherwise
+    improve a BFS tree by edge swaps (add one non-tree edge, drop one tree
+    edge on its cycle), taking in each round the best strict improvement,
+    restarting from the BFS trees of the first four vertices.  Every
+    candidate swap is scored incrementally from the current tree's paths
+    (`_best_swap`); only the accepted swap's forest is built and its value
+    checked against the score.  The global value is the maximum over
+    components.
     """
     best_edges: set[tuple[int, int]] = set()
     exact_all = True
@@ -306,13 +310,7 @@ def _component_lfen_tree(g: Superstructure, budget: int):
     best_tree = None
     best_key = None
     if spanning_tree_count(g) <= budget:
-        if g.edge_count() == g.n:
-            # one cycle, the 2-core: every tree drops one of its edges and
-            # scores 1, and the smallest sorted edge tuple drops the largest
-            up = peel(g)[1]
-            drop = max(e for e in g.edges if e[0] not in up and e[1] not in up)
-            return g.edges - {drop}, True
-        for tree in _spanning_trees(g):
+        for tree in _spanning_trees(g, _chain_forest(g)):
             value = lfen_of_tree(g, forest_from_edges(g, tree)).value
             key = (value, tuple(sorted(tree)))
             if best_key is None or key < best_key:
@@ -339,6 +337,33 @@ def _component_lfen_tree(g: Superstructure, budget: int):
             best_key = key
             best_tree = forest.tree_edges
     return best_tree, False
+
+
+def _chain_forest(g: Superstructure) -> frozenset:
+    """Every edge of a connected graph but the largest of each chain of its
+    2-core (`peel`): the spanning tree of least (lfen, sorted edges) holds
+    them all.
+
+    A chain is a maximal path whose inner vertices have two core neighbours,
+    or a whole cycle; it is a class of core edges joined at such vertices.
+    Every spanning tree keeps each bridge and cuts each chain at most once,
+    or an inner vertex would be cut off.  The local counts depend only on
+    which chains a tree cuts: a cut chain's feedback edge closes the same
+    cycle wherever it lies, and no other tree path enters the chain, as no
+    other edge ends inside it.  Among the trees that cut the same chains,
+    cutting each at its largest edge gives the smallest sorted edge tuple.
+    """
+    out = peel(g)[1]
+    union = {e: e for e in g.edges if e[0] not in out and e[1] not in out}
+    for v in range(g.n):
+        core = [] if v in out else [_norm(v, w) for w in g.adj[v] if w not in out]
+        if len(core) == 2:
+            union[find(union, core[0])] = find(union, core[1])
+    largest: dict = {}
+    for e in union:
+        r = find(union, e)
+        largest[r] = max(largest.get(r, e), e)
+    return g.edges - frozenset(largest.values())
 
 
 def _best_swap(forest: SpanningForest, counts: tuple[int, ...], value: int):

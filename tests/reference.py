@@ -2553,7 +2553,7 @@ def component_lfen_tree_rebuild(g: Superstructure, budget: int):
     best_tree = None
     best_key = None
     if graphs.spanning_tree_count(g) <= budget:
-        for tree in graphs._spanning_trees(g):
+        for tree in graphs._spanning_trees(g, frozenset()):
             value = graphs.lfen_of_tree(g, graphs.forest_from_edges(g, tree)).value
             key = (value, tuple(sorted(tree)))
             if best_key is None or key < best_key:

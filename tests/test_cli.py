@@ -709,6 +709,34 @@ def test_lfen_on_one_long_cycle(capsys, tmp_path):
         assert (code, out, err) == (0, "max_score=7295\n", "fen=1 lfen<=1 exact\n")
 
 
+def test_lfen_on_long_chains(capsys, tmp_path):
+    # two cycles of 10 and 1500 edges through vertex 0 ("fig8"), paths of
+    # 1000, 10 and 1 edges between vertices 0 and 1 ("theta3"), and an
+    # n=1500 near-tree with two extra edges: the exact search branches on
+    # each 2-core chain's largest edge only.  Branching on every edge ran
+    # out of stack in params on all three (RecursionError, exit 3)
+    def path(a, b, inner):
+        vs = [a, *inner, b]
+        return list(zip(vs, vs[1:]))
+
+    fig8 = Superstructure(1509, path(0, 0, range(1, 10)) + path(0, 0, range(10, 1509)))
+    theta3 = Superstructure(1010, path(0, 1, range(2, 1001)) + path(0, 1, range(1001, 1010))
+                            + [(0, 1)])
+    code, near_tree, _ = run(capsys, "gen", "--n", "1500", "--fen", "2", "--seed", "1")
+    assert code == 0
+    for name, text, best in (
+        ("fig8", write_nonzero(generate.scores_for_graph(random.Random(1), fig8)), 7365),
+        ("theta3", write_nonzero(generate.scores_for_graph(random.Random(1), theta3)), 4936),
+        ("nt2", near_tree, 6840),
+    ):
+        p = tmp_path / f"{name}.scores"
+        p.write_text(text)
+        assert run(capsys, "params", str(p)) == (0, "fen=2 lfen<=2 exact tw<=2\n", ""), name
+        for mode in ("bnsl", "polytree"):
+            code, out, err = run(capsys, "solve", str(p), "--mode", mode, "--algo", "lfen")
+            assert (code, out, err) == (0, f"max_score={best}\n", "fen=2 lfen<=2 exact\n"), name
+
+
 def test_empty_tree_path_is_invalid_input(capsys, example_file):
     # an empty --tree names no file; it is refused, not taken as absent
     code, out, err = run(capsys, "solve", example_file, "--algo", "lfen", "--tree", "")

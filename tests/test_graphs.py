@@ -1,7 +1,7 @@
 import gc
 import random
 import time
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -150,23 +150,25 @@ def test_lfen_search_matches_enumeration_oracle():
         assert w.value == exact
 
 
-def test_unicyclic_closed_form_matches_enumeration():
-    # a connected graph with one cycle: the tree without the cycle's largest
-    # edge is the one the enumeration picks, flagged exact, with and without
-    # subdivided edges
-    subdivided = 0
-    for seed in range(400):
+def test_chain_cuts_match_enumeration():
+    # the exact search keeps every edge but the largest of each chain of the
+    # 2-core and branches on those: it picks the tree that enumerating every
+    # spanning tree picks, flagged exact, on graphs with one cycle and with
+    # 2-5, half of them subdivided, with and without pendant trees
+    shapes = Counter()
+    for seed in range(600):
         rng = random.Random(2600 + seed)
-        g = generate.random_graph(rng, rng.randint(3, 20), 1)
+        extra = 1 if seed < 400 else rng.randint(2, 5)
+        g = generate.random_graph(rng, rng.randint(extra + 2, 20 if extra == 1 else 10), extra)
         if seed % 2:
-            g = generate.subdivide(rng, g, rng.randint(1, 20))
-            subdivided += 1
-        assert g.edge_count() == g.n and len(g.components()) == 1
+            g = generate.subdivide(rng, g, rng.randint(1, 20 if extra == 1 else 6))
+        assert g.edge_count() == g.n - 1 + extra and len(g.components()) == 1
         budget = graphs.spanning_tree_count(g)
         tree, exact = graphs._component_lfen_tree(g, budget)
         assert (tree, exact) == component_lfen_tree_rebuild(g, budget)
         assert exact and isinstance(tree, frozenset)
-    assert subdivided == 200
+        shapes[extra > 1, seed % 2, bool(graphs.peel(g)[0])] += 1
+    assert len(shapes) == 8 and min(shapes.values()) >= 10
 
 
 def test_lfen_search_budget_fallback_upper_bound():
@@ -292,7 +294,7 @@ def test_spanning_tree_count_matches_enumeration():
             assert count == 0
             continue
         checked += 1
-        assert count == sum(1 for _ in graphs._spanning_trees(g))
+        assert count == sum(1 for _ in graphs._spanning_trees(g, frozenset()))
     assert checked >= 60
 
 
