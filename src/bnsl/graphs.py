@@ -188,25 +188,31 @@ def _component_subgraph(g: Superstructure, comp: list[int]):
 def spanning_tree_count(g: Superstructure) -> int:
     """Number of spanning trees of g (0 when g is disconnected).
 
-    Matrix-tree theorem: the count is the determinant of the Laplacian with
-    one row and column deleted.  Exact Gaussian elimination of the sparse
-    Laplacian in minimum-degree order leaves one vertex uneliminated; the
-    product of the other pivots is that determinant.  Eliminating a vertex
-    of a connected weighted Laplacian leaves a connected weighted Laplacian
-    (positive pivots, no row swaps); entries are off-diagonal edge weights
-    w[v][u] = -L[v][u] as Fractions.
+    Every spanning tree holds every bridge, so peeling the pendant vertices
+    (`peel`) leaves the count unchanged: it is the count of the 2-core,
+    which is connected when g is, and 1 when the core is empty (g a tree).
+    Matrix-tree theorem: the count is the determinant of the core's
+    Laplacian with one row and column deleted.  Exact Gaussian elimination
+    of the sparse Laplacian in minimum-degree order leaves one vertex
+    uneliminated; the product of the other pivots is that determinant.
+    Eliminating a vertex of a connected weighted Laplacian leaves a
+    connected weighted Laplacian (positive pivots, no row swaps); entries
+    are off-diagonal edge weights w[v][u] = -L[v][u] as Fractions.
     """
-    n = g.n
-    if n <= 1:
+    if g.n <= 1:
         return 1
     if len(g.components()) > 1:
         return 0
-    w = {v: {u: Fraction(1) for u in g.adj[v]} for v in range(n)}
-    diag = [Fraction(len(g.adj[v])) for v in range(n)]
-    heap = [(len(w[v]), v) for v in range(n)]
+    _, up = peel(g)
+    core = [v for v in range(g.n) if v not in up]
+    if not core:
+        return 1
+    w = {v: {u: Fraction(1) for u in g.adj[v] if u not in up} for v in core}
+    diag = {v: Fraction(len(w[v])) for v in core}
+    heap = [(len(w[v]), v) for v in core]
     heapq.heapify(heap)
     count = Fraction(1)
-    for _ in range(n - 1):
+    for _ in range(len(core) - 1):
         while True:
             d, v = heapq.heappop(heap)
             if v in w and d == len(w[v]):

@@ -116,8 +116,7 @@ class _RecordEngine:
     @staticmethod
     def _prune(table: dict) -> dict:
         """The entries of `table` that no other entry dominates, in their
-        insertion order (`relations.undominated`, the whole table one group
-        with zero counts).
+        insertion order (`relations.undominated`, with zero counts).
 
         Record (key', s') dominates (key, s) when key' is a subset of key,
         read as pair sets, and s' >= s.  Dropping the second keeps the
@@ -139,8 +138,8 @@ class _RecordEngine:
         parent set, and the reverse arc closes a cycle that the key
         catches.
         """
-        kept = relations.undominated({(0, key, 0): entry for key, entry in table.items()}, 0)
-        return {key: entry for (_, key, _), entry in kept.items()}
+        kept = relations.undominated({(key, 0): entry for key, entry in table.items()}, 0)
+        return {key: entry for (key, _), entry in kept.items()}
 
     def parent_choices(self, v: int):
         """(parents, score) for each parent set of v."""

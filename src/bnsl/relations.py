@@ -165,41 +165,34 @@ def undominated(table: dict, guard: int) -> dict:
     """The entries of `table` that no other entry dominates, in their
     insertion order.
 
-    Keys are (group, rel, counts) triples, and each entry holds its score
-    first.  Entry (group, rel', counts') with score s' dominates (group,
-    rel, counts) with score s when s' >= s, rel' is a subset of rel, and
-    counts' <= counts at every field: `counts` packs fields whose top bits
-    are the bits of `guard`, each field's value below its guard bit (all 0
-    with `guard` 0).  Only entries of one group are compared.  Each group
-    is read in the order of (-score, rel, counts), and an entry is dropped
-    when one kept before it dominates it.  A distinct dominator comes
-    first, as a subset rel and counts no larger in any field are no larger
-    ints.  Distinct entries never dominate each other both ways, so every
-    dominated entry has an undominated dominator, kept before it: the
+    Keys are (rel, counts) pairs, and each entry holds its score first.
+    Entry (rel', counts') with score s' dominates (rel, counts) with score
+    s when s' >= s, rel' is a subset of rel, and counts' <= counts at every
+    field: `counts` packs fields whose top bits are the bits of `guard`,
+    each field's value below its guard bit (all 0 with `guard` 0).  The
+    entries are read in the order of (-score, rel, counts), and an entry is
+    dropped when one kept before it dominates it.  A distinct dominator
+    comes first, as a subset rel and counts no larger in any field are no
+    larger ints.  Distinct entries never dominate each other both ways, so
+    every dominated entry has an undominated dominator, kept before it: the
     entries kept are exactly those no other entry dominates.
     """
-    groups: dict = {}
-    for key in table:
-        groups.setdefault(key[0], []).append(key)
-    if len(groups) == len(table):
+    if len(table) <= 1:
         return table
     # rel' is a subset of rel when rel' & ~rel is 0, and counts' <= counts
     # at every field when subtracting counts' from counts with every guard
     # set borrows no guard away
     dropped = set()
-    for keys in groups.values():
-        if len(keys) == 1:
-            continue
-        kept: dict = {}  # rel -> counts of each kept entry with it
-        for _, key in sorted((-table[k][0], k) for k in keys):
-            _, rel, counts = key
-            high = counts | guard
-            for rel1, counts_kept in kept.items():
-                if not rel1 & ~rel and any((high - c1) & guard == guard for c1 in counts_kept):
-                    dropped.add(key)
-                    break
-            else:
-                kept.setdefault(rel, []).append(counts)
+    kept: dict = {}  # rel -> counts of each kept entry with it
+    for _, key in sorted((-entry[0], key) for key, entry in table.items()):
+        rel, counts = key
+        high = counts | guard
+        for rel1, counts_kept in kept.items():
+            if not rel1 & ~rel and any((high - c1) & guard == guard for c1 in counts_kept):
+                dropped.add(key)
+                break
+        else:
+            kept.setdefault(rel, []).append(counts)
     return {key: entry for key, entry in table.items() if key not in dropped}
 
 

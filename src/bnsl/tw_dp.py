@@ -1,23 +1,58 @@
 """Snapshot dynamic programs over a nice tree decomposition.
 
-For additive scores the state at a decomposition node is a snapshot of the
-partial network on the vertices seen so far: the arcs among bag vertices
-(loc), what the bag can observe of connectivity through forgotten vertices
-(con: strict reachability for acyclic networks, same-component pairs for
-polytrees), and the parent count of each bag vertex (inn), one int of
-fields as `relations.pack` lays them out, 0 without an in-degree bound.
-Tables map snapshots to the best achievable partial score.  Each vertex
-keeps one index while it is in the bag, so every relation and every count
-lives on the same width + 1 indices at every node: an introduce passes its
-child's snapshots on as they are, and a forget clears one row and one
-column of each relation and one field of inn.
+For additive scores each edge of the superstructure is decided (skipped,
+or oriented one way) exactly once: at the forget of whichever endpoint is
+forgotten first (Cygan et al., Parameterized Algorithms, 2015, 7.3, with
+the "introduce edge" node folded into that forget).  The other endpoint
+is still in the bag there, since the bags that hold a vertex are
+connected and hold, at some node, both ends of each of its edges.  So no
+decided arc joins two bag vertices, and the state at a node is a snapshot
+of the partial network of the decided arcs: what the bag can observe of
+connectivity through forgotten vertices (con: strict reachability for
+acyclic networks, same-component pairs for polytrees) and the parent
+count of each bag vertex (inn), one int of fields as `relations.pack` lays
+them out, 0 without an in-degree bound.  Tables map snapshots to the best
+achievable partial score.  Each vertex keeps one index while it is in the
+bag, so every relation and every count lives on the same width + 1
+indices at every node: an introduce node shares its child's table (the
+new index is free, with no pair and a zero count), a forget decides v's
+edges to the bag, collects v's final parent count and clears v's row,
+column and field, and a join glues every pair of its children's entries.
+
+Why it is exact:
+
+- Every edge is decided once.  An edge is decided at a forget of one of
+  its ends while the other is in the bag, and only the first of the two
+  forgets sees the other end in its bag.
+- Every cycle is caught where it closes.  Decided arcs at a forget all
+  touch v; con is closed, so the union's closure (`relations.closed_union`
+  pivoting on the choice's support) has v reach itself exactly when a
+  new arc closes a directed cycle, and a polytree choice must join v to a
+  new class per arc.  A join glues two networks that share only bag
+  vertices and no arc: a cycle of their union alternates between the two
+  sides at bag vertices, which the shared support holds; a skeleton cycle
+  shows in the class count, as merging the d - #classes2 joins of the
+  second side into the first leaves #classes1 + #classes2 - d classes
+  exactly when the union is a forest.
+- Counts add up: a forget adds one per chosen arc to its head, a join
+  adds both sides' counts (no arc is counted twice), and any count above
+  the bound is rejected.  v's count is final at its forget, which adds
+  its fold bonus there.
+- The dominance prune keeps the optimum (`_prune`, through
+  `relations.undominated`, which the record DP shares).  Snapshot (con',
+  inn') with score s' dominates (con, inn) with score s when s' >= s,
+  con' is a subset of con and inn' <= inn at every index.  Every later
+  step is monotone in con and inn: it makes the same arc choices and
+  meets the same join partners, a subset of the reachable pairs closes no
+  cycle the whole set does not close (for polytrees a finer partition
+  joins no two vertices of one class), counts only add up, and the bonus
+  a forget adds never grows with the vertex's parent count.  So the
+  results again have a subset con, no larger inn and no lower score, and
+  the root score is unchanged, though a tie may pick another optimal
+  network.
 
 Arcs are drawn from the superstructure only; any other arc scores zero and
-can never help, so the optimum is unaffected and tables stay small.  The
-solvers also drop every snapshot that another one with the same loc
-dominates (`_TwEngine._prune`, through `relations.undominated`, which the
-record DP shares), which keeps the optimum but may pick another optimal
-network on ties.
+can never help, so the optimum is unaffected and tables stay small.
 
 The public solvers run the bag DP on the 2-core of the superstructure only
 (`Fold`): the trees hanging off it are folded bottom up into an in-degree
@@ -82,28 +117,30 @@ class _TwEngine:
         self.over = ones * ((1 << w - 1) - 1 - q)
         self.tables: dict[int, dict] = {}
 
-    # snapshots: (loc, con, inn); loc and con are relations over the width
-    # + 1 bag indices, one int each (bnsl.relations), inn the parent count
-    # at each index (0 where it is free) in a field of w bits, index 0 in
-    # the top field.  A count stays at most 2q < 2**w, so no field carries
-    # into the next.  units[j] is one count at index j, guard the top bit
-    # of every field, and inn + over sets a field's guard exactly when its
-    # count is above q; without a bound all three are 0, so inn is 0 and
-    # passes every bound test.  Table entries: (score, arcs introduced
-    # here, the key of each child in node.children)
+    # snapshots: (con, inn); con is a relation over the width + 1 bag
+    # indices, one int (bnsl.relations), inn the parent count at each index
+    # (0 where it is free) in a field of w bits, index 0 in the top field.
+    # A count stays at most 2q < 2**w, so no field carries into the next.
+    # units[j] is one count at index j, guard the top bit of every field,
+    # and inn + over sets a field's guard exactly when its count is above
+    # q; without a bound all three are 0, so inn is 0 and passes every
+    # bound test.  Table entries: (score, arcs decided here, the key of each
+    # child in node.children); an introduce node shares its child's table
 
     def run_tables(self):
-        step = {"leaf": self._leaf, "introduce": self._introduce,
-                "forget": self._forget, "join": self._join}
+        step = {"leaf": self._leaf, "forget": self._forget, "join": self._join}
         for t in self.td.postorder():
             node = self.td.nodes[t]
-            self.tables[t] = self._prune(step[node.kind](t, node))
+            if node.kind == "introduce":  # the new index is free in every key
+                self.tables[t] = self.tables[node.children[0]]
+            else:
+                self.tables[t] = self._prune(step[node.kind](t, node))
         return self.tables
 
     def solve(self) -> tuple[int, Network]:
         self.run_tables()
         root_table = self.tables[self.td.root]
-        key = (0, 0, 0)
+        key = (0, 0)
         if list(root_table) != [key]:
             raise RuntimeError("root must hold the single empty snapshot")
         score = root_table[key][0]
@@ -111,48 +148,34 @@ class _TwEngine:
         stack = [(self.td.root, key)]
         while stack:
             t, key = stack.pop()
+            node = self.td.nodes[t]
+            if node.kind == "introduce":
+                stack.append((node.children[0], key))
+                continue
             entry = self.tables[t][key]
             arcs |= entry[1]
-            stack.extend(zip(self.td.nodes[t].children, entry[2:]))
+            stack.extend(zip(node.children, entry[2:]))
         arcs |= self.fold.lift(arcs)
         return score + self.fold.tree_score(), Network(self.inst.n, frozenset(arcs))
 
     def records(self, t: int) -> dict:
-        """tables[t] as {(loc pairs, con pairs, ((vertex, parent count),
-        ...) in vertex order, () without a bound): best score}."""
+        """tables[t] as {(con pairs, ((vertex, parent count), ...) in vertex
+        order, () without a bound): best score}."""
         verts = self.verts[t]
         field = (1 << self.w) - 1
         # each bag vertex with where its count sits in inn; none without a bound
         order = sorted((x, (len(verts) - 1 - j) * self.w) for j, x in enumerate(verts)
                        if x is not None and self.q is not None)
         return {
-            (relations.to_pairs(loc, verts), relations.to_pairs(con, verts),
-             tuple((x, inn >> at & field) for x, at in order)): entry[0]
-            for (loc, con, inn), entry in self.tables[t].items()
+            (relations.to_pairs(con, verts), tuple((x, inn >> at & field) for x, at in order)):
+            entry[0]
+            for (con, inn), entry in self.tables[t].items()
         }
 
     def _prune(self, table: dict) -> dict:
         """The entries of `table` that no other entry dominates, in their
-        insertion order (`relations.undominated`, grouped by loc, the
-        parent counts compared under the guard bits).
-
-        Snapshot (loc, con', inn') with score s' dominates (loc, con, inn)
-        with score s when s' >= s, con' is a subset of con row by row and
-        inn' <= inn at every position.  Dropping the second keeps the
-        optimum, because every later step is monotone in con and inn.  Both
-        snapshots hold the same arcs inside the bag (loc), so they meet the
-        same arc choices and join partners.  One that keeps the second
-        acyclic keeps the first so too, since a subset of the reachable
-        pairs closes no cycle the whole set does not close (for polytrees:
-        a finer partition joins no two vertices of one class).  Parent
-        counts only add up, so the first stays within the bound whenever
-        the second does.  The bonus a forget adds for a vertex's folded
-        pendant trees never grows with the vertex's parent count, so the
-        first collects at least the second's.  And the results again have
-        a subset con, no larger inn and no lower score, so the root score
-        is unchanged, though a tie may pick another optimal network.  A
-        field of inn holds at most q, below its guard bit.
-        """
+        insertion order (`relations.undominated`, the parent counts compared
+        under the guard bits); the module docstring proves it exact."""
         return relations.undominated(table, self.guard)
 
     def _aux(self, con: int, d: int) -> int:
@@ -173,25 +196,25 @@ class _TwEngine:
         return relations.class_rows(parts, d) if len(parts) == fresh else None
 
     def _leaf(self, t, node) -> dict:
-        return {(0, 0, 0): (0, _NO_ARCS)}
+        return {(0, 0): (0, _NO_ARCS)}
 
-    def _introduce(self, t, node) -> dict:
+    def _forget(self, t, node) -> dict:
         (child,) = node.children
-        v = next(iter(node.bag - self.td.nodes[child].bag))
-        verts = self.verts[t]
+        verts = self.verts[child]
         d = len(verts)
+        v = next(iter(self.td.nodes[child].bag - node.bag))
         i = verts.index(v)
         units, over, guard = self.units, self.over, self.guard
         score = self.inst.arc_scores.get
-        # each undirected edge to v skipped, v->u or u->v, in the order
-        # `itertools.product` lists them: the choices are grown one bag
+        # each edge from v to a bag neighbour skipped, v->u or u->v, in the
+        # order `itertools.product` lists them: the choices are grown one
         # neighbour at a time in vertex order, the first the slowest (so
-        # tables do not depend on the indices), each step adding one
-        # arc's bit, support, parent count and score.  Only v's own parent
-        # count can pass q; a choice is dropped as soon as it does.  con is
-        # closed, and every arc of a choice touches v, so a shortest path
-        # of their union switches operand, or takes two arcs in a row, only
-        # at the choice's support: glue pivots there
+        # tables do not depend on the indices), each step adding one arc's
+        # bit, support, parent count and score.  Only v's own parent count
+        # can pass q within a choice; a choice is dropped as soon as it
+        # does.  con is closed, and every arc of a choice touches v, so a
+        # shortest path of their union switches operand, or takes two arcs
+        # in a row, only at the choice's support: glue pivots there
         grown = [((), 0, 0, 0, 0)]  # arcs, rows, support, parent counts, gain
         nbrs = self.g.adj[v]
         for u, j in sorted((u, j) for j, u in enumerate(verts) if u in nbrs):
@@ -208,9 +231,13 @@ class _TwEngine:
                     grown.append((arcs + (in_arc,), rows | in_bit, sup | pair, cnt + units[i],
                                   gain + in_gain))
         choices = [(frozenset(arcs), *rest) for arcs, *rest in grown]
+        bonus = self.bonus.get(v, (0,) * ((self.q or 0) + 1))
+        keep = relations.cut_mask((1 << d) - 1 ^ 1 << i, d)
+        at, field = (d - 1 - i) * self.w, (1 << self.w) - 1
+        clear = ~(field << at)
         table: dict = {}
         for ckey, centry in self.tables[child].items():
-            loc0, con0, inn0 = ckey
+            con0, inn0 = ckey
             n_old = len(relations.classes(con0, d)) if self.pl else 0
             for arcs, rows, pivots, cnt, gain in choices:
                 inn = inn0 + cnt
@@ -220,72 +247,38 @@ class _TwEngine:
                 con = self._glue(con0, rows, d, pivots, n_old - len(arcs))
                 if con is None:
                     continue
-                key = (loc0 | rows, con, inn)
-                val = centry[0] + gain
+                # v's parent count is final: collect its bonus, drop its index
+                key = (con & keep, inn & clear)
+                val = centry[0] + gain + bonus[inn >> at & field]
                 cur = table.get(key)
                 if cur is None or val > cur[0]:
                     table[key] = (val, arcs, ckey)
         return table
 
-    def _forget(self, t, node) -> dict:
-        (child,) = node.children
-        cverts = self.verts[child]
-        d = len(cverts)
-        v = next(iter(self.td.nodes[child].bag - node.bag))
-        i = cverts.index(v)
-        bonus = self.bonus.get(v, (0,) * ((self.q or 0) + 1))
-        table: dict = {}
-        keep = relations.cut_mask((1 << d) - 1 ^ 1 << i, d)
-        at, field = (d - 1 - i) * self.w, (1 << self.w) - 1
-        for ckey, centry in self.tables[child].items():
-            loc, con, inn = ckey
-            key = (loc & keep, con & keep, inn & ~(field << at))
-            val = centry[0] + bonus[inn >> at & field]
-            cur = table.get(key)
-            if cur is None or val > cur[0]:
-                table[key] = (val, _NO_ARCS, ckey)
-        return table
-
     def _join(self, t, node) -> dict:
         c1, c2 = node.children
-        verts = self.verts[t]
-        d = len(verts)
-        cols, units, over, guard = relations.unit(d), self.units, self.over, self.guard
-        score = self.inst.arc_scores.get
-        # the right entries by loc, each group with loc's class count, the
-        # score of its arcs (both sides count them) and its parent counts,
-        # and each entry with what the glue reads of its con
-        by_loc: dict = {}
-        for key2, entry2 in self.tables[c2].items():
-            loc = key2[0]
-            group = by_loc.get(loc)
-            if group is None:
-                n_loc = len(relations.classes(loc, d)) if self.pl else 0
-                loc_score = sum(score(arc, 0) for arc in relations.to_pairs(loc, verts))
-                loc_inn = sum((loc >> j & cols).bit_count() * units[j] for j in range(d))
-                group = by_loc[loc] = (n_loc, loc_score, loc_inn, [])
-            group[3].append((key2, entry2[0], self._aux(key2[1], d)))
+        d = len(self.verts[t])
+        over, guard = self.over, self.guard
+        # acyclic: both cons are closed, so glue pivots on their shared
+        # support.  Polytrees: both sides are forests that share only the
+        # bag, so the union is a forest exactly when merging the second
+        # side's classes into the first's joins no two of one class: the
+        # d - #classes2 joins leave #classes1 + #classes2 - d classes
+        right = [(key2, entry2[0], self._aux(key2[0], d))
+                 for key2, entry2 in self.tables[c2].items()]
         table: dict = {}
         for key1, entry1 in self.tables[c1].items():
-            loc, con1, inn1 = key1
-            if loc not in by_loc:
-                continue
-            n_loc, loc_score, loc_inn, group = by_loc[loc]
-            s1 = entry1[0] - loc_score
-            # acyclic: both cons are closed, so glue pivots on their shared
-            # support.  Polytrees: both sides are forests that share only
-            # the bag and the loc arcs, so the union's cycle rank is
-            # (#classes1 + #classes2 - #classes(loc)) - #classes(merged),
-            # and the class count alone says whether the union is a forest
+            con1, inn1 = key1
+            s1 = entry1[0]
             aux1 = self._aux(con1, d)
-            for key2, s2, aux2 in group:
-                inn = inn1 + key2[2] - loc_inn
+            for key2, s2, aux2 in right:
+                inn = inn1 + key2[1]
                 if inn + over & guard:
                     continue
-                con = self._glue(con1, key2[1], d, aux1 & aux2, aux1 - n_loc + aux2)
+                con = self._glue(con1, key2[0], d, aux1 & aux2, aux1 + aux2 - d)
                 if con is None:
                     continue
-                key = (loc, con, inn)
+                key = (con, inn)
                 val = s1 + s2
                 cur = table.get(key)
                 if cur is None or val > cur[0]:
@@ -451,7 +444,9 @@ def snapshot_tables(
     """The per-node snapshot tables that the bag DP in `mode` keeps, over
     `fold_core(instance, g, td)`'s decomposition as `solve_bnsl_additive(
     instance, td)` and `solve_pl_additive_tw(instance, td)` run it, with
-    plain keys (`_TwEngine.records`); returns (tables, that decomposition)."""
+    plain keys, (con pairs, parent counts) (`_TwEngine.records`); returns
+    (tables, that decomposition).  An introduce node's table is its
+    child's, each count tuple with the new vertex at 0."""
     fold, td = fold_core(instance, superstructure(instance), td)
     eng = _TwEngine(instance, td, mode, fold)
     eng.run_tables()

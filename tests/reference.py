@@ -1,7 +1,9 @@
 """Independent brute-force references shared by the test modules.
 
 These enumerate partial solutions directly from their definitions and are
-kept free of any solver machinery they are used to check.  Two kinds of
+kept free of any solver machinery they are used to check (for the bag DP,
+`snapshot_reference` keyed by the arcs inside the bag, and
+`decided_snapshot_reference` over the edges each node has decided).  Two kinds of
 exception: `kernelize_rescan` reuses the kernel's rule applications and
 replaces only the bookkeeping it checks, and the functions after it are
 the earlier versions of library functions that the current ones must
@@ -48,7 +50,12 @@ whole edge set for every draw (`subdivide_resort`), and the component
 subgraph that scans every edge once per component
 (`component_subgraph_edge_scan`), the bag DP's steps before they dropped
 their per-node overhead (`TwEngineProduct`, over each node's sorted
-bag), the per-shape index maps that moved the bag DP's relations between
+bag, and now derived from `LocSnapshotEngine`), the bag DP that chose
+each edge between bag vertices at every introduce of one of its ends and
+kept those arcs in its keys as `loc` (`LocSnapshotEngine`, formerly
+`tw_dp._TwEngine`, with the prune grouped by loc, `undominated_by_group`,
+formerly `relations.undominated`), the per-shape index maps that moved
+the bag DP's relations between
 two sorted bags (`insert_index` and `drop_index`), the pendant-tree fold on
 generators (`FoldGenerators` with `peel_generator`), the additive
 parser with a per-token closure (`parse_additive_closure`), the explicit
@@ -117,7 +124,7 @@ from bnsl.kernel import _BWD, _EMPTY, _FWD, _NONE, _Work, _btag, _fed_by, _prese
 from bnsl.lfen_dp import _BnslEngine, _PlEngine, _RecordEngine, _engine
 from bnsl.oracle import OracleLimitError
 from bnsl.polytree import GroundElement, MatroidOracles, _forest_links, _forest_path
-from bnsl.tw_dp import _NO_ARCS, _TwEngine
+from bnsl.tw_dp import _NO_ARCS, Fold
 
 
 def reach_pairs(n_ids, arcs):
@@ -303,6 +310,49 @@ def snapshot_reference(instance, below, bag, q, mode):
             arcs.pop()
 
     rec(0, [], {})
+    return out
+
+
+def decided_snapshot_reference(instance, below, bag, q, mode):
+    """Best score per snapshot over all networks on the superstructure's
+    edges that a node of the bag DP has decided: those inside `below` with
+    an endpoint outside `bag` (acyclic or polytree, optional in-degree
+    bound), by enumerating each edge skipped or oriented.  Snapshots as
+    `tw_dp._TwEngine.records` gives them: (con, counts), con the strict
+    reachability (acyclic) or the same-component pairs (polytree) among
+    `bag`'s vertices, counts ((vertex, parent count), ...) over `bag` in
+    vertex order, () without a bound."""
+    from bnsl.instances import superstructure
+
+    bag = sorted(bag)
+    bagset = set(bag)
+    edges = [(a, b) for a, b in sorted(superstructure(instance).edges)
+             if a in below and b in below and not (a in bagset and b in bagset)]
+    out = {}
+    for picks in product(*[(None, (a, b), (b, a)) for a, b in edges]):
+        arcs = [arc for arc in picks if arc]
+        indeg = Counter(v for _, v in arcs)
+        if q is not None and any(c > q for c in indeg.values()):
+            continue
+        if mode == "bnsl":
+            pairs = reach_pairs(set(below), arcs)
+            if any(x == y for x, y in pairs):
+                continue
+            con = frozenset((x, y) for x, y in pairs if x in bagset and y in bagset)
+        else:
+            if not skeleton_forest(arcs):
+                continue
+            comp = {x: {x} for x in below}
+            for u, v in arcs:
+                merged = comp[u] | comp[v]
+                for x in merged:
+                    comp[x] = merged
+            con = frozenset((x, y) for x in bag for y in bag if x != y and y in comp[x])
+        counts = () if q is None else tuple((v, indeg[v]) for v in bag)
+        score = sum(instance.arc(u, v) for u, v in arcs)
+        key = (con, counts)
+        if key not in out or score > out[key]:
+            out[key] = score
     return out
 
 
@@ -2859,21 +2909,319 @@ def unpruned_pl_record_tables(instance: NonZeroInstance,
     return unpruned_record_tables(instance, forest, _PlEngine)
 
 
+def undominated_by_group(table: dict, guard: int) -> dict:
+    """The entries of `table` that no other entry dominates, in their
+    insertion order, compared within groups (formerly
+    `relations.undominated`, which `LocSnapshotEngine._prune` reads).
+
+    Keys are (group, rel, counts) triples, and each entry holds its score
+    first.  Entry (group, rel', counts') with score s' dominates (group,
+    rel, counts) with score s when s' >= s, rel' is a subset of rel, and
+    counts' <= counts at every field: `counts` packs fields whose top bits
+    are the bits of `guard`, each field's value below its guard bit (all 0
+    with `guard` 0).  Only entries of one group are compared.  Each group
+    is read in the order of (-score, rel, counts), and an entry is dropped
+    when one kept before it dominates it.  A distinct dominator comes
+    first, as a subset rel and counts no larger in any field are no larger
+    ints.  Distinct entries never dominate each other both ways, so every
+    dominated entry has an undominated dominator, kept before it: the
+    entries kept are exactly those no other entry dominates.
+    """
+    groups: dict = {}
+    for key in table:
+        groups.setdefault(key[0], []).append(key)
+    if len(groups) == len(table):
+        return table
+    # rel' is a subset of rel when rel' & ~rel is 0, and counts' <= counts
+    # at every field when subtracting counts' from counts with every guard
+    # set borrows no guard away
+    dropped = set()
+    for keys in groups.values():
+        if len(keys) == 1:
+            continue
+        kept: dict = {}  # rel -> counts of each kept entry with it
+        for _, key in sorted((-table[k][0], k) for k in keys):
+            _, rel, counts = key
+            high = counts | guard
+            for rel1, counts_kept in kept.items():
+                if not rel1 & ~rel and any((high - c1) & guard == guard for c1 in counts_kept):
+                    dropped.add(key)
+                    break
+            else:
+                kept.setdefault(rel, []).append(counts)
+    return {key: entry for key, entry in table.items() if key not in dropped}
+
+
+class LocSnapshotEngine:
+    """The bag DP that chose each edge between two bag vertices at every
+    introduce of one of its endpoints, keeping the arcs chosen inside the
+    bag in each snapshot as `loc` (formerly `tw_dp._TwEngine`): snapshots
+    are (loc, con, inn), a join pairs only entries with equal loc and
+    subtracts loc's score and parent counts, which both sides count, and
+    the prune compares only snapshots with equal loc."""
+
+    def __init__(self, instance: AdditiveInstance, td: NiceTreeDecomposition, mode: str,
+                 fold: Fold):
+        """Bounded by `instance.max_in_degree`.  `td` decomposes the 2-core
+        of `fold` (`fold_core`), and `solve` adds the folded trees."""
+        if mode not in ("bnsl", "pl"):
+            raise ValueError(f"unknown mode {mode!r}; expected 'bnsl' or 'pl'")
+        self.inst = instance
+        self.pl = mode == "pl"
+        self.q = instance.max_in_degree
+        self.fold = fold
+        self.g = fold.g
+        self.bonus = fold.bonus
+        self.td = td
+        # verts[t][j]: the vertex at index j of node t's bag, None where the
+        # index is free.  A vertex keeps one index from the highest node that
+        # holds it down to every node below that does, taking the lowest
+        # free index where it first appears, so introduce and forget leave
+        # every other vertex where it is
+        self.verts: list = [None] * len(td.nodes)
+        stack = [(td.root, (None,) * (td.width + 1))]
+        while stack:
+            t, above = stack.pop()
+            node = td.nodes[t]
+            row = [x if x in node.bag else None for x in above]
+            for x in sorted(node.bag.difference(row)):
+                row[row.index(None)] = x
+            self.verts[t] = row = tuple(row)
+            stack.extend((c, row) for c in node.children)
+        d, q = td.width + 1, self.q or 0
+        self.w = w = q.bit_length() + 1
+        ones = 0 if self.q is None else relations.pack([1] * d, w)
+        self.units = [ones & (1 << w) - 1 << (d - 1 - j) * w for j in range(d)]
+        self.guard = ones << w - 1
+        self.over = ones * ((1 << w - 1) - 1 - q)
+        self.tables: dict[int, dict] = {}
+
+    # snapshots: (loc, con, inn); loc and con are relations over the width
+    # + 1 bag indices, one int each (bnsl.relations), inn the parent count
+    # at each index (0 where it is free) in a field of w bits, index 0 in
+    # the top field.  A count stays at most 2q < 2**w, so no field carries
+    # into the next.  units[j] is one count at index j, guard the top bit
+    # of every field, and inn + over sets a field's guard exactly when its
+    # count is above q; without a bound all three are 0, so inn is 0 and
+    # passes every bound test.  Table entries: (score, arcs introduced
+    # here, the key of each child in node.children)
+
+    def run_tables(self):
+        step = {"leaf": self._leaf, "introduce": self._introduce,
+                "forget": self._forget, "join": self._join}
+        for t in self.td.postorder():
+            node = self.td.nodes[t]
+            self.tables[t] = self._prune(step[node.kind](t, node))
+        return self.tables
+
+    def solve(self) -> tuple[int, Network]:
+        self.run_tables()
+        root_table = self.tables[self.td.root]
+        key = (0, 0, 0)
+        if list(root_table) != [key]:
+            raise RuntimeError("root must hold the single empty snapshot")
+        score = root_table[key][0]
+        arcs: set = set()
+        stack = [(self.td.root, key)]
+        while stack:
+            t, key = stack.pop()
+            entry = self.tables[t][key]
+            arcs |= entry[1]
+            stack.extend(zip(self.td.nodes[t].children, entry[2:]))
+        arcs |= self.fold.lift(arcs)
+        return score + self.fold.tree_score(), Network(self.inst.n, frozenset(arcs))
+
+    def records(self, t: int) -> dict:
+        """tables[t] as {(loc pairs, con pairs, ((vertex, parent count),
+        ...) in vertex order, () without a bound): best score}."""
+        verts = self.verts[t]
+        field = (1 << self.w) - 1
+        # each bag vertex with where its count sits in inn; none without a bound
+        order = sorted((x, (len(verts) - 1 - j) * self.w) for j, x in enumerate(verts)
+                       if x is not None and self.q is not None)
+        return {
+            (relations.to_pairs(loc, verts), relations.to_pairs(con, verts),
+             tuple((x, inn >> at & field) for x, at in order)): entry[0]
+            for (loc, con, inn), entry in self.tables[t].items()
+        }
+
+    def _prune(self, table: dict) -> dict:
+        """The entries of `table` that no other entry dominates, in their
+        insertion order (`relations.undominated`, grouped by loc, the
+        parent counts compared under the guard bits).
+
+        Snapshot (loc, con', inn') with score s' dominates (loc, con, inn)
+        with score s when s' >= s, con' is a subset of con row by row and
+        inn' <= inn at every position.  Dropping the second keeps the
+        optimum, because every later step is monotone in con and inn.  Both
+        snapshots hold the same arcs inside the bag (loc), so they meet the
+        same arc choices and join partners.  One that keeps the second
+        acyclic keeps the first so too, since a subset of the reachable
+        pairs closes no cycle the whole set does not close (for polytrees:
+        a finer partition joins no two vertices of one class).  Parent
+        counts only add up, so the first stays within the bound whenever
+        the second does.  The bonus a forget adds for a vertex's folded
+        pendant trees never grows with the vertex's parent count, so the
+        first collects at least the second's.  And the results again have
+        a subset con, no larger inn and no lower score, so the root score
+        is unchanged, though a tie may pick another optimal network.  A
+        field of inn holds at most q, below its guard bit.
+        """
+        return undominated_by_group(table, self.guard)
+
+    def _aux(self, con: int, d: int) -> int:
+        """What `_glue` reads of a con over d bag indices besides itself:
+        its class count in polytree mode, its support in acyclic mode."""
+        return len(relations.classes(con, d)) if self.pl else relations.support(con, d)
+
+    def _glue(self, a: int, b: int, d: int, pivots: int, fresh: int) -> Optional[int]:
+        """Connectivity of the union of two partial networks with boundary
+        relations `a` and `b` over d bag indices, or None when the union is
+        not acyclic.  Acyclic mode reads only `pivots`, where it runs
+        `relations.closed_union`; polytree mode reads only `fresh`: the
+        union is a polytree exactly when the merged rows have that many
+        classes."""
+        if not self.pl:
+            return relations.closed_union(a, b, pivots, d)
+        parts = relations.classes(a | b, d)
+        return relations.class_rows(parts, d) if len(parts) == fresh else None
+
+    def _leaf(self, t, node) -> dict:
+        return {(0, 0, 0): (0, _NO_ARCS)}
+
+    def _introduce(self, t, node) -> dict:
+        (child,) = node.children
+        v = next(iter(node.bag - self.td.nodes[child].bag))
+        verts = self.verts[t]
+        d = len(verts)
+        i = verts.index(v)
+        units, over, guard = self.units, self.over, self.guard
+        score = self.inst.arc_scores.get
+        # each undirected edge to v skipped, v->u or u->v, in the order
+        # `itertools.product` lists them: the choices are grown one bag
+        # neighbour at a time in vertex order, the first the slowest (so
+        # tables do not depend on the indices), each step adding one
+        # arc's bit, support, parent count and score.  Only v's own parent
+        # count can pass q; a choice is dropped as soon as it does.  con is
+        # closed, and every arc of a choice touches v, so a shortest path
+        # of their union switches operand, or takes two arcs in a row, only
+        # at the choice's support: glue pivots there
+        grown = [((), 0, 0, 0, 0)]  # arcs, rows, support, parent counts, gain
+        nbrs = self.g.adj[v]
+        for u, j in sorted((u, j) for j, u in enumerate(verts) if u in nbrs):
+            out_arc, out_bit, out_gain = (v, u), 1 << (d - 1 - i) * d + j, score((v, u), 0)
+            in_arc, in_bit, in_gain = (u, v), 1 << (d - 1 - j) * d + i, score((u, v), 0)
+            pair = 1 << i | 1 << j
+            prev, grown = grown, []
+            for choice in prev:
+                arcs, rows, sup, cnt, gain = choice
+                grown.append(choice)
+                grown.append((arcs + (out_arc,), rows | out_bit, sup | pair, cnt + units[j],
+                              gain + out_gain))
+                if not cnt + units[i] + over & guard:
+                    grown.append((arcs + (in_arc,), rows | in_bit, sup | pair, cnt + units[i],
+                                  gain + in_gain))
+        choices = [(frozenset(arcs), *rest) for arcs, *rest in grown]
+        table: dict = {}
+        for ckey, centry in self.tables[child].items():
+            loc0, con0, inn0 = ckey
+            n_old = len(relations.classes(con0, d)) if self.pl else 0
+            for arcs, rows, pivots, cnt, gain in choices:
+                inn = inn0 + cnt
+                if inn + over & guard:
+                    continue
+                # each arc of a polytree choice joins v to a new class
+                con = self._glue(con0, rows, d, pivots, n_old - len(arcs))
+                if con is None:
+                    continue
+                key = (loc0 | rows, con, inn)
+                val = centry[0] + gain
+                cur = table.get(key)
+                if cur is None or val > cur[0]:
+                    table[key] = (val, arcs, ckey)
+        return table
+
+    def _forget(self, t, node) -> dict:
+        (child,) = node.children
+        cverts = self.verts[child]
+        d = len(cverts)
+        v = next(iter(self.td.nodes[child].bag - node.bag))
+        i = cverts.index(v)
+        bonus = self.bonus.get(v, (0,) * ((self.q or 0) + 1))
+        table: dict = {}
+        keep = relations.cut_mask((1 << d) - 1 ^ 1 << i, d)
+        at, field = (d - 1 - i) * self.w, (1 << self.w) - 1
+        for ckey, centry in self.tables[child].items():
+            loc, con, inn = ckey
+            key = (loc & keep, con & keep, inn & ~(field << at))
+            val = centry[0] + bonus[inn >> at & field]
+            cur = table.get(key)
+            if cur is None or val > cur[0]:
+                table[key] = (val, _NO_ARCS, ckey)
+        return table
+
+    def _join(self, t, node) -> dict:
+        c1, c2 = node.children
+        verts = self.verts[t]
+        d = len(verts)
+        cols, units, over, guard = relations.unit(d), self.units, self.over, self.guard
+        score = self.inst.arc_scores.get
+        # the right entries by loc, each group with loc's class count, the
+        # score of its arcs (both sides count them) and its parent counts,
+        # and each entry with what the glue reads of its con
+        by_loc: dict = {}
+        for key2, entry2 in self.tables[c2].items():
+            loc = key2[0]
+            group = by_loc.get(loc)
+            if group is None:
+                n_loc = len(relations.classes(loc, d)) if self.pl else 0
+                loc_score = sum(score(arc, 0) for arc in relations.to_pairs(loc, verts))
+                loc_inn = sum((loc >> j & cols).bit_count() * units[j] for j in range(d))
+                group = by_loc[loc] = (n_loc, loc_score, loc_inn, [])
+            group[3].append((key2, entry2[0], self._aux(key2[1], d)))
+        table: dict = {}
+        for key1, entry1 in self.tables[c1].items():
+            loc, con1, inn1 = key1
+            if loc not in by_loc:
+                continue
+            n_loc, loc_score, loc_inn, group = by_loc[loc]
+            s1 = entry1[0] - loc_score
+            # acyclic: both cons are closed, so glue pivots on their shared
+            # support.  Polytrees: both sides are forests that share only
+            # the bag and the loc arcs, so the union's cycle rank is
+            # (#classes1 + #classes2 - #classes(loc)) - #classes(merged),
+            # and the class count alone says whether the union is a forest
+            aux1 = self._aux(con1, d)
+            for key2, s2, aux2 in group:
+                inn = inn1 + key2[2] - loc_inn
+                if inn + over & guard:
+                    continue
+                con = self._glue(con1, key2[1], d, aux1 & aux2, aux1 - n_loc + aux2)
+                if con is None:
+                    continue
+                key = (loc, con, inn)
+                val = s1 + s2
+                cur = table.get(key)
+                if cur is None or val > cur[0]:
+                    table[key] = (val, _NO_ARCS, key1, key2)
+        return table
+
+
 def unfolded_snapshot_tables(instance: AdditiveInstance, mode: str = "bnsl",
                              td: Optional[NiceTreeDecomposition] = None):
     """Per-node snapshot tables of the bag DP over the whole
     superstructure, every reachable snapshot with its best score,
-    dominated ones included, with `_TwEngine.records`'s plain keys; without
-    `td`, over the min-fill decomposition.  Returns (tables, decomposition)
-    (formerly `tw_dp.snapshot_tables`)."""
+    dominated ones included, with `LocSnapshotEngine.records`'s plain keys;
+    without `td`, over the min-fill decomposition.  Returns (tables,
+    decomposition) (formerly `tw_dp.snapshot_tables`)."""
     if td is None:
         td = tree_decomposition(superstructure(instance))
-    eng = keep_whole(_TwEngine)(instance, td, mode, WholeGraph(instance))
+    eng = keep_whole(LocSnapshotEngine)(instance, td, mode, WholeGraph(instance))
     eng.run_tables()
     return {t: eng.records(t) for t in eng.tables}, td
 
 
-class TwEngineProduct(_TwEngine):
+class TwEngineProduct(LocSnapshotEngine):
     """The bag DP's steps before they dropped their per-node overhead: each
     introduce lists its arc choices with `itertools.product` and rebuilds
     every choice's arcs, parent counts, rows and support; introduce and

@@ -296,6 +296,40 @@ def test_spanning_tree_count_matches_enumeration():
         checked += 1
         assert count == sum(1 for _ in graphs._spanning_trees(g, frozenset()))
     assert checked >= 60
+    # trees (count 1), and cycles and random 2-cores with long pendant
+    # trees, whose count is the core's alone: the count only eliminates
+    # the 2-core that `peel` leaves
+    shapes = Counter()
+    for seed in range(120):
+        rng = random.Random(1300 + seed)
+        shape = ("tree", "cycle", "core")[seed % 3]
+        if shape == "tree":
+            g = generate.random_graph(rng, rng.randint(2, 14))
+            k = 0
+        elif shape == "cycle":
+            k = rng.randint(3, 6)
+            g = Superstructure(k, [(i, (i + 1) % k) for i in range(k)])
+        else:
+            k = rng.randint(4, 7)
+            g = generate.random_graph(rng, k, rng.randint(2, 3), exact_fen=False)
+            if len(graphs.peel(g)[1]):
+                continue
+        edges = list(g.edges)
+        n = g.n
+        for _ in range(rng.randint(1, 3)):  # a path with a random tree below it
+            at = rng.randrange(n)
+            for _ in range(rng.randint(3, 8)):
+                edges.append((at, n))
+                at = n if rng.random() < 0.7 else rng.randrange(g.n, n + 1)
+                n += 1
+        h = Superstructure(n, edges)
+        count = graphs.spanning_tree_count(h)
+        assert count == sum(1 for _ in graphs._spanning_trees(h, frozenset()))
+        assert count == graphs.spanning_tree_count(g)
+        if shape != "core":
+            assert count == max(k, 1)
+        shapes[shape] += 1
+    assert min(shapes.values()) >= 15, shapes
 
 
 def test_spanning_tree_count_closed_forms():

@@ -1,6 +1,8 @@
 import importlib.util
 import random
 import sys
+from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -20,12 +22,14 @@ from bnsl.instances import (
 
 from reference import (
     FoldGenerators,
+    LocSnapshotEngine,
     TwEngineDicts,
     TwEngineProduct,
     WholeGraph,
     bags_from_order_replay,
     core_decomposition_rewrite,
     core_min_fill_relabeled,
+    decided_snapshot_reference,
     exact_decomposition,
     keep_whole,
     snapshot_reference,
@@ -81,7 +85,7 @@ def test_triangle_all_ones_polytree():
 
 
 def test_bnsl_matches_oracle_random():
-    for seed in range(200):
+    for seed in range(300):
         rng = random.Random(50_000 + seed)
         n = rng.randint(2, 9)
         q = rng.choice([None, 1, 2, 3])
@@ -94,7 +98,8 @@ def test_bnsl_matches_oracle_random():
 
 
 def test_pl_matches_oracle_random():
-    for seed in range(150):
+    checked = 0
+    for seed in range(300):
         rng = random.Random(60_000 + seed)
         n = rng.randint(2, 8)
         q = rng.choice([1, 2, 3])
@@ -106,6 +111,8 @@ def test_pl_matches_oracle_random():
         sd, net = tw_dp.solve_pl_additive_tw(inst)
         assert so == sd
         assert validate(net, "polytree", q=q).ok and score_of(inst, net) == sd
+        checked += 1
+    assert checked >= 250, checked
 
 
 def test_unbounded_equals_large_bound():
@@ -223,10 +230,11 @@ def dict_entry(entry) -> tuple:
 
 
 def test_tables_and_witness_match_dict_engine():
-    # every node table, insertion order included, and the witness network
-    # equal those of the engine with per-state in-degree dicts, and so do
-    # the unpruned engine's own tables with their backpointers, compared
-    # on row tuples and (vertex, count) pairs
+    # the loc-keyed reference engine: every node table, insertion order
+    # included, and the witness network equal those of the engine with
+    # per-state in-degree dicts, and so do the unpruned engine's own tables
+    # with their backpointers, compared on row tuples and (vertex, count)
+    # pairs
     for seed in range(300):
         rng = random.Random(120_000 + seed)
         q = rng.choice([None, 1, 2, 3])
@@ -239,7 +247,7 @@ def test_tables_and_witness_match_dict_engine():
             assert list(tables) == list(want)
             for t, table in tables.items():
                 assert list(table.items()) == list(want[t].items())
-            unpruned = keep_whole(tw_dp._TwEngine)(inst, td, mode, WholeGraph(inst))
+            unpruned = keep_whole(LocSnapshotEngine)(inst, td, mode, WholeGraph(inst))
             ref = TwEngineDicts(inst, td, mode, q)
             assert unpruned.solve() == ref.solve()
             for t, table in unpruned.tables.items():
@@ -251,20 +259,23 @@ def test_tables_and_witness_match_dict_engine():
 
 
 def dominates(eng, a, b) -> bool:
-    """Entry a = (key, score) of `eng` dominates entry b: same loc, a score
-    at least b's, con a subset of b's (packed, so row by row at once), inn
-    no larger at any position."""
-    (loc1, con1, inn1), s1 = a
-    (loc2, con2, inn2), s2 = b
-    return (loc1 == loc2 and s1 >= s2 and con1 & ~con2 == 0
+    """Entry a = (key, score) of `eng` dominates entry b: a score at least
+    b's, con a subset of b's (packed, so row by row at once), inn no larger
+    at any position."""
+    (con1, inn1), s1 = a
+    (con2, inn2), s2 = b
+    return (s1 >= s2 and con1 & ~con2 == 0
             and all(x <= y for x, y in zip(counts(eng, inn1), counts(eng, inn2))))
 
 
 def test_pruned_tables_keep_the_undominated_entries():
-    # on the seeds above: at every node the pruned table holds exactly the
-    # entries of the unpruned one that no other entry dominates, with their
-    # scores; the optimum is the unpruned one and the witness scores it
-    # (ties may pick another witness than the unpruned engine)
+    # on the seeds above: at every node but an introduce, which shares its
+    # child's table, the pruned table holds exactly the entries of the table
+    # its step made that no other entry dominates, with their scores, in
+    # insertion order; every entry of the unpruned engine has a kept
+    # dominator at its node; the optimum is the unpruned one and the
+    # witness scores it (ties may pick another witness than the unpruned
+    # engine)
     for seed in range(300):
         rng = random.Random(120_000 + seed)
         q = rng.choice([None, 1, 2, 3])
@@ -273,33 +284,71 @@ def test_pruned_tables_keep_the_undominated_entries():
         td = graphs.tree_decomposition(superstructure(inst))
         for mode in ("bnsl",) if q is None else ("bnsl", "pl"):
             pruned = tw_dp._TwEngine(inst, td, mode, WholeGraph(inst))
+            made = []
+
+            def keep(table, made=made, prune=pruned._prune):
+                made.append(table)
+                return prune(table)
+
+            pruned._prune = keep
             unpruned = keep_whole(tw_dp._TwEngine)(inst, td, mode, WholeGraph(inst))
             score, net = pruned.solve()
             full_score, _ = unpruned.solve()
-            for t, table in unpruned.tables.items():
-                kept = {key: entry[0] for key, entry in pruned.tables[t].items()}
+            steps = [t for t in td.postorder() if td.nodes[t].kind != "introduce"]
+            assert len(made) == len(steps)
+            for t, table in zip(steps, made):
+                kept = [(key, entry[0]) for key, entry in pruned.tables[t].items()]
                 entries = [(key, entry[0]) for key, entry in table.items()]
-                undominated = {key: s for key, s in entries if not any(
-                    other != key and dominates(unpruned, (other, s2), (key, s))
-                    for other, s2 in entries)}
+                undominated = [(key, s) for key, s in entries if not any(
+                    other != key and dominates(pruned, (other, s2), (key, s))
+                    for other, s2 in entries)]
                 assert kept == undominated
-                for entry in entries:
-                    assert entry[0] in kept or any(
-                        dominates(unpruned, k, entry) for k in kept.items())
+            for t, node in enumerate(td.nodes):
+                if node.kind == "introduce":
+                    assert pruned.tables[t] is pruned.tables[node.children[0]]
+                    assert unpruned.tables[t] is unpruned.tables[node.children[0]]
+            for t, table in unpruned.tables.items():
+                kept = [(key, entry[0]) for key, entry in pruned.tables[t].items()]
+                for key, entry in table.items():
+                    assert any(dominates(pruned, k, (key, entry[0])) for k in kept)
             assert score == full_score
             assert validate(net, "polytree" if mode == "pl" else "dag", q=q).ok
             assert score_of(inst, net) == score
 
 
+def test_decided_snapshots_witnessed_and_maximal():
+    # each edge is decided at the forget of its first-forgotten endpoint:
+    # every node's unpruned table, in both modes, with and without a
+    # bound, holds exactly the snapshots of the networks on the edges
+    # decided below it, each with the best score of such a network, so
+    # every key is witnessed and maximal
+    checked = Counter()
+    for seed in range(32):
+        rng = random.Random(360_000 + seed)
+        q = [None, 1, 2, 3][seed % 4]
+        inst = generate.random_additive(rng, rng.randint(3, 7), rng.randint(0, 2), q=q,
+                                        connected=(seed % 5 != 0), exact_fen=False)
+        td = graphs.tree_decomposition(superstructure(inst))
+        below = below_sets(td)
+        for mode in ("bnsl",) if q is None else ("bnsl", "pl"):
+            eng = keep_whole(tw_dp._TwEngine)(inst, td, mode, WholeGraph(inst))
+            eng.run_tables()
+            for t in td.postorder():
+                want = decided_snapshot_reference(inst, below[t], td.nodes[t].bag, q, mode)
+                assert eng.records(t) == want, (seed, mode, t)
+            checked[mode, q is None] += 1
+    assert checked == {("bnsl", True): 8, ("bnsl", False): 24, ("pl", False): 24}
+
+
 def test_packed_counts_match_tuple_arithmetic():
     # the bag DP's steps on packed parent counts against the same steps on
     # count tuples, for q = 1..6 on 1..12 bag indices (a clique's
-    # decomposition) and counts up to 2q: introduce adds one count at the
-    # head of each arc of a choice, join adds both sides' counts and
-    # subtracts loc's, and both reject a count above q through the guard;
-    # forget clears one field and reads the bonus index from it; _prune
-    # finds no field of inn' larger than inn's.  Without a bound every
-    # count is 0
+    # decomposition) and counts up to 2q: a forget adds one count at the
+    # head of each arc of a choice, a join adds both sides' counts (the
+    # loc-keyed reference also subtracts loc's), and both reject a count
+    # above q through the guard; a forget clears one field and reads the
+    # bonus index from it; _prune finds no field of inn' larger than
+    # inn's.  Without a bound every count is 0
     rng = random.Random(340_000)
     for d in range(1, 13):
         clique = {(x, y): 1 for x in range(d) for y in range(x + 1, d)}
@@ -592,15 +641,16 @@ def step_family():
 
 
 def test_steps_and_fold_match_product_engine():
-    # the steps that grow arc choices one neighbour at a time and keep each
-    # vertex at one index while it is in the bag give the tables of the old
-    # steps over sorted bags, in insertion order (keys carried to the sorted
-    # bag, scores, arcs, backpointers), and the same
-    # score and witness: unfolded over the whole graph's decomposition,
-    # pruned and (up to width 3) unpruned, and folded, over the core's
-    # own decomposition or (every other instance) over the whole graph's
-    # cut to the core.  The fold equals the one built on generators, field
-    # by field, and lifts the same arcs
+    # the loc-keyed reference engine, whose steps grow arc choices one
+    # neighbour at a time and keep each vertex at one index while it is in
+    # the bag, gives the tables of the old steps over sorted bags, in
+    # insertion order (keys carried to the sorted bag, scores, arcs,
+    # backpointers), and the same score and witness: unfolded over the
+    # whole graph's decomposition, pruned and (up to width 3) unpruned, and
+    # folded, over the core's own decomposition or (every other instance)
+    # over the whole graph's cut to the core; the library engine gives the
+    # same score with a witness that scores it.  The fold equals the one
+    # built on generators, field by field, and lifts the same arcs
     widths, shapes = set(), set()
     for k, (shape, inst) in enumerate(step_family()):
         g = superstructure(inst)
@@ -620,10 +670,15 @@ def test_steps_and_fold_match_product_engine():
             runs.append((tw_dp.fold_core(inst, g, td if k % 2 else None)[1], fold, old, True))
             for dec, new_fold, old_fold, prune in runs:
                 wrap = (lambda engine: engine) if prune else keep_whole
-                new = wrap(tw_dp._TwEngine)(inst, dec, mode, new_fold)
+                new = wrap(LocSnapshotEngine)(inst, dec, mode, new_fold)
                 ref = wrap(TwEngineProduct)(inst, dec, mode, old_fold)
                 score, net = new.solve()
                 assert (score, net) == ref.solve()
+                lib_score, lib_net = wrap(tw_dp._TwEngine)(inst, dec, mode, new_fold).solve()
+                assert lib_score == score
+                assert validate(lib_net, "polytree" if mode == "pl" else "dag",
+                                q=inst.max_in_degree).ok
+                assert score_of(inst, lib_net) == score
                 assert list(new.tables) == list(ref.tables)
                 for t, table in new.tables.items():
                     children = dec.nodes[t].children
@@ -680,12 +735,21 @@ def benchmark_ladders():
     return sys.modules[name]
 
 
+@lru_cache(maxsize=None)
+def benchmark_instance(workload: str, seed: int, k: int):
+    """Slot k of `workload`'s benchmark ladder, seed `seed`, round 0, as
+    perfbench/ladders.py draws it (drawn once for every test here)."""
+    slot = benchmark_ladders().WORKLOADS[workload][k]
+    return slot.make(random.Random(f"{workload}:{seed}:0:{k}"))
+
+
 def test_snapshot_tables_are_the_solvers_tables(monkeypatch):
     # the twdp slots of the dag-additive and polytree benchmarks, seeds
     # 1-3, round 0, drawn by perfbench/ladders.py, with the whole graph's
     # min-fill decomposition and without one: `snapshot_tables` returns
     # `fold_core`'s decomposition and, in insertion order, the tables that
-    # the solver's own engine fills over it
+    # the solver's own engine fills over it.  An introduce node shares its
+    # child's table, so the states the engine keeps count it once
     engines = []
     original = tw_dp._TwEngine.run_tables
 
@@ -702,7 +766,7 @@ def test_snapshot_tables_are_the_solvers_tables(monkeypatch):
             for k, slot in enumerate(benchmark_ladders().WORKLOADS[workload]):
                 if slot.algo != "twdp":
                     continue
-                inst = slot.make(random.Random(f"{workload}:{seed}:0:{k}"))
+                inst = benchmark_instance(workload, seed, k)
                 for td in (graphs.tree_decomposition(superstructure(inst)), None):
                     engines.clear()
                     solve(inst, td)
@@ -712,5 +776,61 @@ def test_snapshot_tables_are_the_solvers_tables(monkeypatch):
                     assert list(tables) == list(eng.tables)
                     for t, table in tables.items():
                         assert list(table.items()) == list(eng.records(t).items())
+                    shared = 0
+                    for t, node in enumerate(dec.nodes):
+                        if node.kind == "introduce":
+                            (c,) = node.children
+                            assert eng.tables[t] is eng.tables[c]
+                            assert len(tables[t]) == len(tables[c])
+                            shared += len(tables[t])
+                    distinct = {id(table): len(table) for table in eng.tables.values()}
+                    assert sum(distinct.values()) == sum(map(len, tables.values())) - shared
                     runs[mode] += 1
     assert min(runs.values()) >= 6, runs
+
+
+def test_scores_match_loc_reference_on_benchmark_slots():
+    # the twdp and matroid slots of the dag-additive and polytree
+    # benchmarks, seeds 1-6, round 0, drawn by perfbench/ladders.py: over
+    # the same fold and decomposition the library engine's optimum equals
+    # the loc-keyed reference engine's, and its witness is valid and
+    # scores it
+    runs = Counter()
+    for workload, mode, kind in (("dag-additive", "bnsl", "dag"), ("polytree", "pl", "polytree")):
+        for seed in range(1, 7):
+            for k, slot in enumerate(benchmark_ladders().WORKLOADS[workload]):
+                if slot.algo not in ("twdp", "matroid"):
+                    continue
+                inst = benchmark_instance(workload, seed, k)
+                fold, td = tw_dp.fold_core(inst, superstructure(inst))
+                score, net = tw_dp.solve_folded(inst, mode, fold, td)
+                assert score == LocSnapshotEngine(inst, td, mode, fold).solve()[0], (seed, k)
+                assert validate(net, kind, q=inst.max_in_degree).ok
+                assert score_of(inst, net) == score
+                runs[workload, slot.algo] += 1
+    assert runs == {("dag-additive", "twdp"): 54, ("polytree", "twdp"): 18,
+                    ("polytree", "matroid"): 12}
+
+
+def test_fold_bonus_never_grows_with_core_in_degree():
+    # the prune's precondition: the bonus a core vertex collects for its
+    # folded trees, read at its parent count in the core where it is
+    # forgotten, never grows with that count, so a snapshot with fewer
+    # parents collects at least as much.  On the hanging and step
+    # families, bound none to 3, as each engine reads it in both modes
+    seen = Counter()
+    graphs_ = [hanging_family(380_000 + seed)[0] for seed in range(120)]
+    instances = [generate.additive_for_graph(random.Random(seed), g, q=[None, 1, 2, 3][seed % 4])
+                 for seed, g in enumerate(graphs_)]
+    instances += [inst for _, inst in step_family()]
+    for inst in instances:
+        q = inst.max_in_degree
+        fold, td = tw_dp.fold_core(inst, superstructure(inst))
+        for mode in ("bnsl",) if q is None else ("bnsl", "pl"):
+            eng = tw_dp._TwEngine(inst, td, mode, fold)
+            for bonus in eng.bonus.values():
+                assert len(bonus) == (q or 0) + 1
+                assert all(more >= less for more, less in zip(bonus, bonus[1:])), bonus
+                seen[mode, q is None, len(set(bonus)) > 1] += 1
+    assert min(seen[mode, False, True] for mode in ("bnsl", "pl")) >= 20, seen
+    assert seen["bnsl", True, False] >= 20, seen
