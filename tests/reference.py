@@ -1,93 +1,144 @@
-"""Independent brute-force references shared by the test modules.
+"""References for the tests: brute forces, earlier versions of library
+code, and helpers that only the tests use.
 
-These enumerate partial solutions directly from their definitions and are
-kept free of any solver machinery they are used to check (for the bag DP,
-`snapshot_reference` keyed by the arcs inside the bag, and
-`decided_snapshot_reference` over the edges each node has decided).  Two kinds of
-exception: `kernelize_rescan` reuses the kernel's rule applications and
-replaces only the bookkeeping it checks, and the functions after it are
-the earlier versions of library functions that the current ones must
-reproduce exactly: the kernel's old rules 1 and path DP
-(`apply_rr1_set_entries`, `vertex_score`, `best_config_frozensets`,
-`bnsl_path_scores_frozensets` and `pl_path_scores_frozensets`, with the
-dataclasses they return, `PathScores` and `PlPathScores`, which
-`case_table` turns into the kernel's case table; all run by
-`kernelize_old_rules`; `apply_rr1_offer` with `prune_leaves_per_leaf`,
-run by `kernelize_rr1_offer`; and `apply_rr1_best` with
-`prune_leaves_at_once`, run by `kernelize_rr1_best`),
-`weighted_matroid_intersection_pairwise` and
-`weighted_matroid_intersection_circuits`, `check_nice_scan`,
-`min_fill_order_rescan`, `bags_from_order_replay`,
-`core_min_fill_relabeled`, the node-by-node cut of a decomposition to
-the 2-core (`core_decomposition_rewrite`), the nice-decomposition builder
-that finished each component in a separate loop (`nice_from_raw_stack`)
-and the post-order walk on (node, done) pairs (`postorder_done_pairs`),
-`find_paths_own_bfs`, the lift (`lift_rescan`
-with `lift_rr1_rescan`, `lift_rr2_rescan` and `lift_rr2_pl_rescan`),
-`best_config_two_encodings` and the bag DP with per-state in-degree dicts
-and tagged backpointers (`TwEngineDicts` with `arc_subsets_by_edge`, read
-through `snapshot_tables_dicts`), and the record DP that combines the
-open children's tables in one product (`RecordEngineProduct` with
-`BnslEngineProduct` and `PlEngineProduct`, on boundaries classified by
-`subtree_masks` in `boundaries_by_subtree_masks`), the record DP that
-added each closed child's best record to its parent's score
-(`RecordEngineClosed` with `BnslEngineClosed` and `PlEngineClosed`, on the
-open/closed split of `boundaries_split`), the record-DP glues before their
-cheap cycle rejects (`bnsl_glue_closed_union` and `pl_glue_class_count`),
-and the acyclic record
-DP's merge by a full Warshall closure (`BnslEngineFullClosure`) and by
-the shared-support closure on row lists (`BnslEngineRowGlue` with
-`closed_union_rows` and `support_rows`), both merging tuples of rows
-(`RowFold`), the general re-indexing that looks every position up per
-call (`reindex`, which the earlier engines above call), the library's
-relation helpers on lists of bit rows, with which the references and
-tests build and read relations (`closure`, `irreflexive`, `restrict`,
-`same_class`, and the row forms of `classes`, `class_rows`, `from_pairs`,
-`to_pairs` and `remap`; `unpack` gives a packed relation's rows), the
-lfen local search that scores every swap on a rebuilt forest
-(`component_lfen_tree_rebuild`), the random graph that shuffled one
-tuple per candidate pair (`random_graph_tuple_pool`), the subdivision
-loop that sorts the whole edge set for every draw (`subdivide_resort`),
-and the component
-subgraph that scans every edge once per component
-(`component_subgraph_edge_scan`), the bag DP's steps before they dropped
-their per-node overhead (`TwEngineProduct`, over each node's sorted
-bag, and now derived from `LocSnapshotEngine`), the bag DP that chose
-each edge between bag vertices at every introduce of one of its ends and
-kept those arcs in its keys as `loc` (`LocSnapshotEngine`, formerly
-`tw_dp._TwEngine`, with the prune grouped by loc, `undominated_by_group`,
-formerly `relations.undominated`), the per-shape index maps that moved
-the bag DP's relations between
-two sorted bags (`insert_index` and `drop_index`), the pendant-tree fold on
-generators (`FoldGenerators` with `peel_generator`), the additive
-parser with a per-token closure (`parse_additive_closure`), the explicit
-parser that listed every content line before it read a block
-(`parse_nonzero_pending`, reading its lines through the earlier
-`_content_lines`, `content_lines_strip`), and the
-result checks and writer that built a parent set per vertex (`parent_sets`,
-the earlier `Network.parent_map`, read by `score_of_parent_sets` and
-`write_solution_parent_sets`) and ran the ordered diagnosis on every
-network (`validate_ordered`), which sit at the end of the file.  Last come
-the helpers that only the tests use, moved here from the library: the
-subset scan for a best common independent set
-(`exact_common_independent`, formerly in `bnsl.oracle`), a random
-acyclic network over an instance's superstructure (`random_network`,
-formerly in `bnsl.generate`), the optimal elimination order by a DP over
-vertex subsets (`exact_order`, formerly `bnsl.graphs._exact_order`) with
-the nice decomposition it gives (`exact_decomposition`, what
-`tree_decomposition`'s exact-width mode built), the exact localized
-feedback edge number by spanning-tree enumeration (`exact_lfen` with
-`_tree_local_value`, formerly in `bnsl.oracle`), a network's parent set
-of one vertex (`network_parents`, formerly `Network.parents`) and a score
-read off the kernel's working state (`work_score`, formerly
-`kernel._Work.score`).  With them sit the DP tables that the solvers no
-longer keep: a mixin whose `_prune` keeps each table whole (`KeepWhole`,
-put before an engine by `keep_whole`) and a stand-in fold that folds
-nothing (`WholeGraph`), read by `unpruned_record_tables` and
-`unpruned_pl_record_tables` (formerly `lfen_dp.record_tables` and
-`lfen_dp.pl_record_tables`) and by `unfolded_snapshot_tables` (formerly
-`tw_dp.snapshot_tables`), which return what those returned before the
-library functions returned the solvers' own tables.
+A brute force enumerates partial solutions from their definition and uses
+no solver machinery.  An earlier version is kept verbatim (only renamed),
+so that a test can require the library to reproduce it exactly; one
+exception, `kernelize_rescan`, reuses the kernel's rule applications and
+replaces only the bookkeeping it checks.  Each entry says what the
+reference is (for an earlier version, what it was and what replaced it;
+CHANGES.md names the change), which tests read it (`module::test`, the
+module without its `test_` prefix; "criterion N" is in
+`test_acceptance`), and which library code those tests reach.  A
+reference whose tests reach no library code checks only other
+references, and goes; the CI step "Every reference has a reader" finds a
+helper left behind.
+
+Brute forces and test-only helpers:
+
+- `reach_pairs`, strict reachability by search: criterion 11,
+  `lfen_dp::test_union_acyclicity_criterion` and the enumerations below;
+  reach `relations.closed_union` and `instances.validate`.
+- `subtree_record_reference` and `subtree_pl_record_reference` (with
+  `parent_choice_assignments` and `skeleton_forest`), the best score per
+  record over every parent-set choice in a subtree: criterion 10 and
+  three `lfen_dp::` tests; reach both record engines, unpruned.
+- `decided_snapshot_reference`, the best score per snapshot over every
+  choice of the edges a bag-DP node has decided: criterion 10 and
+  `tw_dp::decided_tables`, which five `tw_dp::` tests call; reach
+  `tw_dp._TwEngine`, unpruned, over `WholeGraph`.
+- `random_dag`, a random acyclic network: criterion 11,
+  `lfen_dp::test_union_acyclicity_criterion` and two `kernel::` tests;
+  reach `KernelResult.lift`.
+- `exact_common_independent`, a subset scan for a best common
+  independent set (moved from `bnsl.oracle`): one `oracle::` and two
+  `polytree::` tests; reach `polytree.weighted_matroid_intersection`.
+- `exact_order` with `exact_decomposition`, an optimal elimination order
+  by a DP over vertex subsets and its nice decomposition (formerly
+  `graphs._exact_order`): five `graphs::` and two `tw_dp::` tests; reach
+  `graphs.tree_decomposition`, `check_nice` and `tw_dp.fold_core`.
+- `exact_lfen` with `_tree_local_value`, the lfen by spanning-tree
+  enumeration (moved from `bnsl.oracle`): criterion 9, three `graphs::`
+  and two `oracle::` tests; reach `graphs.lfen_search`.
+- `random_network` (moved from `bnsl.generate`) and `network_parents`
+  (formerly `Network.parents`): one `instances::` test; reach
+  `instances.score_of`.
+- `KeepWhole` with `keep_whole`, `WholeGraph`, `unpruned_record_tables`
+  and `unpruned_pl_record_tables`: an engine that keeps every table
+  whole, a fold that folds nothing, and the record tables as
+  `lfen_dp.record_tables` returned them before it returned the solvers'
+  pruned tables; most DP tests; reach every DP engine unpruned.
+
+Kernel, each read by one `kernel::` test (two for `kernelize_rescan`'s
+helpers) that reaches `kernel.kernelize_bnsl`, `kernelize_pl`, `_Work` or
+`KernelResult.lift`:
+
+- `kernelize_rescan` with `scan_adjacency`, `rule1_scan_target` and
+  `find_paths_own_bfs`: the loop that rescans the adjacency, before the
+  kernel kept it incremental, and `kernel._find_paths` before it ran on
+  the shared BFS forest.
+- `kernelize_old_rules` with `apply_rr1_set_entries`, `vertex_score`,
+  `best_config_frozensets`, `bnsl_path_scores_frozensets`,
+  `pl_path_scores_frozensets`, `PathScores`, `PlPathScores`,
+  `case_table` and `work_score` (formerly `kernel._Work.score`): rule 1
+  and the path DP on frozensets.
+- `kernelize_rr1_offer` with `apply_rr1_offer` and
+  `prune_leaves_per_leaf`: rule 1 pruning one leaf at a time.
+- `kernelize_rr1_best` with `apply_rr1_best` and `prune_leaves_at_once`:
+  rule 1 before it ran in one loop.
+- `lift_rescan` with `lift_rr1_rescan`, `lift_rr2_rescan` and
+  `lift_rr2_pl_rescan`, and `best_config_two_encodings`:
+  `KernelResult.lift` before it edited only the arcs each step touched,
+  and `kernel._best_config`.
+
+Matroid intersection, each read by one `polytree::` test that reaches
+`polytree.weighted_matroid_intersection`:
+`weighted_matroid_intersection_pairwise` (before it ran on fundamental
+circuits) and `weighted_matroid_intersection_circuits` (before it read
+its answers off the forest).
+
+Decompositions and the witness-tree search:
+
+- `check_nice_scan` (an earlier `graphs.check_nice`): two `graphs::`
+  tests; reach `graphs.check_nice`.
+- `min_fill_order_rescan` (`graphs._min_fill_order` before its
+  delta-updated order) and `bags_from_order_replay` (the bags of an
+  order, before one elimination pass built them):
+  `graphs::test_min_fill_order_matches_rescan`, `graphs::raw_families`
+  and `tw_dp::padded_raw`; reach `graphs._eliminate` and `nice_from_raw`.
+- `core_min_fill_relabeled` (`tw_dp._core_min_fill`, through a relabeled
+  copy of the core) and `core_decomposition_rewrite` (the node-by-node
+  cut to the core): two `tw_dp::` tests; reach `tw_dp.fold_core`.
+- `nice_from_raw_stack` and `postorder_done_pairs` (`nice_from_raw`
+  finishing each component in a separate loop, and the walk on (node,
+  done) pairs): one `graphs::` test; reach `graphs.nice_from_raw`.
+- `component_lfen_tree_rebuild` (the local search that rebuilt a forest
+  per swap) and `component_subgraph_edge_scan` (the component subgraph
+  that scans every edge per component): three `graphs::` tests; reach
+  `graphs.lfen_search`.
+
+Record DP, read by `lfen_dp::` tests that reach `_BnslEngine` and
+`_PlEngine` directly:
+
+- `RecordEngineProduct` with `BnslEngineProduct`, `PlEngineProduct`,
+  `boundaries_by_subtree_masks` and `subtree_masks`: the DP that combined
+  the open children's tables in one product.
+- `BnslEngineFullClosure` (the merge by a full Warshall closure) and
+  `BnslEngineRowGlue` with `closed_union_rows` and `support_rows` (the
+  shared-support merge on row lists), both on `RowFold`.
+- `RecordEngineClosed` with `BnslEngineClosed`, `PlEngineClosed`,
+  `SplitBoundary` and `boundaries_split`: the DP that added each closed
+  child's best record to its parent's score.
+- `bnsl_glue_closed_union` and `pl_glue_class_count`: the glues before
+  their cheap cycle rejects.
+
+Relations:
+
+- `closure`, `irreflexive`, `restrict`, `classes`, `same_class`,
+  `class_rows`, `from_pairs`, `to_pairs`, `remap` and `unpack`, the
+  helpers on lists of bit rows, and `reindex`, the general re-indexing:
+  `relations::` tests, criterion 11, `lfen_dp::` tests and the record-DP
+  references; reach the packed forms in `bnsl.relations`.
+- `insert_index` and `drop_index`, the per-shape index maps between two
+  sorted bags: one `relations::` test; reach `relations.remap`.
+
+Bag DP:
+
+- `LocSnapshotEngine` with `undominated_by_group` (`tw_dp._TwEngine`
+  and `relations.undominated` before each edge was decided once): three
+  `tw_dp::` tests; reach `tw_dp._TwEngine` and `solve_folded`.
+- `FoldGenerators` with `peel_generator` (`tw_dp.Fold` on generators):
+  `tw_dp::test_steps_and_fold_match_loc_engine`; reach `tw_dp.Fold`.
+
+Instances, each read by `instances::` or `generate::` tests that reach
+the function it was: `parse_additive_closure` (with a per-token
+closure), `parse_nonzero_pending` with `content_lines_strip` (listing
+every content line before reading a block), `parent_sets` with
+`score_of_parent_sets` and `write_solution_parent_sets` (a parent set
+per vertex), `validate_ordered` (the ordered diagnosis on every
+network), `subdivide_resort` (`generate.subdivide` sorting the edge set
+per draw) and `random_graph_tuple_pool` (`generate.random_graph` with
+one tuple per candidate pair).
 """
 
 import random
@@ -95,7 +146,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
-from operator import add, itemgetter, or_, sub
+from operator import or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from bnsl import generate, graphs, relations
@@ -146,11 +197,6 @@ def reach_pairs(n_ids, arcs):
             stack.extend(succ.get(x, ()))
         pairs.update((s, t) for t in seen)
     return pairs
-
-
-def is_acyclic(arcs):
-    verts = {x for a in arcs for x in a}
-    return not any(u == v for u, v in reach_pairs(verts, arcs) | set())
 
 
 def parent_choice_assignments(instance, members):
@@ -235,83 +281,6 @@ def subtree_pl_record_reference(instance, subtree, delta_in):
         score = sum(instance.score(v, parents) for v, parents in assign.items())
         if key not in out or score > out[key]:
             out[key] = score
-    return out
-
-
-def snapshot_reference(instance, below, bag, q, mode):
-    """Best score per snapshot over all networks on `below` drawn from the
-    superstructure (acyclic or polytree, optional in-degree bound)."""
-    from bnsl.instances import superstructure
-
-    g = superstructure(instance)
-    edges = [
-        (a, b) for a, b in sorted(g.edges) if a in below and b in below
-    ]
-    bag = sorted(bag)
-    bagset = set(bag)
-    out = {}
-
-    def snap(arcs):
-        loc = frozenset(
-            (u, v) for u, v in arcs if u in bagset and v in bagset
-        )
-        if mode == "bnsl":
-            pairs = reach_pairs(set(below), arcs)
-            con = frozenset(
-                (x, y) for x, y in pairs if x in bagset and y in bagset
-            )
-        else:
-            comp = {}
-
-            def find(x):
-                comp.setdefault(x, x)
-                while comp[x] != x:
-                    comp[x] = comp.get(comp[x], comp[x])
-                    x = comp[x]
-                return x
-
-            for u, v in arcs:
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    comp[ru] = rv
-            con = frozenset(
-                (x, y) for x in bag for y in bag if x != y and find(x) == find(y)
-            )
-        if q is not None:
-            indeg = {v: 0 for v in bag}
-            for u, v in arcs:
-                if v in bagset:
-                    indeg[v] += 1
-            inn = tuple(sorted(indeg.items()))
-        else:
-            inn = ()
-        return (loc, con, inn)
-
-    def rec(i, arcs, indeg):
-        if i == len(edges):
-            score = sum(instance.arc(u, v) for u, v in arcs)
-            key = snap(arcs)
-            if key not in out or score > out[key]:
-                out[key] = score
-            return
-        a, b = edges[i]
-        rec(i + 1, arcs, indeg)
-        for u, v in ((a, b), (b, a)):
-            if q is not None and indeg.get(v, 0) >= q:
-                continue
-            arcs.append((u, v))
-            indeg[v] = indeg.get(v, 0) + 1
-            ok = True
-            if mode == "bnsl":
-                ok = is_acyclic(arcs)
-            else:
-                ok = skeleton_forest(arcs)
-            if ok:
-                rec(i + 1, arcs, indeg)
-            indeg[v] -= 1
-            arcs.pop()
-
-    rec(0, [], {})
     return out
 
 
@@ -1596,239 +1565,6 @@ def best_config_two_encodings(work: _Work, path_ext, e0: str, em: str, constrain
         states.append(key[0])
     states.reverse()
     return total, tuple([e0] + states + [em])
-
-
-class TwEngineDicts:
-    def __init__(
-        self,
-        instance: AdditiveInstance,
-        td: NiceTreeDecomposition,
-        mode: str,
-        q: Optional[int],
-    ):
-        if mode not in ("bnsl", "pl"):
-            raise ValueError(f"unknown mode {mode!r}; expected 'bnsl' or 'pl'")
-        self.inst = instance
-        self.td = td
-        self.mode = mode
-        self.q = q
-        self.g = superstructure(instance)
-        self.verts = [tuple(sorted(node.bag)) for node in td.nodes]
-        self.tables: dict[int, dict] = {}
-
-    # snapshots: (loc rows, con rows, inn tuple of (v, count)); loc and con
-    # are bit-row relations over the node's sorted bag (bnsl.relations)
-
-    def _inn_key(self, counts: dict) -> tuple:
-        if self.q is None:
-            return ()
-        return tuple(sorted(counts.items()))
-
-    def run_tables(self):
-        nodes = self.td.nodes
-        for t in self.td.postorder():
-            node = nodes[t]
-            if node.kind == "leaf":
-                self.tables[t] = self._leaf(node)
-            elif node.kind == "introduce":
-                self.tables[t] = self._introduce(t, node)
-            elif node.kind == "forget":
-                self.tables[t] = self._forget(t, node)
-            else:
-                self.tables[t] = self._join(t, node)
-        return self.tables
-
-    def solve(self) -> tuple[int, Network]:
-        self.run_tables()
-        root_table = self.tables[self.td.root]
-        key = ((), (), ())
-        if list(root_table) != [key]:
-            raise RuntimeError("root must hold the single empty snapshot")
-        score, _ = root_table[key]
-        arcs = self._collect(self.td.root, key)
-        return score, Network(self.inst.n, frozenset(arcs))
-
-    def _leaf(self, node) -> dict:
-        empty = (0,) * len(node.bag)
-        return {(empty, empty, self._inn_key(dict.fromkeys(node.bag, 0))): (0, ("leaf",))}
-
-    def _introduce(self, t, node) -> dict:
-        (child,) = node.children
-        v = next(iter(node.bag - self.td.nodes[child].bag))
-        verts, cverts = self.verts[t], self.verts[child]
-        nbrs = sorted(self.g.adj[v] & node.bag)
-        cand_arcs = [(v, u) for u in nbrs] + [(u, v) for u in nbrs]
-        table: dict = {}
-        child_table = self.tables[child]
-        subsets = [(q, from_pairs(q, verts)) for q in arc_subsets_by_edge(cand_arcs)]
-        for ckey, (cscore, _) in child_table.items():
-            loc0, con0, inn0 = ckey
-            loc0 = reindex(loc0, cverts, verts)
-            con0 = reindex(con0, cverts, verts)
-            if self.mode == "pl":
-                n_old = len(classes(con0))
-            inn0d = dict(inn0)
-            for q_arcs, q_rows in subsets:
-                gain = 0
-                ok = True
-                if self.q is not None:
-                    innd = dict(inn0d)
-                    innd[v] = 0
-                    for (x, y) in q_arcs:
-                        innd[y] = innd.get(y, 0) + 1
-                        if innd[y] > self.q:
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                    inn = tuple(sorted(innd.items()))
-                else:
-                    inn = ()
-                for (x, y) in q_arcs:
-                    gain += self.inst.arc(x, y)
-                merged = [a | b for a, b in zip(con0, q_rows)]
-                if self.mode == "bnsl":
-                    con = closure(merged)
-                    if not irreflexive(con):
-                        continue
-                else:
-                    if len(classes(merged)) != n_old - len(q_arcs):
-                        continue
-                    con = same_class(merged)
-                loc = tuple(a | b for a, b in zip(loc0, q_rows))
-                key = (loc, tuple(con), inn)
-                val = cscore + gain
-                cur = table.get(key)
-                if cur is None or val > cur[0]:
-                    table[key] = (val, ("intro", ckey, q_arcs))
-        return table
-
-    def _forget(self, t, node) -> dict:
-        (child,) = node.children
-        v = next(iter(self.td.nodes[child].bag - node.bag))
-        verts, cverts = self.verts[t], self.verts[child]
-        table: dict = {}
-        for ckey, (cscore, _) in self.tables[child].items():
-            loc0, con0, inn0 = ckey
-            loc = tuple(reindex(loc0, cverts, verts))
-            con = tuple(reindex(con0, cverts, verts))
-            inn = tuple((x, k) for x, k in inn0 if x != v)
-            key = (loc, con, inn)
-            cur = table.get(key)
-            if cur is None or cscore > cur[0]:
-                table[key] = (cscore, ("forget", ckey))
-        return table
-
-    def _join(self, t, node) -> dict:
-        c1, c2 = node.children
-        bag = node.bag
-        by_loc: dict = {}
-        for key2 in self.tables[c2]:
-            by_loc.setdefault(key2[0], []).append(key2)
-        table: dict = {}
-        for key1, (s1, _) in self.tables[c1].items():
-            loc, con1, inn1 = key1
-            loc_arcs = to_pairs(loc, self.verts[t])
-            doublecount = sum(self.inst.arc(x, y) for x, y in loc_arcs)
-            if self.q is not None:
-                indeg_loc: dict = {}
-                for x, y in loc_arcs:
-                    indeg_loc[y] = indeg_loc.get(y, 0) + 1
-            if self.mode == "pl":
-                locc = tuple(same_class(loc))
-                n_shared = len(classes(loc))
-                n1 = len(classes(con1))
-            for key2 in by_loc.get(loc, ()):
-                _, con2, inn2 = key2
-                s2 = self.tables[c2][key2][0]
-                if self.q is not None:
-                    innd = {}
-                    d1, d2 = dict(inn1), dict(inn2)
-                    ok = True
-                    for x in bag:
-                        innd[x] = d1.get(x, 0) + d2.get(x, 0) - indeg_loc.get(x, 0)
-                        if innd[x] > self.q:
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                    inn = tuple(sorted(innd.items()))
-                else:
-                    inn = ()
-                merged = [a | b for a, b in zip(con1, con2)]
-                if self.mode == "bnsl":
-                    con = closure(merged)
-                    if not irreflexive(con):
-                        continue
-                else:
-                    # the two partial polytrees share exactly the bag
-                    # vertices and the loc arcs; contracting loc, their
-                    # union has a forest skeleton iff the loc components
-                    # are exactly the pairs both sides connect and gluing
-                    # the two component partitions merges everything
-                    # freshly: #shared = #classes1 + #classes2 - #merged
-                    if tuple(a & b for a, b in zip(con1, con2)) != locc:
-                        continue
-                    n2 = len(classes(con2))
-                    if n_shared != n1 + n2 - len(classes(merged)):
-                        continue
-                    con = same_class(merged)
-                key = (loc, tuple(con), inn)
-                val = s1 + s2 - doublecount
-                cur = table.get(key)
-                if cur is None or val > cur[0]:
-                    table[key] = (val, ("join", key1, key2))
-        return table
-
-    def _collect(self, t, key) -> set:
-        arcs: set = set()
-        stack = [(t, key)]
-        while stack:
-            t, key = stack.pop()
-            back = self.tables[t][key][1]
-            node = self.td.nodes[t]
-            if back[0] == "leaf":
-                continue
-            if back[0] == "intro":
-                arcs |= back[2]
-                stack.append((node.children[0], back[1]))
-            elif back[0] == "forget":
-                stack.append((node.children[0], back[1]))
-            else:
-                stack.append((node.children[0], back[1]))
-                stack.append((node.children[1], back[2]))
-        return arcs
-
-
-def arc_subsets_by_edge(cand: list) -> list[frozenset]:
-    """All arc subsets using each undirected edge at most once."""
-    edges: dict = {}
-    for u, v in cand:
-        edges.setdefault(frozenset((u, v)), []).append((u, v))
-    out = [frozenset()]
-    for pair, orients in edges.items():
-        new = []
-        for s in out:
-            new.append(s)
-            for o in orients:
-                new.append(s | {o})
-        out = new
-    return out
-
-
-def snapshot_tables_dicts(instance: AdditiveInstance, mode: str, td: NiceTreeDecomposition):
-    """`TwEngineDicts` tables with plain keys, as `unfolded_snapshot_tables`
-    returns them."""
-    eng = TwEngineDicts(instance, td, mode, instance.max_in_degree)
-    tables = eng.run_tables()
-    plain = {}
-    for t, table in tables.items():
-        verts = eng.verts[t]
-        plain[t] = {
-            (to_pairs(loc, verts), to_pairs(con, verts), inn): val
-            for (loc, con, inn), (val, _) in table.items()
-        }
-    return plain
 
 
 # The record DP as it was before it folded every child one way, kept
@@ -3239,213 +2975,6 @@ class LocSnapshotEngine:
             for key2, s2, aux2 in group:
                 inn = inn1 + key2[2] - loc_inn
                 if inn + over & guard:
-                    continue
-                con = self._glue(con1, key2[1], d, aux1 & aux2, aux1 - n_loc + aux2)
-                if con is None:
-                    continue
-                key = (loc, con, inn)
-                val = s1 + s2
-                cur = table.get(key)
-                if cur is None or val > cur[0]:
-                    table[key] = (val, _NO_ARCS, key1, key2)
-        return table
-
-
-def unfolded_snapshot_tables(instance: AdditiveInstance, mode: str = "bnsl",
-                             td: Optional[NiceTreeDecomposition] = None):
-    """Per-node snapshot tables of the bag DP over the whole
-    superstructure, every reachable snapshot with its best score,
-    dominated ones included, with `LocSnapshotEngine.records`'s plain keys;
-    without `td`, over the min-fill decomposition.  Returns (tables,
-    decomposition) (formerly `tw_dp.snapshot_tables`)."""
-    if td is None:
-        td = tree_decomposition(superstructure(instance))
-    eng = keep_whole(LocSnapshotEngine)(instance, td, mode, WholeGraph(instance))
-    eng.run_tables()
-    return {t: eng.records(t) for t in eng.tables}, td
-
-
-class TwEngineProduct(LocSnapshotEngine):
-    """The bag DP's steps before they dropped their per-node overhead: each
-    introduce lists its arc choices with `itertools.product` and rebuilds
-    every choice's arcs, parent counts, rows and support; introduce and
-    forget compile a fresh `relations.remap` per node; each join entry
-    sums its loc arcs' scores and counts; `_prune` groups every table.
-    Its relations and parent counts are over each node's sorted bag, the
-    layout before each vertex kept one index while in the bag.  Its parent
-    counts are a tuple per snapshot, () without a bound, as before they
-    were packed into one int."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.verts = [tuple(sorted(node.bag)) for node in self.td.nodes]
-
-    def solve(self) -> tuple[int, Network]:
-        self.run_tables()
-        root_table = self.tables[self.td.root]
-        key = (0, 0, () if self.q is None else (0,) * len(self.verts[self.td.root]))
-        if list(root_table) != [key]:
-            raise RuntimeError("root must hold the single empty snapshot")
-        score = root_table[key][0]
-        arcs: set = set()
-        stack = [(self.td.root, key)]
-        while stack:
-            t, key = stack.pop()
-            entry = self.tables[t][key]
-            arcs |= entry[1]
-            stack.extend(zip(self.td.nodes[t].children, entry[2:]))
-        if self.fold is not None:
-            arcs |= self.fold.lift(arcs)
-            score += self.fold.tree_score()
-        return score, Network(self.inst.n, frozenset(arcs))
-
-    def _leaf(self, t, node) -> dict:
-        return {(0, 0, () if self.q is None else (0,) * len(self.verts[t])): (0, _NO_ARCS)}
-
-    def _prune(self, table: dict) -> dict:
-        """The entries of `table` that no other entry dominates, in their
-        insertion order.
-
-        Snapshot (loc, con', inn') with score s' dominates (loc, con, inn)
-        with score s when s' >= s, con' is a subset of con row by row and
-        inn' <= inn at every position.  Dropping the second keeps the
-        optimum, because every later step is monotone in con and inn.  Both
-        snapshots hold the same arcs inside the bag (loc), so they meet the
-        same arc choices and join partners.  One that keeps the second
-        acyclic keeps the first so too, since a subset of the reachable
-        pairs closes no cycle the whole set does not close (for polytrees:
-        a finer partition joins no two vertices of one class).  Parent
-        counts only add up, so the first stays within the bound whenever
-        the second does.  The bonus a forget adds for a vertex's folded
-        pendant trees never grows with the vertex's parent count, so the
-        first collects at least the second's.  And the results again have
-        a subset con, no larger inn and no lower score, so the root score
-        is unchanged, though a tie may pick another optimal network.
-        Distinct snapshots never dominate each other both ways, so the
-        entries kept are exactly those no other entry dominates.
-        """
-        groups: dict = {}
-        for key in table:
-            groups.setdefault(key[0], []).append(key)
-        if len(groups) == len(table):
-            return table
-        # con' is a subset of con when con' & ~con is 0; inn packs into
-        # fields of w bits whose top bit is a guard, so inn' <= inn
-        # everywhere when subtracting inn' from inn with every guard set
-        # borrows no guard away
-        w = (self.q or 0).bit_length() + 1
-        guard = relations.pack([1 << w - 1] * len(next(iter(table))[2]), w)
-        dropped = set()
-        for keys in groups.values():
-            if len(keys) == 1:
-                continue
-            # a dominating snapshot scores at least as much and, when
-            # distinct, has a smaller rank: sorted, it comes first
-            group = []
-            for key in keys:
-                con = key[1]
-                group.append(((-table[key][0], con.bit_count() + sum(key[2])),
-                              con, relations.pack(key[2], w) | guard, key))
-            group.sort(key=itemgetter(0))
-            kept: dict = {}  # con -> packed inn of each kept snapshot with it
-            for _, con, inn, key in group:
-                if any(not con1 & ~con and any((inn - inn1) & guard == guard for inn1 in inns)
-                       for con1, inns in kept.items()):
-                    dropped.add(key)
-                else:
-                    kept.setdefault(con, []).append(inn & ~guard)
-        return {key: entry for key, entry in table.items() if key not in dropped}
-
-    def _introduce(self, t, node) -> dict:
-        (child,) = node.children
-        v = next(iter(node.bag - self.td.nodes[child].bag))
-        verts, cverts = self.verts[t], self.verts[child]
-        d = len(verts)
-        i = verts.index(v)
-        # each undirected edge to v skipped, v->u or u->v.  con is closed,
-        # and every arc of a choice touches v, so a shortest path of their
-        # union switches operand, or takes two arcs in a row, only at the
-        # choice's support: glue pivots there
-        choices = []
-        edges = [(None, (v, u), (u, v)) for u in sorted(self.g.adj[v] & node.bag)]
-        for picks in product(*edges):
-            arcs = frozenset(a for a in picks if a)
-            inn = () if self.q is None else tuple(sum(y == x for _, y in arcs) for x in verts)
-            if not inn or max(inn) <= self.q:
-                gain = sum(self.inst.arc(x, y) for x, y in arcs)
-                rows = relations.from_pairs(arcs, verts)
-                choices.append((arcs, rows, relations.support(rows, d), inn, gain))
-        table: dict = {}
-        to_bag = relations.remap(cverts, verts)
-        for ckey, centry in self.tables[child].items():
-            loc0 = to_bag(ckey[0])
-            con0 = to_bag(ckey[1])
-            inn0 = ckey[2][:i] + (0,) + ckey[2][i:]
-            n_old = len(relations.classes(con0, d)) if self.pl else 0
-            for arcs, rows, pivots, cnt, gain in choices:
-                inn = cnt and tuple(map(add, inn0, cnt))
-                if inn and max(inn) > self.q:
-                    continue
-                # each arc of a polytree choice joins v to a new class
-                con = self._glue(con0, rows, d, pivots, n_old - len(arcs))
-                if con is None:
-                    continue
-                key = (loc0 | rows, con, inn)
-                val = centry[0] + gain
-                cur = table.get(key)
-                if cur is None or val > cur[0]:
-                    table[key] = (val, arcs, ckey)
-        return table
-
-    def _forget(self, t, node) -> dict:
-        (child,) = node.children
-        verts, cverts = self.verts[t], self.verts[child]
-        v = next(iter(self.td.nodes[child].bag - node.bag))
-        i = cverts.index(v)
-        bonus = self.bonus.get(v, (0,) * ((self.q or 0) + 1))
-        table: dict = {}
-        to_bag = relations.remap(cverts, verts)
-        for ckey, centry in self.tables[child].items():
-            loc, con, inn = ckey
-            key = (to_bag(loc), to_bag(con), inn[:i] + inn[i + 1:])
-            val = centry[0] + bonus[inn[i] if inn else 0]
-            cur = table.get(key)
-            if cur is None or val > cur[0]:
-                table[key] = (val, _NO_ARCS, ckey)
-        return table
-
-    def _join(self, t, node) -> dict:
-        c1, c2 = node.children
-        verts = self.verts[t]
-        d = len(verts)
-        units = relations.unit(d)
-        # the right entries by loc, each group with loc's class count and
-        # each entry with what the glue reads of its con
-        by_loc: dict = {}
-        for key2, entry2 in self.tables[c2].items():
-            group = by_loc.get(key2[0])
-            if group is None:
-                n_loc = len(relations.classes(key2[0], d)) if self.pl else 0
-                group = by_loc[key2[0]] = (n_loc, [])
-            group[1].append((key2, entry2[0], self._aux(key2[1], d)))
-        table: dict = {}
-        for key1, entry1 in self.tables[c1].items():
-            loc, con1, inn1 = key1
-            if loc not in by_loc:
-                continue
-            n_loc, group = by_loc[loc]
-            s1 = entry1[0] - sum(self.inst.arc(x, y) for x, y in relations.to_pairs(loc, verts))
-            loc_inn = () if self.q is None else tuple(
-                (loc >> j & units).bit_count() for j in range(d))
-            # acyclic: both cons are closed, so glue pivots on their shared
-            # support.  Polytrees: both sides are forests that share only
-            # the bag and the loc arcs, so the union's cycle rank is
-            # (#classes1 + #classes2 - #classes(loc)) - #classes(merged),
-            # and the class count alone says whether the union is a forest
-            aux1 = self._aux(con1, d)
-            for key2, s2, aux2 in group:
-                inn = inn1 and tuple(map(sub, map(add, inn1, key2[2]), loc_inn))
-                if inn and max(inn) > self.q:
                     continue
                 con = self._glue(con1, key2[1], d, aux1 & aux2, aux1 - n_loc + aux2)
                 if con is None:

@@ -18,12 +18,13 @@ from bnsl.instances import (
 
 from conftest import EXAMPLE4
 from reference import (
+    WholeGraph,
+    decided_snapshot_reference,
     exact_lfen,
+    keep_whole,
     random_dag,
     reach_pairs,
-    snapshot_reference,
     subtree_record_reference,
-    unfolded_snapshot_tables,
     unpruned_record_tables,
 )
 
@@ -250,15 +251,18 @@ def test_criterion_10_record_and_snapshot_semantics():
         for v in range(inst.n):
             want = subtree_record_reference(inst, subtree[v], bounds[v].delta)
             assert tables[v] == want
-    # 10 additive instances: every stored snapshot equals the enumerated
-    # best over networks on the vertices below the node
+    # 10 additive instances: every snapshot the shipped bag DP stores
+    # (unpruned, over the whole superstructure) equals the enumerated best
+    # over networks on the edges decided below the node
     for seed in range(10):
         rng = random.Random(81_000 + seed)
         n = rng.randint(3, 7)
         q = rng.choice([None, 2])
         inst = generate.random_additive(rng, n, rng.randint(0, 2), q=q,
                                         exact_fen=False)
-        tables, td = unfolded_snapshot_tables(inst, "bnsl")
+        td = graphs.tree_decomposition(superstructure(inst))
+        eng = keep_whole(tw_dp._TwEngine)(inst, td, "bnsl", WholeGraph(inst))
+        eng.run_tables()
         below = {}
         for t in td.postorder():
             s = set(td.nodes[t].bag)
@@ -266,8 +270,8 @@ def test_criterion_10_record_and_snapshot_semantics():
                 s |= below[c]
             below[t] = s
         for t in td.postorder():
-            want = snapshot_reference(inst, below[t], td.nodes[t].bag, q, "bnsl")
-            assert tables[t] == want
+            want = decided_snapshot_reference(inst, below[t], td.nodes[t].bag, q, "bnsl")
+            assert eng.records(t) == want
     report(10, "stored records/snapshots witnessed and maximal, 30 instances",
            t0, 300)
 

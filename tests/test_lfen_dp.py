@@ -4,6 +4,7 @@ from operator import itemgetter
 from bnsl import cli, generate, graphs, kernel, lfen_dp, oracle, relations
 from bnsl.instances import parse_nonzero, score_of, superstructure, validate
 
+from conftest import KERNEL_SLOTS, benchmark_instance, benchmark_kernel
 from reference import (
     BnslEngineClosed,
     BnslEngineFullClosure,
@@ -417,17 +418,14 @@ def test_packed_fold_matches_row_glue_on_benchmark_kernels():
     # as perfbench/ladders.py draws them, over the witness tree the CLI
     # searches: the merge on packed ints gives the tables of the merge on
     # row lists, in insertion order with their backpointers, and the same
-    # solve.  The n=1500 near-tree slot is left out: generating one takes
-    # over a second, and its kernel has cycle rank 1
-    slots = ((60, 5, 40), (200, 3, 150), (800, 1, 700))
+    # solve.  The n=1500 near-tree slot is left out (`KERNEL_SLOTS`)
     for seed in range(1, 8):
         for rnd in range(2):
-            for k, (n, fen, sub) in enumerate(slots):
-                rng = random.Random(f"dag-explicit:{seed}:{rnd}:{k}")
-                inst = generate.random_nonzero(rng, n, fen, subdivisions=sub)
-                red = kernel.kernelize_bnsl(inst).reduced
+            for workload, k in KERNEL_SLOTS:
+                if workload != "dag-explicit":
+                    continue
+                red, forest = benchmark_kernel(workload, seed, rnd, k, "bnsl")
                 g = superstructure(red)
-                forest = graphs.lfen_search(g).forest
                 ref = keep_whole(BnslEngineRowGlue)(red, g, forest)
                 assert lfen_dp.solve_bnsl_lfen(red, forest) == ref.solve()
                 _, eng = unpruned_record_tables(red, forest)
@@ -568,25 +566,19 @@ def test_cycle_rejects_agree_with_the_full_glues_on_benchmark_kernels():
     # as perfbench/ladders.py draws them, through each mode's kernel and
     # record DP over the witness tree the CLI searches: every glued pair
     # gives what the glue without its cheap reject gives
-    slots = (("dag-explicit", 0, 60, 5, 40), ("dag-explicit", 1, 200, 3, 150),
-             ("dag-explicit", 2, 800, 1, 700), ("polytree", 6, 200, 1, 150),
-             ("polytree", 7, 800, 1, 700))
     modes = (
-        (lfen_dp._BnslEngine, bnsl_glue_closed_union, lambda h, c: h[0] & c[2],
-         kernel.kernelize_bnsl),
-        (lfen_dp._PlEngine, pl_glue_class_count, lambda h, c: h[0] & c[0], kernel.kernelize_pl),
+        (lfen_dp._BnslEngine, bnsl_glue_closed_union, lambda h, c: h[0] & c[2], "bnsl"),
+        (lfen_dp._PlEngine, pl_glue_class_count, lambda h, c: h[0] & c[0], "pl"),
     )
     tallies = []
-    for engine, plain, cheap, kernelize in modes:
+    for engine, plain, cheap, mode in modes:
         tally = {"pairs": 0, "cheap": 0, "other": 0}
         for seed in range(1, 4):
             for rnd in range(2):
-                for workload, k, n, fen, sub in slots:
-                    rng = random.Random(f"{workload}:{seed}:{rnd}:{k}")
-                    red = kernelize(generate.random_nonzero(rng, n, fen, subdivisions=sub)).reduced
-                    g = superstructure(red)
+                for workload, k in KERNEL_SLOTS:
+                    red, forest = benchmark_kernel(workload, seed, rnd, k, mode)
                     eng = keep_whole(checked_engine(engine, plain, cheap, tally))(
-                        red, g, graphs.lfen_search(g).forest)
+                        red, superstructure(red), forest)
                     eng.solve()
         tallies.append(tally)
     bnsl, pl = tallies
@@ -653,15 +645,13 @@ def test_pruned_tables_are_the_undominated_records():
     # 1040 instance-forest pairs of
     # test_tables_and_witness_match_closed_child_engine
     dropped = 0
-    slots = ((60, 5, 40), (200, 3, 150), (800, 1, 700))
     for seed in range(1, 8):
         for rnd in range(2):
-            for k, (n, fen, sub) in enumerate(slots):
-                rng = random.Random(f"dag-explicit:{seed}:{rnd}:{k}")
-                inst = generate.random_nonzero(rng, n, fen, subdivisions=sub)
-                red = kernel.kernelize_bnsl(inst).reduced
-                g = superstructure(red)
-                dropped += check_prune(lfen_dp._BnslEngine, red, g, graphs.lfen_search(g).forest)
+            for workload, k in KERNEL_SLOTS:
+                if workload != "dag-explicit":
+                    continue
+                red, forest = benchmark_kernel(workload, seed, rnd, k, "bnsl")
+                dropped += check_prune(lfen_dp._BnslEngine, red, superstructure(red), forest)
     assert dropped > 1000, dropped
     pairs = {lfen_dp._BnslEngine: 0, lfen_dp._PlEngine: 0}
     dropped = dict.fromkeys(pairs, 0)
@@ -730,7 +720,8 @@ def test_record_tables_are_the_solvers_tables(monkeypatch):
     # and `pl_record_tables` return the tables that the solver's own engine
     # fills, in insertion order, and the engine they return solves the
     # same.  The n=1500 near-tree slot is left out, as in
-    # test_packed_fold_matches_row_glue_on_benchmark_kernels
+    # test_packed_fold_matches_row_glue_on_benchmark_kernels.  Each slot
+    # drawn through the ladder is the explicit instance of its sizes
     filled = []
     original = lfen_dp._RecordEngine.fill
 
@@ -739,20 +730,19 @@ def test_record_tables_are_the_solvers_tables(monkeypatch):
         original(self)
 
     monkeypatch.setattr(lfen_dp._RecordEngine, "fill", fill)
-    slots = (("dag-explicit", 0, 60, 5, 40), ("dag-explicit", 1, 200, 3, 150),
-             ("dag-explicit", 2, 800, 1, 700), ("polytree", 6, 200, 1, 150),
-             ("polytree", 7, 800, 1, 700))
-    modes = {"dag-explicit": (kernel.kernelize_bnsl, lfen_dp.solve_bnsl_lfen,
-                              lfen_dp.record_tables),
-             "polytree": (kernel.kernelize_pl, lfen_dp.solve_pl_lfen, lfen_dp.pl_record_tables)}
+    sizes = ((60, 5, 40), (200, 3, 150), (800, 1, 700), (200, 1, 150), (800, 1, 700))
+    for (workload, k), (n, fen, sub) in zip(KERNEL_SLOTS, sizes):
+        rng = random.Random(f"{workload}:1:0:{k}")
+        want = generate.random_nonzero(rng, n, fen, subdivisions=sub)
+        assert benchmark_instance(workload, 1, 0, k) == want
+    modes = {"dag-explicit": ("bnsl", lfen_dp.solve_bnsl_lfen, lfen_dp.record_tables),
+             "polytree": ("pl", lfen_dp.solve_pl_lfen, lfen_dp.pl_record_tables)}
     dropped = 0
     for seed in range(1, 4):
         for rnd in range(2):
-            for workload, k, n, fen, sub in slots:
-                kernelize, solve, tables_of = modes[workload]
-                rng = random.Random(f"{workload}:{seed}:{rnd}:{k}")
-                red = kernelize(generate.random_nonzero(rng, n, fen, subdivisions=sub)).reduced
-                forest = graphs.lfen_search(superstructure(red)).forest
+            for workload, k in KERNEL_SLOTS:
+                mode, solve, tables_of = modes[workload]
+                red, forest = benchmark_kernel(workload, seed, rnd, k, mode)
                 filled.clear()
                 solved = solve(red, forest)
                 (eng,) = filled

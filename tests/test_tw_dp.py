@@ -1,9 +1,5 @@
-import importlib.util
 import random
-import sys
 from collections import Counter
-from functools import lru_cache
-from pathlib import Path
 
 import pytest
 
@@ -20,11 +16,10 @@ from bnsl.instances import (
     write_additive,
 )
 
+from conftest import benchmark_instance, benchmark_ladders
 from reference import (
     FoldGenerators,
     LocSnapshotEngine,
-    TwEngineDicts,
-    TwEngineProduct,
     WholeGraph,
     bags_from_order_replay,
     core_decomposition_rewrite,
@@ -32,10 +27,6 @@ from reference import (
     decided_snapshot_reference,
     exact_decomposition,
     keep_whole,
-    snapshot_reference,
-    snapshot_tables_dicts,
-    unfolded_snapshot_tables,
-    unpack,
 )
 
 
@@ -50,13 +41,28 @@ def below_sets(td):
     return out
 
 
+def decided_tables(inst, mode):
+    """The library's bag DP, unpruned over the whole superstructure's
+    min-fill decomposition, with every node's records checked against
+    `decided_snapshot_reference`; the engine, tables filled."""
+    td = graphs.tree_decomposition(superstructure(inst))
+    eng = keep_whole(tw_dp._TwEngine)(inst, td, mode, WholeGraph(inst))
+    eng.run_tables()
+    below = below_sets(td)
+    for t in td.postorder():
+        want = decided_snapshot_reference(inst, below[t], td.nodes[t].bag,
+                                          inst.max_in_degree, mode)
+        assert eng.records(t) == want, t
+    return eng
+
+
 def test_leaf_table():
     inst = AdditiveInstance(2, ("a", "b"), {(0, 1): 3}, max_in_degree=1)
-    tables, td = unfolded_snapshot_tables(inst)
-    for t in td.postorder():
-        if td.nodes[t].kind == "leaf":
-            (v,) = td.nodes[t].bag
-            assert tables[t] == {(frozenset(), frozenset(), ((v, 0),)): 0}
+    eng = decided_tables(inst, "bnsl")
+    for t in eng.td.postorder():
+        if eng.td.nodes[t].kind == "leaf":
+            (v,) = eng.td.nodes[t].bag
+            assert eng.records(t) == {(frozenset(), ((v, 0),)): 0}
 
 
 def test_three_cycle_unbounded():
@@ -140,11 +146,7 @@ def test_snapshots_witnessed_and_maximal():
         q = rng.choice([None, 2])
         inst = generate.random_additive(rng, n, rng.randint(0, 2), q=q,
                                         exact_fen=False)
-        tables, td = unfolded_snapshot_tables(inst, "bnsl")
-        below = below_sets(td)
-        for t in td.postorder():
-            want = snapshot_reference(inst, below[t], td.nodes[t].bag, q, "bnsl")
-            assert tables[t] == want
+        decided_tables(inst, "bnsl")
 
 
 def test_pl_snapshots_witnessed_and_maximal():
@@ -153,11 +155,7 @@ def test_pl_snapshots_witnessed_and_maximal():
         n = rng.randint(3, 7)
         inst = generate.random_additive(rng, n, rng.randint(0, 2), q=2,
                                         exact_fen=False)
-        tables, td = unfolded_snapshot_tables(inst, "pl")
-        below = below_sets(td)
-        for t in td.postorder():
-            want = snapshot_reference(inst, below[t], td.nodes[t].bag, 2, "pl")
-            assert tables[t] == want
+        decided_tables(inst, "pl")
 
 
 def test_root_snapshot_single_key():
@@ -165,10 +163,9 @@ def test_root_snapshot_single_key():
         rng = random.Random(95_000 + seed)
         inst = generate.random_additive(rng, rng.randint(2, 8), rng.randint(0, 2),
                                         q=rng.choice([None, 2]), exact_fen=False)
-        tables, td = unfolded_snapshot_tables(inst, "bnsl")
-        assert list(tables[td.root]) == [(frozenset(), frozenset(), ())]
+        eng = decided_tables(inst, "bnsl")
         so, _ = oracle.exact_bnsl(inst)
-        assert tables[td.root][(frozenset(), frozenset(), ())] == so
+        assert eng.records(eng.td.root) == {(frozenset(), ()): so}
 
 
 def test_agreement_with_record_solver_via_expansion():
@@ -201,63 +198,6 @@ def counts(eng, inn) -> tuple:
     return tuple(inn >> (d - 1 - j) * w & (1 << w) - 1 for j in range(d))
 
 
-def sorted_key(eng, t, key):
-    """A packed snapshot key of node t over the node's sorted bag: loc and
-    con carried there by `relations.remap`, inn the parent counts in sorted
-    vertex order, () without a bound."""
-    verts = eng.verts[t]
-    bag = sorted(eng.td.nodes[t].bag)
-    to_bag = relations.remap(verts, bag)
-    loc, con, inn = key
-    inn = counts(eng, inn)
-    return to_bag(loc), to_bag(con), inn and tuple(inn[verts.index(x)] for x in bag)
-
-
-def dict_key(eng, t, key):
-    """A packed snapshot key of node t in the dict engine's format: loc and
-    con as row tuples over the sorted bag, inn as (vertex, count) pairs."""
-    bag = sorted(eng.td.nodes[t].bag)
-    loc, con, inn = sorted_key(eng, t, key)
-    return tuple(unpack(loc, len(bag))), tuple(unpack(con, len(bag))), tuple(zip(bag, inn))
-
-
-def dict_entry(entry) -> tuple:
-    """A dict-engine entry as (score, arcs introduced, child keys)."""
-    score, back = entry
-    if back[0] == "intro":
-        return score, back[2], (back[1],)
-    return score, frozenset(), back[1:]
-
-
-def test_tables_and_witness_match_dict_engine():
-    # the loc-keyed reference engine: every node table, insertion order
-    # included, and the witness network equal those of the engine with
-    # per-state in-degree dicts, and so do the unpruned engine's own tables
-    # with their backpointers, compared on row tuples and (vertex, count)
-    # pairs
-    for seed in range(300):
-        rng = random.Random(120_000 + seed)
-        q = rng.choice([None, 1, 2, 3])
-        inst = generate.random_additive(rng, rng.randint(1, 11), rng.randint(0, 4), q=q,
-                                        connected=(seed % 3 != 0), exact_fen=False)
-        td = graphs.tree_decomposition(superstructure(inst))
-        for mode in ("bnsl",) if q is None else ("bnsl", "pl"):
-            tables, _ = unfolded_snapshot_tables(inst, mode, td)
-            want = snapshot_tables_dicts(inst, mode, td)
-            assert list(tables) == list(want)
-            for t, table in tables.items():
-                assert list(table.items()) == list(want[t].items())
-            unpruned = keep_whole(LocSnapshotEngine)(inst, td, mode, WholeGraph(inst))
-            ref = TwEngineDicts(inst, td, mode, q)
-            assert unpruned.solve() == ref.solve()
-            for t, table in unpruned.tables.items():
-                children = td.nodes[t].children
-                got = [(dict_key(unpruned, t, key), (entry[0], entry[1], tuple(
-                    dict_key(unpruned, c, ck) for c, ck in zip(children, entry[2:]))))
-                    for key, entry in table.items()]
-                assert got == [(key, dict_entry(entry)) for key, entry in ref.tables[t].items()]
-
-
 def dominates(eng, a, b) -> bool:
     """Entry a = (key, score) of `eng` dominates entry b: a score at least
     b's, con a subset of b's (packed, so row by row at once), inn no larger
@@ -269,13 +209,13 @@ def dominates(eng, a, b) -> bool:
 
 
 def test_pruned_tables_keep_the_undominated_entries():
-    # on the seeds above: at every node but an introduce, which shares its
-    # child's table, the pruned table holds exactly the entries of the table
-    # its step made that no other entry dominates, with their scores, in
-    # insertion order; every entry of the unpruned engine has a kept
-    # dominator at its node; the optimum is the unpruned one and the
-    # witness scores it (ties may pick another witness than the unpruned
-    # engine)
+    # at every node but an introduce, which shares its child's table, the
+    # pruned table holds exactly the entries of the table its step made
+    # that no other entry dominates, with their scores, in insertion order;
+    # every entry of the unpruned engine has a kept dominator at its node;
+    # the optimum is the unpruned one and the loc-keyed engine's it
+    # replaced, and the witness scores it (ties may pick another witness
+    # than the unpruned engine)
     for seed in range(300):
         rng = random.Random(120_000 + seed)
         q = rng.choice([None, 1, 2, 3])
@@ -312,6 +252,7 @@ def test_pruned_tables_keep_the_undominated_entries():
                 for key, entry in table.items():
                     assert any(dominates(pruned, k, (key, entry[0])) for k in kept)
             assert score == full_score
+            assert score == LocSnapshotEngine(inst, td, mode, WholeGraph(inst)).solve()[0]
             assert validate(net, "polytree" if mode == "pl" else "dag", q=q).ok
             assert score_of(inst, net) == score
 
@@ -328,14 +269,8 @@ def test_decided_snapshots_witnessed_and_maximal():
         q = [None, 1, 2, 3][seed % 4]
         inst = generate.random_additive(rng, rng.randint(3, 7), rng.randint(0, 2), q=q,
                                         connected=(seed % 5 != 0), exact_fen=False)
-        td = graphs.tree_decomposition(superstructure(inst))
-        below = below_sets(td)
         for mode in ("bnsl",) if q is None else ("bnsl", "pl"):
-            eng = keep_whole(tw_dp._TwEngine)(inst, td, mode, WholeGraph(inst))
-            eng.run_tables()
-            for t in td.postorder():
-                want = decided_snapshot_reference(inst, below[t], td.nodes[t].bag, q, mode)
-                assert eng.records(t) == want, (seed, mode, t)
+            decided_tables(inst, mode)
             checked[mode, q is None] += 1
     assert checked == {("bnsl", True): 8, ("bnsl", False): 24, ("pl", False): 24}
 
@@ -640,17 +575,13 @@ def step_family():
         yield shape, generate.additive_for_graph(rng, g, q=[None, 1, 2, 3][seed // 4 % 4])
 
 
-def test_steps_and_fold_match_product_engine():
-    # the loc-keyed reference engine, whose steps grow arc choices one
-    # neighbour at a time and keep each vertex at one index while it is in
-    # the bag, gives the tables of the old steps over sorted bags, in
-    # insertion order (keys carried to the sorted bag, scores, arcs,
-    # backpointers), and the same score and witness: unfolded over the
-    # whole graph's decomposition, pruned and (up to width 3) unpruned, and
-    # folded, over the core's own decomposition or (every other instance)
-    # over the whole graph's cut to the core; the library engine gives the
-    # same score with a witness that scores it.  The fold equals the one
-    # built on generators, field by field, and lifts the same arcs
+def test_steps_and_fold_match_loc_engine():
+    # the library engine gives the optimum of the loc-keyed engine it
+    # replaced, with a witness that validates and scores it: unfolded over
+    # the whole graph's decomposition, pruned and (up to width 3) unpruned,
+    # and folded, over the core's own decomposition or (every other
+    # instance) over the whole graph's cut to the core.  The fold equals
+    # the one built on generators, field by field, and lifts the same arcs
     widths, shapes = set(), set()
     for k, (shape, inst) in enumerate(step_family()):
         g = superstructure(inst)
@@ -666,26 +597,16 @@ def test_steps_and_fold_match_product_engine():
         assert set(vars(fold)) - {"arc_scores"} == set(vars(old)) - {"arc"}
         for mode in ("bnsl",) if inst.max_in_degree is None else ("bnsl", "pl"):
             whole = WholeGraph(inst)
-            runs = [(td, whole, whole, True)] + [(td, whole, whole, False)] * (td.width <= 3)
-            runs.append((tw_dp.fold_core(inst, g, td if k % 2 else None)[1], fold, old, True))
-            for dec, new_fold, old_fold, prune in runs:
+            runs = [(td, whole, True)] + [(td, whole, False)] * (td.width <= 3)
+            runs.append((tw_dp.fold_core(inst, g, td if k % 2 else None)[1], fold, True))
+            for dec, new_fold, prune in runs:
                 wrap = (lambda engine: engine) if prune else keep_whole
-                new = wrap(LocSnapshotEngine)(inst, dec, mode, new_fold)
-                ref = wrap(TwEngineProduct)(inst, dec, mode, old_fold)
-                score, net = new.solve()
-                assert (score, net) == ref.solve()
+                score, net = wrap(LocSnapshotEngine)(inst, dec, mode, new_fold).solve()
                 lib_score, lib_net = wrap(tw_dp._TwEngine)(inst, dec, mode, new_fold).solve()
                 assert lib_score == score
                 assert validate(lib_net, "polytree" if mode == "pl" else "dag",
                                 q=inst.max_in_degree).ok
                 assert score_of(inst, lib_net) == score
-                assert list(new.tables) == list(ref.tables)
-                for t, table in new.tables.items():
-                    children = dec.nodes[t].children
-                    got = [(sorted_key(new, t, key), entry[:2] + tuple(
-                        sorted_key(new, c, ck) for c, ck in zip(children, entry[2:])))
-                        for key, entry in table.items()]
-                    assert got == list(ref.tables[t].items())
                 if new_fold is fold:
                     core_arcs = {(x, y) for x, y in net.arcs if x not in fold.kids.get(y, ())
                                  and y not in fold.kids.get(x, ())}
@@ -724,25 +645,6 @@ def test_each_vertex_keeps_one_index():
     assert count == 600 and kinds == {"leaf", "introduce", "forget", "join"}
 
 
-def benchmark_ladders():
-    """perfbench/ladders.py, loaded from the source checkout."""
-    name = "perfbench_ladders"
-    if name not in sys.modules:
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "ladders.py"
-        spec = importlib.util.spec_from_file_location(name, path)
-        sys.modules[name] = module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    return sys.modules[name]
-
-
-@lru_cache(maxsize=None)
-def benchmark_instance(workload: str, seed: int, k: int):
-    """Slot k of `workload`'s benchmark ladder, seed `seed`, round 0, as
-    perfbench/ladders.py draws it (drawn once for every test here)."""
-    slot = benchmark_ladders().WORKLOADS[workload][k]
-    return slot.make(random.Random(f"{workload}:{seed}:0:{k}"))
-
-
 def test_snapshot_tables_are_the_solvers_tables(monkeypatch):
     # the twdp slots of the dag-additive and polytree benchmarks, seeds
     # 1-3, round 0, drawn by perfbench/ladders.py, with the whole graph's
@@ -766,7 +668,7 @@ def test_snapshot_tables_are_the_solvers_tables(monkeypatch):
             for k, slot in enumerate(benchmark_ladders().WORKLOADS[workload]):
                 if slot.algo != "twdp":
                     continue
-                inst = benchmark_instance(workload, seed, k)
+                inst = benchmark_instance(workload, seed, 0, k)
                 for td in (graphs.tree_decomposition(superstructure(inst)), None):
                     engines.clear()
                     solve(inst, td)
@@ -801,7 +703,7 @@ def test_scores_match_loc_reference_on_benchmark_slots():
             for k, slot in enumerate(benchmark_ladders().WORKLOADS[workload]):
                 if slot.algo not in ("twdp", "matroid"):
                     continue
-                inst = benchmark_instance(workload, seed, k)
+                inst = benchmark_instance(workload, seed, 0, k)
                 fold, td = tw_dp.fold_core(inst, superstructure(inst))
                 score, net = tw_dp.solve_folded(inst, mode, fold, td)
                 assert score == LocSnapshotEngine(inst, td, mode, fold).solve()[0], (seed, k)
