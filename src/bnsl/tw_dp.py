@@ -273,6 +273,11 @@ class _TwEngine:
             aux1 = self._aux(con1, d)
             for key2, s2, aux2 in right:
                 inn = inn1 + key2[1]
+                # this reject keeps every count field of a key at most q, so
+                # the sum of two at most 2q: the no-carry condition of the
+                # key layout.  The forget's test cannot stand in for it, as
+                # joins stack with no forget between them where a bag has
+                # more than two children
                 if inn + over & guard:
                     continue
                 con = self._glue(con1, key2[0], d, aux1 & aux2, aux1 + aux2 - d)

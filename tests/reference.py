@@ -3,9 +3,10 @@ code, and helpers that only the tests use.
 
 A brute force enumerates partial solutions from their definition and uses
 no solver machinery.  An earlier version is kept verbatim (only renamed),
-so that a test can require the library to reproduce it exactly; one
-exception, `kernelize_rescan`, reuses the kernel's rule applications and
-replaces only the bookkeeping it checks.  Each entry says what the
+so that a test can require the library to reproduce it exactly.  Two
+are not whole: `kernelize_rescan` reuses the kernel's rule applications
+and replaces only the bookkeeping it checks, and `BnslEngineFullClosure`
+runs its merge on the library's fold driver.  Each entry says what the
 reference is (for an earlier version, what it was and what replaced it;
 CHANGES.md names the change), which tests read it (`module::test`, the
 module without its `test_` prefix; "criterion N" is in
@@ -21,8 +22,13 @@ Brute forces and test-only helpers:
   reach `relations.closed_union` and `instances.validate`.
 - `subtree_record_reference` and `subtree_pl_record_reference` (with
   `parent_choice_assignments` and `skeleton_forest`), the best score per
-  record over every parent-set choice in a subtree: criterion 10 and
-  three `lfen_dp::` tests; reach both record engines, unpruned.
+  record over every parent-set choice in a subtree: criterion 10,
+  `lfen_dp::test_leaf_records_match_enumeration` and, at every vertex of
+  the record DP's seeded family (`lfen_dp::record_family`: raw and
+  kernelized instances, searched and BFS forests),
+  `lfen_dp::test_record_tables_witnessed_and_maximal` and
+  `test_pl_record_tables_witnessed_and_maximal`; reach both record
+  engines, unpruned.
 - `decided_snapshot_reference`, the best score per snapshot over every
   choice of the edges a bag-DP node has decided: criterion 10 and
   `tw_dp::decided_tables`, which five `tw_dp::` tests call; reach
@@ -61,21 +67,24 @@ helpers) that reaches `kernel.kernelize_bnsl`, `kernelize_pl`, `_Work` or
   `best_config_frozensets`, `bnsl_path_scores_frozensets`,
   `pl_path_scores_frozensets`, `PathScores`, `PlPathScores`,
   `case_table` and `work_score` (formerly `kernel._Work.score`): rule 1
-  and the path DP on frozensets.
-- `kernelize_rr1_offer` with `apply_rr1_offer` and
-  `prune_leaves_per_leaf`: rule 1 pruning one leaf at a time.
-- `kernelize_rr1_best` with `apply_rr1_best` and `prune_leaves_at_once`:
-  rule 1 before it ran in one loop.
+  through `_Work.set_entries` and `_Work.remove`, and the path DP on
+  frozensets; `kernel::test_kernel_matches_old_rules` runs it in both
+  modes and as `absorb_leaves`.  It is the one earlier rule 1 kept: the
+  two later ones (one leaf pruned at a time, and the step before it ran
+  in one loop) are gone, and that test runs on the union of their
+  families, which every rule-1 fault they caught fails (CHANGES.md).
 - `lift_rescan` with `lift_rr1_rescan`, `lift_rr2_rescan` and
   `lift_rr2_pl_rescan`, and `best_config_two_encodings`:
   `KernelResult.lift` before it edited only the arcs each step touched,
   and `kernel._best_config`.
 
-Matroid intersection, each read by one `polytree::` test that reaches
-`polytree.weighted_matroid_intersection`:
-`weighted_matroid_intersection_pairwise` (before it ran on fundamental
-circuits) and `weighted_matroid_intersection_circuits` (before it read
-its answers off the forest).
+Matroid intersection: `weighted_matroid_intersection_pairwise`, the
+augmenting-path loop that asks the oracles for every exchange arc,
+before it ran on fundamental circuits: two `polytree::` tests, on small
+and on larger ground sets; reach `polytree.weighted_matroid_intersection`
+with and without oracles.  The later loop that listed every circuit
+exchange arc from the forest is gone; it shared the forest helpers of
+the library, so this one catches every fault it caught.
 
 Decompositions and the witness-tree search:
 
@@ -100,25 +109,27 @@ Decompositions and the witness-tree search:
 Record DP, read by `lfen_dp::` tests that reach `_BnslEngine` and
 `_PlEngine` directly:
 
-- `RecordEngineProduct` with `BnslEngineProduct`, `PlEngineProduct`,
-  `boundaries_by_subtree_masks` and `subtree_masks`: the DP that combined
-  the open children's tables in one product.
-- `BnslEngineFullClosure` (the merge by a full Warshall closure) and
-  `BnslEngineRowGlue` with `closed_union_rows` and `support_rows` (the
-  shared-support merge on row lists), both on `RowFold`.
-- `RecordEngineClosed` with `BnslEngineClosed`, `PlEngineClosed`,
-  `SplitBoundary` and `boundaries_split`: the DP that added each closed
-  child's best record to its parent's score.
+- `BnslEngineFullClosure`, the acyclic merge by a full Warshall closure
+  on row lists, on the library's fold driver:
+  `lfen_dp::test_tables_match_full_closure_at_kernel_scale`, on the
+  kernels of the benchmark's explicit slots.  It is the one earlier merge
+  kept.  The earlier drivers (the DP that combined the open children's
+  tables in one product, and the one that added each closed child's best
+  record to its parent's score) and the shared-support merge on row
+  lists are gone: the brute forces above check every table of the
+  record-DP family, and `lfen_dp::test_witnesses_match_pinned_digests`
+  pins the witnesses the solvers return on it, which is how the order
+  the driver reads child records in, and its cut, stay checked.
 - `bnsl_glue_closed_union` and `pl_glue_class_count`: the glues before
-  their cheap cycle rejects.
+  their cheap cycle rejects: two `lfen_dp::` tests.
 
 Relations:
 
 - `closure`, `irreflexive`, `restrict`, `classes`, `same_class`,
   `class_rows`, `from_pairs`, `to_pairs`, `remap` and `unpack`, the
   helpers on lists of bit rows, and `reindex`, the general re-indexing:
-  `relations::` tests, criterion 11, `lfen_dp::` tests and the record-DP
-  references; reach the packed forms in `bnsl.relations`.
+  `relations::` tests, criterion 11, `lfen_dp::` tests and
+  `BnslEngineFullClosure`; reach the packed forms in `bnsl.relations`.
 - `insert_index` and `drop_index`, the per-shape index maps between two
   sorted bags: one `relations::` test; reach `relations.remap`.
 
@@ -146,7 +157,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
-from operator import or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from bnsl import generate, graphs, relations
@@ -154,7 +164,6 @@ from bnsl.graphs import (
     NiceTreeDecomposition,
     SpanningForest,
     TDNode,
-    lfen_of_tree,
     tree_decomposition,
 )
 from bnsl.instances import (
@@ -173,10 +182,10 @@ from bnsl.instances import (
     find,
     superstructure,
 )
-from bnsl.kernel import _BWD, _EMPTY, _FWD, _NONE, _Work, _btag, _fed_by, _present
+from bnsl.kernel import _BWD, _FWD, _NONE, _Work, _btag, _fed_by, _present
 from bnsl.lfen_dp import _BnslEngine, _PlEngine, _RecordEngine, _engine
 from bnsl.oracle import OracleLimitError
-from bnsl.polytree import GroundElement, MatroidOracles, _forest_links, _forest_path
+from bnsl.polytree import GroundElement, MatroidOracles
 from bnsl.tw_dp import _NO_ARCS, Fold
 
 
@@ -581,9 +590,11 @@ def case_table(ps) -> dict:
     return {tag: (score[tag], cfg) for tag, cfg in ps.configs.items()}
 
 
-def kernelize_old_rules(instance, polytree):
+def kernelize_old_rules(instance, mode):
     """The kernel's fixed-point loop with the old rule 1
-    (`apply_rr1_set_entries`); before each path contraction it checks
+    (`apply_rr1_set_entries`) and the path rule of `mode`: "bnsl" as in
+    `kernel.kernelize_bnsl`, "pl" as in `kernelize_pl`, None for rule 1
+    alone as in `absorb_leaves`.  Before each path contraction it checks
     that the kernel's case table, scores and configs in order, equals
     the old path DP's (through `case_table`) on the current working
     state, so the rule-2 steps it records are the old ones too."""
@@ -591,13 +602,15 @@ def kernelize_old_rules(instance, polytree):
 
     work = kernel._Work(instance)
     steps = []
-    min_inner, apply = (6, kernel._apply_rr2_pl) if polytree else (4, kernel._apply_rr2)
-    new, old = ((kernel._pl_path_cases, pl_path_scores_frozensets) if polytree
-                else (kernel._bnsl_path_cases, bnsl_path_scores_frozensets))
+    min_inner, apply, new, old = {
+        "bnsl": (4, kernel._apply_rr2, kernel._bnsl_path_cases, bnsl_path_scores_frozensets),
+        "pl": (6, kernel._apply_rr2_pl, kernel._pl_path_cases, pl_path_scores_frozensets),
+        None: (None,) * 4,
+    }[mode]
     while True:
         while (target := work.rule1_target()) is not None:
             steps.append(apply_rr1_set_entries(work, target, work.adj))
-        paths = kernel._find_paths(work, min_inner)
+        paths = [] if mode is None else kernel._find_paths(work, min_inner)
         if not paths:
             break
         got, want = new(work, paths[0]), case_table(old(work, paths[0]))
@@ -608,229 +621,12 @@ def kernelize_old_rules(instance, polytree):
     return kernel.KernelResult(reduced, steps, loose_of_reduced, instance.n)
 
 
-# Rule 1 before its lean step, kept verbatim (only renamed, the
-# `_Work.prune_leaves` it called made a function on the working state, and
-# less that function's cut of the parent-union copy `_Work` kept then): a
-# nested `offer` closure, set algebra for every parent set of v, and the
-# leaves removed one by one through `_Work.remove`.  `kernelize_rr1_offer`
-# runs the kernel's fixed-point loop with it; the library must reproduce
-# it exactly.
-
-
-def apply_rr1_offer(work: _Work, v: int) -> dict:
-    """Rule 1 at v, with Q the degree-1 neighbours of v in the working
-    superstructure.
-
-    A leaf w in Q scores se alone and se + gain with v as its parent; it
-    takes the arc from v whenever it is not v's parent and gain > 0, so
-    a parent set p of v completes with base - (the gains of the leaves in
-    p).  v's parent sets are grouped by p - Q, each group keeping its best
-    member (the unlisted p - Q too, at score 0), ties to the first in the
-    order of sorted(p).
-    """
-    adj = work.adj
-    q = sorted(w for w in adj[v] if len(adj[w]) == 1)
-    if not q:
-        raise ValueError(f"no degree-1 neighbours at {v}")
-    qset = frozenset(q)
-    empty, from_v = frozenset(), frozenset((v,))
-    base = 0
-    gain = {}
-    for w in q:
-        sets = work.entries.get(w, {})
-        se, sv = sets.get(empty, 0), sets.get(from_v, 0)
-        base += se
-        if sv > se:
-            base += sv - se
-            gain[w] = sv - se
-    takes = frozenset(gain)  # the leaves that take the arc unless they are parents
-
-    best: dict[frozenset[int], list] = {}  # p - Q -> [score, p]
-
-    def offer(reduced, val, p):
-        cur = best.get(reduced)
-        if cur is None:
-            best[reduced] = [val, p]
-        elif val > cur[0] or val == cur[0] and sorted(p) < sorted(cur[1]):
-            cur[:] = val, p
-
-    old_sets = work.entries.get(v, {})
-    for p, sc in old_sets.items():
-        if qset.isdisjoint(p):  # most sets; skips the set algebra below
-            offer(p, sc + base, p)
-        else:
-            offer(p - qset, sc + base - sum(gain.get(w, 0) for w in p & qset), p)
-    for reduced in [r for r in best if r not in old_sets]:
-        offer(reduced, base, reduced)
-    best.setdefault(empty, [base, empty])
-    new_sets = {}
-    configs = {}
-    for reduced, (val, p) in best.items():
-        members = p & qset
-        new_sets[reduced] = val
-        configs[reduced] = (members, takes - members)
-    step = {
-        "rule": 1,
-        "v": v,
-        "q": q,
-        "configs": configs,
-        "fallback": (frozenset(), takes),
-    }
-    prune_leaves_per_leaf(work, v, new_sets, qset)
-    return step
-
-
-def prune_leaves_per_leaf(work: _Work, v: int, sets: dict[frozenset[int], int],
-                          leaves: frozenset[int]):
-    """Rule 1's update: install v's table `sets`, whose non-empty parent
-    sets have positive scores and name every parent of v but `leaves`,
-    then remove the leaves, and the leaves' edges go with them."""
-    empty = frozenset()
-    if not sets.get(empty, 1):
-        del sets[empty]
-    if sets:
-        work.entries[v] = sets
-    else:
-        work.entries.pop(v, None)
-    for w in leaves:
-        work.remove(w)
-
-
-def kernelize_rr1_offer(instance, polytree):
-    """The kernel's fixed-point loop with `apply_rr1_offer` as rule 1."""
-    from bnsl import kernel
-
-    work = kernel._Work(instance)
-    steps = []
-    min_inner, apply_rr2 = (6, kernel._apply_rr2_pl) if polytree else (4, kernel._apply_rr2)
-    while True:
-        while (target := work.rule1_target()) is not None:
-            steps.append(apply_rr1_offer(work, target))
-        paths = kernel._find_paths(work, min_inner)
-        if not paths:
-            break
-        steps.append(apply_rr2(work, paths[0]))
-    reduced, loose_of_reduced = work.to_instance()
-    return kernel.KernelResult(reduced, steps, loose_of_reduced, instance.n)
-
-
-# Rule 1 before it became one loop, kept verbatim (only renamed, and the
-# `_Work.prune_leaves` it called made a function on the working state):
-# `apply_rr1_best` keeps each group's best member as a (score, p, p & Q)
-# triple in `best`, compares the unlisted p - Q in a second pass and builds
-# the new table and configs from `best` in a third, then
-# `prune_leaves_at_once` installs the table and drops the leaves.
-# `kernelize_rr1_best` runs the kernel's fixed-point loop with it; the
-# library must reproduce it exactly, heap order included.
-
-
-def apply_rr1_best(work: _Work, v: int) -> dict:
-    """Rule 1 at v, with Q the degree-1 neighbours of v in the working
-    superstructure.
-
-    A leaf w in Q scores se alone and se + gain with v as its parent; it
-    takes the arc from v whenever it is not v's parent and gain > 0, so
-    a parent set p of v completes with base - (the gains of the leaves in
-    p).  v's parent sets are grouped by p - Q, each group keeping its best
-    member (the unlisted p - Q too, at score 0), ties to the first in the
-    order of sorted(p).
-    """
-    adj, entries = work.adj, work.entries
-    q = [w for w in adj[v] if len(adj[w]) == 1]
-    if not q:
-        raise ValueError(f"no degree-1 neighbours at {v}")
-    q.sort()
-    qset = frozenset(q)
-    from_v = frozenset((v,))
-    base = 0
-    gain = {}
-    for w in q:
-        sets = entries.get(w)
-        if sets is None:
-            continue
-        se, sv = sets.get(_EMPTY, 0), sets.get(from_v, 0)
-        base += se
-        if sv > se:
-            base += sv - se
-            gain[w] = sv - se
-    takes = frozenset(gain)  # the leaves that take the arc unless they are parents
-
-    best: dict[frozenset[int], tuple] = {}  # p - Q -> (score, p, p & Q)
-    old_sets = entries.get(v, {})
-    for p, val in old_sets.items():
-        val += base
-        if qset.isdisjoint(p):  # most sets; skips the set algebra below
-            reduced, members = p, _EMPTY
-        else:
-            members = p & qset
-            reduced = p - members
-            val -= sum([gain.get(w, 0) for w in members])
-        cur = best.get(reduced)
-        if cur is None or val > cur[0] or val == cur[0] and sorted(p) < sorted(cur[1]):
-            best[reduced] = (val, p, members)
-    for reduced in [r for r in best if r not in old_sets]:
-        cur = best[reduced]
-        if base > cur[0] or base == cur[0] and sorted(reduced) < sorted(cur[1]):
-            best[reduced] = (base, reduced, _EMPTY)
-    if _EMPTY not in best:
-        best[_EMPTY] = (base, _EMPTY, _EMPTY)
-    none_in = (_EMPTY, takes)  # the config of every p disjoint from Q
-    new_sets = {}
-    configs = {}
-    for reduced, (val, _, members) in best.items():
-        new_sets[reduced] = val
-        configs[reduced] = (members, takes - members) if members else none_in
-    step = {"rule": 1, "v": v, "q": q, "configs": configs, "fallback": none_in}
-    prune_leaves_at_once(work, v, new_sets, qset)
-    return step
-
-
-def prune_leaves_at_once(work: _Work, v: int, sets: dict[frozenset[int], int],
-                         leaves: frozenset[int]):
-    """Rule 1's update: install v's table `sets`, whose non-empty parent
-    sets have positive scores and name every parent of v but `leaves`,
-    then remove the leaves, whose only neighbour is v.  v's adjacency
-    loses them at once instead of edge by edge as in `set_entries`."""
-    if not sets.get(_EMPTY, 1):
-        del sets[_EMPTY]
-    entries = work.entries
-    if sets:
-        entries[v] = sets
-    else:
-        entries.pop(v, None)
-    for w in leaves:
-        entries.pop(w, None)
-        del work.names[w], work.adj[w]
-    work.adj[v] -= leaves
-    work._note_degrees((v,))
-
-
-def kernelize_rr1_best(instance, path_rule):
-    """The kernel's fixed-point loop with `apply_rr1_best` as rule 1;
-    `path_rule` as in `kernel._kernelize`."""
-    from bnsl import kernel
-
-    work = kernel._Work(instance)
-    steps = []
-    while True:
-        while (target := work.rule1_target()) is not None:
-            steps.append(apply_rr1_best(work, target))
-        paths = [] if path_rule is None else kernel._find_paths(work, path_rule[0])
-        if not paths:
-            break
-        steps.append(path_rule[1](work, paths[0]))
-    reduced, loose_of_reduced = work.to_instance()
-    return kernel.KernelResult(reduced, steps, loose_of_reduced, instance.n)
-
-
-# The six functions below are earlier versions of library functions, kept
+# The five functions below are earlier versions of library functions, kept
 # verbatim (only renamed) as references: the pairwise-oracle exchange graph
-# of `polytree.weighted_matroid_intersection`, its successor that lists
-# every exchange arc (the dense ones too) and relaxes them all per
-# Bellman-Ford pass (it ignores the roots `_forest_links` now returns), the
-# per-vertex scan of `graphs.check_nice`, the full-rescan min-fill order
-# of the old `graphs._min_fill_order`, the old `graphs._bags_from_order`,
-# which replayed the whole elimination to read off the bags, and the old
+# of `polytree.weighted_matroid_intersection`, the per-vertex scan of
+# `graphs.check_nice`, the full-rescan min-fill order of the old
+# `graphs._min_fill_order`, the old `graphs._bags_from_order`, which
+# replayed the whole elimination to read off the bags, and the old
 # `tw_dp._core_min_fill`, which decomposed the core through a relabeled
 # copy.  The library versions must return exactly what these return.
 
@@ -899,93 +695,6 @@ def weighted_matroid_intersection_pairwise(
                     continue
                 for v in arcs[u]:
                     nd = (dist[u][0] + cost(v), dist[u][1] + 1)
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        pred[v] = u
-                        changed = True
-            if not changed:
-                break
-        target = None
-        for y in sorted(sinks):
-            if dist[y][0] == INF:
-                continue
-            if target is None or dist[y] < dist[target]:
-                target = y
-        if target is None:
-            break
-        path = []
-        z = target
-        while z is not None:
-            path.append(z)
-            z = pred.get(z)
-        for z in path:
-            in_set[z] = not in_set[z]
-        weight = sum(items[i].weight for i in range(m) if in_set[i])
-        if weight > best_weight:
-            best_weight = weight
-            best_set = [i for i in range(m) if in_set[i]]
-    return [items[i] for i in best_set]
-
-
-def weighted_matroid_intersection_circuits(
-    elements: Sequence[GroundElement], oracles: MatroidOracles
-) -> list[GroundElement]:
-    """Maximum-weight common independent set over all cardinalities.
-
-    Augmenting paths over the exchange graph of the current set I (see
-    the module docstring).  Per round each non-member y costs one query of
-    each oracle, on I+y; every node's out-arcs are listed in ascending
-    order, which fixes the order in which Bellman-Ford relaxes them.
-    """
-    items = list(elements)
-    m = len(items)
-    in_set = [False] * m
-    best_weight = 0
-    best_set: list[int] = []
-
-    while True:
-        inside = [i for i in range(m) if in_set[i]]
-        chosen = [items[i] for i in inside]
-        link, _, by_head = _forest_links(items, inside)
-        sources = []
-        sinks = set()
-        arcs: list[list[int]] = [[] for _ in range(m)]
-        for y in range(m):
-            if in_set[y]:
-                continue
-            trial = chosen + [items[y]]
-            if oracles.graphic_independent(trial):
-                sources.append(y)
-                exchange = inside
-            else:
-                exchange = _forest_path(link, *items[y].arc)
-            for x in exchange:
-                arcs[x].append(y)
-            if oracles.partition_independent(trial):
-                sinks.add(y)
-                arcs[y] = inside
-            else:
-                arcs[y] = by_head.get(items[y].arc[1], [])
-        if not sources:
-            break
-
-        cost = [items[z].weight if in_set[z] else -items[z].weight for z in range(m)]
-        INF = float("inf")
-        dist = [(INF, INF)] * m
-        pred: dict[int, Optional[int]] = {}
-        for s in sources:
-            d = (cost[s], 0)
-            if d < dist[s]:
-                dist[s] = d
-                pred[s] = None
-        for _ in range(m + 1):
-            changed = False
-            for u in range(m):
-                du, hu = dist[u]
-                if du == INF:
-                    continue
-                for v in arcs[u]:
-                    nd = (du + cost[v], hu + 1)
                     if nd < dist[v]:
                         dist[v] = nd
                         pred[v] = u
@@ -1567,236 +1276,6 @@ def best_config_two_encodings(work: _Work, path_ext, e0: str, em: str, constrain
     return total, tuple([e0] + states + [em])
 
 
-# The record DP as it was before it folded every child one way, kept
-# verbatim (only renamed): boundaries that split the children into open
-# ones and closed ones (`SplitBoundary`, `boundaries_split`), and the
-# engine (`RecordEngineClosed`) whose `parent_choices` adds the best record
-# of each closed child (a child whose delta is just itself and its parent)
-# to the parent set's score, looked up by `closed_key`, and whose `solve`
-# reads the closed choices back.  `BnslEngineClosed` and `PlEngineClosed`
-# take the public key format and the merge hooks from the library's
-# engines; `BnslEngineProduct` and `PlEngineProduct` below read the same
-# split boundaries.
-
-
-@dataclass(frozen=True)
-class SplitBoundary:
-    """Endpoints of edges with exactly one endpoint inside v's subtree."""
-
-    vertex: int
-    delta: tuple[int, ...]
-    delta_in: tuple[int, ...]
-    delta_out: tuple[int, ...]
-    open_children: tuple[int, ...]
-    closed_children: tuple[int, ...]
-
-
-def boundaries_split(g: Superstructure, forest: SpanningForest) -> list[SplitBoundary]:
-    """Per-vertex boundary data for a rooted spanning forest of g.
-
-    A child w is closed when delta(w) is just {w, parent}; every deeper
-    connection of a closed subtree runs through that single tree edge.
-    """
-    # an edge has exactly one endpoint in v's subtree iff v lies on the
-    # tree path from an endpoint up to (excluding) the endpoints' lowest
-    # common ancestor: walk that path once per edge, O(n + sum of lengths).
-    # On a's side of the path a is inside the subtree and b outside.
-    parent = forest.parent
-    depth = forest.depth
-    ins: list[set[int]] = [set() for _ in range(g.n)]
-    outs: list[set[int]] = [set() for _ in range(g.n)]
-    for a, b in g.edges:
-        x, y = a, b
-        while x != y:
-            if y is None or (x is not None and depth[x] >= depth[y]):
-                ins[x].add(a)
-                outs[x].add(b)
-                x = parent[x]
-            else:
-                ins[y].add(b)
-                outs[y].add(a)
-                y = parent[y]
-    deltas = [tuple(sorted(i | o)) for i, o in zip(ins, outs)]
-    out = []
-    for v, children in forest.children_lists().items():
-        opens = tuple(c for c in children if len(deltas[c]) > 2)
-        closeds = tuple(c for c in children if len(deltas[c]) <= 2)
-        din, dout = tuple(sorted(ins[v])), tuple(sorted(outs[v]))
-        out.append(SplitBoundary(v, deltas[v], din, dout, opens, closeds))
-    return out
-
-
-class RecordEngineClosed:
-    """Leaf-to-root record DP over a rooted spanning forest.
-
-    Every key is a relation on the sorted delta of its vertex, one int
-    (bnsl.relations); `public(v, key)` gives it in the engine's public
-    format.  `combine_records(v)`, which also serves the leaves, folds the
-    open children into each parent set of v one at a time, over a dense
-    index range(d) of everything the combination can mention, and
-    deduplicates after every child on the merged state cut down to the
-    indices later steps can observe.  Fold states are relations over the
-    index too; child keys enter it, in ascending order, and final states
-    leave it for delta(v), through maps compiled once per vertex and child
-    (`relations.remap`).  Subclasses supply the merge in two hooks:
-    `operand(state, d)` reads a state, or a child record, for the merge,
-    once per state and once per child record; `glue(held, cheld, outside,
-    d)` merges two operands into a state before the cut, or None when the
-    union is not allowed (`outside` masks the rows of delta_out(v)).
-    tables[v] maps a key to (score, (parents, closed choice, open
-    choice)): v's parent set, whether each closed child takes the arc from
-    v, and the key picked in each open child's table.
-    """
-
-    root_key = 0
-
-    def __init__(self, instance: NonZeroInstance, g: Superstructure, forest: SpanningForest):
-        self.instance = instance
-        self.g = g
-        self.forest = forest
-        self.bounds = boundaries_split(g, forest)
-        bound = 2 * lfen_of_tree(g, forest).value + 2
-        if any(len(b.delta) > bound for b in self.bounds):
-            raise RuntimeError("boundary exceeds 2k+2")
-        self.tables: list[Optional[dict]] = [None] * g.n
-
-    def closed_key(self, c: int, take_arc: bool) -> int:
-        arcs = [(self.forest.parent[c], c)] if take_arc else []
-        return relations.from_pairs(arcs, self.bounds[c].delta)
-
-    def records(self, v: int) -> dict:
-        """tables[v] as {public key: best score}."""
-        return {self.public(v, key): sc for key, (sc, _) in self.tables[v].items()}
-
-    def fill(self):
-        """Fill the tables, children before parents."""
-        for v in self.forest.order[::-1]:
-            self.tables[v] = self.combine_records(v)
-
-    def parent_choices(self, v: int):
-        """(parents, score, closed choice) for each parent set of v, the
-        score including the best record of every closed child that fits;
-        parent sets that no closed-child record fits are skipped."""
-        closed_info = []
-        for c in self.bounds[v].closed_children:
-            s_empty = self.tables[c].get(self.closed_key(c, False))
-            s_arc = self.tables[c].get(self.closed_key(c, True))
-            closed_info.append(
-                (c, s_empty[0] if s_empty else None, s_arc[0] if s_arc else None)
-            )
-        for parents in self.instance.parent_sets(v):
-            if not parents <= self.g.adj[v]:
-                raise RuntimeError("parent outside superstructure")
-            base = self.instance.score(v, parents)
-            closed_choice = []
-            feasible = True
-            for c, s_empty, s_arc in closed_info:
-                if c in parents:
-                    if s_empty is None:
-                        feasible = False
-                        break
-                    base += s_empty
-                    closed_choice.append((c, False))
-                else:
-                    if s_arc is not None and (s_empty is None or s_arc > s_empty):
-                        base += s_arc
-                        closed_choice.append((c, True))
-                    else:
-                        base += s_empty
-                        closed_choice.append((c, False))
-            if feasible:
-                yield parents, base, tuple(closed_choice)
-
-    def solve(self) -> tuple[int, Network]:
-        """Optimum score and a witness network, collected without recursion."""
-        self.fill()
-        total = 0
-        arcs: set[tuple[int, int]] = set()
-        for r in self.forest.roots:
-            table = self.tables[r]
-            if list(table) != [self.root_key]:
-                raise RuntimeError("root must hold the single empty record")
-            total += table[self.root_key][0]
-            stack = [(r, self.root_key)]
-            while stack:
-                v, key = stack.pop()
-                parents, closed_choice, open_choice = self.tables[v][key][1]
-                arcs.update((p, v) for p in parents)
-                for c, take_arc in closed_choice:
-                    stack.append((c, self.closed_key(c, take_arc)))
-                stack.extend(open_choice)
-        return total, Network(self.instance.n, frozenset(arcs))
-
-    def combine_records(self, v: int) -> dict:
-        b = self.bounds[v]
-        opens = b.open_children
-
-        # dense local index over everything the combination can mention
-        ground = {v}
-        ground.update(self.g.adj[v])
-        for c in opens:
-            ground.update(self.bounds[c].delta)
-        ground = sorted(ground)
-        d = len(ground)
-        gidx = {x: i for i, x in enumerate(ground)}
-        dout = set(b.delta_out)
-        outside = relations.pack(((1 << d) - 1 if x in dout else 0 for x in ground), d)
-        to_delta = relations.remap(ground, b.delta)
-
-        frontier_after = []
-        acc = sum(1 << gidx[x] for x in b.delta)
-        for c in reversed(opens):
-            frontier_after.append(acc)
-            for x in self.bounds[c].delta:
-                acc |= 1 << gidx[x]
-        frontier_after.reverse()  # frontier_after[i]: mask kept after folding opens[i]
-        cuts = [relations.cut_mask(keep, d) for keep in frontier_after]
-
-        # each open child's records, translated once into the ground index
-        operand, glue = self.operand, self.glue
-        child_records = []
-        for c in opens:
-            ctable = self.tables[c]
-            to_ground = relations.remap(self.bounds[c].delta, ground)
-            child_records.append([
-                (operand(to_ground(ckey), d), ctable[ckey][0], ckey) for ckey in sorted(ctable)
-            ])
-
-        table: dict = {}
-        for parents, base, closed_choice in self.parent_choices(v):
-            # fold the open children one by one, deduplicating on the
-            # merged state cut down to what later steps can still observe
-            states = {relations.from_pairs([(p, v) for p in parents], ground): (base, ())}
-            for c, cut, crecords in zip(opens, cuts, child_records):
-                nxt: dict = {}
-                for state, (score, chain) in states.items():
-                    held = operand(state, d)
-                    for cheld, cscore, ckey in crecords:
-                        merged = glue(held, cheld, outside, d)
-                        if merged is None:
-                            continue
-                        merged &= cut
-                        val = score + cscore
-                        cur = nxt.get(merged)
-                        if cur is None or val > cur[0]:
-                            nxt[merged] = (val, chain + ((c, ckey),))
-                states = nxt
-            for state, (score, chain) in states.items():
-                key = to_delta(state)
-                cur = table.get(key)
-                if cur is None or score > cur[0]:
-                    table[key] = (score, (parents, closed_choice, chain))
-        return table
-
-
-class BnslEngineClosed(RecordEngineClosed, _BnslEngine):
-    """The earlier acyclic record DP, with the library's merge hooks."""
-
-
-class PlEngineClosed(RecordEngineClosed, _PlEngine):
-    """The earlier polytree record DP, with the library's merge hooks."""
-
-
 # The record-DP glues before their cheap cycle rejects, on the library's
 # operands: the acyclic one closes every union by `relations.closed_union`
 # (its 2-cycles too), the polytree one counts the classes of every union.
@@ -1817,328 +1296,31 @@ def pl_glue_class_count(held, cheld, outside: int, d: int):
     return merged & outside | relations.class_rows(inner, d)
 
 
-def boundaries_by_subtree_masks(
-    g: Superstructure, forest: SpanningForest, children, subtree: list[int]
-) -> list[SplitBoundary]:
-    # an edge has exactly one endpoint in v's subtree iff v lies on the
-    # tree path from an endpoint up to (excluding) the endpoints' lowest
-    # common ancestor: walk that path once per edge, O(n + sum of lengths)
-    n = g.n
-    parent = forest.parent
-    depth = forest.depth
-    dsets: list[set[int]] = [set() for _ in range(n)]
-    for a, b in g.edges:
-        x, y = a, b
-        while x != y:
-            if y is None or (x is not None and depth[x] >= depth[y]):
-                dsets[x].update((a, b))
-                x = parent[x]
-            else:
-                dsets[y].update((a, b))
-                y = parent[y]
-    deltas = [tuple(sorted(d)) for d in dsets]
-    out = []
-    for v in range(n):
-        mask = subtree[v]
-        din = tuple(x for x in deltas[v] if mask >> x & 1)
-        dout = tuple(x for x in deltas[v] if not mask >> x & 1)
-        opens, closeds = [], []
-        for c in children[v]:
-            if len(deltas[c]) <= 2:
-                closeds.append(c)
-            else:
-                opens.append(c)
-        out.append(SplitBoundary(v, deltas[v], din, dout, tuple(opens), tuple(closeds)))
-    return out
-
-
-def subtree_masks(forest: SpanningForest, children) -> list[int]:
-    """Bitmask of each vertex's subtree, children before parents."""
-    subtree = [0] * forest.n
-    for v in forest.order[::-1]:
-        mask = 1 << v
-        for c in children[v]:
-            mask |= subtree[c]
-        subtree[v] = mask
-    return subtree
-
-
-class RecordEngineProduct:
-    """Leaf-to-root record DP over a rooted spanning forest.
-
-    Subclasses fix the key format and build the tables: `root_key`,
-    `closed_key(c, take_arc)` (the key of closed child c's record without
-    or with the arc from its tree parent into c), `records(v)` (tables[v]
-    in the public key format) and `combine_records(v)`, which also serves
-    the leaves.  tables[v] maps a key to (score, (parents, closed choice,
-    open choice)): v's parent set, whether each closed child takes the arc
-    from v, and the key picked in each open child's table.
-    """
-
-    root_key: tuple = ()
-
-    def __init__(self, instance: NonZeroInstance, g: Superstructure, forest: SpanningForest):
-        self.instance = instance
-        self.g = g
-        self.forest = forest
-        self.children = forest.children_lists()
-        self.subtree = subtree_masks(forest, self.children)
-        self.bounds = boundaries_by_subtree_masks(g, forest, self.children, self.subtree)
-        bound = 2 * lfen_of_tree(g, forest).value + 2
-        if any(len(b.delta) > bound for b in self.bounds):
-            raise RuntimeError("boundary exceeds 2k+2")
-        self.tables: list[Optional[dict]] = [None] * g.n
-
-    def records(self, v: int) -> dict:
-        """tables[v] as {key: best score}."""
-        return {key: sc for key, (sc, _) in self.tables[v].items()}
-
-    def fill(self, stop: Optional[int] = None):
-        """Fill the tables children first, up to and including `stop`."""
-        for v in self.forest.order[::-1]:  # children before parents
-            self.tables[v] = self.combine_records(v)
-            if v == stop:
-                break
-
-    def parent_choices(self, v: int):
-        """(parents, score, closed choice) for each parent set of v, the
-        score including the best record of every closed child that fits;
-        parent sets that no closed-child record fits are skipped."""
-        closed_info = []
-        for c in self.bounds[v].closed_children:
-            s_empty = self.tables[c].get(self.closed_key(c, False))
-            s_arc = self.tables[c].get(self.closed_key(c, True))
-            closed_info.append(
-                (c, s_empty[0] if s_empty else None, s_arc[0] if s_arc else None)
-            )
-        for parents in self.instance.parent_sets(v):
-            if not parents <= self.g.adj[v]:
-                raise RuntimeError("parent outside superstructure")
-            base = self.instance.score(v, parents)
-            closed_choice = []
-            feasible = True
-            for c, s_empty, s_arc in closed_info:
-                if c in parents:
-                    if s_empty is None:
-                        feasible = False
-                        break
-                    base += s_empty
-                    closed_choice.append((c, False))
-                else:
-                    if s_arc is not None and (s_empty is None or s_arc > s_empty):
-                        base += s_arc
-                        closed_choice.append((c, True))
-                    else:
-                        base += s_empty
-                        closed_choice.append((c, False))
-            if feasible:
-                yield parents, base, tuple(closed_choice)
-
-    def solve(self) -> tuple[int, Network]:
-        """Optimum score and a witness network, collected without recursion."""
-        self.fill()
-        total = 0
-        arcs: set[tuple[int, int]] = set()
-        for r in self.forest.roots:
-            table = self.tables[r]
-            if list(table) != [self.root_key]:
-                raise RuntimeError("root must hold the single empty record")
-            total += table[self.root_key][0]
-            stack = [(r, self.root_key)]
-            while stack:
-                v, key = stack.pop()
-                parents, closed_choice, open_choice = self.tables[v][key][1]
-                arcs.update((p, v) for p in parents)
-                for c, take_arc in closed_choice:
-                    stack.append((c, self.closed_key(c, take_arc)))
-                stack.extend(open_choice)
-        return total, Network(self.instance.n, frozenset(arcs))
-
-
-class BnslEngineProduct(RecordEngineProduct):
-    """Acyclic-network record DP; keys are strict-reachability relations as
-    bit rows over the sorted delta of the vertex (bnsl.relations)."""
-
-    def closed_key(self, c: int, take_arc: bool) -> tuple[int, ...]:
-        arcs = [(self.forest.parent[c], c)] if take_arc else []
-        return tuple(from_pairs(arcs, self.bounds[c].delta))
-
-    def records(self, v: int) -> dict:
-        """tables[v] as {reachability pair set: best score}."""
-        delta = self.bounds[v].delta
-        return {to_pairs(key, delta): sc for key, (sc, _) in self.tables[v].items()}
-
-    def combine_records(self, v: int) -> dict:
-        b = self.bounds[v]
-        opens = b.open_children
-
-        # dense local index over everything the combination can mention
-        ground = {v}
-        ground.update(self.g.adj[v])
-        for c in opens:
-            ground.update(self.bounds[c].delta)
-        ground = sorted(ground)
-        gidx = {x: i for i, x in enumerate(ground)}
-
-        delta_mask = 0
-        for x in b.delta:
-            delta_mask |= 1 << gidx[x]
-
-        frontier_after = []
-        acc = delta_mask
-        for c in reversed(opens):
-            frontier_after.append(acc)
-            for x in self.bounds[c].delta:
-                acc |= 1 << gidx[x]
-        frontier_after.reverse()  # frontier_after[i]: mask kept after folding opens[i]
-
-        # each open child's records, translated once into the ground index
-        child_records = []
-        for c in opens:
-            ctable = self.tables[c]
-            cdelta = self.bounds[c].delta
-            child_records.append([
-                (reindex(ckey, cdelta, ground), ctable[ckey][0], ckey)
-                for ckey in sorted(ctable)
-            ])
-
-        table: dict = {}
-        vbit = 1 << gidx[v]
-        for parents, base, closed_choice in self.parent_choices(v):
-            rows0 = [0] * len(ground)
-            for p in parents:
-                rows0[gidx[p]] |= vbit
-            # fold the open children one by one, deduplicating on the
-            # closure restricted to what later steps can still observe
-            states = {tuple(rows0): (base, ())}
-            for c, keep, crecords in zip(opens, frontier_after, child_records):
-                nxt: dict = {}
-                for rows, (score, chain) in states.items():
-                    for crows, cscore, ckey in crecords:
-                        merged = closure([a | b for a, b in zip(rows, crows)])
-                        if not irreflexive(merged):
-                            continue
-                        mkey = tuple(restrict(merged, keep))
-                        val = score + cscore
-                        cur = nxt.get(mkey)
-                        if cur is None or val > cur[0]:
-                            nxt[mkey] = (val, chain + ((c, ckey),))
-                states = nxt
-            for rows, (score, chain) in states.items():
-                key = tuple(reindex(closure(rows), ground, b.delta))
-                cur = table.get(key)
-                if cur is None or score > cur[0]:
-                    table[key] = (score, (parents, closed_choice, chain))
-        return table
-
-
-class PlEngineProduct(RecordEngineProduct):
-    """Record DP for polytrees: per vertex an equivalence on the inner
-    boundary (components of the partial skeleton inside the subtree) plus
-    the set of arcs entering the subtree from outside."""
-
-    root_key = ((), frozenset())
-
-    def closed_key(self, c: int, take_arc: bool) -> tuple:
-        return (((c,),), frozenset([(self.forest.parent[c], c)] if take_arc else []))
-
-    def combine_records(self, v: int) -> dict:
-        b = self.bounds[v]
-        vmask = self.subtree[v]
-        din = sorted(b.delta_in)
-        closed_set = set(b.closed_children)
-        open_records = [
-            [
-                ((c, ckey), self.tables[c][ckey][0])
-                for ckey in sorted(self.tables[c], key=lambda k: (k[0], tuple(sorted(k[1]))))
-            ]
-            for c in b.open_children
-        ]
-        table: dict = {}
-        for parents, base, closed_choice in self.parent_choices(v):
-            for combo in product(*open_records):
-                # glue v, the open children's components and the outside
-                # vertices the arcs touch into one skeleton; closed children
-                # attach by a single edge and cannot close a skeleton cycle,
-                # so their glue arcs stay out of it
-                arcs = [(p, v) for p in sorted(parents) if p not in closed_set]
-                node = {v: 0}
-                size = 1
-                for (_, (part, carcs)), _ in combo:
-                    for cls in part:
-                        for x in cls:
-                            node[x] = size
-                        size += 1
-                    arcs.extend(carcs)
-                for arc in arcs:
-                    for x in arc:
-                        if x not in node:
-                            if vmask >> x & 1:
-                                raise RuntimeError("inside vertex missing from classes")
-                            node[x] = size
-                            size += 1
-                skeleton, inner = [0] * size, [0] * size
-                for x, y in arcs:
-                    skeleton[node[x]] |= 1 << node[y]
-                    if vmask >> x & 1:
-                        inner[node[x]] |= 1 << node[y]
-                # a forest iff every arc merges two components
-                if len(classes(skeleton)) != size - len(arcs):
-                    continue
-                # components of the subgraph induced on the subtree: only
-                # arcs with both endpoints inside count
-                groups = (
-                    tuple(x for x in din if cls >> node[x] & 1)
-                    for cls in classes(inner)
-                )
-                part_key = tuple(sorted(g for g in groups if g))
-                key = (part_key, frozenset((x, y) for x, y in arcs if not vmask >> x & 1))
-                score = base + sum(cscore for _, cscore in combo)
-                cur = table.get(key)
-                if cur is None or score > cur[0]:
-                    open_choice = tuple(choice for choice, _ in combo)
-                    table[key] = (score, (parents, closed_choice, open_choice))
-        return table
-
-
-class RowFold(_RecordEngine):
-    """The acyclic record DP's fold with a merge on tuples of rows, with the
-    keys' public format of `_BnslEngine` and nothing else of it: `operand`
-    unpacks each state and child record, and `glue` packs the result of
-    the subclass's `row_glue`.  The library's fold cuts every merged state
-    down to the indices it keeps, so `row_glue` is asked to keep every
-    index."""
+class BnslEngineFullClosure(_RecordEngine):
+    """The acyclic record DP with its earlier merge on lists of rows: a full
+    Warshall closure of the union over the fold's whole ground index, then
+    the irreflexivity test.  `operand` unpacks each state and child record,
+    and `glue` packs the merged rows again.  It takes the keys' public
+    format from `_BnslEngine` and nothing else of it; the fold driver, which
+    cuts each merged state down to the indices it keeps (the earlier merge
+    cut it itself), is the library's, and the record-DP brute forces check
+    it on their own."""
 
     public = _BnslEngine.public
 
     @staticmethod
     def operand(state: int, d: int):
-        return tuple(unpack(state, d))
-
-    def glue(self, held, cheld, outside: int, d: int):
-        rows = self.row_glue(held, cheld, (1 << d) - 1, outside)
-        return None if rows is None else relations.pack(rows, d)
-
-
-class BnslEngineFullClosure(RowFold):
-    """The acyclic record DP with its earlier merge, kept verbatim: a full
-    Warshall closure of the union over the fold's whole ground index, then
-    the irreflexivity test, then the cut down to `keep`.  It merges plain
-    rows; the fold driver is the library's, which `BnslEngineProduct`
-    checks on its own."""
+        return unpack(state, d)
 
     @staticmethod
-    def row_glue(rows, crows, keep: int, outside: int):
-        # restricting a closed relation leaves it closed, so the state
-        # stays the reachability relation of the partial solution
+    def glue(rows, crows, outside: int, d: int):
         merged = closure([a | b for a, b in zip(rows, crows)])
-        if not irreflexive(merged):
-            return None
-        return tuple(restrict(merged, keep))
+        return relations.pack(merged, d) if irreflexive(merged) else None
 
 
-# The library's former `relations.reindex`, kept verbatim: the earlier engines
-# above call it; the library now compiles each map once (`relations.remap`).
+# The library's former `relations.reindex`, kept verbatim: the relations
+# tests compare it with the map the library compiles once
+# (`relations.remap`).
 
 
 def reindex(rows: Sequence[int], src: Sequence, dst: Sequence) -> list[int]:
@@ -2162,7 +1344,7 @@ def reindex(rows: Sequence[int], src: Sequence, dst: Sequence) -> list[int]:
 
 
 # The library's former row helpers, kept verbatim: the library now keeps
-# every relation packed into one int (bnsl.relations), while the references
+# every relation packed into one int (bnsl.relations), while the reference
 # above and the tests build and read relations as lists of bit rows, row i
 # over index i (bit j set when i is related to j).  `unpack` gives the rows
 # of a packed relation, `relations.pack(rows, d)` packs them again.
@@ -2274,63 +1456,6 @@ def to_pairs(rows: Sequence[int], verts: Sequence) -> frozenset:
         for j in range(len(verts))
         if row >> j & 1
     )
-
-
-
-# The two functions below are the row-list versions of
-# `relations.closed_union` and `relations.support`, kept verbatim (only
-# renamed); `BnslEngineRowGlue` is the acyclic record DP's merge that
-# called them before the fold packed its states into ints.
-
-
-def closed_union_rows(a: Sequence[int], b: Sequence[int], shared: int, keep: int) -> Optional[list[int]]:
-    """restrict(closure(a | b), keep) for strict partial orders `a` and `b`
-    (transitive and irreflexive) whose supports meet only inside the index
-    mask `shared`; None when that closure is not irreflexive.
-
-    Transitivity shortens any path of the union until its pairs alternate
-    between `a` and `b`; then each index inside it is one where the path
-    switches operand, which both supports hold.  So Warshall over the
-    pivots in `shared` alone gives the closure, in O(|shared| d).  Neither
-    operand has a cycle, so a cycle of the union alternates too, and the
-    last of its indices taken as a pivot already reaches itself then.
-    """
-    rows = list(map(or_, a, b))
-    while shared:
-        low = shared & -shared
-        rk = rows[low.bit_length() - 1]
-        if rk & low:
-            return None
-        for i, row in enumerate(rows):
-            if row & low:
-                rows[i] = row | rk
-        shared ^= low
-    return restrict(rows, keep)
-
-
-def support_rows(rows: Sequence[int]) -> int:
-    """Index mask of the indices in some pair."""
-    out = 0
-    for i, row in enumerate(rows):
-        if row:
-            out |= row | 1 << i
-    return out
-
-
-class BnslEngineRowGlue(RowFold):
-    """The acyclic record DP with the shared-support merge on row lists:
-    states and child records are read as rows with their support mask."""
-
-    @staticmethod
-    def operand(state: int, d: int):
-        rows = unpack(state, d)
-        return rows, support_rows(rows)
-
-    @staticmethod
-    def row_glue(state, cpiece, keep: int, outside: int):
-        (rows, sup), (crows, csup) = state, cpiece
-        merged = closed_union_rows(rows, crows, sup & csup, keep)
-        return None if merged is None else tuple(merged)
 
 
 def component_lfen_tree_rebuild(g: Superstructure, budget: int):

@@ -17,8 +17,6 @@ from reference import (
     best_config_two_encodings,
     kernelize_old_rules,
     kernelize_rescan,
-    kernelize_rr1_best,
-    kernelize_rr1_offer,
     lift_rescan,
     random_dag,
     rule1_scan_target,
@@ -561,65 +559,6 @@ def step_orders(result):
     return [list(step["configs"]) for step in result.steps]
 
 
-def test_kernel_matches_old_rules():
-    # seeded subdivided instances and near-trees, with scores up to 2 on
-    # every third one (many ties): the kernel's steps, maps and reduced
-    # instances equal those of its loop with the old rule 1 (set_entries
-    # and remove per step, every leaf rescanned per candidate), whose
-    # path contractions also check the path DP against the old one
-    for seed in range(45):
-        rng = random.Random(f"old-rules:{seed}")
-        max_score = 2 if seed % 3 == 0 else 8
-        if seed % 2:
-            n = rng.randint(40, 400)
-            inst = generate.random_nonzero(rng, n, rng.randint(1, 5), max_score,
-                                           subdivisions=rng.randint(n // 2, n - 10))
-        else:
-            inst = generate.random_nonzero(rng, rng.randint(30, 400), rng.randint(0, 2),
-                                           max_score)
-        for polytree, fast in ((False, kernel.kernelize_bnsl), (True, kernel.kernelize_pl)):
-            want = kernelize_old_rules(inst, polytree)
-            got = fast(inst)
-            assert got.steps == want.steps and step_orders(got) == step_orders(want)
-            assert got.to_json() == want.to_json()
-            assert write_nonzero(got.reduced) == write_nonzero(want.reduced)
-            assert got.reduced.entries == want.reduced.entries
-
-
-def test_kernel_matches_rule1_offer_reference():
-    # the lean rule 1 against its earlier version (an `offer` closure, set
-    # algebra for every parent set, leaves removed one by one): the same
-    # reduced files, the same maps as JSON and the same lifted networks, on
-    # the four benchmark families of explicit instances (seeds 1-5) and on
-    # small subdivided instances, every third with many ties
-    families = [(60, 5, 40), (200, 3, 150), (800, 1, 700), (1500, 1, 0)]
-    insts = [generate.random_nonzero(random.Random(f"rr1:{seed}:{n}"), n, fen, subdivisions=sub)
-             for seed in range(1, 6) for n, fen, sub in families]
-    for seed in range(40):
-        rng = random.Random(f"rr1-small:{seed}")
-        n = rng.randint(6, 50)
-        insts.append(generate.random_nonzero(rng, n, rng.randint(0, 3), 2 if seed % 3 == 0 else 8,
-                                             subdivisions=rng.choice([n // 3, n - 6])))
-    rng = random.Random(5)
-    for inst in insts:
-        text = write_nonzero(inst)
-        for polytree, fast in ((False, kernel.kernelize_bnsl), (True, kernel.kernelize_pl)):
-            want = kernelize_rr1_offer(inst, polytree)
-            got = fast(inst)
-            assert write_nonzero(inst) == text  # the kernel shares tables, never edits them
-            assert write_nonzero(got.reduced) == write_nonzero(want.reduced)
-            assert json.loads(got.to_json()) == json.loads(want.to_json())
-            assert step_orders(got) == step_orders(want)
-            red = got.reduced
-            nets = [random_dag(rng, red.n, prob) for prob in (0.1, 0.4)]
-            edges = sorted(superstructure(red).edges)  # and one orientation of them all
-            nets.append(Network(red.n, frozenset(
-                (u, w) if rng.random() < 0.5 else (w, u) for u, w in edges
-            )))
-            for net in nets:
-                assert got.lift(net) == want.lift(net)
-
-
 def pendant_heavy(rng, core_n, pendants, max_score, extra_sets):
     """A random connected core with pendant stars, paths and caterpillars
     hung from random vertices, scored by `generate.scores_for_graph`: many
@@ -640,42 +579,81 @@ def pendant_heavy(rng, core_n, pendants, max_score, extra_sets):
                                      extra_sets=extra_sets)
 
 
-def test_rule1_loop_matches_best_triples_reference():
-    # the one-loop rule 1 against its earlier version (`best` triples, a
-    # second pass for the unlisted sets, then `prune_leaves`): the same step
-    # lists (config keys in insertion order too), maps as JSON and reduced
-    # files, through both kernels and `absorb_leaves`, on seeded subdivided
-    # instances and pendant-heavy ones, every third scored up to 2 (many
-    # ties) and some with an extra set per neighbour
-    rules = ((kernel.kernelize_bnsl, (4, kernel._apply_rr2)),
-             (kernel.kernelize_pl, (6, kernel._apply_rr2_pl)),
-             (kernel.absorb_leaves, None))
-    steps = multi = 0
+def old_rules_family():
+    """(instance, whether to compare lifts) for `test_kernel_matches_old_rules`:
+    the explicit benchmark families of seeds 1-5, seeded subdivided
+    instances and near-trees, small subdivided ones and pendant-heavy ones,
+    many scored up to 2 (many ties), some with an extra set per neighbour."""
+    families = [(60, 5, 40), (200, 3, 150), (800, 1, 700), (1500, 1, 0)]
+    for seed in range(1, 6):
+        for n, fen, sub in families:
+            yield generate.random_nonzero(random.Random(f"rr1:{seed}:{n}"), n, fen,
+                                          subdivisions=sub), True
+    for seed in range(45):
+        rng = random.Random(f"old-rules:{seed}")
+        max_score = 2 if seed % 3 == 0 else 8
+        if seed % 2:
+            n = rng.randint(40, 400)
+            yield generate.random_nonzero(rng, n, rng.randint(1, 5), max_score,
+                                          subdivisions=rng.randint(n // 2, n - 10)), False
+        else:
+            yield generate.random_nonzero(rng, rng.randint(30, 400), rng.randint(0, 2),
+                                          max_score), False
+    for seed in range(40):
+        rng = random.Random(f"rr1-small:{seed}")
+        n = rng.randint(6, 50)
+        yield generate.random_nonzero(rng, n, rng.randint(0, 3), 2 if seed % 3 == 0 else 8,
+                                      subdivisions=rng.choice([n // 3, n - 6])), False
     for seed in range(60):
         rng = random.Random(f"rr1-loop:{seed}")
         max_score = 2 if seed % 3 == 0 else 8
         extra_sets = rng.choice([0.3, 0.7, 1.5])
         if seed % 2:
             n = rng.randint(20, 300)
-            inst = generate.random_nonzero(rng, n, rng.randint(0, 4), max_score,
-                                           subdivisions=rng.randint(n // 3, n - 8),
-                                           connected=seed % 5 != 0, exact_fen=False,
-                                           extra_sets=extra_sets)
+            yield generate.random_nonzero(rng, n, rng.randint(0, 4), max_score,
+                                          subdivisions=rng.randint(n // 3, n - 8),
+                                          connected=seed % 5 != 0, exact_fen=False,
+                                          extra_sets=extra_sets), False
         else:
-            inst = pendant_heavy(rng, rng.randint(3, 30), rng.randint(5, 60), max_score,
-                                 extra_sets)
+            yield pendant_heavy(rng, rng.randint(3, 30), rng.randint(5, 60), max_score,
+                                extra_sets), False
+
+
+def test_kernel_matches_old_rules():
+    # both kernels and `absorb_leaves` against the kernel's loop with the
+    # old rule 1 (set_entries and remove per step, every leaf rescanned per
+    # candidate), whose path contractions also check the path DP against
+    # the old one: the same step lists (config keys in insertion order
+    # too), maps as JSON, reduced files and tables, and on the benchmark
+    # families the same lifted networks; the kernel never edits its input
+    rules = (("bnsl", kernel.kernelize_bnsl), ("pl", kernel.kernelize_pl),
+             (None, kernel.absorb_leaves))
+    rng = random.Random(5)
+    steps = multi = 0
+    for inst, lifts in old_rules_family():
         text = write_nonzero(inst)
-        for fast, path_rule in rules:
-            want = kernelize_rr1_best(inst, path_rule)
+        for mode, fast in rules:
+            want = kernelize_old_rules(inst, mode)
             got = fast(inst)
             assert write_nonzero(inst) == text
             assert got.steps == want.steps and step_orders(got) == step_orders(want)
             assert got.to_json() == want.to_json()
             assert write_nonzero(got.reduced) == write_nonzero(want.reduced)
+            assert got.reduced.entries == want.reduced.entries
             targets = [st["v"] for st in got.steps if st["rule"] == 1]
             steps += len(targets)
             multi += len(targets) - len(set(targets))
-    assert steps > 20_000 and multi > 5000
+            if not lifts:
+                continue
+            red = got.reduced
+            nets = [random_dag(rng, red.n, prob) for prob in (0.1, 0.4)]
+            edges = sorted(superstructure(red).edges)  # and one orientation of them all
+            nets.append(Network(red.n, frozenset(
+                (u, w) if rng.random() < 0.5 else (w, u) for u, w in edges
+            )))
+            for net in nets:
+                assert got.lift(net) == want.lift(net)
+    assert steps > 20_000 and multi > 5000, (steps, multi)
 
 
 def test_work_adjacency_tracks_random_mutations():

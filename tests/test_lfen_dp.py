@@ -1,17 +1,12 @@
+import hashlib
 import random
-from operator import itemgetter
 
 from bnsl import cli, generate, graphs, kernel, lfen_dp, oracle, relations
 from bnsl.instances import parse_nonzero, score_of, superstructure, validate
 
 from conftest import KERNEL_SLOTS, benchmark_instance, benchmark_kernel
 from reference import (
-    BnslEngineClosed,
     BnslEngineFullClosure,
-    BnslEngineProduct,
-    BnslEngineRowGlue,
-    PlEngineClosed,
-    PlEngineProduct,
     bnsl_glue_closed_union,
     classes,
     closure,
@@ -43,17 +38,6 @@ def row_table(eng, v):
         (rows(v, key), (score, (parents, tuple((c, rows(c, ck)) for c, ck in chain))))
         for key, (score, (parents, chain)) in eng.tables[v].items()
     ]
-
-
-def one_chain_table(ref, v):
-    """ref.tables[v] of an engine that keeps closed children apart, in the
-    fold's entry format: each closed choice becomes the key `closed_key`
-    names, merged with the open choices into one chain in child order."""
-    out = []
-    for key, (score, (parents, closed, opens)) in ref.tables[v].items():
-        chain = [(c, ref.closed_key(c, take_arc)) for c, take_arc in closed] + list(opens)
-        out.append((key, (score, (parents, tuple(sorted(chain, key=itemgetter(0)))))))
-    return out
 
 
 def witness_forest(instance):
@@ -210,21 +194,54 @@ def test_solve_matches_oracle_random():
         assert validate(net, "dag").ok and score_of(inst, net) == sd
 
 
+def record_family(mode):
+    """The seeded family the record DP's tables and witnesses are checked
+    on in `mode` ("bnsl" or "pl"): 100 instances of at most 8 vertices,
+    disconnected every fourth, with pendant trees and subdivided edges,
+    scored up to 2 every third (many ties); each raw and kernelized by its
+    mode's kernel, as (instance, superstructure, (searched forest, BFS
+    forest))."""
+    kernelize = kernel.kernelize_pl if mode == "pl" else kernel.kernelize_bnsl
+    for seed in range(100):
+        rng = random.Random(f"record-family:{seed}")
+        n = rng.randint(1, 8)
+        inst = generate.random_nonzero(rng, n, rng.randint(0, 3), 2 if seed % 3 == 0 else 8,
+                                       connected=seed % 4 != 0, exact_fen=False,
+                                       subdivisions=rng.randint(0, (n - 1) // 2),
+                                       extra_sets=rng.choice([0, 0.3, 0.7]))
+        for work in (inst, kernelize(inst).reduced):
+            g = superstructure(work)
+            yield work, g, (graphs.lfen_search(g).forest, graphs.feedback_edge_set(g))
+
+
+def check_tables_by_brute_force(mode, tables_of, reference, delta_of):
+    """Fill `tables_of` (an unpruned engine's tables) on `record_family(mode)`
+    and compare each vertex's table with `reference` on its subtree and
+    `delta_of` its boundary; the number of tables compared."""
+    checked = 0
+    for work, g, forests in record_family(mode):
+        want = {}  # the two forests share subtrees, the roots' at least
+        for forest in forests:
+            tables, _ = tables_of(work, forest)
+            subtrees = subtree_sets(forest)
+            bounds = lfen_dp.boundaries(g, forest)
+            k = graphs.lfen_of_tree(g, forest).value
+            for v in range(work.n):
+                key = (frozenset(subtrees[v]), delta_of(bounds[v]))
+                if key not in want:
+                    want[key] = reference(work, *key)
+                assert tables[v] == want[key]
+                assert len(tables[v]) <= 2 ** ((2 * k + 2) ** 2)
+                checked += 1
+    return checked
+
+
 def test_record_tables_witnessed_and_maximal():
-    for seed in range(12):
-        rng = random.Random(31_000 + seed)
-        inst = generate.random_nonzero(rng, rng.randint(3, 7), rng.randint(1, 2),
-                                       extra_sets=0.3, exact_fen=False)
-        g = superstructure(inst)
-        forest = graphs.lfen_search(g).forest
-        tables, eng = unpruned_record_tables(inst, forest)
-        subtrees = subtree_sets(forest)
-        bounds = lfen_dp.boundaries(g, forest)
-        k = graphs.lfen_of_tree(g, forest).value
-        for v in range(inst.n):
-            want = subtree_record_reference(inst, subtrees[v], bounds[v].delta)
-            assert tables[v] == want
-            assert len(tables[v]) <= 2 ** ((2 * k + 2) ** 2)
+    # every acyclic record table the engine fills, unpruned, is the best
+    # score per record over every parent-set choice in the subtree
+    checked = check_tables_by_brute_force("bnsl", unpruned_record_tables,
+                                          subtree_record_reference, lambda b: b.delta)
+    assert checked > 1400, checked
 
 
 def test_root_table_single_record():
@@ -337,20 +354,10 @@ def test_pl_solve_matches_oracle_random():
 
 
 def test_pl_record_tables_witnessed_and_maximal():
-    for seed in range(10):
-        rng = random.Random(41_000 + seed)
-        inst = generate.random_nonzero(rng, rng.randint(3, 7), rng.randint(1, 2),
-                                       extra_sets=0.3, exact_fen=False)
-        g = superstructure(inst)
-        forest = graphs.lfen_search(g).forest
-        tables, eng = unpruned_pl_record_tables(inst, forest)
-        subtrees = subtree_sets(forest)
-        bounds = lfen_dp.boundaries(g, forest)
-        for v in range(inst.n):
-            want = subtree_pl_record_reference(
-                inst, subtrees[v], bounds[v].delta_in
-            )
-            assert tables[v] == want
+    # the same for the polytree record tables
+    checked = check_tables_by_brute_force("pl", unpruned_pl_record_tables,
+                                          subtree_pl_record_reference, lambda b: b.delta_in)
+    assert checked > 1400, checked
 
 
 def test_supplied_tree_is_respected(example4):
@@ -361,108 +368,46 @@ def test_supplied_tree_is_respected(example4):
     assert score == 7
 
 
-def test_tables_and_witness_match_product_engine():
-    # the fold over packed keys against the engine that took the product
-    # of all open children's tables on row keys and kept closed children
-    # apart: acyclic tables (insertion order and backpointers, the chains'
-    # keys included, compared on row tuples, the closed choices merged into
-    # the chain) and witnesses are identical; polytree tables are equal as
-    # dicts, and the witness, which may differ on ties, is a polytree
-    # scoring the optimum
-    for seed in range(320):
-        rng = random.Random(130_000 + seed)
-        inst = generate.random_nonzero(rng, rng.randint(1, 13), rng.randint(0, 4),
-                                       connected=(seed % 3 != 0), exact_fen=False,
-                                       extra_sets=rng.choice([0, 0.3, 0.6]))
-        g = superstructure(inst)
-        for forest in (graphs.lfen_search(g).forest, graphs.feedback_edge_set(g)):
-            _, eng = unpruned_record_tables(inst, forest)
-            ref = BnslEngineProduct(inst, g, forest)
-            ref.fill()
-            for v in range(inst.n):
-                assert row_table(eng, v) == one_chain_table(ref, v)
-            assert lfen_dp.solve_bnsl_lfen(inst, forest) == ref.solve()
+# sha256 of the witnesses the solvers return on `record_family`, one line
+# "score sorted-arcs" per instance and forest, taken when the record DP's
+# tables were still compared with two earlier engines entry by entry
+# (insertion order and backpointers): a change that picks another optimal
+# network on a tie changes them, and must say why
+WITNESS_DIGESTS = {
+    "bnsl": "8284392183c503c0fb79d7449bce8e492b1eaa20a7a1f96dec5541d616c3133e",
+    "pl": "47b3c8c8fb5c5c8c90259ff3d306e40a3af4b42d39f2e989f00ae0facd132429",
+}
 
-            tables, _ = unpruned_pl_record_tables(inst, forest)
-            ref = PlEngineProduct(inst, g, forest)
-            best, _ = ref.solve()
-            for v in range(inst.n):
-                assert tables[v] == ref.records(v)
-            score, net = lfen_dp.solve_pl_lfen(inst, forest)
-            assert score == best
-            assert validate(net, "polytree").ok and score_of(inst, net) == best
+
+def test_witnesses_match_pinned_digests():
+    solvers = {"bnsl": (lfen_dp.solve_bnsl_lfen, "dag"),
+               "pl": (lfen_dp.solve_pl_lfen, "polytree")}
+    for mode, (solve, kind) in solvers.items():
+        digest = hashlib.sha256()
+        for work, _, forests in record_family(mode):
+            for forest in forests:
+                score, net = solve(work, forest)
+                assert validate(net, kind).ok and score_of(work, net) == score
+                digest.update(f"{score} {sorted(net.arcs)}\n".encode())
+        assert digest.hexdigest() == WITNESS_DIGESTS[mode], mode
 
 
 def test_tables_match_full_closure_at_kernel_scale():
-    # kernels of subdivided n=60, fen=5 instances, whose largest fold
-    # ground indices hold 13-21 vertices: the glue that pivots only on the
-    # shared support gives the tables of the full Warshall closure on row
-    # lists, in insertion order with their backpointers, and the same
-    # solve.  The seeds are ones whose reference fold takes about a second
-    # at most
-    for seed in (0, 3, 4, 8, 16, 19, 20, 21):
-        inst = generate.random_nonzero(random.Random(f"rg:{seed}"), 60, 5, subdivisions=40)
-        red = kernel.kernelize_bnsl(inst).reduced
-        g = superstructure(red)
-        for forest in (graphs.lfen_search(g).forest, graphs.feedback_edge_set(g)):
-            ref = keep_whole(BnslEngineFullClosure)(red, g, forest)
-            assert lfen_dp.solve_bnsl_lfen(red, forest) == ref.solve()
-            _, eng = unpruned_record_tables(red, forest)
-            for v in range(red.n):
-                assert row_table(eng, v) == row_table(ref, v)
-
-
-def test_packed_fold_matches_row_glue_on_benchmark_kernels():
-    # the kernels of the dag-explicit benchmark's subdivided slots (n=60
-    # fen=5, n=200 fen=3, n=800 fen=1) for seeds 1-7, both rounds, drawn
-    # as perfbench/ladders.py draws them, over the witness tree the CLI
-    # searches: the merge on packed ints gives the tables of the merge on
-    # row lists, in insertion order with their backpointers, and the same
-    # solve.  The n=1500 near-tree slot is left out (`KERNEL_SLOTS`)
+    # the kernels of the benchmark's explicit slots (`KERNEL_SLOTS`, the
+    # acyclic kernel of each), seeds 1-7, both rounds, drawn as
+    # perfbench/ladders.py draws them, over the witness tree the CLI
+    # searches: the glue that pivots only on the shared support, after its
+    # 2-cycle reject, gives the tables of the full Warshall closure on row
+    # lists, in insertion order with their backpointers, and the same solve
     for seed in range(1, 8):
         for rnd in range(2):
             for workload, k in KERNEL_SLOTS:
-                if workload != "dag-explicit":
-                    continue
                 red, forest = benchmark_kernel(workload, seed, rnd, k, "bnsl")
-                g = superstructure(red)
-                ref = keep_whole(BnslEngineRowGlue)(red, g, forest)
+                ref = keep_whole(BnslEngineFullClosure)(red, superstructure(red), forest)
                 assert lfen_dp.solve_bnsl_lfen(red, forest) == ref.solve()
                 _, eng = unpruned_record_tables(red, forest)
                 for v in range(red.n):
                     assert row_table(eng, v) == row_table(ref, v)
-
-
-def test_tables_and_witness_match_closed_child_engine():
-    # the fold that takes every child one way against the earlier engine,
-    # which added each closed child's best record to the parent set's
-    # score: 130 seeded instances with pendant trees and subdivided edges,
-    # each raw and kernelized by its mode's kernel, over a searched and a
-    # BFS forest, in both modes (1040 instance-forest pairs).  Tables are
-    # identical (keys, insertion order, scores and backpointers, the closed
-    # choices merged into the chain) and so are witnesses
-    pairs = 0
-    engines = (
-        (lfen_dp._BnslEngine, BnslEngineClosed, kernel.kernelize_bnsl),
-        (lfen_dp._PlEngine, PlEngineClosed, kernel.kernelize_pl),
-    )
-    for seed in range(130):
-        rng = random.Random(310_000 + seed)
-        n = rng.randint(1, 24)
-        inst = generate.random_nonzero(rng, n, rng.randint(0, 3), connected=(seed % 3 != 0),
-                                       exact_fen=False, subdivisions=rng.randint(0, (n - 1) // 2),
-                                       extra_sets=rng.choice([0, 0.3, 0.7]))
-        for engine, closed_engine, kernelize in engines:
-            for work in (inst, kernelize(inst).reduced):
-                g = superstructure(work)
-                for forest in (graphs.lfen_search(g).forest, graphs.feedback_edge_set(g)):
-                    eng = keep_whole(engine)(work, g, forest)
-                    ref = closed_engine(work, g, forest)
-                    assert eng.solve() == ref.solve()
-                    for v in range(work.n):
-                        assert list(eng.tables[v].items()) == one_chain_table(ref, v)
-                    pairs += 1
-    assert pairs == 1040
 
 
 def random_strict_order(rng, d, planted=()):
@@ -641,9 +586,10 @@ def check_prune(engine, work, g, forest):
 
 def test_pruned_tables_are_the_undominated_records():
     # the dag-explicit benchmark's kernels of seeds 1-7 (drawn as in
-    # test_packed_fold_matches_row_glue_on_benchmark_kernels) and the
-    # 1040 instance-forest pairs of
-    # test_tables_and_witness_match_closed_child_engine
+    # test_tables_match_full_closure_at_kernel_scale) and 1040
+    # instance-forest pairs: 130 seeded instances of up to 24 vertices with
+    # pendant trees and subdivided edges, each raw and kernelized by its
+    # mode's kernel, over a searched and a BFS forest, in both modes
     dropped = 0
     for seed in range(1, 8):
         for rnd in range(2):
@@ -719,8 +665,7 @@ def test_record_tables_are_the_solvers_tables(monkeypatch):
     # draws them, over the witness tree the CLI searches: `record_tables`
     # and `pl_record_tables` return the tables that the solver's own engine
     # fills, in insertion order, and the engine they return solves the
-    # same.  The n=1500 near-tree slot is left out, as in
-    # test_packed_fold_matches_row_glue_on_benchmark_kernels.  Each slot
+    # same.  The n=1500 near-tree slot is left out (`KERNEL_SLOTS`).  Each slot
     # drawn through the ladder is the explicit instance of its sizes
     filled = []
     original = lfen_dp._RecordEngine.fill

@@ -8,7 +8,6 @@ from bnsl import generate, graphs, oracle, polytree, tw_dp
 from bnsl.instances import AdditiveInstance, score_of, superstructure, validate
 from reference import (
     exact_common_independent,
-    weighted_matroid_intersection_circuits,
     weighted_matroid_intersection_pairwise,
 )
 
@@ -228,8 +227,9 @@ def test_intersection_oracle_calls_per_augmentation():
 
 def test_forest_answers_match_oracles_at_larger_m():
     # the forest-answered loop against the oracle-driven one and against the
-    # loop that lists every exchange arc, element for element; weights in
-    # {1, 2} on a third of the sets force ties in Bellman-Ford
+    # loop that asks the oracles for every exchange arc, element for
+    # element; weights in {1, 2} on a third of the sets force ties in
+    # Bellman-Ford
     for seed in range(200):
         rng = random.Random(14000 + seed)
         n = rng.randint(9, 16)
@@ -240,7 +240,7 @@ def test_forest_answers_match_oracles_at_larger_m():
         got = polytree.weighted_matroid_intersection(els, q=q)
         oracles = polytree.MatroidOracles(n, q)
         assert got == polytree.weighted_matroid_intersection(els, oracles)
-        assert got == weighted_matroid_intersection_circuits(els, oracles)
+        assert got == weighted_matroid_intersection_pairwise(els, oracles)
 
 
 def test_intersection_raises_when_bellman_ford_does_not_converge(monkeypatch):

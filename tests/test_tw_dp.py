@@ -90,13 +90,29 @@ def test_triangle_all_ones_polytree():
     assert validate(net, "polytree", q=2).ok
 
 
+def bouquet():
+    """Vertex 0 with four triangles (0, a, b): a->0 scores 10, b->0 9 and
+    a->b 1, with q=1 (optimum 14).  Min-fill gives vertex 0's bag four
+    children, so three joins stack with no forget between them: a join that
+    let a parent count pass q would carry vertex 0's count field into its
+    neighbour's."""
+    scores = {}
+    for a in (1, 3, 5, 7):
+        scores.update({(a, 0): 10, (a + 1, 0): 9, (a, a + 1): 1})
+    names = ("h",) + tuple(f"{x}{i}" for i in range(4) for x in "ab")
+    return AdditiveInstance(9, names, scores, max_in_degree=1)
+
+
 def test_bnsl_matches_oracle_random():
+    insts = [bouquet()]
     for seed in range(300):
         rng = random.Random(50_000 + seed)
         n = rng.randint(2, 9)
         q = rng.choice([None, 1, 2, 3])
-        inst = generate.random_additive(rng, n, rng.randint(0, 4), q=q,
-                                        connected=(seed % 4 != 0), exact_fen=False)
+        insts.append(generate.random_additive(rng, n, rng.randint(0, 4), q=q,
+                                              connected=(seed % 4 != 0), exact_fen=False))
+    for inst in insts:
+        q = inst.max_in_degree
         so, _ = oracle.exact_bnsl(inst)
         sd, net = tw_dp.solve_bnsl_additive(inst)
         assert so == sd
@@ -104,13 +120,16 @@ def test_bnsl_matches_oracle_random():
 
 
 def test_pl_matches_oracle_random():
-    checked = 0
+    insts = [bouquet()]
     for seed in range(300):
         rng = random.Random(60_000 + seed)
         n = rng.randint(2, 8)
         q = rng.choice([1, 2, 3])
-        inst = generate.random_additive(rng, n, rng.randint(0, 3), q=q,
-                                        connected=(seed % 4 != 0), exact_fen=False)
+        insts.append(generate.random_additive(rng, n, rng.randint(0, 3), q=q,
+                                              connected=(seed % 4 != 0), exact_fen=False))
+    checked = 0
+    for inst in insts:
+        q = inst.max_in_degree
         if superstructure(inst).edge_count() > 13:
             continue
         so, _ = oracle.exact_pl(inst)
