@@ -261,7 +261,7 @@ def test_near_tree_with_bound_at_scale(capsys, tmp_path):
     # a random 20 000-vertex tree plus 3 edges, q=2, through the bag DP in
     # both modes; built directly, as generate.random_graph shuffles all
     # O(n^2) candidate pairs, one generator draw over a 4-byte code each
-    # (`gen` takes 4.4-4.6 s at n=4000 on a 2-core machine).  On a shared
+    # (`gen` takes 2.7-3.0 s at n=4000 on a 2-core machine).  On a shared
     # 2-core VM each solve took 0.6-0.8 s (core=42)
     # with min-fill on the core alone, 1.6-1.8 s on the whole graph with
     # the pendant trees folded, 6.1-7.4 s without

@@ -1,15 +1,18 @@
 """Seeded instances, byte for byte.
 
 A seed fixes every generated file.  The digests below were taken from the
-generator that planted feedback edges by shuffling a list of pair tuples;
-the current one shuffles an array of pair codes of the same length and
-order, so it draws the same words and writes the same files.  A change to
-the generator that moves any of them re-seeds every instance, the CI's
-scores and the benchmark's files with them.
+generator that planted feedback edges by shuffling a list of pair tuples
+with `random.Random.shuffle`.  The current one holds an array of pair codes
+of the same length and order, and draws the shuffle's words itself, in
+blocks; it leaves the pairs it plants, and the generator's state, as that
+shuffle would, so it writes the same files.  A change to the generator that
+moves any of them re-seeds every instance, the CI's scores and the
+benchmark's files with them.
 """
 
 import hashlib
 import random
+from array import array
 
 import pytest
 
@@ -94,14 +97,43 @@ def test_shortfall_raises_under_exact_fen(n, extra, kwargs, planted):
     assert str(err.value) == f"could only plant {planted} of {extra} extra edges"
 
 
+def test_shuffle_front_is_random_shuffle():
+    # the front and the generator's next draw are random.Random.shuffle's,
+    # at every length to 300 and on each side of the powers of two where
+    # the targets' bit length changes, up to 2**17 + 1 (blocks of 2**16
+    # words)
+    lengths = [*range(301), *((1 << k) + d for k in range(9, 18) for d in (-1, 0, 1))]
+    for length in lengths:
+        for seed in range(3):
+            want = array("I", range(length))
+            rng = random.Random(seed)
+            rng.shuffle(want)
+            after = rng.random()
+            for front in (0, 1, 5, length // 3, length):
+                got = array("I", range(length))
+                rng = random.Random(seed)
+                generate._shuffle_front(rng, got, front)
+                assert got[:front] == want[:front], (length, seed, front)
+                assert rng.random() == after, (length, seed, front)
+
+
 def test_random_graph_matches_tuple_pool_reference():
     # the pair-code array draws what the shuffled tuple list drew, and
-    # leaves the generator in the same state
-    for seed in range(300):
+    # leaves the generator in the same state: 300 graphs of up to 40
+    # vertices (pools of at most 780 pairs, targets of up to 10 bits), then
+    # 20 of 100-500 vertices (up to 17 bits, several blocks of words at one
+    # bit length), half of them under a degree bound, where the loop reads
+    # the whole pool and skips pairs
+    for seed in range(320):
         rng = random.Random(5000 + seed)
-        n = rng.randint(1, 40)
-        extra = rng.randint(0, 12)
-        max_degree = rng.choice([None, None, 0, 1, 2, 3, 5])
+        if seed < 300:
+            n = rng.randint(1, 40)
+            extra = rng.randint(0, 12)
+            max_degree = rng.choice([None, None, 0, 1, 2, 3, 5])
+        else:
+            n = rng.randint(100, 500)
+            extra = rng.randint(0, 60)
+            max_degree = rng.randint(2, 5) if seed % 2 else None
         connected = seed % 3 != 0
         state = rng.getstate()
         got = generate.random_graph(rng, n, extra, max_degree=max_degree,

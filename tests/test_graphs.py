@@ -445,7 +445,7 @@ def test_lfen_search_linear_in_components(monkeypatch):
     # the superstructure of generate.random_nonzero(Random(1), 14000, 0,
     # connected=False), drawn without that generator's shuffle of all its
     # O(n^2) candidate pairs, one draw over a 4-byte code each (`gen` takes
-    # 4.4-4.6 s at n=4000 on a 2-core machine)
+    # 2.7-3.0 s at n=4000 on a 2-core machine)
     rng = random.Random(1)
     n = 14000
     g = Superstructure(n, [(rng.randrange(v), v) for v in range(1, n) if rng.random() >= 0.15])
