@@ -7,30 +7,27 @@ the feedback count.  All draws come from one `random.Random`, so a seed
 fixes the written file byte for byte; tests/test_generate.py and the CI pin
 the sha256 of seeded files, so a change that moves a draw shows.
 
-The extra edges are the front of a shuffle of every candidate pair, one
-4-byte code per pair (no per-pair object).  It makes the n^2/2 draws that
-`random.Random.shuffle` makes, so it stays O(n^2) and the files stay the
-same, but it takes them in blocks of 32-bit words and only half-moves the
-pairs that are never planted: `gen --n 1500 --fen 2` takes 0.4-0.45 s and
-`gen --n 4000 --fen 3` 2.7-3.0 s at 50 MB peak RSS on a 2-core machine.
-A generator passed as `seed_or_rng` must therefore be a `random.Random`,
-whose `shuffle` this reproduces.
+Each extra edge is drawn uniformly from the pairs that can still take one,
+by rejection: two uniform vertices, drawn again until they make such a
+pair, about twice per edge on a tree.  So a graph costs time and draws
+linear in its vertices and extra edges: `gen --n 4000 --fen 3` takes
+0.14-0.22 s at 22 MB peak RSS, and `gen --n 200000 --fen 45` 4.5-4.6 s
+(1.7-2.6 s with `--rep additive`), most of it in the scores, on a
+2-core machine.  A generator passed as `seed_or_rng` must be a
+`random.Random`.
 """
 
 from __future__ import annotations
 
 import random
-import sys
-from array import array
 from bisect import bisect_left, insort
 from typing import Optional
 
-from .instances import AdditiveInstance, NonZeroInstance, Superstructure, find
+from .instances import AdditiveInstance, NonZeroInstance, Superstructure
 
 _EMPTY_SET_PROB = 0.15  # scores_for_graph: chance of an explicit empty-set score
 _BOTH_ARCS_PROB = 0.5  # additive_for_graph: chance that an edge scores both arcs
 _DEPENDENTS_EMPTY_PROB = 0.2  # random_limited_dependents: chance of an empty-set score
-_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _rng(seed_or_rng) -> random.Random:
@@ -52,6 +49,7 @@ def random_graph(
     exact_fen=False a shortfall of plantable edges is tolerated."""
     rng = _rng(seed_or_rng)
     deg = [0] * n
+    comp = list(range(n))  # each vertex's component, named by its first vertex
     edges = set()
     # the vertices below v still under max_degree, in order: each parent is
     # drawn from them, or from range(v) when there are none (always, without
@@ -64,109 +62,68 @@ def random_graph(
             continue
         u = rng.choice(room or range(v))
         edges.add((u, v))
+        comp[v] = comp[u]
         deg[u] += 1
         deg[v] += 1
         if room and deg[u] == max_degree:
             del room[bisect_left(room, u)]
-    # The pool holds each candidate pair (a, b), a < b, as the code a*n + b:
-    # not an edge, in one component, both ends under max_degree, in
-    # lexicographic order.  Row a is the part after a of its component's
-    # list of such vertices, cut at a's tree neighbours.  Shuffling it draws
-    # the same words as shuffling a list of the same length would.
-    comp = _components_of(n, edges)
-    members: dict[int, list[int]] = {}
-    pos: list[Optional[int]] = [None] * n  # index in its component's list
-    for v in range(n):
-        if max_degree is None or deg[v] < max_degree:
-            row = members.setdefault(comp[v], [])
-            pos[v] = len(row)
-            row.append(v)
-    above: list[list[int]] = [[] for _ in range(n)]
-    for a, b in edges:
-        above[a].append(b)
-    pool = array("I" if n <= 1 << 16 else "Q")  # 4 bytes a pair while n*n fits
-    for a in range(n):
-        if pos[a] is None:
-            continue
-        row, start, add = members[comp[a]], pos[a] + 1, (a * n).__add__
-        for b in sorted(above[a]):
-            if pos[b] is not None:
-                pool.extend(map(add, row[start:pos[b]]))
-                start = pos[b] + 1
-        pool.extend(map(add, row[start:]))
-    # the pairs the loop below reads: without max_degree it plants each one
-    # and stops at extra_edges of them; under max_degree (or with a count
-    # below 0, which never stops it) it may read them all
-    if max_degree is not None or extra_edges < 0:
-        front = len(pool)
-    else:
-        front = min(extra_edges, len(pool))
-    _shuffle_front(rng, pool, front)
-    added = 0
-    for code in pool:
-        if added == extra_edges:
-            break
-        a, b = divmod(code, n)
-        if max_degree is not None and (deg[a] >= max_degree or deg[b] >= max_degree):
-            continue
-        edges.add((a, b))
-        deg[a] += 1
-        deg[b] += 1
-        added += 1
+    cap = n if max_degree is None else max_degree  # no degree reaches n
+    added = _plant(rng, edges, deg, comp, cap, extra_edges)
     if added < extra_edges and exact_fen:
         raise ValueError(f"could only plant {added} of {extra_edges} extra edges")
     return Superstructure(n, edges)
 
 
-def _shuffle_front(rng: random.Random, x, front: int) -> None:
-    """Leave x[:front] and rng as rng.shuffle(x) would; the rest of x is
-    left in no particular order.
+def _plant(rng: random.Random, edges: set, deg: list[int], comp: list[int], cap: int,
+           extra_edges: int) -> int:
+    """Add up to `extra_edges` pairs (every one it can, if negative) to the
+    forest `edges` of ordered pairs, whose vertex degrees are `deg` and
+    components `comp`, and return how many it added.
 
-    Step i of the shuffle swaps x[i] with x[j], j = rng._randbelow(i + 1):
-    the top k = (i + 1).bit_length() bits of one 32-bit word, drawn again
-    while j > i.  The words come in blocks of at most 2**16, never more than
-    the steps left at this k, so each word drawn is one that a step of
-    rng.shuffle would read.  No later step reads x[i], so a step at or past
-    the front only moves x[i] into x[j].
+    Each pair is drawn uniformly from those still plantable: in one
+    component, not an edge, both ends of degree below cap.  Two uniform
+    vertices make such a pair with chance about 2 * pool / n^2, so rejection
+    takes about extra_edges * n^2 / (2 * pool) draws.  When that is not well
+    under the pool's size, or when the rejected draws outnumber the pool
+    (the degree bound has nearly used it up), it lists the plantable pairs
+    once and draws from the list, so a shortfall is counted exactly.
     """
-    getrandbits = rng.getrandbits
-    i = len(x) - 1
-    while i > 0:
-        k = (i + 1).bit_length()
-        if k <= 32:
-            # the steps down to stop + 1 all take k-bit targets and lie all
-            # before the front or all at or past it; each reads a word or more
-            stop = (1 << (k - 1)) - 2
-            if i >= front:
-                stop = max(stop, front - 1)
-            m = min(i - stop, 1 << 16)
-            words = array("I", getrandbits(32 * m).to_bytes(4 * m, "little"))
-            if _BIG_ENDIAN:
-                words.byteswap()
-            shift = 32 - k
-        else:  # 2**32 pairs or more: one draw of k bits, as Random makes it
-            words, shift = (getrandbits(k),), 0
-        if i >= front:
-            for w in words:
-                j = w >> shift
-                if j <= i:
-                    x[j] = x[i]
-                    i -= 1
-        else:
-            for w in words:
-                j = w >> shift
-                if j <= i:
-                    x[i], x[j] = x[j], x[i]
-                    i -= 1
-
-
-def _components_of(n, edges):
-    comp = list(range(n))
-    for a, b in edges:
-        ra, rb = find(comp, a), find(comp, b)
-        if ra != rb:
-            comp[ra] = rb
-    return [find(comp, v) for v in range(n)]
+    n = len(deg)
+    rows: dict[int, list[int]] = {}  # each component's vertices below cap
+    for v in range(n):
+        if deg[v] < cap:
+            rows.setdefault(comp[v], []).append(v)
+    pool = (sum(len(row) * (len(row) - 1) // 2 for row in rows.values())
+            - sum(deg[a] < cap and deg[b] < cap for a, b in edges))
+    added = rejected = 0
+    if 0 <= extra_edges and 4 * extra_edges * n * n <= pool * pool:
+        while added < extra_edges and rejected < pool:
+            a, b = rng.randrange(n), rng.randrange(n)
+            if a > b:
+                a, b = b, a
+            if (a == b or comp[a] != comp[b] or deg[a] >= cap or deg[b] >= cap
+                    or (a, b) in edges):
+                rejected += 1
+                continue
+            edges.add((a, b))
+            deg[a] += 1
+            deg[b] += 1
+            added += 1
+    if added == extra_edges:
+        return added
+    pairs = [(a, b) for row in rows.values() for i, a in enumerate(row) if deg[a] < cap
+             for b in row[i + 1:] if deg[b] < cap and (a, b) not in edges]
+    while added != extra_edges and pairs:
+        i = rng.randrange(len(pairs))
+        a, b = pairs[i]
+        pairs[i] = pairs[-1]
+        pairs.pop()
+        if deg[a] < cap and deg[b] < cap:
+            edges.add((a, b))
+            deg[a] += 1
+            deg[b] += 1
+            added += 1
+    return added
 
 
 def subdivide(seed_or_rng, g: Superstructure, times: int) -> Superstructure:

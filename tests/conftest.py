@@ -58,8 +58,7 @@ def benchmark_instance(workload: str, seed: int, rnd: int, k: int):
 
 
 # The explicit slots of the benchmark ladders that the record-DP tests
-# draw: all but the n=1500 near-tree, which takes over a second to generate
-# and whose kernel has cycle rank 1
+# draw: all but the n=1500 near-tree, whose kernel has cycle rank 1
 KERNEL_SLOTS = (("dag-explicit", 0), ("dag-explicit", 1), ("dag-explicit", 2),
                 ("polytree", 6), ("polytree", 7))
 

@@ -147,9 +147,8 @@ closure), `parse_nonzero_pending` with `content_lines_strip` (listing
 every content line before reading a block), `parent_sets` with
 `score_of_parent_sets` and `write_solution_parent_sets` (a parent set
 per vertex), `validate_ordered` (the ordered diagnosis on every
-network), `subdivide_resort` (`generate.subdivide` sorting the edge set
-per draw) and `random_graph_tuple_pool` (`generate.random_graph` with
-one tuple per candidate pair).
+network) and `subdivide_resort` (`generate.subdivide` sorting the edge
+set per draw).
 """
 
 import random
@@ -1499,48 +1498,6 @@ def component_lfen_tree_rebuild(g: Superstructure, budget: int):
             best_key = key
             best_tree = forest.tree_edges
     return best_tree, False
-
-
-def random_graph_tuple_pool(rng: random.Random, n: int, extra_edges: int = 0,
-                            max_degree: Optional[int] = None, connected: bool = True,
-                            exact_fen: bool = True) -> Superstructure:
-    """`generate.random_graph` rebuilding the tree step's candidate list for
-    every vertex and shuffling a list with one tuple per candidate pair."""
-    deg = [0] * n
-    edges = set()
-    for v in range(1, n):
-        if not connected and rng.random() < 0.15:
-            continue
-        cands = [u for u in range(v) if max_degree is None or deg[u] < max_degree]
-        if not cands:
-            cands = list(range(v))
-        u = rng.choice(cands)
-        edges.add((u, v))
-        deg[u] += 1
-        deg[v] += 1
-    comp_ok = generate._components_of(n, edges)
-    pool = [
-        (a, b)
-        for a in range(n)
-        for b in range(a + 1, n)
-        if (a, b) not in edges
-        and comp_ok[a] == comp_ok[b]
-        and (max_degree is None or (deg[a] < max_degree and deg[b] < max_degree))
-    ]
-    rng.shuffle(pool)
-    added = 0
-    for a, b in pool:
-        if added == extra_edges:
-            break
-        if max_degree is not None and (deg[a] >= max_degree or deg[b] >= max_degree):
-            continue
-        edges.add((a, b))
-        deg[a] += 1
-        deg[b] += 1
-        added += 1
-    if added < extra_edges and exact_fen:
-        raise ValueError(f"could only plant {added} of {extra_edges} extra edges")
-    return Superstructure(n, edges)
 
 
 def subdivide_resort(rng: random.Random, g: Superstructure, times: int) -> Superstructure:

@@ -1,24 +1,23 @@
-"""Seeded instances, byte for byte.
+"""Seeded instances, byte for byte, and the sampler that plants edges.
 
 A seed fixes every generated file.  The digests below were taken from the
-generator that planted feedback edges by shuffling a list of pair tuples
-with `random.Random.shuffle`.  The current one holds an array of pair codes
-of the same length and order, and draws the shuffle's words itself, in
-blocks; it leaves the pairs it plants, and the generator's state, as that
-shuffle would, so it writes the same files.  A change to the generator that
-moves any of them re-seeds every instance, the CI's scores and the
-benchmark's files with them.
+generator that plants each extra edge by rejection: it draws two vertices
+and keeps the pair only when it can be planted, or lists the plantable
+pairs once when that costs less.  A change to the generator that moves any
+draw re-seeds every instance, the CI's scores and the benchmark's files
+with them.  The tests after the digests check the sampler itself: its draws
+grow with n + fen, each plantable pair is equally likely, and the planted
+edges stay inside their forest's components and under the degree bound.
 """
 
 import hashlib
 import random
-from array import array
+from collections import Counter
 
 import pytest
 
 from bnsl import generate, write_additive, write_nonzero
-from bnsl.instances import AdditiveInstance
-from reference import random_graph_tuple_pool
+from bnsl.instances import AdditiveInstance, Superstructure
 
 # (name, seed, call, sha256 of the written file, the generator's next random())
 CASES = [
@@ -31,17 +30,17 @@ CASES = [
     ("n2-additive", 4, lambda r: generate.random_additive(r, 2, q=1),
      "f9e35814a245ee333b4de6fb461ea7c31f98d4f46dec2823e1c3ab95bb2ec424", 0.06651509567958991),
     ("fen", 5, lambda r: generate.random_nonzero(r, 40, 5),
-     "96a7b1ade787d77ab0fddc0f777801bf69bae39d6ce1e87c63f64b059e514b62", 0.4395821053536507),
+     "0793accf8c037976dba346cec770c5f30eea4cb22a5879ea464904ff9988ab1d", 0.37586934383435733),
     ("forest", 6, lambda r: generate.random_nonzero(r, 60, 4, connected=False),
-     "38b689c7881a8c890d578fae3cad745e9f5d5012dd30a4caedb18b114deba662", 0.3716967196504949),
+     "8f64acd684e382bb23c15a652d0c96d8fdde2d526dc85f6b4a1a2472d0f69146", 0.5319280707312968),
     ("forest-shortfall", 7,
      lambda r: generate.random_additive(r, 30, 200, connected=False, exact_fen=False),
-     "e50ff559ec61af7e4feee3b04b6dec7c729eb777f75018405c841a74f8559cd3", 0.9487613036841315),
+     "d85db837979d2db8ea752564079acbd833d9e86c18073e878af060f3e5b807e0", 0.9487613036841315),
     ("degree", 8, lambda r: generate.random_nonzero(r, 50, 6, max_degree=3),
-     "b46b61cab4ee0d58e32c911d8995f5c5d753c6803177f2e372d580308244198d", 0.5173251535736769),
+     "525101977c2ca0d292719162a98638d6d445742e9d5e3764cc16210f34c21543", 0.3793739827692869),
     ("degree-saturated", 9,
      lambda r: generate.random_additive(r, 30, 12, max_degree=3, exact_fen=False),
-     "e54566781edf108e7ba6e322aea54b9441d3116d5ea9738d6fd2689c9934350d", 0.3574121174141286),
+     "5dbc74c00005a563428d78259b0b1e7c4cbcc4eea108f91eb04da1bd1703f7d3", 0.5470170269576397),
     ("degree-fallback", 10,
      lambda r: generate.random_nonzero(r, 20, 2, max_degree=1, exact_fen=False),
      "5a4e33ef3e72e7ce3c7ed5fc17050f2e61d77016d169815c0bf1cfeae21b35e2", 0.34897921030630463),
@@ -51,21 +50,21 @@ CASES = [
     ("degree-forest", 12,
      lambda r: generate.random_nonzero(r, 40, 3, max_degree=2, connected=False,
                                        exact_fen=False),
-     "6c94cee773f4dbaa433514bbeeccd570d0d1408fe4900e8c94cd8122bc269213", 0.4138168903512993),
+     "74becc10c604b60dcecf45b3010375a358007685b7be554efccd5d3d77f183a9", 0.024657019036375294),
     ("shortfall", 13, lambda r: generate.random_nonzero(r, 6, 20, exact_fen=False),
-     "6337e6f8965126aec3e89cfcfa6d627779b14ee0f27f23f9c892e49a157f27ff", 0.3761677406830839),
+     "e221ae422f9f93fc768b2af1b6298747405aa856d70adb91730cd3b995ca6c99", 0.06857795833160263),
     ("subdivide", 14, lambda r: generate.random_nonzero(r, 60, 4, subdivisions=30),
-     "c45fe96f2a963c91f2196c438313f66d47cb6a964b34fe5185dfb74655d5f68f", 0.7205563088265384),
+     "bb72ca94342391b10dccc226d049d9e1ffcdcb6432b62c5afb3608038597731e", 0.17030268085072975),
     ("subdivide-forest", 15,
      lambda r: generate.random_nonzero(r, 50, 3, subdivisions=20, connected=False,
                                        exact_fen=False),
-     "bc4eecb80650c228f4226adebaca27d72f3c21486fa49eb53e9a8d16d0c346ca", 0.4241483370566905),
+     "67e645a68585d4d4d27bdb57d656668390d5d1749ce4c4975d3d8c0ccfd8efea", 0.5823328692924891),
     ("q", 16, lambda r: generate.random_additive(r, 50, 4, q=2),
-     "072dcf978f365b705fd14692db245b2d7fa7a426b776e84b90126a155f13a8c1", 0.5688341228345503),
+     "c4319274787dcc11df5df8068cad602e7676f153bbc198c65882c3f411b7255d", 0.6679845120976416),
     ("max-score", 17, lambda r: generate.random_nonzero(r, 30, 2, max_score=1000),
-     "67baf6c24563f72d10c08dcaa2002a1876c8a32dd07226136e7bea909785bcb1", 0.8120850678900818),
+     "f95755269294167525f417d384c1cbae0d7f48ddf813a494b6ce3a6f51fedc08", 0.4361646203357752),
     ("ladder", 3, lambda r: generate.random_additive(r, 1500, 2, q=2),
-     "69d676e516212b115627c6aee80722e62e51889f50b316ee63d446509dbcb8f3", 0.6014310510949141),
+     "345582e84aad14f1b5fe344a03a8ce4b704c27717c697f1fd9fb364ee76087d1", 0.1037507360002049),
     ("dependents", 18, lambda r: generate.random_limited_dependents(r, 40, 6),
      "1dd6ef24f8d9035f9a8e86b26d4b843fd7a13bc489127b5ee23847fc0ed6a4aa", 0.7481665466968374),
     ("dependents-all", 19, lambda r: generate.random_limited_dependents(r, 5, 9),
@@ -97,49 +96,156 @@ def test_shortfall_raises_under_exact_fen(n, extra, kwargs, planted):
     assert str(err.value) == f"could only plant {planted} of {extra} extra edges"
 
 
-def test_shuffle_front_is_random_shuffle():
-    # the front and the generator's next draw are random.Random.shuffle's,
-    # at every length to 300 and on each side of the powers of two where
-    # the targets' bit length changes, up to 2**17 + 1 (blocks of 2**16
-    # words)
-    lengths = [*range(301), *((1 << k) + d for k in range(9, 18) for d in (-1, 0, 1))]
-    for length in lengths:
-        for seed in range(3):
-            want = array("I", range(length))
-            rng = random.Random(seed)
-            rng.shuffle(want)
-            after = rng.random()
-            for front in (0, 1, 5, length // 3, length):
-                got = array("I", range(length))
-                rng = random.Random(seed)
-                generate._shuffle_front(rng, got, front)
-                assert got[:front] == want[:front], (length, seed, front)
-                assert rng.random() == after, (length, seed, front)
+class _CountingRandom(random.Random):
+    """Counts the 32-bit words it draws; stops the run once past `budget`."""
+
+    def __init__(self, seed, budget):
+        super().__init__(seed)
+        self.words, self.budget = 0, budget
+
+    def _count(self, words):
+        self.words += words
+        if self.words > self.budget:
+            raise RuntimeError(f"more than {self.budget} words drawn")
+
+    def random(self):
+        self._count(2)
+        return super().random()
+
+    def getrandbits(self, k):
+        self._count(-(-k // 32))
+        return super().getrandbits(k)
 
 
-def test_random_graph_matches_tuple_pool_reference():
-    # the pair-code array draws what the shuffled tuple list drew, and
-    # leaves the generator in the same state: 300 graphs of up to 40
-    # vertices (pools of at most 780 pairs, targets of up to 10 bits), then
-    # 20 of 100-500 vertices (up to 17 bits, several blocks of words at one
-    # bit length), half of them under a degree bound, where the loop reads
-    # the whole pool and skips pairs
-    for seed in range(320):
-        rng = random.Random(5000 + seed)
-        if seed < 300:
-            n = rng.randint(1, 40)
-            extra = rng.randint(0, 12)
-            max_degree = rng.choice([None, None, 0, 1, 2, 3, 5])
+@pytest.mark.parametrize("kwargs", [{}, {"connected": False}, {"max_degree": 3}],
+                         ids=["tree", "forest", "degree"])
+def test_planting_draws_grow_with_n_plus_fen(kwargs):
+    # the tree takes a word or two per vertex (and a random() per vertex in a
+    # forest), each planted edge two vertices and their rejections: a pool
+    # of every candidate pair would draw about n^2/2 words here
+    n, fen = 20_000, 5
+    rng = _CountingRandom(1, budget=4 * (n + fen))
+    g = generate.random_graph(rng, n, fen, **kwargs)
+    assert len(g.edges) - n + len(g.components()) == fen
+
+
+def _plantable(n, edges, cap):
+    """The pairs that can still take an edge: in one component of `edges`,
+    not an edge, both ends of degree below cap."""
+    comp = {v: i for i, c in enumerate(Superstructure(n, edges).components()) for v in c}
+    deg = Counter(v for e in edges for v in e)
+    return [(a, b) for a in range(n) for b in range(a + 1, n)
+            if comp[a] == comp[b] and (a, b) not in edges and deg[a] < cap and deg[b] < cap]
+
+
+def _marginals(n, forest, k, max_degree):
+    """Chance that each pair is planted when each of k steps draws
+    uniformly from the pairs still plantable."""
+    cap = n if max_degree is None else max_degree
+    out = Counter()
+
+    def step(edges, left, p):
+        pairs = _plantable(n, edges, cap) if left else []
+        for pair in pairs:
+            out[pair] += p / len(pairs)
+            step(edges | {pair}, left - 1, p / len(pairs))
+
+    step(frozenset(forest), k, 1.0)
+    return out
+
+
+def _path(first, last):
+    return [(v, v + 1) for v in range(first, last)]
+
+
+# (n, forest, pairs to plant, max_degree): the first three and the fifth
+# draw vertex pairs by rejection; the rest list the pool at once, the last
+# one short of pairs in every repeat
+UNIFORM_CASES = [
+    (8, _path(0, 7), 1, None),
+    (10, _path(0, 9), 2, None),
+    (24, _path(0, 11) + _path(12, 23), 2, None),
+    (9, _path(0, 3) + [(4, 5), (4, 6), (4, 7)], 2, None),
+    (10, [(0, v) for v in range(1, 10)], 3, 2),
+    (9, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 6), (6, 7), (6, 8)], 2, 3),
+    (10, [(0, v) for v in range(1, 10)], 5, 2),
+]
+REPS = 3000
+
+
+def _planted_counts(n, forest, k, max_degree):
+    """How often each pair is planted over REPS seeded repeats, and how many
+    pairs each repeat planted."""
+    g = Superstructure(n, forest)
+    comp = [0] * n
+    for i, members in enumerate(g.components()):
+        for v in members:
+            comp[v] = i
+    cap = n if max_degree is None else max_degree
+    planted, added = Counter(), Counter()
+    for seed in range(REPS):
+        edges, deg = set(forest), [g.degree(v) for v in range(n)]
+        added[generate._plant(random.Random(seed), edges, deg, comp, cap, k)] += 1
+        planted.update(edges - set(forest))
+    return planted, added
+
+
+def _within_tolerance(count, p):
+    # five standard deviations of the repeats' binomial count, plus one
+    return abs(count - REPS * p) <= 5 * (REPS * p * (1 - p)) ** 0.5 + 1
+
+
+@pytest.mark.parametrize("n, forest, k, max_degree", UNIFORM_CASES,
+                         ids=["path8", "path10", "two-paths", "forest", "star-degree",
+                              "tree-degree", "star-shortfall"])
+def test_each_plantable_pair_is_equally_likely(n, forest, k, max_degree):
+    # each pair is planted within tolerance of the count its exact chance
+    # predicts, and no pair outside the plantable ones ever is
+    want = _marginals(n, forest, k, max_degree)
+    planted, added = _planted_counts(n, forest, k, max_degree)
+    assert list(added) == [round(sum(want.values()))]
+    assert set(planted) <= set(want)
+    assert all(_within_tolerance(planted[pair], p) for pair, p in want.items())
+
+
+def test_a_used_up_pool_falls_back_to_a_list():
+    # a 15-vertex star under max_degree 2: only its 14 leaves take an edge,
+    # one each.  8 pairs are few enough against the pool of 91 for rejection
+    # (4 * 8 * 15^2 <= 91^2); the 7th planted pair uses the pool up, the
+    # rejected draws then outnumber it, and the list of what is left is
+    # empty.  Every repeat plants a perfect matching of the leaves, and by
+    # symmetry each of the 91 leaf pairs with chance 7/91
+    star = [(0, v) for v in range(1, 15)]
+    planted, added = _planted_counts(15, star, 8, 2)
+    assert list(added) == [7]
+    assert set(planted) <= {(a, b) for a in range(1, 15) for b in range(a + 1, 15)}
+    assert len(planted) == 91
+    assert all(_within_tolerance(count, 7 / 91) for count in planted.values())
+
+
+def test_planted_edges_stay_inside_components_and_under_the_bound():
+    # seeded families in every mode: the planted edges are the graph's
+    # edges beyond its forest (the same seed with nothing planted), each
+    # joins two vertices of one component and leaves both ends within
+    # max_degree; they number the request, or fewer only under
+    # exact_fen=False and then no plantable pair is left; and the feedback
+    # edge number is the planted count
+    for seed in range(300):
+        rng = random.Random(9000 + seed)
+        n = rng.randint(1, 80)
+        kwargs = {"connected": seed % 3 != 0, "exact_fen": False,
+                  "max_degree": rng.choice([None, None, 1, 2, 3, 4])}
+        extra = rng.randint(0, 25) if seed % 4 else rng.randint(0, n * n // 4)
+        forest = generate.random_graph(random.Random(seed), n, 0, **kwargs)
+        g = generate.random_graph(random.Random(seed), n, extra, **kwargs)
+        planted = g.edges - forest.edges
+        comp = {v: i for i, c in enumerate(forest.components()) for v in c}
+        cap = n if kwargs["max_degree"] is None else kwargs["max_degree"]
+        assert forest.edges <= g.edges, seed
+        assert all(comp[a] == comp[b] for a, b in planted), seed
+        assert all(g.degree(v) <= cap for e in planted for v in e), seed
+        assert len(g.edges) - n + len(g.components()) == len(planted), seed
+        if len(planted) < extra:
+            assert not _plantable(n, g.edges, cap), seed
         else:
-            n = rng.randint(100, 500)
-            extra = rng.randint(0, 60)
-            max_degree = rng.randint(2, 5) if seed % 2 else None
-        connected = seed % 3 != 0
-        state = rng.getstate()
-        got = generate.random_graph(rng, n, extra, max_degree=max_degree,
-                                    connected=connected, exact_fen=False)
-        after = rng.random()
-        rng.setstate(state)
-        assert got == random_graph_tuple_pool(rng, n, extra, max_degree=max_degree,
-                                              connected=connected, exact_fen=False)
-        assert after == rng.random()
+            assert len(planted) == extra, seed

@@ -369,13 +369,12 @@ def test_supplied_tree_is_respected(example4):
 
 
 # sha256 of the witnesses the solvers return on `record_family`, one line
-# "score sorted-arcs" per instance and forest, taken when the record DP's
-# tables were still compared with two earlier engines entry by entry
-# (insertion order and backpointers): a change that picks another optimal
-# network on a tie changes them, and must say why
+# "score sorted-arcs" per instance and forest, taken when every score was
+# checked equal to the exhaustive oracle's: a change that picks another
+# optimal network on a tie changes them, and must say why
 WITNESS_DIGESTS = {
-    "bnsl": "8284392183c503c0fb79d7449bce8e492b1eaa20a7a1f96dec5541d616c3133e",
-    "pl": "47b3c8c8fb5c5c8c90259ff3d306e40a3af4b42d39f2e989f00ae0facd132429",
+    "bnsl": "f86b77c551c27f2b98bd6f54b29629bb4e493a9345f8fd35ea74fdd5fcd6dcf2",
+    "pl": "ba4475fb4999763668a04e77f08ee1f21c555e70bb7aedca62c2a21cd33db27e",
 }
 
 
@@ -507,10 +506,11 @@ def checked_engine(engine, plain, cheap, tally):
 
 def test_cycle_rejects_agree_with_the_full_glues_on_benchmark_kernels():
     # the kernels of the dag-explicit benchmark's subdivided slots and of
-    # the polytree benchmark's explicit slots, seeds 1-3, both rounds, drawn
-    # as perfbench/ladders.py draws them, through each mode's kernel and
-    # record DP over the witness tree the CLI searches: every glued pair
-    # gives what the glue without its cheap reject gives
+    # the polytree benchmark's explicit slots, seeds 1-6 but 4 (whose
+    # polytree kernels glue 5.3 million pairs, 45 times the others' sum),
+    # both rounds, drawn as perfbench/ladders.py draws them, through each
+    # mode's kernel and record DP over the witness tree the CLI searches:
+    # every glued pair gives what the glue without its cheap reject gives
     modes = (
         (lfen_dp._BnslEngine, bnsl_glue_closed_union, lambda h, c: h[0] & c[2], "bnsl"),
         (lfen_dp._PlEngine, pl_glue_class_count, lambda h, c: h[0] & c[0], "pl"),
@@ -518,7 +518,7 @@ def test_cycle_rejects_agree_with_the_full_glues_on_benchmark_kernels():
     tallies = []
     for engine, plain, cheap, mode in modes:
         tally = {"pairs": 0, "cheap": 0, "other": 0}
-        for seed in range(1, 4):
+        for seed in (1, 2, 3, 5, 6):
             for rnd in range(2):
                 for workload, k in KERNEL_SLOTS:
                     red, forest = benchmark_kernel(workload, seed, rnd, k, mode)
