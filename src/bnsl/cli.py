@@ -210,6 +210,10 @@ def _run_lfen(inst, mode, args, info, kernelize=False):
 
 
 def _run_twdp(inst, mode, args, info):
+    if args.td is None and inst.max_in_degree is None and mode == "bnsl":
+        split = tw_dp.Condensed(inst)
+        info.append(f"width={split.width} core={split.core}")
+        return split.solve()
     g = superstructure(inst)
     td = None if args.td is None else _load_td(args.td, inst, g)
     fold, td = tw_dp.fold_core(inst, g, td)

@@ -122,6 +122,18 @@ class AdditiveInstance:
             if score <= 0 or score > MAX_SCORE:
                 raise ValueError(f"arc score {score} outside [1, 2^63)")
 
+    @classmethod
+    def _parsed(cls, n: int, names: tuple[str, ...], arc_scores, q) -> "AdditiveInstance":
+        """The instance without `__post_init__`'s checks, for
+        `parse_additive`, which refuses every input they refuse before it
+        builds one."""
+        inst = object.__new__(cls)
+        object.__setattr__(inst, "n", n)
+        object.__setattr__(inst, "names", names)
+        object.__setattr__(inst, "arc_scores", arc_scores)
+        object.__setattr__(inst, "max_in_degree", q)
+        return inst
+
     def arc(self, u: int, v: int) -> int:
         """Score contributed by the arc u -> v (0 when unlisted)."""
         return self.arc_scores.get((u, v), 0)
@@ -212,6 +224,16 @@ def superstructure(instance: Instance) -> Superstructure:
     else:
         pairs = instance.arc_scores  # its keys, the (parent, child) pairs
     return Superstructure(instance.n, pairs)
+
+
+def better_arcs(instance: AdditiveInstance) -> dict[tuple[int, int], int]:
+    """Each superstructure edge at its better arc, with that arc's score;
+    (min, max) on a tie.  Every listed arc is positive, so every edge of
+    the superstructure has one."""
+    scores = instance.arc_scores
+    get = scores.get
+    return {(u, v): s for (u, v), s in scores.items()
+            if (r := get((v, u), 0)) < s or r == s and u < v}
 
 
 def score_of(instance: Instance, network: Network) -> int:
@@ -539,7 +561,7 @@ def parse_additive(text: str) -> AdditiveInstance:
         names.append(cand)
         used.add(cand)
         k += 1
-    return AdditiveInstance(n, tuple(names), arcs, q)
+    return AdditiveInstance._parsed(n, tuple(names), arcs, q)
 
 
 def write_additive(instance: AdditiveInstance) -> str:

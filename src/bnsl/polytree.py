@@ -43,7 +43,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .instances import AdditiveInstance, Network, find, superstructure
+from .instances import AdditiveInstance, Network, better_arcs, find, superstructure
 from .tw_dp import Fold
 
 
@@ -104,27 +104,18 @@ def arc_elements(instance: AdditiveInstance) -> list[GroundElement]:
 
 def solve_pl_additive_mst(instance: AdditiveInstance) -> tuple[int, Network]:
     """Unbounded polytree optimum via a maximum-weight spanning forest."""
-    g = superstructure(instance)
-    weighted = []
-    for a, b in sorted(g.edges):
-        w = max(instance.arc(a, b), instance.arc(b, a))
-        if w > 0:
-            weighted.append((w, a, b))
-    weighted.sort(key=lambda t: (-t[0], t[1], t[2]))
-    parent = list(range(g.n))
+    # heaviest edge first, ties by the edge's (min, max) ends
+    weighted = sorted((-w, min(arc), max(arc), arc) for arc, w in better_arcs(instance).items())
+    parent = list(range(instance.n))
     arcs = set()
     total = 0
-    for w, a, b in weighted:
+    for negw, a, b, arc in weighted:
         ra, rb = find(parent, a), find(parent, b)
         if ra == rb:
             continue
         parent[ra] = rb
-        total += w
-        fwd, bwd = instance.arc(a, b), instance.arc(b, a)
-        if fwd > bwd or (fwd == bwd and a < b):
-            arcs.add((a, b))
-        else:
-            arcs.add((b, a))
+        total -= negw
+        arcs.add(arc)
     return total, Network(instance.n, frozenset(arcs))
 
 

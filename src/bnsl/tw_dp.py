@@ -66,6 +66,27 @@ the core, and `nice_from_raw` rebuilds the cut tree.  The bounded
 polytree matroid (`polytree.solve_pl_additive_bounded`) shares `Fold`: it
 runs on the same core, each bonus entering as virtual arcs.
 `snapshot_tables` returns the tables that the solvers keep.
+
+Acyclic networks without an in-degree bound and without a supplied
+decomposition take a shorter path (`Condensed`).  Orient every edge of the
+superstructure by its better arc (`instances.better_arcs`: (min, max) on a
+tie; every edge has a positive arc) and find the strongly connected
+components of that digraph.  Every best arc between two components is
+kept, and the bag DP above runs on each component of two or more
+vertices alone, as a dense instance of the arcs inside it.  Why it is
+exact:
+
+- Upper bound.  An acyclic network's arcs inside one component form an
+  acyclic network of that component's arcs, which scores at most the
+  component's optimum; each other edge gives at most its better arc.
+- Achieved.  The kept arcs run between components, each from an earlier
+  to a later one in a topological order of the condensation.  No arc of
+  the combined network goes back in that order, so a directed cycle of it
+  stays inside one component, where the DP's network is acyclic.
+
+An acyclic best-arc digraph has only singleton components, and no DP
+runs.  The bound breaks the argument (a vertex could not take all its
+best arcs), and a supplied decomposition asks for the DP over it.
 """
 
 from __future__ import annotations
@@ -75,7 +96,7 @@ from typing import Optional
 
 from . import relations
 from .graphs import NiceTreeDecomposition, nice_from_raw, peel, tree_decomposition
-from .instances import AdditiveInstance, Network, Superstructure, superstructure
+from .instances import AdditiveInstance, Network, Superstructure, better_arcs, superstructure
 
 _NO_ARCS: frozenset = frozenset()
 
@@ -416,6 +437,109 @@ def fold_core(
     return fold, nice_from_raw(bags, parent)
 
 
+def _strong_components(n: int, succ: dict[int, list[int]]) -> list[int]:
+    """Tarjan's strongly connected components of the digraph `succ` (vertex
+    -> its out-neighbours) on vertices 0..n-1, without recursion: the
+    component number of each vertex."""
+    index = [0] * n  # DFS number from 1; 0 while unvisited
+    low = [0] * n
+    comp = [-1] * n  # -1 while on the stack or unvisited
+    stack: list[int] = []
+    count = found = 0
+    for root in range(n):
+        if index[root]:
+            continue
+        count += 1
+        index[root] = low[root] = count
+        stack.append(root)
+        work = [(root, iter(succ.get(root, ())))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if not index[w]:
+                    count += 1
+                    index[w] = low[w] = count
+                    stack.append(w)
+                    work.append((w, iter(succ.get(w, ()))))
+                    break
+                if comp[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:  # v roots a component: pop it
+                    while True:
+                        w = stack.pop()
+                        comp[w] = found
+                        if w == v:
+                            break
+                    found += 1
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+    return comp
+
+
+class Condensed:
+    """An unbounded additive instance split along the strongly connected
+    components of its best-arc digraph (the module docstring proves it
+    exact): `arcs`, the best arcs between components, which score `score`,
+    and `parts`, one (vertices in increasing order, their dense instance,
+    `fold_core`'s fold and decomposition of it) per component of two or
+    more vertices, on which `solve` runs the bag DP."""
+
+    def __init__(self, instance: AdditiveInstance):
+        if instance.max_in_degree is not None:
+            raise ValueError("the component split needs an instance without an in-degree bound")
+        self.n = n = instance.n
+        best = better_arcs(instance)
+        succ: dict[int, list[int]] = {}
+        for u, v in best:
+            if u in succ:
+                succ[u].append(v)
+            else:
+                succ[u] = [v]
+        comp = _strong_components(n, succ)
+        self.arcs = [arc for arc in best if comp[arc[0]] != comp[arc[1]]]
+        self.score = sum(best[arc] for arc in self.arcs)
+        size = Counter(comp)
+        members: dict[int, list[int]] = {}
+        for v in range(n):
+            if size[comp[v]] > 1:
+                members.setdefault(comp[v], []).append(v)
+        self.parts = []
+        if not members:
+            return
+        inside: dict[int, dict] = {c: {} for c in members}
+        pos = {v: i for verts in members.values() for i, v in enumerate(verts)}
+        for (u, v), s in instance.arc_scores.items():
+            c = comp[u]
+            if c == comp[v] and c in inside:
+                inside[c][(pos[u], pos[v])] = s
+        for c, verts in members.items():
+            sub = AdditiveInstance(len(verts), tuple(instance.names[v] for v in verts),
+                                   inside[c])
+            self.parts.append((verts, sub, *fold_core(sub, superstructure(sub))))
+
+    @property
+    def width(self) -> int:
+        """The widest decomposition the bag DP runs on; -1 with none."""
+        return max((td.width for *_, td in self.parts), default=-1)
+
+    @property
+    def core(self) -> int:
+        """How many vertices the bag DP runs on."""
+        return sum(len(fold.core) for _, _, fold, _ in self.parts)
+
+    def solve(self) -> tuple[int, Network]:
+        score, arcs = self.score, set(self.arcs)
+        for verts, sub, fold, td in self.parts:
+            part_score, net = _TwEngine(sub, td, "bnsl", fold).solve()
+            score += part_score
+            arcs.update((verts[u], verts[v]) for u, v in net.arcs)
+        return score, Network(self.n, frozenset(arcs))
+
+
 def solve_folded(
     instance: AdditiveInstance, mode: str, fold: Fold, td: NiceTreeDecomposition
 ) -> tuple[int, Network]:
@@ -430,7 +554,11 @@ def solve_bnsl_additive(
     instance: AdditiveInstance, td: Optional[NiceTreeDecomposition] = None
 ) -> tuple[int, Network]:
     """Optimal acyclic network for additive scores; runs the in-degree
-    bounded variant when the instance carries a bound."""
+    bounded variant when the instance carries a bound.  Without a bound
+    or `td` the bag DP runs on the strongly connected components of the
+    best-arc digraph only (`Condensed`)."""
+    if td is None and instance.max_in_degree is None:
+        return Condensed(instance).solve()
     return solve_folded(instance, "bnsl", *fold_core(instance, superstructure(instance), td))
 
 
@@ -447,11 +575,13 @@ def snapshot_tables(
     td: Optional[NiceTreeDecomposition] = None,
 ):
     """The per-node snapshot tables that the bag DP in `mode` keeps, over
-    `fold_core(instance, g, td)`'s decomposition as `solve_bnsl_additive(
-    instance, td)` and `solve_pl_additive_tw(instance, td)` run it, with
-    plain keys, (con pairs, parent counts) (`_TwEngine.records`); returns
-    (tables, that decomposition).  An introduce node's table is its
-    child's, each count tuple with the new vertex at 0."""
+    `fold_core(instance, g, td)`'s decomposition as `solve_pl_additive_tw(
+    instance, td)` runs it, and `solve_bnsl_additive(instance, td)` when
+    the instance has a bound or `td` is given (else it runs the DP on each
+    part of `Condensed`, whose instances this takes too), with plain keys,
+    (con pairs, parent counts) (`_TwEngine.records`); returns (tables, that
+    decomposition).  An introduce node's table is its child's, each count
+    tuple with the new vertex at 0."""
     fold, td = fold_core(instance, superstructure(instance), td)
     eng = _TwEngine(instance, td, mode, fold)
     eng.run_tables()

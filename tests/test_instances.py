@@ -119,6 +119,28 @@ def test_additive_q_header():
         parse_additive("additive 3 0\nb a 1\n")
 
 
+# Each case `AdditiveInstance.__post_init__` refuses, as the parser would
+# build it from the file, which `parse_additive` must refuse first, since it
+# builds its result without that check: the in-degree bound, a self-arc, an
+# arc out of range (a variable past the header's count), a zero score and a
+# score past 2^63 - 1
+REFUSED_BY_POST_INIT = [
+    ("additive 3 0\nb a 1\n", (3, ("b", "a", "v2"), {(1, 0): 1}, 0)),
+    ("additive 3\na a 1\n", (3, ("a", "v1", "v2"), {(0, 0): 1}, None)),
+    ("additive 2\nb a 1\nc a 1\n", (2, ("b", "a"), {(1, 0): 1, (1, 2): 1}, None)),
+    ("additive 2\nb a 0\n", (2, ("b", "a"), {(1, 0): 0}, None)),
+    (f"additive 2\nb a {MAX_SCORE + 1}\n", (2, ("b", "a"), {(1, 0): MAX_SCORE + 1}, None)),
+]
+
+
+@pytest.mark.parametrize("text,fields", REFUSED_BY_POST_INIT)
+def test_parser_refuses_what_the_checked_constructor_refuses(text, fields):
+    with pytest.raises(ValueError):
+        AdditiveInstance(*fields)
+    with pytest.raises(ParseError):
+        parse_additive(text)
+
+
 @pytest.mark.parametrize(
     "text,fragment",
     [

@@ -667,10 +667,14 @@ def test_each_vertex_keeps_one_index():
 def test_snapshot_tables_are_the_solvers_tables(monkeypatch):
     # the twdp slots of the dag-additive and polytree benchmarks, seeds
     # 1-3, round 0, drawn by perfbench/ladders.py, with the whole graph's
-    # min-fill decomposition and without one: `snapshot_tables` returns
-    # `fold_core`'s decomposition and, in insertion order, the tables that
-    # the solver's own engine fills over it.  An introduce node shares its
-    # child's table, so the states the engine keeps count it once
+    # min-fill decomposition and without one: for each engine the solver
+    # runs, `snapshot_tables` of the engine's instance returns `fold_core`'s
+    # decomposition and, in insertion order, the tables that the engine
+    # fills over it.  That is the whole instance, except without a bound or
+    # a decomposition, where the solver runs one engine per strongly
+    # connected component of the best-arc digraph (`Condensed`), each on
+    # its own dense instance.  An introduce node shares its child's table,
+    # so the states the engine keeps count it once
     engines = []
     original = tw_dp._TwEngine.run_tables
 
@@ -681,7 +685,7 @@ def test_snapshot_tables_are_the_solvers_tables(monkeypatch):
     monkeypatch.setattr(tw_dp._TwEngine, "run_tables", run_tables)
     workloads = (("dag-additive", "bnsl", tw_dp.solve_bnsl_additive),
                  ("polytree", "pl", tw_dp.solve_pl_additive_tw))
-    runs = {mode: 0 for _, mode, _ in workloads}
+    runs = Counter()
     for workload, mode, solve in workloads:
         for seed in range(1, 4):
             for k, slot in enumerate(benchmark_ladders().WORKLOADS[workload]):
@@ -691,23 +695,34 @@ def test_snapshot_tables_are_the_solvers_tables(monkeypatch):
                 for td in (graphs.tree_decomposition(superstructure(inst)), None):
                     engines.clear()
                     solve(inst, td)
-                    (eng,) = engines
-                    tables, dec = tw_dp.snapshot_tables(inst, mode, td)
-                    assert dec == eng.td
-                    assert list(tables) == list(eng.tables)
-                    for t, table in tables.items():
-                        assert list(table.items()) == list(eng.records(t).items())
-                    shared = 0
-                    for t, node in enumerate(dec.nodes):
-                        if node.kind == "introduce":
-                            (c,) = node.children
-                            assert eng.tables[t] is eng.tables[c]
-                            assert len(tables[t]) == len(tables[c])
-                            shared += len(tables[t])
-                    distinct = {id(table): len(table) for table in eng.tables.values()}
-                    assert sum(distinct.values()) == sum(map(len, tables.values())) - shared
-                    runs[mode] += 1
-    assert min(runs.values()) >= 6, runs
+                    split = td is None and inst.max_in_degree is None
+                    assert split or len(engines) == 1
+                    ran = list(engines)  # snapshot_tables runs engines of its own
+                    for eng in ran:
+                        assert (eng.inst is inst) != split
+                        check_engine_tables(eng, mode, td)
+                        runs[mode, split] += 1
+    # seeds 1-3 give two components of two or more vertices
+    assert min(runs["bnsl", False], runs["pl", False]) >= 6 and runs["bnsl", True] >= 2, runs
+
+
+def check_engine_tables(eng, mode, td):
+    """`snapshot_tables(eng.inst, mode, td)` are the tables `eng` filled,
+    over the same decomposition."""
+    tables, dec = tw_dp.snapshot_tables(eng.inst, mode, td)
+    assert dec == eng.td
+    assert list(tables) == list(eng.tables)
+    for t, table in tables.items():
+        assert list(table.items()) == list(eng.records(t).items())
+    shared = 0
+    for t, node in enumerate(dec.nodes):
+        if node.kind == "introduce":
+            (c,) = node.children
+            assert eng.tables[t] is eng.tables[c]
+            assert len(tables[t]) == len(tables[c])
+            shared += len(tables[t])
+    distinct = {id(table): len(table) for table in eng.tables.values()}
+    assert sum(distinct.values()) == sum(map(len, tables.values())) - shared
 
 
 def test_scores_match_loc_reference_on_benchmark_slots():
@@ -755,3 +770,61 @@ def test_fold_bonus_never_grows_with_core_in_degree():
                 seen[mode, q is None, len(set(bonus)) > 1] += 1
     assert min(seen[mode, False, True] for mode in ("bnsl", "pl")) >= 20, seen
     assert seen["bnsl", True, False] >= 20, seen
+
+
+def test_condensed_matches_oracle():
+    # without a bound or a decomposition the bag DP runs only on the
+    # strongly connected components of the best-arc digraph.  Seeded
+    # instances of 2-12 vertices: trees, connected and disconnected
+    # graphs of cycle rank up to 6, scores up to 8 or all 1 (every edge a
+    # tie, oriented (min, max)); some components of two or more vertices
+    # are met
+    parts = Counter()
+    for seed in range(360):
+        rng = random.Random(390_000 + seed)
+        n = rng.randint(2, 12)
+        fen = 0 if seed % 5 == 0 else rng.randint(1, 6)
+        inst = generate.random_additive(rng, n, fen, max_score=1 if seed % 3 == 0 else 8,
+                                        connected=seed % 4 != 1, exact_fen=False)
+        split = tw_dp.Condensed(inst)
+        score, net = split.solve()
+        assert (score, net) == tw_dp.solve_bnsl_additive(inst)
+        assert score == oracle.exact_bnsl(inst)[0], seed
+        assert validate(net, "dag").ok and score_of(inst, net) == score
+        assert split.core == sum(len(verts) for verts, *_ in split.parts)
+        parts[len(split.parts) > 0] += 1
+    assert min(parts.values()) >= 60, parts
+
+
+def test_condensed_matches_supplied_td_at_scale():
+    # the unbounded dag-additive slots' shapes (perfbench/ladders.py's
+    # `additive_at_width`: n = 60 at cycle rank 10, n = 200 at 12, min-fill
+    # width 4) on seeds the benchmark does not draw: the split's optimum
+    # equals the bag DP's over the whole graph's decomposition, which is
+    # the benchmark's reference, and some of them split
+    split = 0
+    for seed in range(16):
+        n, fen = ((60, 10), (200, 12))[seed % 2]
+        inst = benchmark_ladders().additive_at_width(n, fen, 4, None)(random.Random(seed))
+        g = superstructure(inst)
+        split += bool(tw_dp.Condensed(inst).parts)
+        score, net = tw_dp.solve_bnsl_additive(inst)
+        assert score == tw_dp.solve_bnsl_additive(inst, graphs.tree_decomposition(g))[0], seed
+        assert validate(net, "dag").ok and score_of(inst, net) == score
+    assert split >= 2, split
+
+
+def test_condensed_long_cycle_without_recursion():
+    # a 5000-cycle whose better arcs all point one way: one component
+    # spans it, so Tarjan's search runs 5000 deep and the bag DP runs on
+    # the whole cycle, dropping its cheapest arc
+    n = 5000
+    arcs = {(v, (v + 1) % n): 2 + v % 3 for v in range(n)}
+    arcs.update({((v + 1) % n, v): 1 for v in range(0, n, 2)})
+    inst = AdditiveInstance(n, tuple(f"x{v}" for v in range(n)), arcs)
+    split = tw_dp.Condensed(inst)
+    assert (split.width, split.core, len(split.parts)) == (2, n, 1)
+    score, net = split.solve()
+    forward = sum(s for (u, v), s in arcs.items() if v == (u + 1) % n)
+    assert score == forward - 1  # drop one 2-arc, or turn one 2-arc for its 1
+    assert validate(net, "dag").ok and score_of(inst, net) == score
