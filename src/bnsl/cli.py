@@ -179,9 +179,9 @@ KERNELIZE = {"bnsl": kernel.kernelize_bnsl, "polytree": kernel.kernelize_pl}
 
 
 def _run_lfen(inst, mode, args, info, kernelize=False):
-    """Reduce the instance (`kernel-lfen`: the mode's kernel; `lfen`: rule
-    1 alone), search or read a witness tree of the reduced instance, run
-    the record DP on it and lift the solution back."""
+    """Reduce the instance (`kernel-lfen`: the mode's kernel; `lfen`: rules
+    0 and 1 alone), search or read a witness tree of the reduced instance,
+    run the record DP on it and lift the solution back."""
     if kernelize:
         result = KERNELIZE[mode](inst)
         info.append(f"kernel_n={result.reduced.n}")
@@ -191,13 +191,15 @@ def _run_lfen(inst, mode, args, info, kernelize=False):
     g = superstructure(work)
     if args.tree is not None:  # only the lfen row reads --tree
         # check the file against the input, then cut it to the kept
-        # vertices: rule 1 removes pendant vertices only, whose edges are
-        # bridges, and keeps every edge among the others
+        # vertices and edges (rule 0 may drop an edge between two kept
+        # vertices) and complete the rest to a spanning forest
         tree = _load_tree(args.tree, inst)
         graphs.forest_from_edges(superstructure(inst), tree)
         dense = {loose: i for i, loose in result.loose_of_reduced.items()}
         kept = {(dense[a], dense[b]) for a, b in tree if a in dense and b in dense}
-        witness = graphs.lfen_of_tree(g, graphs.forest_from_edges(g, kept))
+        witness = graphs.lfen_of_tree(
+            g, graphs.forest_from_edges(g, graphs.complete_forest(g, kept & g.edges))
+        )
     else:
         witness = graphs.lfen_search(g)
     info.append(
@@ -441,9 +443,10 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--witness", action="store_true", help="print the witness tree")
     pp.add_argument(
         "--budget", type=int, default=graphs.DEFAULT_TREE_BUDGET, metavar="TREES",
-        help="spanning trees per component: a component with at most this many "
-             "is searched by enumerating them all, a larger one by local search "
-             "(default %(default)s)",
+        help="spanning trees per component that the exact search enumerates "
+             "(those that cut each chain of the 2-core at its largest edge): a "
+             "component with at most this many is searched exactly, a larger one "
+             "by local search (default %(default)s)",
     )
     pp.set_defaults(func=cmd_params)
 

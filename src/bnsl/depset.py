@@ -6,12 +6,15 @@ that no cycle passes through, and the sink-order subset DP (Silander &
 Myllymäki, UAI 2006) runs over the k dependent vertices alone: best(W) is
 the maximum, over v in W, of best(W - v) plus v's best listed parent set
 whose dependent members lie in W - v.  The empty set always qualifies, so
-that is 2^k * k steps, each a scan of one vertex's parent sets.
+that is 2^k * k steps, each a scan of one vertex's parent sets.  Rule 0
+(`kernel.drop_dominated`) runs on every table first, so a vertex whose
+non-empty sets all score at most a subset of theirs is no dependent.
 """
 
 from __future__ import annotations
 
 from .instances import Network, NonZeroInstance
+from .kernel import drop_dominated
 
 
 class TooManyDependentError(ValueError):
@@ -35,11 +38,14 @@ def solve_bnsl_depset(
     instance: NonZeroInstance, max_dependent: int = 5
 ) -> tuple[int, Network]:
     """Optimal acyclic network by the subset DP over at most
-    `max_dependent` dependent vertices."""
+    `max_dependent` dependent vertices, counted after rule 0."""
     if max_dependent < 0:
         raise ValueError(
             f"the dependent-vertex limit must be at least 0, not {max_dependent}"
         )
+    instance = NonZeroInstance(instance.n, instance.names, {
+        v: drop_dominated(sets) for v, sets in instance.entries.items()
+    })
     members = dependent_vertices(instance)
     k = len(members)
     if k > max_dependent:

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import add
 from typing import Optional
 
 from .instances import Superstructure, find
 
-DEFAULT_TREE_BUDGET = 20000
+DEFAULT_TREE_BUDGET = 10
 _SEARCH_ROOTS = 4  # the local search starts from the BFS trees of vertices 0..3
 
 
@@ -140,6 +139,22 @@ def forest_from_edges(
     )
 
 
+def complete_forest(g: Superstructure, edges) -> frozenset[tuple[int, int]]:
+    """The given forest's edges (edges of g, as g lists them) plus each edge
+    of g, in ascending order, that joins two of its trees: a spanning
+    forest of g that holds the given one."""
+    union = list(range(g.n))
+    out = set(edges)
+    for a, b in out:
+        union[find(union, a)] = find(union, b)
+    for a, b in sorted(g.edges - out):
+        ra, rb = find(union, a), find(union, b)
+        if ra != rb:
+            union[ra] = rb
+            out.add((a, b))
+    return frozenset(out)
+
+
 def feedback_edge_set(g: Superstructure) -> SpanningForest:
     """BFS spanning forest; the non-tree edges form a minimum feedback edge
     set, of size |E| - n + #components."""
@@ -183,55 +198,6 @@ def _component_subgraph(g: Superstructure, comp: list[int]):
     idx = {v: i for i, v in enumerate(comp)}
     edges = [(idx[a], idx[b]) for a in comp for b in g.adj[a] if a < b]
     return Superstructure(len(comp), edges), idx
-
-
-def spanning_tree_count(g: Superstructure) -> int:
-    """Number of spanning trees of g (0 when g is disconnected).
-
-    Every spanning tree holds every bridge, so peeling the pendant vertices
-    (`peel`) leaves the count unchanged: it is the count of the 2-core,
-    which is connected when g is, and 1 when the core is empty (g a tree).
-    Matrix-tree theorem: the count is the determinant of the core's
-    Laplacian with one row and column deleted.  Exact Gaussian elimination
-    of the sparse Laplacian in minimum-degree order leaves one vertex
-    uneliminated; the product of the other pivots is that determinant.
-    Eliminating a vertex of a connected weighted Laplacian leaves a
-    connected weighted Laplacian (positive pivots, no row swaps); entries
-    are off-diagonal edge weights w[v][u] = -L[v][u] as Fractions.
-    """
-    if g.n <= 1:
-        return 1
-    if len(g.components()) > 1:
-        return 0
-    _, up = peel(g)
-    core = [v for v in range(g.n) if v not in up]
-    if not core:
-        return 1
-    w = {v: {u: Fraction(1) for u in g.adj[v] if u not in up} for v in core}
-    diag = {v: Fraction(len(w[v])) for v in core}
-    heap = [(len(w[v]), v) for v in core]
-    heapq.heapify(heap)
-    count = Fraction(1)
-    for _ in range(len(core) - 1):
-        while True:
-            d, v = heapq.heappop(heap)
-            if v in w and d == len(w[v]):
-                break
-        pivot = diag[v]
-        count *= pivot
-        nbrs = list(w.pop(v).items())
-        for u, _ in nbrs:
-            del w[u][v]
-        for i, (a, wa) in enumerate(nbrs):
-            diag[a] -= wa * wa / pivot
-            row = w[a]
-            for b, wb in nbrs[i + 1:]:
-                fill = wa * wb / pivot
-                row[b] = row.get(b, 0) + fill
-                w[b][a] = row[b]
-        for u, _ in nbrs:
-            heapq.heappush(heap, (len(w[u]), u))
-    return int(count)
 
 
 def _spanning_trees(g: Superstructure, taken: frozenset):
@@ -285,16 +251,16 @@ def _still_spans(edges: list, n: int, start: int, union: list[int]) -> bool:
 def lfen_search(g: Superstructure, budget: int = DEFAULT_TREE_BUDGET) -> LfenWitness:
     """Best witness tree found for the localized feedback measure.
 
-    Per component: count the spanning trees (`spanning_tree_count`) and,
-    when their number fits the budget, enumerate those that hold the edges
-    the least tree holds (`_chain_forest`; result flagged exact), otherwise
-    improve a BFS tree by edge swaps (add one non-tree edge, drop one tree
-    edge on its cycle), taking in each round the best strict improvement,
-    restarting from the BFS trees of the first four vertices.  Every
-    candidate swap is scored incrementally from the current tree's paths
-    (`_best_swap`); only the accepted swap's forest is built and its value
-    checked against the score.  The global value is the maximum over
-    components.
+    Per component: enumerate the spanning trees that hold the edges the
+    least tree holds (`_chain_forest`), at most `budget` + 1 of them, and
+    when no more than `budget` exist, take the least (result flagged
+    exact); otherwise improve a BFS tree by edge swaps (add one non-tree
+    edge, drop one tree edge on its cycle), taking in each round the best
+    strict improvement, restarting from the BFS trees of the first four
+    vertices.  Every candidate swap is scored incrementally from the
+    current tree's paths (`_best_swap`); only the accepted swap's forest is
+    built and its value checked against the score.  The global value is
+    the maximum over components.
     """
     best_edges: set[tuple[int, int]] = set()
     exact_all = True
@@ -315,8 +281,9 @@ def _component_lfen_tree(g: Superstructure, budget: int):
         return frozenset(g.edges), True
     best_tree = None
     best_key = None
-    if spanning_tree_count(g) <= budget:
-        for tree in _spanning_trees(g, _chain_forest(g)):
+    trees = list(islice(_spanning_trees(g, _chain_forest(g)), budget + 1))
+    if len(trees) <= budget:
+        for tree in trees:
             value = lfen_of_tree(g, forest_from_edges(g, tree)).value
             key = (value, tuple(sorted(tree)))
             if best_key is None or key < best_key:

@@ -1,7 +1,12 @@
 """Polynomial-time data reduction with solution lifting.
 
-Two rules shrink an instance without changing the optimal score:
+Three rules shrink an instance without changing the optimal score:
 
+  * rule 0 drops a listed parent set when a listed proper subset, or the
+    empty set (score 0 when unlisted), scores at least as much: swapping
+    the set for that subset keeps a network acyclic and a polytree's
+    skeleton a forest, and never lowers the score.  An edge that only
+    dropped sets used leaves the superstructure.
   * rule 1 absorbs the degree-1 neighbours Q of a vertex v into v's score
     table (every way Q can serve as parents of v or take v as their parent
     is folded into a max).
@@ -12,11 +17,25 @@ Two rules shrink an instance without changing the optimal score:
     through it, or (for the polytree variant) whether the path connects its
     two ends.
 
+The loop applies rule 1 while it can, then rule 0 to every table rule 0
+has not seen (at first every table rule 1 left, later those rule 1
+rewrote), and repeats until neither applies; only then does it contract
+one path.  The tables a contraction writes pass rule 0 as they are
+installed.  Rule 0 may run on any table, a gadget's included: a dropped
+set scores 0 once unlisted, while the subset that beat it scores at least
+the set's own score, at least 1, so an optimal network of the reduced
+instance never takes a dropped set, and each lift step reads only the
+parent sets such a network takes.  Rule 0 needs no lift step of its own:
+every table it leaves is a subset of the one it read, at the same
+scores.
+
 After exhaustive application the vertex count is bounded by a constant
-multiple of the superstructure's feedback edge number (`absorb_leaves`
-applies rule 1 alone).  Each application is recorded so a solution of the
-reduced instance can be lifted back to one of the original instance with
-the same score.
+multiple of the superstructure's feedback edge number, once the final
+compaction merges every edgeless vertex into one whose empty set scores
+the sum of theirs (`absorb_leaves` applies rules 0 and 1 alone).  Each
+application of rules 1 and 2 is recorded so a solution of the reduced
+instance can be lifted back to one of the original instance with the same
+score.
 
 Internally the working instance lives in a "loose" id space where gadget
 vertices get fresh ids and removed ids simply disappear; only the final
@@ -36,14 +55,51 @@ from .instances import Network, NonZeroInstance
 _EMPTY = frozenset()
 
 
+def drop_dominated(sets: dict[frozenset[int], int]) -> dict[frozenset[int], int]:
+    """Rule 0 on one score table: the table without each non-empty set that
+    a listed proper subset, or the empty set (score 0 when unlisted),
+    scores at least as much as; `sets` itself when nothing goes.
+
+    Each set becomes one int mask over the table's parents, and the sets
+    are tested in size order against the kept ones alone: a dropped set's
+    dominator is kept or dominated by a smaller set in turn, which then
+    dominates the set too.
+    """
+    if len(sets) < 2:
+        return sets  # a lone non-empty set scores at least 1 > 0
+    floor = sets.get(_EMPTY, 0)
+    bit: dict[int, int] = {}
+    kept: list[tuple[int, int]] = []  # (mask, score) of the kept non-empty sets
+    dropped = []
+    for parents, score in sorted(sets.items(), key=lambda e: len(e[0])):
+        if not parents:
+            continue
+        if score <= floor:
+            dropped.append(parents)
+            continue
+        mask = 0
+        for u in parents:
+            mask |= bit.setdefault(u, 1 << len(bit))
+        if any(score <= s and not m & ~mask for m, s in kept):
+            dropped.append(parents)
+        else:
+            kept.append((mask, score))
+    if not dropped:
+        return sets
+    gone = set(dropped)
+    return {parents: score for parents, score in sets.items() if parents not in gone}
+
+
 class _Work:
     """Mutable kernelization state over loose vertex ids.
 
     The superstructure adjacency (`adj`, keyed by the live vertices) is kept
     up to date by the mutators `fresh`, `remove` and `set_entries`, and by
-    rule 1 (`_apply_rr1`).  A min-heap holds every vertex that may have a
-    degree-1 neighbour (pushed whenever a vertex's degree drops or rises
-    to 1); `rule1_target` validates it lazily.
+    rules 0 and 1 (`rule0`, `_apply_rr1`).  A min-heap holds every vertex
+    that may have a degree-1 neighbour (pushed whenever a vertex's degree
+    drops or rises to 1); `rule1_target` validates it lazily.  `unscanned`
+    holds the vertices whose tables rule 1 wrote since rule 0 last ran,
+    None until its first run, which scans every table.
     """
 
     def __init__(self, instance: NonZeroInstance):
@@ -61,6 +117,7 @@ class _Work:
         self.leaf_heap = sorted(
             next(iter(nbrs)) for nbrs in self.adj.values() if len(nbrs) == 1
         )
+        self.unscanned: Optional[set[int]] = None
 
     def fresh(self, base: str) -> int:
         v = self.next_id
@@ -83,12 +140,16 @@ class _Work:
 
     def set_entries(self, v: int, sets: dict[frozenset[int], int]):
         """Install a score table, dropping zero-score sets (they equal the
-        unlisted default and would break the representation).  Parent
-        sets may still name vertices already removed (rule 2 removes the
-        inner path before rewriting the anchors); those get no edge.  The
-        edge to a parent that the new table drops survives exactly when
-        that parent's own table still names v."""
-        kept = {p: s for p, s in sets.items() if s > 0}
+        unlisted default and would break the representation) and, by rule
+        0, dominated ones.  Parent sets may still name vertices already
+        removed (rule 2 removes the inner path before rewriting the
+        anchors); those get no edge."""
+        self._install(v, drop_dominated({p: s for p, s in sets.items() if s > 0}))
+
+    def _install(self, v: int, kept: dict[frozenset[int], int]):
+        """Replace v's table by `kept`.  The edge to a parent that the new
+        table drops survives exactly when that parent's own table still
+        names v."""
         old = set().union(*self.entries.get(v, ()))
         if kept:
             self.entries[v] = kept
@@ -108,6 +169,20 @@ class _Work:
                 touched.add(p)
         self._note_degrees(touched)
 
+    def rule0(self) -> bool:
+        """Rule 0 on every table not scanned yet; whether it dropped a set."""
+        todo = list(self.entries) if self.unscanned is None else self.unscanned
+        self.unscanned = set()
+        dropped = False
+        for v in todo:
+            sets = self.entries.get(v)
+            if sets is not None:
+                kept = drop_dominated(sets)
+                if kept is not sets:
+                    self._install(v, kept)
+                    dropped = True
+        return dropped
+
     def _note_degrees(self, changed):
         for u in changed:
             nbrs = self.adj.get(u)
@@ -126,14 +201,27 @@ class _Work:
         return None
 
     def to_instance(self) -> tuple[NonZeroInstance, dict[int, int]]:
-        """Compact to dense ids; returns (instance, loose id of each dense id)."""
-        order = sorted(self.adj)
+        """Compact to dense ids, every edgeless vertex merged into the first
+        of them, whose empty set scores the sum of theirs (an edgeless
+        vertex lists the empty set alone); returns (instance, loose id of
+        each dense id).  The lift leaves the other merged vertices without
+        parents, as the sum assumes, and the rule-1 steps at them read
+        that."""
+        edgeless = [v for v, nbrs in self.adj.items() if not nbrs]
+        merged = set(edgeless[1:])
+        order = sorted(v for v in self.adj if v not in merged)
         dense = {loose: i for i, loose in enumerate(order)}
         entries = {}
         for v, sets in self.entries.items():
-            entries[dense[v]] = {
-                frozenset(dense[p] for p in parents): s for parents, s in sets.items()
-            }
+            if v not in merged:
+                entries[dense[v]] = {
+                    frozenset(dense[p] for p in parents): s for parents, s in sets.items()
+                }
+        if merged:
+            total = sum(self.entries.get(v, {}).get(_EMPTY, 0) for v in edgeless)
+            entries.pop(dense[edgeless[0]], None)
+            if total:
+                entries[dense[edgeless[0]]] = {_EMPTY: total}
         names = tuple(self.names[v] for v in order)
         inst = NonZeroInstance(len(order), names, entries)
         return inst, {i: loose for loose, i in dense.items()}
@@ -496,6 +584,8 @@ def _apply_rr1(work: _Work, v: int) -> dict:
     if not new_sets[_EMPTY]:
         del new_sets[_EMPTY]
     entries[v] = new_sets
+    if work.unscanned is not None:
+        work.unscanned.add(v)
     names = work.names
     for w in q:
         entries.pop(w, None)
@@ -704,39 +794,42 @@ def _find_paths(work: _Work, min_inner: int) -> list[list[int]]:
 
 
 def _kernelize(instance: NonZeroInstance, path_rule: Optional[tuple]) -> KernelResult:
-    """Rule 1 exhaustively, then one path contraction at a time by
-    `path_rule`, (min inner vertices, application), until neither applies;
-    rule 1 alone when `path_rule` is None."""
+    """Rule 1 while it applies, else rule 0, else one path contraction by
+    `path_rule`, (min inner vertices, application), until none applies;
+    rules 0 and 1 alone when `path_rule` is None."""
     work = _Work(instance)
     steps: list[dict] = []
     while True:
         # in a two-vertex component the rule-1 target is the smaller end
-        while (target := work.rule1_target()) is not None:
+        target = work.rule1_target()
+        if target is not None:
             steps.append(_apply_rr1(work, target))
-        paths = [] if path_rule is None else _find_paths(work, path_rule[0])
-        if not paths:
-            break
-        steps.append(path_rule[1](work, paths[0]))
+        elif not work.rule0():
+            paths = [] if path_rule is None else _find_paths(work, path_rule[0])
+            if not paths:
+                break
+            steps.append(path_rule[1](work, paths[0]))
     reduced, loose_of_reduced = work.to_instance()
     return KernelResult(reduced, steps, loose_of_reduced, instance.n)
 
 
 def kernelize_bnsl(instance: NonZeroInstance) -> KernelResult:
-    """Exhaustive rules 1 and 2; the reduced instance has the same optimal
-    score and at most 16 * (feedback edge number) variables."""
+    """Exhaustive rules 0, 1 and 2; the reduced instance has the same
+    optimal score and at most 16 * (feedback edge number) + 1 variables."""
     return _kernelize(instance, (4, _apply_rr2))
 
 
 def kernelize_pl(instance: NonZeroInstance) -> KernelResult:
-    """Polytree variant: rules 1 and 2'; at most 24 * fen variables."""
+    """Polytree variant: rules 0, 1 and 2'; at most 24 * fen + 1 variables."""
     return _kernelize(instance, (6, _apply_rr2_pl))
 
 
 def absorb_leaves(instance: NonZeroInstance) -> KernelResult:
-    """Exhaustive rule 1 alone, the same in both modes: every pendant tree
-    is absorbed into the vertex it hangs from.  The reduced instance keeps
-    the superstructure's 2-core, one vertex of each tree component and
-    every edge among the kept vertices (each reduced non-empty parent set
-    scores at least the set it came from), so every spanning forest, cut
-    to the kept vertices, keeps its feedback edges and their tree paths."""
+    """Exhaustive rules 0 and 1 alone, the same in both modes: every pendant
+    tree is absorbed into the vertex it hangs from, and every edge that
+    only dominated sets used is dropped, which may leave new pendant trees.
+    The reduced superstructure is a subgraph of the input's 2-core with no
+    degree-1 vertex, plus one vertex for all the edgeless ones; an edge
+    among kept vertices may be gone, so a spanning forest of the input,
+    cut to the kept vertices and edges, needs completing to span it."""
     return _kernelize(instance, None)

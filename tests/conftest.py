@@ -8,6 +8,7 @@ import pytest
 
 from bnsl import graphs, kernel
 from bnsl.instances import parse_nonzero, superstructure
+from reference import rising_scores
 
 # 4-variable worked example: optimum 7 via b <- {a,c}, c <- {a}, d <- {b,c}
 EXAMPLE4 = """\
@@ -66,8 +67,11 @@ KERNEL_SLOTS = (("dag-explicit", 0), ("dag-explicit", 1), ("dag-explicit", 2),
 @lru_cache(maxsize=None)
 def benchmark_kernel(workload: str, seed: int, rnd: int, k: int, mode: str):
     """The kernel in `mode` ("bnsl" or "pl") of `benchmark_instance(workload,
-    seed, rnd, k)` and the witness tree the CLI searches on it (built once
-    per test run)."""
+    seed, rnd, k)` with `rising_scores`, and the witness tree the CLI
+    searches on it (built once per test run).  Rule 0 leaves most kernels
+    of the benchmark's own draws at 1-6 vertices; the same draws with every
+    set scoring above its subsets keep kernels of the size the record-DP
+    tests need."""
     kernelize = kernel.kernelize_pl if mode == "pl" else kernel.kernelize_bnsl
-    red = kernelize(benchmark_instance(workload, seed, rnd, k)).reduced
+    red = kernelize(rising_scores(benchmark_instance(workload, seed, rnd, k))).reduced
     return red, graphs.lfen_search(superstructure(red)).forest

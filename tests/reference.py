@@ -59,6 +59,15 @@ Kernel, each read by one `kernel::` test (two for `kernelize_rescan`'s
 helpers) that reaches `kernel.kernelize_bnsl`, `kernelize_pl`, `_Work` or
 `KernelResult.lift`:
 
+- `rule0_by_definition` with `rule0_pass`, rule 0 as defined (a set
+  goes when a listed proper subset or the empty set scores at least as
+  much), run on every live table: the rule 0 of both loops below, and
+  `kernel::test_no_reduced_table_holds_a_dominated_set`; reach
+  `kernel.drop_dominated` and `_Work.rule0`.
+- `rising_scores`, the same draws with every set scoring above its
+  subsets: the kernel, CLI and record-DP tests that need kernels or
+  cycles rule 0 would shrink (`conftest.benchmark_kernel` among them);
+  reach rules 1, 2 and 2', the lfen search and the record DP at scale.
 - `kernelize_rescan` with `scan_adjacency`, `rule1_scan_target` and
   `find_paths_own_bfs`: the loop that rescans the adjacency, before the
   kernel kept it incremental, and `kernel._find_paths` before it ran on
@@ -67,8 +76,8 @@ helpers) that reaches `kernel.kernelize_bnsl`, `kernelize_pl`, `_Work` or
   `best_config_frozensets`, `bnsl_path_scores_frozensets`,
   `pl_path_scores_frozensets`, `PathScores`, `PlPathScores`,
   `case_table` and `work_score` (formerly `kernel._Work.score`): rule 1
-  through `_Work.set_entries` and `_Work.remove`, and the path DP on
-  frozensets; `kernel::test_kernel_matches_old_rules` runs it in both
+  through `_Work.set_entries` (now `_Work._install`, as `set_entries`
+  applies rule 0) and `_Work.remove`, and the path DP on frozensets; `kernel::test_kernel_matches_old_rules` runs it in both
   modes and as `absorb_leaves`.  It is the one earlier rule 1 kept: the
   two later ones (one leaf pruned at a time, and the step before it ran
   in one loop) are gone, and that test runs on the union of their
@@ -102,7 +111,8 @@ Decompositions and the witness-tree search:
   finishing each component in a separate loop, and the walk on (node,
   done) pairs): one `graphs::` test; reach `graphs.nice_from_raw`.
 - `component_lfen_tree_rebuild` (the local search that rebuilt a forest
-  per swap) and `component_subgraph_edge_scan` (the component subgraph
+  per swap, and an exact search over every spanning tree under a budget
+  that counts those holding `graphs._chain_forest`) and `component_subgraph_edge_scan` (the component subgraph
   that scans every edge per component): three `graphs::` tests; reach
   `graphs.lfen_search`.
 
@@ -155,7 +165,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Iterable, Iterator, Optional, Sequence
 
 from bnsl import generate, graphs, relations
@@ -368,11 +378,45 @@ def rule1_scan_target(adj):
     return None
 
 
+def rule0_by_definition(sets: dict) -> dict:
+    """The table without each non-empty set that a listed proper subset,
+    or the empty set (score 0 when unlisted), scores at least as much as."""
+    floor = sets.get(frozenset(), 0)
+    return {p: s for p, s in sets.items()
+            if not p or s > floor and not any(q < p and t >= s for q, t in sets.items())}
+
+
+def rule0_pass(work: _Work) -> bool:
+    """`rule0_by_definition` on every live table, in vertex order, each
+    table that changes installed without `set_entries`' own rule 0;
+    whether any set went."""
+    dropped = False
+    for v in sorted(work.entries):
+        sets = work.entries[v]
+        kept = rule0_by_definition(sets)
+        if kept != sets:
+            work._install(v, kept)
+            dropped = True
+    return dropped
+
+
+def rising_scores(instance: NonZeroInstance) -> NonZeroInstance:
+    """The instance with each listed set's score raised by its size times
+    the largest score: every set then scores more than each of its
+    subsets, the empty set included, so rule 0 drops none of them."""
+    top = max((s for sets in instance.entries.values() for s in sets.values()), default=0)
+    return NonZeroInstance(instance.n, instance.names, {
+        v: {p: s + top * len(p) for p, s in sets.items()}
+        for v, sets in instance.entries.items()
+    })
+
+
 def kernelize_rescan(instance, polytree):
     """The kernel's fixed-point loop with the superstructure adjacency
     rebuilt from the score tables at every use and the rule-1 target found
-    by a sorted scan of all vertices (O(n^2) in total), and the paths found
-    by `find_paths_own_bfs`; `kernel._Work` keeps the adjacency
+    by a sorted scan of all vertices (O(n^2) in total), rule 0 by
+    `rule0_pass` over every table, and the paths found by
+    `find_paths_own_bfs`; `kernel._Work` keeps the adjacency
     incrementally (it must equal the rebuilt one before each rule-1 search
     and so before each path search), `kernel._find_paths` reads the shared
     BFS forest, and together they must reproduce this step for step."""
@@ -389,6 +433,8 @@ def kernelize_rescan(instance, polytree):
                 raise AssertionError("incremental adjacency differs from the rescan")
             target = rule1_scan_target(adj)
             if target is None:
+                if rule0_pass(work):
+                    continue
                 break
             steps.append(kernel._apply_rr1(work, target))
             changed = True
@@ -455,7 +501,7 @@ def apply_rr1_set_entries(work: _Work, v: int, adj) -> dict:
         "configs": configs,
         "fallback": (frozenset(), fb_arcs),
     }
-    work.set_entries(v, new_sets)
+    work._install(v, {p: s for p, s in new_sets.items() if s > 0})
     for w in q:
         work.remove(w)
     return step
@@ -591,9 +637,10 @@ def case_table(ps) -> dict:
 
 def kernelize_old_rules(instance, mode):
     """The kernel's fixed-point loop with the old rule 1
-    (`apply_rr1_set_entries`) and the path rule of `mode`: "bnsl" as in
-    `kernel.kernelize_bnsl`, "pl" as in `kernelize_pl`, None for rule 1
-    alone as in `absorb_leaves`.  Before each path contraction it checks
+    (`apply_rr1_set_entries`), rule 0 by `rule0_pass` once rule 1 no
+    longer applies, and the path rule of `mode`: "bnsl" as in
+    `kernel.kernelize_bnsl`, "pl" as in `kernelize_pl`, None for rules 0
+    and 1 alone as in `absorb_leaves`.  Before each path contraction it checks
     that the kernel's case table, scores and configs in order, equals
     the old path DP's (through `case_table`) on the current working
     state, so the rule-2 steps it records are the old ones too."""
@@ -609,6 +656,8 @@ def kernelize_old_rules(instance, mode):
     while True:
         while (target := work.rule1_target()) is not None:
             steps.append(apply_rr1_set_entries(work, target, work.adj))
+        if rule0_pass(work):
+            continue
         paths = [] if mode is None else kernel._find_paths(work, min_inner)
         if not paths:
             break
@@ -1459,12 +1508,14 @@ def to_pairs(rows: Sequence[int], verts: Sequence) -> frozenset:
 
 def component_lfen_tree_rebuild(g: Superstructure, budget: int):
     """(tree edge set, exact flag) for a connected graph, scoring every
-    local-search swap on a rebuilt forest."""
+    local-search swap on a rebuilt forest; exact over every spanning tree
+    when at most `budget` of them hold `graphs._chain_forest`."""
     if g.edge_count() == g.n - 1:
         return frozenset(g.edges), True
     best_tree = None
     best_key = None
-    if graphs.spanning_tree_count(g) <= budget:
+    chain_trees = graphs._spanning_trees(g, graphs._chain_forest(g))
+    if sum(1 for _ in islice(chain_trees, budget + 1)) <= budget:
         for tree in graphs._spanning_trees(g, frozenset()):
             value = graphs.lfen_of_tree(g, graphs.forest_from_edges(g, tree)).value
             key = (value, tuple(sorted(tree)))

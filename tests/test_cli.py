@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from bnsl import cli, generate, graphs, lfen_dp, oracle
+from bnsl import cli, generate, graphs, kernel, lfen_dp, oracle
 from bnsl.instances import (
     AdditiveInstance,
     Superstructure,
@@ -22,6 +22,7 @@ from bnsl.instances import (
     write_additive,
     write_nonzero,
 )
+from reference import rising_scores
 
 
 @pytest.fixture
@@ -348,11 +349,12 @@ def test_params_witness_lists_tree(capsys, example_file):
 
 
 def test_params_budget_counts_trees(capsys, example_file):
-    # the example has 8 spanning trees: a budget of 8 enumerates them all,
-    # a smaller one runs the local search
-    code, out, _ = run(capsys, "params", example_file, "--budget", "8")
+    # the example has 8 spanning trees, 3 of which hold its chain forest
+    # (the edges a-b and b-d): a budget of 3 enumerates those, a smaller
+    # one runs the local search
+    code, out, _ = run(capsys, "params", example_file, "--budget", "3")
     assert code == 0 and out.strip() == "fen=2 lfen<=2 exact tw<=2"
-    code, out, _ = run(capsys, "params", example_file, "--budget", "7")
+    code, out, _ = run(capsys, "params", example_file, "--budget", "2")
     assert code == 0 and out.strip() == "fen=2 lfen<=2 tw<=2"
 
 
@@ -638,24 +640,60 @@ def write_tree(path, inst, edges):
 
 
 def test_supplied_tree_with_pendant_trees(capsys, tmp_path):
-    # --algo lfen absorbs the 20 leaves and their pendant trees, and cuts the
-    # supplied forest to the vertices it keeps: the score and info line of
-    # the record DP over the whole forest of the whole instance
+    # --algo lfen absorbs the 20 leaves and their pendant trees, drops the
+    # edges only dominated sets used, and cuts the supplied forest to the
+    # vertices and edges it keeps: the score of the record DP over the
+    # whole forest of the whole instance, and the info line of the cut
+    # forest, completed, on the reduced instance (one of the 3 cycles left)
     p, inst, g, forest = pendant_tree_instance(capsys, tmp_path)
     assert sum(g.degree(v) == 1 for v in range(g.n)) == 20
     tree = tmp_path / "p40.tree"
     write_tree(tree, inst, forest.tree_edges)
-    info = f"fen=3 lfen<={graphs.lfen_of_tree(g, forest).value}"
+    result = kernel.absorb_leaves(inst)
+    gr = superstructure(result.reduced)
+    dense = {loose: i for i, loose in result.loose_of_reduced.items()}
+    kept = {(dense[a], dense[b]) for a, b in forest.tree_edges if a in dense and b in dense}
+    cut = graphs.forest_from_edges(gr, graphs.complete_forest(gr, kept & gr.edges))
+    info = f"fen={len(cut.feedback_edges)} lfen<={graphs.lfen_of_tree(gr, cut).value}"
     for mode, solve in (("bnsl", lfen_dp.solve_bnsl_lfen), ("polytree", lfen_dp.solve_pl_lfen)):
         sol = tmp_path / f"p40-{mode}.sol"
         code, out, err = run(capsys, "solve", str(p), "--mode", mode, "--algo", "lfen",
                              "--tree", str(tree), "--out", str(sol))
         assert code == 0, err
         assert out.strip() == f"max_score={solve(inst, forest)[0]}" == "max_score=168"
-        assert err.strip() == info == "fen=3 lfen<=3"
+        assert err.strip() == info == "fen=1 lfen<=1"
         net = parse_solution(sol.read_text(), inst)
         assert validate(net, "polytree" if mode == "polytree" else "dag").ok
         assert score_of(inst, net) == 168
+
+
+def test_supplied_bfs_trees_lose_edges_to_rule_0(capsys, tmp_path):
+    # rule 0 may drop an edge of a supplied tree between two vertices that
+    # the reduction keeps, and leave the rest short of spanning; the tree is
+    # cut to the edges kept and completed to a spanning forest.  Taken as
+    # cut, 34 of these 200 BFS forests would be refused (18 with "tree edge
+    # (...) not in the graph", 16 as not spanning); each one solves to the
+    # optimum that auto (kernel-lfen) finds without it
+    refused = 0
+    p, tree = tmp_path / "s.scores", tmp_path / "s.tree"
+    for seed in range(200):
+        inst = generate.random_nonzero(random.Random(seed), 30, 3, subdivisions=10)
+        forest = graphs.feedback_edge_set(superstructure(inst))
+        result = kernel.absorb_leaves(inst)
+        dense = {loose: i for i, loose in result.loose_of_reduced.items()}
+        cut = {(dense[a], dense[b]) for a, b in forest.tree_edges if a in dense and b in dense}
+        try:
+            graphs.forest_from_edges(superstructure(result.reduced), cut)
+        except ValueError:
+            refused += 1
+        p.write_text(write_nonzero(inst))
+        write_tree(tree, inst, forest.tree_edges)
+        for mode in ("bnsl", "polytree") if seed % 4 == 0 else ("bnsl",):
+            code, out, err = run(capsys, "solve", str(p), "--mode", mode, "--algo", "lfen",
+                                 "--tree", str(tree))
+            assert code == 0, err
+            assert out == run(capsys, "solve", str(p), "--mode", mode)[1]
+    assert refused == 34
 
 
 def test_supplied_tree_is_checked_against_the_input(capsys, tmp_path):
@@ -681,9 +719,10 @@ def test_supplied_tree_is_checked_against_the_input(capsys, tmp_path):
 
 
 def test_lfen_on_a_long_near_tree(capsys, tmp_path):
-    # 1500 vertices, cycle rank 1: rule 1 absorbs every pendant tree and
-    # leaves the cycle.  Searched on the whole graph, the spanning-tree
-    # enumeration ran out of stack (RecursionError, exit 3)
+    # 1500 vertices, cycle rank 1: rule 1 absorbs every pendant tree, and
+    # the cycle it leaves loses an edge that only dominated sets used, so
+    # the rest is absorbed as well (the cycle stayed before rule 0, and its
+    # search on the whole graph ran out of stack: RecursionError, exit 3)
     code, text, _ = run(capsys, "gen", "--n", "1500", "--fen", "1", "--seed", "1")
     assert code == 0
     p = tmp_path / "nt.scores"
@@ -692,23 +731,27 @@ def test_lfen_on_a_long_near_tree(capsys, tmp_path):
         code, out, err = run(capsys, "solve", str(p), "--mode", mode, "--algo", "lfen")
         assert code == 0, err
         assert out.strip() == "max_score=6955"
-        assert err.strip() == "fen=1 lfen<=1 exact"
+        assert err.strip() == "fen=0 lfen<=0 exact"
 
 
 def test_lfen_on_one_long_cycle(capsys, tmp_path):
     # a 1500-cycle: each of its 1500 spanning trees drops one edge and
     # scores 1, so the search takes the tree without the largest edge.
     # Enumerating them ran out of stack (RecursionError, exit 3)
+    # Rule 0 drops an edge of the cycle, so `--algo lfen` searches it only
+    # with every set scoring above its subsets (`rising_scores`)
     n = 1500
     g = Superstructure(n, [(v, (v + 1) % n) for v in range(n)])
-    p = tmp_path / "cycle.scores"
-    p.write_text(write_nonzero(generate.scores_for_graph(random.Random(1), g)))
-    assert run(capsys, "params", str(p)) == (0, "fen=1 lfen<=1 exact tw<=2\n", "")
-    code, out, err = run(capsys, "solve", str(p))
-    assert (code, out) == (0, "max_score=7295\n"), err
-    for mode in ("bnsl", "polytree"):
-        code, out, err = run(capsys, "solve", str(p), "--mode", mode, "--algo", "lfen")
-        assert (code, out, err) == (0, "max_score=7295\n", "fen=1 lfen<=1 exact\n")
+    inst = generate.scores_for_graph(random.Random(1), g)
+    for scores, best, fen in ((inst, 7295, 0), (rising_scores(inst), 18952, 1)):
+        p = tmp_path / "cycle.scores"
+        p.write_text(write_nonzero(scores))
+        assert run(capsys, "params", str(p)) == (0, "fen=1 lfen<=1 exact tw<=2\n", "")
+        code, out, err = run(capsys, "solve", str(p))
+        assert (code, out) == (0, f"max_score={best}\n"), err
+        for mode in ("bnsl", "polytree"):
+            code, out, err = run(capsys, "solve", str(p), "--mode", mode, "--algo", "lfen")
+            assert (code, out, err) == (0, f"max_score={best}\n", f"fen={fen} lfen<={fen} exact\n")
 
 
 def test_lfen_on_long_chains(capsys, tmp_path):
@@ -716,7 +759,10 @@ def test_lfen_on_long_chains(capsys, tmp_path):
     # 1000, 10 and 1 edges between vertices 0 and 1 ("theta3"), and an
     # n=1500 near-tree with two extra edges: the exact search branches on
     # each 2-core chain's largest edge only.  Branching on every edge ran
-    # out of stack in params on all three (RecursionError, exit 3)
+    # out of stack in params on all three (RecursionError, exit 3).  Rule 0
+    # cuts the chains `--algo lfen` would search, but those of fig8 and
+    # theta3 with every set scoring above its subsets (`rising_scores`)
+    # stay whole
     def path(a, b, inner):
         vs = [a, *inner, b]
         return list(zip(vs, vs[1:]))
@@ -726,17 +772,22 @@ def test_lfen_on_long_chains(capsys, tmp_path):
                             + [(0, 1)])
     code, near_tree, _ = run(capsys, "gen", "--n", "1500", "--fen", "2", "--seed", "1")
     assert code == 0
-    for name, text, best in (
-        ("fig8", write_nonzero(generate.scores_for_graph(random.Random(1), fig8)), 7365),
-        ("theta3", write_nonzero(generate.scores_for_graph(random.Random(1), theta3)), 4936),
-        ("nt2", near_tree, 6852),
+    fig8, theta3 = (generate.scores_for_graph(random.Random(1), g) for g in (fig8, theta3))
+    # (name, file, best score per mode, fen the lfen solve reports)
+    for name, text, best, fen in (
+        ("fig8", write_nonzero(fig8), (7365, 7365), 0),
+        ("theta3", write_nonzero(theta3), (4936, 4936), 1),
+        ("nt2", near_tree, (6852, 6852), 0),
+        ("fig8-rising", write_nonzero(rising_scores(fig8)), (19100, 19096), 2),
+        ("theta3-rising", write_nonzero(rising_scores(theta3)), (12808, 12800), 2),
     ):
         p = tmp_path / f"{name}.scores"
         p.write_text(text)
         assert run(capsys, "params", str(p)) == (0, "fen=2 lfen<=2 exact tw<=2\n", ""), name
-        for mode in ("bnsl", "polytree"):
+        for mode, score in zip(("bnsl", "polytree"), best):
             code, out, err = run(capsys, "solve", str(p), "--mode", mode, "--algo", "lfen")
-            assert (code, out, err) == (0, f"max_score={best}\n", "fen=2 lfen<=2 exact\n"), name
+            assert (code, out, err) == (0, f"max_score={score}\n",
+                                        f"fen={fen} lfen<={fen} exact\n"), name
 
 
 def test_empty_tree_path_is_invalid_input(capsys, example_file):

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from bnsl import depset, generate, lfen_dp, oracle
-from bnsl.instances import parse_nonzero, score_of, validate
+from bnsl import cli, depset, generate, kernel, lfen_dp, oracle
+from bnsl.instances import NonZeroInstance, parse_nonzero, score_of, validate, write_nonzero
 
 
 def test_example_all_dependent(example4):
@@ -92,3 +92,45 @@ def test_witness_sources_outside_dependents():
         _, net = depset.solve_bnsl_depset(inst)
         for u, v in net.arcs:
             assert v in members  # arcs only end in dependent vertices
+
+
+def test_rule0_runs_before_the_dependents_are_counted():
+    # seeded instances with dominated sets, half scored up to 2 (many
+    # ties): the subset DP under the limit the pruned instance needs finds
+    # the oracle's optimum with a valid witness, and rule 0 often leaves
+    # fewer dependents than the input lists
+    dominated = fewer = 0
+    for seed in range(200):
+        rng = random.Random(f"depset-rule0:{seed}")
+        inst = generate.random_nonzero(rng, rng.randint(2, 8), rng.randint(0, 3),
+                                       2 if seed % 2 else 8, connected=seed % 3 != 0,
+                                       exact_fen=False, extra_sets=rng.uniform(0.7, 2.5))
+        pruned = NonZeroInstance(inst.n, inst.names, {
+            v: kernel.drop_dominated(sets) for v, sets in inst.entries.items()})
+        dominated += pruned.entries != inst.entries
+        k = len(depset.dependent_vertices(pruned))
+        fewer += k < len(depset.dependent_vertices(inst))
+        best, net = depset.solve_bnsl_depset(inst, max_dependent=k)
+        assert best == oracle.exact_bnsl(inst)[0] == score_of(inst, net)
+        assert validate(net, "dag").ok
+        if k:
+            with pytest.raises(depset.TooManyDependentError):
+                depset.solve_bnsl_depset(inst, max_dependent=k - 1)
+    assert dominated >= 150 and fewer >= 20, (dominated, fewer)
+
+
+def test_a_dependent_with_dominated_sets_only_is_no_dependent(capsys, tmp_path):
+    # six dependents and a seventh whose sets all score at most its empty
+    # set: `--max-dependent 6` solves it, to the oracle's optimum
+    inst = generate.random_limited_dependents(random.Random(1), 12, 6)
+    members = depset.dependent_vertices(inst)
+    v = next(x for x in range(inst.n) if x not in members)
+    entries = dict(inst.entries)
+    entries[v] = {frozenset(): 6, frozenset(members[:1]): 4, frozenset(members[:2]): 6}
+    inst = NonZeroInstance(inst.n, inst.names, entries)
+    assert len(depset.dependent_vertices(inst)) == 7
+    p = tmp_path / "d7.scores"
+    p.write_text(write_nonzero(inst))
+    code = cli.main(["solve", str(p), "--algo", "depset", "--max-dependent", "6"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (0, f"max_score={oracle.exact_bnsl(inst)[0]}\n", "")

@@ -2,11 +2,12 @@ import gc
 import random
 import time
 from collections import Counter, deque
+from itertools import combinations
 
 import pytest
 
 from bnsl import generate, graphs, kernel
-from bnsl.instances import Superstructure, superstructure
+from bnsl.instances import Superstructure, find, superstructure
 from reference import (
     bags_from_order_replay,
     check_nice_scan,
@@ -144,7 +145,7 @@ def test_lfen_search_matches_enumeration_oracle():
         n = rng.randint(2, 8)
         g = generate.random_graph(rng, n, rng.randint(0, 3),
                                   connected=(seed % 3 != 0), exact_fen=False)
-        w = graphs.lfen_search(g)
+        w = graphs.lfen_search(g, budget=10**9)
         assert w.exact
         exact, _ = exact_lfen(g)
         assert w.value == exact
@@ -163,7 +164,7 @@ def test_chain_cuts_match_enumeration():
         if seed % 2:
             g = generate.subdivide(rng, g, rng.randint(1, 20 if extra == 1 else 6))
         assert g.edge_count() == g.n - 1 + extra and len(g.components()) == 1
-        budget = graphs.spanning_tree_count(g)
+        budget = 10**9
         tree, exact = graphs._component_lfen_tree(g, budget)
         assert (tree, exact) == component_lfen_tree_rebuild(g, budget)
         assert exact and isinstance(tree, frozenset)
@@ -282,96 +283,62 @@ def test_feedback_forest_of_long_cycle_is_linear():
     assert max(forest.depth) == n // 2
 
 
-def test_spanning_tree_count_matches_enumeration():
-    checked = 0
-    for seed in range(100):
-        rng = random.Random(1200 + seed)
-        n = rng.randint(1, 9)
-        g = generate.random_graph(rng, n, rng.randint(0, 5),
-                                  connected=(seed % 5 != 0), exact_fen=False)
-        count = graphs.spanning_tree_count(g)
-        if len(g.components()) > 1:
-            assert count == 0
-            continue
-        checked += 1
-        assert count == sum(1 for _ in graphs._spanning_trees(g, frozenset()))
-    assert checked >= 60
-    # trees (count 1), and cycles and random 2-cores with long pendant
-    # trees, whose count is the core's alone: the count only eliminates
-    # the 2-core that `peel` leaves
-    shapes = Counter()
-    for seed in range(120):
-        rng = random.Random(1300 + seed)
-        shape = ("tree", "cycle", "core")[seed % 3]
-        if shape == "tree":
-            g = generate.random_graph(rng, rng.randint(2, 14))
-            k = 0
-        elif shape == "cycle":
-            k = rng.randint(3, 6)
-            g = Superstructure(k, [(i, (i + 1) % k) for i in range(k)])
-        else:
-            k = rng.randint(4, 7)
-            g = generate.random_graph(rng, k, rng.randint(2, 3), exact_fen=False)
-            if len(graphs.peel(g)[1]):
-                continue
-        edges = list(g.edges)
-        n = g.n
-        for _ in range(rng.randint(1, 3)):  # a path with a random tree below it
-            at = rng.randrange(n)
-            for _ in range(rng.randint(3, 8)):
-                edges.append((at, n))
-                at = n if rng.random() < 0.7 else rng.randrange(g.n, n + 1)
-                n += 1
-        h = Superstructure(n, edges)
-        count = graphs.spanning_tree_count(h)
-        assert count == sum(1 for _ in graphs._spanning_trees(h, frozenset()))
-        assert count == graphs.spanning_tree_count(g)
-        if shape != "core":
-            assert count == max(k, 1)
-        shapes[shape] += 1
-    assert min(shapes.values()) >= 15, shapes
+def chain_trees_by_brute_force(g):
+    """How many spanning trees of a connected graph hold
+    `graphs._chain_forest`: every (n - 1)-edge subset that holds it and
+    has no cycle."""
+    chains = graphs._chain_forest(g)
+    count = 0
+    for tree in combinations(sorted(g.edges), g.n - 1):
+        parent = list(range(g.n))
+        if chains <= set(tree) and all(union(parent, a, b) for a, b in tree):
+            count += 1
+    return count
 
 
-def test_spanning_tree_count_closed_forms():
-    for n in range(1, 9):  # Cayley: n^(n-2) labelled trees on K_n
-        g = Superstructure(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
-        assert graphs.spanning_tree_count(g) == (n ** (n - 2) if n > 1 else 1)
-    for length in (3, 4, 17, 250, 1500):
-        cycle = Superstructure(length, [(i, (i + 1) % length) for i in range(length)])
-        assert graphs.spanning_tree_count(cycle) == length
+def union(parent, a, b):
+    ra, rb = find(parent, a), find(parent, b)
+    parent[ra] = rb
+    return ra != rb
 
 
 def test_lfen_search_exact_at_budget_boundary():
-    seen = 0
-    for seed in range(60):
+    # the search is exact exactly when the trees it enumerates, those that
+    # hold the chain forest, number at most the budget
+    seen = Counter()
+    for seed in range(120):
         rng = random.Random(1400 + seed)
         g = generate.random_graph(rng, rng.randint(4, 10), rng.randint(1, 4),
                                   exact_fen=False)
-        count = graphs.spanning_tree_count(g)
-        if count > 3000 or g.edge_count() == g.n - 1:  # trees are always exact
+        if seed % 2:
+            g = generate.subdivide(rng, g, rng.randint(1, 3))
+        # trees are always exact; past 14 edges the brute force takes too long
+        if g.edge_count() == g.n - 1 or g.edge_count() > 14:
             continue
-        seen += 1
+        count = chain_trees_by_brute_force(g)
+        seen[count > 1] += 1
         assert graphs.lfen_search(g, budget=count).exact
         assert not graphs.lfen_search(g, budget=count - 1).exact
-    assert seen >= 30
+    assert seen[True] >= 30 and seen[False] >= 10, seen
 
 
 def test_enumerating_lfen_search_leaves_no_cyclic_garbage():
     # the CLI runs with the cyclic collector off, so anything a search
-    # leaves in reference cycles stays until the process ends: a 4-cycle
-    # and a triangle sharing a vertex, 12 spanning trees, all enumerated
-    g = Superstructure(6, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 3)])
-    assert graphs.spanning_tree_count(g) == 12
+    # leaves in reference cycles stays until the process ends: three paths
+    # between two vertices, whose 3 trees that hold the chain forest are
+    # enumerated whole, and with a budget of 1 cut short
+    g = Superstructure(6, [(0, 1), (0, 2), (2, 1), (0, 3), (3, 4), (4, 5), (5, 1)])
+    assert chain_trees_by_brute_force(g) == 3
     was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        witness = graphs.lfen_search(g)
+        witnesses = [graphs.lfen_search(g), graphs.lfen_search(g, budget=1)]
         left = gc.collect()
     finally:
         if was_enabled:
             gc.enable()
-    assert witness.exact
+    assert [w.exact for w in witnesses] == [True, False]
     assert left == 0
 
 

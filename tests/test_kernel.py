@@ -2,10 +2,12 @@ import json
 import random
 import time
 from itertools import product
+from types import SimpleNamespace
 
-from bnsl import generate, kernel, lfen_dp, oracle
+from bnsl import cli, generate, kernel, lfen_dp, oracle
 from bnsl.instances import (
     Network,
+    NonZeroInstance,
     Superstructure,
     parse_nonzero,
     score_of,
@@ -19,6 +21,8 @@ from reference import (
     kernelize_rescan,
     lift_rescan,
     random_dag,
+    rising_scores,
+    rule0_by_definition,
     rule1_scan_target,
     scan_adjacency,
 )
@@ -268,11 +272,12 @@ def test_rr1_preserves_optimum_random():
     assert checked >= 50
 
 
-def test_absorb_leaves_keeps_the_core_and_its_edges():
-    # rule 1 alone leaves no degree-1 vertex and keeps every edge among the
-    # vertices it keeps, which is what `--algo lfen` needs to cut a
-    # supplied spanning forest down to them; the steps are the rule-1
-    # prefix of both kernels, and the lifted optimum is the input's
+def test_absorb_leaves_keeps_a_subgraph_of_the_core():
+    # rules 0 and 1 leave no degree-1 vertex and keep a subgraph of the
+    # input's superstructure (rule 0 drops the edges only dominated sets
+    # used, so `--algo lfen` completes a supplied forest it cuts down to
+    # them); the steps are the prefix of both kernels before their first
+    # path contraction, and the lifted optimum is the input's
     for seed in range(120):
         rng = random.Random(f"absorb:{seed}")
         n = rng.randint(1, 12)
@@ -283,7 +288,7 @@ def test_absorb_leaves_keeps_the_core_and_its_edges():
         kept = result.loose_of_reduced
         g, gr = superstructure(inst), superstructure(red)
         assert all(gr.degree(v) != 1 for v in range(red.n))
-        assert gr.edges == {(a, b) for a in range(red.n) for b in range(a + 1, red.n)
+        assert gr.edges <= {(a, b) for a in range(red.n) for b in range(a + 1, red.n)
                             if (kept[a], kept[b]) in g.edges}
         assert all(step["rule"] == 1 for step in result.steps)
         for full in (kernel.kernelize_bnsl(inst), kernel.kernelize_pl(inst)):
@@ -292,6 +297,106 @@ def test_absorb_leaves_keeps_the_core_and_its_edges():
         lifted = result.lift(net)
         assert validate(lifted, "dag").ok
         assert score_of(inst, lifted) == best == oracle.exact_bnsl(inst)[0]
+
+
+def rule0_family():
+    """320 seeded instances of 2-9 vertices for the oracles, every other
+    one drawn again until its superstructure is disconnected, many scored
+    up to 2 (many ties), `extra_sets` 0.7-2.5, some subdivided."""
+    for seed in range(320):
+        rng = random.Random(f"rule0:{seed}")
+        while True:
+            n = rng.randint(2, 9)
+            sub = rng.randint(0, (n - 1) // 2) if seed % 3 == 0 else 0
+            try:
+                inst = generate.random_nonzero(
+                    rng, n, rng.randint(0, 3), 2 if seed % 4 < 2 else 8, subdivisions=sub,
+                    connected=seed % 2 == 0, exact_fen=False, extra_sets=rng.uniform(0.7, 2.5))
+            except ValueError:  # an edgeless forest cannot be subdivided
+                continue
+            if seed % 2 == 0 or len(superstructure(inst).components()) > 1:
+                yield inst
+                break
+
+
+def test_rule0_solves_match_oracles():
+    # kernelize and lift, kernel-lfen and lfen in both modes against the
+    # oracles: rule 0 drops sets and superstructure edges, the kernels
+    # merge the edgeless vertices, and no path needs a lift step for either
+    args = SimpleNamespace(tree=None)
+    done = dominated = lost_edge = disconnected = 0
+    for inst in rule0_family():
+        done += 1
+        g = superstructure(inst)
+        pruned = {v: kernel.drop_dominated(sets) for v, sets in inst.entries.items()}
+        dominated += pruned != inst.entries
+        lost_edge += superstructure(NonZeroInstance(inst.n, inst.names, pruned)) != g
+        disconnected += len(g.components()) > 1
+        for mode, exact in (("bnsl", oracle.exact_bnsl), ("polytree", oracle.exact_pl)):
+            best = exact(inst)[0]
+            kind = "polytree" if mode == "polytree" else "dag"
+            res = cli.KERNELIZE[mode](inst)
+            score, net = exact(res.reduced)
+            lifted = res.lift(net)
+            assert validate(lifted, kind).ok and score_of(inst, lifted) == score == best
+            for algo in ("kernel-lfen", "lfen"):
+                score, net = cli.SOLVERS[algo, mode].run(inst, mode, args, [])
+                assert validate(net, kind).ok and score_of(inst, net) == score == best
+    assert done == 320 and dominated >= 250 and lost_edge >= 50 and disconnected == 160, (
+        done, dominated, lost_edge, disconnected)
+
+
+def test_no_reduced_table_holds_a_dominated_set():
+    # every table of every reduced instance is rule 0's fixed point, by the
+    # definition: after both kernels and `absorb_leaves`, on the oracle
+    # family, the pendant-heavy instances and the benchmark's explicit
+    # families
+    instances = list(rule0_family())
+    for seed in range(40):
+        rng = random.Random(f"rule0-big:{seed}")
+        instances.append(pendant_heavy(rng, rng.randint(3, 30), rng.randint(5, 40),
+                                       2 if seed % 2 else 8, rng.uniform(0.7, 2.5)))
+    for seed in range(1, 4):
+        for n, fen, sub in ((60, 5, 40), (200, 3, 150), (800, 1, 700)):
+            inst = generate.random_nonzero(random.Random(f"rr1:{seed}:{n}"), n, fen,
+                                           subdivisions=sub)
+            instances += [inst, rising_scores(inst)]
+    gadgets = 0
+    for inst in instances:
+        for reduce in (kernel.kernelize_bnsl, kernel.kernelize_pl, kernel.absorb_leaves):
+            res = reduce(inst)
+            for sets in res.reduced.entries.values():
+                assert rule0_by_definition(sets) == sets
+            gadgets += any(st["rule"] != 1 for st in res.steps)
+    assert gadgets >= 20, gadgets
+
+
+def test_kernel_size_on_forests_and_disconnected_inputs():
+    # one vertex stands for all the edgeless ones, so the bounds hold with
+    # one to spare on any input: a forest kernelizes to one vertex
+    forest = generate.random_nonzero(random.Random(3), 300, 0, connected=False)
+    assert len(superstructure(forest).components()) == 43
+    for reduce in (kernel.kernelize_bnsl, kernel.kernelize_pl, kernel.absorb_leaves):
+        assert reduce(forest).reduced.n == 1
+    seen = 0
+    for seed in range(80):
+        rng = random.Random(f"size:{seed}")
+        n = rng.randint(20, 300)
+        try:
+            inst = generate.random_nonzero(
+                rng, n, 0 if seed % 4 == 0 else rng.randint(1, 6), connected=seed % 4 == 3,
+                exact_fen=False, subdivisions=rng.randint(0, n // 2) if seed % 2 else 0,
+                extra_sets=rng.uniform(0.3, 2.0))
+        except ValueError:
+            continue
+        g = superstructure(inst)
+        fen = g.edge_count() - g.n + len(g.components())
+        bnsl, pl = kernel.kernelize_bnsl(inst), kernel.kernelize_pl(inst)
+        assert bnsl.reduced.n <= 16 * fen + 1 and pl.reduced.n <= 24 * fen + 1
+        if not fen:
+            assert bnsl.reduced.n == pl.reduced.n == 1
+        seen += len(g.components()) > 1
+    assert seen >= 40, seen
 
 
 def test_rr2_contract_structure():

@@ -373,8 +373,8 @@ def test_supplied_tree_is_respected(example4):
 # checked equal to the exhaustive oracle's: a change that picks another
 # optimal network on a tie changes them, and must say why
 WITNESS_DIGESTS = {
-    "bnsl": "f86b77c551c27f2b98bd6f54b29629bb4e493a9345f8fd35ea74fdd5fcd6dcf2",
-    "pl": "ba4475fb4999763668a04e77f08ee1f21c555e70bb7aedca62c2a21cd33db27e",
+    "bnsl": "7ec6bd91c4ee3657169cd8533e9888d0e54a61830befcb9ffe1fe49ae3d68019",
+    "pl": "d99ae40766023365c42a5f214267a0dcaeaf7b391f2c61ed7fa3d4ae1c068212",
 }
 
 
